@@ -109,10 +109,15 @@ func TestPanicPoisonsNotDeadlocks(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewObject(%s): %v", algo, err)
 				}
+				// Every handle exists before any worker runs: the fuse is
+				// 50 operations, and NewHandle on a poisoned executor fails.
 				const workers = 4
+				var handles [workers]hybsync.Handle
+				for w := range handles {
+					handles[w] = hybsync.MustHandle(ex)
+				}
 				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					h := hybsync.MustHandle(ex)
+				for _, h := range handles {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()

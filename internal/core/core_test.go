@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -253,5 +254,92 @@ func TestHybCombNodeLayout(t *testing.T) {
 	}
 	if !pad.Padded(unsafe.Sizeof(n)) {
 		t.Fatalf("hcNode is %d bytes, not a whole number of cache lines", unsafe.Sizeof(n))
+	}
+}
+
+// TestHandleCreatedMidApply covers the per-handle rings: NewHandle
+// allocates a handle's response ring (and HybComb inbox) while other
+// handles are mid-Apply, and the server or the other threads' combiners
+// then find that ring through a plain slice slot. The slot's write must
+// be ordered before every such read by the newcomer's first request or
+// its node's registration CAS — which the race detector checks here for
+// mpserver, hybcomb and a promoted hybrid over either backend. Small
+// MaxOps keeps HybComb's combiner role rotating, so newcomers both
+// register with others and are registered with.
+func TestHandleCreatedMidApply(t *testing.T) {
+	const residents, newcomers, per = 2, 12, 300
+	for _, tc := range []struct {
+		name string
+		mk   func(Object) Executor
+	}{
+		{"mpserver", func(obj Object) Executor {
+			return NewMPServer(obj, Options{MaxThreads: residents + newcomers})
+		}},
+		{"hybcomb", func(obj Object) Executor {
+			return NewHybComb(obj, Options{MaxThreads: residents + newcomers, MaxOps: 4})
+		}},
+		{"hybrid/hybcomb", func(obj Object) Executor {
+			h := newTestHybrid(t, obj, WithMaxThreads(residents+newcomers), WithMaxOps(4))
+			forceMode(h, true)
+			return h
+		}},
+		{"hybrid/mpserver", func(obj Object) Executor {
+			h := newTestHybrid(t, obj, WithMaxThreads(residents+newcomers), WithHybridBackend("mpserver"))
+			forceMode(h, true)
+			return h
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			obj, total := counterObj()
+			ex := tc.mk(obj)
+			stop := make(chan struct{})
+			var applied atomic.Uint64
+			var resident, wave sync.WaitGroup
+			for i := 0; i < residents; i++ {
+				resident.Add(1)
+				go func() {
+					defer resident.Done()
+					h := MustHandle(ex)
+					for n := uint64(0); ; n++ {
+						select {
+						case <-stop:
+							applied.Add(n)
+							return
+						default:
+							h.Apply(0, 0)
+						}
+					}
+				}()
+			}
+			for i := 0; i < newcomers; i++ {
+				wave.Add(1)
+				go func() {
+					defer wave.Done()
+					h := MustHandle(ex) // a fresh ring, while the others are mid-Apply
+					for n := 0; n < per; n++ {
+						h.Apply(0, 0)
+					}
+					tk, err := h.Submit(0, 0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					h.Wait(tk)
+					applied.Add(per + 1)
+				}()
+				if i%4 == 3 {
+					wave.Wait() // four newcomers at a time overlap each other too
+				}
+			}
+			wave.Wait()
+			close(stop)
+			resident.Wait()
+			if err := ex.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := total(), applied.Load(); got != want {
+				t.Fatalf("counter = %d, want %d", got, want)
+			}
+		})
 	}
 }

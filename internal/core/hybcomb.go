@@ -57,8 +57,14 @@ type HybComb struct {
 	lastReg  atomic.Pointer[hcNode]
 	departed atomic.Pointer[hcNode]
 
-	inbox  []mpq.Queue // per thread: registered requests, drained by the owner as combiner
-	resp   []mpq.Queue // per thread: responses to the owner's registered requests
+	// Per thread, created by NewHandle: inbox[id] holds the requests
+	// registered with id as combiner (drained by the owner), resp[id]
+	// the responses to the owner's own registered requests. Another
+	// thread learns id only from a node's threadID — stored by the
+	// owner, published by its lastReg CAS — or from a request the owner
+	// sent, so the slots' writes are ordered before every read.
+	inbox  []mpq.Queue
+	resp   []mpq.Queue
 	nextID atomic.Int32
 	closed atomic.Bool
 
@@ -95,13 +101,6 @@ func NewHybComb(obj Object, opts Options) *HybComb {
 	h.Tel = opts.Telemetry
 	h.inbox = make([]mpq.Queue, opts.MaxThreads)
 	h.resp = make([]mpq.Queue, opts.MaxThreads)
-	for i := range h.inbox {
-		h.inbox[i] = opts.newMpscQueue()
-		// Responses to one thread come from whichever thread combines
-		// each round — serialized in time, but many producers over the
-		// queue's lifetime, hence Mpsc rather than Spsc.
-		h.resp[i] = opts.newMpscQueue()
-	}
 	// The initial node {⊥, MAX_OPS, true}: full, so the first thread
 	// fails registration and promotes itself; done, so it proceeds
 	// immediately.
@@ -126,6 +125,11 @@ func (h *HybComb) NewHandle() (Handle, error) {
 	if int(id) >= h.opts.MaxThreads {
 		return nil, errTooManyHandles(h.opts.MaxThreads)
 	}
+	h.inbox[id] = h.opts.newMpscQueue()
+	// Responses to one thread come from whichever thread combines each
+	// round — serialized in time, but many producers over the queue's
+	// lifetime, hence Mpsc rather than Spsc.
+	h.resp[id] = h.opts.newMpscQueue()
 	n := &hcNode{}
 	n.threadID.Store(id)
 	n.nOps.Store(h.opts.MaxOps) // parked: nobody can register with it

@@ -40,10 +40,14 @@ import (
 // ring's capacity, so the server's response send never blocks.
 type MPServer struct {
 	PoisonLatch
-	opts    Options
-	obj     Object
-	reqs    mpq.Queue   // MPSC: any client sends, only serve receives
-	resp    []mpq.Queue // per client, QueueCap deep, SPSC: server → client
+	opts Options
+	obj  Object
+	reqs mpq.Queue // MPSC: any client sends, only serve receives
+	// resp[id] is handle id's response ring (QueueCap deep, SPSC:
+	// server → client), created by NewHandle. The server learns an id
+	// only from a request that handle sent, and the request ring's
+	// publication orders the slot's write before the server's read.
+	resp    []mpq.Queue
 	nextID  atomic.Int32
 	stopped atomic.Bool
 	done    chan struct{}
@@ -66,12 +70,6 @@ func NewMPServer(obj Object, opts Options) *MPServer {
 	}
 	s.Algo = "mpserver"
 	s.Tel = opts.Telemetry
-	for i := range s.resp {
-		// QueueCap deep (not 1): the response ring is the completion
-		// stream of the handle's submission pipeline, and must hold one
-		// reply per in-flight request.
-		s.resp[i] = opts.newSpscQueue(opts.QueueCap)
-	}
 	go s.serve()
 	return s
 }
@@ -148,6 +146,10 @@ func (s *MPServer) NewHandle() (Handle, error) {
 	if int(id) >= s.opts.MaxThreads {
 		return nil, errTooManyHandles(s.opts.MaxThreads)
 	}
+	// QueueCap deep (not 1): the response ring is the completion stream
+	// of the handle's submission pipeline, and must hold one reply per
+	// in-flight request.
+	s.resp[id] = s.opts.newSpscQueue(s.opts.QueueCap)
 	tk := mpq.NewTicketed(s.resp[id])
 	tk.Arm(s.opts.StallTimeout, "mpserver: client awaiting response")
 	tk.OnStall(s.opts.Telemetry.StallHook())

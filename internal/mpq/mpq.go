@@ -15,18 +15,20 @@
 //
 // Every queue in the system is consumed by exactly one goroutine (each
 // thread owns its incoming queue), so the package provides
-// role-specialized backends alongside the fully general one:
+// role-specialized backends and no multi-consumer one:
 //
 //   - Spsc: single producer, single consumer — the MP-SERVER response
-//     path. No atomic read-modify-write at all; one plain store
-//     publishes on each side.
+//     path. No atomic read-modify-write at all; the producer's position
+//     is a private plain word.
 //   - Mpsc: many producers, single consumer — the MP-SERVER request
 //     queue and the HybComb inboxes. Producers claim a slot with a
 //     single fetch-and-add instead of a CAS retry loop; the consumer
 //     never CASes.
-//   - Ring: the original general MPMC Vyukov ring, kept as the
-//     conservative fallback and ablation baseline.
 //   - ChanQueue: a buffered Go channel (the obvious baseline).
+//
+// Both rings speak one stamped-cell protocol (see ring): a message is
+// one cache line the producer writes and the consumer reads, and
+// nothing else crosses cores per message.
 //
 // The ablation benchmark BenchmarkMPQBackends compares them per role.
 package mpq
@@ -80,7 +82,10 @@ type Queue interface {
 // recvBatchBlocking implements RecvBatch over a backend's blocking Recv
 // and non-blocking TryRecvBatch: block for the first message, then
 // opportunistically drain whatever else is already published.
-func recvBatchBlocking(q Queue, buf []Msg) int {
+func recvBatchBlocking(q interface {
+	Recv() Msg
+	TryRecvBatch([]Msg) int
+}, buf []Msg) int {
 	if len(buf) == 0 {
 		return 0
 	}
@@ -102,7 +107,8 @@ type ringCell struct {
 	_ [pad.CacheLine - unsafe.Sizeof(ringCellHot{})%pad.CacheLine]byte
 }
 
-// ringSize rounds cap up to a power of two, minimum 2.
+// ringSize is the number of cells behind a ring of capacity cap: cap
+// rounded up to a power of two, minimum 2.
 func ringSize(cap int) int {
 	n := 2
 	for n < cap {
@@ -111,65 +117,54 @@ func ringSize(cap int) int {
 	return n
 }
 
-// Ring is a bounded lock-free MPMC ring buffer (Vyukov's algorithm):
-// each cell carries a sequence number; producers claim cells with a CAS
-// on the enqueue position and consumers with a CAS on the dequeue
-// position. It is the fully general backend — when the producer or
-// consumer side is known to be single, prefer Mpsc or Spsc, which shed
-// the CAS loops.
+// ring is what Spsc and Mpsc share: the stamped cells and the whole
+// consumer half of the protocol. The two rings differ only in how a
+// producer claims a position and learns that its cell is free.
+//
+// The message at position pos lives in cells[pos&mask] and is published
+// by stamping that cell's seq with pos+1 — a value no other lap of the
+// cell ever carries, so a stale stamp (lap L-1) can never pass for the
+// one the consumer expects (lap L), and a position that is claimed but
+// not yet written reads as empty. The consumer polls the stamp of the
+// one cell it expects next, copies the message out and advances deq; it
+// never writes a cell. A cell is therefore free for reuse as soon as deq
+// has passed its previous lap, and producers learn how far deq has come
+// from deq itself — through a private or shared snapshot they refresh
+// only when the ring looks full — not from the cell. Per message
+// exactly one line crosses cores: the cell, written by the producer and
+// read by the consumer.
+//
+// The ring holds at most bound messages: position pos may be written
+// once deq > pos-bound. bound is the capacity the caller asked for, not
+// the power of two the cells are rounded up to, so all backends
+// (ChanQueue included) exert the same back-pressure — and so the
+// snapshot refresh, which costs the one send in every bound a miss on
+// the consumer's line, does not recur with a power-of-two period that
+// a 1-in-16 or 1-in-64 latency sampler would lock onto.
+//
+// Exactly one goroutine may call the receive methods over the ring's
+// lifetime; Empty is safe from anywhere but advisory.
 //
 //hyblint:padsep
-type Ring struct {
-	_    pad.Line
-	enq  atomic.Uint64
-	_    pad.Line
-	deq  atomic.Uint64
-	_    pad.Line
-	mask uint64
-	// cells[i].seq encodes the cell state for position pos = lap*len+i:
-	// seq == pos    free (or claimed by a producer that has not yet
-	//               written the message),
-	// seq == pos+1  published, ready to consume,
-	// seq == pos+len  consumed, free for the next lap.
+type ring struct {
+	_ pad.Line
+	// deq is written only by the consumer; producers read it only when
+	// the ring looks full.
+	deq atomic.Uint64
+	_   pad.Line
+	// Read-only after construction.
+	mask  uint64
+	bound uint64
 	cells []ringCell
 }
 
-// NewRing creates a ring with capacity cap messages (rounded up to a
-// power of two, minimum 2).
-func NewRing(cap int) *Ring {
+func (r *ring) init(cap int) {
 	n := ringSize(cap)
-	r := &Ring{mask: uint64(n - 1), cells: make([]ringCell, n)}
-	for i := range r.cells {
-		r.cells[i].seq.Store(uint64(i))
-	}
-	return r
+	r.mask, r.bound, r.cells = uint64(n-1), uint64(max(cap, 2)), make([]ringCell, n)
 }
 
-// Send implements Queue.
-func (r *Ring) Send(m Msg) {
-	var b backoff.Backoff
-	for {
-		pos := r.enq.Load()
-		cell := &r.cells[pos&r.mask]
-		seq := cell.seq.Load()
-		switch {
-		case seq == pos:
-			if r.enq.CompareAndSwap(pos, pos+1) {
-				cell.msg = m
-				cell.seq.Store(pos + 1)
-				return
-			}
-		case seq < pos:
-			// Full: the consumer has not freed this cell yet.
-			b.Wait()
-		default:
-			// Another producer won the race; retry with a fresh pos.
-		}
-	}
-}
-
-// Recv implements Queue.
-func (r *Ring) Recv() Msg {
+// Recv implements Queue. Consumer-side only.
+func (r *ring) Recv() Msg {
 	var b backoff.Backoff
 	for {
 		if m, ok := r.TryRecv(); ok {
@@ -179,53 +174,50 @@ func (r *Ring) Recv() Msg {
 	}
 }
 
-// TryRecv implements Queue. It returns false both when the queue is
-// empty and when the head cell is claimed by a producer that has not
-// yet written the message (seq <= pos): an unpublished message is not
+// TryRecv implements Queue. Consumer-side only. It returns false both
+// when the ring is empty and when the head cell is claimed by a
+// producer that has not yet stamped it: an unpublished message is not
 // receivable, exactly as an in-flight hardware packet is not.
-func (r *Ring) TryRecv() (Msg, bool) {
-	for {
-		pos := r.deq.Load()
-		cell := &r.cells[pos&r.mask]
-		seq := cell.seq.Load()
-		if seq == pos+1 {
-			if r.deq.CompareAndSwap(pos, pos+1) {
-				m := cell.msg
-				cell.seq.Store(pos + r.mask + 1)
-				return m, true
-			}
-			continue // another consumer took it; retry
-		}
-		if seq <= pos {
-			return Msg{}, false // empty, or head cell claimed but unwritten
-		}
-		// seq > pos+1: a racing consumer already advanced; retry.
+func (r *ring) TryRecv() (Msg, bool) {
+	pos := r.deq.Load() // own field
+	cell := &r.cells[pos&r.mask]
+	if cell.seq.Load() != pos+1 {
+		return Msg{}, false
 	}
+	m := cell.msg
+	r.deq.Store(pos + 1) // frees the cell: release-orders the read above
+	return m, true
 }
 
-// RecvBatch implements Queue.
-func (r *Ring) RecvBatch(buf []Msg) int { return recvBatchBlocking(r, buf) }
+// RecvBatch implements Queue. Consumer-side only.
+func (r *ring) RecvBatch(buf []Msg) int { return recvBatchBlocking(r, buf) }
 
-// TryRecvBatch implements Queue.
-func (r *Ring) TryRecvBatch(buf []Msg) int {
+// TryRecvBatch implements Queue. Consumer-side only: it walks the run
+// of already-published cells and advances deq once at the end, so the
+// producer-visible synchronization cost is one store per batch.
+func (r *ring) TryRecvBatch(buf []Msg) int {
+	pos := r.deq.Load()
 	n := 0
 	for n < len(buf) {
-		m, ok := r.TryRecv()
-		if !ok {
+		cell := &r.cells[pos&r.mask]
+		if cell.seq.Load() != pos+1 {
 			break
 		}
-		buf[n] = m
+		buf[n] = cell.msg
 		n++
+		pos++
+	}
+	if n > 0 {
+		r.deq.Store(pos)
 	}
 	return n
 }
 
-// Empty implements Queue. seq <= pos covers both genuinely empty and
-// "head cell claimed but not yet written"; either way there is nothing
-// to receive right now.
-func (r *Ring) Empty() bool {
+// Empty implements Queue. Advisory; a stamp other than pos+1 covers
+// both genuinely empty and "head cell claimed but not yet written".
+func (r *ring) Empty() bool {
 	pos := r.deq.Load()
-	return r.cells[pos&r.mask].seq.Load() <= pos
+	return r.cells[pos&r.mask].seq.Load() != pos+1
 }
 
 // ChanQueue adapts a buffered Go channel to the Queue interface — the
@@ -273,9 +265,3 @@ func (q *ChanQueue) TryRecvBatch(buf []Msg) int {
 
 // Empty implements Queue.
 func (q *ChanQueue) Empty() bool { return len(q.ch) == 0 }
-
-// New returns the general-purpose backend (MPMC Ring) with the given
-// capacity; the TILE-Gx hardware queue holds 118 words, i.e. ~39
-// three-word requests. Callers that know their producer/consumer roles
-// should use NewSpsc or NewMpsc directly.
-func New(cap int) Queue { return NewRing(cap) }

@@ -1,6 +1,7 @@
 package mpq
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -9,31 +10,25 @@ import (
 	"hybsync/internal/pad"
 )
 
-// spscBackends lists every backend that supports one producer + one
-// consumer (all of them); mpscBackends every backend that supports many
-// producers + one consumer. Deterministic slice order keeps test and
-// benchmark output stable.
+// ringBackends lists the two stamped-cell rings; spscBackends every
+// backend that supports one producer + one consumer (all of them);
+// mpscBackends every backend that supports many producers + one
+// consumer. Deterministic slice order keeps test and benchmark output
+// stable.
 type namedBackend struct {
 	name string
 	mk   func(cap int) Queue
 }
 
-func spscBackends() []namedBackend {
-	return []namedBackend{
-		{"ring", func(c int) Queue { return NewRing(c) }},
-		{"chan", func(c int) Queue { return NewChan(c) }},
-		{"mpsc", func(c int) Queue { return NewMpsc(c) }},
-		{"spsc", func(c int) Queue { return NewSpsc(c) }},
-	}
-}
+var (
+	chanBackend = namedBackend{"chan", func(c int) Queue { return NewChan(c) }}
+	mpscBackend = namedBackend{"mpsc", func(c int) Queue { return NewMpsc(c) }}
+	spscBackend = namedBackend{"spsc", func(c int) Queue { return NewSpsc(c) }}
+)
 
-func mpscBackends() []namedBackend {
-	return []namedBackend{
-		{"ring", func(c int) Queue { return NewRing(c) }},
-		{"chan", func(c int) Queue { return NewChan(c) }},
-		{"mpsc", func(c int) Queue { return NewMpsc(c) }},
-	}
-}
+func ringBackends() []namedBackend { return []namedBackend{mpscBackend, spscBackend} }
+func spscBackends() []namedBackend { return []namedBackend{chanBackend, mpscBackend, spscBackend} }
+func mpscBackends() []namedBackend { return []namedBackend{chanBackend, mpscBackend} }
 
 func TestFIFOSingleProducer(t *testing.T) {
 	for _, be := range spscBackends() {
@@ -241,51 +236,38 @@ func TestTryRecvBatchEmptyAndZeroBuf(t *testing.T) {
 }
 
 // TestClaimedButUnwrittenCell is the regression test for the documented
-// seq <= pos semantics: a reader that observes a cell some producer has
+// stamp semantics: a reader that observes a cell some producer has
 // claimed (position advanced) but not yet written (message and sequence
 // stamp pending) must treat the queue as empty rather than return the
 // stale cell. We reproduce the producer's half-completed Send
-// deterministically by performing only its claim step.
+// deterministically by performing only its claim step — on a fresh
+// ring, and on the second lap where the cell still carries lap 0's
+// message and stamp.
 func TestClaimedButUnwrittenCell(t *testing.T) {
-	t.Run("ring", func(t *testing.T) {
-		r := NewRing(4)
-		// First half of Ring.Send: claim position 0, do not publish.
-		if !r.enq.CompareAndSwap(0, 1) {
-			t.Fatal("claim CAS failed on fresh ring")
+	q := NewMpsc(4)
+	for lap := uint64(0); lap < 2; lap++ {
+		for i := uint64(1); i < 4; i++ { // three pass through: the claim lands on cell 3
+			q.Send(Word(i))
+			q.Recv()
 		}
-		if _, ok := r.TryRecv(); ok {
-			t.Fatal("TryRecv returned a claimed but unwritten cell")
-		}
-		if !r.Empty() {
-			t.Fatal("Empty = false while the head cell is claimed but unwritten")
-		}
-		// Second half: publish, then the message must be receivable.
-		r.cells[0].msg = Word(9)
-		r.cells[0].seq.Store(1)
-		if m, ok := r.TryRecv(); !ok || m.W[0] != 9 {
-			t.Fatalf("after publish: TryRecv = %v,%v", m, ok)
-		}
-	})
-	t.Run("mpsc", func(t *testing.T) {
-		q := NewMpsc(4)
 		// First half of Mpsc.Send: the fetch-and-add claim.
 		pos := q.enq.Add(1) - 1
 		if _, ok := q.TryRecv(); ok {
-			t.Fatal("TryRecv returned a claimed but unwritten cell")
+			t.Fatalf("lap %d: TryRecv returned a claimed but unwritten cell", lap)
 		}
 		if n := q.TryRecvBatch(make([]Msg, 4)); n != 0 {
-			t.Fatalf("TryRecvBatch crossed an unpublished cell: %d", n)
+			t.Fatalf("lap %d: TryRecvBatch crossed an unpublished cell: %d", lap, n)
 		}
 		if !q.Empty() {
-			t.Fatal("Empty = false while the head cell is claimed but unwritten")
+			t.Fatalf("lap %d: Empty = false while the head cell is claimed but unwritten", lap)
 		}
 		cell := &q.cells[pos&q.mask]
-		cell.msg = Word(9)
+		cell.msg = Word(9 + lap)
 		cell.seq.Store(pos + 1)
-		if m, ok := q.TryRecv(); !ok || m.W[0] != 9 {
-			t.Fatalf("after publish: TryRecv = %v,%v", m, ok)
+		if m, ok := q.TryRecv(); !ok || m.W[0] != 9+lap {
+			t.Fatalf("lap %d: after publish: TryRecv = %v,%v", lap, m, ok)
 		}
-	})
+	}
 }
 
 // TestBatchStopsAtUnpublishedCell checks that a batched receive stops at
@@ -315,11 +297,10 @@ func TestBatchStopsAtUnpublishedCell(t *testing.T) {
 func TestRingCapacityRounding(t *testing.T) {
 	f := func(c uint8) bool {
 		cap := int(c%60) + 1
-		r := NewRing(cap)
 		q := NewMpsc(cap)
 		s := NewSpsc(cap)
 		ok := func(n int) bool { return n >= 2 && n&(n-1) == 0 && n >= cap }
-		return ok(len(r.cells)) && ok(len(q.cells)) && ok(len(s.cells))
+		return ok(len(q.cells)) && ok(len(s.cells))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -349,26 +330,208 @@ func TestMsgConstructors(t *testing.T) {
 	}
 }
 
-// TestLayout machine-verifies the cache-line padding (see package pad):
-// the producer- and consumer-side positions of every ring live on
-// different cache lines, and ring cells are whole-line array elements.
-func TestLayout(t *testing.T) {
-	var r Ring
-	if pad.SameLine(unsafe.Offsetof(r.enq), unsafe.Offsetof(r.deq)) {
-		t.Error("Ring: enq and deq share a cache line")
+// ringOf exposes the stamped-cell state of either production ring, so
+// the protocol tests run over both.
+func ringOf(q Queue) *ring {
+	switch q := q.(type) {
+	case *Spsc:
+		return &q.ring
+	case *Mpsc:
+		return &q.ring
 	}
+	panic("not a stamped-cell ring")
+}
+
+// TestStaleStampNeverTaken drives capacity-2 rings through four laps
+// one message at a time. The consumer never re-stamps a cell, so before
+// each send the head cell still carries the previous lap's stamp and
+// message: that must read as empty, never as the message the consumer
+// expects next.
+func TestStaleStampNeverTaken(t *testing.T) {
+	for _, be := range ringBackends() {
+		q := be.mk(2)
+		r := ringOf(q)
+		for pos := uint64(0); pos < 8; pos++ {
+			cell := &r.cells[pos&r.mask]
+			if pos >= 2 {
+				if got := cell.seq.Load(); got != pos-1 {
+					t.Fatalf("%s: pos %d: cell stamp %d, want the previous lap's %d (the consumer wrote the cell?)",
+						be.name, pos, got, pos-1)
+				}
+			}
+			if _, ok := q.TryRecv(); ok {
+				t.Fatalf("%s: pos %d: TryRecv took a stale cell", be.name, pos)
+			}
+			if n := q.TryRecvBatch(make([]Msg, 2)); n != 0 {
+				t.Fatalf("%s: pos %d: TryRecvBatch took %d stale cells", be.name, pos, n)
+			}
+			if !q.Empty() {
+				t.Fatalf("%s: pos %d: Empty = false on a stale cell", be.name, pos)
+			}
+			q.Send(Word(100 + pos))
+			if m, ok := q.TryRecv(); !ok || m.W[0] != 100+pos {
+				t.Fatalf("%s: pos %d: TryRecv = %v,%v", be.name, pos, m, ok)
+			}
+		}
+	}
+}
+
+// TestParkedAtCapacity checks back-pressure with consumer-silent frees:
+// with cap messages in the ring the next Send must neither complete nor
+// stamp its cell, and a single receive — which advances deq and touches
+// no cell — is what releases it. cap 4 fills every cell, so the parked
+// send is the one that would overwrite the oldest message; cap 3 leaves
+// a cell unused, because the bound is the capacity asked for, not the
+// cell count.
+func TestParkedAtCapacity(t *testing.T) {
+	for _, be := range ringBackends() {
+		for _, cap := range []uint64{3, 4} {
+			q := be.mk(int(cap))
+			r := ringOf(q)
+			for i := uint64(0); i < cap; i++ {
+				q.Send(Word(i))
+			}
+			sent := make(chan struct{})
+			go func() {
+				defer close(sent)
+				q.Send(Word(cap))
+			}()
+			if m, ok := q.(*Mpsc); ok {
+				for m.enq.Load() != cap+1 { // wait for the claim, the last step before parking
+					runtime.Gosched()
+				}
+			}
+			for i := 0; i < 100; i++ { // let the producer run; it must stay parked
+				runtime.Gosched()
+			}
+			select {
+			case <-sent:
+				t.Fatalf("%s/%d: Send into a full ring completed", be.name, cap)
+			default:
+			}
+			if got := r.cells[cap&r.mask].seq.Load(); got == cap+1 {
+				t.Fatalf("%s/%d: parked producer stamped its cell", be.name, cap)
+			}
+			if m, ok := q.TryRecv(); !ok || m.W[0] != 0 {
+				t.Fatalf("%s/%d: TryRecv = %v,%v", be.name, cap, m, ok)
+			}
+			<-sent // deq = 1 lets position cap in
+			for want := uint64(1); want <= cap; want++ {
+				if m := q.Recv(); m.W[0] != want {
+					t.Fatalf("%s/%d: got %d, want %d", be.name, cap, m.W[0], want)
+				}
+			}
+			if m, ok := q.(*Mpsc); ok {
+				if seen := m.deqSeen.Load(); seen != 1 {
+					t.Fatalf("%d: deqSeen = %d after the parked producer saw deq = 1", cap, seen)
+				}
+			}
+		}
+	}
+}
+
+// TestDeqSeenConservative hammers a capacity-2 Mpsc with eight
+// producers, so nearly every Send finds the ring apparently full and
+// the raises of deqSeen race each other. Whatever the outcome of those
+// races, the snapshot must never fall and never pass deq — a producer
+// trusting a too-high deqSeen would overwrite an unconsumed cell.
+func TestDeqSeenConservative(t *testing.T) {
+	const producers, per = 8, 2000
+	q := NewMpsc(2)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				q.Send(Word(1))
+			}
+		}()
+	}
+	var last uint64
+	for n := 0; n < producers*per; n++ {
+		q.Recv()
+		seen := q.deqSeen.Load() // read before deq, which only rises
+		if deq := q.deq.Load(); seen > deq {
+			t.Fatalf("deqSeen %d above deq %d", seen, deq)
+		}
+		if seen < last {
+			t.Fatalf("deqSeen fell from %d to %d", last, seen)
+		}
+		last = seen
+	}
+	wg.Wait()
+}
+
+// TestEmptyFromThirdGoroutine polls Empty from a goroutine that is
+// neither producer nor consumer while a stream passes through; Empty
+// reads only atomics, which the race detector confirms.
+func TestEmptyFromThirdGoroutine(t *testing.T) {
+	const total = 20000
+	q := NewSpsc(4)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				q.Empty()
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); i < total; i++ {
+			q.Send(Word(i))
+		}
+	}()
+	for i := uint64(0); i < total; i++ {
+		if m := q.Recv(); m.W[0] != i {
+			t.Fatalf("got %d, want %d", m.W[0], i)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if !q.Empty() {
+		t.Fatal("drained queue not empty")
+	}
+}
+
+// TestLayout machine-verifies the cache-line padding (see package pad):
+// the producers' words, the consumer's position and the read-only
+// geometry of every ring live on different cache lines, deqSeen rides
+// on the line the fetch-and-add owns anyway, and a ring cell is a
+// whole-line array element whose stamp and message share its first
+// line.
+func TestLayout(t *testing.T) {
 	var m Mpsc
-	if pad.SameLine(unsafe.Offsetof(m.enq), unsafe.Offsetof(m.deq)) {
-		t.Error("Mpsc: enq and deq share a cache line")
+	if !pad.SameLine(unsafe.Offsetof(m.enq), unsafe.Offsetof(m.deqSeen)+unsafe.Sizeof(m.deqSeen)-1) {
+		t.Error("Mpsc: enq and deqSeen are on different cache lines")
+	}
+	if pad.SameLine(unsafe.Offsetof(m.deqSeen)+unsafe.Sizeof(m.deqSeen)-1,
+		unsafe.Offsetof(m.deq)) {
+		t.Error("Mpsc: producer words (enq+deqSeen) and deq share a cache line")
 	}
 	var s Spsc
-	if pad.SameLine(unsafe.Offsetof(s.enq)+unsafe.Sizeof(s.enq)+unsafe.Sizeof(s.deqCache)-1,
+	if pad.SameLine(unsafe.Offsetof(s.deqCache)+unsafe.Sizeof(s.deqCache)-1,
 		unsafe.Offsetof(s.deq)) {
-		t.Error("Spsc: producer fields (enq+deqCache) and deq share a cache line")
+		t.Error("Spsc: producer words (enq+deqCache) and deq share a cache line")
+	}
+	var r ring
+	if pad.SameLine(unsafe.Offsetof(r.deq)+unsafe.Sizeof(r.deq)-1, unsafe.Offsetof(r.mask)) {
+		t.Error("ring: deq shares a cache line with the read-only geometry")
 	}
 	if !pad.Padded(unsafe.Sizeof(ringCell{})) {
 		t.Errorf("ringCell is %d bytes, not a whole number of cache lines",
 			unsafe.Sizeof(ringCell{}))
+	}
+	if unsafe.Sizeof(ringCellHot{}) > pad.CacheLine {
+		t.Errorf("ringCellHot is %d bytes: a message no longer fits one cache line",
+			unsafe.Sizeof(ringCellHot{}))
 	}
 }
 

@@ -9,21 +9,22 @@ import (
 
 // Mpsc is the many-producers/single-consumer fast path: the MP-SERVER
 // request queue and the HybComb inboxes, where any thread may send but
-// only the owning thread receives. Producers claim a slot with a single
-// fetch-and-add on the enqueue position — one atomic RMW per send, no
-// retry loop — and then publish by stamping the cell's sequence number.
-// The single consumer advances the dequeue position with plain atomic
-// stores; it never performs an RMW.
+// only the owning thread receives. Producers claim a position with a
+// single fetch-and-add on enq — one atomic RMW per send, no retry loop —
+// and publish by stamping the cell (see ring). The single consumer
+// never performs an RMW and never writes a cell.
 //
-// Compared to the general Ring this removes the producer CAS retry loop
-// (under contention the Ring's producers repeatedly re-read enq and
-// fail their CAS; here every producer succeeds exactly once) and the
-// consumer-side CAS entirely.
-//
-// Back-pressure: a producer whose fetch-and-add lands on a cell the
-// consumer has not yet freed waits for that cell, so Send blocks while
-// the queue is full and no message is ever dropped. Slot claims are
-// per-sender monotonic, so messages from one sender stay in order.
+// Back-pressure: position pos may be written once deq > pos-bound.
+// Producers test that against deqSeen, a conservative snapshot of deq
+// that lives on their own enq line — the line the fetch-and-add already
+// owns — so a send into a ring with room reads nothing the consumer
+// writes. Only a producer that finds the ring apparently full reads deq
+// itself, waits there while the ring really is full, and raises deqSeen
+// for everyone. Claims are honored in position order, so a parked
+// producer cannot deadlock: the consumer drains every position before
+// its own. Send blocks while the queue is full and no message is ever
+// dropped; one sender's claims are monotonic, so its messages stay in
+// order.
 //
 // Exactly one goroutine may call Recv/TryRecv/RecvBatch/TryRecvBatch
 // over the queue's lifetime; concurrent consumers are a data race by
@@ -32,102 +33,50 @@ import (
 //
 //hyblint:padsep
 type Mpsc struct {
-	_    pad.Line
-	enq  atomic.Uint64
-	_    pad.Line
-	deq  atomic.Uint64
-	_    pad.Line
-	mask uint64
-	// cells[i].seq encodes the state for position pos = lap*len+i, as
-	// in Ring: pos = free or claimed-but-unwritten, pos+1 = published,
-	// pos+len = consumed.
-	cells []ringCell
+	_   pad.Line
+	enq atomic.Uint64
+	// deqSeen <= deq always: every value stored was read from deq. It
+	// only rises; a lost raise leaves it lower, which is merely
+	// conservative.
+	deqSeen atomic.Uint64
+	ring
 }
 
-// NewMpsc creates a many-producers/single-consumer queue with capacity
-// cap messages (rounded up to a power of two, minimum 2).
+// NewMpsc creates a many-producers/single-consumer queue that holds cap
+// messages (minimum 2).
 func NewMpsc(cap int) *Mpsc {
-	n := ringSize(cap)
-	q := &Mpsc{mask: uint64(n - 1), cells: make([]ringCell, n)}
-	for i := range q.cells {
-		q.cells[i].seq.Store(uint64(i))
-	}
+	q := &Mpsc{}
+	q.init(cap)
 	return q
 }
 
-// Send implements Queue: one fetch-and-add claims the slot, one store
-// publishes it.
+// Send implements Queue: one fetch-and-add claims the position, one
+// store publishes it.
 func (q *Mpsc) Send(m Msg) {
 	pos := q.enq.Add(1) - 1
-	cell := &q.cells[pos&q.mask]
-	if cell.seq.Load() != pos {
-		// Full for our lap: wait until the consumer frees the cell
-		// (back-pressure). Claims are honored in position order, so this
-		// cannot deadlock: the consumer drains every position before ours.
-		var b backoff.Backoff
-		for cell.seq.Load() != pos {
-			b.Wait()
-		}
+	if pos-q.deqSeen.Load() >= q.bound {
+		q.awaitFree(pos)
 	}
+	cell := &q.cells[pos&q.mask]
 	cell.msg = m
 	cell.seq.Store(pos + 1)
 }
 
-// Recv implements Queue. Consumer-side only.
-func (q *Mpsc) Recv() Msg {
+// awaitFree parks the producer that claimed pos until the consumer has
+// let it in (deq > pos-bound), then shares what it learned by
+// raising deqSeen. The raise is a single CAS from a lower value: it can
+// only move deqSeen up, and losing it to another producer's raise is
+// harmless.
+func (q *Mpsc) awaitFree(pos uint64) {
 	var b backoff.Backoff
 	for {
-		if m, ok := q.TryRecv(); ok {
-			return m
+		deq := q.deq.Load()
+		if pos-deq < q.bound {
+			if seen := q.deqSeen.Load(); seen < deq {
+				q.deqSeen.CompareAndSwap(seen, deq)
+			}
+			return
 		}
-		b.Wait()
+		b.Wait() // full: back-pressure
 	}
-}
-
-// TryRecv implements Queue. Consumer-side only. It returns false both
-// when the queue is empty and when the head cell is claimed by a
-// producer that has not yet written the message (seq == pos): an
-// unpublished message is not receivable.
-func (q *Mpsc) TryRecv() (Msg, bool) {
-	pos := q.deq.Load()
-	cell := &q.cells[pos&q.mask]
-	if cell.seq.Load() != pos+1 {
-		return Msg{}, false // empty, or head cell claimed but unwritten
-	}
-	m := cell.msg
-	cell.seq.Store(pos + q.mask + 1) // free for the next lap
-	q.deq.Store(pos + 1)
-	return m, true
-}
-
-// RecvBatch implements Queue. Consumer-side only.
-func (q *Mpsc) RecvBatch(buf []Msg) int { return recvBatchBlocking(q, buf) }
-
-// TryRecvBatch implements Queue. Consumer-side only: it walks the run
-// of already-published cells and advances deq once at the end, so the
-// consumer pays one position store per batch.
-func (q *Mpsc) TryRecvBatch(buf []Msg) int {
-	pos := q.deq.Load()
-	n := 0
-	for n < len(buf) {
-		cell := &q.cells[pos&q.mask]
-		if cell.seq.Load() != pos+1 {
-			break
-		}
-		buf[n] = cell.msg
-		cell.seq.Store(pos + q.mask + 1)
-		n++
-		pos++
-	}
-	if n > 0 {
-		q.deq.Store(pos)
-	}
-	return n
-}
-
-// Empty implements Queue. Advisory; seq != pos+1 covers both genuinely
-// empty and "head cell claimed but not yet written".
-func (q *Mpsc) Empty() bool {
-	pos := q.deq.Load()
-	return q.cells[pos&q.mask].seq.Load() != pos+1
 }

@@ -1,17 +1,17 @@
 package mpq
 
 import (
-	"sync/atomic"
-
 	"hybsync/internal/backoff"
 	"hybsync/internal/pad"
 )
 
-// Spsc is the single-producer/single-consumer fast path: a bounded ring
-// with no atomic read-modify-write operations at all. The producer owns
-// enq, the consumer owns deq; each side publishes with one atomic store
-// and usually reads only its own cached snapshot of the peer position,
-// so an uncontended Send or Recv touches a single shared cache line.
+// Spsc is the single-producer/single-consumer fast path: a bounded
+// stamped-cell ring (see ring) with no atomic read-modify-write at all.
+// The producer's position is a private plain word — nobody else ever
+// reads it, because the consumer finds messages by their stamps — and
+// fullness is judged against a private snapshot of deq, refreshed only
+// when the ring looks full. An uncontended Send writes one shared line
+// (the cell) and Recv reads that one line.
 //
 // This is the MP-SERVER response path (server → one blocked client) and
 // mirrors the hardware UDN most closely: a dedicated point-to-point
@@ -23,96 +23,36 @@ import (
 //hyblint:padsep
 type Spsc struct {
 	_ pad.Line
-	// enq is written only by the producer; deqCache is the producer's
-	// private snapshot of deq (refreshed only when the ring looks full).
-	enq      atomic.Uint64
+	// Producer-private, never read by another goroutine: the next
+	// position to write and a snapshot of deq.
+	enq      uint64
 	deqCache uint64
-	_        pad.Line
-	// deq is written only by the consumer; enqCache is the consumer's
-	// private snapshot of enq (refreshed only when the ring looks empty).
-	deq      atomic.Uint64
-	enqCache uint64
-	_        pad.Line
-	mask     uint64
-	cells    []Msg
+	ring
 }
 
-// NewSpsc creates a single-producer/single-consumer queue with capacity
-// cap messages (rounded up to a power of two, minimum 2).
+// NewSpsc creates a single-producer/single-consumer queue that holds cap
+// messages (minimum 2).
 func NewSpsc(cap int) *Spsc {
-	n := ringSize(cap)
-	return &Spsc{mask: uint64(n - 1), cells: make([]Msg, n)}
+	q := &Spsc{}
+	q.init(cap)
+	return q
 }
 
 // Send implements Queue. Producer-side only.
 func (q *Spsc) Send(m Msg) {
-	pos := q.enq.Load() // own field: cheap, never contended
-	if pos-q.deqCache >= uint64(len(q.cells)) {
+	pos := q.enq
+	if pos-q.deqCache >= q.bound {
 		var b backoff.Backoff
 		for {
 			q.deqCache = q.deq.Load()
-			if pos-q.deqCache < uint64(len(q.cells)) {
+			if pos-q.deqCache < q.bound {
 				break
 			}
 			b.Wait() // full: back-pressure
 		}
 	}
-	q.cells[pos&q.mask] = m
-	q.enq.Store(pos + 1) // publish: release-orders the cell write above
+	cell := &q.cells[pos&q.mask]
+	cell.msg = m
+	cell.seq.Store(pos + 1) // publish: release-orders the message write above
+	q.enq = pos + 1
 }
-
-// Recv implements Queue. Consumer-side only.
-func (q *Spsc) Recv() Msg {
-	var b backoff.Backoff
-	for {
-		if m, ok := q.TryRecv(); ok {
-			return m
-		}
-		b.Wait()
-	}
-}
-
-// TryRecv implements Queue. Consumer-side only.
-func (q *Spsc) TryRecv() (Msg, bool) {
-	pos := q.deq.Load() // own field
-	if pos == q.enqCache {
-		q.enqCache = q.enq.Load()
-		if pos == q.enqCache {
-			return Msg{}, false // empty
-		}
-	}
-	m := q.cells[pos&q.mask]
-	q.deq.Store(pos + 1) // free the cell: release-orders the read above
-	return m, true
-}
-
-// RecvBatch implements Queue. Consumer-side only.
-func (q *Spsc) RecvBatch(buf []Msg) int { return recvBatchBlocking(q, buf) }
-
-// TryRecvBatch implements Queue. Consumer-side only: it copies every
-// already-published message (up to len(buf)) with a single position
-// update, so the producer-visible synchronization cost is one store per
-// batch instead of one per message.
-func (q *Spsc) TryRecvBatch(buf []Msg) int {
-	pos := q.deq.Load()
-	avail := q.enqCache - pos
-	if avail == 0 {
-		q.enqCache = q.enq.Load()
-		avail = q.enqCache - pos
-		if avail == 0 {
-			return 0
-		}
-	}
-	n := uint64(len(buf))
-	if avail < n {
-		n = avail
-	}
-	for i := uint64(0); i < n; i++ {
-		buf[i] = q.cells[(pos+i)&q.mask]
-	}
-	q.deq.Store(pos + n)
-	return int(n)
-}
-
-// Empty implements Queue. Advisory; safe from any goroutine.
-func (q *Spsc) Empty() bool { return q.deq.Load() == q.enq.Load() }
