@@ -7,8 +7,10 @@ package hybsync_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"hybsync"
+	"hybsync/internal/handletest"
 )
 
 // fiveConstructions are the paper's four plus one queue-lock baseline —
@@ -166,5 +168,60 @@ func TestPostFlushAcrossConstructions(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 		})
+	}
+}
+
+// TestTicketMisusePanics: Wait, TryWait and WaitTimeout on a ticket that
+// is not outstanding — already redeemed, issued by another handle, or
+// never issued at all — panic with one message on every registered
+// algorithm (and SyncHandle's adapter, which shares the pipeline). Each
+// case runs under a watchdog: before the one ticket window, mpserver
+// answered a foreign or unissued ticket by waiting forever for a
+// response nobody would send.
+func TestTicketMisusePanics(t *testing.T) {
+	waits := map[string]func(h hybsync.Handle, tk hybsync.Ticket){
+		"Wait":        func(h hybsync.Handle, tk hybsync.Ticket) { h.Wait(tk) },
+		"TryWait":     func(h hybsync.Handle, tk hybsync.Ticket) { h.TryWait(tk) },
+		"WaitTimeout": func(h hybsync.Handle, tk hybsync.Ticket) { h.WaitTimeout(tk, time.Second) },
+	}
+	echo := func(op, arg uint64) uint64 { return arg }
+	subjects := map[string]func(t *testing.T) (a, b hybsync.Handle){
+		"SyncHandle": func(*testing.T) (a, b hybsync.Handle) {
+			return hybsync.SyncHandle(echo), hybsync.SyncHandle(echo)
+		},
+	}
+	for _, name := range hybsync.Algorithms() {
+		subjects[name] = func(t *testing.T) (a, b hybsync.Handle) {
+			ex, err := hybsync.New(name, echo, hybsync.WithMaxThreads(2))
+			if err != nil {
+				t.Fatalf("New(%q): %v", name, err)
+			}
+			t.Cleanup(func() { ex.Close() })
+			return hybsync.MustHandle(ex), hybsync.MustHandle(ex)
+		}
+	}
+	for name, open := range subjects {
+		for wname, wait := range waits {
+			t.Run(name+"/"+wname, func(t *testing.T) {
+				handletest.Guard(t, func() {
+					a, b := open(t)
+					var theirs [3]hybsync.Ticket
+					for i := range theirs {
+						theirs[i], _ = b.Submit(0, uint64(i))
+					}
+					b.Flush() // an unwaited ccsynch cell may hold the duty a's Wait needs
+					handletest.MustPanic(t, "never-issued ticket", func() { wait(a, theirs[2]) })
+					mine, _ := a.Submit(0, 7)
+					if v := a.Wait(mine); v != 7 {
+						t.Fatalf("Wait = %d, want 7", v)
+					}
+					handletest.MustPanic(t, "redeemed ticket", func() { wait(a, mine) })
+					// b's first ticket carries the number a has just
+					// retired; its third, one a has still not reached.
+					handletest.MustPanic(t, "foreign ticket", func() { wait(a, theirs[0]) })
+					handletest.MustPanic(t, "foreign ticket", func() { wait(a, theirs[2]) })
+				})
+			})
+		}
 	}
 }

@@ -3,9 +3,9 @@
 // PPoPP 2014) and is the public API of the repository: the
 // Object/Executor/Handle contract, the string-keyed algorithm
 // registry (New, NewObject, Register, Algorithms), functional options
-// (WithMaxThreads, WithMaxOps, WithQueueCap, WithShards,
-// WithChanQueues) and the uniform lifecycle — error-returning
-// NewHandle and idempotent Close — that every construction satisfies.
+// (WithMaxThreads, WithMaxOps, WithQueueCap, WithShards) and the
+// uniform lifecycle — error-returning NewHandle and idempotent Close —
+// that every construction satisfies.
 // The execution contract is batch-aware: an Object's DispatchBatch
 // executes a whole drained run of {op, arg} requests in one
 // mutual-exclusion call (NewObject; the legacy scalar Dispatch still

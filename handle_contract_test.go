@@ -1,0 +1,81 @@
+// The handle-contract suite: one script (internal/handletest) run over
+// every registered algorithm and over SyncHandle, from the one package
+// where every construction is linked in. Since every NewHandle returns
+// the same pipeline type over a construction-specific transport, what
+// the script checks is the pipeline once and each transport's three
+// methods — TestOnePipelineType keeps it that way.
+package hybsync_test
+
+import (
+	"testing"
+
+	"hybsync"
+	"hybsync/internal/core"
+	"hybsync/internal/handletest"
+)
+
+// owes classifies the built-in constructions for the script: whether a
+// Submit leaves its completion owed when another handle holds the
+// critical section, and whether it does so even uncontended. Anything
+// not listed completes every submission on the spot — or, like the
+// hybrid and application-registered algorithms, makes no promise.
+var owes = map[string]struct{ contended, always bool }{
+	"mpserver": {true, true},
+	"ccsynch":  {true, true},
+	"hybcomb":  {true, false},
+}
+
+func TestHandleContract(t *testing.T) {
+	for _, name := range hybsync.Algorithms() {
+		t.Run(name, func(t *testing.T) {
+			handletest.Run(t, handletest.Subject{
+				OwesContended: owes[name].contended,
+				OwesAlways:    owes[name].always,
+				Open: func(t *testing.T, obj core.Object, queueCap int) *handletest.System {
+					ex, err := hybsync.NewObject(name, obj, hybsync.WithMaxThreads(4), hybsync.WithQueueCap(queueCap))
+					if err != nil {
+						t.Fatalf("NewObject(%q): %v", name, err)
+					}
+					return &handletest.System{Ex: ex, Handle: func() core.Handle { return hybsync.MustHandle(ex) }}
+				},
+			})
+		})
+	}
+	t.Run("SyncHandle", func(t *testing.T) {
+		handletest.Run(t, handletest.Subject{
+			Open: func(t *testing.T, obj core.Object, _ int) *handletest.System {
+				return &handletest.System{Handle: func() core.Handle {
+					return hybsync.SyncHandle(func(op, arg uint64) uint64 {
+						var res [1]uint64
+						obj.DispatchBatch([]core.Req{{Op: op, Arg: arg}}, res[:])
+						return res[0]
+					})
+				}}
+			},
+		})
+	})
+}
+
+// TestOnePipelineType: every registered algorithm's NewHandle, and
+// SyncHandle, return the one pipeline type. A construction is a
+// transport under core.Pipe; one that hand-rolls the Handle methods
+// again escapes the contract suite's reach and fails here.
+func TestOnePipelineType(t *testing.T) {
+	check := func(t *testing.T, h hybsync.Handle) {
+		t.Helper()
+		if _, ok := h.(*core.Pipe); !ok {
+			t.Errorf("handle is a %T, want *core.Pipe: implement core.Transport instead of core.Handle", h)
+		}
+	}
+	for _, name := range hybsync.Algorithms() {
+		t.Run(name, func(t *testing.T) {
+			ex, err := hybsync.New(name, func(op, arg uint64) uint64 { return 0 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ex.Close()
+			check(t, hybsync.MustHandle(ex))
+		})
+	}
+	check(t, hybsync.SyncHandle(func(op, arg uint64) uint64 { return 0 }))
+}

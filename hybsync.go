@@ -183,10 +183,6 @@ func WithQueueCap(n int) Option { return core.WithQueueCap(n) }
 // constructions ignore it.
 func WithShards(n int) Option { return core.WithShards(n) }
 
-// WithChanQueues selects the Go-channel queue backend of "mpserver" and
-// "hybcomb" instead of the default lock-free ring (ablation).
-func WithChanQueues(on bool) Option { return core.WithChanQueues(on) }
-
 // WithStallTimeout arms the stall watchdog: any blocking wait inside
 // the construction (a client awaiting its response, a combiner
 // awaiting its predecessor) that makes no progress for d reports once

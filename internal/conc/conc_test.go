@@ -24,7 +24,6 @@ func factories() map[string]ExecutorFactory {
 	return map[string]ExecutorFactory{
 		"mpserver":        mk("mpserver", core.WithMaxThreads(64)),
 		"hybcomb":         mk("hybcomb", core.WithMaxThreads(64)),
-		"hybcomb-chan":    mk("hybcomb", core.WithMaxThreads(64), core.WithChanQueues(true)),
 		"hybcomb-maxops1": mk("hybcomb", core.WithMaxThreads(64), core.WithMaxOps(1)),
 		"ccsynch":         mk("ccsynch"),
 		"ccsynch-maxops1": mk("ccsynch", core.WithMaxOps(1)),

@@ -1,3 +1,14 @@
+// Concurrent pipelines over the in-package constructions. The
+// single-handle contract cases that used to live here are checked for
+// every construction by the handle-contract script (internal/handletest,
+// run by the root package's TestHandleContract):
+//
+//	TestSubmitWaitFIFO, TestWaitOutOfOrder,
+//	TestSubmitDeeperThanQueueCap   -> reverse-wait-past-queuecap
+//	TestPostFlush                  -> post-submit-flush-wait
+//	TestApplyInterleavedWithSubmit -> apply-and-batch-behind-tickets
+//	TestSyncHandle                 -> every case, TestHandleContract/SyncHandle
+//	TestWaitTwicePanics            -> the root package's TestTicketMisusePanics
 package core
 
 import (
@@ -31,118 +42,6 @@ func forEachAsyncExecutor(t *testing.T, opts []Option, body func(t *testing.T, e
 			body(t, ex, state)
 		})
 	}
-}
-
-// TestSubmitWaitFIFO: results of pipelined submissions come back in
-// submission order (the dispatch's counter makes execution order
-// visible) and Wait matches each ticket with its own operation.
-func TestSubmitWaitFIFO(t *testing.T) {
-	forEachAsyncExecutor(t, nil, func(t *testing.T, ex Executor, _ *uint64) {
-		h := MustHandle(ex)
-		const depth = 8
-		var tickets [depth]Ticket
-		for i := range tickets {
-			tk, err := h.Submit(0, 0)
-			if err != nil {
-				t.Fatalf("Submit %d: %v", i, err)
-			}
-			tickets[i] = tk
-		}
-		var prev uint64
-		for i, tk := range tickets {
-			v := h.Wait(tk)
-			if i > 0 && v <= prev {
-				t.Fatalf("result %d = %d, not after %d: completion out of submission order", i, v, prev)
-			}
-			prev = v
-		}
-	})
-}
-
-// TestWaitOutOfOrder: tickets may be redeemed in any order and still
-// return their own operation's result.
-func TestWaitOutOfOrder(t *testing.T) {
-	forEachAsyncExecutor(t, nil, func(t *testing.T, ex Executor, _ *uint64) {
-		h := MustHandle(ex)
-		const depth = 6
-		var tickets [depth]Ticket
-		for i := range tickets {
-			tickets[i], _ = h.Submit(0, 0)
-		}
-		// Evens descending, then odds: thoroughly out of order.
-		got := map[uint64]bool{}
-		for i := depth - 2; i >= 0; i -= 2 {
-			got[h.Wait(tickets[i])] = true
-		}
-		for i := 1; i < depth; i += 2 {
-			got[h.Wait(tickets[i])] = true
-		}
-		for want := uint64(0); want < depth; want++ {
-			if !got[want] {
-				t.Fatalf("result %d never delivered (got %v)", want, got)
-			}
-		}
-	})
-}
-
-// TestPostFlush: posted operations execute (observable in the shared
-// state) even though no result is ever collected, and Flush leaves
-// nothing in flight before Close.
-func TestPostFlush(t *testing.T) {
-	forEachAsyncExecutor(t, nil, func(t *testing.T, ex Executor, state *uint64) {
-		h := MustHandle(ex)
-		const n = 100
-		for i := 0; i < n; i++ {
-			if err := h.Post(0, 0); err != nil {
-				t.Fatalf("Post %d: %v", i, err)
-			}
-		}
-		h.Flush()
-		if *state != n {
-			t.Fatalf("state after %d posts + Flush = %d", n, *state)
-		}
-	})
-}
-
-// TestSubmitDeeperThanQueueCap: the pipeline bounds itself at QueueCap
-// in flight — submitting far beyond the bound must neither deadlock
-// (server blocked on a full response ring) nor lose results.
-func TestSubmitDeeperThanQueueCap(t *testing.T) {
-	forEachAsyncExecutor(t, []Option{WithQueueCap(4)}, func(t *testing.T, ex Executor, _ *uint64) {
-		h := MustHandle(ex)
-		const n = 200
-		tickets := make([]Ticket, n)
-		for i := range tickets {
-			tickets[i], _ = h.Submit(0, 0)
-		}
-		seen := map[uint64]bool{}
-		for _, tk := range tickets {
-			v := h.Wait(tk)
-			if seen[v] {
-				t.Fatalf("result %d delivered twice", v)
-			}
-			seen[v] = true
-		}
-		if len(seen) != n {
-			t.Fatalf("%d distinct results, want %d", len(seen), n)
-		}
-	})
-}
-
-// TestApplyInterleavedWithSubmit: a blocking Apply issued while the
-// pipeline holds outstanding submissions keeps per-handle FIFO — it
-// executes after everything already submitted.
-func TestApplyInterleavedWithSubmit(t *testing.T) {
-	forEachAsyncExecutor(t, nil, func(t *testing.T, ex Executor, _ *uint64) {
-		h := MustHandle(ex)
-		t1, _ := h.Submit(0, 0)
-		t2, _ := h.Submit(0, 0)
-		applied := h.Wait(t1) // partial drain, then mix in an Apply
-		v := h.Apply(0, 0)
-		if v2 := h.Wait(t2); !(applied < v2 && v2 < v) {
-			t.Fatalf("order violated: wait(t1)=%d wait(t2)=%d apply=%d", applied, v2, v)
-		}
-	})
 }
 
 // TestConcurrentPipelines: several goroutines each drive their own
@@ -186,50 +85,4 @@ func TestConcurrentPipelines(t *testing.T) {
 			t.Fatalf("state = %d, want %d", *state, goroutines*per)
 		}
 	})
-}
-
-// TestWaitTwicePanics: a redeemed ticket is gone.
-func TestWaitTwicePanics(t *testing.T) {
-	forEachAsyncExecutor(t, nil, func(t *testing.T, ex Executor, _ *uint64) {
-		h := MustHandle(ex)
-		tk, _ := h.Submit(0, 0)
-		h.Wait(tk)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("second Wait did not panic")
-			}
-		}()
-		h.Wait(tk)
-	})
-}
-
-// TestSyncHandle: the adapter for application executors implements the
-// full contract with immediate completion.
-func TestSyncHandle(t *testing.T) {
-	var calls uint64
-	h := SyncHandle(func(op, arg uint64) uint64 {
-		calls++
-		return op + arg
-	})
-	if got := h.Apply(1, 2); got != 3 {
-		t.Fatalf("Apply = %d, want 3", got)
-	}
-	t1, err := h.Submit(10, 5)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	t2, _ := h.Submit(20, 5)
-	if got := h.Wait(t2); got != 25 {
-		t.Fatalf("Wait(t2) = %d, want 25", got)
-	}
-	if got := h.Wait(t1); got != 15 {
-		t.Fatalf("Wait(t1) = %d, want 15", got)
-	}
-	if err := h.Post(0, 0); err != nil {
-		t.Fatalf("Post: %v", err)
-	}
-	h.Flush()
-	if calls != 4 {
-		t.Fatalf("calls = %d, want 4", calls)
-	}
 }

@@ -39,7 +39,6 @@ import (
 	"math"
 	"time"
 
-	"hybsync/internal/mpq"
 	"hybsync/internal/telemetry"
 )
 
@@ -108,6 +107,11 @@ type Executor interface {
 // handle, HYBCOMB overlaps registered requests, CC-SYNCH defers
 // completion (and possibly combiner duty) to Wait, and SHM-SERVER and
 // the spin locks complete every submission immediately.
+//
+// Pipe is the one implementation: every construction's NewHandle
+// returns a *Pipe over its own Transport, and SyncHandle adapts a bare
+// function the same way, so the contract below is stated — and tested
+// — once.
 type Handle interface {
 	// Apply executes (op, arg) in mutual exclusion and returns the
 	// result, exactly as Submit followed by Wait.
@@ -123,8 +127,9 @@ type Handle interface {
 
 	// Wait blocks until the operation identified by t has executed and
 	// returns its result. Tickets may be waited out of submission order;
-	// each ticket must be waited exactly once (Wait on a redeemed or
-	// foreign ticket panics).
+	// each ticket must be waited exactly once: Wait — like TryWait and
+	// WaitTimeout — on a ticket that is not outstanding (redeemed,
+	// issued by another handle, never issued) panics.
 	Wait(t Ticket) uint64
 
 	// Post submits a result-less operation fire-and-forget: it executes
@@ -313,9 +318,6 @@ type Options struct {
 	// default a goroutine dump to stderr. 0 (the default) disables the
 	// watchdog; disabled waits never read a clock.
 	StallTimeout time.Duration
-	// UseChanQueues selects the channel backend instead of the lock-free
-	// ring (ablation).
-	UseChanQueues bool
 	// Telemetry attaches a metric core (sampled blocking-call latency,
 	// per-dispatch run length, poison/stall/submit-stall counters — see
 	// internal/telemetry). nil, the default, disarms recording: the
@@ -433,10 +435,6 @@ func WithTelemetry(t *telemetry.Telemetry) Option {
 	return func(o *Options) { o.Telemetry = t }
 }
 
-// WithChanQueues toggles the Go-channel queue backend (ablation
-// against the default lock-free ring).
-func WithChanQueues(on bool) Option { return func(o *Options) { o.UseChanQueues = on } }
-
 // WithHybridBackend selects the delegation construction the hybrid
 // executor promotes to: "hybcomb" (the default) or "mpserver". Any
 // other name is rejected with ErrBadOption at New time.
@@ -528,26 +526,6 @@ func (o *Options) fill() {
 	if o.HybridWindow <= 0 {
 		o.HybridWindow = 1024
 	}
-}
-
-// newMpscQueue returns the queue for a many-senders/one-receiver role
-// (the MP-SERVER request queue, the HybComb inboxes): the FAA-claim
-// Mpsc ring unless the channel ablation is selected.
-func (o *Options) newMpscQueue() mpq.Queue {
-	if o.UseChanQueues {
-		return mpq.NewChan(o.QueueCap)
-	}
-	return mpq.NewMpsc(o.QueueCap)
-}
-
-// newSpscQueue returns the queue for a one-sender/one-receiver role
-// (the MP-SERVER response queues): the CAS-free Spsc ring unless the
-// channel ablation is selected.
-func (o *Options) newSpscQueue(cap int) mpq.Queue {
-	if o.UseChanQueues {
-		return mpq.NewChan(cap)
-	}
-	return mpq.NewSpsc(cap)
 }
 
 // batchLen sizes a server/combiner receive buffer: up to MaxOps

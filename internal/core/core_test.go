@@ -150,7 +150,6 @@ func TestHybCombManyThreads(t *testing.T) {
 		{MaxThreads: 40, MaxOps: 1},   // degenerate combining bound
 		{MaxThreads: 40, MaxOps: 7},   // odd bound
 		{MaxThreads: 40, QueueCap: 2}, // tiny queues: heavy back-pressure
-		{MaxThreads: 40, UseChanQueues: true},
 	} {
 		var state uint64
 		hc := NewHybComb(Func(func(op, arg uint64) uint64 {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"hybsync/internal/backoff"
@@ -39,16 +38,14 @@ import (
 // while responses to its earlier registered requests are still in
 // flight, and the combiner's request drain must not swallow them.
 //
-// Asynchronous submission maps onto the algorithm naturally: a Submit
-// that wins a registration ticket ships its request and returns — the
-// response arrives on the thread's response queue, collected by Wait
-// through a ticketed receive. A Submit that fails registration promotes
-// the thread to combiner exactly like Apply and completes its own
-// operation (plus the round it serves) before returning; the result is
-// banked for Wait. Round ordering makes completion per-handle FIFO: a
-// combiner serves every ticket of its round before releasing its
-// successor, so responses from earlier rounds always precede those
-// from later ones.
+// Asynchronous submission maps onto the algorithm naturally (see
+// hcTransport): a submission that wins a registration ticket ships its
+// request and leaves the response owed — it arrives on the thread's
+// response queue; one that fails registration promotes the thread to
+// combiner and completes on the spot, together with the round it
+// serves. Round ordering makes completion per-handle FIFO: a combiner
+// serves every ticket of its round before releasing its successor, so
+// responses from earlier rounds always precede those from later ones.
 type HybComb struct {
 	PoisonLatch
 	opts Options
@@ -63,8 +60,8 @@ type HybComb struct {
 	// thread learns id only from a node's threadID — stored by the
 	// owner, published by its lastReg CAS — or from a request the owner
 	// sent, so the slots' writes are ordered before every read.
-	inbox  []mpq.Queue
-	resp   []mpq.Queue
+	inbox  []*mpq.Mpsc
+	resp   []*mpq.Mpsc
 	nextID atomic.Int32
 	closed atomic.Bool
 
@@ -99,8 +96,8 @@ func NewHybComb(obj Object, opts Options) *HybComb {
 	h := &HybComb{opts: opts, obj: obj}
 	h.Algo = "hybcomb"
 	h.Tel = opts.Telemetry
-	h.inbox = make([]mpq.Queue, opts.MaxThreads)
-	h.resp = make([]mpq.Queue, opts.MaxThreads)
+	h.inbox = make([]*mpq.Mpsc, opts.MaxThreads)
+	h.resp = make([]*mpq.Mpsc, opts.MaxThreads)
 	// The initial node {⊥, MAX_OPS, true}: full, so the first thread
 	// fails registration and promotes itself; done, so it proceeds
 	// immediately.
@@ -115,43 +112,53 @@ func NewHybComb(obj Object, opts Options) *HybComb {
 
 // NewHandle implements Executor.
 func (h *HybComb) NewHandle() (Handle, error) {
+	spec, err := h.newSpec()
+	if err != nil {
+		return nil, err
+	}
+	return NewPipe(spec), nil
+}
+
+// newSpec admits one more thread and builds its transport; the hybrid
+// executor wraps the spec of its backend instead of taking a handle.
+func (h *HybComb) newSpec() (PipeSpec, error) {
 	if err := h.Err(); err != nil {
-		return nil, fmt.Errorf("core: hybcomb: %w", err)
+		return PipeSpec{}, fmt.Errorf("core: hybcomb: %w", err)
 	}
 	if h.closed.Load() {
-		return nil, fmt.Errorf("core: hybcomb: %w", ErrClosed)
+		return PipeSpec{}, fmt.Errorf("core: hybcomb: %w", ErrClosed)
 	}
 	id := h.nextID.Add(1) - 1
 	if int(id) >= h.opts.MaxThreads {
-		return nil, errTooManyHandles(h.opts.MaxThreads)
+		return PipeSpec{}, errTooManyHandles(h.opts.MaxThreads)
 	}
-	h.inbox[id] = h.opts.newMpscQueue()
+	h.inbox[id] = mpq.NewMpsc(h.opts.QueueCap)
 	// Responses to one thread come from whichever thread combines each
 	// round — serialized in time, but many producers over the queue's
 	// lifetime, hence Mpsc rather than Spsc.
-	h.resp[id] = h.opts.newMpscQueue()
+	h.resp[id] = mpq.NewMpsc(h.opts.QueueCap)
 	n := &hcNode{}
 	n.threadID.Store(id)
 	n.nOps.Store(h.opts.MaxOps) // parked: nobody can register with it
 	bl := h.opts.batchLen()
-	tk := mpq.NewTicketed(h.resp[id])
-	tk.Arm(h.opts.StallTimeout, "hybcomb: client awaiting combiner response")
-	tk.OnStall(h.opts.Telemetry.StallHook())
-	hd := &hcHandle{
+	t := &hcTransport{hcTransportHot: hcTransportHot{
 		h:       h,
 		id:      id,
 		myNode:  n,
+		resp:    h.resp[id],
 		batch:   make([]mpq.Msg, bl),
 		runReqs: make([]Req, bl),
 		runRets: make([]uint64, bl),
-		tk:      tk,
 		rec:     h.opts.Telemetry.Recorder(),
 		wb:      backoff.Armed(h.opts.StallTimeout, "hybcomb: combiner awaiting predecessor round"),
-	}
-	// Set on the stored waiter: Armed returns by value, so a hook set
+		respWB:  backoff.Armed(h.opts.StallTimeout, "hybcomb: client awaiting combiner response"),
+	}}
+	// Set on the stored waiters: Armed returns by value, so a hook set
 	// on the temporary would be lost.
-	hd.wb.SetOnStall(h.opts.Telemetry.StallHook())
-	return hd, nil
+	t.wb.SetOnStall(h.opts.Telemetry.StallHook())
+	t.respWB.SetOnStall(h.opts.Telemetry.StallHook())
+	return PipeSpec{Transport: t, Apply: t.apply, Latch: &h.PoisonLatch, Rec: t.rec,
+		Counters: &h.ps, Depth: h.opts.QueueCap, Waiter: &t.respWB}, nil
 }
 
 // Close implements Executor. HybComb owns no background goroutine —
@@ -179,63 +186,47 @@ func (h *HybComb) Pipeline() (submitStalls, maxDepth uint64) { return h.ps.Pipel
 // Telemetry implements TelemetrySource.
 func (h *HybComb) Telemetry() *telemetry.Telemetry { return h.opts.Telemetry }
 
-// hcSlot records where an outstanding Submit's result will come from:
-// the response stream position of a registered request, or the value a
-// combiner-path submission already produced.
-type hcSlot struct {
-	local bool
-	pos   uint64 // response stream position (registered path)
-	val   uint64 // banked result (combiner path)
-}
-
-type hcHandle struct {
+// hcTransport is one thread's place in Algorithm 1: a registered
+// request is a message to the round's combiner and its response comes
+// back on the thread's response queue; a request that fails
+// registration makes the thread the combiner and completes on the spot,
+// together with the round it serves.
+type hcTransportHot struct {
 	h      *HybComb
 	id     int32
 	myNode *hcNode
+	resp   *mpq.Mpsc // h.resp[id]
 
 	batch   []mpq.Msg // combiner-side receive buffer
 	runReqs []Req     // combiner-side batch-dispatch scratch
 	runRets []uint64
 	one     [1]Req // scalar combiner-path scratch
 	oneRet  [1]uint64
-	posBuf  []uint64 // ApplyBatch position scratch
-	drop    []uint64 // discarded-results scratch for ApplyBatch(reqs, nil)
+	rec     *telemetry.Recorder
 
-	tk    *mpq.Ticketed // ticketed receive over h.resp[id]
-	dt    DepthTracker
-	rec   *telemetry.Recorder
-	seq   uint64            // next ticket sequence number
-	slots map[uint64]hcSlot // outstanding Submit tickets (nil until first Submit)
-
-	// wb is the watched waiter for the combiner's wait on its
-	// predecessor round, constructed once per handle and Reset per
-	// promotion so the per-operation path never zeroes the watchdog
-	// state.
-	wb backoff.Watched
+	// Watched waiters for the combiner's wait on its predecessor round
+	// and the client's wait for a response, constructed once per handle
+	// and Reset per wait so the per-operation path never zeroes the
+	// watchdog state.
+	wb, respWB backoff.Watched
 }
 
-// Apply is apply_op of Algorithm 1 (lines 6-43): register or combine,
-// then block for the result. The uncontended path does no pipeline
-// bookkeeping at all — a combiner-path Apply returns its result
-// directly, a registered Apply waits for the next response stream
-// position.
-func (hd *hcHandle) Apply(op, arg uint64) uint64 {
-	if hd.h.Poisoned() {
-		return 0
-	}
-	// One latency sample = one blocking call, whichever path it takes
-	// (registered round-trip or a served round as the combiner).
-	sampled := hd.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	registered, ret := hd.submitOrCombine(op, arg)
-	if registered {
-		ret = hd.tk.WaitFor(hd.tk.Issue()).W[0]
-	}
-	if sampled {
-		hd.rec.Latency(t0)
+// hcTransport rounds its state up to whole cache lines: handles of different
+// threads are allocated side by side, and one thread's per-operation
+// writes must not invalidate the line a neighbour reads its own from.
+//
+//hyblint:padded
+type hcTransport struct {
+	hcTransportHot
+	_ [pad.CacheLine - unsafe.Sizeof(hcTransportHot{})%pad.CacheLine]byte
+}
+
+// apply is apply_op of Algorithm 1 (lines 6-43): register or combine,
+// then block for the result.
+func (hd *hcTransport) apply(op, arg uint64) uint64 {
+	ret, done := hd.Ship(op, arg)
+	if !done {
+		ret, _ = hd.Next(true)
 	}
 	return ret
 }
@@ -246,7 +237,7 @@ func (hd *hcHandle) Apply(op, arg uint64) uint64 {
 // promoted ourselves to combiner, waited out our predecessor's round,
 // and now own the round: the operation was NOT shipped and the caller
 // must execute it through combineBatch.
-func (hd *hcHandle) acquire(op, arg uint64) bool {
+func (hd *hcTransport) acquire(op, arg uint64) bool {
 	h := hd.h
 	for {
 		lastReg := h.lastReg.Load() // line 9
@@ -271,21 +262,30 @@ func (hd *hcHandle) acquire(op, arg uint64) bool {
 	}
 }
 
-// submitOrCombine registers (op, arg) or serves a round with it as the
-// combiner's own single operation (registered=false, ret = its result).
-func (hd *hcHandle) submitOrCombine(op, arg uint64) (registered bool, ret uint64) {
+// Ship implements Transport: register (op, arg) with the current
+// combiner — genuinely asynchronous, the response is owed — or serve a
+// round with it as the combiner's own single operation, done on the
+// spot. Round ordering keeps the two kinds in per-handle FIFO: a
+// combiner waits out its predecessor's round, which served every
+// request this thread registered earlier, before it executes anything.
+func (hd *hcTransport) Ship(op, arg uint64) (uint64, bool) {
 	if hd.acquire(op, arg) {
-		return true, 0
+		return 0, false
 	}
 	hd.one[0] = Req{Op: op, Arg: arg}
 	hd.combineBatch(hd.one[:], hd.oneRet[:])
-	return false, hd.oneRet[0]
+	return hd.oneRet[0], true
+}
+
+// Next implements Transport: the next response off the thread's queue.
+func (hd *hcTransport) Next(block bool) (uint64, bool) {
+	return mpq.RecvWord(hd.resp, &hd.respWB, block)
 }
 
 // serveRun executes one drained run of registered requests as a single
 // DispatchBatch call and scatters the responses to the requesters'
 // queues.
-func (hd *hcHandle) serveRun(run []mpq.Msg) {
+func (hd *hcTransport) serveRun(run []mpq.Msg) {
 	h := hd.h
 	reqs := hd.runReqs[:len(run)]
 	for i, m := range run {
@@ -304,7 +304,7 @@ func (hd *hcHandle) serveRun(run []mpq.Msg) {
 // DispatchBatch (line 23), serve the round batch-wise, hand the
 // combiner role over. results receives the own run's results and must
 // be len(own) long.
-func (hd *hcHandle) combineBatch(own []Req, results []uint64) {
+func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 	h := hd.h
 	var opsCompleted int32
 
@@ -365,205 +365,32 @@ func (hd *hcHandle) combineBatch(own []Req, results []uint64) {
 	h.combined.Add(uint64(opsCompleted))
 }
 
-// makeRoom bounds the pipeline at QueueCap in-flight registered
-// requests, so a combiner can never block sending into our response
-// queue.
-func (hd *hcHandle) makeRoom() {
-	if hd.tk.InFlight() >= hd.h.opts.QueueCap {
-		hd.h.ps.NoteStall()
-		hd.h.opts.Telemetry.NoteSubmitStall()
-		hd.tk.Absorb()
-	}
-}
-
-// Submit implements Handle. The registered path is genuinely
-// asynchronous (the request is shipped, the combiner's response is
-// collected by Wait); the combiner path completes on the spot and banks
-// the result.
-func (hd *hcHandle) Submit(op, arg uint64) (Ticket, error) {
-	if err := hd.h.Err(); err != nil {
-		return Ticket{}, err
-	}
-	hd.makeRoom()
-	registered, ret := hd.submitOrCombine(op, arg)
-	if hd.slots == nil {
-		hd.slots = make(map[uint64]hcSlot)
-	}
-	t := Ticket{seq: hd.seq}
-	hd.seq++
-	if registered {
-		hd.slots[t.seq] = hcSlot{pos: hd.tk.Issue()}
-		hd.dt.Note(&hd.h.ps, hd.tk.InFlight())
-	} else {
-		hd.slots[t.seq] = hcSlot{local: true, val: ret}
-	}
-	return t, nil
-}
-
-// Wait implements Handle.
-func (hd *hcHandle) Wait(t Ticket) uint64 {
-	// Sample both completion paths: a banked combiner-path result is a
-	// near-zero Wait, but it is the latency the client observed — the
-	// async leg's distribution must show it, not silently omit it.
-	sampled := hd.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	s, ok := hd.slots[t.seq]
-	if !ok {
-		panic("core: hybcomb: Wait on a ticket that is not outstanding (already waited, or issued by another handle)")
-	}
-	delete(hd.slots, t.seq)
-	v := s.val
-	if !s.local {
-		v = hd.tk.WaitFor(s.pos).W[0]
-	}
-	if sampled {
-		hd.rec.Latency(t0)
-	}
-	return v
-}
-
-// TryWait implements Handle: a combiner-path ticket is always ready
-// (its result was banked at Submit); a registered ticket is ready once
-// its response arrived on the stream.
-func (hd *hcHandle) TryWait(t Ticket) (uint64, error) {
-	s, ok := hd.slots[t.seq]
-	if !ok {
-		panic("core: hybcomb: Wait on a ticket that is not outstanding (already waited, or issued by another handle)")
-	}
-	if s.local {
-		delete(hd.slots, t.seq)
-		return s.val, hd.h.Err()
-	}
-	m, ready := hd.tk.TryWaitFor(s.pos)
-	if !ready {
-		return 0, ErrNotReady
-	}
-	delete(hd.slots, t.seq)
-	return m.W[0], hd.h.Err()
-}
-
-// WaitTimeout implements Handle.
-func (hd *hcHandle) WaitTimeout(t Ticket, d time.Duration) (uint64, error) {
-	s, ok := hd.slots[t.seq]
-	if !ok {
-		panic("core: hybcomb: Wait on a ticket that is not outstanding (already waited, or issued by another handle)")
-	}
-	if s.local {
-		delete(hd.slots, t.seq)
-		return s.val, hd.h.Err()
-	}
-	m, ready := hd.tk.WaitForTimeout(s.pos, d)
-	if !ready {
-		return 0, ErrWaitTimeout
-	}
-	delete(hd.slots, t.seq)
-	return m.W[0], hd.h.Err()
-}
-
-// Err implements Handle.
-func (hd *hcHandle) Err() error { return hd.h.Err() }
-
-// Post implements Handle: fire-and-forget. A registered request's
-// response is marked discarded on the completion stream; a
-// combiner-path Post completed already and needs no bookkeeping.
-func (hd *hcHandle) Post(op, arg uint64) error {
-	if err := hd.h.Err(); err != nil {
-		return err
-	}
-	hd.makeRoom()
-	registered, _ := hd.submitOrCombine(op, arg)
-	if registered {
-		hd.tk.Discard(hd.tk.Issue())
-		hd.dt.Note(&hd.h.ps, hd.tk.InFlight())
-	}
-	return nil
-}
-
-// Flush implements Handle: absorb every in-flight response. Banked
-// combiner-path results stay redeemable; registered results move into
-// the ticketed receive's buffer for their Wait.
-func (hd *hcHandle) Flush() { hd.tk.Flush() }
-
-// posLocal marks an ApplyBatch entry resolved on the combiner path (its
-// result is already in results); every real stream position is below it
-// because positions count from zero.
-const posLocal = ^uint64(0)
-
-// ApplyBatch implements Handle: walk the batch registering requests
-// with the current combiner; the first request that fails registration
+// Batch implements Transport: walk the batch registering requests with
+// the current combiner; the first request that fails registration
 // promotes us, and the batch's entire remaining run becomes the round's
-// own run — one DispatchBatch for all of it (line 23 generalized). The
-// registered prefix's responses are collected afterwards in stream
-// order. A batch therefore costs at most one promotion handshake, with
-// the dispatch indirection amortized across the whole remainder.
-func (hd *hcHandle) ApplyBatch(reqs []Req, results []uint64) {
-	if len(reqs) == 0 {
-		return
-	}
-	if hd.h.Poisoned() {
-		if results != nil {
-			zeroResults(results[:len(reqs)])
+// own run — one DispatchBatch for all of it (line 23 generalized),
+// written straight into results with no ticket at all. The registered
+// prefix's responses are collected afterwards in ticket order. A batch
+// therefore costs at most one promotion handshake, with the dispatch
+// indirection amortized across the whole remainder. results is never
+// runRets: combineBatch's serveRun reuses runRets for drained-run
+// responses while the own-run results are still live.
+func (hd *hcTransport) Batch(p *Pipe, reqs []Req, results []uint64) {
+	var first uint64
+	registered := 0
+	for registered < len(reqs) {
+		p.makeRoom()
+		if !hd.acquire(reqs[registered].Op, reqs[registered].Arg) {
+			// Combiner: the rest of the batch is the round's own run.
+			hd.combineBatch(reqs[registered:], results[registered:])
+			break
 		}
-		return
-	}
-	if len(reqs) == 1 { // a 1-batch is exactly the scalar critical section
-		v := hd.Apply(reqs[0].Op, reqs[0].Arg)
-		if results != nil {
-			results[0] = v
+		if seq := p.issue(); registered == 0 {
+			first = seq
 		}
-		return
+		registered++
 	}
-	if cap(hd.posBuf) < len(reqs) {
-		hd.posBuf = make([]uint64, len(reqs))
-	}
-	// One latency sample covers the whole batch call.
-	sampled := hd.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	pos := hd.posBuf[:len(reqs)]
-	res := results
-	if res == nil {
-		// The combiner path needs somewhere to write. A dedicated
-		// discard buffer, NOT runRets: combineBatch's serveRun reuses
-		// runRets for drained-run responses while the own-run results
-		// are still live in res.
-		if cap(hd.drop) < len(reqs) {
-			hd.drop = make([]uint64, len(reqs))
-		}
-		res = hd.drop[:len(reqs)]
-	}
-
-	i := 0
-	for i < len(reqs) {
-		hd.makeRoom()
-		if hd.acquire(reqs[i].Op, reqs[i].Arg) {
-			pos[i] = hd.tk.Issue()
-			hd.dt.Note(&hd.h.ps, hd.tk.InFlight())
-			i++
-			continue
-		}
-		// Combiner: the rest of the batch is the round's own run.
-		hd.combineBatch(reqs[i:], res[i:len(reqs)])
-		for j := i; j < len(reqs); j++ {
-			pos[j] = posLocal
-		}
-		break
-	}
-	for j, p := range pos {
-		if p == posLocal {
-			continue
-		}
-		v := hd.tk.WaitFor(p).W[0]
-		if results != nil {
-			results[j] = v
-		}
-	}
-	if sampled {
-		hd.rec.Latency(t0)
+	for i := 0; i < registered; i++ {
+		results[i] = p.wait(first + uint64(i))
 	}
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"hybsync/internal/backoff"
@@ -55,12 +53,13 @@ import (
 // switching BACK to the lock flushes the handle's inner pipeline
 // first, so the handle's outstanding delegated submissions execute
 // before its first lock-mode operation — per-handle FIFO holds across
-// both edges. Tickets are mode-agnostic: a lock-mode Submit banks its
-// result immediately (the lock cannot defer work), a delegation-mode
-// Submit maps the hybrid ticket to the backend's, and Wait redeems
-// either kind no matter how many transitions happened in between.
-// ApplyBatch reads the mode once and sends the whole batch down one
-// path, so a DispatchBatch run is never split by a transition.
+// both edges. Tickets are mode-agnostic because the handle is one
+// pipeline over both modes (see hybTransport): a lock-mode submission
+// is born complete (the lock cannot defer work), a delegated one is
+// owed by the backend's transport, both sit in the same ticket window,
+// and Wait redeems either kind no matter how many transitions happened
+// in between. ApplyBatch reads the mode once and sends the whole batch
+// down one path, so a DispatchBatch run is never split by a transition.
 //
 // Faults centralize in the hybrid's own latch: both the lock path and
 // the gateObject dispatch through it, so a panic in either mode trips
@@ -72,9 +71,8 @@ type Hybrid struct {
 	opts Options
 	obj  Object
 
-	inner      Executor      // the delegation backend, over gateObject
-	innerStats StatsSource   // inner's combining counters (nil for mpserver)
-	innerPipe  PipelineStats // inner's backpressure counters
+	inner      hybBackend  // the delegation backend, over gateObject
+	innerStats StatsSource // inner's combining counters (nil for mpserver)
 
 	lock     hybLock
 	gateNode hybNode // the backend's gate node; its dispatches are serialized
@@ -237,10 +235,9 @@ func NewHybrid(obj Object, opts Options) (*Hybrid, error) {
 	switch opts.HybridBackend {
 	case "hybcomb":
 		inner := NewHybComb(hybGate{h}, opts)
-		h.inner, h.innerStats, h.innerPipe = inner, inner, inner
+		h.inner, h.innerStats = inner, inner
 	case "mpserver":
-		inner := NewMPServer(hybGate{h}, opts)
-		h.inner, h.innerPipe = inner, inner
+		h.inner = NewMPServer(hybGate{h}, opts)
 	default:
 		return nil, fmt.Errorf("core: hybrid: backend %q (want \"hybcomb\" or \"mpserver\"): %w",
 			opts.HybridBackend, ErrBadOption)
@@ -248,7 +245,17 @@ func NewHybrid(obj Object, opts Options) (*Hybrid, error) {
 	return h, nil
 }
 
-// NewHandle implements Executor. The backend handle is created
+// hybBackend is what the hybrid needs of its delegation construction:
+// the executor lifecycle, the backpressure counters its demotion signal
+// reads, and a client's transport without a handle around it — the
+// hybrid's own handle is the one pipeline over both modes.
+type hybBackend interface {
+	Executor
+	PipelineStats
+	newSpec() (PipeSpec, error)
+}
+
+// NewHandle implements Executor. The backend transport is created
 // eagerly (1:1, same MaxThreads bound) so a promotion never allocates
 // on the data path.
 func (h *Hybrid) NewHandle() (Handle, error) {
@@ -258,7 +265,7 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 	if h.closed.Load() {
 		return nil, fmt.Errorf("core: hybrid: %w", ErrClosed)
 	}
-	in, err := h.inner.NewHandle()
+	spec, err := h.inner.newSpec()
 	if err != nil {
 		return nil, err
 	}
@@ -266,14 +273,22 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 	h.hmu.Lock()
 	h.cells = append(h.cells, cell)
 	h.hmu.Unlock()
-	return &hybHandle{
-		h:       h,
-		inner:   in,
-		cell:    cell,
-		mode:    h.mode.Load(),
-		winTick: hybridTickEvery,
-		rec:     h.opts.Telemetry.Recorder(),
-	}, nil
+	t := &hybTransport{hybTransportHot: hybTransportHot{
+		h:          h,
+		inner:      spec.Transport,
+		innerApply: spec.Apply,
+		cell:       cell,
+		mode:       h.mode.Load(),
+		winTick:    hybridTickEvery,
+		rec:        spec.Rec,
+	}}
+	// The backend's spec with the hybrid's transport in front of its
+	// own and the hybrid's latch in place of one that never trips: the
+	// in-flight bound, the stall counters and the waiter stay the
+	// backend's, so one window serves both modes.
+	spec.Transport, spec.Apply, spec.Latch = t, t.apply, &h.PoisonLatch
+	t.p = NewPipe(spec)
+	return t.p, nil
 }
 
 // Close implements Executor: seal this executor, shut the backend
@@ -329,7 +344,7 @@ func (h *Hybrid) Stats() (rounds, combined uint64) {
 // Pipeline implements PipelineStats, forwarding the backend's
 // backpressure counters (the hybrid's lock side cannot stall a
 // submission — it completes them on the spot).
-func (h *Hybrid) Pipeline() (submitStalls, maxDepth uint64) { return h.innerPipe.Pipeline() }
+func (h *Hybrid) Pipeline() (submitStalls, maxDepth uint64) { return h.inner.Pipeline() }
 
 // Telemetry implements TelemetrySource.
 func (h *Hybrid) Telemetry() *telemetry.Telemetry { return h.opts.Telemetry }
@@ -372,7 +387,7 @@ func (h *Hybrid) maybeAdapt() {
 		return
 	}
 	runs, ops := h.dRuns.Load(), h.dOps.Load()
-	stalls, _ := h.innerPipe.Pipeline()
+	stalls, _ := h.inner.Pipeline()
 	dRuns, dOps, dStalls := runs-h.ctl.lastRuns, ops-h.ctl.lastOps, stalls-h.ctl.lastStalls
 	if dOps < win {
 		return
@@ -397,7 +412,7 @@ func (h *Hybrid) promote() {
 		return
 	}
 	h.ctl.lastRuns, h.ctl.lastOps = h.dRuns.Load(), h.dOps.Load()
-	h.ctl.lastStalls, _ = h.innerPipe.Pipeline()
+	h.ctl.lastStalls, _ = h.inner.Pipeline()
 	h.ctl.quiet = 0
 	h.promotions.Add(1)
 	h.opts.Telemetry.NotePromotion()
@@ -415,45 +430,49 @@ func (h *Hybrid) demote() {
 	h.opts.Telemetry.NoteDemotion()
 }
 
-// hybSlot records where an outstanding Submit's result lives: banked
-// at submission (lock mode), or behind the backend's ticket
-// (delegation mode). Which mode the handle is in at Wait time is
-// irrelevant — the slot carries everything redemption needs.
-type hybSlot struct {
-	banked bool
-	val    uint64
-	in     Ticket // backend ticket (banked == false)
-}
-
-type hybHandle struct {
-	h     *Hybrid
-	inner Handle
-	node  hybNode // this handle's gate node (lock mode)
-	cell  *hybCell
+// hybTransport is one thread's path through whichever mode is current:
+// in lock mode every operation runs under a gate acquisition and
+// completes on the spot, in delegation mode it travels the backend's
+// transport. Completions are only ever owed by the backend, so Next is
+// the backend's, and the handle's one window holds both kinds of ticket
+// — a ticket redeems the same however many transitions happened since.
+type hybTransportHot struct {
+	h          *Hybrid
+	p          *Pipe // the handle over this transport; align flushes it
+	inner      Transport
+	innerApply func(op, arg uint64) uint64
+	node       hybNode // this handle's gate node (lock mode)
+	cell       *hybCell
 
 	mode    uint32 // last observed global mode; see align
 	winTick uint32 // countdown to the next controller poke
 
-	seq   uint64
-	slots map[uint64]hybSlot // outstanding Submit tickets (nil until first)
-
-	rec    *telemetry.Recorder // lock-mode recording (the backend records its own)
+	rec    *telemetry.Recorder // lock-mode run lengths (the backend records its own)
 	one    [1]Req              // scalar lock-path scratch
 	oneRet [1]uint64
-	drop   []uint64 // discarded-results scratch for ApplyBatch(reqs, nil)
+}
+
+// hybTransport rounds its state up to whole cache lines: handles of different
+// threads are allocated side by side, and one thread's per-operation
+// writes must not invalidate the line a neighbour reads its own from.
+//
+//hyblint:padded
+type hybTransport struct {
+	hybTransportHot
+	_ [pad.CacheLine - unsafe.Sizeof(hybTransportHot{})%pad.CacheLine]byte
 }
 
 // align observes the global mode and reconciles the handle with it.
 // Entering delegation needs nothing — every lock-mode operation
-// completed synchronously. Leaving it flushes the handle's backend
-// pipeline first, so outstanding delegated submissions execute before
-// the first lock-mode operation: per-handle FIFO holds across the
-// switch (Flush banks un-waited tickets, which stay redeemable).
-func (hd *hybHandle) align() uint32 {
+// completed synchronously. Leaving it flushes the handle's window
+// first, so delegated submissions still in flight execute before the
+// first lock-mode operation: per-handle FIFO holds across the switch
+// (Flush banks un-waited tickets, which stay redeemable).
+func (hd *hybTransport) align() uint32 {
 	m := hd.h.mode.Load()
 	if m != hd.mode {
 		if hd.mode == hybModeDeleg {
-			hd.inner.Flush()
+			hd.p.Flush()
 		}
 		hd.mode = m
 	}
@@ -461,7 +480,7 @@ func (hd *hybHandle) align() uint32 {
 }
 
 // tick pokes the controller every hybridTickEvery operations.
-func (hd *hybHandle) tick() {
+func (hd *hybTransport) tick() {
 	hd.winTick--
 	if hd.winTick == 0 {
 		hd.winTick = hybridTickEvery
@@ -471,7 +490,7 @@ func (hd *hybHandle) tick() {
 
 // lockDispatch executes one run under a gate acquisition, feeding the
 // acquisition counters and the controller tick.
-func (hd *hybHandle) lockDispatch(reqs []Req, results []uint64) {
+func (hd *hybTransport) lockDispatch(reqs []Req, results []uint64) {
 	h := hd.h
 	if h.lock.lock(&hd.node) {
 		hd.cell.retries.Add(1)
@@ -484,177 +503,50 @@ func (hd *hybHandle) lockDispatch(reqs []Req, results []uint64) {
 }
 
 // lockApply is the scalar lock-mode critical section, recorded exactly
-// like spin.LockExecutor's: one latency sample per blocking call, one
-// length-1 run per dispatch.
-func (hd *hybHandle) lockApply(op, arg uint64) uint64 {
-	sampled := hd.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
+// like spin.LockExecutor's: one length-1 run per dispatch.
+func (hd *hybTransport) lockApply(op, arg uint64) uint64 {
 	hd.one[0] = Req{Op: op, Arg: arg}
 	hd.lockDispatch(hd.one[:], hd.oneRet[:])
 	hd.rec.RunLen(1)
-	if sampled {
-		hd.rec.Latency(t0)
-	}
 	return hd.oneRet[0]
 }
 
-// Apply implements Handle.
-func (hd *hybHandle) Apply(op, arg uint64) uint64 {
-	if hd.h.Poisoned() {
-		return 0
-	}
+func (hd *hybTransport) apply(op, arg uint64) uint64 {
 	if hd.align() == hybModeDeleg {
-		v := hd.inner.Apply(op, arg)
+		v := hd.innerApply(op, arg)
 		hd.tick()
 		return v
 	}
 	return hd.lockApply(op, arg)
 }
 
-// Submit implements Handle. Lock mode completes on the spot and banks
-// the result (an acquisition cannot be deferred); delegation mode maps
-// the hybrid ticket to the backend's. Either way the ticket outlives
-// any number of transitions.
-func (hd *hybHandle) Submit(op, arg uint64) (Ticket, error) {
-	if err := hd.h.Err(); err != nil {
-		return Ticket{}, err
-	}
-	if hd.slots == nil {
-		hd.slots = make(map[uint64]hybSlot)
-	}
-	t := Ticket{seq: hd.seq}
-	hd.seq++
+// Ship implements Transport. Lock mode completes on the spot (an
+// acquisition cannot be deferred); delegation mode is the backend's
+// Ship.
+func (hd *hybTransport) Ship(op, arg uint64) (uint64, bool) {
 	if hd.align() == hybModeDeleg {
-		in, err := hd.inner.Submit(op, arg)
-		if err != nil {
-			return Ticket{}, err
-		}
-		hd.slots[t.seq] = hybSlot{in: in}
+		v, done := hd.inner.Ship(op, arg)
 		hd.tick()
-		return t, nil
+		return v, done
 	}
-	hd.slots[t.seq] = hybSlot{banked: true, val: hd.lockApply(op, arg)}
-	return t, nil
+	return hd.lockApply(op, arg), true
 }
 
-func (hd *hybHandle) slot(t Ticket) hybSlot {
-	s, ok := hd.slots[t.seq]
-	if !ok {
-		panic("core: hybrid: Wait on a ticket that is not outstanding (already waited, or issued by another handle)")
-	}
-	return s
-}
+// Next implements Transport: whatever is owed — including submissions
+// from before a demotion the handle has not aligned to yet — is owed
+// by the backend.
+func (hd *hybTransport) Next(block bool) (uint64, bool) { return hd.inner.Next(block) }
 
-// Wait implements Handle.
-func (hd *hybHandle) Wait(t Ticket) uint64 {
-	s := hd.slot(t)
-	delete(hd.slots, t.seq)
-	if s.banked {
-		return s.val
-	}
-	return hd.inner.Wait(s.in)
-}
-
-// TryWait implements Handle: a banked ticket is always ready; a
-// delegated one is ready when the backend says so. On ErrNotReady the
-// ticket stays outstanding and redeemable.
-func (hd *hybHandle) TryWait(t Ticket) (uint64, error) {
-	s := hd.slot(t)
-	if s.banked {
-		delete(hd.slots, t.seq)
-		return s.val, hd.h.Err()
-	}
-	v, err := hd.inner.TryWait(s.in)
-	if errors.Is(err, ErrNotReady) {
-		return 0, ErrNotReady
-	}
-	delete(hd.slots, t.seq)
-	return v, hd.h.Err()
-}
-
-// WaitTimeout implements Handle.
-func (hd *hybHandle) WaitTimeout(t Ticket, d time.Duration) (uint64, error) {
-	s := hd.slot(t)
-	if s.banked {
-		delete(hd.slots, t.seq)
-		return s.val, hd.h.Err()
-	}
-	v, err := hd.inner.WaitTimeout(s.in, d)
-	if errors.Is(err, ErrWaitTimeout) {
-		return 0, ErrWaitTimeout
-	}
-	delete(hd.slots, t.seq)
-	return v, hd.h.Err()
-}
-
-// Err implements Handle.
-func (hd *hybHandle) Err() error { return hd.h.Err() }
-
-// Post implements Handle: fire-and-forget, in submission order with
-// the handle's other operations on whichever path the mode selects.
-func (hd *hybHandle) Post(op, arg uint64) error {
-	if err := hd.h.Err(); err != nil {
-		return err
-	}
-	if hd.align() == hybModeDeleg {
-		err := hd.inner.Post(op, arg)
-		hd.tick()
-		return err
-	}
-	hd.lockApply(op, arg)
-	return nil
-}
-
-// Flush implements Handle. Lock-mode submissions completed at Submit
-// time; delegated ones — including any still outstanding from before a
-// demotion the handle has not aligned to yet — are settled by the
-// backend's Flush, which is a no-op when nothing is in flight.
-func (hd *hybHandle) Flush() { hd.inner.Flush() }
-
-// ApplyBatch implements Handle. The mode is read once at entry and the
-// whole batch goes down that path — one gate acquisition, or one
-// backend ApplyBatch — so a dispatch run is never split by a
+// Batch implements Transport. The mode is read once at entry and the
+// whole batch goes down that path — one gate acquisition, or the
+// backend's batch strategy — so a dispatch run is never split by a
 // transition happening mid-batch.
-func (hd *hybHandle) ApplyBatch(reqs []Req, results []uint64) {
-	if len(reqs) == 0 {
-		return
-	}
-	if hd.h.Poisoned() {
-		if results != nil {
-			zeroResults(results[:len(reqs)])
-		}
-		return
-	}
+func (hd *hybTransport) Batch(p *Pipe, reqs []Req, results []uint64) {
 	if hd.align() == hybModeDeleg {
-		hd.inner.ApplyBatch(reqs, results)
+		hd.inner.Batch(p, reqs, results)
 		hd.tick()
 		return
 	}
-	if len(reqs) == 1 { // a 1-batch is exactly the scalar critical section
-		v := hd.lockApply(reqs[0].Op, reqs[0].Arg)
-		if results != nil {
-			results[0] = v
-		}
-		return
-	}
-	res := results
-	if res == nil {
-		if cap(hd.drop) < len(reqs) {
-			hd.drop = make([]uint64, len(reqs))
-		}
-		res = hd.drop[:len(reqs)]
-	}
-	sampled := hd.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	hd.lockDispatch(reqs, res[:len(reqs)])
+	hd.lockDispatch(reqs, results)
 	hd.rec.RunLen(len(reqs))
-	if sampled {
-		hd.rec.Latency(t0)
-	}
 }

@@ -1,9 +1,13 @@
 // Transition tests for the adaptive hybrid construction: conservation
 // and per-handle FIFO must hold across forced promote/demote cycles
-// for every submission shape, tickets must stay redeemable across mode
-// switches, and a panic landing mid-transition must poison cleanly
-// (no deadlock, fast-failing submissions). In-package so the tests can
-// force transition edges deterministically through promote/demote.
+// for every submission shape, and a panic landing mid-transition must
+// poison cleanly (no deadlock, fast-failing submissions). That tickets
+// stay redeemable across mode switches is part of the handle-contract
+// script, which hybrid_contract_test.go runs with a transition between
+// every two steps (TestHybridTicketsAcrossSwitch is now its
+// reverse-wait-past-queuecap case, TestHybridWaitVariantsAcrossSwitch
+// its bounded-waits case). In-package so the tests can force transition
+// edges deterministically through promote/demote.
 package core
 
 import (
@@ -253,68 +257,6 @@ func TestHybridBatchOneDispatchRun(t *testing.T) {
 				t.Fatalf("delegated batch took %d gate runs, want 1", runs)
 			}
 		}
-	}
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHybridTicketsAcrossSwitch pins the ticket contract down: tickets
-// issued in one mode redeem after any number of transitions, in FIFO
-// order, including an unflushed delegation ticket redeemed after the
-// handle has already moved back to lock mode.
-func TestHybridTicketsAcrossSwitch(t *testing.T) {
-	obj, _ := counterObj()
-	h := newTestHybrid(t, obj, WithHybridWindow(1<<30))
-	hd, err := h.NewHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tickets []Ticket
-	submit := func(n int) {
-		for i := 0; i < n; i++ {
-			tk, err := hd.Submit(0, 0)
-			if err != nil {
-				t.Fatalf("Submit: %v", err)
-			}
-			tickets = append(tickets, tk)
-		}
-	}
-	submit(4)           // lock mode: banked
-	forceMode(h, true)  // promote
-	submit(4)           // delegation mode: backend tickets
-	forceMode(h, false) // demote; handle has NOT aligned yet
-	submit(4)           // first Submit aligns (flushes the backend pipeline)
-	forceMode(h, true)
-	submit(4)
-	for want, tk := range tickets {
-		if got := hd.Wait(tk); got != uint64(want) {
-			t.Fatalf("ticket %d redeemed %d, want %d", want, got, want)
-		}
-	}
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHybridWaitVariantsAcrossSwitch covers TryWait/WaitTimeout on
-// banked and delegated tickets across a switch.
-func TestHybridWaitVariantsAcrossSwitch(t *testing.T) {
-	obj, _ := counterObj()
-	h := newTestHybrid(t, obj, WithHybridWindow(1<<30))
-	hd, err := h.NewHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0, _ := hd.Submit(0, 0) // lock mode: banked
-	forceMode(h, true)
-	t1, _ := hd.Submit(0, 0) // delegation mode
-	hd.Flush()
-	if v, err := hd.TryWait(t1); err != nil || v != 1 {
-		t.Fatalf("TryWait(delegated after flush) = %d, %v; want 1, nil", v, err)
-	}
-	if v, err := hd.WaitTimeout(t0, time.Second); err != nil || v != 0 {
-		t.Fatalf("WaitTimeout(banked) = %d, %v; want 0, nil", v, err)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)

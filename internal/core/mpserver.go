@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
+	"unsafe"
 
+	"hybsync/internal/backoff"
 	"hybsync/internal/mpq"
+	"hybsync/internal/pad"
 	"hybsync/internal/telemetry"
 )
 
@@ -32,9 +34,9 @@ import (
 //
 // MPServer is the construction where asynchronous submission pays off
 // most directly: a request is a message, so a client may keep up to
-// QueueCap requests in flight per handle (Submit sends without
-// blocking on the reply; Wait collects replies through a ticketed
-// receive on the response ring). Per-sender FIFO on the request ring
+// QueueCap requests in flight per handle (shipping one sends without
+// blocking on the reply; the handle's window numbers the replies as
+// they come off the response ring). Per-sender FIFO on the request ring
 // plus in-order service plus the FIFO response ring give per-handle
 // FIFO completion. A handle bounds its in-flight count by the response
 // ring's capacity, so the server's response send never blocks.
@@ -42,12 +44,12 @@ type MPServer struct {
 	PoisonLatch
 	opts Options
 	obj  Object
-	reqs mpq.Queue // MPSC: any client sends, only serve receives
+	reqs *mpq.Mpsc // any client sends, only serve receives
 	// resp[id] is handle id's response ring (QueueCap deep, SPSC:
 	// server → client), created by NewHandle. The server learns an id
 	// only from a request that handle sent, and the request ring's
 	// publication orders the slot's write before the server's read.
-	resp    []mpq.Queue
+	resp    []*mpq.Spsc
 	nextID  atomic.Int32
 	stopped atomic.Bool
 	done    chan struct{}
@@ -64,8 +66,8 @@ func NewMPServer(obj Object, opts Options) *MPServer {
 	s := &MPServer{
 		opts: opts,
 		obj:  obj,
-		reqs: opts.newMpscQueue(),
-		resp: make([]mpq.Queue, opts.MaxThreads),
+		reqs: mpq.NewMpsc(opts.QueueCap),
+		resp: make([]*mpq.Spsc, opts.MaxThreads),
 		done: make(chan struct{}),
 	}
 	s.Algo = "mpserver"
@@ -136,29 +138,37 @@ func (s *MPServer) serve() {
 
 // NewHandle implements Executor.
 func (s *MPServer) NewHandle() (Handle, error) {
+	spec, err := s.newSpec()
+	if err != nil {
+		return nil, err
+	}
+	return NewPipe(spec), nil
+}
+
+// newSpec admits one more client and builds its transport; the hybrid
+// executor wraps the spec of its backend instead of taking a handle.
+func (s *MPServer) newSpec() (PipeSpec, error) {
 	if err := s.Err(); err != nil {
-		return nil, fmt.Errorf("core: mpserver: %w", err)
+		return PipeSpec{}, fmt.Errorf("core: mpserver: %w", err)
 	}
 	if s.stopped.Load() {
-		return nil, fmt.Errorf("core: mpserver: %w", ErrClosed)
+		return PipeSpec{}, fmt.Errorf("core: mpserver: %w", ErrClosed)
 	}
 	id := s.nextID.Add(1) - 1
 	if int(id) >= s.opts.MaxThreads {
-		return nil, errTooManyHandles(s.opts.MaxThreads)
+		return PipeSpec{}, errTooManyHandles(s.opts.MaxThreads)
 	}
 	// QueueCap deep (not 1): the response ring is the completion stream
 	// of the handle's submission pipeline, and must hold one reply per
 	// in-flight request.
-	s.resp[id] = s.opts.newSpscQueue(s.opts.QueueCap)
-	tk := mpq.NewTicketed(s.resp[id])
-	tk.Arm(s.opts.StallTimeout, "mpserver: client awaiting response")
-	tk.OnStall(s.opts.Telemetry.StallHook())
-	return &mpHandle{
-		s:   s,
-		id:  uint64(id),
-		tk:  tk,
-		rec: s.opts.Telemetry.Recorder(),
-	}, nil
+	s.resp[id] = mpq.NewSpsc(s.opts.QueueCap)
+	t := &mpTransport{mpTransportHot: mpTransportHot{s: s, id: uint64(id), resp: s.resp[id],
+		wb: backoff.Armed(s.opts.StallTimeout, "mpserver: client awaiting response")}}
+	// Set on the stored waiter: Armed returns by value, so a hook set
+	// on the temporary would be lost.
+	t.wb.SetOnStall(s.opts.Telemetry.StallHook())
+	return PipeSpec{Transport: t, Apply: t.apply, Latch: &s.PoisonLatch, Rec: s.opts.Telemetry.Recorder(),
+		Counters: &s.ps, Depth: s.opts.QueueCap, Waiter: &t.wb}, nil
 }
 
 // Close stops the server goroutine, draining the request ring first so
@@ -181,159 +191,43 @@ func (s *MPServer) Pipeline() (submitStalls, maxDepth uint64) { return s.ps.Pipe
 // Telemetry implements TelemetrySource.
 func (s *MPServer) Telemetry() *telemetry.Telemetry { return s.opts.Telemetry }
 
-// mpHandle is one client's pipeline over the server: requests go out on
-// the shared MPSC ring, replies come back on the client's own SPSC ring
-// as a ticketed completion stream. Every submission is ring-bound and
-// replies arrive in submission order, so a ticket's sequence number IS
-// its stream position — no per-ticket bookkeeping beyond the Ticketed
-// adapter.
-type mpHandle struct {
-	s   *MPServer
-	id  uint64
-	tk  *mpq.Ticketed
-	dt  DepthTracker
-	rec *telemetry.Recorder
-	pos []uint64 // ApplyBatch stream-position scratch
+// mpTransport is one client's path to the server: requests go out on the
+// shared MPSC ring, replies come back on the client's own SPSC ring in
+// submission order. Every request is a message, so nothing completes on
+// the spot and a batch is simply pipelined.
+type mpTransportHot struct {
+	s    *MPServer
+	id   uint64
+	resp *mpq.Spsc
+	wb   backoff.Watched // awaiting a reply, under the stall watchdog
 }
 
-// submit ships the request, first making room in the pipeline when
-// QueueCap operations are already in flight (absorbing one reply keeps
-// the server's response send non-blocking).
-func (h *mpHandle) submit(op, arg uint64) uint64 {
-	if h.tk.InFlight() >= h.s.opts.QueueCap {
-		h.s.ps.NoteStall()
-		h.s.opts.Telemetry.NoteSubmitStall()
-		h.tk.Absorb()
-	}
-	pos := h.tk.Issue()
-	h.s.reqs.Send(mpq.Words3(h.id, op, arg))
-	h.dt.Note(&h.s.ps, h.tk.InFlight())
-	return pos
+// mpTransport rounds its state up to whole cache lines: handles of different
+// threads are allocated side by side, and one thread's per-operation
+// writes must not invalidate the line a neighbour reads its own from.
+//
+//hyblint:padded
+type mpTransport struct {
+	mpTransportHot
+	_ [pad.CacheLine - unsafe.Sizeof(mpTransportHot{})%pad.CacheLine]byte
 }
 
-// Apply implements Handle: ship the request, block on the response —
-// literally Submit followed by Wait. On a poisoned executor it
-// short-circuits to the poisoned zero without touching the transport.
-func (h *mpHandle) Apply(op, arg uint64) uint64 {
-	if h.s.Poisoned() {
-		return 0
-	}
-	// One latency sample = one blocking call, submission to reply. The
-	// disarmed cost is the Sample nil check; the clock is only read on
-	// sampled calls.
-	sampled := h.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	v := h.tk.WaitFor(h.submit(op, arg)).W[0]
-	if sampled {
-		h.rec.Latency(t0)
-	}
+func (t *mpTransport) apply(op, arg uint64) uint64 {
+	t.s.reqs.Send(mpq.Words3(t.id, op, arg))
+	v, _ := t.Next(true)
 	return v
 }
 
-// Submit implements Handle: ship the request, don't wait for the
-// reply. On a poisoned executor it fails fast with the *PoisonError
-// and no ticket is issued.
-func (h *mpHandle) Submit(op, arg uint64) (Ticket, error) {
-	if err := h.s.Err(); err != nil {
-		return Ticket{}, err
-	}
-	return Ticket{seq: h.submit(op, arg)}, nil
+// Ship implements Transport.
+func (t *mpTransport) Ship(op, arg uint64) (uint64, bool) {
+	t.s.reqs.Send(mpq.Words3(t.id, op, arg))
+	return 0, false
 }
 
-// Wait implements Handle: collect t's reply from the completion stream.
-func (h *mpHandle) Wait(t Ticket) uint64 {
-	sampled := h.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	v := h.tk.WaitFor(t.seq).W[0]
-	if sampled {
-		h.rec.Latency(t0)
-	}
-	return v
-}
+// Next implements Transport. The server replies to a Post like to any
+// request (it cannot know the client does not care); the window drops
+// that reply on arrival.
+func (t *mpTransport) Next(block bool) (uint64, bool) { return mpq.RecvWord(t.resp, &t.wb, block) }
 
-// TryWait implements Handle.
-func (h *mpHandle) TryWait(t Ticket) (uint64, error) {
-	m, ok := h.tk.TryWaitFor(t.seq)
-	if !ok {
-		return 0, ErrNotReady
-	}
-	return m.W[0], h.s.Err()
-}
-
-// WaitTimeout implements Handle.
-func (h *mpHandle) WaitTimeout(t Ticket, d time.Duration) (uint64, error) {
-	m, ok := h.tk.WaitForTimeout(t.seq, d)
-	if !ok {
-		return 0, ErrWaitTimeout
-	}
-	return m.W[0], h.s.Err()
-}
-
-// Err implements Handle.
-func (h *mpHandle) Err() error { return h.s.Err() }
-
-// Post implements Handle: fire-and-forget. The server still replies (it
-// cannot know the client does not care), so the reply's stream position
-// is marked discarded and dropped on arrival.
-func (h *mpHandle) Post(op, arg uint64) error {
-	if err := h.s.Err(); err != nil {
-		return err
-	}
-	if h.tk.InFlight() >= h.s.opts.QueueCap {
-		h.s.ps.NoteStall()
-		h.s.opts.Telemetry.NoteSubmitStall()
-		h.tk.Absorb()
-	}
-	h.tk.Discard(h.tk.Issue())
-	h.s.reqs.Send(mpq.Words3(h.id, op, arg))
-	h.dt.Note(&h.s.ps, h.tk.InFlight())
-	return nil
-}
-
-// Flush implements Handle: drain the completion stream, banking
-// not-yet-waited results and dropping Post replies.
-func (h *mpHandle) Flush() { h.tk.Flush() }
-
-// ApplyBatch implements Handle: ship the whole batch back-to-back, then
-// collect the replies in stream order. The requests land contiguously
-// on the request ring (interleaved only with other clients'), so the
-// server's drain sees the batch as part of one run and executes it
-// through single DispatchBatch calls; the client pays one round-trip
-// wait for the whole batch instead of one per operation.
-func (h *mpHandle) ApplyBatch(reqs []Req, results []uint64) {
-	if h.s.Poisoned() {
-		if results != nil {
-			zeroResults(results[:len(reqs)])
-		}
-		return
-	}
-	if cap(h.pos) < len(reqs) {
-		h.pos = make([]uint64, len(reqs))
-	}
-	// One latency sample covers the whole batch call — submission of
-	// the first request to collection of the last reply.
-	sampled := h.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	pos := h.pos[:len(reqs)]
-	for i, r := range reqs {
-		pos[i] = h.submit(r.Op, r.Arg)
-	}
-	for i := range pos {
-		v := h.tk.WaitFor(pos[i]).W[0]
-		if results != nil {
-			results[i] = v
-		}
-	}
-	if sampled {
-		h.rec.Latency(t0)
-	}
-}
+// Batch implements Transport.
+func (t *mpTransport) Batch(p *Pipe, reqs []Req, results []uint64) { p.Pipelined(reqs, results) }

@@ -1,0 +1,452 @@
+package core
+
+import (
+	"errors"
+	"sync/atomic"
+	"time"
+	"unsafe"
+
+	"hybsync/internal/backoff"
+	"hybsync/internal/mpq"
+	"hybsync/internal/pad"
+	"hybsync/internal/telemetry"
+)
+
+// Ticket identifies one outstanding asynchronous operation. A Ticket is
+// meaningful only to the Handle that issued it and must be redeemed
+// with that Handle's Wait exactly once (or settled by Flush, which
+// banks the result for a later Wait).
+type Ticket struct{ seq uint64 }
+
+// errTicket is the one misuse panic of the wait family, whichever
+// construction is underneath.
+const errTicket = "core: Wait on a ticket that is not outstanding (already waited, or issued by another handle)"
+
+// Transport is what a construction supplies beneath the handle
+// pipeline: how one request travels and how its completion comes back.
+// Everything else — tickets, the in-flight bound, banking, Post
+// discards, Flush, the bounded waits, poison short-circuits, latency
+// sampling — is Pipe's, once, for every construction.
+//
+// A transport is driven by its handle's goroutine only. Completions
+// come back in shipping order (per-handle FIFO is the construction's
+// obligation; the pipeline relies on it and never reorders).
+type Transport interface {
+	// Ship submits (op, arg) to execute after everything this handle
+	// shipped before. done reports that the operation has already
+	// executed — a lock cannot defer an acquisition, a combiner serves
+	// its own request — and val is then its result; otherwise the
+	// completion is owed and Next will deliver it. Ship may block for
+	// back-pressure or combiner duty, never for the operation's own
+	// result when the construction can overlap it.
+	Ship(op, arg uint64) (val uint64, done bool)
+
+	// Next delivers the oldest owed completion. With block it waits for
+	// it — performing any duty the wait implies, such as an inherited
+	// combining round — and ok is always true; without, it returns
+	// ok=false rather than wait for another thread. The pipeline calls
+	// it only while completions are owed.
+	Next(block bool) (val uint64, ok bool)
+
+	// Batch executes reqs in order, behind the handle's earlier
+	// submissions, and fills results before returning: the
+	// construction's own way of turning one call into as few
+	// DispatchBatch runs as it can. The pipeline has already dealt with
+	// the empty, poisoned, one-request and nil-results cases, so
+	// len(reqs) >= 2 and len(results) == len(reqs). Request-per-message
+	// transports delegate to p.Pipelined.
+	Batch(p *Pipe, reqs []Req, results []uint64)
+}
+
+// PipeSpec is what a construction's NewHandle assembles a handle from.
+type PipeSpec struct {
+	Transport Transport
+	// Apply is the blocking round trip of one operation, used only while
+	// nothing is in flight — so the uncontended critical section pays no
+	// window bookkeeping. It is a bare func rather than a Transport
+	// method so that SyncHandle(f).Apply is one call of f.
+	Apply func(op, arg uint64) uint64
+	// Latch is the executor's fault state; nil for an adapted bare
+	// function, which has none.
+	Latch *PoisonLatch
+	// Rec takes the latency samples (nil when telemetry is disarmed).
+	Rec *telemetry.Recorder
+	// Counters receives submit stalls and the deepest window reached;
+	// Depth bounds the operations in flight (Options.QueueCap). Both
+	// matter only to transports that leave completions owed.
+	Counters *PipeCounters
+	Depth    int
+	// Waiter is the transport's own watched waiter, borrowed by
+	// WaitTimeout's deadline loop so a wedged construction still trips
+	// the stall watchdog under its own label.
+	Waiter *backoff.Watched
+}
+
+// pipeHot is a Pipe's state; see Pipe for the padding.
+type pipeHot struct {
+	spec PipeSpec // Counters and Waiter never nil, Depth at least 1
+
+	win     mpq.Window
+	deepest uint64   // this handle's in-flight high-water mark
+	drop    []uint64 // results scratch for ApplyBatch(reqs, nil)
+}
+
+// Pipe is the one Handle implementation: a ticket window over a
+// construction's Transport. See DESIGN.md "Handle pipeline". Handles
+// of different threads are allocated side by side, and a pipelining
+// thread writes its window on every operation, so the state is rounded
+// up to whole cache lines like the transports'.
+//
+//hyblint:padded
+type Pipe struct {
+	pipeHot
+	_ [pad.CacheLine - unsafe.Sizeof(pipeHot{})%pad.CacheLine]byte
+}
+
+var _ Handle = (*Pipe)(nil)
+
+// NewPipe builds the handle for one goroutine over spec.
+func NewPipe(spec PipeSpec) *Pipe {
+	if spec.Counters == nil {
+		spec.Counters = new(PipeCounters)
+	}
+	if spec.Waiter == nil {
+		spec.Waiter = new(backoff.Watched)
+	}
+	spec.Depth = max(spec.Depth, 1)
+	return &Pipe{pipeHot: pipeHot{spec: spec}}
+}
+
+// NewImmediatePipe builds the handle of a construction that cannot
+// leave a completion owed (SHM-SERVER's single request slot, a lock):
+// every submission runs apply on the spot and banks the result. batch
+// is the construction's ApplyBatch strategy; nil loops apply.
+func NewImmediatePipe(apply func(op, arg uint64) uint64, batch func(reqs []Req, results []uint64),
+	latch *PoisonLatch, rec *telemetry.Recorder) *Pipe {
+	return NewPipe(PipeSpec{Transport: immediate{apply, batch}, Apply: apply, Latch: latch, Rec: rec})
+}
+
+// SyncHandle adapts a bare apply function into a full Handle with
+// immediate completion — the escape hatch for application-registered
+// executors whose transport has no natural submit/complete split. The
+// returned handle is per-goroutine like every other. An adapted
+// function has no servicing path of its own and therefore no poison
+// latch; the adapting application owns its fault handling.
+func SyncHandle(apply func(op, arg uint64) uint64) Handle {
+	return NewImmediatePipe(apply, nil, nil, nil)
+}
+
+type immediate struct {
+	apply func(op, arg uint64) uint64
+	batch func(reqs []Req, results []uint64)
+}
+
+func (t immediate) Ship(op, arg uint64) (uint64, bool) { return t.apply(op, arg), true }
+
+func (t immediate) Next(bool) (uint64, bool) {
+	panic("core: immediate transport asked for a completion it never owed")
+}
+
+func (t immediate) Batch(_ *Pipe, reqs []Req, results []uint64) {
+	if t.batch != nil {
+		t.batch(reqs, results)
+		return
+	}
+	for i, r := range reqs {
+		results[i] = t.apply(r.Op, r.Arg)
+	}
+}
+
+func (p *Pipe) poisoned() bool { return p.spec.Latch != nil && p.spec.Latch.Poisoned() }
+
+// Err implements Handle.
+func (p *Pipe) Err() error {
+	if p.spec.Latch == nil {
+		return nil
+	}
+	return p.spec.Latch.Err()
+}
+
+// InFlight returns how many of this handle's operations are shipped
+// and not yet completed; for a transport's Batch choosing between its
+// direct and its pipelined strategy.
+func (p *Pipe) InFlight() int { return p.win.InFlight() }
+
+// Apply implements Handle. With nothing in flight it is the
+// transport's blocking round trip and touches no ticket state; the
+// common case — disarmed or unsampled — is kept to the checks and the
+// call, with no local live across it.
+func (p *Pipe) Apply(op, arg uint64) uint64 {
+	if p.poisoned() {
+		return 0
+	}
+	if p.win.InFlight() != 0 || p.spec.Rec.Sample() {
+		return p.applySlow(op, arg)
+	}
+	return p.spec.Apply(op, arg)
+}
+
+// applySlow is Apply behind in-flight submissions, or sampled. Behind
+// submissions it must queue (per-handle FIFO — and on CC-SYNCH an older
+// unwaited cell may hold the combining duty that the round trip would
+// otherwise spin on forever), so it composes literally as Submit+Wait
+// and Wait takes the sample. The latency sampling rule is one for every
+// construction: each blocking call of the contract — Apply, Wait,
+// ApplyBatch — is one sampling opportunity, whatever it finds banked;
+// the disarmed cost is Sample's nil check, and the clock is read only
+// on sampled calls.
+func (p *Pipe) applySlow(op, arg uint64) uint64 {
+	if p.win.InFlight() != 0 {
+		return p.Wait(Ticket{p.ship(op, arg, false)})
+	}
+	t0 := time.Now()
+	v := p.spec.Apply(op, arg)
+	p.spec.Rec.Latency(t0)
+	return v
+}
+
+// settle moves the oldest owed completion from the transport into its
+// window slot; false only when block is false and it has not arrived.
+func (p *Pipe) settle(block bool) bool {
+	v, ok := p.spec.Transport.Next(block)
+	if ok {
+		p.win.Arrive(v)
+	}
+	return ok
+}
+
+// makeRoom keeps the operations in flight below the bound — so a server
+// or combiner can never block on this handle's full response queue —
+// by settling the oldest when the window is full (a submit stall).
+func (p *Pipe) makeRoom() {
+	if p.win.InFlight() >= p.spec.Depth {
+		p.spec.Counters.stalls.Add(1)
+		if p.spec.Latch != nil {
+			p.spec.Latch.Tel.NoteSubmitStall()
+		}
+		p.settle(true)
+	}
+}
+
+// issue opens the window slot of an operation just shipped, publishing
+// the in-flight depth only when this handle reaches a new personal
+// maximum — a handful of shared-line touches per handle lifetime.
+func (p *Pipe) issue() uint64 {
+	seq := p.win.Issue()
+	if d := uint64(p.win.InFlight()); d > p.deepest {
+		p.deepest = d
+		p.spec.Counters.bumpDepth(d)
+	}
+	return seq
+}
+
+// ship sends one operation down the transport and returns its ticket
+// number; a discarded operation that completed on the spot needs none.
+func (p *Pipe) ship(op, arg uint64, discard bool) uint64 {
+	p.makeRoom()
+	val, done := p.spec.Transport.Ship(op, arg)
+	if done {
+		if discard {
+			return 0
+		}
+		return p.win.IssueDone(val)
+	}
+	seq := p.issue()
+	if discard {
+		p.win.Discard(seq)
+	}
+	return seq
+}
+
+// Submit implements Handle. On a poisoned executor it fails fast with
+// the *PoisonError and no ticket is issued.
+func (p *Pipe) Submit(op, arg uint64) (Ticket, error) {
+	if err := p.Err(); err != nil {
+		return Ticket{}, err
+	}
+	return Ticket{p.ship(op, arg, false)}, nil
+}
+
+// Post implements Handle: the window slot, if the operation needs one,
+// drops the result on arrival.
+func (p *Pipe) Post(op, arg uint64) error {
+	if err := p.Err(); err != nil {
+		return err
+	}
+	p.ship(op, arg, true)
+	return nil
+}
+
+// Flush implements Handle: settle everything in flight, banking
+// unwaited Submit results and dropping Post results.
+func (p *Pipe) Flush() {
+	for p.win.InFlight() > 0 {
+		p.settle(true)
+	}
+}
+
+// wait redeems ticket seq, settling older completions into their slots
+// on the way: an out-of-order Wait banks what it passes. Settling in
+// order is also what CC-SYNCH needs — the oldest cell is the one that
+// may hold dormant combining duty.
+func (p *Pipe) wait(seq uint64) uint64 {
+	for {
+		switch v, st := p.win.Take(seq); st {
+		case mpq.Ready:
+			return v
+		case mpq.Invalid:
+			panic(errTicket)
+		}
+		p.settle(true)
+	}
+}
+
+// Wait implements Handle.
+func (p *Pipe) Wait(t Ticket) uint64 {
+	sampled := p.spec.Rec.Sample()
+	var t0 time.Time
+	if sampled {
+		t0 = time.Now()
+	}
+	v := p.wait(t.seq)
+	if sampled {
+		p.spec.Rec.Latency(t0)
+	}
+	return v
+}
+
+// TryWait implements Handle.
+func (p *Pipe) TryWait(t Ticket) (uint64, error) {
+	for {
+		switch v, st := p.win.Take(t.seq); st {
+		case mpq.Ready:
+			return v, p.Err()
+		case mpq.Invalid:
+			panic(errTicket)
+		}
+		if !p.settle(false) {
+			return 0, ErrNotReady
+		}
+	}
+}
+
+// WaitTimeout implements Handle: TryWait in a deadline loop. The bound
+// covers waiting on other threads' progress; a completion that has
+// arrived is settled to the end (including combining duty it carries)
+// regardless of d.
+func (p *Pipe) WaitTimeout(t Ticket, d time.Duration) (uint64, error) {
+	v, err := p.TryWait(t)
+	if !errors.Is(err, ErrNotReady) {
+		return v, err
+	}
+	deadline := time.Now().Add(d)
+	p.spec.Waiter.Reset()
+	for {
+		p.spec.Waiter.Wait()
+		if v, err = p.TryWait(t); !errors.Is(err, ErrNotReady) {
+			return v, err
+		}
+		if !time.Now().Before(deadline) {
+			return 0, ErrWaitTimeout
+		}
+	}
+}
+
+// ApplyBatch implements Handle: the prologue every construction shares,
+// then the transport's own batch strategy under one latency sample.
+func (p *Pipe) ApplyBatch(reqs []Req, results []uint64) {
+	switch {
+	case len(reqs) == 0:
+		return
+	case p.poisoned():
+		if results != nil {
+			zeroResults(results[:len(reqs)])
+		}
+		return
+	case len(reqs) == 1: // a 1-batch is exactly the scalar critical section
+		v := p.Apply(reqs[0].Op, reqs[0].Arg)
+		if results != nil {
+			results[0] = v
+		}
+		return
+	}
+	if results == nil {
+		// Combiners and locks need somewhere to write the run's results.
+		if cap(p.drop) < len(reqs) {
+			p.drop = make([]uint64, len(reqs))
+		}
+		results = p.drop
+	}
+	sampled := p.spec.Rec.Sample()
+	var t0 time.Time
+	if sampled {
+		t0 = time.Now()
+	}
+	p.spec.Transport.Batch(p, reqs, results[:len(reqs)])
+	if sampled {
+		p.spec.Rec.Latency(t0)
+	}
+}
+
+// Pipelined is the batch strategy of a request-per-message transport:
+// ship the whole batch back to back — it lands contiguously on the
+// request path, so the servicing side sees it as part of one run —
+// then collect the results in order, paying one round-trip wait for
+// the batch instead of one per operation. Every shipped operation
+// takes the next ticket number, so the first names them all.
+func (p *Pipe) Pipelined(reqs []Req, results []uint64) {
+	first := p.ship(reqs[0].Op, reqs[0].Arg, false)
+	for _, r := range reqs[1:] {
+		p.ship(r.Op, r.Arg, false)
+	}
+	for i := range reqs {
+		results[i] = p.wait(first + uint64(i))
+	}
+}
+
+// Immediate is the ticket bank of a Handle implemented outside this
+// package over a transport that completes every submission on the
+// spot: Complete banks an already-computed result and returns its
+// ticket, Take withdraws it. The zero value is ready to use; not safe
+// for concurrent use.
+type Immediate struct{ win mpq.Window }
+
+// Complete banks an already-computed result and returns its ticket.
+func (im *Immediate) Complete(val uint64) Ticket { return Ticket{im.win.IssueDone(val)} }
+
+// Take withdraws t's banked result. Waiting a ticket twice — or a
+// ticket issued by another handle — is a programming error and panics.
+func (im *Immediate) Take(t Ticket) uint64 {
+	v, st := im.win.Take(t.seq)
+	if st != mpq.Ready {
+		panic(errTicket)
+	}
+	return v
+}
+
+// PipeCounters is the shared implementation of PipelineStats, embedded
+// by the pipelining executors (MPServer, HybComb here; CC-Synch in
+// internal/shmsync) and fed by their handles' Pipes. Stalls are counted
+// directly — a stall already pays a blocking receive or a combining
+// round, so one more atomic add is noise — while depth is published
+// only on a handle's new personal maximum (see Pipe.issue).
+type PipeCounters struct {
+	stalls atomic.Uint64
+	depth  atomic.Uint64
+}
+
+// bumpDepth raises the published maximum in-flight depth to d
+// (monotonic CAS max).
+func (p *PipeCounters) bumpDepth(d uint64) {
+	for {
+		cur := p.depth.Load()
+		if d <= cur || p.depth.CompareAndSwap(cur, d) {
+			return
+		}
+	}
+}
+
+// Pipeline implements PipelineStats.
+func (p *PipeCounters) Pipeline() (submitStalls, maxDepth uint64) {
+	return p.stalls.Load(), p.depth.Load()
+}

@@ -24,13 +24,15 @@
 //     queue and the HybComb inboxes. Producers claim a slot with a
 //     single fetch-and-add instead of a CAS retry loop; the consumer
 //     never CASes.
-//   - ChanQueue: a buffered Go channel (the obvious baseline).
 //
 // Both rings speak one stamped-cell protocol (see ring): a message is
 // one cache line the producer writes and the consumer reads, and
 // nothing else crosses cores per message.
 //
-// The ablation benchmark BenchmarkMPQBackends compares them per role.
+// A buffered Go channel — the obvious baseline — lives in the package's
+// tests as the reference backend: the contract tests run every case
+// against it too, and BenchmarkMPQBackends and BenchmarkRingRoundTrip
+// compare the rings with it per role.
 package mpq
 
 import (
@@ -136,8 +138,8 @@ func ringSize(cap int) int {
 //
 // The ring holds at most bound messages: position pos may be written
 // once deq > pos-bound. bound is the capacity the caller asked for, not
-// the power of two the cells are rounded up to, so all backends
-// (ChanQueue included) exert the same back-pressure — and so the
+// the power of two the cells are rounded up to, so both rings (and the
+// tests' channel reference) exert the same back-pressure — and so the
 // snapshot refresh, which costs the one send in every bound a miss on
 // the consumer's line, does not recur with a power-of-two period that
 // a 1-in-16 or 1-in-64 latency sampler would lock onto.
@@ -219,49 +221,3 @@ func (r *ring) Empty() bool {
 	pos := r.deq.Load()
 	return r.cells[pos&r.mask].seq.Load() != pos+1
 }
-
-// ChanQueue adapts a buffered Go channel to the Queue interface — the
-// baseline backend for the ablation benchmark.
-type ChanQueue struct {
-	ch chan Msg
-}
-
-// NewChan creates a channel-backed queue with the given capacity.
-func NewChan(cap int) *ChanQueue { return &ChanQueue{ch: make(chan Msg, cap)} }
-
-// Send implements Queue.
-func (q *ChanQueue) Send(m Msg) { q.ch <- m }
-
-// Recv implements Queue.
-func (q *ChanQueue) Recv() Msg { return <-q.ch }
-
-// TryRecv implements Queue.
-func (q *ChanQueue) TryRecv() (Msg, bool) {
-	select {
-	case m := <-q.ch:
-		return m, true
-	default:
-		return Msg{}, false
-	}
-}
-
-// RecvBatch implements Queue.
-func (q *ChanQueue) RecvBatch(buf []Msg) int { return recvBatchBlocking(q, buf) }
-
-// TryRecvBatch implements Queue.
-func (q *ChanQueue) TryRecvBatch(buf []Msg) int {
-	n := 0
-	for n < len(buf) {
-		select {
-		case m := <-q.ch:
-			buf[n] = m
-			n++
-		default:
-			return n
-		}
-	}
-	return n
-}
-
-// Empty implements Queue.
-func (q *ChanQueue) Empty() bool { return len(q.ch) == 0 }

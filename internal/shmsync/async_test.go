@@ -1,3 +1,11 @@
+// Pipelines over CC-SYNCH's deferred completion. The single-handle
+// contract cases that used to live here are checked for every
+// construction by the handle-contract script (internal/handletest, run
+// by the root package's TestHandleContract):
+//
+//	TestCCSynchOutOfOrderWait  -> ccsynch/reverse-wait-past-queuecap
+//	TestCCSynchApplyAfterSubmit -> ccsynch/apply-and-batch-behind-tickets
+//	TestSHMServerImmediate     -> shmserver, every case
 package shmsync
 
 import (
@@ -44,30 +52,6 @@ func TestCCSynchSubmitWaitFIFO(t *testing.T) {
 	}
 	if *state != n {
 		t.Fatalf("state = %d, want %d", *state, n)
-	}
-}
-
-// TestCCSynchOutOfOrderWait: a later ticket may be redeemed first; its
-// Wait serves the earlier chain cells as combiner where needed.
-func TestCCSynchOutOfOrderWait(t *testing.T) {
-	d, _ := seqDispatch()
-	c := NewCCSynch(core.Func(d), 200)
-	defer c.Close()
-	h, err := c.NewHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0, _ := h.Submit(0, 0)
-	t1, _ := h.Submit(0, 0)
-	t2, _ := h.Submit(0, 0)
-	if v := h.Wait(t2); v != 2 {
-		t.Fatalf("Wait(t2) = %d, want 2", v)
-	}
-	if v := h.Wait(t0); v != 0 {
-		t.Fatalf("Wait(t0) = %d, want 0", v)
-	}
-	if v := h.Wait(t1); v != 1 {
-		t.Fatalf("Wait(t1) = %d, want 1", v)
 	}
 }
 
@@ -137,64 +121,5 @@ func TestCCSynchConcurrentPipelines(t *testing.T) {
 	wg.Wait()
 	if *state != goroutines*per {
 		t.Fatalf("state = %d, want %d", *state, goroutines*per)
-	}
-}
-
-// TestCCSynchApplyAfterSubmit: an Apply issued while the handle has
-// outstanding submissions must not spin on its own cell while an older
-// unwaited cell holds the round's dormant combiner duty — the
-// regression here deadlocked a single goroutine doing Submit (or Post)
-// then Apply.
-func TestCCSynchApplyAfterSubmit(t *testing.T) {
-	d, state := seqDispatch()
-	c := NewCCSynch(core.Func(d), 200)
-	defer c.Close()
-	h, err := c.NewHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0, _ := h.Submit(0, 0)
-	if v := h.Apply(0, 0); v != 1 {
-		t.Fatalf("Apply after Submit = %d, want 1", v)
-	}
-	if v := h.Wait(t0); v != 0 {
-		t.Fatalf("Wait(t0) = %d, want 0", v)
-	}
-	if err := h.Post(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if v := h.Apply(0, 0); v != 3 {
-		t.Fatalf("Apply after Post = %d, want 3", v)
-	}
-	h.Flush()
-	if *state != 4 {
-		t.Fatalf("state = %d, want 4", *state)
-	}
-}
-
-// TestSHMServerImmediate: the fallback pipeline completes at Submit;
-// results are still matched to tickets and Post/Flush work.
-func TestSHMServerImmediate(t *testing.T) {
-	d, state := seqDispatch()
-	s := NewSHMServer(core.Func(d), 4)
-	defer s.Close()
-	h, err := s.NewHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0, _ := h.Submit(0, 0)
-	t1, _ := h.Submit(0, 0)
-	if v := h.Wait(t1); v != 1 {
-		t.Fatalf("Wait(t1) = %d, want 1", v)
-	}
-	if v := h.Wait(t0); v != 0 {
-		t.Fatalf("Wait(t0) = %d, want 0", v)
-	}
-	if err := h.Post(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	h.Flush()
-	if *state != 3 {
-		t.Fatalf("state = %d, want 3", *state)
 	}
 }

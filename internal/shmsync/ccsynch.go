@@ -7,7 +7,6 @@
 package shmsync
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -119,16 +118,17 @@ func (c *CCSynch) NewHandle() (core.Handle, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("shmsync: ccsynch: %w", core.ErrClosed)
 	}
-	h := &ccHandle{
+	h := &ccTransport{ccTransportHot: ccTransportHot{
 		c:    c,
 		node: &ccNode{},
 		rec:  c.tel.Recorder(),
 		wb:   backoff.Armed(c.stall, "ccsynch: waiting for cell service"),
-	}
+	}}
 	// Set on the stored waiter: Armed returns by value, so a hook set
 	// on the temporary would be lost.
 	h.wb.SetOnStall(c.tel.StallHook())
-	return h, nil
+	return core.NewPipe(core.PipeSpec{Transport: h, Apply: h.apply, Latch: &c.PoisonLatch, Rec: h.rec,
+		Counters: &c.ps, Depth: c.depth, Waiter: &h.wb}), nil
 }
 
 // Close implements core.Executor. CC-Synch owns no background
@@ -154,34 +154,33 @@ func (c *CCSynch) Pipeline() (submitStalls, maxDepth uint64) { return c.ps.Pipel
 // Telemetry implements core.TelemetrySource.
 func (c *CCSynch) Telemetry() *telemetry.Telemetry { return c.tel }
 
-// ccOp is one outstanding asynchronous operation: the chain cell whose
-// wait flag will clear when the operation is served (or when its owner
-// inherits combiner duty).
-type ccOp struct {
-	cell    *ccNode
-	discard bool
-}
+// ccTransport is one thread's end of the chain. Ship publishes a cell
+// and leaves its completion owed; the owed cells wait in publication
+// order, and Next completes the oldest — which is also what discharges
+// combiner duty that cell may have inherited while nobody was waiting
+// on it.
+type ccTransportHot struct {
+	c *CCSynch
+	// node is the resident spare of the paper's node exchange (nil while
+	// on loan to the chain), free the spares reclaimed beyond it, which
+	// only a pipelining handle has. Routing the blocking round trip's
+	// exchange through the slice too read contended-apply 10 % low.
+	node *ccNode
+	free []*ccNode
 
-type ccHandle struct {
-	c    *CCSynch
-	node *ccNode   // thread-local spare node (nil while loaned to the chain)
-	free []*ccNode // reclaimed spares beyond node
+	// owed holds the published cells whose completion the pipeline has
+	// not collected yet, oldest at head; the pipeline keeps at most
+	// depth of them.
+	owed []*ccNode
+	head int
 
 	// Combiner-side batch scratch: the chain segment being served, its
-	// requests and their results (chunked at ccRunCap); bcells is the
-	// submission side's published-cell scratch for ApplyBatch.
-	cells  []*ccNode
-	creqs  []core.Req
-	crets  []uint64
-	bcells []*ccNode
+	// requests and their results (chunked at ccRunCap).
+	cells []*ccNode
+	creqs []core.Req
+	crets []uint64
 
-	dt   core.DepthTracker
-	rec  *telemetry.Recorder
-	seq  uint64          // next ticket sequence number
-	ops  map[uint64]ccOp // outstanding submissions (nil until first Submit)
-	fifo []uint64        // submission order of outstanding seqs (lazily pruned)
-	res  map[uint64]uint64
-	sqs  []uint64 // ApplyBatch sequence scratch
+	rec *telemetry.Recorder
 
 	// wb is the watched waiter for cell-service spins, constructed once
 	// per handle and Reset per wait loop so the per-operation path never
@@ -189,14 +188,19 @@ type ccHandle struct {
 	wb backoff.Watched
 }
 
-// ccRunCap bounds one DispatchBatch run while combining, matching the
-// message-passing constructions' receive-buffer cap: a chain of up to
-// MaxOps cells is served in runs of at most this many.
-const ccRunCap = 256
+// ccTransport rounds its state up to whole cache lines: handles of different
+// threads are allocated side by side, and one thread's per-operation
+// writes must not invalidate the line a neighbour reads its own from.
+//
+//hyblint:padded
+type ccTransport struct {
+	ccTransportHot
+	_ [pad.CacheLine - unsafe.Sizeof(ccTransportHot{})%pad.CacheLine]byte
+}
 
 // takeSpare hands out a free node for the next swap onto the chain,
 // growing the pool when every node is in flight.
-func (h *ccHandle) takeSpare() *ccNode {
+func (h *ccTransport) takeSpare() *ccNode {
 	if n := h.node; n != nil {
 		h.node = nil
 		return n
@@ -209,19 +213,10 @@ func (h *ccHandle) takeSpare() *ccNode {
 	return &ccNode{}
 }
 
-// reclaim returns a completed cell to the pool.
-func (h *ccHandle) reclaim(n *ccNode) {
-	if h.node == nil {
-		h.node = n
-		return
-	}
-	h.free = append(h.free, n)
-}
-
 // publish is the submission half of CC-Synch: swap a spare node onto
 // the tail and fill the previous tail with our request. The returned
 // cell is the operation's completion point.
-func (h *ccHandle) publish(op, arg uint64) *ccNode {
+func (h *ccTransport) publish(op, arg uint64) *ccNode {
 	nextNode := h.takeSpare()
 	nextNode.wait.Store(true)
 	nextNode.completed = false
@@ -234,10 +229,15 @@ func (h *ccHandle) publish(op, arg uint64) *ccNode {
 	return cur
 }
 
+// ccRunCap bounds one DispatchBatch run while combining, matching the
+// message-passing constructions' receive-buffer cap: a chain of up to
+// MaxOps cells is served in runs of at most this many.
+const ccRunCap = 256
+
 // flushRun executes the collected chain segment as one DispatchBatch
 // and releases every served cell; the combiner's own cell cur is not
 // released (its result is returned through myRet instead).
-func (h *ccHandle) flushRun(cur *ccNode, myRet *uint64) {
+func (h *ccTransport) flushRun(cur *ccNode, myRet *uint64) {
 	if len(h.cells) == 0 {
 		return
 	}
@@ -265,7 +265,7 @@ func (h *ccHandle) flushRun(cur *ccNode, myRet *uint64) {
 
 // completeCell spins locally on the cell and combines if the round's
 // combiner handed us the duty; the caller owns the cell's reclaim.
-func (h *ccHandle) completeCell(cur *ccNode) uint64 {
+func (h *ccTransport) completeCell(cur *ccNode) uint64 {
 	c := h.c
 	if cur.wait.Load() {
 		h.wb.Reset()
@@ -308,307 +308,76 @@ func (h *ccHandle) completeCell(cur *ccNode) uint64 {
 
 // complete is the completion half of an asynchronous submission:
 // completeCell plus returning the cell to the pool.
-func (h *ccHandle) complete(cur *ccNode) uint64 {
+func (h *ccTransport) complete(cur *ccNode) uint64 {
 	ret := h.completeCell(cur)
-	h.reclaim(cur)
-	return ret
-}
-
-// Apply implements core.Handle following CC-Synch: publish, then
-// complete — Submit and Wait fused. With outstanding asynchronous
-// submissions it must compose literally: an older unwaited cell may
-// hold the round's dormant combiner duty, and only Wait's
-// settle-older loop prevents spinning on a cell nobody will ever
-// serve. With nothing outstanding the resident spare is recycled
-// exactly as in the synchronous algorithm (the classic node
-// exchange), skipping the pool bookkeeping.
-func (h *ccHandle) Apply(op, arg uint64) uint64 {
-	if h.c.Poisoned() {
-		return 0
-	}
-	if len(h.ops) != 0 {
-		t, _ := h.Submit(op, arg)
-		return h.Wait(t) // Wait takes the latency sample
-	}
-	// One latency sample = one publish-to-completion call (including
-	// any inherited combining duty).
-	sampled := h.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	var ret uint64
 	if h.node == nil {
-		ret = h.complete(h.publish(op, arg))
+		h.node = cur // the served cell is the next spare
 	} else {
-		nextNode := h.node
-		nextNode.wait.Store(true)
-		nextNode.completed = false
-		nextNode.next.Store(nil)
-
-		cur := h.c.tail.Swap(nextNode)
-		cur.op = op
-		cur.arg = arg
-		h.node = cur
-		cur.next.Store(nextNode) // publish after filling the request
-		ret = h.completeCell(cur)
-	}
-	if sampled {
-		h.rec.Latency(t0)
+		h.free = append(h.free, cur)
 	}
 	return ret
 }
 
-// settleOldest completes the oldest outstanding submission, banking its
-// result unless it was posted fire-and-forget.
-func (h *ccHandle) settleOldest() {
-	for len(h.fifo) > 0 {
-		seq := h.fifo[0]
-		h.fifo = h.fifo[1:]
-		op, ok := h.ops[seq]
-		if !ok {
-			continue // already waited directly; pruned lazily
-		}
-		delete(h.ops, seq)
-		v := h.complete(op.cell)
-		if !op.discard {
-			if h.res == nil {
-				h.res = make(map[uint64]uint64)
-			}
-			h.res[seq] = v
-		}
-		return
-	}
-}
+// apply is the synchronous algorithm: publish, then complete. The
+// pipeline calls it only with nothing owed — with an older unwaited
+// cell on the chain it would have to queue behind it, since that cell
+// may hold the round's dormant combiner duty and spinning on a later
+// one would wait for a combiner that never comes. With nothing owed
+// the resident spare is home, so publish loans it out and complete
+// takes the served cell in its place: the paper's node exchange.
+func (h *ccTransport) apply(op, arg uint64) uint64 { return h.complete(h.publish(op, arg)) }
 
-// submitOp publishes a request cell asynchronously, first settling the
-// oldest outstanding operation when depth cells are already in flight.
-func (h *ccHandle) submitOp(op, arg uint64, discard bool) uint64 {
-	if len(h.ops) >= h.c.depth {
-		h.c.ps.NoteStall()
-		h.c.tel.NoteSubmitStall()
-		h.settleOldest()
+// Ship implements core.Transport: publish the cell, defer the spin (and
+// any inherited combiner duty) to Next.
+func (h *ccTransport) Ship(op, arg uint64) (uint64, bool) {
+	if h.head > 0 && len(h.owed) == cap(h.owed) {
+		// Slide the live cells down instead of letting append grow the
+		// array: at most depth are ever owed.
+		h.owed = h.owed[:copy(h.owed, h.owed[h.head:])]
+		h.head = 0
 	}
-	cell := h.publish(op, arg)
-	if h.ops == nil {
-		h.ops = make(map[uint64]ccOp)
-	}
-	seq := h.seq
-	h.seq++
-	h.ops[seq] = ccOp{cell: cell, discard: discard}
-	h.fifo = append(h.fifo, seq)
-	h.dt.Note(&h.c.ps, len(h.ops))
-	return seq
-}
-
-// Submit implements core.Handle: publish the cell, defer the spin (and
-// any inherited combiner duty) to Wait. On a poisoned executor it
-// fails fast with the *PoisonError and no cell is published.
-func (h *ccHandle) Submit(op, arg uint64) (core.Ticket, error) {
-	if err := h.c.Err(); err != nil {
-		return core.Ticket{}, err
-	}
-	return core.NewTicket(h.submitOp(op, arg, false)), nil
-}
-
-// oldestSeq returns the oldest outstanding submission, pruning fifo
-// entries already waited directly.
-func (h *ccHandle) oldestSeq() (uint64, bool) {
-	for len(h.fifo) > 0 {
-		if _, ok := h.ops[h.fifo[0]]; ok {
-			return h.fifo[0], true
-		}
-		h.fifo = h.fifo[1:]
-	}
+	h.owed = append(h.owed, h.publish(op, arg))
 	return 0, false
 }
 
-// Wait implements core.Handle.
-func (h *ccHandle) Wait(t core.Ticket) uint64 {
-	seq := t.Seq()
-	if v, ok := h.res[seq]; ok {
-		delete(h.res, seq)
-		return v
+// Next implements core.Transport: complete the oldest owed cell.
+// Without block it only does so once the cell's wait flag has cleared,
+// so it never waits for another thread — but a cleared flag may mean
+// inherited combining duty, which then runs to the end of its round.
+func (h *ccTransport) Next(block bool) (uint64, bool) {
+	cell := h.owed[h.head]
+	if !block && cell.wait.Load() {
+		return 0, false
 	}
-	op, ok := h.ops[seq]
-	if !ok {
-		panic("shmsync: ccsynch: Wait on a ticket that is not outstanding (already waited, or issued by another handle)")
-	}
-	sampled := h.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	// An out-of-order Wait must not spin on a cell while an earlier
-	// unwaited cell of this same handle holds the round's dormant
-	// combiner duty — nobody else would ever serve us. Settle older
-	// cells in order until our cell's wait clears or we are the oldest.
-	for op.cell.wait.Load() {
-		oldest, any := h.oldestSeq()
-		if !any || oldest == seq {
-			break
-		}
-		h.settleOldest()
-	}
-	delete(h.ops, seq) // its fifo entry is pruned lazily
-	v := h.complete(op.cell)
-	if sampled {
-		h.rec.Latency(t0)
-	}
-	return v
+	h.head++
+	return h.complete(cell), true
 }
 
-// TryWait implements core.Handle. A not-ready ticket's cell stays on
-// the chain and the ticket stays redeemable. Like Wait, TryWait may
-// settle OLDER same-handle cells first — but only cells whose wait
-// flag has already cleared, so it never blocks; settling one may
-// perform inherited combining duty, which serves our cell as part of
-// the round.
-func (h *ccHandle) TryWait(t core.Ticket) (uint64, error) {
-	seq := t.Seq()
-	if v, ok := h.res[seq]; ok {
-		delete(h.res, seq)
-		return v, h.c.Err()
-	}
-	op, ok := h.ops[seq]
-	if !ok {
-		panic("shmsync: ccsynch: Wait on a ticket that is not outstanding (already waited, or issued by another handle)")
-	}
-	for op.cell.wait.Load() {
-		oldest, any := h.oldestSeq()
-		if !any || oldest == seq {
-			return 0, core.ErrNotReady
-		}
-		if h.ops[oldest].cell.wait.Load() {
-			return 0, core.ErrNotReady
-		}
-		h.settleOldest()
-	}
-	delete(h.ops, seq)
-	return h.complete(op.cell), h.c.Err()
-}
-
-// WaitTimeout implements core.Handle: TryWait in a deadline loop. The
-// bound covers waiting on OTHER threads' progress; once the cell is
-// servable the call runs to completion (including inherited combining
-// duty) regardless of d.
-func (h *ccHandle) WaitTimeout(t core.Ticket, d time.Duration) (uint64, error) {
-	v, err := h.TryWait(t)
-	if !errors.Is(err, core.ErrNotReady) {
-		return v, err
-	}
-	deadline := time.Now().Add(d)
-	h.wb.Reset()
-	for {
-		h.wb.Wait()
-		v, err = h.TryWait(t)
-		if !errors.Is(err, core.ErrNotReady) {
-			return v, err
-		}
-		if !time.Now().Before(deadline) {
-			return 0, core.ErrWaitTimeout
-		}
-	}
-}
-
-// Err implements core.Handle.
-func (h *ccHandle) Err() error { return h.c.Err() }
-
-// Post implements core.Handle: fire-and-forget; the cell is settled by
-// a later same-handle submission, Wait or Flush.
-func (h *ccHandle) Post(op, arg uint64) error {
-	if err := h.c.Err(); err != nil {
-		return err
-	}
-	h.submitOp(op, arg, true)
-	return nil
-}
-
-// Flush implements core.Handle: settle every outstanding cell in
-// submission order, banking unwaited Submit results.
-func (h *ccHandle) Flush() {
-	for len(h.ops) > 0 {
-		h.settleOldest()
-	}
-	h.fifo = h.fifo[:0]
-}
-
-// ApplyBatch implements core.Handle: publish a cell per request —
+// Batch implements core.Transport: publish a cell per request —
 // submission order, so the cells form a contiguous-per-handle chain
 // segment — then complete them in order. Whichever cell inherits
 // combiner duty serves the chain (our remaining cells included) through
 // single DispatchBatch runs, so the batch typically costs one spin-wait
 // and one dispatch call instead of one per operation.
 //
-// With asynchronous submissions outstanding the batch must compose
-// through the pipeline (submitOp/Wait — an older unwaited cell may
-// hold dormant combiner duty, exactly the Apply hazard); with nothing
-// outstanding it publishes straight cells with none of the pipeline's
-// ticket bookkeeping, chunked at the handle's depth bound.
-func (h *ccHandle) ApplyBatch(reqs []core.Req, results []uint64) {
-	if len(reqs) == 0 {
+// With cells owed the batch must queue behind them through the
+// pipeline (the apply hazard); with none it needs no tickets — each
+// chunk, at most the handle's depth bound, is shipped and collected
+// right here.
+func (h *ccTransport) Batch(p *core.Pipe, reqs []core.Req, results []uint64) {
+	if p.InFlight() != 0 {
+		p.Pipelined(reqs, results)
 		return
 	}
-	if h.c.Poisoned() {
-		if results != nil {
-			for i := range reqs {
-				results[i] = 0
-			}
-		}
-		return
-	}
-	if len(reqs) == 1 { // a 1-batch is exactly the scalar critical section
-		v := h.Apply(reqs[0].Op, reqs[0].Arg)
-		if results != nil {
-			results[0] = v
-		}
-		return
-	}
-	if len(h.ops) != 0 {
-		if cap(h.sqs) < len(reqs) {
-			h.sqs = make([]uint64, len(reqs))
-		}
-		sqs := h.sqs[:len(reqs)]
-		for i, r := range reqs {
-			sqs[i] = h.submitOp(r.Op, r.Arg, false)
-		}
-		for i, seq := range sqs {
-			v := h.Wait(core.NewTicket(seq)) // Wait takes the latency samples
-			if results != nil {
-				results[i] = v
-			}
-		}
-		return
-	}
-	// One latency sample covers the whole batch call.
-	sampled := h.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	depth := h.c.depth
-	for start := 0; start < len(reqs); start += depth {
-		chunk := reqs[start:]
-		if len(chunk) > depth {
-			chunk = chunk[:depth]
-		}
-		if cap(h.bcells) < len(chunk) {
-			h.bcells = make([]*ccNode, len(chunk))
-		}
-		cells := h.bcells[:len(chunk)]
-		for i, r := range chunk {
-			cells[i] = h.publish(r.Op, r.Arg)
+	for start := 0; start < len(reqs); start += h.c.depth {
+		end := min(start+h.c.depth, len(reqs))
+		for _, r := range reqs[start:end] {
+			h.Ship(r.Op, r.Arg)
 		}
 		// Completing the first cell combines the whole published
 		// segment (one DispatchBatch run); the rest wake completed.
-		for i, cell := range cells {
-			v := h.complete(cell)
-			if results != nil {
-				results[start+i] = v
-			}
+		for i := start; i < end; i++ {
+			results[i], _ = h.Next(true)
 		}
-	}
-	if sampled {
-		h.rec.Latency(t0)
 	}
 }

@@ -180,16 +180,19 @@ func (s *SHMServer) NewHandle() (core.Handle, error) {
 		return nil, fmt.Errorf("shmsync: more than %d clients (raise MaxThreads): %w",
 			len(s.slots), core.ErrTooManyHandles)
 	}
-	h := &shmHandle{
-		s:    s,
+	h := &shmClient{shmClientHot: shmClientHot{
 		slot: &s.slots[id],
-		rec:  s.tel.Load().Recorder(),
 		wb:   backoff.Armed(s.stall, "shmserver: waiting for server sweep"),
-	}
+	}}
 	// Set on the stored waiter: Armed returns by value, so a hook set
 	// on the temporary would be lost.
 	h.wb.SetOnStall(s.tel.Load().StallHook())
-	return h, nil
+	// A client owns exactly one request slot, so nothing can be left in
+	// flight and a client's own batch cannot travel together: every
+	// submission is a slot round trip, ApplyBatch loops them, and
+	// batches form server-side instead, across clients, when the sweep
+	// finds consecutive occupied slots.
+	return core.NewImmediatePipe(h.apply, nil, &s.PoisonLatch, s.tel.Load().Recorder()), nil
 }
 
 // Close stops the server once all in-flight requests are served (the
@@ -204,32 +207,28 @@ func (s *SHMServer) Close() error {
 	return s.Err()
 }
 
-type shmHandle struct {
-	s    *SHMServer
+// shmClient is one client's channel to the server.
+type shmClientHot struct {
 	slot *shmSlot
-	im   core.Immediate
-	rec  *telemetry.Recorder
-
 	// wb is the watched waiter for the slot spin, constructed once per
-	// handle and Reset per Apply so the per-operation path never zeroes
-	// the watchdog state.
+	// handle and Reset per round trip so the per-operation path never
+	// zeroes the watchdog state.
 	wb backoff.Watched
 }
 
-// Apply publishes the request in the client's slot and spins locally
-// until the server clears it. On a poisoned executor it short-circuits
-// to the poisoned zero without touching the slot.
-func (h *shmHandle) Apply(op, arg uint64) uint64 {
-	if h.s.Poisoned() {
-		return 0
-	}
-	// One latency sample = one slot round-trip. ApplyBatch loops Apply
-	// (one slot per client), so batch entries sample individually.
-	sampled := h.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
+// shmClient rounds its state up to whole cache lines: handles of different
+// threads are allocated side by side, and one thread's per-operation
+// writes must not invalidate the line a neighbour reads its own from.
+//
+//hyblint:padded
+type shmClient struct {
+	shmClientHot
+	_ [pad.CacheLine - unsafe.Sizeof(shmClientHot{})%pad.CacheLine]byte
+}
+
+// apply publishes the request in the client's slot and spins locally
+// until the server clears it.
+func (h *shmClient) apply(op, arg uint64) uint64 {
 	h.slot.arg = arg
 	h.slot.req.Store(op + 1)
 	if h.slot.req.Load() != 0 {
@@ -238,62 +237,5 @@ func (h *shmHandle) Apply(op, arg uint64) uint64 {
 			h.wb.Wait()
 		}
 	}
-	if sampled {
-		h.rec.Latency(t0)
-	}
 	return h.slot.ret
-}
-
-// Submit implements core.Handle with immediate completion: a client
-// owns exactly one request slot, so there is nothing to pipeline — the
-// operation executes on the spot and the result is banked for Wait. On
-// a poisoned executor it fails fast with the *PoisonError.
-func (h *shmHandle) Submit(op, arg uint64) (core.Ticket, error) {
-	if err := h.s.Err(); err != nil {
-		return core.Ticket{}, err
-	}
-	return h.im.Complete(h.Apply(op, arg)), nil
-}
-
-// Wait implements core.Handle.
-func (h *shmHandle) Wait(t core.Ticket) uint64 { return h.im.Take(t) }
-
-// TryWait and WaitTimeout are trivially Wait: every submission
-// completed at Submit time, so an outstanding ticket is always ready.
-func (h *shmHandle) TryWait(t core.Ticket) (uint64, error) {
-	return h.im.Take(t), h.s.Err()
-}
-
-// WaitTimeout implements core.Handle.
-func (h *shmHandle) WaitTimeout(t core.Ticket, d time.Duration) (uint64, error) {
-	return h.im.Take(t), h.s.Err()
-}
-
-// Err implements core.Handle.
-func (h *shmHandle) Err() error { return h.s.Err() }
-
-// Post implements core.Handle: execute now, drop the result.
-func (h *shmHandle) Post(op, arg uint64) error {
-	if err := h.s.Err(); err != nil {
-		return err
-	}
-	h.Apply(op, arg)
-	return nil
-}
-
-// Flush implements core.Handle: every submission completed at Submit
-// time, so there is never anything in flight.
-func (h *shmHandle) Flush() {}
-
-// ApplyBatch implements core.Handle by looping: a client owns exactly
-// one request slot, so its own batch cannot travel together — batches
-// form server-side instead, across clients, when the sweep finds
-// consecutive occupied slots.
-func (h *shmHandle) ApplyBatch(reqs []core.Req, results []uint64) {
-	for i, r := range reqs {
-		v := h.Apply(r.Op, r.Arg)
-		if results != nil {
-			results[i] = v
-		}
-	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"hybsync/internal/backoff"
@@ -362,9 +361,11 @@ func (e *LockExecutor) NewHandle() (core.Handle, error) {
 	e.mu.Lock()
 	e.cells = append(e.cells, cell)
 	e.mu.Unlock()
-	h := &lockHandle{e: e, obj: e.obj, lock: e.factory(), cell: cell, rec: e.tel.Recorder()}
+	h := &lockClient{lockClientHot: lockClientHot{e: e, lock: e.factory(), cell: cell, rec: e.tel.Recorder()}}
 	h.counted, _ = h.lock.(CountingLock)
-	return h, nil
+	// A lock acquisition cannot be deferred or overlapped, so every
+	// submission completes on the spot.
+	return core.NewImmediatePipe(h.apply, h.batch, &e.PoisonLatch, h.rec), nil
 }
 
 // Close implements core.Executor. A lock executor owns no background
@@ -375,25 +376,34 @@ func (e *LockExecutor) Close() error {
 	return e.Err()
 }
 
-type lockHandle struct {
+// lockClient is one thread's lock (or its node on a queue lock) and
+// acquisition counters.
+type lockClientHot struct {
 	e       *LockExecutor
-	obj     core.Object
 	lock    Lock
-	counted CountingLock // h.lock when it counts (all built-ins); nil otherwise
+	counted CountingLock // lock when it counts (all built-ins); nil otherwise
 	cell    *retryCell
-	im      core.Immediate
 	rec     *telemetry.Recorder
 
 	one    [1]core.Req // scalar batch scratch
 	oneRet [1]uint64
-	drop   []uint64 // discarded-results scratch for ApplyBatch(reqs, nil)
+}
+
+// lockClient rounds its state up to whole cache lines: handles of different
+// threads are allocated side by side, and one thread's per-operation
+// writes must not invalidate the line a neighbour reads its own from.
+//
+//hyblint:padded
+type lockClient struct {
+	lockClientHot
+	_ [pad.CacheLine - unsafe.Sizeof(lockClientHot{})%pad.CacheLine]byte
 }
 
 // acquire takes the handle's lock, feeding the acquisition and any
 // contended-retry steps into the handle's padded cell (and the armed
 // telemetry core, on the contended path only — an uncontended
 // acquisition pays one private-line add and nothing shared).
-func (h *lockHandle) acquire() {
+func (h *lockClient) acquire() {
 	if h.counted == nil {
 		h.lock.Lock()
 	} else if r := h.counted.LockCounted(); r != 0 {
@@ -403,113 +413,26 @@ func (h *lockHandle) acquire() {
 	h.cell.acq.Add(1)
 }
 
-// Apply implements core.Handle: a critical section is a 1-batch. The
-// dispatch runs through the poison latch — recovery happens inside it,
-// so a panicking object still releases the lock and later holders are
-// never wedged; they observe the poisoned zero instead.
-func (h *lockHandle) Apply(op, arg uint64) uint64 {
-	if h.e.Poisoned() {
-		return 0
-	}
-	// One latency sample = one lock-protected critical section; every
-	// dispatch records its (length-1) run so the run-length histogram
-	// reflects the lock path's no-batching baseline.
-	sampled := h.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
+// apply is the critical section: a 1-batch. The dispatch runs through
+// the poison latch — recovery happens inside it, so a panicking object
+// still releases the lock and later holders are never wedged; they
+// observe the poisoned zero instead. Every dispatch records its
+// (length-1) run, so the run-length histogram reflects the lock path's
+// no-batching baseline.
+func (h *lockClient) apply(op, arg uint64) uint64 {
 	h.one[0] = core.Req{Op: op, Arg: arg}
 	h.acquire()
-	h.e.PoisonLatch.Dispatch(h.obj, h.one[:], h.oneRet[:])
+	h.e.PoisonLatch.Dispatch(h.e.obj, h.one[:], h.oneRet[:])
 	h.lock.Unlock()
 	h.rec.RunLen(1)
-	if sampled {
-		h.rec.Latency(t0)
-	}
 	return h.oneRet[0]
 }
 
-// Submit implements core.Handle with immediate completion: a lock
-// acquisition cannot be deferred or overlapped, so the operation
-// executes on the spot and the result is banked for Wait. On a
-// poisoned executor it fails fast with the *PoisonError.
-func (h *lockHandle) Submit(op, arg uint64) (core.Ticket, error) {
-	if err := h.e.Err(); err != nil {
-		return core.Ticket{}, err
-	}
-	return h.im.Complete(h.Apply(op, arg)), nil
-}
-
-// Wait implements core.Handle.
-func (h *lockHandle) Wait(t core.Ticket) uint64 { return h.im.Take(t) }
-
-// TryWait and WaitTimeout are trivially Wait: every submission
-// completed at Submit time, so an outstanding ticket is always ready.
-func (h *lockHandle) TryWait(t core.Ticket) (uint64, error) {
-	return h.im.Take(t), h.e.Err()
-}
-
-// WaitTimeout implements core.Handle.
-func (h *lockHandle) WaitTimeout(t core.Ticket, d time.Duration) (uint64, error) {
-	return h.im.Take(t), h.e.Err()
-}
-
-// Err implements core.Handle.
-func (h *lockHandle) Err() error { return h.e.Err() }
-
-// Post implements core.Handle: execute now, drop the result.
-func (h *lockHandle) Post(op, arg uint64) error {
-	if err := h.e.Err(); err != nil {
-		return err
-	}
-	h.Apply(op, arg)
-	return nil
-}
-
-// Flush implements core.Handle: every submission completed at Submit
-// time, so there is never anything in flight.
-func (h *lockHandle) Flush() {}
-
-// ApplyBatch implements core.Handle: the whole batch executes as one
-// DispatchBatch under a single lock acquisition, amortizing both the
-// handover and the dispatch indirection across the run.
-func (h *lockHandle) ApplyBatch(reqs []core.Req, results []uint64) {
-	if len(reqs) == 0 {
-		return
-	}
-	if h.e.Poisoned() {
-		if results != nil {
-			for i := range reqs {
-				results[i] = 0
-			}
-		}
-		return
-	}
-	if len(reqs) == 1 { // a 1-batch is exactly the scalar critical section
-		v := h.Apply(reqs[0].Op, reqs[0].Arg)
-		if results != nil {
-			results[0] = v
-		}
-		return
-	}
-	res := results
-	if res == nil {
-		if cap(h.drop) < len(reqs) {
-			h.drop = make([]uint64, len(reqs))
-		}
-		res = h.drop[:len(reqs)]
-	}
-	sampled := h.rec.Sample()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
+// batch executes the whole run under ONE acquisition, amortizing both
+// the handover and the dispatch indirection across it.
+func (h *lockClient) batch(reqs []core.Req, results []uint64) {
 	h.acquire()
-	h.e.PoisonLatch.Dispatch(h.obj, reqs, res[:len(reqs)])
+	h.e.PoisonLatch.Dispatch(h.e.obj, reqs, results)
 	h.lock.Unlock()
 	h.rec.RunLen(len(reqs))
-	if sampled {
-		h.rec.Latency(t0)
-	}
 }
