@@ -364,9 +364,9 @@ func BenchmarkNativeStack(b *testing.B) {
 }
 
 // BenchmarkNativeShardedCounter drives Zipf-skewed keyed increments
-// through the shard router at 1 vs 4 shards — the native analogue of
-// `hybbench -bench sharded`, kept here so the CI bench smoke catches a
-// routing regression that panics or deadlocks.
+// through the shard router at 1 vs 4 shards — hybsweep's sharded cells
+// as a `go test -bench` target, kept here so the CI bench smoke catches
+// a routing regression that panics or deadlocks.
 func BenchmarkNativeShardedCounter(b *testing.B) {
 	zipf, err := harness.NewZipf(1<<16, 0.99, 1)
 	if err != nil {

@@ -8,14 +8,40 @@ import (
 	"hybsync/internal/benchfmt"
 )
 
-func rec(bench, algo string, threads, shards, depth, batch, gmp int, dist, path string) benchfmt.SweepRecord {
+func rec(bench, algo string, threads, shards, depth, batch, gmp int, dist string) benchfmt.SweepRecord {
 	return benchfmt.SweepRecord{
 		Host: benchfmt.Host{GoMaxProcs: gmp},
 		Record: benchfmt.Record{
 			Bench: bench, Algo: algo, Threads: threads, Shards: shards,
-			Depth: depth, Batch: batch, Dist: dist, Path: path,
+			Depth: depth, Batch: batch, Dist: dist,
 		},
 	}
+}
+
+// writeRuns writes recs as one JSONL run file under the test's temp dir.
+func writeRuns(t *testing.T, name string, recs []benchfmt.SweepRecord) string {
+	t.Helper()
+	path := t.TempDir() + "/" + name
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	enc := json.NewEncoder(f)
+	for _, r := range recs {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return path
+}
+
+// slowed returns r measured at ns/op scaled so throughput is frac of
+// what ns gives: slowed(r, 100, 0.9) is "10 % slower".
+func slowed(r benchfmt.SweepRecord, ns, frac float64) benchfmt.SweepRecord {
+	r.Mops = 1e3 / ns * frac
+	r.NsPerOp = 1e3 / r.Mops
+	return r
 }
 
 func TestParseClauses(t *testing.T) {
@@ -26,7 +52,12 @@ func TestParseClauses(t *testing.T) {
 	if len(sel) != 4 {
 		t.Fatalf("got %d clauses", len(sel))
 	}
-	for _, bad := range []string{"depth", "depth>", "=1", "algo>mpserver", "bench<counter"} {
+	for _, bad := range []string{
+		"depth", "depth>", "=1", "algo>mpserver", "bench<counter",
+		// A misspelt field must not select nothing (=) or everything (!=).
+		"treads!=4", "depht=4", "path=batch", "skip=x",
+		"threads=two",
+	} {
 		if _, err := parseClauses([]string{bad}); err == nil {
 			t.Errorf("clause %q accepted", bad)
 		}
@@ -34,9 +65,9 @@ func TestParseClauses(t *testing.T) {
 }
 
 func TestSelectorMatch(t *testing.T) {
-	async := rec("async", "mpserver", 2, 1, 4, 1, 2, "uniform", "")
-	batch := rec("batch", "hybcomb", 1, 1, 1, 32, 1, "uniform", benchfmt.PathBatch)
-	sharded := rec("sharded", "ccsynch", 4, 2, 1, 1, 2, "zipf:0.99", "")
+	async := rec("async", "mpserver", 2, 1, 4, 1, 2, "uniform")
+	batch := rec("batch", "hybcomb", 1, 1, 1, 32, 1, "uniform")
+	sharded := rec("sharded", "ccsynch", 4, 2, 1, 1, 2, "zipf:0.99")
 
 	cases := []struct {
 		clauses []string
@@ -47,14 +78,12 @@ func TestSelectorMatch(t *testing.T) {
 		{[]string{"depth>1"}, batch, false},
 		{[]string{"depth>1", "gomaxprocs=2"}, async, true},
 		{[]string{"depth>1", "gomaxprocs=1"}, async, false},
-		{[]string{"batch>1", "path=batch"}, batch, true},
+		{[]string{"batch>1", "bench=batch"}, batch, true},
 		{[]string{"algo=mpserver,hybcomb"}, batch, true},
 		{[]string{"algo=mpserver,hybcomb"}, sharded, false},
 		{[]string{"dist!=uniform"}, sharded, true},
 		{[]string{"threads<=2"}, sharded, false},
 		{[]string{"shards=2", "bench=sharded"}, sharded, true},
-		// Unknown field never matches '=' (typos select nothing).
-		{[]string{"depht=4"}, async, false},
 	}
 	for _, tc := range cases {
 		sel, err := parseClauses(tc.clauses)
@@ -68,7 +97,8 @@ func TestSelectorMatch(t *testing.T) {
 }
 
 func TestCompare(t *testing.T) {
-	baseline := map[string]float64{"a": 100, "b": 100, "c": 100}
+	// Duplicate baseline samples gate at their median.
+	baseline := map[string][]float64{"a": {100}, "b": {90, 100, 300}, "c": {100}}
 	candidates := map[string][]float64{
 		"a": {105, 90, 108},  // median 105, +5% — ok at 10%
 		"b": {200, 115, 111}, // median 115, +15% — regressed
@@ -94,78 +124,90 @@ func TestMedian(t *testing.T) {
 }
 
 func TestScenarioKeyPairsAcrossAlgos(t *testing.T) {
-	lock := rec("phases", "mcs-lock", 1, 1, 1, 1, 2, "phase:5ms:0.5", "")
-	hyb := rec("phases", "hybrid", 1, 1, 1, 1, 2, "phase:5ms:0.5", "")
+	lock := rec("phases", "mcs-lock", 1, 1, 1, 1, 2, "phase:5ms:0.5")
+	hyb := rec("phases", "hybrid", 1, 1, 1, 1, 2, "phase:5ms:0.5")
 	if scenarioKey(lock) != scenarioKey(hyb) {
 		t.Fatalf("same scenario, different keys: %q vs %q", scenarioKey(lock), scenarioKey(hyb))
 	}
-	other := rec("phases", "hybrid", 2, 1, 1, 1, 2, "phase:5ms:0.5", "")
+	other := rec("phases", "hybrid", 2, 1, 1, 1, 2, "phase:5ms:0.5")
 	if scenarioKey(lock) == scenarioKey(other) {
 		t.Fatalf("different thread counts share key %q", scenarioKey(lock))
 	}
 }
 
-func TestGuardSweepVs(t *testing.T) {
-	write := func(name string, recs []benchfmt.SweepRecord) string {
-		path := t.TempDir() + "/" + name
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		for _, r := range recs {
-			if err := enc.Encode(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return path
-	}
-	withNs := func(r benchfmt.SweepRecord, ns float64) benchfmt.SweepRecord {
-		r.NsPerOp = ns
-		return r
-	}
-	lock1 := rec("counter", "mcs-lock", 1, 1, 1, 1, 1, "uniform", "")
-	lock4 := rec("counter", "mcs-lock", 4, 1, 1, 1, 1, "uniform", "")
-	hyb1 := rec("counter", "hybrid", 1, 1, 1, 1, 1, "uniform", "")
-	hyb4 := rec("counter", "hybrid", 4, 1, 1, 1, 1, "uniform", "")
+func TestGuardVs(t *testing.T) {
+	lock1 := rec("counter", "mcs-lock", 1, 1, 1, 1, 1, "uniform")
+	lock4 := rec("counter", "mcs-lock", 4, 1, 1, 1, 1, "uniform")
+	hyb1 := rec("counter", "hybrid", 1, 1, 1, 1, 1, "uniform")
+	hyb4 := rec("counter", "hybrid", 4, 1, 1, 1, 1, "uniform")
 
 	// hybrid within 10% of mcs-lock at t=1, way faster at t=4: passes.
-	runs := write("runs.jsonl", []benchfmt.SweepRecord{
-		withNs(lock1, 100), withNs(hyb1, 105),
-		withNs(lock4, 400), withNs(hyb4, 120),
+	runs := writeRuns(t, "runs.jsonl", []benchfmt.SweepRecord{
+		slowed(lock1, 100, 1), slowed(hyb1, 105, 1),
+		slowed(lock4, 400, 1), slowed(hyb4, 120, 1),
 	})
-	failed, err := guardSweep(runs, []string{runs}, nil, "hybrid=mcs-lock", 0.10)
+	failed, err := guard(runs, []string{runs}, nil, "hybrid=mcs-lock", 0.10)
 	if err != nil || failed {
 		t.Fatalf("clean -vs gate: failed=%v err=%v", failed, err)
 	}
 
 	// hybrid 30% behind at t=1: fails — unless -where excludes t=1.
-	bad := write("bad.jsonl", []benchfmt.SweepRecord{
-		withNs(lock1, 100), withNs(hyb1, 130),
-		withNs(lock4, 400), withNs(hyb4, 120),
+	bad := writeRuns(t, "bad.jsonl", []benchfmt.SweepRecord{
+		slowed(lock1, 100, 1), slowed(hyb1, 130, 1),
+		slowed(lock4, 400, 1), slowed(hyb4, 120, 1),
 	})
-	failed, err = guardSweep(bad, []string{bad}, nil, "hybrid=mcs-lock", 0.10)
+	failed, err = guard(bad, []string{bad}, nil, "hybrid=mcs-lock", 0.10)
 	if err != nil || !failed {
 		t.Fatalf("regressed -vs gate: failed=%v err=%v", failed, err)
 	}
-	failed, err = guardSweep(bad, []string{bad}, whereFlags{"threads=4"}, "hybrid=mcs-lock", 0.10)
+	failed, err = guard(bad, []string{bad}, whereFlags{"threads=4"}, "hybrid=mcs-lock", 0.10)
 	if err != nil || failed {
 		t.Fatalf("-where filtered -vs gate: failed=%v err=%v", failed, err)
 	}
 
-	if _, err := guardSweep(runs, []string{runs}, nil, "hybrid", 0.10); err == nil {
+	if _, err := guard(runs, []string{runs}, nil, "hybrid", 0.10); err == nil {
 		t.Fatal("bad -vs spec accepted")
 	}
 }
 
+// ROADMAP direction A, exit test (iv): the two CI gates still bite.
+// Against a corpus, a candidate with the hybrid's one-thread counter
+// cell 10 % slower must fail both the apply-regression selection and
+// the same-run hybrid-vs-lock gate, and one 5 % slower must pass both.
+func TestInjectedSlowdownFailsBothGates(t *testing.T) {
+	lock := rec("counter", "mcs-lock", 1, 1, 1, 1, 1, "uniform")
+	hyb := rec("counter", "hybrid", 1, 1, 1, 1, 1, "uniform")
+	srv2 := rec("counter", "mpserver", 2, 1, 1, 1, 1, "uniform") // outside the selection
+	corpus := writeRuns(t, "corpus.jsonl", []benchfmt.SweepRecord{
+		slowed(lock, 100, 1), slowed(hyb, 102, 1), slowed(srv2, 800, 1),
+	})
+	apply := whereFlags{"bench=counter", "threads=1"}
+	for _, tc := range []struct {
+		frac float64
+		fail bool
+	}{{0.90, true}, {0.95, false}, {1, false}} {
+		run := writeRuns(t, "run.jsonl", []benchfmt.SweepRecord{
+			slowed(lock, 100, 1), slowed(hyb, 102, tc.frac), slowed(srv2, 800, 0.5),
+		})
+		runs := []string{run, run, run}
+		failed, err := guard(corpus, runs, apply, "", 0.10)
+		if err != nil || failed != tc.fail {
+			t.Errorf("apply-regression gate at %.2f× throughput: failed=%v err=%v, want failed=%v", tc.frac, failed, err, tc.fail)
+		}
+		failed, err = guard(run, runs, whereFlags{"threads=1"}, "hybrid=mcs-lock", 0.10)
+		if err != nil || failed != tc.fail {
+			t.Errorf("-vs hybrid=mcs-lock gate at %.2f× throughput: failed=%v err=%v, want failed=%v", tc.frac, failed, err, tc.fail)
+		}
+	}
+}
+
 func TestCellKeyDistinguishesScenarios(t *testing.T) {
-	a := rec("batch", "hybcomb", 1, 1, 1, 32, 1, "uniform", benchfmt.PathBatch)
+	a := rec("batch", "hybcomb", 1, 1, 1, 32, 1, "uniform")
 	variants := []benchfmt.SweepRecord{
-		rec("batch", "hybcomb", 1, 1, 1, 8, 1, "uniform", benchfmt.PathBatch),
-		rec("batch", "hybcomb", 2, 1, 1, 32, 1, "uniform", benchfmt.PathBatch),
-		rec("batch", "hybcomb", 1, 1, 1, 32, 2, "uniform", benchfmt.PathBatch),
-		rec("batch", "mpserver", 1, 1, 1, 32, 1, "uniform", benchfmt.PathBatch),
+		rec("batch", "hybcomb", 1, 1, 1, 8, 1, "uniform"),
+		rec("batch", "hybcomb", 2, 1, 1, 32, 1, "uniform"),
+		rec("batch", "hybcomb", 1, 1, 1, 32, 2, "uniform"),
+		rec("batch", "mpserver", 1, 1, 1, 32, 1, "uniform"),
 	}
 	for _, v := range variants {
 		if cellKey(a) == cellKey(v) {

@@ -1,53 +1,45 @@
-// Command benchguard compares fresh benchmark runs against a committed
-// baseline file and fails loudly when cost regresses beyond a
-// tolerance — the CI guard that keeps the batch and pipeline machinery
+// Command benchguard compares fresh hybsweep runs against a baseline
+// JSONL file and fails loudly when cost regresses beyond a tolerance —
+// the CI guard that keeps the batch, pipeline and telemetry machinery
 // from taxing the measured paths.
 //
-// It has two modes sharing one comparison engine (median of N runs per
-// point, fractional ns/op tolerance, missing points are failures):
+// Lines are keyed by the full cell identity (bench, algo, threads,
+// shards, dist, depth, batch, gomaxprocs); -where clauses select which
+// baseline cells to gate, and every selected cell must appear in the
+// candidates:
 //
-// Report mode (default) guards the blocking t=1 path of a hybbench
-// -json envelope:
-//
-//	hybbench -bench counter -threads 1 -json > run1.json   (repeat)
-//	benchguard -baseline BENCH_native.json -bench counter -threads 1 \
-//	    -max-regress 0.10 run1.json run2.json run3.json
-//
-// Sweep mode (-sweep) guards cells of a hybsweep JSONL artifact, so CI
-// gates the async (depth>1), batch (batch>1) and GOMAXPROCS>1 legs
-// instead of only the scalar single-thread path. Records are keyed by
-// the full cell identity (bench, algo, threads, shards, dist, depth,
-// batch, path, gomaxprocs); -where clauses select which baseline cells
-// to gate, and every selected cell must appear in the candidates:
-//
-//	GOMAXPROCS=2 hybsweep -grid '...' > run1.jsonl          (repeat)
-//	benchguard -sweep -baseline BENCH_sweep.jsonl -max-regress 0.40 \
+//	GOMAXPROCS=2 hybsweep -grid '...' -out run1.jsonl        (repeat)
+//	benchguard -baseline BENCH_sweep.jsonl -max-regress 0.50 \
 //	    -where 'gomaxprocs=2' -where 'depth>1' -where 'algo=mpserver,hybcomb' \
 //	    run1.jsonl run2.jsonl run3.jsonl
 //
 // A -where clause is `field OP value`: OP one of = != > >= < <=, with
-// numeric fields (threads, shards, depth, batch, gomaxprocs, numcpu)
-// supporting all six and string fields (bench, algo, dist, path, skip)
+// numeric fields (threads, shards, depth, batch, gomaxprocs, numcpu,
+// cell) supporting all six and string fields (bench, algo, dist)
 // supporting = and != where `=` against a comma-separated list means
-// "is one of". Clauses AND together. Skipped/failed baseline cells are
-// never gated.
+// "is one of". Clauses AND together; an unknown field name is an
+// error. Failed lines are never gated.
 //
-// Sweep mode can also gate one algorithm AGAINST ANOTHER instead of
-// against its own history: -vs 'hybrid=mcs-lock' pairs each selected
-// mcs-lock cell with the hybrid cell at the same scenario (same bench,
-// threads, shards, dist, depth, batch, path, gomaxprocs) and fails if
-// the candidate algorithm's median ns/op exceeds the baseline
-// algorithm's by more than the tolerance. This is how CI enforces the
+// -vs gates one algorithm AGAINST ANOTHER instead of against its own
+// history: -vs 'hybrid=mcs-lock' pairs each selected mcs-lock cell of
+// the baseline with the hybrid cell of the candidates at the same
+// scenario (same bench, threads, shards, dist, depth, batch,
+// gomaxprocs) and fails if the candidate algorithm's median ns/op
+// exceeds the baseline algorithm's by more than the tolerance. Given
+// the run files themselves as the baseline, both algorithms ran in the
+// same processes and machine speed cancels out — how CI enforces the
 // adaptive hybrid's "within 10% of the best lock at one thread" claim:
 //
-//	benchguard -sweep -vs 'hybrid=mcs-lock' -max-regress 0.10 \
-//	    -where 'threads=1' -baseline run1.jsonl run1.jsonl run2.jsonl run3.jsonl
+//	cat run1.jsonl run2.jsonl run3.jsonl > all.jsonl
+//	benchguard -vs 'hybrid=mcs-lock' -max-regress 0.10 \
+//	    -where 'threads=1' -baseline all.jsonl run1.jsonl run2.jsonl run3.jsonl
 //
-// For every selected point the candidate ns/op is the MEDIAN across
-// the given run files (run an odd number, three is typical, so one
-// noisy run cannot fail or pass the gate alone). Exit status 1 means
-// at least one point regressed more than -max-regress relative to the
-// baseline or went missing; extra candidate points are ignored.
+// Both sides of every comparison are MEDIANS: of the candidate files'
+// samples of the cell (run an odd number, three is typical, so one
+// noisy run cannot fail or pass the gate alone), and of the baseline's
+// when it holds the cell more than once. Exit status 1 means at least
+// one point regressed more than -max-regress relative to the baseline
+// or went missing; extra candidate points are ignored.
 package main
 
 import (
@@ -71,31 +63,18 @@ func (w *whereFlags) Set(s string) error {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_native.json", "committed baseline file (hybbench report, or sweep JSONL with -sweep)")
-	sweepMode := flag.Bool("sweep", false, "baseline and candidates are hybsweep JSONL artifacts gated per cell")
+	baselinePath := flag.String("baseline", "", "baseline hybsweep JSONL (required): the committed BENCH_sweep.jsonl, or with -vs the run files concatenated")
 	var where whereFlags
-	flag.Var(&where, "where", "sweep mode: cell selector like 'depth>1' or 'algo=mpserver,hybcomb' (repeatable, ANDed)")
-	vs := flag.String("vs", "", "sweep mode: cross-algorithm gate 'candidate=baseline' (e.g. 'hybrid=mcs-lock'): compare the candidate algo's cells against the baseline algo's at the same scenario instead of against history")
-	bench := flag.String("bench", "counter", "report mode: bench name to compare")
-	threads := flag.Int("threads", 1, "report mode: thread count to compare (1 = the blocking round-trip path)")
+	flag.Var(&where, "where", "cell selector like 'depth>1' or 'algo=mpserver,hybcomb' (repeatable, ANDed)")
+	vs := flag.String("vs", "", "cross-algorithm gate 'candidate=baseline' (e.g. 'hybrid=mcs-lock'): compare the candidate algo's cells against the baseline algo's at the same scenario instead of against history")
 	maxRegress := flag.Float64("max-regress", 0.10, "maximum allowed fractional ns/op regression vs baseline")
 	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "benchguard: need at least one candidate run file")
+	if *baselinePath == "" || flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "benchguard: need -baseline and at least one candidate run file")
 		os.Exit(2)
 	}
 
-	var failed bool
-	var err error
-	if *sweepMode {
-		failed, err = guardSweep(*baselinePath, flag.Args(), where, *vs, *maxRegress)
-	} else {
-		if len(where) > 0 || *vs != "" {
-			err = fmt.Errorf("-where and -vs require -sweep")
-		} else {
-			failed, err = guardReport(*baselinePath, flag.Args(), *bench, *threads, *maxRegress)
-		}
-	}
+	failed, err := guard(*baselinePath, flag.Args(), where, *vs, *maxRegress)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 		os.Exit(2)
@@ -108,10 +87,10 @@ func main() {
 	fmt.Println("benchguard: PASS")
 }
 
-// compare runs the shared gate: for every baseline point, the median
-// of the candidate samples vs the tolerance. Returns true when any
-// point failed.
-func compare(baseline map[string]float64, candidates map[string][]float64, maxRegress float64) bool {
+// compare runs the gate: for every baseline point, the median of the
+// candidate samples against the median of the baseline's, within the
+// tolerance. Returns true when any point failed.
+func compare(baseline, candidates map[string][]float64, maxRegress float64) bool {
 	keys := make([]string, 0, len(baseline))
 	for k := range baseline {
 		keys = append(keys, k)
@@ -119,21 +98,22 @@ func compare(baseline map[string]float64, candidates map[string][]float64, maxRe
 	sort.Strings(keys)
 	failed := false
 	for _, key := range keys {
+		base := median(baseline[key])
 		runs := candidates[key]
 		if len(runs) == 0 {
-			fmt.Printf("  %-56s baseline %10.1f ns/op  candidate MISSING\n", key, baseline[key])
+			fmt.Printf("  %-56s baseline %10.1f ns/op  candidate MISSING\n", key, base)
 			failed = true
 			continue
 		}
 		med := median(runs)
-		delta := (med - baseline[key]) / baseline[key]
+		delta := (med - base) / base
 		status := "ok"
 		if delta > maxRegress {
 			status = "REGRESSED"
 			failed = true
 		}
 		fmt.Printf("  %-56s baseline %10.1f ns/op  median %10.1f ns/op  %+6.1f%%  %s\n",
-			key, baseline[key], med, delta*100, status)
+			key, base, med, delta*100, status)
 	}
 	return failed
 }
@@ -147,148 +127,76 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// ---- report mode ----
-
-// loadReport reads one hybbench -json report.
-func loadReport(path string) (benchfmt.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return benchfmt.Report{}, err
-	}
-	defer f.Close()
-	rep, err := benchfmt.ReadReport(f)
-	if err != nil {
-		return benchfmt.Report{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
+// scenarioKey is a cell's identity minus the algorithm — the pairing
+// identity of the -vs gate.
+func scenarioKey(r benchfmt.SweepRecord) string {
+	return fmt.Sprintf("%s t=%d s=%d %s d=%d b=%d gmp=%d",
+		r.Bench, r.Threads, r.Shards, r.Dist, r.Depth, r.Batch, r.GoMaxProcs)
 }
-
-// pick returns the ns/op of every (bench, threads) record by algorithm.
-func pick(r benchfmt.Report, bench string, threads int) map[string]float64 {
-	out := map[string]float64{}
-	for _, res := range r.Results {
-		if res.Bench == bench && res.Threads == threads && res.NsPerOp > 0 {
-			out[res.Algo] = res.NsPerOp
-		}
-	}
-	return out
-}
-
-func guardReport(baselinePath string, candidatePaths []string, bench string, threads int, maxRegress float64) (bool, error) {
-	base, err := loadReport(baselinePath)
-	if err != nil {
-		return false, fmt.Errorf("baseline: %w", err)
-	}
-	baseline := pick(base, bench, threads)
-	if len(baseline) == 0 {
-		return false, fmt.Errorf("baseline has no (%s, threads=%d) records", bench, threads)
-	}
-	candidates := map[string][]float64{}
-	for _, path := range candidatePaths {
-		r, err := loadReport(path)
-		if err != nil {
-			return false, err
-		}
-		for algo, ns := range pick(r, bench, threads) {
-			candidates[algo] = append(candidates[algo], ns)
-		}
-	}
-	fmt.Printf("benchguard: %s threads=%d, median of %d run(s) vs %s (tolerance +%.0f%%)\n",
-		bench, threads, len(candidatePaths), baselinePath, maxRegress*100)
-	return compare(baseline, candidates, maxRegress), nil
-}
-
-// ---- sweep mode ----
 
 // cellKey is the full identity of a sweep cell, so gating never
 // conflates two scenarios that share an algorithm.
-func cellKey(r benchfmt.SweepRecord) string {
-	return fmt.Sprintf("%s/%s t=%d s=%d %s d=%d b=%d %s gmp=%d",
-		r.Bench, r.Algo, r.Threads, r.Shards, r.Dist, r.Depth, r.Batch, r.Path, r.GoMaxProcs)
-}
+func cellKey(r benchfmt.SweepRecord) string { return r.Algo + " " + scenarioKey(r) }
 
-func loadSweep(path string) ([]benchfmt.SweepRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// samples reads the measured ns/op of every line of paths that sel
+// matches, grouped under key; a non-empty algo keeps that algorithm's
+// lines only.
+func samples(paths []string, algo string, sel selector, key func(benchfmt.SweepRecord) string) (map[string][]float64, error) {
+	out := map[string][]float64{}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		recs, err := benchfmt.ReadSweep(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		for _, r := range recs {
+			if r.Error != "" || r.NsPerOp <= 0 || (algo != "" && r.Algo != algo) || !sel.match(r) {
+				continue
+			}
+			out[key(r)] = append(out[key(r)], r.NsPerOp)
+		}
 	}
-	defer f.Close()
-	recs, err := benchfmt.ReadSweep(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return recs, nil
+	return out, nil
 }
 
-// scenarioKey is cellKey minus the algorithm — the pairing identity of
-// the -vs cross-algorithm gate.
-func scenarioKey(r benchfmt.SweepRecord) string {
-	return fmt.Sprintf("%s t=%d s=%d %s d=%d b=%d %s gmp=%d",
-		r.Bench, r.Threads, r.Shards, r.Dist, r.Depth, r.Batch, r.Path, r.GoMaxProcs)
-}
-
-func guardSweep(baselinePath string, candidatePaths []string, where whereFlags, vs string, maxRegress float64) (bool, error) {
+func guard(baselinePath string, candidatePaths []string, where whereFlags, vs string, maxRegress float64) (bool, error) {
 	sel, err := parseClauses(where)
 	if err != nil {
 		return false, err
 	}
-	candAlgo, baseAlgo := "", ""
+	// Without -vs cells gate against their own history under the full
+	// cell identity. With it the baseline algo's cells anchor each
+	// scenario and the candidate algo's cells are gated against them;
+	// the key drops the algo so the two pair up.
+	candAlgo, baseAlgo, key := "", "", cellKey
 	if vs != "" {
 		var ok bool
 		if candAlgo, baseAlgo, ok = strings.Cut(vs, "="); !ok || candAlgo == "" || baseAlgo == "" {
 			return false, fmt.Errorf("bad -vs %q (want candidate=baseline, e.g. hybrid=mcs-lock)", vs)
 		}
-	}
-	// In -vs mode the baseline algo's cells anchor each scenario and the
-	// candidate algo's cells are gated against them; the key drops the
-	// algo so the two pair up. Otherwise cells gate against their own
-	// history under the full cell identity.
-	key := cellKey
-	if vs != "" {
 		key = scenarioKey
 	}
-	base, err := loadSweep(baselinePath)
+	baseline, err := samples([]string{baselinePath}, baseAlgo, sel, key)
 	if err != nil {
 		return false, fmt.Errorf("baseline: %w", err)
-	}
-	baseline := map[string]float64{}
-	for _, r := range base {
-		if r.Skip != "" || r.Error != "" || r.NsPerOp <= 0 {
-			continue
-		}
-		if vs != "" && r.Algo != baseAlgo {
-			continue
-		}
-		if sel.match(r) {
-			baseline[key(r)] = r.NsPerOp
-		}
 	}
 	if len(baseline) == 0 {
 		return false, fmt.Errorf("baseline %s has no measured cells matching %q", baselinePath, where.String())
 	}
-	candidates := map[string][]float64{}
-	for _, path := range candidatePaths {
-		recs, err := loadSweep(path)
-		if err != nil {
-			return false, err
-		}
-		for _, r := range recs {
-			if r.Skip != "" || r.Error != "" || r.NsPerOp <= 0 {
-				continue
-			}
-			if vs != "" && r.Algo != candAlgo {
-				continue
-			}
-			candidates[key(r)] = append(candidates[key(r)], r.NsPerOp)
-		}
+	candidates, err := samples(candidatePaths, candAlgo, nil, key)
+	if err != nil {
+		return false, err
 	}
+	what := "cells"
 	if vs != "" {
-		fmt.Printf("benchguard: sweep %s vs %s where [%s], median of %d run(s), baseline %s (tolerance +%.0f%%)\n",
-			candAlgo, baseAlgo, where.String(), len(candidatePaths), baselinePath, maxRegress*100)
-	} else {
-		fmt.Printf("benchguard: sweep cells where [%s], median of %d run(s) vs %s (tolerance +%.0f%%)\n",
-			where.String(), len(candidatePaths), baselinePath, maxRegress*100)
+		what = candAlgo + " vs " + baseAlgo
 	}
+	fmt.Printf("benchguard: %s where [%s], median of %d run(s) vs %s (tolerance +%.0f%%)\n",
+		what, where.String(), len(candidatePaths), baselinePath, maxRegress*100)
 	return compare(baseline, candidates, maxRegress), nil
 }
 
@@ -298,12 +206,36 @@ type clause struct {
 	field string
 	op    string
 	value string
+	num   int // value as an integer, on numeric fields
 }
 
 type selector []clause
 
 var clauseOps = []string{">=", "<=", "!=", ">", "<", "="} // two-char ops first
 
+// The fields a -where clause can name, by kind.
+var (
+	numFields = map[string]func(benchfmt.SweepRecord) int{
+		"threads":    func(r benchfmt.SweepRecord) int { return r.Threads },
+		"shards":     func(r benchfmt.SweepRecord) int { return r.Shards },
+		"depth":      func(r benchfmt.SweepRecord) int { return r.Depth },
+		"batch":      func(r benchfmt.SweepRecord) int { return r.Batch },
+		"gomaxprocs": func(r benchfmt.SweepRecord) int { return r.GoMaxProcs },
+		"numcpu":     func(r benchfmt.SweepRecord) int { return r.NumCPU },
+		"cell":       func(r benchfmt.SweepRecord) int { return r.Cell },
+	}
+	strFields = map[string]func(benchfmt.SweepRecord) string{
+		"bench": func(r benchfmt.SweepRecord) string { return r.Bench },
+		"algo":  func(r benchfmt.SweepRecord) string { return r.Algo },
+		"dist":  func(r benchfmt.SweepRecord) string { return r.Dist },
+	}
+)
+
+// parseClauses parses and validates every clause up front — an unknown
+// field name (a typo would otherwise select nothing under = and
+// everything under !=), an ordering operator on a string field, or a
+// non-integer value for a numeric field is an error here, so match
+// cannot meet a clause it does not understand.
 func parseClauses(specs []string) (selector, error) {
 	var sel selector
 	for _, spec := range specs {
@@ -324,7 +256,22 @@ func parseClauses(specs []string) (selector, error) {
 		if !found || c.value == "" {
 			return nil, fmt.Errorf("bad -where clause %q (want field OP value, OP in = != > >= < <=)", spec)
 		}
-		if _, _, numeric := fieldOf(benchfmt.SweepRecord{}, c.field); !numeric && c.op != "=" && c.op != "!=" {
+		if _, numeric := numFields[c.field]; numeric {
+			var err error
+			if c.num, err = strconv.Atoi(c.value); err != nil {
+				return nil, fmt.Errorf("-where %q: numeric field %q needs an integer", spec, c.field)
+			}
+		} else if _, str := strFields[c.field]; !str {
+			known := make([]string, 0, len(numFields)+len(strFields))
+			for name := range numFields {
+				known = append(known, name)
+			}
+			for name := range strFields {
+				known = append(known, name)
+			}
+			sort.Strings(known)
+			return nil, fmt.Errorf("-where %q: unknown field %q (known: %s)", spec, c.field, strings.Join(known, ", "))
+		} else if c.op != "=" && c.op != "!=" {
 			return nil, fmt.Errorf("-where %q: string field %q supports only = and !=", spec, c.field)
 		}
 		sel = append(sel, c)
@@ -332,50 +279,10 @@ func parseClauses(specs []string) (selector, error) {
 	return sel, nil
 }
 
-// fieldOf resolves a -where field name against a record, returning its
-// numeric or string value and whether the field is numeric. Unknown
-// fields resolve as non-numeric "" (so a typo fails the = match
-// loudly rather than silently selecting everything).
-func fieldOf(r benchfmt.SweepRecord, name string) (num int, str string, numeric bool) {
-	switch name {
-	case "threads":
-		return r.Threads, "", true
-	case "shards":
-		return r.Shards, "", true
-	case "depth":
-		return r.Depth, "", true
-	case "batch":
-		return r.Batch, "", true
-	case "gomaxprocs":
-		return r.GoMaxProcs, "", true
-	case "numcpu":
-		return r.NumCPU, "", true
-	case "cell":
-		return r.Cell, "", true
-	case "bench":
-		return 0, r.Bench, false
-	case "algo":
-		return 0, r.Algo, false
-	case "dist":
-		return 0, r.Dist, false
-	case "path":
-		return 0, r.Path, false
-	case "skip":
-		return 0, r.Skip, false
-	default:
-		return 0, "", false
-	}
-}
-
 func (s selector) match(r benchfmt.SweepRecord) bool {
 	for _, c := range s {
-		num, str, numeric := fieldOf(r, c.field)
-		if numeric {
-			want, err := strconv.Atoi(c.value)
-			if err != nil {
-				return false
-			}
-			ok := false
+		if get, numeric := numFields[c.field]; numeric {
+			num, want, ok := get(r), c.num, false
 			switch c.op {
 			case "=":
 				ok = num == want
@@ -397,14 +304,14 @@ func (s selector) match(r benchfmt.SweepRecord) bool {
 		}
 		// String field: '=' against a comma-separated list is "is one
 		// of"; '!=' is "is none of".
-		inList := false
+		str, inList := strFields[c.field](r), false
 		for _, v := range strings.Split(c.value, ",") {
 			if str == strings.TrimSpace(v) {
 				inList = true
 				break
 			}
 		}
-		if (c.op == "=" && !inList) || (c.op == "!=" && inList) {
+		if (c.op == "=") != inList {
 			return false
 		}
 	}

@@ -1,19 +1,18 @@
-// Command hybsweep is the scenario lab: it enumerates the grid
-// algo × threads × shards × dist × depth × batch, runs one
-// measurement per valid cell (the same internal/measure cores
-// cmd/hybbench uses), and streams one self-contained JSONL record per
-// cell — measured, skipped (with a reason), or failed (panic or
-// timeout). A ranked per-scenario summary with algorithm crossover
-// points goes to stderr, so stdout redirection yields a clean
-// BENCH_sweep.jsonl artifact.
+// Command hybsweep is the scenario lab, the one native bench CLI: it
+// enumerates the grid algo × threads × shards × dist × depth × batch,
+// runs one measurement per defined cell (measure.Run — one loop, one
+// conservation check) and streams one self-contained JSONL record per
+// cell, measured or failed (panic or timeout). A ranked per-scenario
+// summary with algorithm crossover points goes to stderr, so stdout
+// redirection yields a clean BENCH_sweep.jsonl artifact.
 //
 // Cells whose axis combination the execution model does not define
-// are skipped, not errored: depth>1 cells need the scalar uniform
-// counter workload (the async window has no keyed or batched
-// variant), batch>1 likewise, and depth>1 with batch>1 is exclusive
-// by construction. The skip lines keep the grid product honest — a
-// consumer can verify every cell was either measured or explicitly
-// declined.
+// are skipped, not errored and not written: depth>1 cells need the
+// scalar uniform counter workload (the depth window has no keyed or
+// batched variant), batch>1 likewise, and depth>1 with batch>1 is
+// exclusive by construction. The stderr summary counts them per
+// reason, so the grid product stays honest — every cell was measured,
+// failed, or declined for a named reason.
 //
 // GOMAXPROCS is deliberately not an axis: it is process-global, so
 // one process measures one setting and records it in every line's
@@ -32,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -58,82 +58,19 @@ func defaultGrid() (*sweep.Grid, error) {
 	)
 }
 
-// Skip reasons for grid corners the execution model does not define.
-const (
-	skipBatchDepth  = "batch-and-depth-exclusive"
-	skipAsyncKeyed  = "async-over-keyed-unsupported"
-	skipBatchKeyed  = "batch-over-keyed-unsupported"
-	skipPhaseAsync  = "phases-over-async-unsupported"
-	skipPhaseBatch  = "phases-over-batch-unsupported"
-	skipPhaseShards = "phases-over-sharded-unsupported"
-)
-
-// cellAxes is one cell's decoded bindings.
-type cellAxes struct {
-	algo    string
-	threads int
-	shards  int
-	dist    string
-	depth   int
-	batch   int
-}
-
-func decode(c sweep.Cell) (cellAxes, error) {
-	var a cellAxes
+// decode reads one grid cell's bindings into the measurement cell.
+func decode(c sweep.Cell, keys uint64) (measure.Cell, error) {
+	m := measure.Cell{Algo: c.Get("algo"), Dist: c.Get("dist"), Keys: keys}
 	var err error
-	a.algo = c.Get("algo")
-	a.dist = c.Get("dist")
-	if a.threads, err = c.Int("threads"); err != nil {
-		return a, err
-	}
-	if a.shards, err = c.Int("shards"); err != nil {
-		return a, err
-	}
-	if a.depth, err = c.Int("depth"); err != nil {
-		return a, err
-	}
-	if a.batch, err = c.Int("batch"); err != nil {
-		return a, err
-	}
-	return a, nil
-}
-
-// classify maps a cell to its bench leg, or to a skip reason when the
-// combination is undefined. A cell is keyed when it shards the object
-// or skews the key distribution; the async and batch legs drive the
-// scalar uniform counter workload only. A phase:... dist value is not
-// a key distribution at all — it selects the phase-shifting leg, which
-// drives the scalar blocking counter workload only.
-func (a cellAxes) classify() (bench, skip string) {
-	if harness.IsPhaseSpec(a.dist) {
-		switch {
-		case a.depth > 1:
-			return "", skipPhaseAsync
-		case a.batch > 1:
-			return "", skipPhaseBatch
-		case a.shards > 1:
-			return "", skipPhaseShards
-		default:
-			return "phases", ""
+	for _, axis := range []struct {
+		name string
+		dst  *int
+	}{{"threads", &m.Threads}, {"shards", &m.Shards}, {"depth", &m.Depth}, {"batch", &m.Batch}} {
+		if *axis.dst, err = c.Int(axis.name); err != nil {
+			return m, err
 		}
 	}
-	keyed := a.shards > 1 || a.dist != "uniform"
-	switch {
-	case a.depth > 1 && a.batch > 1:
-		return "", skipBatchDepth
-	case a.depth > 1 && keyed:
-		return "", skipAsyncKeyed
-	case a.batch > 1 && keyed:
-		return "", skipBatchKeyed
-	case a.depth > 1:
-		return "async", ""
-	case a.batch > 1:
-		return "batch", ""
-	case keyed:
-		return "sharded", ""
-	default:
-		return "counter", ""
-	}
+	return m, nil
 }
 
 func main() {
@@ -168,7 +105,7 @@ func main() {
 
 	// Validate every axis value before any cell runs: numeric axes
 	// parse as positive ints, algos resolve against the registry, and
-	// dist labels parse once into shared samplers.
+	// dist labels parse as a key distribution or a phase shape.
 	for _, axis := range []string{"threads", "shards", "depth", "batch"} {
 		if _, err := grid.IntAxis(axis); err != nil {
 			fatalf("-grid: %v", err)
@@ -185,22 +122,16 @@ func main() {
 		}
 	}
 	distValues, _ := grid.Values("dist")
-	dists := make(map[string]harness.Dist, len(distValues))
-	phases := make(map[string]harness.Phases)
 	for _, label := range distValues {
+		var err error
 		if harness.IsPhaseSpec(label) {
-			p, err := harness.ParsePhases(label)
-			if err != nil {
-				fatalf("-grid: dist %q: %v", label, err)
-			}
-			phases[label] = p
-			continue
+			_, err = harness.ParsePhases(label)
+		} else {
+			_, err = harness.ParseDist(label, *keys)
 		}
-		d, err := harness.ParseDist(label, *keys)
 		if err != nil {
 			fatalf("-grid: dist %q: %v", label, err)
 		}
-		dists[label] = d
 	}
 
 	w := os.Stdout
@@ -214,6 +145,14 @@ func main() {
 	}
 	jsonl := sweep.NewJSONLWriter(w)
 	host := benchfmt.CurrentHost()
+
+	cells := grid.Cells()
+	specs := make([]measure.Cell, len(cells)) // by Cell.Index
+	for i, c := range cells {
+		if specs[i], err = decode(c, *keys); err != nil {
+			fatalf("-grid: %v", err)
+		}
+	}
 
 	runner := &sweep.Runner{
 		Workers: *workers,
@@ -230,74 +169,39 @@ func main() {
 			}
 		},
 		Check: func(c sweep.Cell) string {
-			a, err := decode(c)
-			if err != nil {
-				return "" // let Run surface the decode error as a failure
-			}
-			_, skip := a.classify()
+			_, skip := specs[c.Index].Classify()
 			return skip
 		},
-		Run: func(c sweep.Cell) (any, error) {
-			a, err := decode(c)
-			if err != nil {
-				return nil, err
-			}
-			bench, _ := a.classify()
-			switch bench {
-			case "counter":
-				return measure.Counter(a.algo, a.threads, *dur)
-			case "sharded":
-				return measure.Sharded(a.algo, a.shards, dists[a.dist], a.threads, *dur)
-			case "async":
-				return measure.Async(a.algo, a.depth, a.threads, *dur)
-			case "batch":
-				return measure.Batch(a.algo, a.batch, a.threads, *dur)
-			case "phases":
-				return measure.Phases(a.algo, phases[a.dist], a.threads, *dur)
-			default:
-				return nil, fmt.Errorf("cell %s: no bench leg", c)
-			}
-		},
+		Run: func(c sweep.Cell) (any, error) { return measure.Run(specs[c.Index], *dur) },
 	}
 
-	cells := grid.Cells()
 	start := time.Now()
 	var measuredRecs []benchfmt.SweepRecord
+	skips := map[string]int{}
 	var writeErr error
 	measured, skipped, failed := runner.Sweep(cells, func(res sweep.Result) {
+		if res.Skip != "" {
+			skips[res.Skip]++
+			return
+		}
 		rec := benchfmt.SweepRecord{
 			SchemaVersion: benchfmt.SchemaVersion,
 			Host:          host,
 			Cell:          res.Cell.Index,
 			ElapsedMs:     float64(res.Elapsed.Microseconds()) / 1e3,
 		}
-		switch {
-		case res.Skip != "":
-			rec.Skip = res.Skip
-		case res.Err != nil:
+		if res.Err != nil {
+			// A failed cell still describes itself: axis fields from the
+			// cell, no throughput fields.
 			rec.Error = res.Err.Error()
+			m := specs[res.Cell.Index]
+			rec.Algo, rec.Threads = m.Algo, m.Threads
+			rec.Shards, rec.Dist, rec.Depth, rec.Batch = m.Shards, m.Dist, m.Depth, m.Batch
 			fmt.Fprintf(os.Stderr, "hybsweep: cell %d (%s) FAILED: %v\n", res.Cell.Index, res.Cell, res.Err)
-		default:
-			rec.Record = res.Value.(benchfmt.Record)
-		}
-		if rec.Bench == "" {
-			// Skipped and failed cells still describe themselves: axis
-			// fields from the cell, no throughput fields.
-			if a, err := decode(res.Cell); err == nil {
-				rec.Algo, rec.Threads = a.algo, a.threads
-				rec.Shards, rec.Dist = a.shards, a.dist
-				rec.Depth, rec.Batch = a.depth, a.batch
-			}
 		} else {
-			// Measured cells: make every axis explicit so each line is
-			// self-contained for cell-keyed consumers (benchguard).
-			if a, err := decode(res.Cell); err == nil {
-				rec.Shards, rec.Dist = a.shards, a.dist
-				rec.Depth, rec.Batch = a.depth, a.batch
-			}
+			rec.Record = res.Value.(benchfmt.Record)
 			measuredRecs = append(measuredRecs, rec)
 		}
-		rec.Finish()
 		if err := jsonl.Write(rec); err != nil && writeErr == nil {
 			writeErr = err
 		}
@@ -309,26 +213,34 @@ func main() {
 		fatalf("flushing JSONL: %v", err)
 	}
 
-	fmt.Fprintf(os.Stderr, "hybsweep: %d cells (GOMAXPROCS=%d): %d measured, %d skipped, %d failed in %v\n",
-		len(cells), host.GoMaxProcs, measured, skipped, failed, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "hybsweep: %d cells (GOMAXPROCS=%d): %d measured, %d skipped%s, %d failed in %v\n",
+		len(cells), host.GoMaxProcs, measured, skipped, reasonCounts(skips), failed, time.Since(start).Round(time.Millisecond))
 	summarize(os.Stderr, measuredRecs)
 	if failed > 0 {
 		os.Exit(1)
 	}
 }
 
-// scenario identifies one ranking group: every axis except algo.
-type scenario struct {
-	bench   string
-	threads int
-	shards  int
-	dist    string
-	depth   int
-	batch   int
-}
-
-func (s scenario) String() string {
-	return fmt.Sprintf("%s t=%d s=%d %s d=%d b=%d", s.bench, s.threads, s.shards, s.dist, s.depth, s.batch)
+// reasonCounts renders the per-reason skip counts, largest first:
+// " (batch-and-depth-exclusive 96, async-over-keyed-unsupported 48)".
+func reasonCounts(skips map[string]int) string {
+	if len(skips) == 0 {
+		return ""
+	}
+	reasons := make([]string, 0, len(skips))
+	for r := range skips {
+		reasons = append(reasons, r)
+	}
+	sort.Slice(reasons, func(i, j int) bool {
+		if skips[reasons[i]] != skips[reasons[j]] {
+			return skips[reasons[i]] > skips[reasons[j]]
+		}
+		return reasons[i] < reasons[j]
+	})
+	for i, r := range reasons {
+		reasons[i] = fmt.Sprintf("%s %d", r, skips[r])
+	}
+	return " (" + strings.Join(reasons, ", ") + ")"
 }
 
 // series is a scenario minus the thread axis — the unit of crossover
@@ -346,107 +258,57 @@ func (s series) String() string {
 }
 
 // summarize prints the ranked per-scenario view (every algorithm
-// ordered by throughput within each cell group) and the crossover
-// report (the thread counts at which the best algorithm changes —
-// the paper's central claim made visible: delegation overtakes
-// locking as contention grows).
-func summarize(w *os.File, recs []benchfmt.SweepRecord) {
+// ordered by throughput within each series × thread count, series in
+// grid order) and the crossover report (the thread counts at which the
+// best algorithm changes — the paper's central claim made visible:
+// delegation overtakes locking as contention grows).
+func summarize(w io.Writer, recs []benchfmt.SweepRecord) {
 	if len(recs) == 0 {
 		return
 	}
-	groups := map[scenario][]benchfmt.SweepRecord{}
+	byThreads := map[series]map[int][]benchfmt.SweepRecord{}
+	var order []series
 	for _, r := range recs {
-		key := scenario{r.Bench, r.Threads, r.Shards, r.Dist, r.Depth, r.Batch}
-		groups[key] = append(groups[key], r)
+		k := series{r.Bench, r.Shards, r.Dist, r.Depth, r.Batch}
+		if byThreads[k] == nil {
+			byThreads[k] = map[int][]benchfmt.SweepRecord{}
+			order = append(order, k)
+		}
+		byThreads[k][r.Threads] = append(byThreads[k][r.Threads], r)
 	}
-	keys := make([]scenario, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.bench != b.bench {
-			return a.bench < b.bench
-		}
-		if a.shards != b.shards {
-			return a.shards < b.shards
-		}
-		if a.dist != b.dist {
-			return a.dist < b.dist
-		}
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		if a.batch != b.batch {
-			return a.batch < b.batch
-		}
-		return a.threads < b.threads
-	})
 
 	fmt.Fprintln(w, "ranked by Mops within each scenario:")
-	for _, k := range keys {
-		g := groups[k]
-		sort.Slice(g, func(i, j int) bool { return g[i].Mops > g[j].Mops })
-		parts := make([]string, len(g))
-		for i, r := range g {
-			parts[i] = fmt.Sprintf("%s %.2f", r.Algo, r.Mops)
-		}
-		fmt.Fprintf(w, "  %-40s %s\n", k.String()+":", strings.Join(parts, " > "))
-	}
-
-	// Crossovers: walk each series by ascending thread count and
-	// report where the winner changes.
-	best := map[series]map[int]string{}
-	for k, g := range groups {
-		top := g[0]
-		for _, r := range g[1:] {
-			if r.Mops > top.Mops {
-				top = r
-			}
-		}
-		sk := series{k.bench, k.shards, k.dist, k.depth, k.batch}
-		if best[sk] == nil {
-			best[sk] = map[int]string{}
-		}
-		best[sk][k.threads] = top.Algo
-	}
-	seriesKeys := make([]series, 0, len(best))
-	for k := range best {
-		if len(best[k]) > 1 {
-			seriesKeys = append(seriesKeys, k)
-		}
-	}
-	sort.Slice(seriesKeys, func(i, j int) bool { return seriesKeys[i].String() < seriesKeys[j].String() })
-	fmt.Fprintln(w, "crossovers (best algo by thread count):")
-	any := false
-	for _, sk := range seriesKeys {
-		byThread := best[sk]
-		threads := make([]int, 0, len(byThread))
-		for t := range byThread {
+	var crossovers []string
+	for _, k := range order {
+		threads := make([]int, 0, len(byThreads[k]))
+		for t := range byThreads[k] {
 			threads = append(threads, t)
 		}
 		sort.Ints(threads)
 		var steps []string
 		prev := ""
-		changed := false
 		for _, t := range threads {
-			algo := byThread[t]
-			if algo != prev {
-				steps = append(steps, fmt.Sprintf("%s (t=%d)", algo, t))
-				if prev != "" {
-					changed = true
-				}
-				prev = algo
+			g := byThreads[k][t]
+			sort.Slice(g, func(i, j int) bool { return g[i].Mops > g[j].Mops })
+			parts := make([]string, len(g))
+			for i, r := range g {
+				parts[i] = fmt.Sprintf("%s %.2f", r.Algo, r.Mops)
+			}
+			fmt.Fprintf(w, "  %-40s %s\n", fmt.Sprintf("%s t=%d:", k, t), strings.Join(parts, " > "))
+			if best := g[0].Algo; best != prev {
+				steps = append(steps, fmt.Sprintf("%s (t=%d)", best, t))
+				prev = best
 			}
 		}
-		if changed {
-			any = true
-			fmt.Fprintf(w, "  %-32s %s\n", sk.String()+":", strings.Join(steps, " -> "))
+		if len(steps) > 1 {
+			crossovers = append(crossovers, fmt.Sprintf("  %-32s %s", k.String()+":", strings.Join(steps, " -> ")))
 		}
 	}
-	if !any {
-		fmt.Fprintln(w, "  (none: one algorithm dominates every series at the measured thread counts)")
+	fmt.Fprintln(w, "crossovers (best algo by thread count):")
+	if len(crossovers) == 0 {
+		crossovers = []string{"  (none: one algorithm dominates every series at the measured thread counts)"}
 	}
+	fmt.Fprintln(w, strings.Join(crossovers, "\n"))
 }
 
 func fatalf(format string, args ...any) {

@@ -8,9 +8,8 @@ import (
 
 // Dist is a parsed key-popularity distribution for keyed workloads:
 // "uniform" or "zipf:theta" over a key space of Keys values. It is the
-// shared plumbing behind hybbench's -dist flag and hybsweep's dist
-// axis, so the two binaries cannot drift on what a distribution label
-// means.
+// plumbing behind hybsweep's dist axis, so the grid validation and the
+// measurement loop cannot drift on what a distribution label means.
 type Dist struct {
 	label string
 	keys  uint64

@@ -14,8 +14,7 @@ import (
 // workload the adaptive hybrid construction exists for — contention
 // arrives in waves, so a static lock is right half the time and a
 // static delegation scheme the other half — and it is shared plumbing
-// like Dist, so hybbench's -phase flag and hybsweep's phase:... dist
-// axis cannot drift on what a spec means.
+// like Dist, behind the phase:... values of hybsweep's dist axis.
 type Phases struct {
 	label  string
 	period time.Duration

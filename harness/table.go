@@ -1,7 +1,7 @@
 // Package harness provides the shared measurement plumbing for the
 // benchmark drivers: aligned-table rendering for figure regeneration,
 // small statistics helpers, and the native-layer workload runner used by
-// cmd/hybbench and the root benchmarks.
+// cmd/hybsweep and the root benchmarks.
 package harness
 
 import (

@@ -1,23 +1,21 @@
-// Package benchfmt is the one definition of the repo's benchmark
-// record format. cmd/hybbench writes it (as an indented Report
-// envelope, the BENCH_*.json trajectory files), cmd/hybsweep streams
-// it (as self-contained SweepRecord JSONL lines, BENCH_sweep.jsonl),
-// and cmd/benchguard reads both — three binaries, one schema, no
-// parallel struct definitions drifting apart.
+// Package benchfmt is the one definition of the repo's native benchmark
+// record: internal/measure fills a Record, cmd/hybsweep streams it as a
+// self-contained SweepRecord JSONL line (BENCH_sweep.jsonl), and
+// cmd/benchguard reads those lines back — one line shape, no envelope,
+// no parallel struct definitions drifting apart.
 //
 // Schema history:
 //
-//	v1 (unversioned, PRs 2–5): hybbench -json envelope with
+//	v1 (unversioned, PRs 2–5): an indented envelope with
 //	    gomaxprocs/goversion/numcpu and per-point results; batch-path
 //	    records carried combiner rounds/combined counters whose unit
 //	    is ill-defined for batched submissions.
-//	v2 (this package): explicit schema_version on the envelope and on
-//	    every JSONL line; ApplyBatch-path records omit rounds/combined
-//	    (see Record.Finish); SweepRecord adds cell index, skip reason,
-//	    error, elapsed time and inline host context.
-//
-// Readers tolerate v1 input: encoding/json leaves the absent fields
-// zero, and nothing below keys off schema_version except validation.
+//	v2 (this package): explicit schema_version and inline host context
+//	    on every JSONL line; batch records omit rounds/combined (see
+//	    Record.Rounds); every axis (shards, dist, depth, batch) is
+//	    stamped on every measured line. The envelope, the per-cell skip
+//	    lines and the path field ("batch" iff bench is "batch") are
+//	    gone; encoding/json ignores them in old files.
 package benchfmt
 
 import (
@@ -26,24 +24,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-
-	"hybsync/harness"
 )
 
 // SchemaVersion is the version stamped on everything this package
 // writes. Bump it when a field changes meaning, not when one is added:
 // added fields are backward-compatible by construction.
 const SchemaVersion = 2
-
-// Paths of a batch-bench record: the same object driven through scalar
-// Apply calls vs through ApplyBatch. Kept distinct so a consumer
-// keying on the batch field can never conflate the per-op baseline
-// (PathApply, no batch field) with a size-1 ApplyBatch measurement
-// (PathBatch, batch 1).
-const (
-	PathApply = "apply"
-	PathBatch = "batch"
-)
 
 // Host is the measurement context that makes records comparable
 // across machines and runs.
@@ -97,17 +83,6 @@ type RunLength struct {
 	Dispatches uint64  `json:"dispatches"`
 }
 
-// Faults is the fault-containment payload of a record: poison-latch
-// trips, stall-watchdog reports and timeout condemnations observed
-// during the run. Emitted by the chaos bench (where faults are
-// injected on purpose) so containment is visible in JSON instead of
-// pass/fail only; zero values are meaningful there.
-type Faults struct {
-	Poisons         uint64 `json:"poisons"`
-	StallReports    uint64 `json:"stall_reports"`
-	TimeoutCondemns uint64 `json:"timeout_condemns"`
-}
-
 // Adaptive is the mode-transition payload of a record: how often an
 // adaptive construction promoted (lock → delegation) and demoted
 // (delegation → lock) during the run. Emitted only for executors
@@ -119,8 +94,10 @@ type Adaptive struct {
 	Demotions  uint64 `json:"demotions"`
 }
 
-// Record is one measured point. The shard_* fields appear only on
-// sharded-bench records: shard_ops is the per-shard occupancy profile
+// Record is one measured point, complete as internal/measure returns
+// it: throughput, every grid axis, and whichever counters the
+// construction keeps. The shard_* fields appear only on sharded-bench
+// records: shard_ops is the per-shard occupancy profile
 // (how the keyed workload actually landed) and shard_fairness its
 // max/min ratio (1.0 = perfectly balanced).
 type Record struct {
@@ -131,20 +108,19 @@ type Record struct {
 	Mops    float64 `json:"mops"`
 	NsPerOp float64 `json:"ns_per_op"`
 	// Fairness is the max/min per-thread op-count ratio (1 = ideal).
-	// On batch-path records the per-thread counts are rescaled to
-	// operations before the ratio is taken, so it stays comparable.
+	// On batch records the per-thread counts are rescaled to operations
+	// before the ratio is taken, so it stays comparable.
 	Fairness float64 `json:"fairness,omitempty"`
 	// Rounds/Combined are the executor's combining counters; see the
 	// core.StatsSource godoc for the canonical semantics (including why
 	// the scalar identity rounds+combined==ops fails on batch paths —
-	// Finish strips both from ApplyBatch-path records for that reason).
+	// bench "batch" records carry neither for that reason).
 	Rounds   uint64   `json:"rounds,omitempty"`
 	Combined uint64   `json:"combined,omitempty"`
 	Shards   int      `json:"shards,omitempty"`
 	Dist     string   `json:"dist,omitempty"`
 	Depth    int      `json:"depth,omitempty"`
 	Batch    int      `json:"batch,omitempty"`
-	Path     string   `json:"path,omitempty"`
 	ShardOps []uint64 `json:"shard_ops,omitempty"`
 	// A pointer so sharded records keep the meaningful value 0 ("some
 	// shard was never touched") while non-sharded records omit the
@@ -153,104 +129,24 @@ type Record struct {
 	Pipe          *Pipeline  `json:"pipeline,omitempty"`
 	Lat           *Latency   `json:"latency_ns,omitempty"`
 	RunLen        *RunLength `json:"run_len,omitempty"`
-	Faults        *Faults    `json:"faults,omitempty"`
 	Adapt         *Adaptive  `json:"adaptive,omitempty"`
 }
 
-// FromNative builds a Record from one harness measurement, deriving
-// the throughput metrics. Callers layer the bench-specific fields on
-// top and call Finish last.
-func FromNative(bench, algo string, threads int, res harness.NativeResult) Record {
-	r := Record{
-		Bench: bench, Algo: algo, Threads: threads,
-		Ops: res.Ops, Mops: res.Mops(), Fairness: res.Fairness(),
-	}
-	return r
-}
-
-// Finish normalizes a record before it is written anywhere:
+// SweepRecord is one line of sweep JSONL (BENCH_sweep.jsonl). Every
+// line is self-contained — it carries the schema version and host
+// context inline — so sweep files from different GOMAXPROCS runs
+// concatenate into one artifact and a consumer never needs an
+// envelope.
 //
-//   - derives ns_per_op from mops;
-//   - enforces batch-record stats honesty: an ApplyBatch-path record
-//     drops the combiner rounds/combined counters, whose scalar
-//     identity fails on batch paths — the core.StatsSource godoc is
-//     the canonical statement of why. The telemetry run-length
-//     histogram stays: it counts requests per dispatch run uniformly
-//     on every path.
-//
-// Finish is idempotent; every writer calls it as the last step.
-func (r *Record) Finish() {
-	if r.Mops > 0 {
-		r.NsPerOp = 1e3 / r.Mops
-	}
-	if r.Path == PathBatch {
-		r.Rounds, r.Combined = 0, 0
-	}
-}
-
-// Report is the hybbench -json envelope, the commit format of the
-// BENCH_*.json perf-trajectory files.
-type Report struct {
-	SchemaVersion int `json:"schema_version"`
-	Host
-	DurationMs int64    `json:"duration_ms_per_point"`
-	Results    []Record `json:"results"`
-}
-
-// NewReport starts an envelope stamped with the current host context.
-func NewReport(perPoint int64) *Report {
-	return &Report{SchemaVersion: SchemaVersion, Host: CurrentHost(), DurationMs: perPoint}
-}
-
-// Add finishes rec and appends it.
-func (rep *Report) Add(rec Record) {
-	rec.Finish()
-	rep.Results = append(rep.Results, rec)
-}
-
-// Encode writes the envelope, finishing every record first (Finish is
-// idempotent, so records added via Add are unaffected).
-func (rep *Report) Encode(w io.Writer) error {
-	for i := range rep.Results {
-		rep.Results[i].Finish()
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// ReadReport parses a hybbench -json envelope (v1 or v2).
-func ReadReport(r io.Reader) (Report, error) {
-	var rep Report
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// SweepRecord is one line of sweep JSONL (BENCH_sweep.jsonl). Unlike
-// Report results, every line is self-contained — it carries the
-// schema version and host context inline — so sweep files from
-// different GOMAXPROCS runs concatenate into one artifact and a
-// consumer never needs an envelope.
-//
-// Exactly one of three states holds per cell:
-//
-//   - measured: Skip and Error empty, the Record fields populated;
-//   - skipped: Skip names why the cell is invalid (e.g.
-//     "batch-and-depth-exclusive"); the axis fields still describe
-//     the cell but ops/mops are zero;
-//   - failed: Error carries the panic or timeout; axis fields as
-//     above.
+// A line is either measured (Error empty, every Record field
+// populated) or failed (Error carries the panic or timeout; the axis
+// fields still describe the cell but ops/mops are zero). Cells the
+// execution model does not define are never written: hybsweep counts
+// them per reason in its summary.
 type SweepRecord struct {
 	SchemaVersion int `json:"schema_version"`
 	Host
 	Cell      int     `json:"cell"`
-	Skip      string  `json:"skip,omitempty"`
 	Error     string  `json:"error,omitempty"`
 	ElapsedMs float64 `json:"elapsed_ms,omitempty"`
 	Record

@@ -1,147 +1,56 @@
 package benchfmt
 
 import (
-	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"hybsync/harness"
 )
 
-// TestBatchRecordStatsHonesty is the regression test for the PR 5
-// note: combiner rounds/combined counters mix units under batched
-// submissions (rounds count batches, combined counts operations), so
-// the scalar invariant rounds+combined==ops does not hold and the
-// fields must not appear on ApplyBatch-path records.
-func TestBatchRecordStatsHonesty(t *testing.T) {
-	rec := Record{
-		Bench: "batch", Algo: "hybcomb", Threads: 2,
-		Ops: 64000, Mops: 1.0, Batch: 32, Path: PathBatch,
-		Rounds: 123, Combined: 456, // bogus batch-unit counters
+// A measured line and an error line survive Marshal → ReadSweep with
+// the schema version and host context intact; blank lines are skipped
+// and fields this version no longer writes (skip, path) are ignored.
+func TestLineRoundTrip(t *testing.T) {
+	sf := 1.5
+	in := []SweepRecord{
+		{
+			SchemaVersion: SchemaVersion, Host: CurrentHost(), Cell: 0, ElapsedMs: 31.25,
+			Record: Record{
+				Bench: "sharded", Algo: "hybcomb", Threads: 4,
+				Ops: 99, Mops: 0.4, NsPerOp: 2500, Fairness: 1.1, Rounds: 10, Combined: 89,
+				Shards: 2, Dist: "zipf:0.99", Depth: 1, Batch: 1,
+				ShardOps: []uint64{40, 59}, ShardFairness: &sf,
+				Pipe:  &Pipeline{SubmitStalls: 3, MaxDepth: 7},
+				Adapt: &Adaptive{},
+			},
+		},
+		{
+			SchemaVersion: SchemaVersion, Host: CurrentHost(), Cell: 1, ElapsedMs: 5,
+			Error:  "timed out after 5ms (goroutine abandoned)",
+			Record: Record{Algo: "mpserver", Threads: 2, Shards: 1, Dist: "uniform", Depth: 8, Batch: 1},
+		},
 	}
-	rec.Finish()
-	if rec.Rounds != 0 || rec.Combined != 0 {
-		t.Fatalf("Finish kept combiner stats on a batch-path record: rounds=%d combined=%d",
-			rec.Rounds, rec.Combined)
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{"rounds", "combined"} {
-		if strings.Contains(string(data), `"`+field+`"`) {
-			t.Errorf("batch-path record serialized %q: %s", field, data)
+	var text strings.Builder
+	for _, rec := range in {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		text.Write(line)
+		text.WriteString("\n\n")
 	}
-}
-
-// Scalar records keep the counters: on those the invariant holds and
-// the trajectory files depend on them.
-func TestScalarRecordKeepsStats(t *testing.T) {
-	for _, path := range []string{"", PathApply} {
-		rec := Record{
-			Bench: "counter", Algo: "hybcomb", Threads: 2,
-			Ops: 1000, Mops: 2.0, Path: path,
-			Rounds: 100, Combined: 900,
-		}
-		rec.Finish()
-		if rec.Rounds != 100 || rec.Combined != 900 {
-			t.Fatalf("path %q: Finish altered scalar combiner stats: rounds=%d combined=%d",
-				path, rec.Rounds, rec.Combined)
-		}
-		if rec.NsPerOp == 0 {
-			t.Fatalf("path %q: Finish did not derive ns_per_op", path)
-		}
-	}
-}
-
-func TestFinishIdempotent(t *testing.T) {
-	rec := Record{Bench: "counter", Algo: "mpserver", Threads: 1, Mops: 4.0, Rounds: 7}
-	rec.Finish()
-	first, err := json.Marshal(rec)
+	out, err := ReadSweep(strings.NewReader(text.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Finish()
-	second, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatalf("Finish not idempotent: %s vs %s", first, second)
-	}
-}
-
-func TestFromNative(t *testing.T) {
-	res := harness.NativeResult{
-		Ops:       3_000_000,
-		Duration:  time.Second,
-		PerThread: []uint64{1_000_000, 2_000_000},
-	}
-	rec := FromNative("counter", "mpserver", 2, res)
-	if rec.Ops != res.Ops || rec.Mops != 3.0 || rec.Fairness != 2.0 {
-		t.Fatalf("FromNative derived %+v", rec)
-	}
-}
-
-// TestReportRoundTrip checks the envelope survives Encode → ReadReport
-// with the schema version and host context intact, and that a v1
-// (unversioned) envelope still parses.
-func TestReportRoundTrip(t *testing.T) {
-	rep := NewReport(200)
-	rep.Add(Record{Bench: "counter", Algo: "ccsynch", Threads: 4, Ops: 42, Mops: 0.5, Rounds: 10, Combined: 32})
-	rep.Add(Record{Bench: "batch", Algo: "ccsynch", Threads: 4, Batch: 8, Path: PathBatch, Ops: 42, Mops: 0.5, Rounds: 99})
-	var buf bytes.Buffer
-	if err := rep.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SchemaVersion != SchemaVersion {
-		t.Fatalf("schema_version %d, want %d", got.SchemaVersion, SchemaVersion)
-	}
-	if got.Host != rep.Host {
-		t.Fatalf("host %+v, want %+v", got.Host, rep.Host)
-	}
-	if len(got.Results) != 2 {
-		t.Fatalf("results %d, want 2", len(got.Results))
-	}
-	if got.Results[1].Rounds != 0 {
-		t.Fatalf("batch-path record kept rounds through the envelope: %+v", got.Results[1])
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
 	}
 
-	v1 := `{"gomaxprocs":1,"goversion":"go1.24.0","numcpu":1,"duration_ms_per_point":200,` +
-		`"results":[{"bench":"counter","algo":"mpserver","threads":1,"ops":10,"mops":1.2,"ns_per_op":833.3}]}`
-	old, err := ReadReport(strings.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 envelope: %v", err)
-	}
-	if old.SchemaVersion != 0 || len(old.Results) != 1 || old.Results[0].Algo != "mpserver" {
-		t.Fatalf("v1 envelope parsed as %+v", old)
-	}
-}
-
-func TestReadSweep(t *testing.T) {
-	lines := `{"schema_version":2,"gomaxprocs":2,"goversion":"go1.24.0","numcpu":1,"cell":0,"bench":"counter","algo":"mpserver","threads":1,"ops":5,"mops":1,"ns_per_op":1000}
-
-{"schema_version":2,"gomaxprocs":2,"goversion":"go1.24.0","numcpu":1,"cell":1,"skip":"batch-and-depth-exclusive","bench":"batch","algo":"mpserver","threads":1,"ops":0,"mops":0,"ns_per_op":0,"depth":8,"batch":32}
-`
-	recs, err := ReadSweep(strings.NewReader(lines))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2 (blank lines skipped)", len(recs))
-	}
-	if recs[0].Skip != "" || recs[0].Mops != 1 {
-		t.Fatalf("measured record parsed as %+v", recs[0])
-	}
-	if recs[1].Skip != "batch-and-depth-exclusive" || recs[1].Depth != 8 {
-		t.Fatalf("skip record parsed as %+v", recs[1])
+	old := `{"schema_version":2,"gomaxprocs":2,"goversion":"go1.24.0","numcpu":1,"cell":1,"skip":"batch-and-depth-exclusive","bench":"batch","algo":"mpserver","threads":1,"ops":5,"mops":1,"ns_per_op":1000,"depth":1,"batch":32,"path":"batch"}`
+	recs, err := ReadSweep(strings.NewReader(old))
+	if err != nil || len(recs) != 1 || recs[0].Batch != 32 || recs[0].GoMaxProcs != 2 {
+		t.Fatalf("older line parsed as %+v (err %v)", recs, err)
 	}
 
 	if _, err := ReadSweep(strings.NewReader("{not json}\n")); err == nil {

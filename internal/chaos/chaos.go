@@ -1,6 +1,7 @@
 // Package chaos holds the fault-injection toolkit behind the
-// repository's liveness tests and the `hybbench -bench chaos` leg:
-// Object wrappers that panic, delay or corrupt on a deterministic
+// repository's liveness tests (panic containment and conservation
+// under perturbed scheduling, over every construction): Object
+// wrappers that panic, delay or corrupt on a deterministic
 // schedule, and a seeded scheduler perturber that hooks the backoff
 // package's wait points. Everything is seeded and deterministic in
 // isolation — under real concurrency the interleavings still vary, but

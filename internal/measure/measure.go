@@ -1,10 +1,9 @@
-// Package measure holds the measurement cores shared by cmd/hybbench
-// and cmd/hybsweep: one function per bench leg (counter, sharded,
-// async, batch), each driving the native harness for a fixed duration
-// and returning one benchfmt.Record. Factoring them here means the
-// point benchmark and the grid sweep measure the same thing by
-// construction — a sweep cell at depth 8 runs the exact code
-// `hybbench -bench async -depth 8` runs.
+// Package measure is the one native measurement loop: Run drives one
+// grid cell (algo × threads × shards × dist × depth × batch) through
+// the native harness for a fixed duration and returns one complete
+// benchfmt.Record. cmd/hybsweep enumerates cells and streams the
+// records; nothing else in the tree produces a native number besides
+// the contract benchmark.
 package measure
 
 import (
@@ -16,19 +15,18 @@ import (
 	"hybsync"
 	"hybsync/harness"
 	"hybsync/internal/benchfmt"
-	"hybsync/internal/chaos"
 	"hybsync/internal/telemetry"
 	"hybsync/object"
 )
 
-// telemetryOff inverts the default: measurement cores arm telemetry
-// unless SetTelemetry(false) disarmed it, so records carry latency and
+// telemetryOff inverts the default: Run arms telemetry unless
+// SetTelemetry(false) disarmed it, so records carry latency and
 // run-length fields out of the box and the overhead-sensitive CI gates
-// opt out explicitly (hybbench/hybsweep -telemetry=false).
+// opt out explicitly (hybsweep -telemetry=false).
 var telemetryOff atomic.Bool
 
 // SetTelemetry arms (true, the default) or disarms (false) telemetry
-// for every subsequently started measurement core.
+// for every subsequently started Run.
 func SetTelemetry(on bool) { telemetryOff.Store(!on) }
 
 // newTel returns a fresh armed metric core, or nil when SetTelemetry
@@ -39,12 +37,6 @@ func newTel() *telemetry.Telemetry {
 		return nil
 	}
 	return telemetry.New()
-}
-
-// opts sizes every construction generously enough for any thread
-// count the benches drive, and attaches tel as its metric core.
-func opts(tel *telemetry.Telemetry) []hybsync.Option {
-	return []hybsync.Option{hybsync.WithMaxThreads(256), hybsync.WithTelemetry(tel)}
 }
 
 // telFields copies tel's merged histograms onto rec: the sampled
@@ -77,12 +69,12 @@ func telFields(rec *benchfmt.Record, tel *telemetry.Telemetry) {
 	}
 }
 
-// The live-executor registry: every measurement core tracks the
-// executor (or executor-backed object) it is driving for the duration
-// of the run. A sweep harness whose per-cell timeout fires can then
-// call PoisonLive to condemn whatever the abandoned cell leaked — its
-// waiters unblock with ErrPoisoned and its server goroutines drain and
-// exit — instead of leaking a wedged construction until process exit.
+// The live-executor registry: Run tracks the executor (or sharded
+// counter) it is driving for the duration of the cell. A sweep harness
+// whose per-cell timeout fires can then call PoisonLive to condemn
+// whatever the abandoned cell leaked — its waiters unblock with
+// ErrPoisoned and its server goroutines drain and exit — instead of
+// leaking a wedged construction until process exit.
 var (
 	liveMu sync.Mutex
 	live   = make(map[any]struct{})
@@ -94,8 +86,7 @@ type poisonable interface{ Poison(v any) }
 
 // track registers x as live under label (and, when tel is armed, in
 // the telemetry registry the /debug/hybsync endpoint walks) and
-// returns the combined untrack function (defer it at the start of a
-// measurement core).
+// returns the combined untrack function.
 func track(x any, label string, tel *telemetry.Telemetry) func() {
 	liveMu.Lock()
 	live[x] = struct{}{}
@@ -128,188 +119,83 @@ func PoisonLive(reason any) int {
 	return n
 }
 
-// pipeOf extracts the pipeline counters when src implements
-// hybsync.PipelineStats (read after every handle flushed).
-func pipeOf(src any) *benchfmt.Pipeline {
-	if p, ok := src.(hybsync.PipelineStats); ok {
-		st, d := p.Pipeline()
-		return &benchfmt.Pipeline{SubmitStalls: st, MaxDepth: d}
-	}
-	return nil
+// Cell is one point of the scenario grid. Keys sizes the key space
+// keyed cells draw from; Dist is a key distribution ("uniform",
+// "zipf:theta") or a phase-shifting load shape ("phase:period:duty").
+type Cell struct {
+	Algo    string
+	Threads int
+	Shards  int
+	Dist    string
+	Depth   int
+	Batch   int
+	Keys    uint64
 }
 
-// Counter measures one counter-increment point: th goroutines of
-// blocking Inc round trips through algo (plus the executor's combining
-// stats, when it keeps them).
-func Counter(algo string, th int, dur time.Duration) (benchfmt.Record, error) {
-	tel := newTel()
-	c, err := object.NewCounter(algo, opts(tel)...)
-	if err != nil {
-		return benchfmt.Record{}, fmt.Errorf("NewCounter(%s): %w", algo, err)
-	}
-	defer c.Close()
-	defer track(c, "counter/"+algo, tel)()
-	res := harness.RunNative(th, dur, 50, func(int) func(uint64) {
-		h, err := c.NewHandle()
-		if err != nil {
-			panic(err)
+// The bench kinds a defined cell classifies onto (the record's bench
+// field).
+const (
+	benchCounter = "counter"
+	benchAsync   = "async"
+	benchBatch   = "batch"
+	benchSharded = "sharded"
+	benchPhases  = "phases"
+)
+
+// Skip reasons for grid corners the execution model does not define.
+const (
+	skipBatchDepth  = "batch-and-depth-exclusive"
+	skipAsyncKeyed  = "async-over-keyed-unsupported"
+	skipBatchKeyed  = "batch-over-keyed-unsupported"
+	skipPhaseAsync  = "phases-over-async-unsupported"
+	skipPhaseBatch  = "phases-over-batch-unsupported"
+	skipPhaseShards = "phases-over-sharded-unsupported"
+)
+
+// Classify maps a cell to its bench kind, or to a skip reason when the
+// combination is undefined. A cell is keyed when it shards the object
+// or skews the key distribution; the depth-window and ApplyBatch loops
+// drive the scalar uniform counter only. A phase:... dist value is not
+// a key distribution at all — it selects the phase-shifting load shape,
+// which drives the scalar blocking counter only.
+func (c Cell) Classify() (bench, skip string) {
+	if harness.IsPhaseSpec(c.Dist) {
+		switch {
+		case c.Depth > 1:
+			return "", skipPhaseAsync
+		case c.Batch > 1:
+			return "", skipPhaseBatch
+		case c.Shards > 1:
+			return "", skipPhaseShards
+		default:
+			return benchPhases, ""
 		}
-		return func(uint64) { h.Inc() }
-	})
-	rec := benchfmt.FromNative("counter", algo, th, res)
-	rec.Rounds, rec.Combined, _ = c.Stats()
-	telFields(&rec, tel)
-	rec.Finish()
-	return rec, nil
+	}
+	keyed := c.Shards > 1 || c.Dist != "uniform"
+	switch {
+	case c.Depth > 1 && c.Batch > 1:
+		return "", skipBatchDepth
+	case c.Depth > 1 && keyed:
+		return "", skipAsyncKeyed
+	case c.Batch > 1 && keyed:
+		return "", skipBatchKeyed
+	case c.Depth > 1:
+		return benchAsync, ""
+	case c.Batch > 1:
+		return benchBatch, ""
+	case keyed:
+		return benchSharded, ""
+	default:
+		return benchCounter, ""
+	}
 }
 
-// Sharded measures one sharded-counter point: th goroutines drive
-// keyed increments (keys drawn from dist) through a router over
-// nshards executors of algo. The record carries the per-shard
-// occupancy profile and its max/min fairness.
-func Sharded(algo string, nshards int, dist harness.Dist, th int, dur time.Duration) (benchfmt.Record, error) {
-	tel := newTel()
-	c, err := object.NewShardedCounter(algo, nshards, opts(tel)...)
-	if err != nil {
-		return benchfmt.Record{}, fmt.Errorf("NewShardedCounter(%s, %d): %w", algo, nshards, err)
-	}
-	defer c.Close()
-	defer track(c, "sharded/"+algo, tel)()
-	res := harness.RunNative(th, dur, 50, func(t int) func(uint64) {
-		h, err := c.NewHandle()
-		if err != nil {
-			panic(err)
-		}
-		draw := dist.Sampler(t)
-		return func(uint64) {
-			if _, err := h.Inc(draw()); err != nil {
-				panic(err)
-			}
-		}
-	})
-	rec := benchfmt.FromNative("sharded", algo, th, res)
-	rec.Shards, rec.Dist = nshards, dist.Label()
-	occ := c.Occupancy()
-	sf := harness.NativeResult{PerThread: occ}.Fairness()
-	rec.ShardOps, rec.ShardFairness = occ, &sf
-	rec.Rounds, rec.Combined, _ = c.Stats()
-	if st, d, ok := c.Pipeline(); ok {
-		rec.Pipe = &benchfmt.Pipeline{SubmitStalls: st, MaxDepth: d}
-	}
-	telFields(&rec, tel)
-	rec.Finish()
-	return rec, nil
-}
+// counter is the scalar cells' object: a run of increments reads the
+// shared value once, hands out results from a register and writes the
+// sum back — the object-side amortization DispatchBatch exists for.
+type counter struct{ state uint64 }
 
-// Async measures one pipelined point: th goroutines drive the native
-// counter workload keeping up to depth submissions outstanding per
-// handle (a sliding window of Submit with Wait on the oldest once the
-// window fills). depth 1 degenerates to the blocking Apply round
-// trip; deeper windows let a pipelining construction overlap
-// submissions.
-func Async(algo string, depth, th int, dur time.Duration) (benchfmt.Record, error) {
-	var state uint64
-	tel := newTel()
-	ex, err := hybsync.New(algo, func(op, arg uint64) uint64 {
-		v := state
-		state = v + 1
-		return v
-	}, opts(tel)...)
-	if err != nil {
-		return benchfmt.Record{}, fmt.Errorf("New(%s): %w", algo, err)
-	}
-	defer track(ex, "async/"+algo, tel)()
-	// Each worker drains its own window in its own goroutine (the drain
-	// half of RunNativeDrain), while its peers are still running: with
-	// CC-Synch a stopping thread's unwaited cell can hold the combiner
-	// duty another thread's in-loop Wait is spinning on, so deferring
-	// every Flush until all workers exited would deadlock.
-	res := harness.RunNativeDrain(th, dur, 50, func(t int) (func(uint64), func()) {
-		h := hybsync.MustHandle(ex)
-		win := make([]hybsync.Ticket, depth)
-		var head, count int
-		body := func(uint64) {
-			if count == depth {
-				h.Wait(win[head])
-				head = (head + 1) % depth
-				count--
-			}
-			tk, err := h.Submit(0, 0)
-			if err != nil {
-				panic(err)
-			}
-			win[(head+count)%depth] = tk
-			count++
-		}
-		return body, h.Flush
-	})
-	rec := benchfmt.FromNative("async", algo, th, res)
-	rec.Depth = depth
-	if s, ok := ex.(hybsync.StatsSource); ok {
-		rec.Rounds, rec.Combined = s.Stats()
-	}
-	rec.Pipe = pipeOf(ex)
-	if err := ex.Close(); err != nil {
-		return benchfmt.Record{}, fmt.Errorf("Close(%s): %w", algo, err)
-	}
-	telFields(&rec, tel)
-	rec.Finish()
-	return rec, nil
-}
-
-// Phases measures one phase-shifting point: th goroutines drive
-// blocking counter increments through algo, but only during the burst
-// half of each phase period (all threads burst together — see
-// harness.Phases). This is the workload the adaptive "hybrid"
-// construction targets: contention arrives in waves, so the right
-// construction differs between the burst and the tail of each period.
-// The record carries the phase spec in the dist field and, when algo
-// adapts, its promotion/demotion counts.
-func Phases(algo string, ph harness.Phases, th int, dur time.Duration) (benchfmt.Record, error) {
-	var state uint64
-	tel := newTel()
-	ex, err := hybsync.New(algo, func(op, arg uint64) uint64 {
-		v := state
-		state = v + 1
-		return v
-	}, opts(tel)...)
-	if err != nil {
-		return benchfmt.Record{}, fmt.Errorf("New(%s): %w", algo, err)
-	}
-	defer track(ex, "phases/"+algo, tel)()
-	res := ph.RunPhased(th, dur, 50, func(int) (func(uint64), func()) {
-		h := hybsync.MustHandle(ex)
-		return func(uint64) { h.Apply(0, 0) }, nil
-	})
-	rec := benchfmt.FromNative("phases", algo, th, res)
-	rec.Dist = ph.Label()
-	if s, ok := ex.(hybsync.StatsSource); ok {
-		rec.Rounds, rec.Combined = s.Stats()
-	}
-	rec.Pipe = pipeOf(ex)
-	if a, ok := ex.(hybsync.AdaptiveStats); ok {
-		p, d := a.Transitions()
-		rec.Adapt = &benchfmt.Adaptive{Promotions: p, Demotions: d}
-	}
-	if err := ex.Close(); err != nil {
-		return benchfmt.Record{}, fmt.Errorf("Close(%s): %w", algo, err)
-	}
-	if state != res.Ops {
-		return benchfmt.Record{}, fmt.Errorf("phases(%s): conservation violated: object executed %d ops, harness counted %d",
-			algo, state, res.Ops)
-	}
-	telFields(&rec, tel)
-	rec.Finish()
-	return rec, nil
-}
-
-// batchCounter is the batch bench's native object: a run of increments
-// reads the shared value once, hands out results from a register and
-// writes the sum back — the object-side amortization DispatchBatch
-// exists for.
-type batchCounter struct{ state uint64 }
-
-func (o *batchCounter) DispatchBatch(reqs []hybsync.Req, results []uint64) {
+func (o *counter) DispatchBatch(reqs []hybsync.Req, results []uint64) {
 	v := o.state
 	for i := range reqs {
 		results[i] = v
@@ -318,137 +204,164 @@ func (o *batchCounter) DispatchBatch(reqs []hybsync.Req, results []uint64) {
 	o.state = v
 }
 
-// Batch measures one batched point: th goroutines each repeatedly
-// issue one ApplyBatch of b increments (reqs/results reused across
-// calls). Ops and the per-thread counts are rescaled to individual
-// operations, so ns_per_op and fairness are directly comparable with
-// the per-op Apply path; the combiner rounds/combined counters are NOT
-// attached — their unit is ill-defined for batched submissions
-// (benchfmt.Record.Finish strips them anyway).
-func Batch(algo string, b, th int, dur time.Duration) (benchfmt.Record, error) {
-	obj := &batchCounter{}
-	tel := newTel()
-	ex, err := hybsync.NewObject(algo, obj, opts(tel)...)
-	if err != nil {
-		return benchfmt.Record{}, fmt.Errorf("NewObject(%s): %w", algo, err)
-	}
-	defer track(ex, "batch/"+algo, tel)()
-	res := harness.RunNative(th, dur, 50, func(int) func(uint64) {
-		h := hybsync.MustHandle(ex)
-		reqs := make([]hybsync.Req, b)
-		rets := make([]uint64, b)
-		return func(uint64) { h.ApplyBatch(reqs, rets) }
-	})
-	// One iteration is b operations; rescale so Ops/Mops/fairness are
-	// per operation. ApplyBatch blocks until its batch completed, so
-	// nothing is in flight at close.
-	res.Ops *= uint64(b)
-	for i := range res.PerThread {
-		res.PerThread[i] *= uint64(b)
-	}
-	rec := benchfmt.FromNative("batch", algo, th, res)
-	rec.Batch, rec.Path = b, benchfmt.PathBatch
-	rec.Pipe = pipeOf(ex)
-	if err := ex.Close(); err != nil {
-		return benchfmt.Record{}, fmt.Errorf("Close(%s): %w", algo, err)
-	}
-	telFields(&rec, tel)
-	rec.Finish()
-	return rec, nil
+// window is the depth-window loop body: keep up to depth submissions
+// outstanding on h, waiting on the oldest once the window fills. The
+// drain is h.Flush, run by the worker itself while its peers are still
+// going (the drain half of harness.RunNativeDrain): with CC-Synch a
+// stopping thread's unwaited cell can hold the combiner duty another
+// thread's in-loop Wait is spinning on, so deferring every Flush until
+// all workers exited would deadlock.
+func window(h hybsync.Handle, depth int) (body func(uint64), drain func()) {
+	win := make([]hybsync.Ticket, depth)
+	var head, count int
+	return func(uint64) {
+		if count == depth {
+			h.Wait(win[head])
+			head = (head + 1) % depth
+			count--
+		}
+		tk, err := h.Submit(0, 0)
+		if err != nil {
+			panic(err)
+		}
+		win[(head+count)%depth] = tk
+		count++
+	}, h.Flush
 }
 
-// Chaos measures one fault-tolerance point: th goroutines drive the
-// batch counter through algo while a seeded schedule perturber shakes
-// every backoff wait and the object injects periodic delays — the
-// throughput cost of running under adversarial scheduling. The run is
-// bracketed by two checks that fail the measurement loudly rather than
-// record garbage: a containment probe (a second executor of the same
-// construction over a panic-injected object must poison cleanly while
-// the measured one keeps running) and a conservation check (the
-// counter's final state must equal the operations the harness
-// counted).
-func Chaos(algo string, seed uint64, th int, dur time.Duration) (benchfmt.Record, error) {
-	restore := chaos.NewPerturber(seed).Install()
-	defer restore()
+// Run measures one cell: c.Threads goroutines drive one object through
+// c.Algo for dur, separated by up to 50 iterations of local work.
+//
+// The cell's kind (Classify) picks the object and the loop body, and
+// nothing else: a keyed cell increments a sharded counter under keys
+// drawn from c.Dist; every other cell drives one scalar counter through
+// blocking Apply (counter, phases), a depth-c.Depth Submit/Wait window
+// (async) or ApplyBatch calls of c.Batch requests (batch). A phases
+// cell runs the Apply loop under the burst/idle clock of
+// harness.Phases instead of flat out.
+//
+// The returned record is complete — throughput and fairness per
+// operation (a batch iteration counts c.Batch), every axis, and the
+// counters the construction keeps — and checked: after Close the
+// object's state must equal the operations the harness counted, or Run
+// fails rather than record a number for work that was lost or done
+// twice. Batch records carry no rounds/combined (their scalar identity
+// rounds+combined==ops fails when one submission holds many
+// operations; see core.StatsSource).
+func Run(c Cell, dur time.Duration) (benchfmt.Record, error) {
+	bench, skip := c.Classify()
+	if skip != "" {
+		return benchfmt.Record{}, fmt.Errorf("cell %+v is undefined: %s", c, skip)
+	}
+	run := harness.RunNativeDrain
+	var dist harness.Dist
+	var err error
+	switch bench {
+	case benchPhases:
+		var ph harness.Phases
+		ph, err = harness.ParsePhases(c.Dist)
+		run = ph.RunPhased
+	case benchSharded:
+		dist, err = harness.ParseDist(c.Dist, c.Keys)
+	}
+	if err != nil {
+		return benchfmt.Record{}, err
+	}
 
-	// One metric core spans the probe and the measured run, so the
-	// record's fault counters include the probe's deliberate poison —
-	// chaos output proves containment happened, not just that nothing
-	// crashed.
 	tel := newTel()
-	condemned0 := telemetry.CondemnedCount()
-
-	// Containment probe: an injected panic in this construction must
-	// poison that executor without taking the process (or the measured
-	// executor below) with it.
-	probe, err := hybsync.NewObject(algo, chaos.PanicOnNth(&batchCounter{}, 1), opts(tel)...)
-	if err != nil {
-		return benchfmt.Record{}, fmt.Errorf("NewObject(%s): %w", algo, err)
-	}
-	hybsync.MustHandle(probe).Apply(0, 0)
-	if probe.Err() == nil {
-		probe.Close()
-		return benchfmt.Record{}, fmt.Errorf("chaos(%s): injected panic did not poison the probe executor", algo)
-	}
-	probe.Close() // reports the probe's PoisonError; expected
-
-	base := &batchCounter{}
-	obj := chaos.Delay(base, seed, 256, 50*time.Microsecond)
-	ex, err := hybsync.NewObject(algo, obj, opts(tel)...)
-	if err != nil {
-		return benchfmt.Record{}, fmt.Errorf("NewObject(%s): %w", algo, err)
-	}
-	defer track(ex, "chaos/"+algo, tel)()
-	res := harness.RunNative(th, dur, 50, func(int) func(uint64) {
-		h := hybsync.MustHandle(ex)
-		return func(uint64) { h.Apply(0, 0) }
-	})
-	if err := ex.Close(); err != nil {
-		return benchfmt.Record{}, fmt.Errorf("Close(%s): %w", algo, err)
-	}
-	if base.state != res.Ops {
-		return benchfmt.Record{}, fmt.Errorf("chaos(%s): conservation violated: object executed %d ops, harness counted %d",
-			algo, base.state, res.Ops)
-	}
-	rec := benchfmt.FromNative("chaos", algo, th, res)
-	telFields(&rec, tel)
-	if tel != nil {
-		snap := tel.Snapshot()
-		rec.Faults = &benchfmt.Faults{
-			Poisons:         snap.Poisons,
-			StallReports:    snap.Stalls,
-			TimeoutCondemns: telemetry.CondemnedCount() - condemned0,
+	// Sized generously enough for any thread count a grid drives.
+	opts := []hybsync.Option{hybsync.WithMaxThreads(256), hybsync.WithTelemetry(tel)}
+	var (
+		sc    *object.ShardedCounter     // keyed cells
+		ex    hybsync.Executor           // scalar cells
+		drive interface{ Close() error } // whichever of the two this cell drives
+		state func() uint64              // the object's value, read at quiescence
+		setup func(t int) (body func(uint64), drain func())
+	)
+	if bench == benchSharded {
+		if sc, err = object.NewShardedCounter(c.Algo, c.Shards, opts...); err != nil {
+			return benchfmt.Record{}, fmt.Errorf("NewShardedCounter(%s, %d): %w", c.Algo, c.Shards, err)
+		}
+		drive, state = sc, sc.Value
+		setup = func(t int) (func(uint64), func()) {
+			h, err := sc.NewHandle()
+			if err != nil {
+				panic(err)
+			}
+			draw := dist.Sampler(t)
+			return func(uint64) {
+				if _, err := h.Inc(draw()); err != nil {
+					panic(err)
+				}
+			}, nil
+		}
+	} else {
+		ctr := &counter{}
+		if ex, err = hybsync.NewObject(c.Algo, ctr, opts...); err != nil {
+			return benchfmt.Record{}, fmt.Errorf("NewObject(%s): %w", c.Algo, err)
+		}
+		drive, state = ex, func() uint64 { return ctr.state }
+		setup = func(int) (func(uint64), func()) {
+			h := hybsync.MustHandle(ex)
+			switch bench {
+			case benchAsync:
+				return window(h, c.Depth)
+			case benchBatch:
+				reqs := make([]hybsync.Req, c.Batch)
+				rets := make([]uint64, c.Batch)
+				return func(uint64) { h.ApplyBatch(reqs, rets) }, nil
+			default:
+				return func(uint64) { h.Apply(0, 0) }, nil
+			}
 		}
 	}
-	rec.Finish()
-	return rec, nil
-}
+	defer track(drive, bench+"/"+c.Algo, tel)()
 
-// BatchApply is Batch's per-op baseline: the same counter object
-// driven through scalar Apply calls (the legacy path's cost per
-// operation). Records carry path "apply" and no batch field.
-func BatchApply(algo string, th int, dur time.Duration) (benchfmt.Record, error) {
-	obj := &batchCounter{}
-	tel := newTel()
-	ex, err := hybsync.NewObject(algo, obj, opts(tel)...)
-	if err != nil {
-		return benchfmt.Record{}, fmt.Errorf("NewObject(%s): %w", algo, err)
+	res := run(c.Threads, dur, 50, setup)
+	// One iteration is c.Batch operations (1 everywhere but batch cells).
+	res.Ops *= uint64(c.Batch)
+	for i := range res.PerThread {
+		res.PerThread[i] *= uint64(c.Batch)
 	}
-	defer track(ex, "batch-apply/"+algo, tel)()
-	res := harness.RunNative(th, dur, 50, func(int) func(uint64) {
-		h := hybsync.MustHandle(ex)
-		return func(uint64) { h.Apply(0, 0) }
-	})
-	rec := benchfmt.FromNative("batch", algo, th, res)
-	rec.Path = benchfmt.PathApply
-	if s, ok := ex.(hybsync.StatsSource); ok {
-		rec.Rounds, rec.Combined = s.Stats()
+
+	rec := benchfmt.Record{
+		Bench: bench, Algo: c.Algo, Threads: c.Threads,
+		Shards: c.Shards, Dist: c.Dist, Depth: c.Depth, Batch: c.Batch,
+		Ops: res.Ops, Mops: res.Mops(), Fairness: res.Fairness(),
 	}
-	rec.Pipe = pipeOf(ex)
-	if err := ex.Close(); err != nil {
-		return benchfmt.Record{}, fmt.Errorf("Close(%s): %w", algo, err)
+	if rec.Mops > 0 {
+		rec.NsPerOp = 1e3 / rec.Mops
+	}
+	// Every handle has drained, so the quiescence-only counters are
+	// readable; Close comes after because it tears the executors down.
+	if sc != nil {
+		occ := sc.Occupancy()
+		sf := harness.NativeResult{PerThread: occ}.Fairness()
+		rec.ShardOps, rec.ShardFairness = occ, &sf
+		rec.Rounds, rec.Combined, _ = sc.Stats()
+		if st, d, ok := sc.Pipeline(); ok {
+			rec.Pipe = &benchfmt.Pipeline{SubmitStalls: st, MaxDepth: d}
+		}
+	} else {
+		if s, ok := ex.(hybsync.StatsSource); ok && bench != benchBatch {
+			rec.Rounds, rec.Combined = s.Stats()
+		}
+		if p, ok := ex.(hybsync.PipelineStats); ok {
+			st, d := p.Pipeline()
+			rec.Pipe = &benchfmt.Pipeline{SubmitStalls: st, MaxDepth: d}
+		}
+		if a, ok := ex.(hybsync.AdaptiveStats); ok {
+			p, d := a.Transitions()
+			rec.Adapt = &benchfmt.Adaptive{Promotions: p, Demotions: d}
+		}
+	}
+	if err := drive.Close(); err != nil {
+		return benchfmt.Record{}, fmt.Errorf("Close(%s): %w", c.Algo, err)
+	}
+	if got := state(); got != res.Ops {
+		return benchfmt.Record{}, fmt.Errorf("%s(%s): conservation violated: object executed %d ops, harness counted %d",
+			bench, c.Algo, got, res.Ops)
 	}
 	telFields(&rec, tel)
-	rec.Finish()
 	return rec, nil
 }

@@ -5,63 +5,121 @@ import (
 	"testing"
 	"time"
 
-	"hybsync/harness"
-	"hybsync/internal/benchfmt"
+	"hybsync"
 )
 
-const dur = 10 * time.Millisecond
+// one builds the scalar-uniform cell of algo at th threads; tests
+// override the axis under test.
+func one(algo string, th int) Cell {
+	return Cell{Algo: algo, Threads: th, Shards: 1, Dist: "uniform", Depth: 1, Batch: 1, Keys: 1024}
+}
 
-func TestCounter(t *testing.T) {
-	rec, err := Counter("hybcomb", 2, dur)
-	if err != nil {
-		t.Fatal(err)
+// TestRun drives every bench kind over every registered algorithm for
+// a few milliseconds. Run itself enforces the conservation oracle
+// (object state == operations counted) on every kind and fails the
+// cell otherwise, so a nil error here is that check passing; the table
+// adds what each kind must stamp on its record.
+func TestRun(t *testing.T) {
+	kinds := []struct {
+		bench string
+		set   func(*Cell)
+	}{
+		{"counter", func(*Cell) {}},
+		{"async", func(c *Cell) { c.Depth = 4 }},
+		{"batch", func(c *Cell) { c.Batch = 8 }},
+		{"sharded", func(c *Cell) { c.Shards, c.Dist = 2, "zipf:0.99" }},
+		{"phases", func(c *Cell) { c.Dist = "phase:2ms:0.5" }},
 	}
-	if rec.Bench != "counter" || rec.Algo != "hybcomb" || rec.Threads != 2 {
-		t.Fatalf("record %+v", rec)
-	}
-	if rec.Ops == 0 || rec.Mops <= 0 || rec.NsPerOp <= 0 {
-		t.Fatalf("no throughput in %+v", rec)
-	}
-	if _, err := Counter("no-such-algo", 1, dur); err == nil {
-		t.Fatal("unknown algo accepted")
+	for _, k := range kinds {
+		for _, algo := range hybsync.Algorithms() {
+			c := one(algo, 2)
+			k.set(&c)
+			t.Run(k.bench+"/"+algo, func(t *testing.T) {
+				rec, err := Run(c, 5*time.Millisecond)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Bench != k.bench || rec.Algo != algo || rec.Threads != 2 {
+					t.Fatalf("identity: %+v", rec)
+				}
+				// One identity per point: every axis is on the record as
+				// returned, whatever the kind.
+				if rec.Shards != c.Shards || rec.Dist != c.Dist || rec.Depth != c.Depth || rec.Batch != c.Batch {
+					t.Fatalf("axes not stamped: %+v", rec)
+				}
+				if rec.Ops == 0 || rec.Mops <= 0 || rec.NsPerOp <= 0 || rec.Fairness <= 0 {
+					t.Fatalf("no throughput in %+v", rec)
+				}
+				if rec.Lat == nil || rec.RunLen == nil {
+					t.Fatalf("armed run carries no telemetry: %+v", rec)
+				}
+				switch k.bench {
+				case "batch":
+					// Stats honesty: operation-scaled throughput, and no
+					// combiner counters (their unit is ill-defined for
+					// batched submissions).
+					if rec.Ops%8 != 0 || rec.Rounds != 0 || rec.Combined != 0 {
+						t.Fatalf("batch record %+v", rec)
+					}
+				case "sharded":
+					if len(rec.ShardOps) != 2 || rec.ShardFairness == nil {
+						t.Fatalf("no shard profile in %+v", rec)
+					}
+				case "counter":
+					// The scalar identity of core.StatsSource. (ccsynch
+					// counts every served operation in combined, its own
+					// included, so it is held to it on hybcomb only.)
+					if algo == "hybcomb" && rec.Rounds+rec.Combined != rec.Ops {
+						t.Fatalf("rounds+combined != ops: %d+%d != %d", rec.Rounds, rec.Combined, rec.Ops)
+					}
+				}
+				if algo == "mpserver" && k.bench == "async" && rec.Pipe == nil {
+					t.Fatalf("mpserver async record has no pipeline stats: %+v", rec)
+				}
+				if algo == "hybrid" && k.bench != "sharded" && rec.Adapt == nil {
+					t.Fatalf("hybrid record has no transition counts: %+v", rec)
+				}
+			})
+		}
 	}
 }
 
-func TestSharded(t *testing.T) {
-	dist, err := harness.ParseDist("zipf:0.99", 1024)
-	if err != nil {
-		t.Fatal(err)
+func TestRunRejects(t *testing.T) {
+	bad := one("no-such-algo", 1)
+	if _, err := Run(bad, time.Millisecond); err == nil {
+		t.Error("unknown algo accepted")
 	}
-	rec, err := Sharded("mpserver", 2, dist, 2, dur)
-	if err != nil {
-		t.Fatal(err)
+	undefined := one("mpserver", 1)
+	undefined.Depth, undefined.Batch = 4, 8
+	if _, err := Run(undefined, time.Millisecond); err == nil {
+		t.Error("undefined cell measured")
 	}
-	if rec.Bench != "sharded" || rec.Shards != 2 || rec.Dist != "zipf:0.99" {
-		t.Fatalf("record %+v", rec)
-	}
-	if len(rec.ShardOps) != 2 || rec.ShardFairness == nil {
-		t.Fatalf("no shard profile in %+v", rec)
+	for _, dist := range []string{"zipf:2", "pareto", "phase:0s:0.5"} {
+		c := one("mpserver", 1)
+		c.Dist = dist
+		if _, err := Run(c, time.Millisecond); err == nil {
+			t.Errorf("dist %q accepted", dist)
+		}
 	}
 }
 
-func TestAsync(t *testing.T) {
-	rec, err := Async("mpserver", 4, 2, dur)
+func TestDisarmed(t *testing.T) {
+	SetTelemetry(false)
+	defer SetTelemetry(true)
+	rec, err := Run(one("hybcomb", 1), 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Bench != "async" || rec.Depth != 4 || rec.Ops == 0 {
-		t.Fatalf("record %+v", rec)
-	}
-	if rec.Pipe == nil {
-		t.Fatalf("mpserver async record has no pipeline stats: %+v", rec)
+	if rec.Lat != nil || rec.RunLen != nil {
+		t.Fatalf("disarmed run carries telemetry: %+v", rec)
 	}
 }
 
 // Regression test for the first bug the hybsweep grid surfaced: at
-// gomaxprocs=2, ccsynch, threads>gomaxprocs, depth=8, the async bench
-// deadlocked intermittently (~2 in 3 runs) because workers exited the
-// measurement loop with unwaited cells and the handle Flush only ran
-// after every worker returned — while a stopping worker's unwaited
+// gomaxprocs=2, ccsynch, threads>gomaxprocs, depth=8, the depth-window
+// loop deadlocked intermittently (~2 in 3 runs) because workers exited
+// the measurement loop with unwaited cells and the handle Flush only
+// ran after every worker returned — while a stopping worker's unwaited
 // cell held CC-Synch's dormant combiner duty that a still-running
 // worker's Wait was spinning on. The fix drains each handle inside its
 // own worker goroutine (harness.RunNativeDrain); this test replays the
@@ -69,10 +127,12 @@ func TestAsync(t *testing.T) {
 func TestAsyncDrainLiveness(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
+	c := one("ccsynch", 4)
+	c.Depth = 8
 	for i := 0; i < 6; i++ {
 		done := make(chan error, 1)
 		go func() {
-			_, err := Async("ccsynch", 8, 4, 30*time.Millisecond)
+			_, err := Run(c, 30*time.Millisecond)
 			done <- err
 		}()
 		select {
@@ -86,33 +146,45 @@ func TestAsyncDrainLiveness(t *testing.T) {
 	}
 }
 
-// The batch core must emit honest records: PathBatch, operation-scaled
-// throughput, and no combiner rounds/combined (their unit is
-// ill-defined for batched submissions).
-func TestBatchStatsHonesty(t *testing.T) {
-	rec, err := Batch("hybcomb", 8, 2, dur)
-	if err != nil {
-		t.Fatal(err)
+// Every skip reason is reachable and every defined corner maps to its
+// kind. d/b/s are depth, batch, shards.
+func TestClassify(t *testing.T) {
+	cases := []struct {
+		d, b, s int
+		dist    string
+		bench   string
+		skip    string
+	}{
+		{1, 1, 1, "uniform", "counter", ""},
+		{4, 1, 1, "uniform", "async", ""},
+		{1, 8, 1, "uniform", "batch", ""},
+		{1, 1, 4, "uniform", "sharded", ""},
+		{1, 1, 1, "zipf:0.99", "sharded", ""},
+		{1, 1, 4, "zipf:0.99", "sharded", ""},
+		{1, 1, 1, "phase:5ms:0.5", "phases", ""},
+		{4, 8, 1, "uniform", "", skipBatchDepth},
+		{4, 8, 4, "zipf:0.99", "", skipBatchDepth},
+		{4, 1, 4, "uniform", "", skipAsyncKeyed},
+		{4, 1, 1, "zipf:0.99", "", skipAsyncKeyed},
+		{1, 8, 4, "uniform", "", skipBatchKeyed},
+		{1, 8, 1, "zipf:0.99", "", skipBatchKeyed},
+		{4, 1, 1, "phase:5ms:0.5", "", skipPhaseAsync},
+		{4, 8, 4, "phase:5ms:0.5", "", skipPhaseAsync},
+		{1, 8, 1, "phase:5ms:0.5", "", skipPhaseBatch},
+		{1, 1, 4, "phase:5ms:0.5", "", skipPhaseShards},
 	}
-	if rec.Path != benchfmt.PathBatch || rec.Batch != 8 {
-		t.Fatalf("record %+v", rec)
+	reached := map[string]bool{}
+	for _, tc := range cases {
+		c := Cell{Algo: "mpserver", Threads: 1, Shards: tc.s, Dist: tc.dist, Depth: tc.d, Batch: tc.b}
+		bench, skip := c.Classify()
+		if bench != tc.bench || skip != tc.skip {
+			t.Errorf("Classify(%+v) = (%q, %q), want (%q, %q)", c, bench, skip, tc.bench, tc.skip)
+		}
+		reached[skip] = true
 	}
-	if rec.Rounds != 0 || rec.Combined != 0 {
-		t.Fatalf("batch record carries combiner stats: %+v", rec)
-	}
-	if rec.Ops%8 != 0 || rec.Ops == 0 {
-		t.Fatalf("ops %d not a multiple of batch size", rec.Ops)
-	}
-
-	apply, err := BatchApply("hybcomb", 2, dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if apply.Path != benchfmt.PathApply || apply.Batch != 0 {
-		t.Fatalf("apply record %+v", apply)
-	}
-	if apply.Rounds+apply.Combined != apply.Ops {
-		t.Fatalf("scalar invariant rounds+combined==ops broken: %d+%d != %d",
-			apply.Rounds, apply.Combined, apply.Ops)
+	for _, reason := range []string{skipBatchDepth, skipAsyncKeyed, skipBatchKeyed, skipPhaseAsync, skipPhaseBatch, skipPhaseShards} {
+		if !reached[reason] {
+			t.Errorf("skip reason %q not covered", reason)
+		}
 	}
 }
