@@ -31,11 +31,11 @@ func TestPerHandleFIFOProperty(t *testing.T) {
 	for _, name := range fiveConstructions {
 		t.Run(name, func(t *testing.T) {
 			var state uint64
-			ex, err := hybsync.New(name, func(op, arg uint64) uint64 {
+			ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 {
 				v := state
 				state = v + 1
 				return v
-			}, hybsync.WithMaxThreads(goroutines))
+			}), hybsync.WithMaxThreads(goroutines))
 			if err != nil {
 				t.Fatalf("New(%q): %v", name, err)
 			}
@@ -119,7 +119,7 @@ func (e errFIFO) Error() string {
 func TestTicketResultMatching(t *testing.T) {
 	for _, name := range fiveConstructions {
 		t.Run(name, func(t *testing.T) {
-			ex, err := hybsync.New(name, func(op, arg uint64) uint64 { return arg * 3 },
+			ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 { return arg * 3 }),
 				hybsync.WithMaxThreads(2))
 			if err != nil {
 				t.Fatalf("New(%q): %v", name, err)
@@ -146,10 +146,10 @@ func TestPostFlushAcrossConstructions(t *testing.T) {
 	for _, name := range fiveConstructions {
 		t.Run(name, func(t *testing.T) {
 			var state uint64
-			ex, err := hybsync.New(name, func(op, arg uint64) uint64 {
+			ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 {
 				state += arg
 				return state
-			}, hybsync.WithMaxThreads(2))
+			}), hybsync.WithMaxThreads(2))
 			if err != nil {
 				t.Fatalf("New(%q): %v", name, err)
 			}
@@ -192,7 +192,7 @@ func TestTicketMisusePanics(t *testing.T) {
 	}
 	for _, name := range hybsync.Algorithms() {
 		subjects[name] = func(t *testing.T) (a, b hybsync.Handle) {
-			ex, err := hybsync.New(name, echo, hybsync.WithMaxThreads(2))
+			ex, err := hybsync.NewObject(name, hybsync.Func(echo), hybsync.WithMaxThreads(2))
 			if err != nil {
 				t.Fatalf("New(%q): %v", name, err)
 			}

@@ -1,5 +1,5 @@
 // Tests for the batch-aware execution contract: the differential
-// property test (legacy scalar Dispatch vs. batched DispatchBatch vs. a
+// property test (a scalar function under Func vs. batched DispatchBatch vs. a
 // sequential model, with randomized batch boundaries, across every
 // registered construction), batch/pipeline interleaving, and the
 // PipelineStats backpressure counters.
@@ -47,7 +47,7 @@ func (o *regObject) DispatchBatch(reqs []hybsync.Req, results []uint64) {
 }
 
 // TestBatchScalarDifferential drives one random operation stream three
-// ways — scalar Apply over the legacy New(dispatch) path, ApplyBatch
+// ways — scalar Apply over a Func-wrapped function, ApplyBatch
 // over NewObject with randomized batch boundaries (including batches
 // larger than QueueCap, which must chunk through the pipeline), and the
 // sequential model — and requires identical result streams from every
@@ -69,7 +69,7 @@ func TestBatchScalarDifferential(t *testing.T) {
 
 			// Legacy path: a scalar dispatch function, one Apply per op.
 			var scalarState regModel
-			ex, err := hybsync.New(algo, scalarState.step, hybsync.WithQueueCap(8))
+			ex, err := hybsync.NewObject(algo, hybsync.Func(scalarState.step), hybsync.WithQueueCap(8))
 			if err != nil {
 				t.Fatalf("New(%s): %v", algo, err)
 			}
@@ -119,11 +119,11 @@ func TestApplyBatchInterleavesFIFO(t *testing.T) {
 	for _, algo := range []string{"mpserver", "hybcomb", "ccsynch", "shmserver", "mcs-lock"} {
 		t.Run(algo, func(t *testing.T) {
 			var state uint64
-			ex, err := hybsync.New(algo, func(op, arg uint64) uint64 {
+			ex, err := hybsync.NewObject(algo, hybsync.Func(func(op, arg uint64) uint64 {
 				v := state
 				state = v + 1
 				return v
-			}, hybsync.WithMaxThreads(2))
+			}), hybsync.WithMaxThreads(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +221,7 @@ func TestStatsAtFlushedQuiescence(t *testing.T) {
 	const goroutines, per = 3, 400
 	for _, algo := range []string{"hybcomb", "ccsynch"} {
 		t.Run(algo, func(t *testing.T) {
-			ex, err := hybsync.New(algo, func(op, arg uint64) uint64 { return 0 },
+			ex, err := hybsync.NewObject(algo, hybsync.Func(func(op, arg uint64) uint64 { return 0 }),
 				hybsync.WithMaxThreads(goroutines))
 			if err != nil {
 				t.Fatal(err)
@@ -271,7 +271,7 @@ func TestStatsAtFlushedQuiescence(t *testing.T) {
 // constructions do not implement the extension.
 func TestPipelineStats(t *testing.T) {
 	const qcap = 4
-	ex, err := hybsync.New("mpserver", func(op, arg uint64) uint64 { return 0 },
+	ex, err := hybsync.NewObject("mpserver", hybsync.Func(func(op, arg uint64) uint64 { return 0 }),
 		hybsync.WithMaxThreads(2), hybsync.WithQueueCap(qcap))
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestPipelineStats(t *testing.T) {
 		t.Errorf("submitStalls = %d, want %d (every post past the window stalls)", stalls, want)
 	}
 
-	lk, err := hybsync.New("mcs-lock", func(op, arg uint64) uint64 { return 0 })
+	lk, err := hybsync.NewObject("mcs-lock", hybsync.Func(func(op, arg uint64) uint64 { return 0 }))
 	if err != nil {
 		t.Fatal(err)
 	}

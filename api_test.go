@@ -6,6 +6,8 @@ package hybsync_test
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,11 +43,11 @@ func TestRegistryRoundTrip(t *testing.T) {
 	for _, name := range hybsync.Algorithms() {
 		t.Run(name, func(t *testing.T) {
 			var state uint64
-			ex, err := hybsync.New(name, func(op, arg uint64) uint64 {
+			ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 {
 				v := state
 				state = v + 1
 				return v
-			}, hybsync.WithMaxThreads(goroutines))
+			}), hybsync.WithMaxThreads(goroutines))
 			if err != nil {
 				t.Fatalf("New(%q): %v", name, err)
 			}
@@ -80,32 +82,70 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTooManyHandles is the lifecycle table every registered algorithm
+// shares through core.Shell.Admit: WithMaxThreads bounds the handles of
+// every construction (the lock executors and CC-Synch included — they
+// used to hand out handles until Close), a closed executor refuses with
+// ErrClosed and a poisoned one with its *PoisonError, Close is
+// idempotent, and each refusal names the algorithm.
 func TestTooManyHandles(t *testing.T) {
-	// The bounded constructions must refuse the MaxThreads+1'th handle
-	// with ErrTooManyHandles (the unbounded ones hand out handles until
-	// Close).
-	for _, name := range []string{"mpserver", "hybcomb", "shmserver"} {
+	for _, name := range hybsync.Algorithms() {
 		t.Run(name, func(t *testing.T) {
-			ex, err := hybsync.New(name, func(op, arg uint64) uint64 { return 0 },
-				hybsync.WithMaxThreads(2))
-			if err != nil {
-				t.Fatal(err)
+			open := func() hybsync.Executor {
+				ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 { return 0 }),
+					hybsync.WithMaxThreads(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ex.Close() })
+				return ex
 			}
-			defer ex.Close()
+
+			// The poisoned refusal first: its *PoisonError says what the
+			// executor calls itself — name, unless an application
+			// registered an alias (api-test-custom builds a hybcomb).
+			ex := open()
+			ex.(hybsync.Poisonable).Poison("lifecycle test")
+			_, err := ex.NewHandle()
+			var pe *hybsync.PoisonError
+			if !errors.As(err, &pe) {
+				t.Fatalf("NewHandle after Poison = %v, want the *PoisonError", err)
+			}
+			if slices.Contains(requiredAlgos, name) && pe.Algo != name {
+				t.Fatalf("%s calls itself %q", name, pe.Algo)
+			}
+			refused := func(when string, err, want error) {
+				t.Helper()
+				if !errors.Is(err, want) {
+					t.Fatalf("NewHandle %s = %v, want %v", when, err, want)
+				}
+				if !strings.HasPrefix(err.Error(), pe.Algo+": ") {
+					t.Fatalf("NewHandle %s = %q, want it to name the algorithm %q", when, err, pe.Algo)
+				}
+			}
+			refused("after Poison", err, hybsync.ErrPoisoned)
+
+			ex = open()
 			for i := 0; i < 2; i++ {
 				if _, err := ex.NewHandle(); err != nil {
 					t.Fatalf("NewHandle %d: %v", i, err)
 				}
 			}
-			if _, err := ex.NewHandle(); !errors.Is(err, hybsync.ErrTooManyHandles) {
-				t.Fatalf("NewHandle beyond MaxThreads = %v, want ErrTooManyHandles", err)
+			_, err = ex.NewHandle()
+			refused("beyond MaxThreads", err, hybsync.ErrTooManyHandles)
+			for i := 0; i < 2; i++ {
+				if err := ex.Close(); err != nil {
+					t.Fatalf("Close %d: %v", i, err)
+				}
 			}
+			_, err = ex.NewHandle()
+			refused("after Close", err, hybsync.ErrClosed)
 		})
 	}
 }
 
 func TestMustHandlePanicsOnExhaustion(t *testing.T) {
-	ex := hybsync.MustNew("hybcomb", func(op, arg uint64) uint64 { return 0 },
+	ex := hybsync.MustNewObject("hybcomb", hybsync.Func(func(op, arg uint64) uint64 { return 0 }),
 		hybsync.WithMaxThreads(1))
 	defer ex.Close()
 	hybsync.MustHandle(ex)
@@ -128,7 +168,7 @@ func TestRegisterDuplicateRejected(t *testing.T) {
 		t.Fatalf("duplicate Register = %v, want ErrDuplicateAlgorithm", err)
 	}
 	// The custom registration is reachable through New like any built-in.
-	ex, err := hybsync.New("api-test-custom", func(op, arg uint64) uint64 { return arg })
+	ex, err := hybsync.NewObject("api-test-custom", hybsync.Func(func(op, arg uint64) uint64 { return arg }))
 	if err != nil {
 		t.Fatalf("New(custom): %v", err)
 	}
@@ -145,28 +185,24 @@ func TestRegisterDuplicateRejected(t *testing.T) {
 func TestBadOptionsRejectedAtNew(t *testing.T) {
 	dispatch := func(op, arg uint64) uint64 { return 0 }
 	bad := map[string]hybsync.Option{
-		"WithMaxThreads(0)":            hybsync.WithMaxThreads(0),
-		"WithMaxThreads(-4)":           hybsync.WithMaxThreads(-4),
-		"WithMaxOps(0)":                hybsync.WithMaxOps(0),
-		"WithMaxOps(-1)":               hybsync.WithMaxOps(-1),
-		"WithQueueCap(0)":              hybsync.WithQueueCap(0),
-		"WithQueueCap(-9)":             hybsync.WithQueueCap(-9),
-		"WithShards(0)":                hybsync.WithShards(0),
-		"WithShards(-2)":               hybsync.WithShards(-2),
-		"WithHybridBackend(shmserver)": hybsync.WithHybridBackend("shmserver"),
-		"WithHybridThreshold(0,1.25)":  hybsync.WithHybridThreshold(0, 1.25),
-		"WithHybridThreshold(0.5,0.5)": hybsync.WithHybridThreshold(0.5, 0.5),
-		"WithHybridWindow(0)":          hybsync.WithHybridWindow(0),
+		"WithMaxThreads(0)":  hybsync.WithMaxThreads(0),
+		"WithMaxThreads(-4)": hybsync.WithMaxThreads(-4),
+		"WithMaxOps(0)":      hybsync.WithMaxOps(0),
+		"WithMaxOps(-1)":     hybsync.WithMaxOps(-1),
+		"WithQueueCap(0)":    hybsync.WithQueueCap(0),
+		"WithQueueCap(-9)":   hybsync.WithQueueCap(-9),
+		"WithShards(0)":      hybsync.WithShards(0),
+		"WithShards(-2)":     hybsync.WithShards(-2),
 	}
 	for name, opt := range bad {
 		t.Run(name, func(t *testing.T) {
-			if _, err := hybsync.New("mpserver", dispatch, opt); !errors.Is(err, hybsync.ErrBadOption) {
+			if _, err := hybsync.NewObject("mpserver", hybsync.Func(dispatch), opt); !errors.Is(err, hybsync.ErrBadOption) {
 				t.Fatalf("New with %s = %v, want ErrBadOption", name, err)
 			}
 		})
 	}
 	// Valid values (and unset defaults) still construct.
-	ex, err := hybsync.New("mpserver", dispatch,
+	ex, err := hybsync.NewObject("mpserver", hybsync.Func(dispatch),
 		hybsync.WithMaxThreads(2), hybsync.WithShards(3), hybsync.WithQueueCap(8))
 	if err != nil {
 		t.Fatalf("New with valid options: %v", err)
@@ -175,7 +211,7 @@ func TestBadOptionsRejectedAtNew(t *testing.T) {
 }
 
 func TestUnknownAlgorithm(t *testing.T) {
-	if _, err := hybsync.New("no-such-algo", func(op, arg uint64) uint64 { return 0 }); !errors.Is(err, hybsync.ErrUnknownAlgorithm) {
+	if _, err := hybsync.NewObject("no-such-algo", hybsync.Func(func(op, arg uint64) uint64 { return 0 })); !errors.Is(err, hybsync.ErrUnknownAlgorithm) {
 		t.Fatalf("New(unknown) = %v, want ErrUnknownAlgorithm", err)
 	}
 }

@@ -186,6 +186,7 @@ func runUnit(cfgFile string, jsonOut bool) int {
 			Pkg:        pkg,
 			TypesInfo:  info,
 			TypesSizes: tc.Sizes,
+			GOARCH:     build.Default.GOARCH,
 			Report:     func(d lintkit.Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {

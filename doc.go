@@ -2,16 +2,16 @@
 // Efficient Thread Synchronization" (Petrović, Ropars, Schiper —
 // PPoPP 2014) and is the public API of the repository: the
 // Object/Executor/Handle contract, the string-keyed algorithm
-// registry (New, NewObject, Register, Algorithms), functional options
+// registry (NewObject, Register, Algorithms), functional options
 // (WithMaxThreads, WithMaxOps, WithQueueCap, WithShards) and the
 // uniform lifecycle — error-returning NewHandle and idempotent Close —
 // that every construction satisfies.
 // The execution contract is batch-aware: an Object's DispatchBatch
 // executes a whole drained run of {op, arg} requests in one
-// mutual-exclusion call (NewObject; the legacy scalar Dispatch still
-// works through New, wrapped in the looping Func adapter), and the
-// Handle contract is a submit/complete pipeline: because a request
-// is a message, a client need not block between submission and reply,
+// mutual-exclusion call (NewObject; a bare function converts with the
+// looping Func adapter), and the Handle contract is a submit/complete
+// pipeline: because a request is a message, a client need not block
+// between submission and reply,
 // so Submit(op, arg) returns a Ticket, Wait(Ticket) collects the
 // result, Post fires and forgets, Flush drains, ApplyBatch executes a
 // whole batch blocking, and the classic blocking Apply is just
@@ -36,10 +36,11 @@
 //     internal/mpq (public faces: this package and hybsync/object):
 //     the same algorithms as a native Go library on real goroutines —
 //     MP-SERVER and HYBCOMB over lock-free bounded message queues,
-//     CC-SYNCH and SHM-SERVER over shared memory, classic spin locks,
-//     and the evaluation's concurrent objects (counter, MS-Queues,
-//     LCRQ, Treiber stack, coarse-lock stack). cmd/hybsweep measures
-//     them through the registry, one grid cell at a time.
+//     CC-SYNCH and SHM-SERVER over shared memory, classic spin locks
+//     (and the hybrid that starts as one and promotes itself to
+//     HYBCOMB), and the evaluation's concurrent objects (counter,
+//     MS-Queues, LCRQ, Treiber stack, coarse-lock stack). cmd/hybsweep
+//     measures them through the registry, one grid cell at a time.
 //
 // See README.md for a tour and DESIGN.md for the system inventory,
 // the registry and lifecycle contract, and the per-experiment index.

@@ -1,8 +1,8 @@
 // Bank: HYBCOMB as a universal construction for an arbitrary sequential
 // object — here a tiny bank whose accounts support deposits and
 // transfers. The paper's point (§1) is that universal constructions let
-// non-experts write highly-efficient concurrent code: the Dispatch
-// function below is plain sequential Go, yet every operation is
+// non-experts write highly-efficient concurrent code: the function
+// below is plain sequential Go, yet every operation is
 // linearizable under arbitrary concurrency.
 //
 //	go run ./examples/bank
@@ -29,7 +29,7 @@ func main() {
 	const accounts = 64
 	balance := make([]uint64, accounts)
 
-	bank, err := hybsync.New("hybcomb", func(op, arg uint64) uint64 {
+	bank, err := hybsync.NewObject("hybcomb", hybsync.Func(func(op, arg uint64) uint64 {
 		switch op {
 		case opDeposit:
 			balance[arg>>32] += arg & 0xFFFFFFFF
@@ -52,9 +52,9 @@ func main() {
 			return sum
 		}
 		panic("bad opcode")
-	}, hybsync.WithMaxThreads(32))
+	}), hybsync.WithMaxThreads(32))
 	if err != nil {
-		log.Fatalf("hybsync.New: %v", err)
+		log.Fatalf("hybsync.NewObject: %v", err)
 	}
 	defer bank.Close()
 

@@ -3,10 +3,12 @@
 // where every construction is linked in. Since every NewHandle returns
 // the same pipeline type over a construction-specific transport, what
 // the script checks is the pipeline once and each transport's three
-// methods — TestOnePipelineType keeps it that way.
+// methods — TestOnePipelineType keeps it that way, and
+// TestOneExecutorShell does the same for the executor side.
 package hybsync_test
 
 import (
+	"reflect"
 	"testing"
 
 	"hybsync"
@@ -69,7 +71,7 @@ func TestOnePipelineType(t *testing.T) {
 	}
 	for _, name := range hybsync.Algorithms() {
 		t.Run(name, func(t *testing.T) {
-			ex, err := hybsync.New(name, func(op, arg uint64) uint64 { return 0 })
+			ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 { return 0 }))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,4 +80,32 @@ func TestOnePipelineType(t *testing.T) {
 		})
 	}
 	check(t, hybsync.SyncHandle(func(op, arg uint64) uint64 { return 0 }))
+}
+
+// TestOneExecutorShell: every registered algorithm's executor embeds
+// the one core.Shell — admission (fault, closed, MaxThreads), the
+// sealed flag and the telemetry wiring are written once. A construction
+// that hand-rolls them again answers NewHandle in its own words, or
+// forgets the bound, and fails here.
+func TestOneExecutorShell(t *testing.T) {
+	for _, name := range hybsync.Algorithms() {
+		t.Run(name, func(t *testing.T) {
+			ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 { return 0 }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ex.Close()
+			typ := reflect.TypeOf(ex)
+			if typ.Kind() == reflect.Pointer {
+				typ = typ.Elem()
+			}
+			var f reflect.StructField
+			if typ.Kind() == reflect.Struct {
+				f, _ = typ.FieldByName("Shell")
+			}
+			if !f.Anonymous || f.Type != reflect.TypeOf(core.Shell{}) {
+				t.Errorf("executor %v does not embed core.Shell: build NewHandle on Shell.Admit and Close on Shell.Seal", typ)
+			}
+		})
+	}
 }

@@ -6,21 +6,13 @@ import (
 	"hybsync/internal/core"
 	"hybsync/internal/telemetry"
 
-	// The construction packages self-register with the algorithm
-	// registry from their init functions; linking them here makes every
-	// built-in algorithm available to New through the bare hybsync
-	// import.
+	// The constructions self-register with the algorithm registry from
+	// their packages' init functions (core's own, the lock executors
+	// included, come with the import above); linking shmsync here makes
+	// every built-in algorithm available to NewObject through the bare
+	// hybsync import.
 	_ "hybsync/internal/shmsync"
-	_ "hybsync/internal/spin"
 )
-
-// Dispatch executes opcode op with argument arg against the protected
-// object and returns the result. It is always invoked in mutual
-// exclusion, so it may touch shared state without further
-// synchronization. Dispatch is the legacy scalar contract: New wraps
-// it in Func, so everything executes through the batch-aware Object
-// interface underneath.
-type Dispatch = core.Dispatch
 
 // Req is one operation of a batch: opcode plus the single 64-bit
 // argument.
@@ -35,9 +27,9 @@ type Req = core.Req
 // "Batch-aware dispatch".
 type Object = core.Object
 
-// Func adapts a legacy Dispatch function into an Object that loops;
-// Func(d) is what New wraps a scalar dispatch with, and the conversion
-// is free (the two share an underlying type).
+// Func adapts a bare func(op, arg uint64) uint64 — one operation per
+// call, always invoked in mutual exclusion — into an Object that loops
+// over the run; the conversion Func(f) is free.
 type Func = core.Func
 
 // Executor is the uniform contract of every critical-section
@@ -123,13 +115,13 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 type Option = core.Option
 
 // Options is the resolved configuration a Factory receives; build it
-// from Option values via New rather than positionally.
+// from Option values via NewObject rather than positionally.
 type Options = core.Options
 
 // Factory builds one executor instance for a registered algorithm from
-// the batch-aware Object and the already-defaulted Options. Legacy
-// scalar dispatches arrive wrapped in Func, so a factory never
-// distinguishes the two.
+// the batch-aware Object and the already-defaulted Options. A bare
+// function arrives wrapped in Func, so a factory never distinguishes
+// the two.
 type Factory = core.Factory
 
 // Sentinel errors returned (wrapped) by the lifecycle and registry
@@ -167,7 +159,8 @@ type PoisonError = core.PoisonError
 type Poisonable = core.Poisonable
 
 // WithMaxThreads bounds how many handles an executor hands out
-// (default 128).
+// (default 128), whatever the construction: the next NewHandle fails
+// with ErrTooManyHandles.
 func WithMaxThreads(n int) Option { return core.WithMaxThreads(n) }
 
 // WithMaxOps sets the combining bound MAX_OPS of "hybcomb" and
@@ -191,26 +184,6 @@ func WithShards(n int) Option { return core.WithShards(n) }
 // disables the watchdog and keeps the hot path free of clock reads.
 func WithStallTimeout(d time.Duration) Option { return core.WithStallTimeout(d) }
 
-// WithHybridBackend selects the delegation construction the "hybrid"
-// executor promotes to: "hybcomb" (the default) or "mpserver". Other
-// constructions ignore it.
-func WithHybridBackend(name string) Option { return core.WithHybridBackend(name) }
-
-// WithHybridThreshold tunes the "hybrid" executor's transition points:
-// promote when the windowed contended-acquisition rate reaches promote
-// (retries per acquisition, default 0.5), start demotion credit when
-// the windowed mean delegation run length falls below demote (requests
-// per run, default 1.25, must be >= 1). Keep promote well above
-// demote's excess so the two regimes cannot oscillate.
-func WithHybridThreshold(promote, demote float64) Option {
-	return core.WithHybridThreshold(promote, demote)
-}
-
-// WithHybridWindow sets how many operations the "hybrid" executor
-// accumulates per adaptation decision (default 1024). Smaller windows
-// react faster; larger windows resist bursts.
-func WithHybridWindow(n int) Option { return core.WithHybridWindow(n) }
-
 // WithTelemetry attaches t as the executor's metric core: blocking
 // calls record sampled latency, every dispatch run records its length,
 // and poison/stall/submit-stall events are counted. One Telemetry may
@@ -219,31 +192,20 @@ func WithHybridWindow(n int) Option { return core.WithHybridWindow(n) }
 // nil-check branch per operation.
 func WithTelemetry(t *Telemetry) Option { return core.WithTelemetry(t) }
 
-// New constructs the named algorithm around a legacy scalar dispatch
-// function (wrapped in Func); NewObject is the batch-aware primary
-// entry point. Built-in names are "mpserver", "hybcomb", "ccsynch",
-// "shmserver", the adaptive "hybrid" (lock that promotes itself to
-// delegation under contention — see WithHybridBackend) and the
-// spin-lock executors "tas-lock", "ttas-lock", "ticket-lock",
-// "mcs-lock", "clh-lock"; Algorithms lists everything registered. Unknown names fail with ErrUnknownAlgorithm; options
-// explicitly set to invalid values fail with ErrBadOption.
-func New(name string, dispatch Dispatch, opts ...Option) (Executor, error) {
-	return core.New(name, dispatch, opts...)
-}
-
 // NewObject constructs the named algorithm around a batch-aware
 // object: every drained run, combining round or lock-held batch the
 // construction forms reaches obj as one DispatchBatch call, letting
 // the object amortize work across the run (a counter sums it locally,
-// a queue applies it without per-operation indirection). Names and
-// errors are New's.
+// a queue applies it without per-operation indirection); a bare
+// function is NewObject(name, Func(f)). Built-in names are "mpserver",
+// "hybcomb", "ccsynch", "shmserver", the adaptive "hybrid" (a lock that
+// promotes itself to hybcomb delegation under contention) and the
+// spin-lock executors "tas-lock", "ttas-lock", "ticket-lock",
+// "mcs-lock", "clh-lock"; Algorithms lists everything registered.
+// Unknown names fail with ErrUnknownAlgorithm; options explicitly set
+// to invalid values fail with ErrBadOption.
 func NewObject(name string, obj Object, opts ...Option) (Executor, error) {
 	return core.NewObject(name, obj, opts...)
-}
-
-// MustNew is New, panicking on failure.
-func MustNew(name string, dispatch Dispatch, opts ...Option) Executor {
-	return core.MustNew(name, dispatch, opts...)
 }
 
 // MustNewObject is NewObject, panicking on failure.
@@ -261,7 +223,7 @@ func MustHandle(e Executor) Handle { return core.MustHandle(e) }
 // executors whose transport has no natural submit/complete split.
 func SyncHandle(apply func(op, arg uint64) uint64) Handle { return core.SyncHandle(apply) }
 
-// Register adds an algorithm under name so New (and the object
+// Register adds an algorithm under name so NewObject (and the object
 // constructors) can build it; it fails with ErrDuplicateAlgorithm if
 // the name is taken.
 func Register(name string, f Factory) error { return core.Register(name, f) }

@@ -12,9 +12,12 @@
 // Fixture packages import each other by bare directory name (a fixture
 // "core" package stands in for hybsync/internal/core) and may import
 // the real standard library, which is type-checked from GOROOT source
-// so the suite runs offline. Fixtures are type-checked with the gc
-// sizes for amd64 regardless of host, keeping padcheck expectations
-// host-independent.
+// so the suite runs offline. Every fixture is type-checked and analyzed
+// twice, with the gc sizes for amd64 and for 386 regardless of host, and
+// the two runs' diagnostics are checked as one set: a layout finding
+// that exists only on one target fires its // want line, and a finding
+// that does not depend on sizes is reported identically by both runs
+// and counted once.
 package antest
 
 import (
@@ -33,35 +36,53 @@ import (
 	"hybsync/internal/analysis/lintkit"
 )
 
+// fixtureArches are the targets every fixture is analyzed for.
+var fixtureArches = []string{"amd64", "386"}
+
 // Run loads each fixture package under testdata/src and applies a to
 // it, checking diagnostics against the // want comments in that
 // package's files.
 func Run(t *testing.T, a *lintkit.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	l := newLoader(t, filepath.Join("testdata", "src"))
+	loaders := make([]*loader, len(fixtureArches))
+	for i, goarch := range fixtureArches {
+		loaders[i] = newLoader(t, filepath.Join("testdata", "src"), goarch)
+	}
 	for _, path := range pkgpaths {
-		pkg := l.load(path)
-		var diags []lintkit.Diagnostic
-		pass := &lintkit.Pass{
-			Analyzer:   a,
-			Fset:       l.fset,
-			Files:      pkg.files,
-			Pkg:        pkg.pkg,
-			TypesInfo:  pkg.info,
-			TypesSizes: fixtureSizes,
-			Report:     func(d lintkit.Diagnostic) { diags = append(diags, d) },
+		var diags []diagnostic
+		seen := make(map[diagnostic]bool)
+		for _, l := range loaders {
+			pkg := l.load(path)
+			pass := &lintkit.Pass{
+				Analyzer:   a,
+				Fset:       l.fset,
+				Files:      pkg.files,
+				Pkg:        pkg.pkg,
+				TypesInfo:  pkg.info,
+				TypesSizes: l.sizes,
+				GOARCH:     l.goarch,
+				Report: func(d lintkit.Diagnostic) {
+					if d := (diagnostic{l.fset.Position(d.Pos), d.Message}); !seen[d] {
+						seen[d] = true
+						diags = append(diags, d)
+					}
+				},
+			}
+			if err := a.Run(pass); err != nil {
+				t.Errorf("%s: analyzer %s failed for %s: %v", path, a.Name, l.goarch, err)
+			}
 		}
-		if err := a.Run(pass); err != nil {
-			t.Errorf("%s: analyzer %s failed: %v", path, a.Name, err)
-			continue
-		}
-		checkWants(t, l.fset, path, pkg.files, diags)
+		// Either load's syntax carries the // want comments.
+		checkWants(t, loaders[0].fset, path, loaders[0].load(path).files, diags)
 	}
 }
 
-// fixtureSizes pins fixture layouts to gc/amd64 so expectations do not
-// depend on the host the tests run on.
-var fixtureSizes = types.SizesFor("gc", "amd64")
+// A diagnostic is one finding resolved to file:line:column, so that the
+// same finding from two loads of a fixture compares equal.
+type diagnostic struct {
+	pos     token.Position
+	message string
+}
 
 type loadedPkg struct {
 	pkg   *types.Package
@@ -72,17 +93,21 @@ type loadedPkg struct {
 type loader struct {
 	t       *testing.T
 	root    string
+	goarch  string
+	sizes   types.Sizes // gc's, for goarch
 	fset    *token.FileSet
 	std     types.Importer
 	pkgs    map[string]*loadedPkg
 	loading map[string]bool
 }
 
-func newLoader(t *testing.T, root string) *loader {
+func newLoader(t *testing.T, root, goarch string) *loader {
 	fset := token.NewFileSet()
 	return &loader{
 		t:       t,
 		root:    root,
+		goarch:  goarch,
+		sizes:   types.SizesFor("gc", goarch),
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    make(map[string]*loadedPkg),
@@ -143,7 +168,7 @@ func (l *loader) load(path string) *loadedPkg {
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	tc := &types.Config{Importer: l, Sizes: fixtureSizes}
+	tc := &types.Config{Importer: l, Sizes: l.sizes}
 	pkg, err := tc.Check(path, l.fset, files, info)
 	if err != nil {
 		l.t.Fatalf("fixture package %q does not type-check: %v", path, err)
@@ -205,21 +230,21 @@ func parseWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[string
 	return wants
 }
 
-func checkWants(t *testing.T, fset *token.FileSet, pkg string, files []*ast.File, diags []lintkit.Diagnostic) {
+func checkWants(t *testing.T, fset *token.FileSet, pkg string, files []*ast.File, diags []diagnostic) {
 	t.Helper()
 	wants := parseWants(t, fset, files)
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+		pos := d.pos
 		found := false
 		for _, w := range wants[pos.Filename][pos.Line] {
-			if !w.matched && w.re.MatchString(d.Message) {
+			if !w.matched && w.re.MatchString(d.message) {
 				w.matched = true
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
+			t.Errorf("%s: unexpected diagnostic: %s", pos, d.message)
 		}
 	}
 	for _, byLine := range wants {

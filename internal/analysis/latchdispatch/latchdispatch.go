@@ -1,6 +1,6 @@
 // Package latchdispatch enforces the fault-containment choke point:
 // inside the construction packages (internal/core, internal/shmsync,
-// internal/spin, internal/shard), Object.DispatchBatch must never be
+// internal/shard), Object.DispatchBatch must never be
 // called directly — every dispatch flows through PoisonLatch.Dispatch,
 // which is what recovers a panicking object into the poisoned state
 // and zero-fills the results.
@@ -35,7 +35,7 @@ var Analyzer = &lintkit.Analyzer{
 // scopePkgs are the construction packages, matched by final import
 // path segment so the analyzer covers both the real tree
 // (hybsync/internal/core) and fixtures (core).
-var scopePkgs = map[string]bool{"core": true, "shmsync": true, "spin": true, "shard": true}
+var scopePkgs = map[string]bool{"core": true, "shmsync": true, "shard": true}
 
 func run(pass *lintkit.Pass) error {
 	path := pass.Pkg.Path()

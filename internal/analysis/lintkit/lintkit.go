@@ -40,12 +40,16 @@ func (a *Analyzer) String() string { return a.Name }
 
 // A Pass provides one package's syntax and types to an Analyzer's Run.
 type Pass struct {
-	Analyzer   *Analyzer
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	TypesInfo  *types.Info
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+	// TypesSizes is the compiler's size model for GOARCH, the target the
+	// package was type-checked for (constant expressions over
+	// unsafe.Sizeof are already folded under it).
 	TypesSizes types.Sizes
+	GOARCH     string
 
 	// Report delivers one diagnostic. The driver supplies it.
 	Report func(Diagnostic)

@@ -1,46 +1,43 @@
 // Package padcheck machine-verifies the pad.Line / tail-pad layout
-// idiom on both 64-bit and 32-bit targets.
+// idiom under the compiler's own size model for the target it is run
+// for.
 //
 // The per-package layout tests assert offsets with unsafe.Sizeof and
 // unsafe.Offsetof — but those constants fold for the architecture the
 // tests run on, so a layout that is line-padded on amd64 can silently
-// mis-pad on 386/arm, and CI never compiles for a 32-bit target.
-// padcheck closes that hole statically: for every struct annotated
+// mis-pad on 386/arm, where CI builds but never runs a test. padcheck
+// closes that hole statically, with no size model of its own: hyblint
+// type-checks each package with types.SizesFor(compiler, GOARCH), under
+// which go/types folds every
+// `[pad.CacheLine - unsafe.Sizeof(hot{})%pad.CacheLine]byte` for that
+// target and applies gc's layout rules (sync/atomic's align64 included),
+// so pass.TypesSizes answers Sizeof and Offsetsof exactly as the
+// compiler would. CI runs the suite once per target —
+//
+//	go vet -vettool=hyblint ./... && GOARCH=386 go vet -vettool=hyblint ./...
+//
+// — and for every struct annotated
 //
 //	//hyblint:padded   — an array-element type; must be a whole number
-//	                     of cache lines on every target
+//	                     of cache lines
 //	//hyblint:padsep   — a header type using pad.Line separators; no
 //	                     overall size requirement
 //
-// it recomputes the layout under its own size model for amd64 AND 386,
-// re-evaluating `[pad.CacheLine - unsafe.Sizeof(hot{})%pad.CacheLine]byte`
-// pad expressions with the target's sizes (the folded host value is
-// useless for this), and reports:
+// padcheck reports:
 //
-//   - a padded struct whose 32-bit (or 64-bit) size is not a whole
-//     number of cache lines — the stale hand-counted pad bug;
+//   - a padded struct whose size is not a whole number of cache lines —
+//     the stale hand-counted pad bug;
 //   - two fields separated by an explicit pad field that still share a
 //     cache line — the under-separation bug;
-//   - a sync/atomic.{Int64,Uint64} field whose 386 offset is not
-//     8-aligned. The gc compiler would rescue such a field through the
-//     align64 special case, but the repo contract is natural alignment
-//     by construction — it costs nothing in a padded struct and does
-//     not lean on one compiler's layout fixup;
-//   - pad idiom structs (a pad.Line field, or a Sizeof-computed tail
+//   - pad idiom structs (a pad.Line field, or an unsafe-computed tail
 //     pad) that lack a marker, so new constructions cannot pad
 //     heuristically and skip verification.
-//
-// As a self-test, the amd64 model is cross-checked against the real
-// compiler sizes of the host type-check on 64-bit hosts; a mismatch is
-// a padcheck bug and is reported as such.
 package padcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 
 	"hybsync/internal/analysis/lintkit"
 )
@@ -48,7 +45,7 @@ import (
 // Analyzer is the padcheck analysis.
 var Analyzer = &lintkit.Analyzer{
 	Name: "padcheck",
-	Doc:  "verifies //hyblint:padded struct layouts for 64-bit and 32-bit targets",
+	Doc:  "verifies //hyblint:padded struct layouts under the target's size model",
 	Run:  run,
 }
 
@@ -56,18 +53,7 @@ var Analyzer = &lintkit.Analyzer{
 // 64-byte lines.
 const cacheLine = 64
 
-// An arch is one target size model: gc's word size and maximal basic
-// alignment.
-type arch struct {
-	name     string
-	word     int64
-	maxAlign int64
-}
-
-var arches = [2]arch{{"amd64", 8, 8}, {"386", 4, 4}}
-
 func run(pass *lintkit.Pass) error {
-	astOf := namedTypeASTs(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -80,14 +66,14 @@ func run(pass *lintkit.Pass) error {
 				if !ok || pass.InTestFile(ts.Pos()) {
 					continue
 				}
-				checkStructDecl(pass, astOf, gd, ts, st)
+				checkStructDecl(pass, gd, ts, st)
 			}
 		}
 	}
 	return nil
 }
 
-func checkStructDecl(pass *lintkit.Pass, astOf map[types.Object]ast.Expr, gd *ast.GenDecl, ts *ast.TypeSpec, st *ast.StructType) {
+func checkStructDecl(pass *lintkit.Pass, gd *ast.GenDecl, ts *ast.TypeSpec, st *ast.StructType) {
 	padded := pass.Directive(ts, "padded") || pass.Directive(gd, "padded")
 	padsep := pass.Directive(ts, "padsep") || pass.Directive(gd, "padsep")
 
@@ -99,113 +85,69 @@ func checkStructDecl(pass *lintkit.Pass, astOf map[types.Object]ast.Expr, gd *as
 	if !ok {
 		return
 	}
+	name := ts.Name.Name
 
 	if !padded && !padsep {
 		// Discovery: pad idioms without a marker skip verification.
 		if tail, sep := padIdiomUse(pass, st); tail {
-			pass.Reportf(ts.Pos(), "struct %s uses a Sizeof-computed tail pad but has no //hyblint:padded marker, so its 32-bit layout is unverified", ts.Name.Name)
+			pass.Reportf(ts.Pos(), "struct %s uses an unsafe-computed tail pad but has no //hyblint:padded marker, so its layout is unverified", name)
 		} else if sep {
-			pass.Reportf(ts.Pos(), "struct %s uses pad.Line separators but has no //hyblint:padsep marker, so its 32-bit layout is unverified", ts.Name.Name)
+			pass.Reportf(ts.Pos(), "struct %s uses pad.Line separators but has no //hyblint:padsep marker, so its layout is unverified", name)
 		}
 		return
 	}
 	if padded && padsep {
-		pass.Reportf(ts.Pos(), "struct %s carries both //hyblint:padded and //hyblint:padsep; pick one", ts.Name.Name)
+		pass.Reportf(ts.Pos(), "struct %s carries both //hyblint:padded and //hyblint:padsep; pick one", name)
 		return
 	}
 
-	for _, a := range arches {
-		l := &layouter{pass: pass, arch: a, astOf: astOf}
-		fields, size, _, err := l.structLayout(styp, st)
-		if err != nil {
-			pass.Reportf(ts.Pos(), "cannot verify layout of %s for %s: %v", ts.Name.Name, a.name, err)
-			continue
-		}
-		if padded && size%cacheLine != 0 {
-			pass.Reportf(ts.Pos(), "padded struct %s is %d bytes on %s, not a whole number of %d-byte cache lines", ts.Name.Name, size, a.name, cacheLine)
-		}
-		checkSeparation(pass, ts, a, fields)
-		l.checkAtomic64(ts, fields, 0)
-
-		if a.name == "amd64" && hostIs64Bit(pass) {
-			if host := pass.TypesSizes.Sizeof(styp); host != size {
-				pass.Reportf(ts.Pos(), "padcheck internal error: computed %d bytes for %s on amd64 but the compiler says %d", size, ts.Name.Name, host)
-			}
-		}
+	sizes := pass.TypesSizes
+	if size := sizes.Sizeof(styp); padded && size%cacheLine != 0 {
+		pass.Reportf(ts.Pos(), "padded struct %s is %d bytes on %s, not a whole number of %d-byte cache lines", name, size, pass.GOARCH, cacheLine)
 	}
-}
 
-// checkSeparation verifies the pad.Line contract: when the author put
-// an explicit pad field between two live fields, those fields must not
-// share a cache line.
-func checkSeparation(pass *lintkit.Pass, ts *ast.TypeSpec, a arch, fields []fieldLayout) {
-	lastLive := -1
-	sawPad := false
+	// The pad.Line contract: when the author put an explicit pad field
+	// between two live fields, those fields must not share a cache line.
+	fields := make([]*types.Var, styp.NumFields())
+	for i := range fields {
+		fields[i] = styp.Field(i)
+	}
+	offsets := sizes.Offsetsof(fields)
+	prev, sawPad := -1, false
 	for i, f := range fields {
-		if f.isPad {
+		if isPadField(f) {
 			sawPad = true
 			continue
 		}
-		if sawPad && lastLive >= 0 {
-			prev := fields[lastLive]
-			if prev.size > 0 && f.size > 0 && (prev.offset+prev.size-1)/cacheLine == f.offset/cacheLine {
-				pass.Reportf(ts.Pos(), "fields %s and %s of %s are separated by a pad field but share a cache line on %s (offsets %d and %d)", prev.name, f.name, ts.Name.Name, a.name, prev.offset, f.offset)
-			}
-		}
-		lastLive, sawPad = i, false
-	}
-}
-
-// checkAtomic64 reports 64-bit sync/atomic fields whose 32-bit offset
-// is not naturally 8-aligned, recursing into struct fields declared in
-// this package.
-func (l *layouter) checkAtomic64(ts *ast.TypeSpec, fields []fieldLayout, base int64) {
-	if l.arch.name != "386" {
-		return
-	}
-	for _, f := range fields {
-		off := base + f.offset
-		if isAtomic64(f.t) {
-			if off%8 != 0 {
-				l.pass.Reportf(ts.Pos(), "64-bit atomic field %s of %s sits at offset %d on 386: not 8-aligned without the compiler's align64 fixup; reorder or pad so it is naturally aligned", f.name, ts.Name.Name, off)
-			}
+		size := sizes.Sizeof(f.Type())
+		if size == 0 {
 			continue
 		}
-		if sub, astSub, ok := l.structFieldSyntax(f.t); ok {
-			subFields, _, _, err := l.structLayout(sub, astSub)
-			if err == nil {
-				l.checkAtomic64(ts, subFields, off)
+		if sawPad && prev >= 0 {
+			prevEnd := offsets[prev] + sizes.Sizeof(fields[prev].Type()) - 1
+			if prevEnd/cacheLine == offsets[i]/cacheLine {
+				pass.Reportf(ts.Pos(), "fields %s and %s of %s are separated by a pad field but share a cache line on %s (offsets %d and %d)", fields[prev].Name(), f.Name(), name, pass.GOARCH, offsets[prev], offsets[i])
 			}
 		}
+		prev, sawPad = i, false
 	}
 }
 
-// structFieldSyntax resolves a field type to (struct type, its AST) if
-// it is a struct declared in this package (directly or by name) —
-// those are the ones whose nested pads need target re-evaluation.
-func (l *layouter) structFieldSyntax(t types.Type) (*types.Struct, *ast.StructType, bool) {
-	switch t := t.(type) {
-	case *types.Named:
-		if e, ok := l.astOf[t.Obj()]; ok {
-			if st, ok := e.(*ast.StructType); ok {
-				return t.Underlying().(*types.Struct), st, true
-			}
-		}
-	case *types.Struct:
-		return t, nil, true
+// isPadField reports whether f is an explicit padding field: blank, and
+// a pad.Line or a byte array.
+func isPadField(f *types.Var) bool {
+	if f.Name() != "_" {
+		return false
 	}
-	return nil, nil, false
-}
-
-// isAtomic64 reports whether t is sync/atomic.Int64 or Uint64.
-func isAtomic64(t types.Type) bool {
-	named, ok := t.(*types.Named)
+	if isPadLineType(f.Type()) {
+		return true
+	}
+	arr, ok := f.Type().Underlying().(*types.Array)
 	if !ok {
 		return false
 	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" &&
-		(obj.Name() == "Int64" || obj.Name() == "Uint64")
+	b, ok := arr.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Uint8
 }
 
 // isPadLineType reports whether t is the pad.Line separator type
@@ -219,11 +161,11 @@ func isPadLineType(t types.Type) bool {
 	return obj.Name() == "Line" && obj.Pkg() != nil && obj.Pkg().Name() == "pad"
 }
 
-// padIdiomUse reports whether the struct syntax uses a Sizeof-computed
-// tail pad and/or pad.Line (or blank byte-array) separators.
+// padIdiomUse reports whether the struct syntax uses an unsafe-computed
+// tail pad and/or pad.Line separators.
 func padIdiomUse(pass *lintkit.Pass, st *ast.StructType) (tailPad, separators bool) {
 	for _, field := range st.Fields.List {
-		if !blankField(field) {
+		if len(field.Names) != 1 || field.Names[0].Name != "_" {
 			continue
 		}
 		if t := pass.TypesInfo.Types[field.Type].Type; t != nil && isPadLineType(t) {
@@ -237,376 +179,18 @@ func padIdiomUse(pass *lintkit.Pass, st *ast.StructType) (tailPad, separators bo
 	return tailPad, separators
 }
 
-func blankField(f *ast.Field) bool {
-	return len(f.Names) == 1 && f.Names[0].Name == "_"
-}
-
-func hostIs64Bit(pass *lintkit.Pass) bool {
-	return pass.TypesSizes.Sizeof(types.NewPointer(types.Typ[types.Int])) == 8
-}
-
-// namedTypeASTs indexes this package's type declarations so the
-// layouter can re-evaluate pad expressions inside named field types.
-func namedTypeASTs(pass *lintkit.Pass) map[types.Object]ast.Expr {
-	m := make(map[types.Object]ast.Expr)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts := spec.(*ast.TypeSpec)
-				if obj := pass.TypesInfo.Defs[ts.Name]; obj != nil {
-					m[obj] = ts.Type
-				}
-			}
-		}
-	}
-	return m
-}
-
-// A fieldLayout is one field placed under a target size model.
-type fieldLayout struct {
-	name    string
-	isPad   bool // an explicit padding field: blank, byte array or pad.Line
-	offset  int64
-	size    int64
-	t       types.Type
-	astType ast.Expr // nil when no syntax is available
-}
-
-// A layouter computes sizes and offsets under one arch, preferring the
-// declaration syntax (where pad expressions live) over the host-folded
-// type information.
-type layouter struct {
-	pass  *lintkit.Pass
-	arch  arch
-	astOf map[types.Object]ast.Expr
-}
-
-func (l *layouter) structLayout(st *types.Struct, astST *ast.StructType) ([]fieldLayout, int64, int64, error) {
-	fields, err := flattenFields(st, astST)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var off, structAlign int64 = 0, 1
-	for i := range fields {
-		f := &fields[i]
-		size, err := l.sizeofExpr(f.astType, f.t)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		align, err := l.alignof(f.t)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		off = roundUp(off, align)
-		f.offset, f.size = off, size
-		off += size
-		if align > structAlign {
-			structAlign = align
-		}
-	}
-	size := off
-	// gc pads a trailing zero-sized field so a past-the-end pointer
-	// stays inside the object.
-	if n := len(fields); n > 0 && fields[n-1].size == 0 && size > 0 {
-		size++
-	}
-	size = roundUp(size, structAlign)
-	return fields, size, structAlign, nil
-}
-
-// flattenFields pairs each types.Struct field with its declaration
-// syntax (one AST field with k names yields k fields).
-func flattenFields(st *types.Struct, astST *ast.StructType) ([]fieldLayout, error) {
-	var fields []fieldLayout
-	if astST != nil {
-		for _, af := range astST.Fields.List {
-			n := len(af.Names)
-			if n == 0 {
-				n = 1 // embedded
-			}
-			for range n {
-				fields = append(fields, fieldLayout{astType: af.Type})
-			}
-		}
-		if len(fields) != st.NumFields() {
-			return nil, fmt.Errorf("syntax/type field mismatch: %d vs %d", len(fields), st.NumFields())
-		}
-	} else {
-		fields = make([]fieldLayout, st.NumFields())
-	}
-	for i := range fields {
-		v := st.Field(i)
-		fields[i].name = v.Name()
-		fields[i].t = v.Type()
-		fields[i].isPad = v.Name() == "_" && (isPadLineType(v.Type()) || isByteArray(v.Type()))
-	}
-	return fields, nil
-}
-
-func isByteArray(t types.Type) bool {
-	arr, ok := t.Underlying().(*types.Array)
-	if !ok {
-		return false
-	}
-	b, ok := arr.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8)
-}
-
-// sizeofExpr sizes t, re-evaluating array lengths from the syntax when
-// the declaration computed them with unsafe (the host folded those for
-// the wrong target).
-func (l *layouter) sizeofExpr(e ast.Expr, t types.Type) (int64, error) {
-	if at, ok := e.(*ast.ArrayType); ok && at.Len != nil {
-		arr, ok := t.Underlying().(*types.Array)
-		if !ok {
-			return l.sizeof(t)
-		}
-		n := arr.Len()
-		if containsUnsafe(l.pass, at.Len) {
-			var err error
-			n, err = l.evalConst(at.Len)
-			if err != nil {
-				return 0, err
-			}
-			if n < 0 {
-				return 0, fmt.Errorf("pad array length is %d on %s: the padded fields outgrew the pad", n, l.arch.name)
-			}
-		}
-		elem, err := l.sizeofExpr(at.Elt, arr.Elem())
-		if err != nil {
-			return 0, err
-		}
-		return n * elem, nil
-	}
-	return l.sizeof(t)
-}
-
-func (l *layouter) sizeof(t types.Type) (int64, error) {
-	switch t := t.(type) {
-	case *types.Named, *types.Alias:
-		if named, ok := t.(*types.Named); ok {
-			if e, ok := l.astOf[named.Obj()]; ok {
-				return l.sizeofExpr(e, named.Underlying())
-			}
-		}
-		return l.sizeof(t.Underlying())
-	case *types.Basic:
-		return l.basicSize(t)
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return l.arch.word, nil
-	case *types.Slice:
-		return 3 * l.arch.word, nil
-	case *types.Interface:
-		return 2 * l.arch.word, nil
-	case *types.Array:
-		elem, err := l.sizeof(t.Elem())
-		if err != nil {
-			return 0, err
-		}
-		return t.Len() * elem, nil
-	case *types.Struct:
-		_, size, _, err := l.structLayout(t, nil)
-		return size, err
-	}
-	return 0, fmt.Errorf("cannot size %v", t)
-}
-
-func (l *layouter) basicSize(t *types.Basic) (int64, error) {
-	switch t.Kind() {
-	case types.Bool, types.Int8, types.Uint8:
-		return 1, nil
-	case types.Int16, types.Uint16:
-		return 2, nil
-	case types.Int32, types.Uint32, types.Float32:
-		return 4, nil
-	case types.Int64, types.Uint64, types.Float64, types.Complex64:
-		return 8, nil
-	case types.Complex128:
-		return 16, nil
-	case types.Int, types.Uint, types.Uintptr, types.UnsafePointer:
-		return l.arch.word, nil
-	case types.String:
-		return 2 * l.arch.word, nil
-	}
-	return 0, fmt.Errorf("cannot size basic type %s", t)
-}
-
-func (l *layouter) alignof(t types.Type) (int64, error) {
-	switch t := t.Underlying().(type) {
-	case *types.Basic:
-		switch t.Kind() {
-		case types.String:
-			return l.arch.word, nil
-		case types.Complex64:
-			return 4, nil
-		case types.Complex128:
-			return min(8, l.arch.maxAlign), nil
-		}
-		size, err := l.basicSize(t)
-		if err != nil {
-			return 0, err
-		}
-		return min(size, l.arch.maxAlign), nil
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature, *types.Slice, *types.Interface:
-		return l.arch.word, nil
-	case *types.Array:
-		return l.alignof(t.Elem())
-	case *types.Struct:
-		var a int64 = 1
-		for i := 0; i < t.NumFields(); i++ {
-			fa, err := l.alignof(t.Field(i).Type())
-			if err != nil {
-				return 0, err
-			}
-			if fa > a {
-				a = fa
-			}
-		}
-		return a, nil
-	}
-	return 0, fmt.Errorf("cannot align %v", t)
-}
-
 // containsUnsafe reports whether e contains a call into package unsafe
-// — the part of a constant expression whose host folding is target
-// dependent.
+// — the mark of a length computed from the layout it pads.
 func containsUnsafe(pass *lintkit.Pass, e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+				b, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Builtin)
+				found = ok && b.Pkg() != nil && b.Pkg().Path() == "unsafe"
+			}
 		}
-		if call, ok := n.(*ast.CallExpr); ok && unsafeFuncName(pass, call) != "" {
-			found = true
-			return false
-		}
-		return true
+		return !found
 	})
 	return found
-}
-
-// unsafeFuncName returns "Sizeof"/"Alignof"/"Offsetof" if call invokes
-// that unsafe builtin, else "".
-func unsafeFuncName(pass *lintkit.Pass, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if b, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Builtin); ok && b.Pkg() != nil && b.Pkg().Path() == "unsafe" {
-		return b.Name()
-	}
-	return ""
-}
-
-// evalConst evaluates an integer constant expression under the target
-// size model. Subexpressions without unsafe calls fold the same on
-// every target, so their host value is reused; unsafe.Sizeof and
-// unsafe.Alignof are recomputed with the layouter.
-func (l *layouter) evalConst(e ast.Expr) (int64, error) {
-	e = ast.Unparen(e)
-	if !containsUnsafe(l.pass, e) {
-		return l.hostConst(e)
-	}
-	switch e := e.(type) {
-	case *ast.BinaryExpr:
-		x, err := l.evalConst(e.X)
-		if err != nil {
-			return 0, err
-		}
-		y, err := l.evalConst(e.Y)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case token.ADD:
-			return x + y, nil
-		case token.SUB:
-			return x - y, nil
-		case token.MUL:
-			return x * y, nil
-		case token.QUO:
-			if y == 0 {
-				return 0, fmt.Errorf("division by zero in pad expression")
-			}
-			return x / y, nil
-		case token.REM:
-			if y == 0 {
-				return 0, fmt.Errorf("division by zero in pad expression")
-			}
-			return x % y, nil
-		case token.AND:
-			return x & y, nil
-		case token.OR:
-			return x | y, nil
-		case token.XOR:
-			return x ^ y, nil
-		case token.SHL:
-			return x << y, nil
-		case token.SHR:
-			return x >> y, nil
-		}
-		return 0, fmt.Errorf("unsupported operator %s in pad expression", e.Op)
-	case *ast.UnaryExpr:
-		x, err := l.evalConst(e.X)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case token.ADD:
-			return x, nil
-		case token.SUB:
-			return -x, nil
-		case token.XOR:
-			return ^x, nil
-		}
-		return 0, fmt.Errorf("unsupported unary operator %s in pad expression", e.Op)
-	case *ast.CallExpr:
-		switch name := unsafeFuncName(l.pass, e); name {
-		case "Sizeof", "Alignof":
-			if len(e.Args) != 1 {
-				return 0, fmt.Errorf("unsafe.%s with %d args", name, len(e.Args))
-			}
-			tv, ok := l.pass.TypesInfo.Types[e.Args[0]]
-			if !ok {
-				return 0, fmt.Errorf("no type for unsafe.%s argument", name)
-			}
-			if name == "Sizeof" {
-				return l.sizeof(tv.Type)
-			}
-			return l.alignof(tv.Type)
-		case "Offsetof":
-			return 0, fmt.Errorf("unsafe.Offsetof in a pad expression is not supported by padcheck; use the Sizeof tail-pad idiom")
-		}
-		return 0, fmt.Errorf("unsupported call in pad expression")
-	}
-	return 0, fmt.Errorf("unsupported pad expression %T", e)
-}
-
-// hostConst reads the host-folded constant value of a target
-// independent subexpression.
-func (l *layouter) hostConst(e ast.Expr) (int64, error) {
-	tv, ok := l.pass.TypesInfo.Types[e]
-	if !ok || tv.Value == nil {
-		if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.INT {
-			return strconv.ParseInt(lit.Value, 0, 64)
-		}
-		return 0, fmt.Errorf("pad expression term is not constant")
-	}
-	s := tv.Value.ExactString()
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("pad expression term %s is not an int64", s)
-	}
-	return n, nil
-}
-
-func roundUp(x, align int64) int64 {
-	if align <= 0 {
-		return x
-	}
-	return (x + align - 1) / align * align
 }

@@ -1,6 +1,8 @@
-// Package a exercises padcheck: marked structs are laid out for both
-// amd64 and 386 with pad expressions re-evaluated per target, and pad
-// idioms without a marker are reported.
+// Package a exercises padcheck: marked structs are checked under the
+// size model of the target the package was type-checked for (antest
+// does so for amd64 and for 386, where go/types has folded the pad
+// expressions per target), and pad idioms without a marker are
+// reported.
 package a
 
 import (
@@ -38,20 +40,6 @@ type sepUnmarked struct { // want `no //hyblint:padsep marker`
 	m uint64
 }
 
-// badHot places a 64-bit atomic after a 1-word field: fine on amd64
-// (natural padding lands it at offset 8), but on 386 it sits at offset
-// 4 and only the compiler's align64 fixup would rescue it.
-type badHot struct {
-	flag atomic.Bool
-	seq  atomic.Uint64
-}
-
-//hyblint:padded
-type badAlign struct { // want `seq of badAlign sits at offset 4 on 386`
-	hot badHot
-	_   [pad.CacheLine - unsafe.Sizeof(badHot{})%pad.CacheLine]byte
-}
-
 // handPad hand-counted its pad for 64-bit pointers: 8+56 = 64 on
 // amd64, but 4+56 = 60 on 386 — the stale-pad bug padcheck exists for.
 //
@@ -83,13 +71,12 @@ type weak struct { // want `share a cache line on amd64` `share a cache line on 
 
 var one uintptr
 
-// padArr pads out the remainder of a line after one uintptr; being a
-// named type, its length must still be re-evaluated per target (56 on
-// amd64, 60 on 386).
+// padArr pads out the remainder of a line after one uintptr; its
+// length is folded per target (56 on amd64, 60 on 386).
 type padArr [pad.CacheLine - unsafe.Sizeof(one)]byte
 
-// namedPadHdr is clean only if padArr's length is recomputed for 386;
-// with the host-folded 56 the fields would share a line there.
+// namedPadHdr is clean only because padArr's length is the target's;
+// with amd64's 56 the fields would share a line on 386.
 //
 //hyblint:padsep
 type namedPadHdr struct {
@@ -100,11 +87,12 @@ type namedPadHdr struct {
 
 type offTarget struct{ a, b uint64 }
 
-// offpad computes its pad with unsafe.Offsetof, which padcheck does
-// not model: it must say so rather than guess.
+// offpad computes its pad with unsafe.Offsetof — from the wrong field,
+// so it is 16+56 bytes everywhere. The compiler's size model folds
+// Offsetof like any other constant, so this is checked, not refused.
 //
 //hyblint:padded
-type offpad struct { // want `cannot verify layout of offpad for amd64` `cannot verify layout of offpad for 386`
+type offpad struct { // want `offpad is 72 bytes on amd64` `offpad is 72 bytes on 386`
 	t offTarget
 	_ [pad.CacheLine - unsafe.Offsetof(offTarget{}.b)%pad.CacheLine]byte
 }

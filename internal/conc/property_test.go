@@ -35,7 +35,7 @@ func TestExecutorSequentialEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	mkDispatch := func() core.Dispatch {
+	mkDispatch := func() core.Func {
 		var regs [4]uint64
 		return func(op, arg uint64) uint64 {
 			r := &regs[op%4]
@@ -62,16 +62,16 @@ func TestExecutorSequentialEquivalence(t *testing.T) {
 			return core.NewMPServer(obj, core.Options{MaxThreads: 4})
 		}},
 		{"ccsynch", func(obj core.Object) core.Executor {
-			return shmsync.NewCCSynch(obj, 200)
+			return shmsync.NewCCSynch(obj, core.Options{})
 		}},
 		{"shmserver", func(obj core.Object) core.Executor {
-			return shmsync.NewSHMServer(obj, 4)
+			return shmsync.NewSHMServer(obj, core.Options{MaxThreads: 4})
 		}},
 	} {
 		exec := exec
 		t.Run(exec.name, func(t *testing.T) {
 			f := func(ops []opcode) bool {
-				ex := exec.mk(core.Func(mkDispatch()))
+				ex := exec.mk(mkDispatch())
 				defer ex.Close()
 				h := core.MustHandle(ex)
 				want := model(ops)

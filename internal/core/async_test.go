@@ -18,7 +18,7 @@ import (
 
 // seqDispatch returns a dispatch handing out strictly increasing values
 // — execution order is observable through the results.
-func seqDispatch() (Dispatch, *uint64) {
+func seqDispatch() (Func, *uint64) {
 	state := new(uint64)
 	return func(op, arg uint64) uint64 {
 		v := *state
@@ -34,9 +34,9 @@ func forEachAsyncExecutor(t *testing.T, opts []Option, body func(t *testing.T, e
 	for _, name := range []string{"mpserver", "hybcomb"} {
 		t.Run(name, func(t *testing.T) {
 			d, state := seqDispatch()
-			ex, err := New(name, d, opts...)
+			ex, err := NewObject(name, d, opts...)
 			if err != nil {
-				t.Fatalf("New(%s): %v", name, err)
+				t.Fatalf("NewObject(%s): %v", name, err)
 			}
 			defer ex.Close()
 			body(t, ex, state)

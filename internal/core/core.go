@@ -17,17 +17,17 @@
 // which lets the servicing thread's dispatch inline the critical
 // sections. The contract is batch-aware (Object.DispatchBatch executes
 // a whole drained run in one mutual-exclusion call); a bare function
-// still works everywhere via the Func adapter, which is what New wraps
-// a legacy Dispatch with.
+// still works everywhere via the Func adapter.
 //
-// Usage (through the registry; hybsync.New re-exports core.New):
+// Usage (through the registry; hybsync.NewObject re-exports
+// core.NewObject):
 //
 //	ctr := uint64(0)
-//	hc, err := core.New("hybcomb", func(op, arg uint64) uint64 {
+//	hc, err := core.NewObject("hybcomb", core.Func(func(op, arg uint64) uint64 {
 //		old := ctr
-//		ctr++ // safe: Dispatch runs in mutual exclusion
+//		ctr++ // safe: the object runs in mutual exclusion
 //		return old
-//	}, core.WithMaxThreads(64))
+//	}), core.WithMaxThreads(64))
 //	h, err := hc.NewHandle() // one per goroutine
 //	prev := h.Apply(0, 0)    // executes the CS
 //	_ = hc.Close()
@@ -42,21 +42,14 @@ import (
 	"hybsync/internal/telemetry"
 )
 
-// Dispatch executes opcode op with argument arg against the protected
-// object and returns the result. It is always invoked in mutual
-// exclusion, so it may touch shared state without further
-// synchronization. Dispatch is the legacy scalar contract: the
-// constructions themselves execute through Object, and New adapts a
-// Dispatch into one with Func (a trivial per-operation loop).
-type Dispatch func(op, arg uint64) uint64
-
 // Executor is the common contract of all critical-section constructions
-// in this repository (core.MPServer, core.HybComb, shmsync.CCSynch,
-// shmsync.SHMServer, spin.LockExecutor). Every construction shares one
-// lifecycle: NewHandle hands out per-goroutine capabilities until
-// MaxThreads is exhausted or the executor is closed, and Close is
-// idempotent and safe to call exactly like any other — even on
-// constructions that own no background resources.
+// in this repository (core.MPServer, core.HybComb, core.Hybrid,
+// core.LockExecutor, shmsync.CCSynch, shmsync.SHMServer). Every
+// construction shares one lifecycle, implemented once in Shell:
+// NewHandle hands out per-goroutine capabilities until MaxThreads is
+// exhausted or the executor is closed, and Close is idempotent and safe
+// to call exactly like any other — even on constructions that own no
+// background resources.
 //
 // Close versus Poison: Close is the orderly exit — it drains or
 // completes whatever is still in flight (every construction guarantees
@@ -215,9 +208,8 @@ type Handle interface {
 // n operations against a single rounds increment — and a drained
 // remote batch adds n to combined for the same one round. The counters
 // then mix units (rounds count batches, combined counts operations),
-// which is why benchfmt.Record.Finish strips both from batch-path
-// records instead of publishing numbers that invite the scalar
-// reading.
+// which is why measure.Run strips both from batch-path records instead
+// of publishing numbers that invite the scalar reading.
 type StatsSource interface {
 	Stats() (rounds, combined uint64)
 }
@@ -244,7 +236,7 @@ type PipelineStats interface {
 }
 
 // RetryStats is implemented by the executors whose mutual exclusion is
-// a lock (spin.LockExecutor, and the hybrid's lock side): Retries
+// a lock (LockExecutor, and the hybrid, whose lock mode is one): Retries
 // reports the cumulative contended-acquisition steps across all
 // handles — acquisitions that found the lock held and had to wait or
 // retry. It is the lock-side contention gauge the adaptive hybrid
@@ -291,12 +283,14 @@ func MustHandle(e Executor) Handle {
 }
 
 // Options configures the constructions. Callers build it with the
-// functional With* options; the zero value plus fill() yields the
-// paper's evaluation defaults. Explicitly setting a sizing option to a
-// non-positive value is rejected with ErrBadOption when the Options are
-// built (leaving an option unset selects its default).
+// functional With* options; the zero value is valid for every
+// constructor (Shell.Init fills the paper's evaluation defaults).
+// Explicitly setting a sizing option to a non-positive value is
+// rejected with ErrBadOption when the Options are built (leaving an
+// option unset selects its default).
 type Options struct {
-	// MaxThreads bounds how many Handles may be created (default 128).
+	// MaxThreads bounds how many Handles an executor hands out (default
+	// 128), whatever the construction.
 	MaxThreads int
 	// MaxOps is the combining bound MAX_OPS of HybComb and CC-Synch
 	// (default 200, the paper's evaluation setting).
@@ -323,24 +317,6 @@ type Options struct {
 	// internal/telemetry). nil, the default, disarms recording: the
 	// disarmed hot path is one nil-receiver check per site.
 	Telemetry *telemetry.Telemetry
-
-	// HybridBackend names the delegation construction the hybrid
-	// executor promotes to: "hybcomb" (default) or "mpserver". The
-	// non-hybrid constructions ignore it.
-	HybridBackend string
-	// HybridPromote is the hybrid's promotion threshold: the executor
-	// switches to delegation when the contended-acquisition rate
-	// (retry steps per acquisition, see RetryStats) over an evaluation
-	// window reaches this value (default 0.5).
-	HybridPromote float64
-	// HybridDemote is the hybrid's demotion threshold: in delegation
-	// mode the executor switches back to the lock after hybridQuietWindows
-	// consecutive windows whose mean dispatch-run length stays below
-	// this value with no submit stalls (default 1.25).
-	HybridDemote float64
-	// HybridWindow is the minimum number of operations between the
-	// hybrid's signal evaluations (default 1024).
-	HybridWindow int
 
 	// err records the first invalid With* value; BuildOptions reports it.
 	err error
@@ -435,55 +411,6 @@ func WithTelemetry(t *telemetry.Telemetry) Option {
 	return func(o *Options) { o.Telemetry = t }
 }
 
-// WithHybridBackend selects the delegation construction the hybrid
-// executor promotes to: "hybcomb" (the default) or "mpserver". Any
-// other name is rejected with ErrBadOption at New time.
-func WithHybridBackend(name string) Option {
-	return func(o *Options) {
-		if name != "hybcomb" && name != "mpserver" {
-			if o.err == nil {
-				o.err = fmt.Errorf("core: WithHybridBackend(%q): want \"hybcomb\" or \"mpserver\": %w", name, ErrBadOption)
-			}
-			return
-		}
-		o.HybridBackend = name
-	}
-}
-
-// WithHybridThreshold sets the hybrid executor's transition thresholds:
-// promote is the contended-acquisition rate (retry steps per lock
-// acquisition, so roughly the fraction of acquisitions that queued)
-// at which the lock side promotes to delegation; demote is the mean
-// dispatch-run length below which the delegation side counts a window
-// as quiescent. promote must be positive; demote must be at least 1
-// (a run is never shorter than one request).
-func WithHybridThreshold(promote, demote float64) Option {
-	return func(o *Options) {
-		if promote <= 0 || demote < 1 {
-			if o.err == nil {
-				o.err = fmt.Errorf("core: WithHybridThreshold(%g, %g): want promote > 0 and demote >= 1: %w", promote, demote, ErrBadOption)
-			}
-			return
-		}
-		o.HybridPromote = promote
-		o.HybridDemote = demote
-	}
-}
-
-// WithHybridWindow sets the minimum number of operations the hybrid
-// executor observes between signal evaluations. Smaller windows react
-// faster and thrash easier; the default (1024) rides out sub-window
-// bursts.
-func WithHybridWindow(n int) Option {
-	return func(o *Options) {
-		if n <= 0 {
-			o.reject("WithHybridWindow", n)
-			return
-		}
-		o.HybridWindow = n
-	}
-}
-
 // BuildOptions folds opts over the zero Options, rejects explicitly-set
 // invalid values with an error wrapping ErrBadOption, and fills
 // defaults.
@@ -514,18 +441,6 @@ func (o *Options) fill() {
 	if o.Shards <= 0 {
 		o.Shards = 1
 	}
-	if o.HybridBackend == "" {
-		o.HybridBackend = "hybcomb"
-	}
-	if o.HybridPromote <= 0 {
-		o.HybridPromote = 0.5
-	}
-	if o.HybridDemote < 1 {
-		o.HybridDemote = 1.25
-	}
-	if o.HybridWindow <= 0 {
-		o.HybridWindow = 1024
-	}
 }
 
 // batchLen sizes a server/combiner receive buffer: up to MaxOps
@@ -537,9 +452,4 @@ func (o *Options) batchLen() int {
 		return int(o.MaxOps)
 	}
 	return maxBatch
-}
-
-// errTooManyHandles reports NewHandle() calls beyond MaxThreads.
-func errTooManyHandles(max int) error {
-	return fmt.Errorf("core: more than %d handles requested (raise MaxThreads): %w", max, ErrTooManyHandles)
 }

@@ -117,8 +117,8 @@ func TestRegistryDuplicateAndUnknown(t *testing.T) {
 	if err := Register("core-test-dup", f); !errors.Is(err, ErrDuplicateAlgorithm) {
 		t.Fatalf("duplicate Register = %v, want ErrDuplicateAlgorithm", err)
 	}
-	if _, err := New("core-test-missing", func(op, arg uint64) uint64 { return 0 }); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Fatalf("New(unknown) = %v, want ErrUnknownAlgorithm", err)
+	if _, err := NewObject("core-test-missing", Func(func(op, arg uint64) uint64 { return 0 })); !errors.Is(err, ErrUnknownAlgorithm) {
+		t.Fatalf("NewObject(unknown) = %v, want ErrUnknownAlgorithm", err)
 	}
 }
 
@@ -256,13 +256,29 @@ func TestHybCombNodeLayout(t *testing.T) {
 	}
 }
 
+// TestHybCombLineAligned pins what the padding of HybComb buys: every
+// executor starts on a cache-line boundary, so the words written each
+// round fall on the same lines in every executor of every run. At 240
+// bytes successive executors cycled through four placements.
+func TestHybCombLineAligned(t *testing.T) {
+	if !pad.Padded(unsafe.Sizeof(HybComb{})) {
+		t.Fatalf("HybComb is %d bytes, not a whole number of cache lines", unsafe.Sizeof(HybComb{}))
+	}
+	for i := 0; i < 16; i++ {
+		h := NewHybComb(Func(func(op, arg uint64) uint64 { return 0 }), Options{})
+		if off := uintptr(unsafe.Pointer(h)) % pad.CacheLine; off != 0 {
+			t.Fatalf("executor %d starts %d bytes into a cache line", i, off)
+		}
+	}
+}
+
 // TestHandleCreatedMidApply covers the per-handle rings: NewHandle
 // allocates a handle's response ring (and HybComb inbox) while other
 // handles are mid-Apply, and the server or the other threads' combiners
 // then find that ring through a plain slice slot. The slot's write must
 // be ordered before every such read by the newcomer's first request or
 // its node's registration CAS — which the race detector checks here for
-// mpserver, hybcomb and a promoted hybrid over either backend. Small
+// mpserver, hybcomb and a promoted hybrid. Small
 // MaxOps keeps HybComb's combiner role rotating, so newcomers both
 // register with others and are registered with.
 func TestHandleCreatedMidApply(t *testing.T) {
@@ -278,12 +294,7 @@ func TestHandleCreatedMidApply(t *testing.T) {
 			return NewHybComb(obj, Options{MaxThreads: residents + newcomers, MaxOps: 4})
 		}},
 		{"hybrid/hybcomb", func(obj Object) Executor {
-			h := newTestHybrid(t, obj, WithMaxThreads(residents+newcomers), WithMaxOps(4))
-			forceMode(h, true)
-			return h
-		}},
-		{"hybrid/mpserver", func(obj Object) Executor {
-			h := newTestHybrid(t, obj, WithMaxThreads(residents+newcomers), WithHybridBackend("mpserver"))
+			h := newFrozenHybrid(obj, Options{MaxThreads: residents + newcomers, MaxOps: 4})
 			forceMode(h, true)
 			return h
 		}},

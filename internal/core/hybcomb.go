@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 	"unsafe"
 
@@ -46,10 +45,24 @@ import (
 // serves. Round ordering makes completion per-handle FIFO: a combiner
 // serves every ticket of its round before releasing its successor, so
 // responses from earlier rounds always precede those from later ones.
+//
+// The struct is a whole number of cache lines so that the allocator
+// places it on a line boundary: lastReg and the round counters are
+// written every round beside words every registration reads, and how
+// they fall on lines would otherwise change from one executor to the
+// next (at 240 bytes it did: four placements, 10 % apart with two
+// threads — CHANGES.md PR 18).
+//
+//hyblint:padded
 type HybComb struct {
-	PoisonLatch
-	opts Options
-	obj  Object
+	hybCombHot
+	_ [pad.CacheLine - unsafe.Sizeof(hybCombHot{})%pad.CacheLine]byte
+}
+
+// hybCombHot is HybComb's state; see HybComb for the padding.
+type hybCombHot struct {
+	Shell
+	obj Object
 
 	lastReg  atomic.Pointer[hcNode]
 	departed atomic.Pointer[hcNode]
@@ -60,10 +73,8 @@ type HybComb struct {
 	// thread learns id only from a node's threadID — stored by the
 	// owner, published by its lastReg CAS — or from a request the owner
 	// sent, so the slots' writes are ordered before every read.
-	inbox  []*mpq.Mpsc
-	resp   []*mpq.Mpsc
-	nextID atomic.Int32
-	closed atomic.Bool
+	inbox []*mpq.Mpsc
+	resp  []*mpq.Mpsc
 
 	// Stats counts combining activity (read at pipeline quiescence).
 	rounds   atomic.Uint64
@@ -92,18 +103,17 @@ type hcNode struct {
 // idle HybComb consumes no resources, and Close only seals the
 // executor against new handles.
 func NewHybComb(obj Object, opts Options) *HybComb {
-	opts.fill()
-	h := &HybComb{opts: opts, obj: obj}
-	h.Algo = "hybcomb"
-	h.Tel = opts.Telemetry
-	h.inbox = make([]*mpq.Mpsc, opts.MaxThreads)
-	h.resp = make([]*mpq.Mpsc, opts.MaxThreads)
+	h := &HybComb{}
+	h.obj = obj
+	h.Init("hybcomb", opts)
+	h.inbox = make([]*mpq.Mpsc, h.Opts.MaxThreads)
+	h.resp = make([]*mpq.Mpsc, h.Opts.MaxThreads)
 	// The initial node {⊥, MAX_OPS, true}: full, so the first thread
 	// fails registration and promotes itself; done, so it proceeds
 	// immediately.
 	init := &hcNode{}
 	init.threadID.Store(-1)
-	init.nOps.Store(opts.MaxOps)
+	init.nOps.Store(h.Opts.MaxOps)
 	init.done.Store(true)
 	h.lastReg.Store(init)
 	h.departed.Store(init)
@@ -122,43 +132,33 @@ func (h *HybComb) NewHandle() (Handle, error) {
 // newSpec admits one more thread and builds its transport; the hybrid
 // executor wraps the spec of its backend instead of taking a handle.
 func (h *HybComb) newSpec() (PipeSpec, error) {
-	if err := h.Err(); err != nil {
-		return PipeSpec{}, fmt.Errorf("core: hybcomb: %w", err)
+	id, err := h.Admit()
+	if err != nil {
+		return PipeSpec{}, err
 	}
-	if h.closed.Load() {
-		return PipeSpec{}, fmt.Errorf("core: hybcomb: %w", ErrClosed)
-	}
-	id := h.nextID.Add(1) - 1
-	if int(id) >= h.opts.MaxThreads {
-		return PipeSpec{}, errTooManyHandles(h.opts.MaxThreads)
-	}
-	h.inbox[id] = mpq.NewMpsc(h.opts.QueueCap)
+	h.inbox[id] = mpq.NewMpsc(h.Opts.QueueCap)
 	// Responses to one thread come from whichever thread combines each
 	// round — serialized in time, but many producers over the queue's
 	// lifetime, hence Mpsc rather than Spsc.
-	h.resp[id] = mpq.NewMpsc(h.opts.QueueCap)
+	h.resp[id] = mpq.NewMpsc(h.Opts.QueueCap)
 	n := &hcNode{}
-	n.threadID.Store(id)
-	n.nOps.Store(h.opts.MaxOps) // parked: nobody can register with it
-	bl := h.opts.batchLen()
+	n.threadID.Store(int32(id))
+	n.nOps.Store(h.Opts.MaxOps) // parked: nobody can register with it
+	bl := h.Opts.batchLen()
 	t := &hcTransport{hcTransportHot: hcTransportHot{
 		h:       h,
-		id:      id,
+		id:      int32(id),
 		myNode:  n,
 		resp:    h.resp[id],
 		batch:   make([]mpq.Msg, bl),
 		runReqs: make([]Req, bl),
 		runRets: make([]uint64, bl),
-		rec:     h.opts.Telemetry.Recorder(),
-		wb:      backoff.Armed(h.opts.StallTimeout, "hybcomb: combiner awaiting predecessor round"),
-		respWB:  backoff.Armed(h.opts.StallTimeout, "hybcomb: client awaiting combiner response"),
+		rec:     h.Opts.Telemetry.Recorder(),
 	}}
-	// Set on the stored waiters: Armed returns by value, so a hook set
-	// on the temporary would be lost.
-	t.wb.SetOnStall(h.opts.Telemetry.StallHook())
-	t.respWB.SetOnStall(h.opts.Telemetry.StallHook())
+	h.Arm(&t.wb, "hybcomb: combiner awaiting predecessor round")
+	h.Arm(&t.respWB, "hybcomb: client awaiting combiner response")
 	return PipeSpec{Transport: t, Apply: t.apply, Latch: &h.PoisonLatch, Rec: t.rec,
-		Counters: &h.ps, Depth: h.opts.QueueCap, Waiter: &t.respWB}, nil
+		Counters: &h.ps, Depth: h.Opts.QueueCap, Waiter: &t.respWB}, nil
 }
 
 // Close implements Executor. HybComb owns no background goroutine —
@@ -169,7 +169,7 @@ func (h *HybComb) newSpec() (PipeSpec, error) {
 // fails future NewHandle calls; it is idempotent and reports the
 // *PoisonError when poisoned.
 func (h *HybComb) Close() error {
-	h.closed.Store(true)
+	h.Seal()
 	return h.Err()
 }
 
@@ -182,9 +182,6 @@ func (h *HybComb) Stats() (rounds, combined uint64) {
 
 // Pipeline implements PipelineStats.
 func (h *HybComb) Pipeline() (submitStalls, maxDepth uint64) { return h.ps.Pipeline() }
-
-// Telemetry implements TelemetrySource.
-func (h *HybComb) Telemetry() *telemetry.Telemetry { return h.opts.Telemetry }
 
 // hcTransport is one thread's place in Algorithm 1: a registered
 // request is a message to the round's combiner and its response comes
@@ -242,7 +239,7 @@ func (hd *hcTransport) acquire(op, arg uint64) bool {
 	for {
 		lastReg := h.lastReg.Load() // line 9
 		// Line 11: FAA on the combiner's ticket counter.
-		if lastReg.nOps.Add(1)-1 < h.opts.MaxOps {
+		if lastReg.nOps.Add(1)-1 < h.Opts.MaxOps {
 			// Lines 13-14: registered; ship the request. The response
 			// arrives on our response queue once the combiner serves it.
 			h.inbox[lastReg.threadID.Load()].Send(mpq.Words3(uint64(hd.id), op, arg))
@@ -332,9 +329,9 @@ func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 
 	// Lines 30-32: close the round; the old counter value is the number
 	// of tickets granted.
-	totalOps := hd.myNode.nOps.Swap(h.opts.MaxOps)
-	if totalOps > h.opts.MaxOps {
-		totalOps = h.opts.MaxOps
+	totalOps := hd.myNode.nOps.Swap(h.Opts.MaxOps)
+	if totalOps > h.Opts.MaxOps {
+		totalOps = h.Opts.MaxOps
 	}
 
 	// Lines 34-37: serve the granted tickets that are still in flight,

@@ -7,7 +7,8 @@
 // every two steps (TestHybridTicketsAcrossSwitch is now its
 // reverse-wait-past-queuecap case, TestHybridWaitVariantsAcrossSwitch
 // its bounded-waits case). In-package so the tests can force transition
-// edges deterministically through promote/demote.
+// edges deterministically through promote/demote and set the
+// controller's thresholds, which are not options.
 package core
 
 import (
@@ -23,18 +24,12 @@ import (
 	"hybsync/internal/pad"
 )
 
-// newTestHybrid builds a *Hybrid directly (the registry returns the
-// Executor interface; the tests need the transition edges).
-func newTestHybrid(t *testing.T, obj Object, opts ...Option) *Hybrid {
-	t.Helper()
-	o, err := BuildOptions(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHybrid(obj, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+// newFrozenHybrid builds a *Hybrid directly (the registry returns the
+// Executor interface; the tests need the transition edges) with the
+// controller disabled, so the forced transitions own the mode.
+func newFrozenHybrid(obj Object, o Options) *Hybrid {
+	h := NewHybrid(obj, o)
+	FreezeHybrid(h)
 	return h
 }
 
@@ -157,69 +152,62 @@ func TestHybridTransitionsProperty(t *testing.T) {
 		}},
 	}
 	for _, procs := range []int{1, 2} {
-		for _, backend := range []string{"hybcomb", "mpserver"} {
-			for _, sh := range shapes {
-				t.Run(fmt.Sprintf("procs=%d/%s/%s", procs, backend, sh.name), func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					obj, load := counterObj()
-					// A huge window disables the controller so the forced
-					// transitions own the mode.
-					h := newTestHybrid(t, obj,
-						WithMaxThreads(goroutines),
-						WithHybridBackend(backend),
-						WithHybridWindow(1<<30))
-					togStop := make(chan struct{})
-					var tg sync.WaitGroup
-					tg.Add(1)
-					go toggler(h, togStop, &tg)
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("procs=%d/hybcomb/%s", procs, sh.name), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				obj, load := counterObj()
+				h := newFrozenHybrid(obj, Options{MaxThreads: goroutines})
+				togStop := make(chan struct{})
+				var tg sync.WaitGroup
+				tg.Add(1)
+				go toggler(h, togStop, &tg)
 
-					// Workers run the shape in chunks until both transition
-					// edges have been crossed a few times under them, so
-					// every property is exercised across real switches.
-					var total, stop atomic.Uint64
-					var wg sync.WaitGroup
-					for g := 0; g < goroutines; g++ {
-						hd, err := h.NewHandle()
-						if err != nil {
-							t.Fatalf("NewHandle: %v", err)
+				// Workers run the shape in chunks until both transition
+				// edges have been crossed a few times under them, so
+				// every property is exercised across real switches.
+				var total, stop atomic.Uint64
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					hd, err := h.NewHandle()
+					if err != nil {
+						t.Fatalf("NewHandle: %v", err)
+					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for stop.Load() == 0 && !t.Failed() {
+							sh.run(t, hd, sh.per)
+							total.Add(uint64(sh.per))
+							hd.Flush()
 						}
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for stop.Load() == 0 && !t.Failed() {
-								sh.run(t, hd, sh.per)
-								total.Add(uint64(sh.per))
-								hd.Flush()
-							}
-						}()
-					}
-					deadline := time.Now().Add(20 * time.Second)
-					for {
-						p, d := h.Transitions()
-						if (p >= 3 && d >= 3) || t.Failed() || time.Now().After(deadline) {
-							break
-						}
-						time.Sleep(200 * time.Microsecond)
-					}
-					stop.Store(1)
-					wg.Wait()
-					close(togStop)
-					tg.Wait()
-					if err := h.Close(); err != nil {
-						t.Fatalf("Close: %v", err)
-					}
-					if t.Failed() {
-						return
-					}
-					if got, want := load(), total.Load(); got != want {
-						t.Fatalf("conservation violated: state = %d, want %d ops", got, want)
-					}
+					}()
+				}
+				deadline := time.Now().Add(20 * time.Second)
+				for {
 					p, d := h.Transitions()
-					if p < 3 || d < 3 {
-						t.Fatalf("transitions did not exercise both edges: promotions=%d demotions=%d", p, d)
+					if (p >= 3 && d >= 3) || t.Failed() || time.Now().After(deadline) {
+						break
 					}
-				})
-			}
+					time.Sleep(200 * time.Microsecond)
+				}
+				stop.Store(1)
+				wg.Wait()
+				close(togStop)
+				tg.Wait()
+				if err := h.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				if t.Failed() {
+					return
+				}
+				if got, want := load(), total.Load(); got != want {
+					t.Fatalf("conservation violated: state = %d, want %d ops", got, want)
+				}
+				p, d := h.Transitions()
+				if p < 3 || d < 3 {
+					t.Fatalf("transitions did not exercise both edges: promotions=%d demotions=%d", p, d)
+				}
+			})
 		}
 	}
 }
@@ -231,7 +219,7 @@ func TestHybridTransitionsProperty(t *testing.T) {
 // observable as consecutive counter values.
 func TestHybridBatchOneDispatchRun(t *testing.T) {
 	obj, _ := counterObj()
-	h := newTestHybrid(t, obj, WithHybridWindow(1<<30))
+	h := newFrozenHybrid(obj, Options{})
 	hd, err := h.NewHandle()
 	if err != nil {
 		t.Fatal(err)
@@ -268,88 +256,84 @@ func TestHybridBatchOneDispatchRun(t *testing.T) {
 // every participant (zeros), and fail subsequent submissions fast. The
 // test completing at all is the no-deadlock assertion.
 func TestHybridPoisonMidTransition(t *testing.T) {
-	for _, backend := range []string{"hybcomb", "mpserver"} {
-		t.Run(backend, func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-			const goroutines, per, fuse = 4, 4000, 5000
-			var state uint64
-			obj := Func(func(op, arg uint64) uint64 {
-				if state == fuse {
-					panic("hybrid chaos fault")
-				}
-				state++
-				return state - 1
-			})
-			h := newTestHybrid(t, obj,
-				WithMaxThreads(goroutines),
-				WithHybridBackend(backend),
-				WithHybridWindow(1<<30))
-			stop := make(chan struct{})
-			var tg sync.WaitGroup
-			tg.Add(1)
-			go toggler(h, stop, &tg)
+	t.Run("hybcomb", func(t *testing.T) { // named for the delegation side of the edges
 
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				hd, err := h.NewHandle()
-				if err != nil {
-					t.Fatalf("NewHandle: %v", err)
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var pending []Ticket
-					for i := 0; i < per; i++ {
-						if i%3 == 0 {
-							tk, err := hd.Submit(0, 0)
-							if err != nil {
-								break // poisoned: fast-fail is the contract
-							}
-							pending = append(pending, tk)
-							if len(pending) > 4 {
-								hd.Wait(pending[0])
-								pending = pending[1:]
-							}
-						} else {
-							hd.Apply(0, 0)
-						}
-					}
-					for _, tk := range pending {
-						hd.Wait(tk) // zeros after the fault; must not hang
-					}
-					hd.Flush()
-				}()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		const goroutines, per, fuse = 4, 4000, 5000
+		var state uint64
+		obj := Func(func(op, arg uint64) uint64 {
+			if state == fuse {
+				panic("hybrid chaos fault")
 			}
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(60 * time.Second):
-				t.Fatal("participants wedged after mid-transition poison")
-			}
-			close(stop)
-			tg.Wait()
-
-			if err := h.Err(); !errors.Is(err, ErrPoisoned) {
-				t.Fatalf("Err() = %v, want ErrPoisoned", err)
-			}
-			hd, err := h.NewHandle()
-			if err == nil {
-				t.Fatal("NewHandle succeeded on a poisoned executor")
-			}
-			var pe *PoisonError
-			if !errors.As(err, &pe) {
-				t.Fatalf("NewHandle error %v is not a *PoisonError", err)
-			}
-			_ = hd
-			if err := h.Close(); !errors.Is(err, ErrPoisoned) {
-				t.Fatalf("Close() = %v, want the poison error", err)
-			}
-			if state != fuse {
-				t.Fatalf("object advanced past the fuse: state = %d", state)
-			}
+			state++
+			return state - 1
 		})
-	}
+		h := newFrozenHybrid(obj, Options{MaxThreads: goroutines})
+		stop := make(chan struct{})
+		var tg sync.WaitGroup
+		tg.Add(1)
+		go toggler(h, stop, &tg)
+
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			hd, err := h.NewHandle()
+			if err != nil {
+				t.Fatalf("NewHandle: %v", err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var pending []Ticket
+				for i := 0; i < per; i++ {
+					if i%3 == 0 {
+						tk, err := hd.Submit(0, 0)
+						if err != nil {
+							break // poisoned: fast-fail is the contract
+						}
+						pending = append(pending, tk)
+						if len(pending) > 4 {
+							hd.Wait(pending[0])
+							pending = pending[1:]
+						}
+					} else {
+						hd.Apply(0, 0)
+					}
+				}
+				for _, tk := range pending {
+					hd.Wait(tk) // zeros after the fault; must not hang
+				}
+				hd.Flush()
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatal("participants wedged after mid-transition poison")
+		}
+		close(stop)
+		tg.Wait()
+
+		if err := h.Err(); !errors.Is(err, ErrPoisoned) {
+			t.Fatalf("Err() = %v, want ErrPoisoned", err)
+		}
+		hd, err := h.NewHandle()
+		if err == nil {
+			t.Fatal("NewHandle succeeded on a poisoned executor")
+		}
+		var pe *PoisonError
+		if !errors.As(err, &pe) {
+			t.Fatalf("NewHandle error %v is not a *PoisonError", err)
+		}
+		_ = hd
+		if err := h.Close(); !errors.Is(err, ErrPoisoned) {
+			t.Fatalf("Close() = %v, want the poison error", err)
+		}
+		if state != fuse {
+			t.Fatalf("object advanced past the fuse: state = %d", state)
+		}
+	})
 }
 
 // TestHybridAdaptsUnderContention exercises the controller itself (no
@@ -358,10 +342,8 @@ func TestHybridPoisonMidTransition(t *testing.T) {
 func TestHybridAdaptsUnderContention(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	obj, _ := counterObj()
-	h := newTestHybrid(t, obj,
-		WithMaxThreads(8),
-		WithHybridWindow(256),
-		WithHybridThreshold(0.05, 1.25))
+	h := NewHybrid(obj, Options{MaxThreads: 8})
+	h.window, h.promoteAt = 256, 0.05
 
 	// Contended phase: hammer until the controller promotes. Handles
 	// are created once and handed to one goroutine per burst (handles
@@ -415,14 +397,13 @@ func TestHybridAdaptsUnderContention(t *testing.T) {
 	t.Fatal("controller never demoted at quiescence")
 }
 
-// TestHybridStatsScalarInvariant: with the hybcomb backend the scalar
-// counter identity rounds + combined == ops must survive transitions
+// TestHybridStatsScalarInvariant: the scalar counter identity rounds + combined == ops must survive transitions
 // (each lock-mode op is a round of its own; delegated ops follow
 // hybcomb's accounting).
 func TestHybridStatsScalarInvariant(t *testing.T) {
 	const goroutines, per = 4, 2000
 	obj, load := counterObj()
-	h := newTestHybrid(t, obj, WithMaxThreads(goroutines), WithHybridWindow(1<<30))
+	h := newFrozenHybrid(obj, Options{MaxThreads: goroutines})
 	stop := make(chan struct{})
 	var tg sync.WaitGroup
 	tg.Add(1)
@@ -457,32 +438,13 @@ func TestHybridStatsScalarInvariant(t *testing.T) {
 	}
 }
 
-// TestHybridBadBackend: an unknown backend is rejected at option-build
-// time with ErrBadOption.
-func TestHybridBadBackend(t *testing.T) {
-	_, err := New("hybrid", func(op, arg uint64) uint64 { return 0 },
-		WithHybridBackend("shmserver"))
-	if !errors.Is(err, ErrBadOption) {
-		t.Fatalf("err = %v, want ErrBadOption", err)
-	}
-	if _, err := BuildOptions(WithHybridThreshold(0, 1)); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("WithHybridThreshold(0,1) err = %v, want ErrBadOption", err)
-	}
-	if _, err := BuildOptions(WithHybridThreshold(0.5, 0.5)); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("WithHybridThreshold(0.5,0.5) err = %v, want ErrBadOption", err)
-	}
-	if _, err := BuildOptions(WithHybridWindow(0)); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("WithHybridWindow(0) err = %v, want ErrBadOption", err)
-	}
-}
-
 // TestHybridLayout machine-verifies the padding of the hybrid's
-// per-handle cells and gate nodes, like the spin and hybcomb layout
-// tests.
+// per-handle state — its transport and the lock executor's retry cells
+// it counts in — like the spin and hybcomb layout tests.
 func TestHybridLayout(t *testing.T) {
 	for name, size := range map[string]uintptr{
-		"hybCell": unsafe.Sizeof(hybCell{}),
-		"hybNode": unsafe.Sizeof(hybNode{}),
+		"hybTransport": unsafe.Sizeof(hybTransport{}),
+		"retryCell":    unsafe.Sizeof(retryCell{}),
 	} {
 		if !pad.Padded(size) {
 			t.Errorf("%s is %d bytes, not a whole number of cache lines", name, size)

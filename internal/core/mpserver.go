@@ -1,14 +1,11 @@
 package core
 
 import (
-	"fmt"
-	"sync/atomic"
 	"unsafe"
 
 	"hybsync/internal/backoff"
 	"hybsync/internal/mpq"
 	"hybsync/internal/pad"
-	"hybsync/internal/telemetry"
 )
 
 // MPServer is the paper's MP-SERVER: a dedicated server goroutine owns
@@ -41,19 +38,16 @@ import (
 // FIFO completion. A handle bounds its in-flight count by the response
 // ring's capacity, so the server's response send never blocks.
 type MPServer struct {
-	PoisonLatch
-	opts Options
+	Shell
 	obj  Object
 	reqs *mpq.Mpsc // any client sends, only serve receives
 	// resp[id] is handle id's response ring (QueueCap deep, SPSC:
 	// server → client), created by NewHandle. The server learns an id
 	// only from a request that handle sent, and the request ring's
 	// publication orders the slot's write before the server's read.
-	resp    []*mpq.Spsc
-	nextID  atomic.Int32
-	stopped atomic.Bool
-	done    chan struct{}
-	ps      PipeCounters
+	resp []*mpq.Spsc
+	done chan struct{}
+	ps   PipeCounters
 }
 
 // opQuit is an internal opcode that stops the server loop.
@@ -62,16 +56,10 @@ const opQuit = ^uint64(0)
 // NewMPServer starts the server goroutine. Close must be called to stop
 // it.
 func NewMPServer(obj Object, opts Options) *MPServer {
-	opts.fill()
-	s := &MPServer{
-		opts: opts,
-		obj:  obj,
-		reqs: mpq.NewMpsc(opts.QueueCap),
-		resp: make([]*mpq.Spsc, opts.MaxThreads),
-		done: make(chan struct{}),
-	}
-	s.Algo = "mpserver"
-	s.Tel = opts.Telemetry
+	s := &MPServer{obj: obj, done: make(chan struct{})}
+	s.Init("mpserver", opts)
+	s.reqs = mpq.NewMpsc(s.Opts.QueueCap)
+	s.resp = make([]*mpq.Spsc, s.Opts.MaxThreads)
 	go s.serve()
 	return s
 }
@@ -90,8 +78,8 @@ func NewMPServer(obj Object, opts Options) *MPServer {
 // the server never dies silently with waiters blocked on its rings.
 func (s *MPServer) serve() {
 	defer close(s.done)
-	rec := s.opts.Telemetry.Recorder() // server-goroutine owned
-	buf := make([]mpq.Msg, s.opts.batchLen())
+	rec := s.Opts.Telemetry.Recorder() // server-goroutine owned
+	buf := make([]mpq.Msg, s.Opts.batchLen())
 	ids := make([]uint64, len(buf))
 	run := make([]Req, 0, len(buf))
 	rets := make([]uint64, len(buf))
@@ -138,37 +126,18 @@ func (s *MPServer) serve() {
 
 // NewHandle implements Executor.
 func (s *MPServer) NewHandle() (Handle, error) {
-	spec, err := s.newSpec()
+	id, err := s.Admit()
 	if err != nil {
 		return nil, err
-	}
-	return NewPipe(spec), nil
-}
-
-// newSpec admits one more client and builds its transport; the hybrid
-// executor wraps the spec of its backend instead of taking a handle.
-func (s *MPServer) newSpec() (PipeSpec, error) {
-	if err := s.Err(); err != nil {
-		return PipeSpec{}, fmt.Errorf("core: mpserver: %w", err)
-	}
-	if s.stopped.Load() {
-		return PipeSpec{}, fmt.Errorf("core: mpserver: %w", ErrClosed)
-	}
-	id := s.nextID.Add(1) - 1
-	if int(id) >= s.opts.MaxThreads {
-		return PipeSpec{}, errTooManyHandles(s.opts.MaxThreads)
 	}
 	// QueueCap deep (not 1): the response ring is the completion stream
 	// of the handle's submission pipeline, and must hold one reply per
 	// in-flight request.
-	s.resp[id] = mpq.NewSpsc(s.opts.QueueCap)
-	t := &mpTransport{mpTransportHot: mpTransportHot{s: s, id: uint64(id), resp: s.resp[id],
-		wb: backoff.Armed(s.opts.StallTimeout, "mpserver: client awaiting response")}}
-	// Set on the stored waiter: Armed returns by value, so a hook set
-	// on the temporary would be lost.
-	t.wb.SetOnStall(s.opts.Telemetry.StallHook())
-	return PipeSpec{Transport: t, Apply: t.apply, Latch: &s.PoisonLatch, Rec: s.opts.Telemetry.Recorder(),
-		Counters: &s.ps, Depth: s.opts.QueueCap, Waiter: &t.wb}, nil
+	s.resp[id] = mpq.NewSpsc(s.Opts.QueueCap)
+	t := &mpTransport{mpTransportHot: mpTransportHot{s: s, id: uint64(id), resp: s.resp[id]}}
+	s.Arm(&t.wb, "mpserver: client awaiting response")
+	return NewPipe(PipeSpec{Transport: t, Apply: t.apply, Latch: &s.PoisonLatch, Rec: s.Opts.Telemetry.Recorder(),
+		Counters: &s.ps, Depth: s.Opts.QueueCap, Waiter: &t.wb}), nil
 }
 
 // Close stops the server goroutine, draining the request ring first so
@@ -178,7 +147,7 @@ func (s *MPServer) newSpec() (PipeSpec, error) {
 // poisoned executor Close still stops the server and reports the
 // *PoisonError.
 func (s *MPServer) Close() error {
-	if s.stopped.CompareAndSwap(false, true) {
+	if s.Seal() {
 		s.reqs.Send(mpq.Words3(0, opQuit, 0))
 		<-s.done
 	}
@@ -187,9 +156,6 @@ func (s *MPServer) Close() error {
 
 // Pipeline implements PipelineStats.
 func (s *MPServer) Pipeline() (submitStalls, maxDepth uint64) { return s.ps.Pipeline() }
-
-// Telemetry implements TelemetrySource.
-func (s *MPServer) Telemetry() *telemetry.Telemetry { return s.opts.Telemetry }
 
 // mpTransport is one client's path to the server: requests go out on the
 // shared MPSC ring, replies come back on the client's own SPSC ring in

@@ -17,8 +17,8 @@ type Req struct {
 // returns and must not retain either slice (constructions reuse both
 // buffers for the next run).
 //
-// A DispatchBatch call owns the object exactly like a legacy Dispatch
-// call: the whole run executes under the construction's mutual
+// A DispatchBatch call owns the object exactly like a critical section
+// under a lock: the whole run executes under the construction's mutual
 // exclusion, so the object may touch shared state without further
 // synchronization — and may exploit the run, e.g. a counter can apply
 // a run of increments against one locally-held value instead of
@@ -35,11 +35,10 @@ type Object interface {
 	DispatchBatch(reqs []Req, results []uint64)
 }
 
-// Func adapts a legacy Dispatch function into an Object that executes
-// a batch by looping; core.Func(d) is how New wraps a registered
-// algorithm's dispatch so the whole repository runs on the batch
-// contract. Because Func and Dispatch share an underlying type, the
-// conversion is free.
+// Func adapts a bare function — one operation per call, always invoked
+// in mutual exclusion, so it may touch shared state without further
+// synchronization — into an Object that executes a batch by looping:
+// NewObject(name, Func(f)). The conversion is free.
 type Func func(op, arg uint64) uint64
 
 // DispatchBatch implements Object by applying the function once per

@@ -18,9 +18,9 @@ import (
 // banks the result for a later Wait).
 type Ticket struct{ seq uint64 }
 
-// errTicket is the one misuse panic of the wait family, whichever
-// construction is underneath.
-const errTicket = "core: Wait on a ticket that is not outstanding (already waited, or issued by another handle)"
+// TicketMisuse is the one misuse panic of the wait family, whichever
+// construction — or shard router — is underneath.
+const TicketMisuse = "core: Wait on a ticket that is not outstanding (already waited, or issued by another handle)"
 
 // Transport is what a construction supplies beneath the handle
 // pipeline: how one request travels and how its completion comes back.
@@ -295,7 +295,7 @@ func (p *Pipe) wait(seq uint64) uint64 {
 		case mpq.Ready:
 			return v
 		case mpq.Invalid:
-			panic(errTicket)
+			panic(TicketMisuse)
 		}
 		p.settle(true)
 	}
@@ -322,7 +322,7 @@ func (p *Pipe) TryWait(t Ticket) (uint64, error) {
 		case mpq.Ready:
 			return v, p.Err()
 		case mpq.Invalid:
-			panic(errTicket)
+			panic(TicketMisuse)
 		}
 		if !p.settle(false) {
 			return 0, ErrNotReady
@@ -419,7 +419,7 @@ func (im *Immediate) Complete(val uint64) Ticket { return Ticket{im.win.IssueDon
 func (im *Immediate) Take(t Ticket) uint64 {
 	v, st := im.win.Take(t.seq)
 	if st != mpq.Ready {
-		panic(errTicket)
+		panic(TicketMisuse)
 	}
 	return v
 }

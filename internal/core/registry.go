@@ -9,9 +9,8 @@ import (
 
 // Factory builds one executor instance for a registered algorithm
 // around the batch-aware Object contract. The Options it receives are
-// already filled with defaults. Legacy scalar dispatches arrive
-// wrapped in Func (New does this), so a factory never distinguishes
-// the two.
+// already filled with defaults; a bare function arrives wrapped in
+// Func, so a factory never distinguishes the two.
 type Factory func(Object, Options) (Executor, error)
 
 var (
@@ -43,16 +42,10 @@ func MustRegister(name string, f Factory) {
 	}
 }
 
-// New constructs the named algorithm around a legacy scalar dispatch,
-// wrapping it in the Func adapter; NewObject is the batch-aware
-// primary entry point.
-func New(name string, dispatch Dispatch, opts ...Option) (Executor, error) {
-	return NewObject(name, Func(dispatch), opts...)
-}
-
 // NewObject constructs the named algorithm around the batch-aware
 // object: every drained run, combining round or lock-held batch the
-// construction forms reaches obj as one DispatchBatch call.
+// construction forms reaches obj as one DispatchBatch call. A bare
+// func(op, arg uint64) uint64 converts with Func, for free.
 func NewObject(name string, obj Object, opts ...Option) (Executor, error) {
 	regMu.RLock()
 	f, ok := registry[name]
@@ -66,15 +59,6 @@ func NewObject(name string, obj Object, opts ...Option) (Executor, error) {
 		return nil, err
 	}
 	return f(obj, o)
-}
-
-// MustNew is New, panicking on failure.
-func MustNew(name string, dispatch Dispatch, opts ...Option) Executor {
-	e, err := New(name, dispatch, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 // MustNewObject is NewObject, panicking on failure.
@@ -98,13 +82,10 @@ func Algorithms() []string {
 	return names
 }
 
-// The package's own constructions self-register here; shmsync and spin
-// register theirs from their own init functions.
+// The package's own delegation constructions self-register here, the
+// lock executors in lockexec.go, shmsync's from its own init.
 func init() {
-	MustRegister("mpserver", func(obj Object, o Options) (Executor, error) {
-		return NewMPServer(obj, o), nil
-	})
-	MustRegister("hybcomb", func(obj Object, o Options) (Executor, error) {
-		return NewHybComb(obj, o), nil
-	})
+	MustRegister("mpserver", func(obj Object, o Options) (Executor, error) { return NewMPServer(obj, o), nil })
+	MustRegister("hybcomb", func(obj Object, o Options) (Executor, error) { return NewHybComb(obj, o), nil })
+	MustRegister("hybrid", func(obj Object, o Options) (Executor, error) { return NewHybrid(obj, o), nil })
 }

@@ -22,11 +22,11 @@ func seqFactory(t *testing.T) ExecFactory {
 func echoRouter(t *testing.T, nshards int) *Router {
 	t.Helper()
 	seqs := make([]uint64, nshards*64) // oversized; only [shard*64] used
-	r, err := NewRouter(nshards, func(shard int, op, arg uint64) uint64 {
+	r, err := NewObjectRouter(nshards, KeyedFunc(func(shard int, op, arg uint64) uint64 {
 		s := seqs[shard*64]
 		seqs[shard*64]++
 		return uint64(shard)<<32 | s<<16 | (arg & 0xFFFF)
-	}, nil, seqFactory(t))
+	}), nil, seqFactory(t))
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
@@ -64,6 +64,46 @@ func TestSubmitWaitRouted(t *testing.T) {
 			t.Fatalf("ticket %d executed on shard %d, routed to %d", i, got, tickets[i].Shard())
 		}
 	}
+}
+
+// TestWaitForeignTicketPanics: a routed Wait on a ticket that is not
+// outstanding fails with the contract's one panic, like every
+// core.Handle — also when the ticket names a shard this handle never
+// opened (the zero Ticket before any operation, another routing
+// handle's ticket) or no shard at all, which used to die on a nil
+// handle or a slice index.
+func TestWaitForeignTicketPanics(t *testing.T) {
+	r := echoRouter(t, 4)
+	defer r.Close()
+	a, _ := r.NewHandle()
+	b, _ := r.NewHandle()
+	theirs, err := b.SubmitShard(3, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine, err := a.SubmitShard(1, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tk := range map[string]Ticket{
+		"zero ticket, shard never opened":    {},
+		"foreign ticket, shard never opened": theirs,
+		"shard out of range":                 {shard: 4, t: mine.t},
+		"negative shard":                     {shard: -1, t: mine.t},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != core.TicketMisuse {
+					t.Errorf("Wait(%s) panicked with %v, want %q", name, got, core.TicketMisuse)
+				}
+			}()
+			a.Wait(tk)
+		}()
+	}
+	if v := a.Wait(mine); v&0xFFFF != 2 {
+		t.Fatalf("Wait(own ticket) after the misuses = %#x, want op 2's result", v)
+	}
+	b.Wait(theirs)
 }
 
 // TestMultiApplyOrderAndRouting: MultiApply returns results in input
@@ -126,10 +166,10 @@ func TestMultiApplyOrderAndRouting(t *testing.T) {
 func TestPostFlushCountsOccupancy(t *testing.T) {
 	const nshards = 4
 	counts := make([]uint64, nshards*64)
-	r, err := NewRouter(nshards, func(shard int, op, arg uint64) uint64 {
+	r, err := NewObjectRouter(nshards, KeyedFunc(func(shard int, op, arg uint64) uint64 {
 		counts[shard*64]++
 		return counts[shard*64]
-	}, nil, seqFactory(t))
+	}), nil, seqFactory(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +206,10 @@ func TestPostFlushCountsOccupancy(t *testing.T) {
 func TestMultiApplyConcurrent(t *testing.T) {
 	const nshards, goroutines, batches, batch = 4, 4, 20, 16
 	counts := make([]uint64, nshards*64)
-	r, err := NewRouter(nshards, func(shard int, op, arg uint64) uint64 {
+	r, err := NewObjectRouter(nshards, KeyedFunc(func(shard int, op, arg uint64) uint64 {
 		counts[shard*64] += arg
 		return counts[shard*64]
-	}, nil, seqFactory(t))
+	}), nil, seqFactory(t))
 	if err != nil {
 		t.Fatal(err)
 	}

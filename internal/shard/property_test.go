@@ -151,7 +151,7 @@ func TestCloseFanOutIdempotent(t *testing.T) {
 	for _, algo := range propAlgos {
 		t.Run(algo, func(t *testing.T) {
 			var execs []core.Executor
-			r, err := NewRouter(3, func(shard int, op, arg uint64) uint64 { return 0 }, nil,
+			r, err := NewObjectRouter(3, KeyedFunc(func(shard int, op, arg uint64) uint64 { return 0 }), nil,
 				func(_ int, obj core.Object) (core.Executor, error) {
 					ex, err := core.NewObject(algo, obj)
 					if err == nil {

@@ -25,15 +25,6 @@ import (
 	"hybsync/internal/telemetry"
 )
 
-// KeyedDispatch executes opcode op with argument arg against shard's
-// partition of the protected object. For a given shard it is always
-// invoked in mutual exclusion (by that shard's executor); calls for
-// different shards run concurrently, so partitions must not share
-// mutable state. KeyedDispatch is the legacy scalar contract; the
-// router itself runs on KeyedObject and wraps a KeyedDispatch with
-// KeyedFunc.
-type KeyedDispatch func(shard int, op, arg uint64) uint64
-
 // KeyedObject is the batch-aware sharded execution contract, the
 // sharded equivalent of core.Object: DispatchShardBatch executes a
 // whole run of requests against shard's partition in one
@@ -45,8 +36,9 @@ type KeyedObject interface {
 	DispatchShardBatch(shard int, reqs []core.Req, results []uint64)
 }
 
-// KeyedFunc adapts a legacy KeyedDispatch into a KeyedObject that
-// executes a batch by looping.
+// KeyedFunc adapts a bare function — one operation against shard's
+// partition per call, always in that shard's mutual exclusion — into a
+// KeyedObject that executes a batch by looping.
 type KeyedFunc func(shard int, op, arg uint64) uint64
 
 // DispatchShardBatch implements KeyedObject.
@@ -93,17 +85,6 @@ type Router struct {
 	closed atomic.Bool
 }
 
-// NewRouter builds a router over nshards executors made by f, routing
-// keys with part (nil selects Fibonacci). Dispatch d receives the shard
-// index alongside the operation; it is wrapped in KeyedFunc, so
-// NewObjectRouter is the batch-aware primary constructor.
-func NewRouter(nshards int, d KeyedDispatch, part Partitioner, f ExecFactory) (*Router, error) {
-	if d == nil {
-		return nil, fmt.Errorf("shard: NewRouter needs a dispatch and an executor factory")
-	}
-	return NewObjectRouter(nshards, KeyedFunc(d), part, f)
-}
-
 // NewObjectRouter builds a router over nshards executors made by f,
 // executing against the batch-aware obj: every run a shard's executor
 // forms reaches obj as one DispatchShardBatch call for that shard.
@@ -111,11 +92,11 @@ func NewRouter(nshards int, d KeyedDispatch, part Partitioner, f ExecFactory) (*
 // built are closed again if a later shard's factory fails.
 func NewObjectRouter(nshards int, obj KeyedObject, part Partitioner, f ExecFactory) (*Router, error) {
 	if nshards <= 0 {
-		return nil, fmt.Errorf("shard: NewRouter(%d): shard count must be positive: %w",
+		return nil, fmt.Errorf("shard: NewObjectRouter(%d): shard count must be positive: %w",
 			nshards, core.ErrBadOption)
 	}
 	if obj == nil || f == nil {
-		return nil, fmt.Errorf("shard: NewRouter needs a dispatch and an executor factory")
+		return nil, fmt.Errorf("shard: NewObjectRouter needs an object and an executor factory")
 	}
 	if part == nil {
 		part = Fibonacci
@@ -403,8 +384,15 @@ func (h *Handle) SubmitShard(shard int, op, arg uint64) (Ticket, error) {
 
 // Wait blocks until t's operation has executed on its shard and
 // returns the result. Tickets may be waited out of submission order;
-// each exactly once.
-func (h *Handle) Wait(t Ticket) uint64 { return h.hs[t.shard].Wait(t.t) }
+// each exactly once: like every core.Handle, Wait on a ticket that is
+// not outstanding panics — including one for a shard this handle never
+// opened (another routing handle's ticket, or the zero Ticket).
+func (h *Handle) Wait(t Ticket) uint64 {
+	if t.shard < 0 || t.shard >= len(h.hs) || h.hs[t.shard] == nil {
+		panic(core.TicketMisuse)
+	}
+	return h.hs[t.shard].Wait(t.t)
+}
 
 // Post routes a result-less operation to key's shard fire-and-forget;
 // completion is observed collectively through Flush.

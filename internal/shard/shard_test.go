@@ -93,11 +93,11 @@ func TestHotKeyIsolation(t *testing.T) {
 func TestRouterRoutesByKey(t *testing.T) {
 	const nshards = 4
 	touched := make([]uint64, nshards)
-	r, err := NewRouter(nshards, func(shard int, op, arg uint64) uint64 {
+	r, err := NewObjectRouter(nshards, KeyedFunc(func(shard int, op, arg uint64) uint64 {
 		touched[shard]++ // safe: each shard's dispatch is serialized and
 		// shards are distinct slots (test reads only at quiescence)
 		return uint64(shard)
-	}, nil, coreFactory("hybcomb"))
+	}), nil, coreFactory("hybcomb"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestLazyHandlesAndSentinelPropagation(t *testing.T) {
 	// they touch disjoint shards — proof the per-shard executor handles
 	// open lazily — and the first collision surfaces ErrTooManyHandles
 	// exactly as the executor returned it.
-	r, err := NewRouter(2, func(shard int, op, arg uint64) uint64 { return 0 },
+	r, err := NewObjectRouter(2, KeyedFunc(func(shard int, op, arg uint64) uint64 { return 0 }),
 		Modulo, coreFactory("mpserver", core.WithMaxThreads(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -155,12 +155,12 @@ func TestLazyHandlesAndSentinelPropagation(t *testing.T) {
 
 func TestBroadcastAndAggregate(t *testing.T) {
 	vals := make([]uint64, 4)
-	r, err := NewRouter(4, func(shard int, op, arg uint64) uint64 {
+	r, err := NewObjectRouter(4, KeyedFunc(func(shard int, op, arg uint64) uint64 {
 		if op == 1 {
 			vals[shard] += arg
 		}
 		return vals[shard]
-	}, nil, coreFactory("hybcomb"))
+	}), nil, coreFactory("hybcomb"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestBroadcastAndAggregate(t *testing.T) {
 }
 
 func TestRouterStatsAggregated(t *testing.T) {
-	r, err := NewRouter(3, func(shard int, op, arg uint64) uint64 { return 0 },
+	r, err := NewObjectRouter(3, KeyedFunc(func(shard int, op, arg uint64) uint64 { return 0 }),
 		nil, coreFactory("hybcomb"))
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestRouterStatsAggregated(t *testing.T) {
 		t.Fatalf("rounds %d + combined %d != 300 ops", rounds, combined)
 	}
 	// A router over non-combining executors reports ok=false.
-	r2, err := NewRouter(2, func(shard int, op, arg uint64) uint64 { return 0 },
+	r2, err := NewObjectRouter(2, KeyedFunc(func(shard int, op, arg uint64) uint64 { return 0 }),
 		nil, coreFactory("mpserver"))
 	if err != nil {
 		t.Fatal(err)
@@ -224,16 +224,16 @@ func TestRouterStatsAggregated(t *testing.T) {
 
 func TestRouterRejectsBadConfig(t *testing.T) {
 	d := func(shard int, op, arg uint64) uint64 { return 0 }
-	if _, err := NewRouter(0, d, nil, coreFactory("hybcomb")); !errors.Is(err, core.ErrBadOption) {
+	if _, err := NewObjectRouter(0, KeyedFunc(d), nil, coreFactory("hybcomb")); !errors.Is(err, core.ErrBadOption) {
 		t.Errorf("NewRouter(0 shards) = %v, want ErrBadOption", err)
 	}
-	if _, err := NewRouter(-3, d, nil, coreFactory("hybcomb")); !errors.Is(err, core.ErrBadOption) {
+	if _, err := NewObjectRouter(-3, KeyedFunc(d), nil, coreFactory("hybcomb")); !errors.Is(err, core.ErrBadOption) {
 		t.Errorf("NewRouter(-3 shards) = %v, want ErrBadOption", err)
 	}
-	if _, err := NewRouter(2, nil, nil, coreFactory("hybcomb")); err == nil {
+	if _, err := NewObjectRouter(2, nil, nil, coreFactory("hybcomb")); err == nil {
 		t.Error("NewRouter(nil dispatch) accepted")
 	}
-	if _, err := NewRouter(2, d, nil, nil); err == nil {
+	if _, err := NewObjectRouter(2, KeyedFunc(d), nil, nil); err == nil {
 		t.Error("NewRouter(nil factory) accepted")
 	}
 }
@@ -241,7 +241,7 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 func TestRouterFactoryFailureClosesBuiltShards(t *testing.T) {
 	var built []core.Executor
 	boom := errors.New("boom")
-	_, err := NewRouter(3, func(shard int, op, arg uint64) uint64 { return 0 }, nil,
+	_, err := NewObjectRouter(3, KeyedFunc(func(shard int, op, arg uint64) uint64 { return 0 }), nil,
 		func(s int, obj core.Object) (core.Executor, error) {
 			if s == 2 {
 				return nil, boom

@@ -12,7 +12,7 @@ import (
 // once per shard, or every counter would be N-times-counted.
 func TestTelemetrySnapshotDedup(t *testing.T) {
 	tel := telemetry.NewSampled(1)
-	r, err := NewRouter(4, func(shard int, op, arg uint64) uint64 { return 0 },
+	r, err := NewObjectRouter(4, KeyedFunc(func(shard int, op, arg uint64) uint64 { return 0 }),
 		nil, coreFactory("hybcomb", core.WithTelemetry(tel)))
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestTelemetrySnapshotDistinct(t *testing.T) {
 		tels[shard] = telemetry.NewSampled(1)
 		return core.NewObject("hybcomb", obj, core.WithTelemetry(tels[shard]))
 	}
-	r, err := NewRouter(2, func(shard int, op, arg uint64) uint64 { return 0 }, nil, factory)
+	r, err := NewObjectRouter(2, KeyedFunc(func(shard int, op, arg uint64) uint64 { return 0 }), nil, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTelemetrySnapshotDistinct(t *testing.T) {
 // TestTelemetrySnapshotDisarmed: a router over disarmed shards reports
 // ok=false.
 func TestTelemetrySnapshotDisarmed(t *testing.T) {
-	r, err := NewRouter(2, func(shard int, op, arg uint64) uint64 { return 0 },
+	r, err := NewObjectRouter(2, KeyedFunc(func(shard int, op, arg uint64) uint64 { return 0 }),
 		nil, coreFactory("hybcomb"))
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 
 // seqDispatch hands out strictly increasing values so execution order
 // is observable through the results.
-func seqDispatch() (core.Dispatch, *uint64) {
+func seqDispatch() (core.Func, *uint64) {
 	state := new(uint64)
 	return func(op, arg uint64) uint64 {
 		v := *state
@@ -31,7 +31,7 @@ func seqDispatch() (core.Dispatch, *uint64) {
 // combiner duty for its own deferred cells.
 func TestCCSynchSubmitWaitFIFO(t *testing.T) {
 	d, state := seqDispatch()
-	c := NewCCSynch(core.Func(d), 4) // tiny MaxOps: rounds split, duty moves around
+	c := NewCCSynch(d, core.Options{MaxOps: 4}) // tiny MaxOps: rounds split, duty moves around
 	defer c.Close()
 	h, err := c.NewHandle()
 	if err != nil {
@@ -59,8 +59,7 @@ func TestCCSynchSubmitWaitFIFO(t *testing.T) {
 // settles old cells as it goes; Flush completes the rest.
 func TestCCSynchPostFlushDepth(t *testing.T) {
 	d, state := seqDispatch()
-	c := NewCCSynch(core.Func(d), 8)
-	c.depth = 4
+	c := NewCCSynch(d, core.Options{MaxOps: 8, QueueCap: 4})
 	defer c.Close()
 	h, err := c.NewHandle()
 	if err != nil {
@@ -83,7 +82,7 @@ func TestCCSynchPostFlushDepth(t *testing.T) {
 // foreign handles could hold another pipeline's combiner duty).
 func TestCCSynchConcurrentPipelines(t *testing.T) {
 	d, state := seqDispatch()
-	c := NewCCSynch(core.Func(d), 6)
+	c := NewCCSynch(d, core.Options{MaxOps: 6})
 	defer c.Close()
 	const goroutines, per, depth = 4, 250, 5
 	var wg sync.WaitGroup

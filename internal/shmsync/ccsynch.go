@@ -7,9 +7,7 @@
 package shmsync
 
 import (
-	"fmt"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"hybsync/internal/backoff"
@@ -19,24 +17,10 @@ import (
 )
 
 // The package's constructions self-register with the core registry so
-// hybsync.New can build them by name.
+// hybsync.NewObject can build them by name.
 func init() {
-	core.MustRegister("ccsynch", func(obj core.Object, o core.Options) (core.Executor, error) {
-		c := NewCCSynch(obj, o.MaxOps)
-		c.depth = o.QueueCap
-		c.stall = o.StallTimeout
-		c.tel = o.Telemetry
-		c.Tel = o.Telemetry
-		return c, nil
-	})
-	core.MustRegister("shmserver", func(obj core.Object, o core.Options) (core.Executor, error) {
-		s := NewSHMServer(obj, o.MaxThreads)
-		s.stall = o.StallTimeout
-		// The server goroutine is already polling: publish the metric
-		// core through an atomic so its sweep recorder can attach late.
-		s.setTelemetry(o.Telemetry)
-		return s, nil
-	})
+	core.MustRegister("ccsynch", func(obj core.Object, o core.Options) (core.Executor, error) { return NewCCSynch(obj, o), nil })
+	core.MustRegister("shmserver", func(obj core.Object, o core.Options) (core.Executor, error) { return NewSHMServer(obj, o), nil })
 }
 
 // CCSynch executes critical sections with the CC-Synch combining
@@ -63,15 +47,19 @@ func init() {
 // several handles' pipelines from one goroutine should flush them
 // concurrently, not sequentially, since one handle's unflushed cell can
 // hold the duty another handle's Flush is spinning on.
+//
+// tail is declared ahead of the shell on purpose: it then shares its
+// cache line with the latch and MaxOps, which a combiner reads before it
+// walks the chain. Re-fetching that line after a publisher's SWAP is a
+// delay in which the publisher links its cell, so the walk finds it and
+// the round serves it instead of ending in a hand-off; with the tail on
+// a line of its own two contending threads run 20 % slower
+// (contended-apply, CHANGES.md PR 18). An honest waiting policy at the
+// chain's end belongs to ROADMAP direction C.
 type CCSynch struct {
-	core.PoisonLatch
-	obj    core.Object
-	tail   atomic.Pointer[ccNode]
-	maxOps int32
-	depth  int                  // per-handle in-flight bound (Options.QueueCap)
-	stall  time.Duration        // stall watchdog budget (Options.StallTimeout)
-	tel    *telemetry.Telemetry // metric core (Options.Telemetry; nil = disarmed)
-	closed atomic.Bool
+	tail atomic.Pointer[ccNode]
+	core.Shell
+	obj core.Object
 
 	rounds   atomic.Uint64
 	combined atomic.Uint64
@@ -97,38 +85,24 @@ type ccNode struct {
 	_ [pad.CacheLine - unsafe.Sizeof(ccNodeHot{})%pad.CacheLine]byte
 }
 
-// NewCCSynch creates the structure with the given combining bound
-// (<=0 means the paper's 200).
-func NewCCSynch(obj core.Object, maxOps int32) *CCSynch {
-	if maxOps <= 0 {
-		maxOps = 200
-	}
-	c := &CCSynch{obj: obj, maxOps: maxOps, depth: 39}
-	c.Algo = "ccsynch"
+// NewCCSynch creates the structure; Options.MaxOps is the combining
+// bound and Options.QueueCap the per-handle in-flight bound.
+func NewCCSynch(obj core.Object, o core.Options) *CCSynch {
+	c := &CCSynch{obj: obj}
+	c.Init("ccsynch", o)
 	c.tail.Store(&ccNode{}) // initial dummy: wait=false, completed=false
 	return c
 }
 
-// NewHandle implements core.Executor. CC-Synch has no structural bound
-// on participants, so handles are unlimited until Close.
+// NewHandle implements core.Executor.
 func (c *CCSynch) NewHandle() (core.Handle, error) {
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("shmsync: ccsynch: %w", err)
+	if _, err := c.Admit(); err != nil {
+		return nil, err
 	}
-	if c.closed.Load() {
-		return nil, fmt.Errorf("shmsync: ccsynch: %w", core.ErrClosed)
-	}
-	h := &ccTransport{ccTransportHot: ccTransportHot{
-		c:    c,
-		node: &ccNode{},
-		rec:  c.tel.Recorder(),
-		wb:   backoff.Armed(c.stall, "ccsynch: waiting for cell service"),
-	}}
-	// Set on the stored waiter: Armed returns by value, so a hook set
-	// on the temporary would be lost.
-	h.wb.SetOnStall(c.tel.StallHook())
+	h := &ccTransport{ccTransportHot: ccTransportHot{c: c, node: &ccNode{}, rec: c.Opts.Telemetry.Recorder()}}
+	c.Arm(&h.wb, "ccsynch: waiting for cell service")
 	return core.NewPipe(core.PipeSpec{Transport: h, Apply: h.apply, Latch: &c.PoisonLatch, Rec: h.rec,
-		Counters: &c.ps, Depth: c.depth, Waiter: &h.wb}), nil
+		Counters: &c.ps, Depth: c.Opts.QueueCap, Waiter: &h.wb}), nil
 }
 
 // Close implements core.Executor. CC-Synch owns no background
@@ -138,7 +112,7 @@ func (c *CCSynch) NewHandle() (core.Handle, error) {
 // fails future NewHandle calls; it is idempotent and reports the
 // *PoisonError when poisoned.
 func (c *CCSynch) Close() error {
-	c.closed.Store(true)
+	c.Seal()
 	return c.Err()
 }
 
@@ -150,9 +124,6 @@ func (c *CCSynch) Stats() (rounds, combined uint64) {
 
 // Pipeline implements core.PipelineStats.
 func (c *CCSynch) Pipeline() (submitStalls, maxDepth uint64) { return c.ps.Pipeline() }
-
-// Telemetry implements core.TelemetrySource.
-func (c *CCSynch) Telemetry() *telemetry.Telemetry { return c.tel }
 
 // ccTransport is one thread's end of the chain. Ship publishes a cell
 // and leaves its completion owed; the owed cells wait in publication
@@ -285,7 +256,7 @@ func (h *ccTransport) completeCell(cur *ccNode) uint64 {
 	tmp := cur
 	var count int32
 	var myRet uint64
-	for count < c.maxOps {
+	for count < c.Opts.MaxOps {
 		next := tmp.next.Load()
 		if next == nil {
 			break
@@ -369,8 +340,9 @@ func (h *ccTransport) Batch(p *core.Pipe, reqs []core.Req, results []uint64) {
 		p.Pipelined(reqs, results)
 		return
 	}
-	for start := 0; start < len(reqs); start += h.c.depth {
-		end := min(start+h.c.depth, len(reqs))
+	depth := h.c.Opts.QueueCap
+	for start := 0; start < len(reqs); start += depth {
+		end := min(start+depth, len(reqs))
 		for _, r := range reqs[start:end] {
 			h.Ship(r.Op, r.Arg)
 		}

@@ -1,15 +1,12 @@
 package shmsync
 
 import (
-	"fmt"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"hybsync/internal/backoff"
 	"hybsync/internal/core"
 	"hybsync/internal/pad"
-	"hybsync/internal/telemetry"
 )
 
 // SHMServer is the paper's SHM-SERVER: a simplified RCL. Each client
@@ -24,30 +21,11 @@ import (
 // emulated over coherent shared memory — the baseline whose
 // per-request coherence misses MP-SERVER eliminates.
 type SHMServer struct {
-	core.PoisonLatch
-	obj    core.Object
-	slots  []shmSlot
-	stall  time.Duration // stall watchdog budget (Options.StallTimeout)
-	nextID atomic.Int32
-	stop   atomic.Bool
-	done   chan struct{}
-	// tel is atomic because the registry factory arms telemetry after
-	// NewSHMServer has already started the polling goroutine; the sweep
-	// attaches its recorder lazily on the first armed flush.
-	tel atomic.Pointer[telemetry.Telemetry]
+	core.Shell
+	obj   core.Object
+	slots []shmSlot // Options.MaxThreads of them
+	done  chan struct{}
 }
-
-// setTelemetry arms the metric core (nil is a no-op, leaving the
-// server disarmed). Call before handing out handles.
-func (s *SHMServer) setTelemetry(t *telemetry.Telemetry) {
-	if t != nil {
-		s.tel.Store(t)
-		s.Tel = t
-	}
-}
-
-// Telemetry implements core.TelemetrySource.
-func (s *SHMServer) Telemetry() *telemetry.Telemetry { return s.tel.Load() }
 
 // shmSlotHot is one client channel: req holds op+1 (0 = empty). The
 // server writes ret then clears req; the client spins on req. The
@@ -65,18 +43,12 @@ type shmSlot struct {
 	_ [pad.CacheLine - unsafe.Sizeof(shmSlotHot{})%pad.CacheLine]byte
 }
 
-// NewSHMServer starts the polling server goroutine for up to maxClients
-// clients. Close must be called to stop it.
-func NewSHMServer(obj core.Object, maxClients int) *SHMServer {
-	if maxClients <= 0 {
-		maxClients = 128
-	}
-	s := &SHMServer{
-		obj:   obj,
-		slots: make([]shmSlot, maxClients),
-		done:  make(chan struct{}),
-	}
-	s.Algo = "shmserver"
+// NewSHMServer starts the polling server goroutine for up to
+// Options.MaxThreads clients. Close must be called to stop it.
+func NewSHMServer(obj core.Object, o core.Options) *SHMServer {
+	s := &SHMServer{obj: obj, done: make(chan struct{})}
+	s.Init("shmserver", o)
+	s.slots = make([]shmSlot, s.Opts.MaxThreads)
 	go s.serve()
 	return s
 }
@@ -94,13 +66,7 @@ func (s *SHMServer) serve() {
 	pend := make([]*shmSlot, 0, len(s.slots))
 	reqs := make([]core.Req, 0, len(s.slots))
 	rets := make([]uint64, len(s.slots))
-	// The recorder attaches exactly once, at the first non-empty flush:
-	// telemetry arms after serve starts but before any handle exists
-	// (setTelemetry's contract), and a non-empty flush implies a client
-	// held a handle — so one load suffices, and a disarmed sweep never
-	// re-reads the atomic pointer on its per-op hot path.
-	var rec *telemetry.Recorder
-	recSet := false
+	rec := s.Opts.Telemetry.Recorder() // server-goroutine owned
 	flush := func() {
 		if len(pend) == 0 {
 			return
@@ -116,9 +82,6 @@ func (s *SHMServer) serve() {
 		// Record after the release stores: the sweep is the round trip's
 		// critical path, and even a nil-recorder call between publish and
 		// release delays every spinning client.
-		if !recSet {
-			rec, recSet = s.tel.Load().Recorder(), true
-		}
 		rec.RunLen(len(pend))
 		pend = pend[:0]
 		reqs = reqs[:0]
@@ -153,10 +116,10 @@ func (s *SHMServer) serve() {
 			idle.Reset()
 			continue
 		}
-		if s.stop.Load() {
-			// Draining close: one more full sweep after observing stop.
-			// A request published before Close happened-before the stop
-			// flag's store, so this sweep sees it — the empty sweep above
+		if s.Sealed() {
+			// Draining close: one more full sweep after observing the seal.
+			// A request published before Close happened-before the seal's
+			// store, so this sweep sees it — the empty sweep above
 			// may have scanned that slot before the publish landed.
 			if !sweep() {
 				return
@@ -169,30 +132,18 @@ func (s *SHMServer) serve() {
 
 // NewHandle implements core.Executor.
 func (s *SHMServer) NewHandle() (core.Handle, error) {
-	if err := s.Err(); err != nil {
-		return nil, fmt.Errorf("shmsync: shmserver: %w", err)
+	id, err := s.Admit()
+	if err != nil {
+		return nil, err
 	}
-	if s.stop.Load() {
-		return nil, fmt.Errorf("shmsync: shmserver: %w", core.ErrClosed)
-	}
-	id := s.nextID.Add(1) - 1
-	if int(id) >= len(s.slots) {
-		return nil, fmt.Errorf("shmsync: more than %d clients (raise MaxThreads): %w",
-			len(s.slots), core.ErrTooManyHandles)
-	}
-	h := &shmClient{shmClientHot: shmClientHot{
-		slot: &s.slots[id],
-		wb:   backoff.Armed(s.stall, "shmserver: waiting for server sweep"),
-	}}
-	// Set on the stored waiter: Armed returns by value, so a hook set
-	// on the temporary would be lost.
-	h.wb.SetOnStall(s.tel.Load().StallHook())
+	h := &shmClient{shmClientHot: shmClientHot{slot: &s.slots[id]}}
+	s.Arm(&h.wb, "shmserver: waiting for server sweep")
 	// A client owns exactly one request slot, so nothing can be left in
 	// flight and a client's own batch cannot travel together: every
 	// submission is a slot round trip, ApplyBatch loops them, and
 	// batches form server-side instead, across clients, when the sweep
 	// finds consecutive occupied slots.
-	return core.NewImmediatePipe(h.apply, nil, &s.PoisonLatch, s.tel.Load().Recorder()), nil
+	return core.NewImmediatePipe(h.apply, nil, &s.PoisonLatch, s.Opts.Telemetry.Recorder()), nil
 }
 
 // Close stops the server once all in-flight requests are served (the
@@ -201,7 +152,7 @@ func (s *SHMServer) NewHandle() (core.Handle, error) {
 // a poisoned executor it still stops the server and reports the
 // *PoisonError.
 func (s *SHMServer) Close() error {
-	if s.stop.CompareAndSwap(false, true) {
+	if s.Seal() {
 		<-s.done
 	}
 	return s.Err()

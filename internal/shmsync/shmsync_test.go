@@ -8,6 +8,7 @@ import (
 
 	"hybsync/internal/core"
 	"hybsync/internal/pad"
+	"hybsync/internal/telemetry"
 )
 
 func TestCCSynchSequential(t *testing.T) {
@@ -16,7 +17,7 @@ func TestCCSynchSequential(t *testing.T) {
 		old := state
 		state += arg
 		return old
-	}), 200)
+	}), core.Options{MaxOps: 200})
 	h := core.MustHandle(c)
 	if got := h.Apply(0, 5); got != 0 {
 		t.Fatalf("Apply = %d, want 0", got)
@@ -36,7 +37,7 @@ func TestCCSynchConcurrent(t *testing.T) {
 			v := state
 			state = v + 1
 			return v
-		}), maxOps)
+		}), core.Options{MaxOps: maxOps})
 		const goroutines, per = 12, 3000
 		var wg sync.WaitGroup
 		seen := make([]map[uint64]bool, goroutines)
@@ -77,7 +78,7 @@ func TestSHMServerBasic(t *testing.T) {
 		old := state
 		state = old + arg + op
 		return old
-	}), 4)
+	}), core.Options{MaxThreads: 4})
 	defer s.Close()
 	h := core.MustHandle(s)
 	if got := h.Apply(1, 2); got != 0 {
@@ -94,7 +95,7 @@ func TestSHMServerConcurrent(t *testing.T) {
 		v := state
 		state = v + 1
 		return v
-	}), 32)
+	}), core.Options{MaxThreads: 32})
 	defer s.Close()
 	const goroutines, per = 16, 2000
 	var wg sync.WaitGroup
@@ -115,7 +116,7 @@ func TestSHMServerConcurrent(t *testing.T) {
 }
 
 func TestSHMServerTooManyClients(t *testing.T) {
-	s := NewSHMServer(core.Func(func(op, arg uint64) uint64 { return 0 }), 1)
+	s := NewSHMServer(core.Func(func(op, arg uint64) uint64 { return 0 }), core.Options{MaxThreads: 1})
 	defer s.Close()
 	if _, err := s.NewHandle(); err != nil {
 		t.Fatalf("NewHandle: %v", err)
@@ -126,7 +127,7 @@ func TestSHMServerTooManyClients(t *testing.T) {
 }
 
 func TestLifecycleAfterClose(t *testing.T) {
-	s := NewSHMServer(core.Func(func(op, arg uint64) uint64 { return 0 }), 2)
+	s := NewSHMServer(core.Func(func(op, arg uint64) uint64 { return 0 }), core.Options{MaxThreads: 2})
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -137,7 +138,7 @@ func TestLifecycleAfterClose(t *testing.T) {
 		t.Fatalf("NewHandle after Close = %v, want ErrClosed", err)
 	}
 
-	c := NewCCSynch(core.Func(func(op, arg uint64) uint64 { return 0 }), 200)
+	c := NewCCSynch(core.Func(func(op, arg uint64) uint64 { return 0 }), core.Options{MaxOps: 200})
 	if err := c.Close(); err != nil {
 		t.Fatalf("ccsynch Close: %v", err)
 	}
@@ -146,10 +147,30 @@ func TestLifecycleAfterClose(t *testing.T) {
 	}
 }
 
+// TestSHMServerRecordsFirstSweep: the server goroutine takes its
+// recorder from the Options it was built with, so a server built armed
+// records the run length of its very first non-empty sweep — there is
+// no later moment at which telemetry attaches. The record follows the
+// slot release, hence Close before the read.
+func TestSHMServerRecordsFirstSweep(t *testing.T) {
+	tel := telemetry.New()
+	s := NewSHMServer(core.Func(func(op, arg uint64) uint64 { return arg }), core.Options{MaxThreads: 2, Telemetry: tel})
+	if s.Telemetry() != tel {
+		t.Fatal("Telemetry() is not the core the server was built with")
+	}
+	core.MustHandle(s).Apply(0, 7)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.Snapshot().RunLen.Count; got != 1 {
+		t.Fatalf("run_len count after one Apply = %d, want 1", got)
+	}
+}
+
 func TestSHMServerZeroResultValues(t *testing.T) {
 	// Results of zero must round-trip correctly (the req flag, not the
 	// result word, signals completion).
-	s := NewSHMServer(core.Func(func(op, arg uint64) uint64 { return 0 }), 2)
+	s := NewSHMServer(core.Func(func(op, arg uint64) uint64 { return 0 }), core.Options{MaxThreads: 2})
 	defer s.Close()
 	h := core.MustHandle(s)
 	for i := 0; i < 100; i++ {
@@ -168,5 +189,17 @@ func TestSlotLayout(t *testing.T) {
 func TestNodeLayout(t *testing.T) {
 	if !pad.Padded(unsafe.Sizeof(ccNode{})) {
 		t.Fatalf("ccNode is %d bytes, not a whole number of cache lines", unsafe.Sizeof(ccNode{}))
+	}
+}
+
+// TestCCSynchLineAligned pins what CCSynch's field order relies on (tail
+// on the line of the latch and MaxOps): every executor starts on a
+// cache-line boundary, whatever size class the struct falls in.
+func TestCCSynchLineAligned(t *testing.T) {
+	for i := 0; i < 16; i++ {
+		c := NewCCSynch(core.Func(func(op, arg uint64) uint64 { return 0 }), core.Options{})
+		if off := uintptr(unsafe.Pointer(c)) % pad.CacheLine; off != 0 {
+			t.Fatalf("executor %d starts %d bytes into a cache line", i, off)
+		}
 	}
 }

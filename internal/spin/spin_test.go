@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"hybsync/internal/core"
 )
 
 // lockFactories enumerates every lock, each as a per-goroutine factory
@@ -88,34 +86,5 @@ func TestCLHNodeRecycling(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Lock()
 		h.Unlock()
-	}
-}
-
-// TestLockExecutor adapts a lock into the Executor interface.
-func TestLockExecutor(t *testing.T) {
-	var state uint64
-	l := &MCSLock{}
-	ex := NewLockExecutor(core.Func(func(op, arg uint64) uint64 {
-		v := state
-		state = v + arg
-		return v
-	}), func() Lock { return l.NewMCSHandle() })
-	var _ core.Executor = ex
-
-	const goroutines, per = 8, 2000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h := core.MustHandle(ex)
-			for i := 0; i < per; i++ {
-				h.Apply(0, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if state != goroutines*per {
-		t.Fatalf("state = %d, want %d", state, goroutines*per)
 	}
 }

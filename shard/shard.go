@@ -5,10 +5,10 @@
 // (Broadcast/Aggregate) executed shard-by-shard without global locking.
 //
 //	var parts [8]uint64
-//	r, err := shard.New("mpserver", func(s int, op, arg uint64) uint64 {
+//	r, err := shard.NewObject("mpserver", shard.KeyedFunc(func(s int, op, arg uint64) uint64 {
 //		parts[s] += arg // runs in shard s's critical section
 //		return parts[s]
-//	}, hybsync.WithShards(8))
+//	}), hybsync.WithShards(8))
 //	h, err := r.NewHandle()          // one per goroutine
 //	v, err := h.Apply(key, 0, 1)     // routes key to its shard
 //	t, err := h.Submit(key, 0, 1)    // same, without waiting
@@ -36,21 +36,19 @@ import (
 // The router and handle types; see the internal/shard documentation on
 // the methods.
 type (
-	// Router partitions a keyed dispatch across independent executors.
+	// Router partitions a keyed object across independent executors.
 	Router = ishard.Router
 	// Handle routes one goroutine's operations; obtain from Router.NewHandle.
 	Handle = ishard.Handle
 	// Ticket identifies one outstanding routed submission; redeem with
 	// the issuing Handle's Wait exactly once.
 	Ticket = ishard.Ticket
-	// KeyedDispatch is the legacy scalar sharded critical-section body;
-	// the router wraps it in KeyedFunc.
-	KeyedDispatch = ishard.KeyedDispatch
 	// KeyedObject is the batch-aware sharded execution contract: a
 	// whole run against one shard executes as one DispatchShardBatch
 	// call of that shard's executor.
 	KeyedObject = ishard.KeyedObject
-	// KeyedFunc adapts a KeyedDispatch into a KeyedObject that loops.
+	// KeyedFunc adapts a bare func(shard int, op, arg uint64) uint64 into
+	// a KeyedObject that loops.
 	KeyedFunc = ishard.KeyedFunc
 	// Partitioner maps a key to a shard in [0, nshards).
 	Partitioner = ishard.Partitioner
@@ -71,31 +69,15 @@ func HotKeyIsolating(base Partitioner, hot ...uint64) Partitioner {
 	return ishard.HotKeyIsolating(base, hot...)
 }
 
-// New builds a router whose shards all run the named algorithm, routing
-// with the default Fibonacci partitioner. The shard count comes from
-// hybsync.WithShards (default 1); the remaining options configure each
-// shard's executor independently. d is the legacy scalar body;
-// NewObject is the batch-aware primary constructor.
-func New(algo string, d KeyedDispatch, opts ...hybsync.Option) (*Router, error) {
-	return NewPartitioned(algo, d, nil, opts...)
-}
-
-// NewObject is New around a batch-aware KeyedObject: every run a
-// shard's executor forms (a drained server batch, a combining round, a
-// MultiApply group) reaches obj as one DispatchShardBatch call for
-// that shard.
+// NewObject builds a router whose shards all run the named algorithm,
+// routing with the default Fibonacci partitioner. The shard count comes
+// from hybsync.WithShards (default 1); the remaining options configure
+// each shard's executor independently. Every run a shard's executor
+// forms (a drained server batch, a combining round, a MultiApply group)
+// reaches obj as one DispatchShardBatch call for that shard; a bare
+// function is NewObject(algo, KeyedFunc(f)).
 func NewObject(algo string, obj KeyedObject, opts ...hybsync.Option) (*Router, error) {
 	return NewObjectPartitioned(algo, obj, nil, opts...)
-}
-
-// NewPartitioned is New with an explicit Partitioner (nil selects
-// Fibonacci).
-func NewPartitioned(algo string, d KeyedDispatch, part Partitioner, opts ...hybsync.Option) (*Router, error) {
-	o, err := core.BuildOptions(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return ishard.NewRouter(o.Shards, d, part, factoryFor(algo, opts))
 }
 
 // NewObjectPartitioned is NewObject with an explicit Partitioner (nil
@@ -112,11 +94,11 @@ func NewObjectPartitioned(algo string, obj KeyedObject, part Partitioner, opts .
 // i runs algos[i] — for ablating mixed constructions against uniform
 // ones. Any hybsync.WithShards in opts is ignored; the shard count is
 // len(algos).
-func NewMixed(algos []string, d KeyedDispatch, opts ...hybsync.Option) (*Router, error) {
+func NewMixed(algos []string, obj KeyedObject, opts ...hybsync.Option) (*Router, error) {
 	if len(algos) == 0 {
 		return nil, fmt.Errorf("shard: NewMixed needs at least one algorithm")
 	}
-	return ishard.NewRouter(len(algos), d, nil,
+	return ishard.NewObjectRouter(len(algos), obj, nil,
 		func(s int, obj core.Object) (core.Executor, error) {
 			return core.NewObject(algos[s], obj, opts...)
 		})

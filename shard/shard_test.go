@@ -15,10 +15,10 @@ import (
 func TestNewRoutesAcrossShards(t *testing.T) {
 	const nshards = 4
 	var parts [nshards]uint64
-	r, err := shard.New("mpserver", func(s int, op, arg uint64) uint64 {
+	r, err := shard.NewObject("mpserver", shard.KeyedFunc(func(s int, op, arg uint64) uint64 {
 		parts[s] += arg
 		return parts[s]
-	}, hybsync.WithShards(nshards))
+	}), hybsync.WithShards(nshards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestNewRoutesAcrossShards(t *testing.T) {
 func TestNewMixedOneShardPerAlgorithm(t *testing.T) {
 	algos := []string{"mpserver", "hybcomb", "ccsynch"}
 	var parts [3]uint64
-	r, err := shard.NewMixed(algos, func(s int, op, arg uint64) uint64 {
+	r, err := shard.NewMixed(algos, shard.KeyedFunc(func(s int, op, arg uint64) uint64 {
 		parts[s]++
 		return parts[s]
-	}, hybsync.WithMaxThreads(4))
+	}), hybsync.WithMaxThreads(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,20 +86,20 @@ func TestNewMixedOneShardPerAlgorithm(t *testing.T) {
 			t.Errorf("shard %d (%s) executed %d ops, want 1", s, algos[s], v)
 		}
 	}
-	if _, err := shard.NewMixed(nil, func(int, uint64, uint64) uint64 { return 0 }); err == nil {
+	if _, err := shard.NewMixed(nil, shard.KeyedFunc(func(int, uint64, uint64) uint64 { return 0 })); err == nil {
 		t.Error("NewMixed(no algorithms) accepted")
 	}
 }
 
 func TestFacadeSentinels(t *testing.T) {
 	d := func(s int, op, arg uint64) uint64 { return 0 }
-	if _, err := shard.New("no-such-algo", d, hybsync.WithShards(2)); !errors.Is(err, hybsync.ErrUnknownAlgorithm) {
+	if _, err := shard.NewObject("no-such-algo", shard.KeyedFunc(d), hybsync.WithShards(2)); !errors.Is(err, hybsync.ErrUnknownAlgorithm) {
 		t.Errorf("unknown algorithm = %v, want ErrUnknownAlgorithm", err)
 	}
-	if _, err := shard.New("mpserver", d, hybsync.WithShards(0)); !errors.Is(err, hybsync.ErrBadOption) {
+	if _, err := shard.NewObject("mpserver", shard.KeyedFunc(d), hybsync.WithShards(0)); !errors.Is(err, hybsync.ErrBadOption) {
 		t.Errorf("WithShards(0) = %v, want ErrBadOption", err)
 	}
-	r, err := shard.New("mpserver", d, hybsync.WithShards(2), hybsync.WithMaxThreads(1))
+	r, err := shard.NewObject("mpserver", shard.KeyedFunc(d), hybsync.WithShards(2), hybsync.WithMaxThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,10 @@ func TestFacadeSentinels(t *testing.T) {
 func TestPartitionedHotKeys(t *testing.T) {
 	hits := make([]uint64, 4)
 	p := shard.HotKeyIsolating(shard.Fibonacci, 42)
-	r, err := shard.NewPartitioned("hybcomb", func(s int, op, arg uint64) uint64 {
+	r, err := shard.NewObjectPartitioned("hybcomb", shard.KeyedFunc(func(s int, op, arg uint64) uint64 {
 		hits[s]++
 		return 0
-	}, p, hybsync.WithShards(4))
+	}), p, hybsync.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,11 @@ func TestTelemetryAllAlgorithms(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tel := hybsync.NewTelemetry()
 			var state uint64
-			ex, err := hybsync.New(name, func(op, arg uint64) uint64 {
+			ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 {
 				v := state
 				state = v + 1
 				return v
-			}, hybsync.WithMaxThreads(goroutines), hybsync.WithTelemetry(tel))
+			}), hybsync.WithMaxThreads(goroutines), hybsync.WithTelemetry(tel))
 			if err != nil {
 				t.Fatalf("New(%q): %v", name, err)
 			}
@@ -92,9 +92,9 @@ func TestTelemetryCountsPoison(t *testing.T) {
 	for _, name := range []string{"mpserver", "hybcomb", "ccsynch", "shmserver", "mcs-lock"} {
 		t.Run(name, func(t *testing.T) {
 			tel := hybsync.NewTelemetry()
-			ex, err := hybsync.New(name, func(op, arg uint64) uint64 {
+			ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 {
 				panic("telemetry-test fault")
-			}, hybsync.WithTelemetry(tel))
+			}), hybsync.WithTelemetry(tel))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestTelemetryCountsPoison(t *testing.T) {
 // reports a nil core and nothing records (the disarmed contract the
 // overhead gate relies on).
 func TestTelemetryDisarmedByDefault(t *testing.T) {
-	ex := hybsync.MustNew("hybcomb", func(op, arg uint64) uint64 { return 0 })
+	ex := hybsync.MustNewObject("hybcomb", hybsync.Func(func(op, arg uint64) uint64 { return 0 }))
 	defer ex.Close()
 	h := hybsync.MustHandle(ex)
 	for i := 0; i < 64; i++ {
@@ -138,8 +138,8 @@ func TestTelemetryDisarmedByDefault(t *testing.T) {
 func TestTelemetrySharedAcrossExecutors(t *testing.T) {
 	tel := hybsync.NewTelemetry()
 	var a, b uint64
-	exA := hybsync.MustNew("mpserver", func(op, arg uint64) uint64 { a++; return a }, hybsync.WithTelemetry(tel))
-	exB := hybsync.MustNew("ccsynch", func(op, arg uint64) uint64 { b++; return b }, hybsync.WithTelemetry(tel))
+	exA := hybsync.MustNewObject("mpserver", hybsync.Func(func(op, arg uint64) uint64 { a++; return a }), hybsync.WithTelemetry(tel))
+	exB := hybsync.MustNewObject("ccsynch", hybsync.Func(func(op, arg uint64) uint64 { b++; return b }), hybsync.WithTelemetry(tel))
 	ha, hb := hybsync.MustHandle(exA), hybsync.MustHandle(exB)
 	const per = 100
 	for i := 0; i < per; i++ {
