@@ -8,56 +8,92 @@
 //	tilebench -fig all
 //	tilebench -fig 3a -horizon 300000 -runs 3
 //
-// Figures: 3a (counter throughput), 3b (counter latency), 3c (MAX_OPS
-// sweep), 4a (servicing-thread stalls), 4b (combining rate), 4c (CS
-// length), 5a (queues), 5b (stacks), cas (CAS rate and fairness), x86
-// (x86-like profile comparison), ablate-swap, ablate-drain.
+// The figures are sim.Figures — the one list, which `tilebench -h`
+// prints the names of. The simulator is deterministic: the same flags
+// print the same bytes (testdata/all.golden).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
+
+	"hybsync/harness"
+	"hybsync/sim"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (3a,3b,3c,4a,4b,4c,5a,5b,cas,x86,ablate-swap,ablate-drain,locks,tail,all)")
-	horizon := flag.Uint64("horizon", 200_000, "simulated cycles per run")
-	runs := flag.Int("runs", 3, "runs per data point (seed-perturbed, averaged)")
-	maxOps := flag.Int("maxops", 200, "MAX_OPS for the combining algorithms")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	cfg := figConfig{Horizon: *horizon, Runs: *runs, MaxOps: *maxOps}
-	figs := map[string]func(figConfig){
-		"3a":           fig3a,
-		"3b":           fig3b,
-		"3c":           fig3c,
-		"4a":           fig4a,
-		"4b":           fig4b,
-		"4c":           fig4c,
-		"5a":           fig5a,
-		"5b":           fig5b,
-		"cas":          figCAS,
-		"x86":          figX86,
-		"ablate-swap":  figAblateSwap,
-		"ablate-drain": figAblateDrain,
-		"locks":        figLocks,
-		"tail":         figTail,
+// run is main with its streams and exit status as values.
+func run(args []string, stdout, stderr io.Writer) int {
+	var names []string
+	for _, f := range sim.Figures(&sim.Lab{}, 0) {
+		names = append(names, f.Name)
 	}
-	order := []string{"3a", "3b", "3c", "4a", "4b", "4c", "5a", "5b", "cas", "x86", "ablate-swap", "ablate-drain", "locks", "tail"}
 
-	switch *fig {
-	case "all":
-		for _, name := range order {
-			figs[name](cfg)
+	fs := flag.NewFlagSet("tilebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure to regenerate ("+strings.Join(names, ",")+",all)")
+	horizon := fs.Uint64("horizon", 200_000, "simulated cycles per run")
+	runs := fs.Int("runs", 3, "runs per data point (seed-perturbed, averaged)")
+	maxOps := fs.Int("maxops", 200, "MAX_OPS for the combining algorithms")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-	default:
-		f, ok := figs[strings.ToLower(*fig)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tilebench: unknown figure %q (have %s, all)\n", *fig, strings.Join(order, ", "))
-			os.Exit(2)
-		}
-		f(cfg)
+		return 2
 	}
+	if *horizon < 1 || *runs < 1 || *maxOps < 1 {
+		fmt.Fprintf(stderr, "tilebench: -horizon, -runs and -maxops must be at least 1 (got %d, %d, %d)\n",
+			*horizon, *runs, *maxOps)
+		return 2
+	}
+
+	lab := &sim.Lab{Horizon: *horizon, Runs: *runs}
+	known := false
+	for _, f := range sim.Figures(lab, *maxOps) {
+		if *fig != "all" && f.Name != strings.ToLower(*fig) {
+			continue
+		}
+		known = true
+		if err := render(stdout, lab, f); err != nil {
+			fmt.Fprintln(stderr, "tilebench:", err)
+			return 1
+		}
+	}
+	if !known {
+		fmt.Fprintf(stderr, "tilebench: unknown figure %q (have %s, all)\n", *fig, strings.Join(names, ", "))
+		return 2
+	}
+	return 0
+}
+
+// render runs f's cells on lab and prints the table.
+func render(w io.Writer, lab *sim.Lab, f sim.Figure) error {
+	header := []string{f.XLabel}
+	for _, col := range f.Cols {
+		header = append(header, col.Label)
+	}
+	t := harness.NewTable(f.Title, header...)
+	t.Note = f.Note
+	for _, x := range f.X {
+		vals, err := f.Row(lab, x)
+		if err != nil {
+			return err
+		}
+		row := []any{f.RowLabel(x)}
+		for i, v := range vals {
+			if f.Cols[i].Int {
+				row = append(row, uint64(v))
+			} else {
+				row = append(row, v)
+			}
+		}
+		t.AddRow(row...)
+	}
+	t.Render(w)
+	return nil
 }

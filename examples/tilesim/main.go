@@ -1,44 +1,35 @@
-// Tilesim: drive the simulated TILE-Gx chip directly — spawn a
-// MP-SERVER and a HYBCOMB counter experiment side by side and print the
-// cycle-level accounting the paper reads from hardware event counters.
+// Tilesim: drive the simulated TILE-Gx chip — run a counter experiment
+// under every registered construction that executes one, side by side,
+// and print the cycle-level accounting the paper reads from hardware
+// event counters; then program the chip directly.
 //
 //	go run ./examples/tilesim
 package main
 
 import (
 	"fmt"
+	"log"
 
 	"hybsync/sim"
 )
 
 func main() {
 	const threads = 20
-	const horizon = 100_000 // simulated cycles (~83 µs at 1.2 GHz)
+	lab := &sim.Lab{Horizon: 100_000, Runs: 1} // simulated cycles (~83 µs at 1.2 GHz)
 
 	fmt.Printf("simulated chip: %s\n\n", sim.ProfileTileGx().Name)
 
-	for _, b := range []*sim.Builder{
-		sim.NewMPServerBuilder(sim.CounterFactory),
-		sim.NewHybCombBuilder(sim.CounterFactory, 200),
-		sim.NewSHMServerBuilder(sim.CounterFactory),
-		sim.NewCCSynchBuilder(sim.CounterFactory, 200),
-	} {
-		res := sim.RunWorkload(sim.ProfileTileGx(), b, sim.WorkloadCfg{
-			Threads:      threads,
-			Horizon:      horizon,
-			MaxLocalWork: 50,
-		}, sim.CounterOps)
-
-		fmt.Printf("%-11s %7.1f Mops/s   latency %5.0f cycles   fairness %.2f\n",
-			b.Name, res.Mops(), res.AvgLatency(), res.Fairness())
-		if len(res.Service) > 0 {
-			s := res.Service[0]
-			fmt.Printf("            server: %.1f cycles/op of which %.1f stalled; %d messages received\n",
-				float64(s.BusyCycles())/float64(res.Ops),
-				float64(s.StallCycles)/float64(res.Ops), s.MsgsRecvd)
+	for _, algo := range sim.Constructions("counter") {
+		res, err := lab.Run(sim.Cell{Algo: algo, Object: "counter", Threads: threads, MaxOps: 200})
+		if err != nil {
+			log.Fatal(err)
 		}
+		fmt.Printf("%-15s %7.1f Mops/s   latency %5.0f cycles   fairness %.2f\n",
+			algo, res.Mops(), res.AvgLatency(), res.Fairness())
+		fmt.Printf("                servers, else busiest thread: %.1f cycles/op of which %.1f stalled\n",
+			float64(res.ServiceBusy)/float64(res.Ops), float64(res.ServiceStall)/float64(res.Ops))
 		if res.Rounds > 0 {
-			fmt.Printf("            combining: %d rounds, %.1f requests/round, %.2f CAS/op\n",
+			fmt.Printf("                combining: %d rounds, %.1f requests/round, %.2f CAS/op\n",
 				res.Rounds, res.CombiningRate(), float64(res.CASAttempts)/float64(res.Ops))
 		}
 		fmt.Println()

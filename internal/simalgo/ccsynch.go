@@ -18,10 +18,12 @@ type CCSynch struct {
 	tail   tilesim.Addr // word holding the current tail node address
 	maxOps uint64
 
-	// Stats for Figure 4b: completed combining rounds and ops combined.
-	Rounds   uint64
-	Combined uint64
+	rounds   uint64 // completed combining rounds
+	combined uint64 // requests served by combiners, their own included
 }
+
+// CombiningStats implements Combiner (Figure 4b).
+func (c *CCSynch) CombiningStats() (rounds, combined uint64) { return c.rounds, c.combined }
 
 const (
 	ccWait = iota
@@ -109,7 +111,7 @@ func (h *ccSynchHandle) Apply(op, arg uint64) uint64 {
 	}
 	// Hand the combiner role to the thread owning tmp (completed stays 0).
 	p.Write(tmp+ccWait, 0)
-	c.Rounds++
-	c.Combined += count
+	c.rounds++
+	c.combined += count
 	return myRet
 }

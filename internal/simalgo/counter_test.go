@@ -1,78 +1,77 @@
 package simalgo
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"hybsync/internal/tilesim"
 )
 
-// counterBuilder builds one named approach over a fresh counter; the
-// returned pointer-to-pointer is filled in when the factory runs.
-func counterBuilder(name string, maxOps int) (*Builder, **Counter) {
-	c := new(*Counter)
-	factory := func(e *tilesim.Engine) Object {
-		*c = NewCounter(e)
-		return *c
-	}
-	var b *Builder
-	switch name {
-	case "mp-server":
-		b = NewMPServerBuilder(factory)
-	case "shm-server":
-		b = NewSHMServerBuilder(factory)
-	case "CC-Synch":
-		b = NewCCSynchBuilder(factory, maxOps)
-	case "HybComb":
-		b = NewHybCombBuilder(factory, maxOps)
-	case "mcs-lock":
-		b = NewMCSLockBuilder(factory)
-	default:
-		panic("unknown builder " + name)
-	}
-	return b, c
+func counterCell(algo string, threads, maxOps int) Cell {
+	return Cell{Algo: algo, Object: "counter", Threads: threads, MaxOps: maxOps}
 }
 
-var approachNames = []string{"mp-server", "shm-server", "CC-Synch", "HybComb", "mcs-lock"}
+// simulateOnce runs c once (seed 1), keeping the engine for inspection.
+func simulateOnce(t *testing.T, c Cell, horizon uint64) *simulation {
+	t.Helper()
+	p, err := resolve(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return simulate(p, horizon, 1)
+}
 
-// TestCounterLinearizable checks, for every approach, that the final
-// counter value equals the number of completed increments: increments
-// are never lost or duplicated, which for a counter is exactly mutual
-// exclusion of the read-modify-write CS.
+// run measures c once through a fresh Lab.
+func run(t *testing.T, c Cell, horizon uint64) Result {
+	t.Helper()
+	res, err := (&Lab{Horizon: horizon, Runs: 1}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// checkConserved: the final counter value equals the number of completed
+// increments. Increments are never lost or duplicated, which for a
+// counter is exactly mutual exclusion of the read-modify-write CS.
+func checkConserved(t *testing.T, s *simulation) {
+	t.Helper()
+	if s.Ops == 0 {
+		t.Fatalf("%+v: no ops completed", s.Cell)
+	}
+	if final := s.obj.(*Counter).Value(s.engine); final != s.Ops {
+		t.Errorf("%+v: counter=%d but ops=%d (lost/duplicated increments)", s.Cell, final, s.Ops)
+	}
+	if err := s.engine.CheckCoherence(); err != nil {
+		t.Errorf("%+v: %v", s.Cell, err)
+	}
+}
+
+// TestCounterLinearizable checks conservation for every registered
+// construction that runs a counter, so one registered later is covered
+// without editing this file.
 func TestCounterLinearizable(t *testing.T) {
-	for _, name := range approachNames {
+	for _, algo := range Constructions("counter") {
 		for _, threads := range []int{1, 2, 7, 16, 35} {
-			b, c := counterBuilder(name, 200)
-			cfg := WorkloadCfg{Threads: threads, Horizon: 60_000, MaxLocalWork: 50}
-			res := RunWorkload(tilesim.ProfileTileGx(), b, cfg, CounterOps)
-			if res.Ops == 0 {
-				t.Fatalf("%s/%d: no ops completed", name, threads)
-			}
-			if final := (*c).Value(res.Engine); final != res.Ops {
-				t.Errorf("%s/%d: counter=%d but ops=%d (lost/duplicated increments)",
-					name, threads, final, res.Ops)
-			}
-			if err := res.Engine.CheckCoherence(); err != nil {
-				t.Errorf("%s/%d: %v", name, threads, err)
-			}
+			checkConserved(t, simulateOnce(t, counterCell(algo, threads, 200), 60_000))
 		}
 	}
 }
 
+// TestCounterFairness: the paper's approaches and the lock baseline keep
+// the max/min per-thread op ratio low (§5.3). The ablation variants make
+// no such claim.
 func TestCounterFairness(t *testing.T) {
-	for _, name := range approachNames {
-		b, _ := counterBuilder(name, 200)
-		cfg := WorkloadCfg{Threads: 16, Horizon: 120_000, MaxLocalWork: 50}
-		res := RunWorkload(tilesim.ProfileTileGx(), b, cfg, CounterOps)
-		if f := res.Fairness(); f == 0 || f > 2.0 {
-			t.Errorf("%s: fairness ratio %.2f out of expected range (0,2]", name, f)
+	for _, algo := range []string{"mp-server", "shm-server", "CC-Synch", "HybComb", "mcs-lock"} {
+		if f := run(t, counterCell(algo, 16, 200), 120_000).Fairness(); f == 0 || f > 2.0 {
+			t.Errorf("%s: fairness ratio %.2f out of expected range (0,2]", algo, f)
 		}
 	}
 }
 
 func TestHybCombCombiningStats(t *testing.T) {
-	b, _ := counterBuilder("HybComb", 200)
-	cfg := WorkloadCfg{Threads: 24, Horizon: 150_000, MaxLocalWork: 50}
-	res := RunWorkload(tilesim.ProfileTileGx(), b, cfg, CounterOps)
+	res := run(t, counterCell("HybComb", 24, 200), 150_000)
 	if res.Rounds == 0 {
 		t.Fatal("no combining rounds recorded")
 	}
@@ -86,11 +85,8 @@ func TestHybCombCombiningStats(t *testing.T) {
 }
 
 func TestMPServerFasterThanSHMServer(t *testing.T) {
-	cfg := WorkloadCfg{Threads: 30, Horizon: 120_000, MaxLocalWork: 50}
-	bMP, _ := counterBuilder("mp-server", 200)
-	bSHM, _ := counterBuilder("shm-server", 200)
-	mp := RunWorkload(tilesim.ProfileTileGx(), bMP, cfg, CounterOps)
-	shm := RunWorkload(tilesim.ProfileTileGx(), bSHM, cfg, CounterOps)
+	mp := run(t, counterCell("mp-server", 30, 0), 120_000)
+	shm := run(t, counterCell("shm-server", 30, 0), 120_000)
 	if mp.Mops() <= shm.Mops() {
 		t.Errorf("mp-server %.1f Mops <= shm-server %.1f Mops; paper expects ~4x advantage",
 			mp.Mops(), shm.Mops())
@@ -98,11 +94,8 @@ func TestMPServerFasterThanSHMServer(t *testing.T) {
 }
 
 func TestHybCombFasterThanCCSynch(t *testing.T) {
-	cfg := WorkloadCfg{Threads: 30, Horizon: 120_000, MaxLocalWork: 50}
-	bH, _ := counterBuilder("HybComb", 200)
-	bC, _ := counterBuilder("CC-Synch", 200)
-	hy := RunWorkload(tilesim.ProfileTileGx(), bH, cfg, CounterOps)
-	cc := RunWorkload(tilesim.ProfileTileGx(), bC, cfg, CounterOps)
+	hy := run(t, counterCell("HybComb", 30, 200), 120_000)
+	cc := run(t, counterCell("CC-Synch", 30, 200), 120_000)
 	if hy.Mops() <= cc.Mops() {
 		t.Errorf("HybComb %.1f Mops <= CC-Synch %.1f Mops; paper expects ~2.5x advantage",
 			hy.Mops(), cc.Mops())
@@ -113,11 +106,8 @@ func TestHybCombFasterThanCCSynch(t *testing.T) {
 // shared-memory servicing threads stall for a large fraction of their
 // cycles, while the message-passing server's stalls are near zero.
 func TestServerStallsVsMessagePassing(t *testing.T) {
-	cfg := WorkloadCfg{Threads: 30, Horizon: 120_000, MaxLocalWork: 50}
-	bMP, _ := counterBuilder("mp-server", 200)
-	bSHM, _ := counterBuilder("shm-server", 200)
-	mp := RunWorkload(tilesim.ProfileTileGx(), bMP, cfg, CounterOps)
-	shm := RunWorkload(tilesim.ProfileTileGx(), bSHM, cfg, CounterOps)
+	mp := run(t, counterCell("mp-server", 30, 0), 120_000)
+	shm := run(t, counterCell("shm-server", 30, 0), 120_000)
 
 	mpStallFrac := float64(mp.ServiceStall) / float64(mp.ServiceBusy)
 	shmStallFrac := float64(shm.ServiceStall) / float64(shm.ServiceBusy)
@@ -134,11 +124,8 @@ func TestServerStallsVsMessagePassing(t *testing.T) {
 // core, so even the slowest CS-migration approach beats it at high
 // concurrency.
 func TestMCSLockSlowerThanCombining(t *testing.T) {
-	cfg := WorkloadCfg{Threads: 30, Horizon: 120_000, MaxLocalWork: 50}
-	bM, _ := counterBuilder("mcs-lock", 200)
-	bC, _ := counterBuilder("CC-Synch", 200)
-	mcs := RunWorkload(tilesim.ProfileTileGx(), bM, cfg, CounterOps)
-	cc := RunWorkload(tilesim.ProfileTileGx(), bC, cfg, CounterOps)
+	mcs := run(t, counterCell("mcs-lock", 30, 0), 120_000)
+	cc := run(t, counterCell("CC-Synch", 30, 200), 120_000)
 	if mcs.Mops() >= cc.Mops() {
 		t.Errorf("mcs-lock %.1f Mops >= CC-Synch %.1f Mops; §3 expects locks to lose", mcs.Mops(), cc.Mops())
 	}
@@ -148,11 +135,9 @@ func TestMCSLockSlowerThanCombining(t *testing.T) {
 // claim: HybComb's p99/max far exceeds its median under high MAX_OPS,
 // while MP-SERVER's distribution is tight.
 func TestLatencyPercentiles(t *testing.T) {
-	cfg := WorkloadCfg{Threads: 25, Horizon: 150_000, MaxLocalWork: 50, RecordLatencies: true}
-	bH, _ := counterBuilder("HybComb", 5000)
-	bM, _ := counterBuilder("mp-server", 200)
-	hy := RunWorkload(tilesim.ProfileTileGx(), bH, cfg, CounterOps)
-	mp := RunWorkload(tilesim.ProfileTileGx(), bM, cfg, CounterOps)
+	hyCell, mpCell := counterCell("HybComb", 25, 5000), counterCell("mp-server", 25, 0)
+	hyCell.RecordLatencies, mpCell.RecordLatencies = true, true
+	hy, mp := run(t, hyCell, 150_000), run(t, mpCell, 150_000)
 	if len(hy.Latencies) == 0 || uint64(len(hy.Latencies)) != hy.Ops {
 		t.Fatalf("latency recording: %d entries for %d ops", len(hy.Latencies), hy.Ops)
 	}
@@ -168,45 +153,142 @@ func TestLatencyPercentiles(t *testing.T) {
 
 // TestOversubscribedWorkload runs the §6 scenario: more application
 // threads than cores, sharing cores through the multiplexed message
-// queues. Correctness (no lost increments) must be unaffected; the cores
-// time-share, so throughput cannot exceed the one-thread-per-core run by
-// much.
+// queues. Correctness (no lost increments) must be unaffected.
 func TestOversubscribedWorkload(t *testing.T) {
-	for _, name := range []string{"mp-server", "HybComb"} {
-		b, c := counterBuilder(name, 200)
-		cfg := WorkloadCfg{Threads: 40, Horizon: 60_000, MaxLocalWork: 50, ProcsPerCore: 2}
-		res := RunWorkload(tilesim.ProfileTileGx(), b, cfg, CounterOps)
-		if res.Ops == 0 {
-			t.Fatalf("%s: no ops", name)
-		}
-		if final := (*c).Value(res.Engine); final != res.Ops {
-			t.Errorf("%s oversubscribed: counter=%d ops=%d", name, final, res.Ops)
+	for _, algo := range []string{"mp-server", "HybComb"} {
+		c := counterCell(algo, 40, 200)
+		c.ProcsPerCore = 2
+		checkConserved(t, simulateOnce(t, c, 60_000))
+	}
+}
+
+// TestAblationVariantsLinearizable: the registry's SWAP-registration and
+// no-eager-drain names must still be mutually exclusive, and must really
+// select the variant — both shrink the combining potential (§4.2).
+func TestAblationVariantsLinearizable(t *testing.T) {
+	base := run(t, counterCell("HybComb", 20, 200), 80_000)
+	for _, algo := range []string{"HybComb-SWAP", "HybComb-NoDrain"} {
+		s := simulateOnce(t, counterCell(algo, 20, 200), 80_000)
+		checkConserved(t, s)
+		if s.CombiningRate() >= base.CombiningRate() {
+			t.Errorf("%s combines %.1f requests/round, HybComb %.1f: the variant is not in effect",
+				algo, s.CombiningRate(), base.CombiningRate())
 		}
 	}
 }
 
-// TestAblationVariantsLinearizable: the SWAP-registration and
-// no-eager-drain HybComb variants must still be mutually exclusive.
-func TestAblationVariantsLinearizable(t *testing.T) {
-	for _, mode := range []string{"swap", "nodrain"} {
-		var c *Counter
-		b := &Builder{Name: "HybComb-" + mode}
-		b.Make = func(e *tilesim.Engine, threads int) (Executor, []*tilesim.Proc, int) {
-			c = NewCounter(e)
-			h := NewHybComb(e, c, 200)
-			switch mode {
-			case "swap":
-				h.SwapRegistration = true
-			case "nodrain":
-				h.NoEagerDrain = true
+// TestX86ProfileCounterRuns exercises the §5.5 profile end to end.
+func TestX86ProfileCounterRuns(t *testing.T) {
+	for _, algo := range []string{"shm-server", "CC-Synch", "mcs-lock"} {
+		c := counterCell(algo, tilesim.ProfileX86Like().NumCores()-1, 200)
+		c.Profile = "x86"
+		checkConserved(t, simulateOnce(t, c, 60_000))
+	}
+}
+
+// TestCellKeysTheMemo pins what the Lab's memo relies on: a Cell is a
+// map key, cells that simulate the same thing are one key, and two runs
+// of one cell return equal Results.
+func TestCellKeysTheMemo(t *testing.T) {
+	lab := &Lab{Horizon: 20_000, Runs: 2}
+	a := run(t, counterCell("mp-server", 7, 0), 20_000)
+	for _, c := range []Cell{
+		counterCell("mp-server", 7, 0),
+		counterCell("mp-server", 7, 200), // MAX_OPS means nothing to a server
+		{Algo: "mp-server", Object: "counter", Threads: 7, Profile: "tilegx", ProcsPerCore: 1},
+	} {
+		if _, err := lab.Run(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(lab.memo) != 1 || lab.sims != 2 {
+		t.Errorf("three spellings of one cell: %d memo entries, %d simulations; want 1 and 2", len(lab.memo), lab.sims)
+	}
+	if b := run(t, counterCell("mp-server", 7, 0), 20_000); !reflect.DeepEqual(a, b) {
+		t.Errorf("two runs of one cell differ:\n%+v\n%+v", a, b)
+	}
+	if hy := run(t, counterCell("HybComb", 7, 10), 20_000); reflect.DeepEqual(hy, run(t, counterCell("HybComb", 7, 200), 20_000)) {
+		t.Error("MAX_OPS is part of a combining cell's identity, yet 10 and 200 gave equal results")
+	}
+}
+
+// TestFiguresSimulateEachCellOnce is the memo at work: 3b plots the
+// latency of the very runs 3a plots the throughput of, and over the
+// whole list every distinct cell is simulated exactly once.
+func TestFiguresSimulateEachCellOnce(t *testing.T) {
+	lab := &Lab{Horizon: 2_000, Runs: 2}
+	figs := Figures(lab, 200)
+	render := func(f Figure) {
+		for _, x := range f.X {
+			if _, err := f.Row(lab, x); err != nil {
+				t.Fatal(err)
 			}
-			return h, nil, 0
 		}
-		cfg := WorkloadCfg{Threads: 20, Horizon: 80_000, MaxLocalWork: 50}
-		res := RunWorkload(tilesim.ProfileTileGx(), b, cfg, CounterOps)
-		if final := c.Value(res.Engine); final != res.Ops {
-			t.Errorf("%s: counter=%d ops=%d", mode, final, res.Ops)
+	}
+	render(figs[0])
+	render(figs[1])
+	if figs[0].Name != "3a" || figs[1].Name != "3b" || lab.sims != 52*lab.Runs {
+		t.Fatalf("%s then %s ran %d simulations, want %d", figs[0].Name, figs[1].Name, lab.sims, 52*lab.Runs)
+	}
+	want, points := 0, 0
+	distinct := map[Cell]bool{}
+	for _, f := range figs {
+		render(f)
+		for _, col := range f.Cols {
+			for _, x := range f.X {
+				p, err := resolve(col.Cell(x))
+				if err != nil {
+					t.Fatal(err)
+				}
+				points++
+				if distinct[p.Cell] {
+					continue
+				}
+				distinct[p.Cell] = true
+				if p.RecordLatencies {
+					want++ // one run, whatever Runs says
+				} else {
+					want += lab.Runs
+				}
+			}
 		}
+	}
+	if lab.sims != want || len(lab.memo) != len(distinct) {
+		t.Errorf("all figures: %d simulations of %d memoised cells, want %d of %d", lab.sims, len(lab.memo), want, len(distinct))
+	}
+	t.Logf("%d table entries over %d distinct cells", points, len(distinct))
+}
+
+// TestBadCellsAreErrors: a cell that names nothing registered, pairs a
+// construction with an object it is not, or does not fit the chip is
+// refused before anything is simulated.
+func TestBadCellsAreErrors(t *testing.T) {
+	lab := &Lab{Horizon: 1_000, Runs: 1}
+	for _, tc := range []struct {
+		c    Cell
+		want string
+	}{
+		{counterCell("hybcomb", 4, 200), "unknown construction"},
+		{Cell{Algo: "HybComb", Object: "deque", Threads: 4, MaxOps: 200}, "unknown object"},
+		{Cell{Algo: "mp-server", Object: "counter", Threads: 4, Profile: "arm"}, "unknown profile"},
+		{counterCell("LCRQ", 4, 0), "LCRQ is a queue"},
+		{counterCell("CC-Synch", 4, 0), "MaxOps"},
+		{counterCell("mp-server", 0, 0), "do not fit"},
+		{counterCell("mp-server", 36, 0), "do not fit"},
+		{Cell{Algo: "mp-server-2", Object: "queue", Threads: 35}, "do not fit"},
+		{Cell{Algo: "mp-server", Object: "counter", Threads: 4, ProcsPerCore: 5}, "hardware queues"},
+	} {
+		if _, err := lab.Run(tc.c); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want one mentioning %q", tc.c, err, tc.want)
+		}
+	}
+	for _, bad := range []*Lab{{Horizon: 0, Runs: 1}, {Horizon: 1_000, Runs: 0}} {
+		if _, err := bad.Run(counterCell("mp-server", 4, 0)); err == nil {
+			t.Errorf("Lab{Horizon: %d, Runs: %d} ran a cell", bad.Horizon, bad.Runs)
+		}
+	}
+	if lab.sims != 0 {
+		t.Errorf("%d simulations ran for refused cells", lab.sims)
 	}
 }
 
@@ -227,19 +309,6 @@ func TestArrayCounterObject(t *testing.T) {
 		}
 		if got := e.Peek(a.base + tilesim.Addr(i)); got != want {
 			t.Fatalf("cell %d = %d, want %d", i, got, want)
-		}
-	}
-}
-
-// TestX86ProfileCounterRuns exercises the §5.5 profile end to end.
-func TestX86ProfileCounterRuns(t *testing.T) {
-	prof := tilesim.ProfileX86Like()
-	for _, name := range []string{"shm-server", "CC-Synch", "mcs-lock"} {
-		b, c := counterBuilder(name, 200)
-		cfg := WorkloadCfg{Threads: prof.NumCores() - 1, Horizon: 60_000, MaxLocalWork: 50}
-		res := RunWorkload(prof, b, cfg, CounterOps)
-		if final := (*c).Value(res.Engine); final != res.Ops {
-			t.Errorf("%s on x86 profile: counter=%d ops=%d", name, final, res.Ops)
 		}
 	}
 }

@@ -2,8 +2,9 @@
 // MP-SERVER, HYBCOMB, CC-SYNCH and SHM-SERVER — as programs for the
 // tilesim simulated chip, together with the concurrent objects used in
 // the evaluation (counter, Michael-Scott queues, LCRQ, Treiber stack,
-// coarse-lock stack) and the workload driver that regenerates the
-// paper's figures.
+// coarse-lock stack), a registry of both, the Lab that runs one Cell of
+// (construction, object, threads, ...) by name, and the list of the
+// paper's figures as tables over such cells.
 //
 // All four mutual-exclusion constructions expose the same interface: an
 // Executor hands each simulated thread a Handle whose Apply(op, arg)
@@ -39,6 +40,13 @@ type Handle interface {
 	// Apply executes opcode op with argument arg in mutual exclusion and
 	// returns the operation's result.
 	Apply(op, arg uint64) uint64
+}
+
+// Combiner is implemented by the executors that combine: rounds is the
+// number of completed combining rounds, combined the requests served in
+// them (what core.StatsSource reports natively).
+type Combiner interface {
+	CombiningStats() (rounds, combined uint64)
 }
 
 // Opcodes shared by the evaluation objects.

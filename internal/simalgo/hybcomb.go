@@ -29,10 +29,13 @@ type HybComb struct {
 	lastReg  tilesim.Addr // word holding the last_registered_combiner node address
 	departed tilesim.Addr // word holding the departed_combiner node address
 
-	// Stats for Figures 4b and the §5.3 text measurements.
-	Rounds   uint64 // completed combining rounds
-	Combined uint64 // requests served by combiners (excluding their own op)
+	rounds   uint64 // completed combining rounds
+	combined uint64 // requests served by combiners (excluding their own op)
 }
+
+// CombiningStats implements Combiner (Figure 4b and the §5.3 text
+// measurements).
+func (h *HybComb) CombiningStats() (rounds, combined uint64) { return h.rounds, h.combined }
 
 const (
 	hcThreadID = iota
@@ -139,7 +142,7 @@ func (hd *hybCombHandle) Apply(op, arg uint64) uint64 {
 	p.Write(hd.myNode+hcThreadID, uint64(p.ID()))
 	p.Write(oldNode+hcDone, 1)
 
-	h.Rounds++
-	h.Combined += opsCompleted
+	h.rounds++
+	h.combined += opsCompleted
 	return retval
 }

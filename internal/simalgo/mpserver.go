@@ -9,9 +9,7 @@ import "hybsync/internal/tilesim"
 // hardware buffer and replies with an asynchronous send, so under load
 // no coherence-related stall remains on its critical path (Figure 2).
 type MPServer struct {
-	obj      Object
 	serverID int
-	server   *tilesim.Proc
 }
 
 // NewMPServer spawns the server Proc on the given core. The server
@@ -19,21 +17,15 @@ type MPServer struct {
 // of a run (on real hardware the server thread is likewise parked on a
 // blocking receive when idle).
 func NewMPServer(e *tilesim.Engine, core int, obj Object) *MPServer {
-	s := &MPServer{obj: obj}
-	s.server = e.Spawn("mp-server", core, func(p *tilesim.Proc) {
+	server := e.Spawn("mp-server", core, func(p *tilesim.Proc) {
 		for {
 			m := p.Recv(3)
 			ret := obj.Exec(p, m[1], m[2])
 			p.Send(int(m[0]), ret)
 		}
 	})
-	s.serverID = s.server.ID()
-	return s
+	return &MPServer{serverID: server.ID()}
 }
-
-// ServerProc exposes the server Proc for stall/cycle accounting
-// (Figure 4a reads its counters).
-func (s *MPServer) ServerProc() *tilesim.Proc { return s.server }
 
 // Handle implements Executor.
 func (s *MPServer) Handle(p *tilesim.Proc) Handle {

@@ -7,29 +7,14 @@ import (
 	"hybsync/internal/tilesim"
 )
 
-// queueBuilders enumerates every Figure 5a queue variant.
-func queueBuilders() []*Builder {
-	mk := func(name string, f func() *Builder) *Builder { b := f(); b.Name = name; return b }
-	return []*Builder{
-		mk("mp-server-1", func() *Builder { return NewMPServerBuilder(QueueFactory) }),
-		mk("HybComb-1", func() *Builder { return NewHybCombBuilder(QueueFactory, 200) }),
-		mk("shm-server-1", func() *Builder { return NewSHMServerBuilder(QueueFactory) }),
-		mk("CC-Synch-1", func() *Builder { return NewCCSynchBuilder(QueueFactory, 200) }),
-		mk("LCRQ", func() *Builder { return NewLCRQBuilder(256) }),
-		mk("mp-server-2", NewTwoLockQueueBuilder),
+// containerPlan resolves algo over a queue or stack for `threads` procs.
+func containerPlan(t *testing.T, algo, object string, threads int) plan {
+	t.Helper()
+	p, err := resolve(Cell{Algo: algo, Object: object, Threads: threads, MaxOps: 200})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// stackBuilders enumerates every Figure 5b stack variant.
-func stackBuilders() []*Builder {
-	mk := func(name string, f func() *Builder) *Builder { b := f(); b.Name = name; return b }
-	return []*Builder{
-		mk("mp-server", func() *Builder { return NewMPServerBuilder(StackFactory) }),
-		mk("HybComb", func() *Builder { return NewHybCombBuilder(StackFactory, 200) }),
-		mk("shm-server", func() *Builder { return NewSHMServerBuilder(StackFactory) }),
-		mk("CC-Synch", func() *Builder { return NewCCSynchBuilder(StackFactory, 200) }),
-		mk("Treiber", NewTreiberBuilder),
-	}
+	return p
 }
 
 // runContainer drives `threads` producers/consumers doing `opsEach`
@@ -42,10 +27,11 @@ type containerTrace struct {
 	drained  []uint64   // values recovered by the final drain
 }
 
-func runContainer(t *testing.T, b *Builder, threads, opsEach int, insOp, remOp uint64) containerTrace {
+func runContainer(t *testing.T, p plan, opsEach int, insOp, remOp uint64) containerTrace {
 	t.Helper()
-	e := tilesim.NewEngine(tilesim.ProfileTileGx())
-	exec, _, firstCore := b.Make(e, threads+1)
+	e := tilesim.NewEngine(p.prof)
+	exec, _, _ := p.wire(e)
+	threads, firstCore := p.Threads-1, p.k.servers // the last proc is the drainer
 	tr := containerTrace{
 		removed:  make([][]uint64, threads),
 		enqueued: make([]uint64, threads),
@@ -88,7 +74,7 @@ func runContainer(t *testing.T, b *Builder, threads, opsEach int, insOp, remOp u
 	e.Run(0)
 	e.Shutdown()
 	if err := e.CheckCoherence(); err != nil {
-		t.Fatalf("%s: coherence: %v", b.Name, err)
+		t.Fatalf("%s: coherence: %v", p.k.name, err)
 	}
 	return tr
 }
@@ -128,108 +114,100 @@ func checkNoLossNoDup(t *testing.T, name string, tr containerTrace) {
 	}
 }
 
-// TestQueueVariantsLinearizable checks conservation plus per-producer
-// FIFO order (a queue must deliver any one producer's values in
-// insertion order) for all six Figure 5a variants.
-func TestQueueVariantsLinearizable(t *testing.T) {
-	for _, b := range queueBuilders() {
-		for _, threads := range []int{2, 8, 20} {
-			tr := runContainer(t, b, threads, 400, OpEnq, OpDeq)
-			checkNoLossNoDup(t, b.Name, tr)
-			// Per-producer FIFO: any consumer's view of one producer's
-			// values must be in increasing sequence order... FIFO
-			// guarantees more: the global dequeue order restricted to one
-			// producer is increasing. Concatenate per-consumer orders is
-			// not globally ordered, so check within each consumer.
-			for ci, rs := range tr.removed {
-				last := make(map[int]int64)
-				for i := range last {
-					last[i] = -1
-				}
-				for _, v := range rs {
-					th, seq := DecodeVal(v)
-					if prev, ok := last[th]; ok && int64(seq) <= prev {
-						t.Fatalf("%s: consumer %d saw producer %d seq %d after %d",
-							b.Name, ci, th, seq, prev)
-					}
-					last[th] = int64(seq)
-				}
+// checkProducerOrder verifies per-producer FIFO: within one consumer's
+// removals, and within the single-threaded drain, any one producer's
+// values appear in increasing sequence order. (Concatenating consumers
+// gives no global order, so each is checked on its own.)
+func checkProducerOrder(t *testing.T, name string, tr containerTrace) {
+	t.Helper()
+	for ci, rs := range append(tr.removed, tr.drained) {
+		last := make(map[int]uint64)
+		for _, v := range rs {
+			th, seq := DecodeVal(v)
+			if prev, ok := last[th]; ok && seq <= prev {
+				t.Fatalf("%s: consumer %d saw producer %d seq %d after %d", name, ci, th, seq, prev)
 			}
-			// Drain order is a single consumer: strictly FIFO per producer.
-			last := make(map[int]int64)
-			for _, v := range tr.drained {
-				th, seq := DecodeVal(v)
-				if prev, ok := last[th]; ok && int64(seq) <= prev {
-					t.Fatalf("%s: drain saw producer %d seq %d after %d", b.Name, th, seq, prev)
-				}
-				last[th] = int64(seq)
-			}
+			last[th] = seq
 		}
 	}
 }
 
-// TestStackVariantsConservation checks conservation for all five Figure
-// 5b stack variants (LIFO order is checked sequentially below).
-func TestStackVariantsConservation(t *testing.T) {
-	for _, b := range stackBuilders() {
+// TestQueueVariantsLinearizable checks conservation plus per-producer
+// FIFO order for every registered construction that runs a queue.
+func TestQueueVariantsLinearizable(t *testing.T) {
+	for _, algo := range Constructions("queue") {
 		for _, threads := range []int{2, 8, 20} {
-			tr := runContainer(t, b, threads, 400, OpPush, OpPop)
-			checkNoLossNoDup(t, b.Name, tr)
+			tr := runContainer(t, containerPlan(t, algo, "queue", threads+1), 400, OpEnq, OpDeq)
+			checkNoLossNoDup(t, algo, tr)
+			checkProducerOrder(t, algo, tr)
 		}
 	}
+}
+
+// TestStackVariantsConservation checks conservation for every registered
+// construction that runs a stack (LIFO order is checked sequentially
+// below).
+func TestStackVariantsConservation(t *testing.T) {
+	for _, algo := range Constructions("stack") {
+		for _, threads := range []int{2, 8, 20} {
+			tr := runContainer(t, containerPlan(t, algo, "stack", threads+1), 400, OpPush, OpPop)
+			checkNoLossNoDup(t, algo, tr)
+		}
+	}
+}
+
+// sequential drives body on one thread of algo over object.
+func sequential(t *testing.T, algo, object string, body func(h Handle)) {
+	t.Helper()
+	p := containerPlan(t, algo, object, 1)
+	e := tilesim.NewEngine(p.prof)
+	exec, _, _ := p.wire(e)
+	e.Spawn("seq", p.k.servers, func(pr *tilesim.Proc) { body(exec.Handle(pr)) })
+	e.Run(0)
+	e.Shutdown()
 }
 
 // TestStackSequentialLIFO drives one thread through every stack variant
 // and checks exact LIFO behaviour.
 func TestStackSequentialLIFO(t *testing.T) {
-	for _, b := range stackBuilders() {
-		e := tilesim.NewEngine(tilesim.ProfileTileGx())
-		exec, _, firstCore := b.Make(e, 1)
-		e.Spawn("seq", firstCore, func(p *tilesim.Proc) {
-			h := exec.Handle(p)
+	for _, algo := range Constructions("stack") {
+		sequential(t, algo, "stack", func(h Handle) {
 			for v := uint64(1); v <= 20; v++ {
 				h.Apply(OpPush, v)
 			}
 			for v := uint64(20); v >= 1; v-- {
 				if got := h.Apply(OpPop, 0); got != v {
-					t.Errorf("%s: pop = %d, want %d", b.Name, got, v)
+					t.Errorf("%s: pop = %d, want %d", algo, got, v)
 					return
 				}
 			}
 			if got := h.Apply(OpPop, 0); got != EmptyVal {
-				t.Errorf("%s: pop on empty = %d, want EmptyVal", b.Name, got)
+				t.Errorf("%s: pop on empty = %d, want EmptyVal", algo, got)
 			}
 		})
-		e.Run(0)
-		e.Shutdown()
 	}
 }
 
 // TestQueueSequentialFIFO drives one thread through every queue variant.
 func TestQueueSequentialFIFO(t *testing.T) {
-	for _, b := range queueBuilders() {
-		e := tilesim.NewEngine(tilesim.ProfileTileGx())
-		exec, _, firstCore := b.Make(e, 1)
-		e.Spawn("seq", firstCore, func(p *tilesim.Proc) {
-			h := exec.Handle(p)
+	for _, algo := range Constructions("queue") {
+		sequential(t, algo, "queue", func(h Handle) {
 			if got := h.Apply(OpDeq, 0); got != EmptyVal {
-				t.Errorf("%s: dequeue on empty = %d, want EmptyVal", b.Name, got)
+				t.Errorf("%s: dequeue on empty = %d, want EmptyVal", algo, got)
 			}
 			for v := uint64(1); v <= 20; v++ {
 				h.Apply(OpEnq, v)
 			}
 			for v := uint64(1); v <= 20; v++ {
 				if got := h.Apply(OpDeq, 0); got != v {
-					t.Errorf("%s: dequeue = %d, want %d", b.Name, got, v)
+					t.Errorf("%s: dequeue = %d, want %d", algo, got, v)
 					return
 				}
 			}
 			if got := h.Apply(OpDeq, 0); got != EmptyVal {
-				t.Errorf("%s: dequeue on drained = %d, want EmptyVal", b.Name, got)
+				t.Errorf("%s: dequeue on drained = %d, want EmptyVal", algo, got)
 			}
 		})
-		e.Run(0)
-		e.Shutdown()
 	}
 }
 
@@ -255,6 +233,14 @@ func TestLCRQRingWrapAndClose(t *testing.T) {
 	})
 	e.Run(0)
 	e.Shutdown()
+
+	// The same under contention: the registry's LCRQ has a 1024-cell
+	// ring, which 21 threads seldom fill, so swap a 16-cell one in.
+	p := containerPlan(t, "LCRQ", "queue", 21)
+	p.k.build = func(e *tilesim.Engine, _ Object, _ Cell) Executor { return NewLCRQ(e, 16) }
+	tr := runContainer(t, p, 400, OpEnq, OpDeq)
+	checkNoLossNoDup(t, "LCRQ/ring=16", tr)
+	checkProducerOrder(t, "LCRQ/ring=16", tr)
 }
 
 // TestCellPackingRoundTrip is a property test on the LCRQ cell encoding.

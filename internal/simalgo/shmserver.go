@@ -17,10 +17,8 @@ import "hybsync/internal/tilesim"
 // response sequence number so that results (including zero) need no
 // sentinel.
 type SHMServer struct {
-	obj    Object
-	slots  []tilesim.Addr // indexed by client slot number
-	next   int            // next free slot
-	server *tilesim.Proc
+	slots []tilesim.Addr // indexed by client slot number
+	next  int            // next free slot
 }
 
 const (
@@ -33,12 +31,11 @@ const (
 // NewSHMServer spawns the server on the given core with room for
 // maxClients client channels.
 func NewSHMServer(e *tilesim.Engine, core int, obj Object, maxClients int) *SHMServer {
-	s := &SHMServer{obj: obj}
-	s.slots = make([]tilesim.Addr, maxClients)
+	s := &SHMServer{slots: make([]tilesim.Addr, maxClients)}
 	for i := range s.slots {
 		s.slots[i] = e.AllocLine(4)
 	}
-	s.server = e.Spawn("shm-server", core, func(p *tilesim.Proc) {
+	e.Spawn("shm-server", core, func(p *tilesim.Proc) {
 		addrs := make([]tilesim.Addr, len(s.slots))
 		copy(addrs, s.slots)
 		for {
@@ -76,9 +73,6 @@ func NewSHMServer(e *tilesim.Engine, core int, obj Object, maxClients int) *SHMS
 	})
 	return s
 }
-
-// ServerProc exposes the server Proc for stall accounting.
-func (s *SHMServer) ServerProc() *tilesim.Proc { return s.server }
 
 // Handle implements Executor. Slot numbers are handed out in Handle
 // call order.

@@ -22,15 +22,6 @@ func NewMCSLockExec(e *tilesim.Engine, obj Object) *MCSLockExec {
 	return &MCSLockExec{obj: obj, tail: e.AllocLine(1)}
 }
 
-// NewMCSLockBuilder wires the MCS-lock executor into the sweep driver.
-func NewMCSLockBuilder(obj ObjectFactory) *Builder {
-	b := &Builder{Name: "mcs-lock"}
-	b.Make = func(e *tilesim.Engine, threads int) (Executor, []*tilesim.Proc, int) {
-		return NewMCSLockExec(e, obj(e)), nil, 0
-	}
-	return b
-}
-
 // Handle implements Executor.
 func (m *MCSLockExec) Handle(p *tilesim.Proc) Handle {
 	return &mcsHandle{m: m, p: p, node: p.Alloc(2)}

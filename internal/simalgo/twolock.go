@@ -18,23 +18,13 @@ type TwoLockQueue struct {
 // NewTwoLockQueueMPServer builds the MP-SERVER-2 variant: two servers on
 // cores 0 and 1, application threads from core 2 (the only two-lock
 // variant the paper plots, as the others perform worse).
-func NewTwoLockQueueMPServer(e *tilesim.Engine) (*TwoLockQueue, []*tilesim.Proc, int) {
+func NewTwoLockQueueMPServer(e *tilesim.Engine) *TwoLockQueue {
 	q := NewSeqQueue(e)
-	enqServer := NewMPServer(e, 0, twoLockSide{q: q, enq: true})
-	deqServer := NewMPServer(e, 1, twoLockSide{q: q, enq: false})
-	t := &TwoLockQueue{q: q, enqSide: enqServer, deqSide: deqServer}
-	return t, []*tilesim.Proc{enqServer.ServerProc(), deqServer.ServerProc()}, 2
-}
-
-// NewTwoLockQueueBuilder wires the MP-SERVER-2 queue into the sweep
-// driver.
-func NewTwoLockQueueBuilder() *Builder {
-	b := &Builder{Name: "mp-server-2"}
-	b.Make = func(e *tilesim.Engine, threads int) (Executor, []*tilesim.Proc, int) {
-		t, svc, first := NewTwoLockQueueMPServer(e)
-		return t, svc, first
+	return &TwoLockQueue{
+		q:       q,
+		enqSide: NewMPServer(e, 0, twoLockSide{q: q, enq: true}),
+		deqSide: NewMPServer(e, 1, twoLockSide{q: q, enq: false}),
 	}
-	return b
 }
 
 // twoLockSide adapts one side of the queue as an Object. The enqueue

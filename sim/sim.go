@@ -1,14 +1,12 @@
 // Package sim is the public face of the deterministic TILE-Gx-like
 // simulator: the cycle-level chip model (mesh NoC, directory coherence,
-// memory-controller atomics, UDN message network) and the paper's four
-// constructions plus evaluation objects running on it. It re-exports
-// the internal simulator packages so figure drivers and benchmarks can
-// be written without reaching into hybsync/internal.
+// memory-controller atomics, UDN message network) and the paper's
+// constructions plus evaluation objects running on it, by name. It
+// re-exports the internal simulator packages so figure drivers and
+// benchmarks can be written without reaching into hybsync/internal.
 //
-//	res := sim.RunWorkload(sim.ProfileTileGx(),
-//		sim.NewHybCombBuilder(sim.CounterFactory, 200),
-//		sim.WorkloadCfg{Threads: 35, Horizon: 100_000, MaxLocalWork: 50},
-//		sim.CounterOps)
+//	lab := &sim.Lab{Horizon: 100_000, Runs: 1}
+//	res, err := lab.Run(sim.Cell{Algo: "HybComb", Object: "counter", Threads: 35, MaxOps: 200})
 //	fmt.Println(res.Mops())
 package sim
 
@@ -23,7 +21,6 @@ type (
 	Engine  = tilesim.Engine
 	Profile = tilesim.Profile
 	Proc    = tilesim.Proc
-	Addr    = tilesim.Addr
 )
 
 // NewEngine builds a simulated chip from a hardware profile.
@@ -33,70 +30,23 @@ func NewEngine(p Profile) *Engine { return tilesim.NewEngine(p) }
 // hardware UDN messaging.
 func ProfileTileGx() Profile { return tilesim.ProfileTileGx() }
 
-// ProfileX86Like models a commodity x86-like part for the §5.5
-// discussion: no hardware messaging, lower coherence latencies.
-func ProfileX86Like() Profile { return tilesim.ProfileX86Like() }
-
-// Simulated algorithm layer: Builder describes one construction +
-// object pairing, RunWorkload drives it and returns the cycle-level
-// accounting of Result.
+// Simulated algorithm layer: a Cell names a construction, an object and
+// a thread count; a Lab runs cells and remembers their Results; a Figure
+// is a table of (cell, metric) pairs.
 type (
-	Builder       = simalgo.Builder
-	Result        = simalgo.Result
-	WorkloadCfg   = simalgo.WorkloadCfg
-	Executor      = simalgo.Executor
-	Handle        = simalgo.Handle
-	Object        = simalgo.Object
-	ObjectFactory = simalgo.ObjectFactory
-	HybComb       = simalgo.HybComb
-	Counter       = simalgo.Counter
+	Cell   = simalgo.Cell
+	Result = simalgo.Result
+	Lab    = simalgo.Lab
+	Figure = simalgo.Figure
+	Column = simalgo.Column
 )
 
-// EmptyVal is returned by simulated Dequeue/Pop on an empty container.
-const EmptyVal = simalgo.EmptyVal
+// Constructions lists the registered constructions that run the named
+// object ("" lists them all); Objects lists the registered objects.
+func Constructions(object string) []string { return simalgo.Constructions(object) }
+func Objects() []string                    { return simalgo.Objects() }
 
-// RunWorkload executes cfg on a fresh simulated chip and returns the
-// measurement.
-func RunWorkload(prof Profile, b *Builder, cfg WorkloadCfg,
-	opFor func(thread int, i uint64) (uint64, uint64)) Result {
-	return simalgo.RunWorkload(prof, b, cfg, opFor)
-}
-
-// Builders for the four constructions and the nonblocking baselines.
-func NewMPServerBuilder(obj ObjectFactory) *Builder  { return simalgo.NewMPServerBuilder(obj) }
-func NewSHMServerBuilder(obj ObjectFactory) *Builder { return simalgo.NewSHMServerBuilder(obj) }
-func NewCCSynchBuilder(obj ObjectFactory, maxOps int) *Builder {
-	return simalgo.NewCCSynchBuilder(obj, maxOps)
-}
-func NewHybCombBuilder(obj ObjectFactory, maxOps int) *Builder {
-	return simalgo.NewHybCombBuilder(obj, maxOps)
-}
-func NewMCSLockBuilder(obj ObjectFactory) *Builder { return simalgo.NewMCSLockBuilder(obj) }
-func NewLCRQBuilder(ringSize int) *Builder         { return simalgo.NewLCRQBuilder(ringSize) }
-func NewTreiberBuilder() *Builder                  { return simalgo.NewTreiberBuilder() }
-func NewTwoLockQueueBuilder() *Builder             { return simalgo.NewTwoLockQueueBuilder() }
-
-// Evaluation-object factories for the builders above.
-func CounterFactory(e *Engine) Object { return simalgo.CounterFactory(e) }
-func QueueFactory(e *Engine) Object   { return simalgo.QueueFactory(e) }
-func StackFactory(e *Engine) Object   { return simalgo.StackFactory(e) }
-func ArrayCounterFactory(n int) ObjectFactory {
-	return simalgo.ArrayCounterFactory(n)
-}
-
-// NewCounter allocates the simulated counter object directly (for
-// hand-built executors à la cmd/tilebench's sensitivity figures).
-func NewCounter(e *Engine) *Counter { return simalgo.NewCounter(e) }
-
-// NewHybComb wires a HybComb instance by hand on an existing engine.
-func NewHybComb(e *Engine, obj Object, maxOps int) *HybComb {
-	return simalgo.NewHybComb(e, obj, maxOps)
-}
-
-// Per-thread operation generators for RunWorkload.
-func CounterOps(thread int, i uint64) (uint64, uint64) { return simalgo.CounterOps(thread, i) }
-func QueueOps(thread int, i uint64) (uint64, uint64)   { return simalgo.QueueOps(thread, i) }
-func StackOps(thread int, i uint64) (uint64, uint64)   { return simalgo.StackOps(thread, i) }
-func ArrayOps(iters uint64) func(int, uint64) (uint64, uint64) {
-	return simalgo.ArrayOps(iters)
-}
+// Figures lists the paper's figures as tables over l's cells; maxOps is
+// the MAX_OPS of the combining constructions where a figure does not
+// set its own.
+func Figures(l *Lab, maxOps int) []Figure { return simalgo.Figures(l, maxOps) }
