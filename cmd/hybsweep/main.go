@@ -9,10 +9,12 @@
 // Cells whose axis combination the execution model does not define
 // are skipped, not errored and not written: depth>1 cells need the
 // scalar uniform counter workload (the depth window has no keyed or
-// batched variant), batch>1 likewise, and depth>1 with batch>1 is
-// exclusive by construction. The stderr summary counts them per
-// reason, so the grid product stays honest — every cell was measured,
-// failed, or declined for a named reason.
+// batched variant), a phase-shifting load drives the blocking scalar
+// counter only, and depth>1 with batch>1 is exclusive by construction.
+// batch>1 is defined on both objects: ApplyBatch calls on the scalar
+// counter, MultiApply calls on a keyed one. The stderr summary counts
+// the skipped per reason, so the grid product stays honest — every cell
+// was measured, failed, or declined for a named reason.
 //
 // GOMAXPROCS is deliberately not an axis: it is process-global, so
 // one process measures one setting and records it in every line's

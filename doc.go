@@ -13,15 +13,16 @@
 // pipeline: because a request is a message, a client need not block
 // between submission and reply,
 // so Submit(op, arg) returns a Ticket, Wait(Ticket) collects the
-// result, Post fires and forgets, Flush drains, ApplyBatch executes a
-// whole batch blocking, and the classic blocking Apply is just
-// Submit+Wait. hybsync/shard scales the constructions out: a router
-// partitions a keyed object across N independent executors (sharded
-// counter and fixed-capacity hash map in hybsync/object ride on it),
-// and its MultiApply pipelines a keyed batch across shards —
-// submitting everything before waiting on anything, same-shard
-// operations grouped into contiguous runs — so unrelated shards serve
-// one client concurrently.
+// result, Post fires and forgets, Flush drains, SubmitBatch submits a
+// whole batch for one ticket (request i redeems at Ticket.Offset(i)),
+// ApplyBatch executes one blocking, and the classic blocking Apply is
+// just Submit+Wait. hybsync/shard scales the constructions out: a
+// router partitions a keyed object across N independent executors
+// (sharded counter and fixed-capacity hash map in hybsync/object ride
+// on it), and its MultiApply pipelines a keyed batch across shards —
+// one SubmitBatch per touched shard before anything is waited for, so
+// unrelated shards serve one client concurrently and each shard
+// executes its keys as one mutual-exclusion run.
 //
 // The repository has two layers beneath this package:
 //

@@ -43,18 +43,21 @@ type Executor = core.Executor
 // pipeline: Submit(op, arg) returns a Ticket without waiting for the
 // result, Wait(Ticket) redeems it, Post is fire-and-forget, Flush
 // drains the pipeline, Apply is the blocking Submit+Wait composition,
-// and ApplyBatch executes a whole []Req run blocking, batched as far
-// as the construction allows (one lock acquisition, one combining
-// round, one pipelined server run). Submissions through one handle
-// complete in submission order (per-handle FIFO); nothing is ordered
-// across handles. See DESIGN.md "Asynchronous delegation" for ticket
+// SubmitBatch submits a whole []Req run for one ticket whose offsets
+// (Ticket.Offset) redeem the requests one by one, and ApplyBatch is its
+// blocking composition — both batched as far as the construction allows
+// (one lock acquisition, one combining round, one pipelined server
+// run). Submissions through one handle complete in submission order
+// (per-handle FIFO); nothing is ordered across handles. See DESIGN.md "Asynchronous delegation" for ticket
 // semantics and "Batch-aware dispatch" for per-construction batch
 // formation.
 type Handle = core.Handle
 
 // Ticket identifies one outstanding asynchronous operation; it is
 // meaningful only to the Handle that issued it and must be redeemed
-// with that handle's Wait exactly once (or settled by Flush).
+// with that handle's Wait exactly once (or settled by Flush). The
+// ticket of a SubmitBatch names the batch's first request; t.Offset(i)
+// names its i-th.
 type Ticket = core.Ticket
 
 // StatsSource is implemented by the combining constructions ("hybcomb",

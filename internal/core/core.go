@@ -139,22 +139,46 @@ type Handle interface {
 	// its executor is closed.
 	Flush()
 
+	// SubmitBatch is the split-phase batch: it enqueues every request of
+	// reqs, in order, behind the handle's earlier submissions, and
+	// returns one ticket for the lot — reqs[i]'s result is redeemed with
+	// Wait(t.Offset(i)), each offset exactly once and in any order, under
+	// the rules of any other ticket (Flush banks them; TryWait and
+	// WaitTimeout apply). An empty batch issues nothing and its ticket
+	// redeems nothing. The handle reads reqs only until SubmitBatch
+	// returns. On a poisoned executor it fails fast with the *PoisonError
+	// and no ticket is issued.
+	//
+	// Semantically it is Submit once per request, but the construction
+	// ships the batch its own way, as few DispatchBatch runs as it can,
+	// and what overlaps with the caller is what the construction can
+	// overlap: MP-SERVER and CC-SYNCH leave the whole batch owed (one
+	// contiguous stretch of the server's drain, one chain segment), so a
+	// caller that submits to several executors before waiting on any has
+	// them all working at once; a lock executor — and the hybrid in lock
+	// mode — runs the whole batch under ONE acquisition before it
+	// returns, every result banked; HYBCOMB leaves the requests it could
+	// register owed and, once a request fails registration, executes the
+	// entire rest as one combining round's own run; SHM-SERVER's one
+	// request slot makes it a loop of round trips. Like Submit it may
+	// block for back-pressure — a batch longer than QueueCap settles its
+	// own oldest requests as it goes — or for combiner duty.
+	SubmitBatch(reqs []Req) (Ticket, error)
+
 	// ApplyBatch executes every request of reqs in mutual exclusion, in
 	// order, and blocks until the whole batch has executed, filling
-	// results[i] with reqs[i]'s result. A nil results discards the
-	// values (the batch still completes before ApplyBatch returns);
-	// otherwise len(results) must be at least len(reqs). The handle
-	// reads reqs and writes results only until ApplyBatch returns and
-	// retains neither slice; reqs and results must not overlap.
+	// results[i] with reqs[i]'s result: SubmitBatch, then Wait on every
+	// offset, in one call. A nil results discards the values (the batch
+	// still completes before ApplyBatch returns); otherwise len(results)
+	// must be at least len(reqs). The handle reads reqs and writes
+	// results only until ApplyBatch returns and retains neither slice;
+	// reqs and results must not overlap.
 	//
-	// Semantically ApplyBatch is Submit-all-then-Wait-all — the batch
-	// executes after the handle's earlier submissions, in batch order —
-	// but the construction executes as much of it as possible through
-	// single DispatchBatch calls: a lock executor runs the whole batch
-	// under one acquisition, MP-SERVER pipelines it into the server's
-	// drain (one DispatchBatch per drained run), HYBCOMB executes a
-	// combiner-path remainder as one round's own run, and CC-SYNCH's
-	// combiner serves the published cells as one chain segment.
+	// The batch executes after the handle's earlier submissions, in
+	// batch order, through as few DispatchBatch calls as the
+	// construction can make of it (see SubmitBatch); the part a lock or
+	// a combiner executes on the spot is written straight into results
+	// and costs no ticket bookkeeping at all.
 	ApplyBatch(reqs []Req, results []uint64)
 
 	// TryWait is the non-blocking Wait: if t's operation has completed,

@@ -366,28 +366,22 @@ func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 // the current combiner; the first request that fails registration
 // promotes us, and the batch's entire remaining run becomes the round's
 // own run — one DispatchBatch for all of it (line 23 generalized),
-// written straight into results with no ticket at all. The registered
-// prefix's responses are collected afterwards in ticket order. A batch
-// therefore costs at most one promotion handshake, with the dispatch
-// indirection amortized across the whole remainder. results is never
-// runRets: combineBatch's serveRun reuses runRets for drained-run
-// responses while the own-run results are still live.
-func (hd *hcTransport) Batch(p *Pipe, reqs []Req, results []uint64) {
-	var first uint64
-	registered := 0
+// written straight into done with no ticket at all. The registered
+// prefix is ticketed and its responses are owed. A batch therefore
+// costs at most one promotion handshake, with the dispatch indirection
+// amortized across the whole remainder. done is never runRets:
+// combineBatch's serveRun reuses runRets for drained-run responses
+// while the own-run results are still live.
+func (hd *hcTransport) Batch(p *Pipe, reqs []Req, done []uint64, _ bool) (registered int) {
 	for registered < len(reqs) {
 		p.makeRoom()
 		if !hd.acquire(reqs[registered].Op, reqs[registered].Arg) {
 			// Combiner: the rest of the batch is the round's own run.
-			hd.combineBatch(reqs[registered:], results[registered:])
+			hd.combineBatch(reqs[registered:], done[registered:])
 			break
 		}
-		if seq := p.issue(); registered == 0 {
-			first = seq
-		}
+		p.issue()
 		registered++
 	}
-	for i := 0; i < registered; i++ {
-		results[i] = p.wait(first + uint64(i))
-	}
+	return registered
 }

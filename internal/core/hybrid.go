@@ -372,11 +372,12 @@ func (hd *hybTransport) Next(block bool) (uint64, bool) { return hd.inner.Next(b
 // whole batch goes down that path — one gate acquisition, or the
 // backend's batch strategy — so a dispatch run is never split by a
 // transition happening mid-batch.
-func (hd *hybTransport) Batch(p *Pipe, reqs []Req, results []uint64) {
+func (hd *hybTransport) Batch(p *Pipe, reqs []Req, done []uint64, blocking bool) (ticketed int) {
 	if hd.align() == hybModeDeleg {
-		hd.inner.Batch(p, reqs, results)
+		ticketed = hd.inner.Batch(p, reqs, done, blocking)
 	} else {
-		hd.lockClientHot.batch(reqs, results)
+		hd.lockClientHot.batch(reqs, done)
 	}
 	hd.tick()
+	return ticketed
 }

@@ -196,4 +196,4 @@ func (t *mpTransport) Ship(op, arg uint64) (uint64, bool) {
 func (t *mpTransport) Next(block bool) (uint64, bool) { return mpq.RecvWord(t.resp, &t.wb, block) }
 
 // Batch implements Transport.
-func (t *mpTransport) Batch(p *Pipe, reqs []Req, results []uint64) { p.Pipelined(reqs, results) }
+func (t *mpTransport) Batch(p *Pipe, reqs []Req, _ []uint64, _ bool) int { return p.ShipAll(reqs) }

@@ -18,6 +18,13 @@ import (
 // banks the result for a later Wait).
 type Ticket struct{ seq uint64 }
 
+// Offset names the i-th request of the SubmitBatch that returned t: a
+// batch takes consecutive tickets, so its first ticket and an offset
+// name them all. Offsetting past the end of the batch yields a ticket
+// that is not outstanding (or is somebody else's), and waiting on it is
+// the misuse every Wait reports.
+func (t Ticket) Offset(i int) Ticket { return Ticket{t.seq + uint64(i)} }
+
 // TicketMisuse is the one misuse panic of the wait family, whichever
 // construction — or shard router — is underneath.
 const TicketMisuse = "core: Wait on a ticket that is not outstanding (already waited, or issued by another handle)"
@@ -48,14 +55,27 @@ type Transport interface {
 	// it only while completions are owed.
 	Next(block bool) (val uint64, ok bool)
 
-	// Batch executes reqs in order, behind the handle's earlier
-	// submissions, and fills results before returning: the
-	// construction's own way of turning one call into as few
-	// DispatchBatch runs as it can. The pipeline has already dealt with
-	// the empty, poisoned, one-request and nil-results cases, so
-	// len(reqs) >= 2 and len(results) == len(reqs). Request-per-message
-	// transports delegate to p.Pipelined.
-	Batch(p *Pipe, reqs []Req, results []uint64)
+	// Batch ships reqs in order, behind the handle's earlier
+	// submissions — the construction's own way of turning one call into
+	// as few DispatchBatch runs as it can. It returns how many of them
+	// it ticketed: the first ticketed requests took the handle's next
+	// window slots, one each (p.ShipAll, or makeRoom and issue around
+	// every request left owed), and their completions come through
+	// Next; the rest executed on the spot — a lock's one acquisition, a
+	// combiner's own run — and done[i] holds reqs[i]'s result for every
+	// i >= ticketed. The pipeline turns that into tickets (SubmitBatch
+	// banks done's tail) or into results (ApplyBatch passes its results
+	// slice as done and waits the ticketed prefix), so a run executed on
+	// the spot costs no ticket at all on the blocking path.
+	//
+	// blocking reports that the caller is ApplyBatch, which waits for
+	// the whole batch anyway: a transport may then complete on the spot
+	// what it would otherwise leave owed, where that is cheaper than
+	// ticketing it (CC-SYNCH with nothing else in flight). Without it,
+	// Batch waits for nothing the construction can overlap. len(reqs)
+	// >= 1 and len(done) == len(reqs); the empty and poisoned cases
+	// never reach here.
+	Batch(p *Pipe, reqs []Req, done []uint64, blocking bool) (ticketed int)
 }
 
 // PipeSpec is what a construction's NewHandle assembles a handle from.
@@ -88,7 +108,7 @@ type pipeHot struct {
 
 	win     mpq.Window
 	deepest uint64   // this handle's in-flight high-water mark
-	drop    []uint64 // results scratch for ApplyBatch(reqs, nil)
+	done    []uint64 // Batch's done scratch: SubmitBatch, ApplyBatch(reqs, nil)
 }
 
 // Pipe is the one Handle implementation: a ticket window over a
@@ -147,14 +167,15 @@ func (t immediate) Next(bool) (uint64, bool) {
 	panic("core: immediate transport asked for a completion it never owed")
 }
 
-func (t immediate) Batch(_ *Pipe, reqs []Req, results []uint64) {
+func (t immediate) Batch(_ *Pipe, reqs []Req, done []uint64, _ bool) int {
 	if t.batch != nil {
-		t.batch(reqs, results)
-		return
+		t.batch(reqs, done)
+		return 0
 	}
 	for i, r := range reqs {
-		results[i] = t.apply(r.Op, r.Arg)
+		done[i] = t.apply(r.Op, r.Arg)
 	}
+	return 0
 }
 
 func (p *Pipe) poisoned() bool { return p.spec.Latch != nil && p.spec.Latch.Poisoned() }
@@ -169,7 +190,7 @@ func (p *Pipe) Err() error {
 
 // InFlight returns how many of this handle's operations are shipped
 // and not yet completed; for a transport's Batch choosing between its
-// direct and its pipelined strategy.
+// direct and its ticketed strategy.
 func (p *Pipe) InFlight() int { return p.win.InFlight() }
 
 // Apply implements Handle. With nothing in flight it is the
@@ -352,8 +373,38 @@ func (p *Pipe) WaitTimeout(t Ticket, d time.Duration) (uint64, error) {
 	}
 }
 
+// scratch returns the handle's done buffer, n long.
+func (p *Pipe) scratch(n int) []uint64 {
+	if cap(p.done) < n {
+		p.done = make([]uint64, n)
+	}
+	return p.done[:n]
+}
+
+// SubmitBatch implements Handle: the transport's batch strategy with
+// nothing waited for. Whatever it ticketed sits in the window already;
+// the run it executed on the spot is banked behind that, so the batch
+// holds consecutive tickets from the window's next sequence number on.
+func (p *Pipe) SubmitBatch(reqs []Req) (Ticket, error) {
+	if err := p.Err(); err != nil {
+		return Ticket{}, err
+	}
+	first := Ticket{p.win.Next()}
+	if len(reqs) == 0 {
+		return first, nil
+	}
+	done := p.scratch(len(reqs))
+	ticketed := p.spec.Transport.Batch(p, reqs, done, false)
+	for _, v := range done[ticketed:] {
+		p.win.IssueDone(v)
+	}
+	return first, nil
+}
+
 // ApplyBatch implements Handle: the prologue every construction shares,
-// then the transport's own batch strategy under one latency sample.
+// then SubmitBatch's one transport call and a wait for the ticketed
+// prefix, under one latency sample. The run the transport executed on
+// the spot is written straight into results and never sees a ticket.
 func (p *Pipe) ApplyBatch(reqs []Req, results []uint64) {
 	switch {
 	case len(reqs) == 0:
@@ -372,36 +423,34 @@ func (p *Pipe) ApplyBatch(reqs []Req, results []uint64) {
 	}
 	if results == nil {
 		// Combiners and locks need somewhere to write the run's results.
-		if cap(p.drop) < len(reqs) {
-			p.drop = make([]uint64, len(reqs))
-		}
-		results = p.drop
+		results = p.scratch(len(reqs))
 	}
 	sampled := p.spec.Rec.Sample()
 	var t0 time.Time
 	if sampled {
 		t0 = time.Now()
 	}
-	p.spec.Transport.Batch(p, reqs, results[:len(reqs)])
+	first := p.win.Next()
+	ticketed := p.spec.Transport.Batch(p, reqs, results[:len(reqs)], true)
+	for i := 0; i < ticketed; i++ {
+		results[i] = p.wait(first + uint64(i))
+	}
 	if sampled {
 		p.spec.Rec.Latency(t0)
 	}
 }
 
-// Pipelined is the batch strategy of a request-per-message transport:
+// ShipAll is the batch strategy of a request-per-message transport:
 // ship the whole batch back to back — it lands contiguously on the
-// request path, so the servicing side sees it as part of one run —
-// then collect the results in order, paying one round-trip wait for
-// the batch instead of one per operation. Every shipped operation
-// takes the next ticket number, so the first names them all.
-func (p *Pipe) Pipelined(reqs []Req, results []uint64) {
-	first := p.ship(reqs[0].Op, reqs[0].Arg, false)
-	for _, r := range reqs[1:] {
+// request path, so the servicing side sees it as part of one run — and
+// ticket every request, so collecting the results costs one round-trip
+// wait for the batch instead of one per operation. A batch longer than
+// the in-flight bound settles its own oldest requests as it goes.
+func (p *Pipe) ShipAll(reqs []Req) (ticketed int) {
+	for _, r := range reqs {
 		p.ship(r.Op, r.Arg, false)
 	}
-	for i := range reqs {
-		results[i] = p.wait(first + uint64(i))
-	}
+	return len(reqs)
 }
 
 // Immediate is the ticket bank of a Handle implemented outside this

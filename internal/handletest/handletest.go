@@ -134,6 +134,7 @@ func Run(t *testing.T, s Subject) {
 		{"post-submit-flush-wait", postSubmitFlush},
 		{"bounded-waits", boundedWaits},
 		{"apply-and-batch-behind-tickets", applyBehindTickets},
+		{"submit-batch", submitBatch},
 		{"close-drains", closeDrains},
 		{"poison-mid-window", poisonMidWindow},
 	} {
@@ -311,6 +312,97 @@ func applyBehindTickets(t *testing.T, s Subject) {
 	sys.close(t)
 }
 
+// submitBatch: a SubmitBatch queues behind the handle's earlier
+// submissions and ahead of its later ones (per-handle FIFO), request i
+// redeems with the batch ticket offset by i — in any order, through any
+// of the waits, banked by Flush — a batch longer than QueueCap chunks
+// through the window instead of deadlocking on it, and an offset past
+// the last batch, a redeemed offset, the ticket of an empty batch and
+// another handle's batch ticket are all the one misuse. Where a
+// submission can be left owed, a batch submitted while another handle
+// holds the critical section returns at once and its offsets report
+// ErrNotReady and ErrWaitTimeout until the section is released.
+func submitBatch(t *testing.T, s Subject) {
+	obj := newObject()
+	sys := s.Open(t, obj, queueCap)
+	h := sys.Handle()
+	batch := func(h core.Handle, n int) core.Ticket {
+		t.Helper()
+		tk, err := h.SubmitBatch(make([]core.Req, n))
+		if err != nil {
+			t.Fatalf("SubmitBatch(%d requests): %v", n, err)
+		}
+		sys.step()
+		return tk
+	}
+	wait := func(tk core.Ticket, want uint64) {
+		t.Helper()
+		if v := h.Wait(tk); v != want {
+			t.Fatalf("Wait = %d, want %d", v, want)
+		}
+		sys.step()
+	}
+	const long = 2*queueCap + 1 // longer than the window
+	t0 := submit(t, sys, h, 0)  // operation 0
+	b1 := batch(h, long)        // operations 1..long
+	t1 := submit(t, sys, h, 0)  // operation long+1
+	b2 := batch(h, 3)           // operations long+2..long+4
+	empty := batch(h, 0)
+	for i := 2; i >= 0; i-- { // newest first
+		wait(b2.Offset(i), uint64(long+2+i))
+	}
+	wait(t1, long+1)
+	h.Flush()
+	if obj.State != long+5 {
+		t.Fatalf("after Flush %d of %d operations executed", obj.State, long+5)
+	}
+	sys.step()
+	if v, err := h.TryWait(b1.Offset(long - 1)); v != long || err != nil {
+		t.Fatalf("TryWait(last offset of a flushed batch) = (%d, %v), want (%d, nil)", v, err, long)
+	}
+	if v, err := h.WaitTimeout(b1.Offset(long-2), time.Minute); v != long-1 || err != nil {
+		t.Fatalf("WaitTimeout(offset %d) = (%d, %v), want (%d, nil)", long-2, v, err, long-1)
+	}
+	for i := long - 3; i >= 0; i-- {
+		wait(b1.Offset(i), uint64(1+i))
+	}
+	wait(t0, 0)
+
+	other := sys.Handle()
+	foreign := batch(other, 2)
+	MustPanic(t, "Wait on a redeemed offset", func() { h.Wait(b1.Offset(1)) })
+	MustPanic(t, "Wait on an offset past the end of the last batch", func() { h.Wait(b2.Offset(3)) })
+	MustPanic(t, "Wait on the ticket of an empty batch", func() { h.Wait(empty) })
+	MustPanic(t, "TryWait on another handle's batch ticket", func() { h.TryWait(foreign.Offset(1)) })
+	for i, want := range []uint64{long + 5, long + 6} {
+		if v := other.Wait(foreign.Offset(i)); v != want {
+			t.Fatalf("the other handle's Wait(offset %d) = %d, want %d", i, v, want)
+		}
+	}
+
+	if s.OwesContended {
+		held := make(chan uint64)
+		go func() { held <- other.Apply(OpGate, 0) }()
+		<-obj.Entered
+		tk := batch(h, 2) // returns although the section is held
+		if _, err := h.TryWait(tk.Offset(1)); !errors.Is(err, core.ErrNotReady) {
+			t.Fatalf("TryWait(offset 1) with the critical section held = %v, want ErrNotReady", err)
+		}
+		if _, err := h.WaitTimeout(tk, 5*time.Millisecond); !errors.Is(err, core.ErrWaitTimeout) {
+			t.Fatalf("WaitTimeout(offset 0) with the critical section held = %v, want ErrWaitTimeout", err)
+		}
+		close(obj.Release)
+		if v, err := h.WaitTimeout(tk.Offset(1), time.Minute); v != long+9 || err != nil {
+			t.Fatalf("WaitTimeout(offset 1) after release = (%d, %v), want (%d, nil)", v, err, long+9)
+		}
+		wait(tk, long+8)
+		if v := <-held; v != long+7 {
+			t.Fatalf("holder's Apply = %d, want %d", v, long+7)
+		}
+	}
+	sys.close(t)
+}
+
 // closeDrains: operations submitted before Close stay redeemable after
 // it, at every depth the window allows.
 func closeDrains(t *testing.T, s Subject) {
@@ -382,6 +474,13 @@ func poisonMidWindow(t *testing.T, s Subject) {
 	}
 	if err := h.Post(0, 0); !errors.Is(err, core.ErrPoisoned) {
 		t.Errorf("Post on a poisoned executor = %v, want ErrPoisoned", err)
+	}
+	tk, err := h.SubmitBatch(make([]core.Req, 3))
+	if !errors.Is(err, core.ErrPoisoned) {
+		t.Errorf("SubmitBatch on a poisoned executor = %v, want ErrPoisoned", err)
+	}
+	for i := 0; i < 3; i++ { // and no ticket was issued
+		MustPanic(t, "Wait on the ticket of a refused batch", func() { h.Wait(tk.Offset(i)) })
 	}
 	res := []uint64{7, 7, 7}
 	h.ApplyBatch(make([]core.Req, 3), res)

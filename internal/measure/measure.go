@@ -146,7 +146,6 @@ const (
 const (
 	skipBatchDepth  = "batch-and-depth-exclusive"
 	skipAsyncKeyed  = "async-over-keyed-unsupported"
-	skipBatchKeyed  = "batch-over-keyed-unsupported"
 	skipPhaseAsync  = "phases-over-async-unsupported"
 	skipPhaseBatch  = "phases-over-batch-unsupported"
 	skipPhaseShards = "phases-over-sharded-unsupported"
@@ -154,10 +153,12 @@ const (
 
 // Classify maps a cell to its bench kind, or to a skip reason when the
 // combination is undefined. A cell is keyed when it shards the object
-// or skews the key distribution; the depth-window and ApplyBatch loops
-// drive the scalar uniform counter only. A phase:... dist value is not
-// a key distribution at all — it selects the phase-shifting load shape,
-// which drives the scalar blocking counter only.
+// or skews the key distribution; a keyed cell with batch > 1 issues its
+// keys batch at a time through the router's MultiApply, while the
+// depth-window loop drives the scalar uniform counter only. A phase:...
+// dist value is not a key distribution at all — it selects the
+// phase-shifting load shape, which drives the scalar blocking counter
+// only.
 func (c Cell) Classify() (bench, skip string) {
 	if harness.IsPhaseSpec(c.Dist) {
 		switch {
@@ -177,14 +178,12 @@ func (c Cell) Classify() (bench, skip string) {
 		return "", skipBatchDepth
 	case c.Depth > 1 && keyed:
 		return "", skipAsyncKeyed
-	case c.Batch > 1 && keyed:
-		return "", skipBatchKeyed
+	case keyed:
+		return benchSharded, ""
 	case c.Depth > 1:
 		return benchAsync, ""
 	case c.Batch > 1:
 		return benchBatch, ""
-	case keyed:
-		return benchSharded, ""
 	default:
 		return benchCounter, ""
 	}
@@ -234,20 +233,21 @@ func window(h hybsync.Handle, depth int) (body func(uint64), drain func()) {
 //
 // The cell's kind (Classify) picks the object and the loop body, and
 // nothing else: a keyed cell increments a sharded counter under keys
-// drawn from c.Dist; every other cell drives one scalar counter through
-// blocking Apply (counter, phases), a depth-c.Depth Submit/Wait window
-// (async) or ApplyBatch calls of c.Batch requests (batch). A phases
-// cell runs the Apply loop under the burst/idle clock of
-// harness.Phases instead of flat out.
+// drawn from c.Dist — one Inc per iteration, or with c.Batch > 1 one
+// IncAll (a router MultiApply) of c.Batch keys; every other cell drives
+// one scalar counter through blocking Apply (counter, phases), a
+// depth-c.Depth Submit/Wait window (async) or ApplyBatch calls of
+// c.Batch requests (batch). A phases cell runs the Apply loop under the
+// burst/idle clock of harness.Phases instead of flat out.
 //
 // The returned record is complete — throughput and fairness per
 // operation (a batch iteration counts c.Batch), every axis, and the
 // counters the construction keeps — and checked: after Close the
 // object's state must equal the operations the harness counted, or Run
 // fails rather than record a number for work that was lost or done
-// twice. Batch records carry no rounds/combined (their scalar identity
-// rounds+combined==ops fails when one submission holds many
-// operations; see core.StatsSource).
+// twice. Records of cells with c.Batch > 1 carry no rounds/combined
+// (their scalar identity rounds+combined==ops fails when one submission
+// holds many operations; see core.StatsSource).
 func Run(c Cell, dur time.Duration) (benchfmt.Record, error) {
 	bench, skip := c.Classify()
 	if skip != "" {
@@ -289,6 +289,17 @@ func Run(c Cell, dur time.Duration) (benchfmt.Record, error) {
 				panic(err)
 			}
 			draw := dist.Sampler(t)
+			if c.Batch > 1 {
+				keys := make([]uint64, c.Batch)
+				return func(uint64) {
+					for i := range keys {
+						keys[i] = draw()
+					}
+					if _, err := h.IncAll(keys); err != nil {
+						panic(err)
+					}
+				}, nil
+			}
 			return func(uint64) {
 				if _, err := h.Inc(draw()); err != nil {
 					panic(err)
@@ -318,7 +329,7 @@ func Run(c Cell, dur time.Duration) (benchfmt.Record, error) {
 	defer track(drive, bench+"/"+c.Algo, tel)()
 
 	res := run(c.Threads, dur, 50, setup)
-	// One iteration is c.Batch operations (1 everywhere but batch cells).
+	// One iteration is c.Batch operations.
 	res.Ops *= uint64(c.Batch)
 	for i := range res.PerThread {
 		res.PerThread[i] *= uint64(c.Batch)
@@ -338,12 +349,14 @@ func Run(c Cell, dur time.Duration) (benchfmt.Record, error) {
 		occ := sc.Occupancy()
 		sf := harness.NativeResult{PerThread: occ}.Fairness()
 		rec.ShardOps, rec.ShardFairness = occ, &sf
-		rec.Rounds, rec.Combined, _ = sc.Stats()
+		if c.Batch == 1 {
+			rec.Rounds, rec.Combined, _ = sc.Stats()
+		}
 		if st, d, ok := sc.Pipeline(); ok {
 			rec.Pipe = &benchfmt.Pipeline{SubmitStalls: st, MaxDepth: d}
 		}
 	} else {
-		if s, ok := ex.(hybsync.StatsSource); ok && bench != benchBatch {
+		if s, ok := ex.(hybsync.StatsSource); ok && c.Batch == 1 {
 			rec.Rounds, rec.Combined = s.Stats()
 		}
 		if p, ok := ex.(hybsync.PipelineStats); ok {

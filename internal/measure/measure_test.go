@@ -21,20 +21,21 @@ func one(algo string, th int) Cell {
 // adds what each kind must stamp on its record.
 func TestRun(t *testing.T) {
 	kinds := []struct {
-		bench string
-		set   func(*Cell)
+		name, bench string
+		set         func(*Cell)
 	}{
-		{"counter", func(*Cell) {}},
-		{"async", func(c *Cell) { c.Depth = 4 }},
-		{"batch", func(c *Cell) { c.Batch = 8 }},
-		{"sharded", func(c *Cell) { c.Shards, c.Dist = 2, "zipf:0.99" }},
-		{"phases", func(c *Cell) { c.Dist = "phase:2ms:0.5" }},
+		{"counter", "counter", func(*Cell) {}},
+		{"async", "async", func(c *Cell) { c.Depth = 4 }},
+		{"batch", "batch", func(c *Cell) { c.Batch = 8 }},
+		{"sharded", "sharded", func(c *Cell) { c.Shards, c.Dist = 2, "zipf:0.99" }},
+		{"sharded-batch", "sharded", func(c *Cell) { c.Shards, c.Dist, c.Batch = 2, "zipf:0.99", 8 }},
+		{"phases", "phases", func(c *Cell) { c.Dist = "phase:2ms:0.5" }},
 	}
 	for _, k := range kinds {
 		for _, algo := range hybsync.Algorithms() {
 			c := one(algo, 2)
 			k.set(&c)
-			t.Run(k.bench+"/"+algo, func(t *testing.T) {
+			t.Run(k.name+"/"+algo, func(t *testing.T) {
 				rec, err := Run(c, 5*time.Millisecond)
 				if err != nil {
 					t.Fatal(err)
@@ -50,26 +51,30 @@ func TestRun(t *testing.T) {
 				if rec.Ops == 0 || rec.Mops <= 0 || rec.NsPerOp <= 0 || rec.Fairness <= 0 {
 					t.Fatalf("no throughput in %+v", rec)
 				}
-				if rec.Lat == nil || rec.RunLen == nil {
+				// Latency is sampled one blocking call in 16 per recorder
+				// (one per thread and shard): a slow cell may finish
+				// before any recorder reaches its first sample.
+				recorders := uint64(c.Threads * c.Shards)
+				if rec.RunLen == nil || (rec.Lat == nil && rec.Ops/uint64(c.Batch) >= 16*recorders) {
 					t.Fatalf("armed run carries no telemetry: %+v", rec)
 				}
-				switch k.bench {
-				case "batch":
+				if c.Batch > 1 {
 					// Stats honesty: operation-scaled throughput, and no
 					// combiner counters (their unit is ill-defined for
 					// batched submissions).
 					if rec.Ops%8 != 0 || rec.Rounds != 0 || rec.Combined != 0 {
 						t.Fatalf("batch record %+v", rec)
 					}
+				}
+				switch k.bench {
 				case "sharded":
 					if len(rec.ShardOps) != 2 || rec.ShardFairness == nil {
 						t.Fatalf("no shard profile in %+v", rec)
 					}
 				case "counter":
-					// The scalar identity of core.StatsSource. (ccsynch
-					// counts every served operation in combined, its own
-					// included, so it is held to it on hybcomb only.)
-					if algo == "hybcomb" && rec.Rounds+rec.Combined != rec.Ops {
+					// The scalar identity of core.StatsSource, wherever the
+					// construction keeps the counters at all.
+					if rec.Rounds+rec.Combined != 0 && rec.Rounds+rec.Combined != rec.Ops {
 						t.Fatalf("rounds+combined != ops: %d+%d != %d", rec.Rounds, rec.Combined, rec.Ops)
 					}
 				}
@@ -166,8 +171,8 @@ func TestClassify(t *testing.T) {
 		{4, 8, 4, "zipf:0.99", "", skipBatchDepth},
 		{4, 1, 4, "uniform", "", skipAsyncKeyed},
 		{4, 1, 1, "zipf:0.99", "", skipAsyncKeyed},
-		{1, 8, 4, "uniform", "", skipBatchKeyed},
-		{1, 8, 1, "zipf:0.99", "", skipBatchKeyed},
+		{1, 8, 4, "uniform", "sharded", ""},
+		{1, 8, 1, "zipf:0.99", "sharded", ""},
 		{4, 1, 1, "phase:5ms:0.5", "", skipPhaseAsync},
 		{4, 8, 4, "phase:5ms:0.5", "", skipPhaseAsync},
 		{1, 8, 1, "phase:5ms:0.5", "", skipPhaseBatch},
@@ -182,7 +187,7 @@ func TestClassify(t *testing.T) {
 		}
 		reached[skip] = true
 	}
-	for _, reason := range []string{skipBatchDepth, skipAsyncKeyed, skipBatchKeyed, skipPhaseAsync, skipPhaseBatch, skipPhaseShards} {
+	for _, reason := range []string{skipBatchDepth, skipAsyncKeyed, skipPhaseAsync, skipPhaseBatch, skipPhaseShards} {
 		if !reached[reason] {
 			t.Errorf("skip reason %q not covered", reason)
 		}

@@ -104,6 +104,10 @@ func (w *Window) Discard(seq uint64) {
 	w.slots[seq&w.mask].state = slotDiscard
 }
 
+// Next returns the sequence number the next Issue or IssueDone will
+// take: a run of issues takes consecutive numbers from here.
+func (w *Window) Next() uint64 { return w.next }
+
 // InFlight returns how many issued operations have not completed yet.
 // Pipelines bound it (settling the oldest with Arrive when full) so a
 // responder can never block on a full completion queue.

@@ -49,8 +49,10 @@ func (m *windowModel) take(seq uint64) (uint64, Status) {
 
 // runWindowScript interprets script as a sequence of window operations
 // — issue, born-complete issue, discard, arrive, blocking wait (arrive
-// until ready), try-wait, flush — applying each to a Window and to the
-// model, and fails on the first disagreement. Operations that would
+// until ready), try-wait, flush, and the pipeline's SubmitBatch (a few
+// pending slots, then a run of born-complete ones, numbered from Next)
+// — applying each to a Window and to the model, and fails on the first
+// disagreement. Operations that would
 // violate a precondition (arrival with nothing pending, discard of a
 // slot that is not pending) are checked to panic in the Window and
 // skipped in the model.
@@ -88,7 +90,7 @@ func runWindowScript(t *testing.T, script []byte) {
 		if m.next > 0 && script[i+1] < 224 {
 			seq %= m.next
 		}
-		switch script[i] % 7 {
+		switch script[i] % 8 {
 		case 0:
 			if got, want := w.Issue(), m.issue(false, 0); got != want {
 				t.Fatalf("Issue = %d, model says %d", got, want)
@@ -121,6 +123,25 @@ func runWindowScript(t *testing.T, script []byte) {
 		case 6: // the pipeline's Flush
 			for w.InFlight() > 0 {
 				arrive()
+			}
+		case 7: // the pipeline's SubmitBatch: an owed prefix, then a banked run
+			owed, banked := int(script[i+1]%4), int(script[i+1]/4%8)
+			if got, want := w.Next(), m.next; got != want {
+				t.Fatalf("Next = %d, model says %d", got, want)
+			}
+			for j := 0; j < owed+banked; j++ {
+				got, want := uint64(0), m.next
+				if j < owed {
+					got = w.Issue()
+					m.issue(false, 0)
+				} else {
+					val++
+					got = w.IssueDone(val)
+					m.issue(true, val)
+				}
+				if got != want {
+					t.Fatalf("request %d of a batch took ticket %d, want %d: a batch holds consecutive tickets", j, got, want)
+				}
 			}
 		}
 		if got, want := w.InFlight(), len(m.pending); got != want {
@@ -156,6 +177,7 @@ func TestWindowScripts(t *testing.T) {
 		"discard":        {0, 0, 0, 0, 2, 0, 2, 0, 3, 0, 5, 0, 3, 0, 5, 1},
 		"misuse":         {3, 0, 5, 250, 1, 0, 5, 0, 5, 0, 2, 0, 0, 0, 4, 1, 4, 1},
 		"flush":          {0, 0, 1, 0, 0, 0, 2, 2, 6, 0, 5, 0, 5, 1, 5, 2},
+		"batches":        {0, 0, 7, 14, 7, 3, 7, 12, 4, 9, 5, 4, 3, 0, 5, 1, 7, 0, 6, 0, 4, 2},
 	} {
 		t.Run(name, func(t *testing.T) { runWindowScript(t, script) })
 	}
@@ -194,5 +216,6 @@ func TestWindowStaysSmall(t *testing.T) {
 func FuzzWindow(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 3, 0, 4, 1, 2, 0, 6, 0, 5, 0})
 	f.Add([]byte{0, 0, 2, 0, 0, 0, 4, 1, 5, 0, 5, 250, 3, 0})
+	f.Add([]byte{0, 0, 7, 14, 7, 3, 7, 12, 4, 9, 5, 4, 3, 0, 5, 1, 7, 0, 6, 0, 4, 2})
 	f.Fuzz(runWindowScript)
 }

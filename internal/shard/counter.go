@@ -132,6 +132,14 @@ type CounterHandle struct {
 // partition, returning the partition's previous value.
 func (h *CounterHandle) Inc(key uint64) (uint64, error) { return h.h.Apply(key, ctrOpInc, 0) }
 
+// IncAll is Inc for every key — a MultiApply, so each touched shard
+// increments its partition once per key routed to it in one
+// mutual-exclusion run — returning the partitions' previous values in
+// input order.
+func (h *CounterHandle) IncAll(keys []uint64) ([]uint64, error) {
+	return h.h.MultiApply(ctrOpInc, keys, nil)
+}
+
 // Sum reads the global counter via Aggregate: linearizable per shard,
 // bounded by the counter's value at the start and end of the call, not
 // an atomic snapshot.

@@ -268,28 +268,24 @@ func (h *MapHandle) Delete(key uint32) (uint64, error) {
 func (h *MapHandle) Len() (uint64, error) { return h.h.Aggregate(mapOpLen, 0) }
 
 // GetAll looks up every key and returns the values (EmptyVal for
-// absent keys) in input order. All lookups are submitted before any is
-// waited on, so keys living on different shards are served
-// concurrently — one round of cross-shard overlap instead of
-// len(keys) sequential round trips — and MultiApply's shard grouping
-// lands same-shard keys as one contiguous run, executed by the shard
-// through single batch calls. Each lookup linearizes on its own shard;
-// the batch is not an atomic snapshot.
+// absent keys) in input order: a MultiApply straight from the 32-bit
+// keys. Every touched shard receives its keys as one batch before any
+// lookup is waited for, so keys living on different shards are served
+// concurrently — one round of cross-shard overlap instead of len(keys)
+// sequential round trips — and each shard looks its keys up in one
+// mutual-exclusion run. Each lookup linearizes on its own shard; the
+// batch is not an atomic snapshot.
 func (h *MapHandle) GetAll(keys []uint32) ([]uint64, error) {
-	ks := make([]uint64, len(keys))
-	args := make([]uint64, len(keys))
-	for i, k := range keys {
-		ks[i] = uint64(k)
-		args[i] = packArg(k, 0)
-	}
-	return h.h.MultiApply(mapOpGet, ks, args)
+	return h.h.multiApply(mapOpGet, len(keys), func(i int) (key, arg uint64) {
+		return uint64(keys[i]), packArg(keys[i], 0)
+	})
 }
 
 // MultiPut stores keys[i]→vals[i] for every i and returns the previous
 // values in input order (EmptyVal for new keys, FullVal where a key's
 // shard is at capacity) — GetAll's write-side mirror, riding the same
-// shard-grouped MultiApply: one overlapped cross-shard round, with
-// same-shard puts batched into single dispatch calls. A duplicate key
+// shard-grouped MultiApply: one overlapped cross-shard round, each
+// shard storing its puts in one mutual-exclusion run. A duplicate key
 // later in the batch observes the value an earlier entry stored (puts
 // execute in batch order per shard); the batch is not atomic across
 // shards.
@@ -297,11 +293,7 @@ func (h *MapHandle) MultiPut(keys, vals []uint32) ([]uint64, error) {
 	if len(vals) != len(keys) {
 		return nil, fmt.Errorf("shard: MultiPut: %d keys but %d vals", len(keys), len(vals))
 	}
-	ks := make([]uint64, len(keys))
-	args := make([]uint64, len(keys))
-	for i, k := range keys {
-		ks[i] = uint64(k)
-		args[i] = packArg(k, vals[i])
-	}
-	return h.h.MultiApply(mapOpPut, ks, args)
+	return h.h.multiApply(mapOpPut, len(keys), func(i int) (key, arg uint64) {
+		return uint64(keys[i]), packArg(keys[i], vals[i])
+	})
 }

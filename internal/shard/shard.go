@@ -287,20 +287,27 @@ func (r *Router) Occupancy() []uint64 {
 // Beyond the blocking Apply, the handle exposes the executors'
 // submit/complete pipeline across shards: Submit routes a request and
 // returns a Ticket without waiting, Wait redeems it, and MultiApply
-// submits a whole batch of keyed operations before waiting on any —
-// so requests landing on different shards execute concurrently instead
-// of serializing through one round trip after another. Completion is
-// FIFO per (handle, shard); nothing is guaranteed across shards.
+// submits a whole batch of keyed operations — one SubmitBatch per
+// touched shard — before waiting on any, so requests landing on
+// different shards execute concurrently instead of serializing through
+// one round trip after another. Completion is FIFO per (handle, shard);
+// nothing is guaranteed across shards.
 type Handle struct {
 	r  *Router
 	hs []core.Handle // lazily opened, one per touched shard
 
-	// MultiApply's counting-sort scratch, reused across calls (the
-	// handle is single-goroutine, so the buffers never alias a live
-	// call).
-	maShards []int
-	maCounts []int
-	maOrder  []int
+	// MultiApply's scratch, reused across calls (the handle is
+	// single-goroutine, so the buffers never alias a live call). Per
+	// key: its shard, its argument, and — once grouped — its request and
+	// the input index that request came from. Per shard: where its group
+	// ends in maReqs (it starts where the previous shard's ends) and the
+	// group's ticket.
+	maShards  []int
+	maArgs    []uint64
+	maReqs    []core.Req
+	maInput   []int
+	maEnds    []int
+	maTickets []core.Ticket
 }
 
 // Ticket identifies one outstanding asynchronous operation submitted
@@ -421,92 +428,120 @@ func (h *Handle) Flush() {
 }
 
 // MultiApply executes (op, args[i]) on keys[i]'s shard for every i and
-// returns the results in input order. Every operation is submitted
-// before any is waited on, so operations routed to different shards
-// execute concurrently — the cross-shard overlap a sequence of Apply
-// calls cannot get. Submissions are grouped by destination shard
-// (stable within a group), so each shard's transport receives its
-// group as one contiguous run and a batch-aware executor hands it to
-// the object through single DispatchShardBatch calls instead of one
-// indirect call per key. args may be nil (every operation gets
-// argument 0); otherwise len(args) must equal len(keys). On a
-// submission error the already-submitted operations are waited out
-// before returning, so the handle is left with nothing in flight.
+// returns the results in input order. The operations are grouped by
+// destination shard (stable within a group) and every touched shard
+// receives its group as ONE SubmitBatch before any result is waited
+// for. Operations routed to different shards therefore overlap wherever
+// the construction can leave a batch owed (MP-SERVER, CC-SYNCH,
+// HYBCOMB's registered requests), and on every construction a shard's
+// group is one mutual-exclusion run where a sequence of Apply calls
+// would be one per key: a lock executor takes its lock once per group,
+// a combiner executes the group as its round's own run, and the object
+// sees a single DispatchShardBatch. args may be nil (every operation
+// gets argument 0); otherwise len(args) must equal len(keys). When a
+// shard refuses its group — its handle cannot be opened, or the shard
+// is poisoned — the groups already submitted are waited out before the
+// error returns, so the handle is left with nothing in flight;
+// Occupancy counts the keys of submitted groups only.
 func (h *Handle) MultiApply(op uint64, keys, args []uint64) ([]uint64, error) {
 	if args != nil && len(args) != len(keys) {
 		return nil, fmt.Errorf("shard: MultiApply: %d keys but %d args", len(keys), len(args))
 	}
-	if len(keys) == 0 {
+	return h.multiApply(op, len(keys), func(i int) (key, arg uint64) {
+		if args != nil {
+			arg = args[i]
+		}
+		return keys[i], arg
+	})
+}
+
+// multiApply is MultiApply over any representation of the n keyed
+// operations: at(i) is input i's key and argument. Everything but the
+// returned slice lives in the handle's scratch.
+func (h *Handle) multiApply(op uint64, n int, at func(i int) (key, arg uint64)) ([]uint64, error) {
+	if n == 0 {
 		return []uint64{}, nil
 	}
-	if len(keys) == 1 { // nothing to group or overlap
-		var a uint64
-		if args != nil {
-			a = args[0]
-		}
-		v, err := h.Apply(keys[0], op, a)
+	if n == 1 { // nothing to group or overlap
+		key, arg := at(0)
+		v, err := h.Apply(key, op, arg)
 		if err != nil {
 			return nil, err
 		}
 		return []uint64{v}, nil
 	}
-	// order holds the input indices sorted by shard, built with a
-	// counting sort over the shard histogram (stable, no comparison
-	// sort); the scratch lives on the handle so the hot path does not
-	// allocate. counts doubles as the running start offsets.
-	if cap(h.maShards) < len(keys) {
-		h.maShards = make([]int, len(keys))
-		h.maOrder = make([]int, len(keys))
+	if cap(h.maShards) < n {
+		h.maShards = make([]int, n)
+		h.maArgs = make([]uint64, n)
+		h.maReqs = make([]core.Req, n)
+		h.maInput = make([]int, n)
 	}
-	if h.maCounts == nil {
-		h.maCounts = make([]int, len(h.hs))
+	if h.maEnds == nil {
+		h.maEnds = make([]int, len(h.hs))
+		h.maTickets = make([]core.Ticket, len(h.hs))
 	}
-	shards := h.maShards[:len(keys)]
-	counts := h.maCounts
-	for s := range counts {
-		counts[s] = 0
-	}
-	for i, key := range keys {
+	// A counting sort over the shard histogram (stable, no comparison
+	// sort): ends holds the group sizes, then the group starts, and —
+	// each start advancing as its group fills — finally the group ends.
+	shards, args, ends := h.maShards[:n], h.maArgs[:n], h.maEnds
+	clear(ends)
+	for i := range shards {
+		key, arg := at(i)
 		s := h.r.ShardFor(key)
-		shards[i] = s
-		counts[s]++
+		shards[i], args[i] = s, arg
+		ends[s]++
 	}
 	sum := 0
-	for s, c := range counts {
-		counts[s] = sum
+	for s, c := range ends {
+		ends[s] = sum
 		sum += c
 	}
-	order := h.maOrder[:len(keys)]
+	reqs, input := h.maReqs[:n], h.maInput[:n]
 	for i, s := range shards {
-		order[counts[s]] = i
-		counts[s]++
+		reqs[ends[s]] = core.Req{Op: op, Arg: args[i]}
+		input[ends[s]] = i
+		ends[s]++
 	}
 
-	tickets := make([]Ticket, len(keys))
-	for n, i := range order {
-		var a uint64
-		if args != nil {
-			a = args[i]
+	start := 0
+	for s, end := range ends {
+		if end == start {
+			continue
 		}
-		t, err := h.SubmitShard(shards[i], op, a)
+		eh, err := h.shardHandle(s)
+		if err == nil {
+			h.maTickets[s], err = eh.SubmitBatch(reqs[start:end])
+		}
 		if err != nil {
-			for _, m := range order[:n] {
-				h.Wait(tickets[m])
-			}
+			h.collect(s, nil)
 			return nil, err
 		}
-		tickets[i] = t
+		h.r.occ[s].ops.Add(uint64(end - start))
+		start = end
 	}
-	out := make([]uint64, len(keys))
-	for _, i := range order {
-		out[i] = h.Wait(tickets[i])
-	}
+	out := make([]uint64, n)
+	h.collect(len(ends), out)
 	// A shard poisoned mid-flight completed its submissions with zeros;
 	// surface the fault rather than hand back silently-wrong results.
 	if err := h.r.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// collect waits out the groups multiApply submitted to the shards below
+// upto, storing each result at its input index when out is non-nil.
+func (h *Handle) collect(upto int, out []uint64) {
+	pos := 0
+	for s, end := range h.maEnds[:upto] {
+		eh, first := h.hs[s], h.maTickets[s]
+		for start := pos; pos < end; pos++ {
+			v := eh.Wait(first.Offset(pos - start))
+			if out != nil {
+				out[h.maInput[pos]] = v
+			}
+		}
+	}
 }
 
 // Broadcast executes (op, arg) on every shard in ascending shard order

@@ -116,7 +116,8 @@ func (c *CCSynch) Close() error {
 	return c.Err()
 }
 
-// Stats returns combining rounds and requests combined for others.
+// Stats returns combining rounds and requests combined for others (a
+// round's first cell is its combiner's own and counts towards neither).
 // Read only at pipeline quiescence (every handle flushed).
 func (c *CCSynch) Stats() (rounds, combined uint64) {
 	return c.rounds.Load(), c.combined.Load()
@@ -273,7 +274,7 @@ func (h *ccTransport) completeCell(cur *ccNode) uint64 {
 	// Hand over: the owner of tmp wakes with completed=false and combines.
 	tmp.wait.Store(false)
 	c.rounds.Add(1)
-	c.combined.Add(uint64(count))
+	c.combined.Add(uint64(count - 1)) // the walk began at our own cell
 	return myRet
 }
 
@@ -326,19 +327,20 @@ func (h *ccTransport) Next(block bool) (uint64, bool) {
 
 // Batch implements core.Transport: publish a cell per request —
 // submission order, so the cells form a contiguous-per-handle chain
-// segment — then complete them in order. Whichever cell inherits
+// segment — and leave every completion owed. Whichever cell inherits
 // combiner duty serves the chain (our remaining cells included) through
-// single DispatchBatch runs, so the batch typically costs one spin-wait
-// and one dispatch call instead of one per operation.
+// single DispatchBatch runs, so collecting the batch typically costs one
+// spin-wait and one dispatch call instead of one per operation.
 //
-// With cells owed the batch must queue behind them through the
-// pipeline (the apply hazard); with none it needs no tickets — each
-// chunk, at most the handle's depth bound, is shipped and collected
-// right here.
-func (h *ccTransport) Batch(p *core.Pipe, reqs []core.Req, results []uint64) {
-	if p.InFlight() != 0 {
-		p.Pipelined(reqs, results)
-		return
+// A blocking batch with no cell owed needs no tickets: each chunk, at
+// most the handle's depth bound, is published and completed right here,
+// which keeps a cell's whole life at a publish and a completion (the
+// window adds a quarter to that: 52 → 66 ns per request at 32). With
+// cells owed the batch must queue behind them through the pipeline (the
+// apply hazard).
+func (h *ccTransport) Batch(p *core.Pipe, reqs []core.Req, done []uint64, blocking bool) int {
+	if !blocking || p.InFlight() != 0 {
+		return p.ShipAll(reqs)
 	}
 	depth := h.c.Opts.QueueCap
 	for start := 0; start < len(reqs); start += depth {
@@ -349,7 +351,8 @@ func (h *ccTransport) Batch(p *core.Pipe, reqs []core.Req, results []uint64) {
 		// Completing the first cell combines the whole published
 		// segment (one DispatchBatch run); the rest wake completed.
 		for i := start; i < end; i++ {
-			results[i], _ = h.Next(true)
+			done[i], _ = h.Next(true)
 		}
 	}
+	return 0
 }

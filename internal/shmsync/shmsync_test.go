@@ -66,8 +66,8 @@ func TestCCSynchConcurrent(t *testing.T) {
 			}
 		}
 		rounds, combined := c.Stats()
-		if rounds+combined < goroutines*per {
-			t.Fatalf("maxOps=%d: stats undercount: rounds %d combined %d", maxOps, rounds, combined)
+		if rounds+combined != goroutines*per {
+			t.Fatalf("maxOps=%d: rounds %d + combined %d != %d ops", maxOps, rounds, combined, goroutines*per)
 		}
 	}
 }

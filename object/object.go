@@ -113,8 +113,10 @@ func shardFactory(algo string, opts []hybsync.Option) shard.ExecFactory {
 
 // NewShardedCounter builds a fetch-and-increment counter partitioned
 // across nshards independent executors of the named algorithm
-// (Fibonacci key routing). Handle.Inc(key) increments key's shard;
-// Handle.Sum aggregates the global value shard-by-shard.
+// (Fibonacci key routing). Handle.Inc(key) increments key's shard,
+// Handle.IncAll(keys) every key's — each touched shard in one
+// mutual-exclusion run — and Handle.Sum aggregates the global value
+// shard-by-shard.
 func NewShardedCounter(algo string, nshards int, opts ...hybsync.Option) (*ShardedCounter, error) {
 	return shard.NewCounter(nshards, nil, shardFactory(algo, opts))
 }

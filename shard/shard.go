@@ -13,9 +13,16 @@
 //	v, err := h.Apply(key, 0, 1)     // routes key to its shard
 //	t, err := h.Submit(key, 0, 1)    // same, without waiting
 //	v = h.Wait(t)                    // redeem the ticket
-//	vs, err := h.MultiApply(0, keys, nil) // overlap across shards
+//	vs, err := h.MultiApply(0, keys, nil) // one batch per touched shard, overlapped
 //	sum, err := h.Aggregate(1, 0)    // fold a read over every shard
 //	_ = r.Close()                    // fan-out, idempotent (Flush handles first)
+//
+// MultiApply groups its keys by shard and hands every touched shard its
+// group as one Handle.SubmitBatch of that shard's executor before it
+// waits for any result: shards overlap wherever the construction can
+// leave a batch owed, and each shard executes its group as one
+// mutual-exclusion run — one lock acquisition, one combining round's
+// own run — instead of one per key.
 //
 // Per shard, the paper's single-server guarantees hold (every operation
 // on that shard runs in mutual exclusion); across shards the router
