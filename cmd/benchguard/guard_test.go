@@ -2,7 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hybsync/internal/benchfmt"
@@ -12,8 +15,8 @@ func rec(bench, algo string, threads, shards, depth, batch, gmp int, dist string
 	return benchfmt.SweepRecord{
 		Host: benchfmt.Host{GoMaxProcs: gmp},
 		Record: benchfmt.Record{
-			Bench: bench, Algo: algo, Threads: threads, Shards: shards,
-			Depth: depth, Batch: batch, Dist: dist,
+			Bench: bench,
+			Point: benchfmt.Point{Algo: algo, Threads: threads, Shards: shards, Dist: dist, Depth: depth, Batch: batch},
 		},
 	}
 }
@@ -214,4 +217,93 @@ func TestCellKeyDistinguishesScenarios(t *testing.T) {
 			t.Errorf("cell keys collide: %q", cellKey(a))
 		}
 	}
+}
+
+// parentCellKey is cellKey as the commit before the Point refactor
+// spelt it, axis by axis.
+func parentCellKey(r benchfmt.SweepRecord) string {
+	return fmt.Sprintf("%s %s t=%d s=%d %s d=%d b=%d gmp=%d",
+		r.Algo, r.Bench, r.Threads, r.Shards, r.Dist, r.Depth, r.Batch, r.GoMaxProcs)
+}
+
+// Every committed corpus line keys as before: the table-derived cell
+// and scenario keys group the corpus into exactly the classes the
+// hand-written keys did.
+func TestCorpusKeysAsBefore(t *testing.T) {
+	f, err := os.Open("../../BENCH_sweep.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := benchfmt.ReadSweep(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []struct {
+		name     string
+		now, was func(benchfmt.SweepRecord) string
+	}{
+		{"cell", cellKey, parentCellKey},
+		{"scenario", scenarioKey, func(r benchfmt.SweepRecord) string { r.Algo = ""; return parentCellKey(r) }},
+	} {
+		nowOf, wasOf := map[string]string{}, map[string]string{}
+		for _, r := range recs {
+			now, was := key.now(r), key.was(r)
+			if prev, ok := wasOf[now]; ok && prev != was {
+				t.Fatalf("%s key %q merges %q and %q", key.name, now, prev, was)
+			}
+			if prev, ok := nowOf[was]; ok && prev != now {
+				t.Fatalf("%s key splits %q into %q and %q", key.name, was, prev, now)
+			}
+			wasOf[now], nowOf[was] = was, now
+		}
+		if want := map[string]int{"cell": 2496, "scenario": 416}[key.name]; len(wasOf) != want {
+			t.Errorf("%d distinct %s keys, want %d", len(wasOf), key.name, want)
+		}
+	}
+}
+
+// An accepted clause list names known fields only and matches the same
+// way every time; a field -where does not know is always an error.
+func FuzzWhere(f *testing.F) {
+	for _, seed := range []string{
+		"bench=counter", "threads=1", "gomaxprocs=1", "algo=mpserver,hybcomb", "threads=2",
+		"bench=async", "depth=4", "batch=8", "shards=4", "gomaxprocs=2", "bench=counter,phases",
+		"depth>1", " gomaxprocs = 2 ", "dist!=zipf:0.99", "threads<=2", "cell>=0", "numcpu<3",
+		"treads!=4", "algo>mpserver", "threads=two", "depth", "=1",
+	} {
+		f.Add(seed, "threads=1", "treads")
+	}
+	lines := []benchfmt.SweepRecord{
+		rec("async", "mpserver", 2, 1, 4, 1, 2, "uniform"),
+		rec("sharded", "ccsynch", 4, 4, 1, 8, 1, "zipf:0.99"),
+		rec("phases", "hybrid", 1, 1, 1, 1, 2, "phase:5ms:0.5"),
+	}
+	f.Fuzz(func(t *testing.T, a, b, name string) {
+		if _, known := fields[strings.TrimSpace(name)]; !known && !strings.ContainsAny(name, "<>=!") {
+			for _, op := range clauseOps {
+				if _, err := parseClauses([]string{name + op + "1"}); err == nil {
+					t.Fatalf("unknown field %q accepted under %s", name, op)
+				}
+			}
+		}
+		sel, err := parseClauses([]string{a, b})
+		if err != nil {
+			return
+		}
+		again, err := parseClauses([]string{a, b})
+		if err != nil || !reflect.DeepEqual(sel, again) {
+			t.Fatalf("second parse of [%q %q]: %v, %v (first %v)", a, b, again, err, sel)
+		}
+		for _, c := range sel {
+			if _, known := fields[c.field]; !known {
+				t.Fatalf("clause %+v names an unknown field", c)
+			}
+		}
+		for _, r := range lines {
+			if first, second := sel.match(r), sel.match(r); first != second || first != again.match(r) {
+				t.Fatalf("[%q %q] does not match %+v deterministically", a, b, r)
+			}
+		}
+	})
 }

@@ -3,31 +3,32 @@
 // the CI guard that keeps the batch, pipeline and telemetry machinery
 // from taxing the measured paths.
 //
-// Lines are keyed by the full cell identity (bench, algo, threads,
-// shards, dist, depth, batch, gomaxprocs); -where clauses select which
-// baseline cells to gate, and every selected cell must appear in the
-// candidates:
+// Lines are keyed by the full cell identity (bench, the grid point —
+// every axis of benchfmt.Axes — and gomaxprocs); -where clauses select
+// which baseline cells to gate, and every selected cell must appear in
+// the candidates:
 //
 //	GOMAXPROCS=2 hybsweep -grid '...' -out run1.jsonl        (repeat)
 //	benchguard -baseline BENCH_sweep.jsonl -max-regress 0.50 \
 //	    -where 'gomaxprocs=2' -where 'depth>1' -where 'algo=mpserver,hybcomb' \
 //	    run1.jsonl run2.jsonl run3.jsonl
 //
-// A -where clause is `field OP value`: OP one of = != > >= < <=, with
-// numeric fields (threads, shards, depth, batch, gomaxprocs, numcpu,
-// cell) supporting all six and string fields (bench, algo, dist)
-// supporting = and != where `=` against a comma-separated list means
-// "is one of". Clauses AND together; an unknown field name is an
-// error. Failed lines are never gated.
+// A -where clause is `field OP value`: OP one of = != > >= < <=. The
+// fields are the grid axes plus bench, gomaxprocs, numcpu and cell;
+// numeric ones (threads, shards, depth, batch, gomaxprocs, numcpu,
+// cell) support all six operators and symbolic ones (bench, algo,
+// dist) = and !=, where `=` against a comma-separated list means "is
+// one of". Clauses AND together; an unknown field name is an error.
+// Failed lines are never gated.
 //
 // -vs gates one algorithm AGAINST ANOTHER instead of against its own
 // history: -vs 'hybrid=mcs-lock' pairs each selected mcs-lock cell of
 // the baseline with the hybrid cell of the candidates at the same
-// scenario (same bench, threads, shards, dist, depth, batch,
-// gomaxprocs) and fails if the candidate algorithm's median ns/op
-// exceeds the baseline algorithm's by more than the tolerance. Given
-// the run files themselves as the baseline, both algorithms ran in the
-// same processes and machine speed cancels out — how CI enforces the
+// scenario (same bench, gomaxprocs and every axis but algo) and fails
+// if the candidate algorithm's median ns/op exceeds the baseline
+// algorithm's by more than the tolerance. Given the run files
+// themselves as the baseline, both algorithms ran in the same
+// processes and machine speed cancels out — how CI enforces the
 // adaptive hybrid's "within 10% of the best lock at one thread" claim:
 //
 //	cat run1.jsonl run2.jsonl run3.jsonl > all.jsonl
@@ -39,7 +40,8 @@
 // noisy run cannot fail or pass the gate alone), and of the baseline's
 // when it holds the cell more than once. Exit status 1 means at least
 // one point regressed more than -max-regress relative to the baseline
-// or went missing; extra candidate points are ignored.
+// or went missing (extra candidate points are ignored); 2 is a usage
+// error — a missing -baseline, an unreadable file, a bad -vs or -where.
 package main
 
 import (
@@ -101,7 +103,7 @@ func compare(baseline, candidates map[string][]float64, maxRegress float64) bool
 		base := median(baseline[key])
 		runs := candidates[key]
 		if len(runs) == 0 {
-			fmt.Printf("  %-56s baseline %10.1f ns/op  candidate MISSING\n", key, base)
+			fmt.Printf("  %-80s baseline %10.1f ns/op  candidate MISSING\n", key, base)
 			failed = true
 			continue
 		}
@@ -112,7 +114,7 @@ func compare(baseline, candidates map[string][]float64, maxRegress float64) bool
 			status = "REGRESSED"
 			failed = true
 		}
-		fmt.Printf("  %-56s baseline %10.1f ns/op  median %10.1f ns/op  %+6.1f%%  %s\n",
+		fmt.Printf("  %-80s baseline %10.1f ns/op  median %10.1f ns/op  %+6.1f%%  %s\n",
 			key, base, med, delta*100, status)
 	}
 	return failed
@@ -127,16 +129,19 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
+// cellKey is the full identity of a sweep cell — bench, the grid point
+// and gomaxprocs — so gating never conflates two scenarios that share
+// an algorithm.
+func cellKey(r benchfmt.SweepRecord) string {
+	return fmt.Sprintf("%s %s gmp=%d", r.Bench, r.Point, r.GoMaxProcs)
+}
+
 // scenarioKey is a cell's identity minus the algorithm — the pairing
 // identity of the -vs gate.
 func scenarioKey(r benchfmt.SweepRecord) string {
-	return fmt.Sprintf("%s t=%d s=%d %s d=%d b=%d gmp=%d",
-		r.Bench, r.Threads, r.Shards, r.Dist, r.Depth, r.Batch, r.GoMaxProcs)
+	r.Algo = ""
+	return cellKey(r)
 }
-
-// cellKey is the full identity of a sweep cell, so gating never
-// conflates two scenarios that share an algorithm.
-func cellKey(r benchfmt.SweepRecord) string { return r.Algo + " " + scenarioKey(r) }
 
 // samples reads the measured ns/op of every line of paths that sel
 // matches, grouped under key; a non-empty algo keeps that algorithm's
@@ -213,23 +218,31 @@ type selector []clause
 
 var clauseOps = []string{">=", "<=", "!=", ">", "<", "="} // two-char ops first
 
-// The fields a -where clause can name, by kind.
-var (
-	numFields = map[string]func(benchfmt.SweepRecord) int{
-		"threads":    func(r benchfmt.SweepRecord) int { return r.Threads },
-		"shards":     func(r benchfmt.SweepRecord) int { return r.Shards },
-		"depth":      func(r benchfmt.SweepRecord) int { return r.Depth },
-		"batch":      func(r benchfmt.SweepRecord) int { return r.Batch },
-		"gomaxprocs": func(r benchfmt.SweepRecord) int { return r.GoMaxProcs },
-		"numcpu":     func(r benchfmt.SweepRecord) int { return r.NumCPU },
-		"cell":       func(r benchfmt.SweepRecord) int { return r.Cell },
+// field is one name a -where clause can select on: num reads a
+// numeric field, str a symbolic one.
+type field struct {
+	num func(benchfmt.SweepRecord) int
+	str func(benchfmt.SweepRecord) string
+}
+
+// fields is what -where can name: every axis of the grid, by its row
+// of the axis table, plus the record-level context.
+var fields = func() map[string]field {
+	m := map[string]field{
+		"bench":      {str: func(r benchfmt.SweepRecord) string { return r.Bench }},
+		"gomaxprocs": {num: func(r benchfmt.SweepRecord) int { return r.GoMaxProcs }},
+		"numcpu":     {num: func(r benchfmt.SweepRecord) int { return r.NumCPU }},
+		"cell":       {num: func(r benchfmt.SweepRecord) int { return r.Cell }},
 	}
-	strFields = map[string]func(benchfmt.SweepRecord) string{
-		"bench": func(r benchfmt.SweepRecord) string { return r.Bench },
-		"algo":  func(r benchfmt.SweepRecord) string { return r.Algo },
-		"dist":  func(r benchfmt.SweepRecord) string { return r.Dist },
+	for _, a := range benchfmt.Axes {
+		if a.Numeric() {
+			m[a.Name] = field{num: func(r benchfmt.SweepRecord) int { return a.Int(r.Point) }}
+		} else {
+			m[a.Name] = field{str: func(r benchfmt.SweepRecord) string { return a.Get(r.Point) }}
+		}
 	}
-)
+	return m
+}()
 
 // parseClauses parses and validates every clause up front — an unknown
 // field name (a typo would otherwise select nothing under = and
@@ -256,22 +269,21 @@ func parseClauses(specs []string) (selector, error) {
 		if !found || c.value == "" {
 			return nil, fmt.Errorf("bad -where clause %q (want field OP value, OP in = != > >= < <=)", spec)
 		}
-		if _, numeric := numFields[c.field]; numeric {
+		f, known := fields[c.field]
+		switch {
+		case !known:
+			names := make([]string, 0, len(fields))
+			for name := range fields {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			return nil, fmt.Errorf("-where %q: unknown field %q (known: %s)", spec, c.field, strings.Join(names, ", "))
+		case f.num != nil:
 			var err error
 			if c.num, err = strconv.Atoi(c.value); err != nil {
 				return nil, fmt.Errorf("-where %q: numeric field %q needs an integer", spec, c.field)
 			}
-		} else if _, str := strFields[c.field]; !str {
-			known := make([]string, 0, len(numFields)+len(strFields))
-			for name := range numFields {
-				known = append(known, name)
-			}
-			for name := range strFields {
-				known = append(known, name)
-			}
-			sort.Strings(known)
-			return nil, fmt.Errorf("-where %q: unknown field %q (known: %s)", spec, c.field, strings.Join(known, ", "))
-		} else if c.op != "=" && c.op != "!=" {
+		case c.op != "=" && c.op != "!=":
 			return nil, fmt.Errorf("-where %q: string field %q supports only = and !=", spec, c.field)
 		}
 		sel = append(sel, c)
@@ -281,8 +293,9 @@ func parseClauses(specs []string) (selector, error) {
 
 func (s selector) match(r benchfmt.SweepRecord) bool {
 	for _, c := range s {
-		if get, numeric := numFields[c.field]; numeric {
-			num, want, ok := get(r), c.num, false
+		f := fields[c.field]
+		if f.num != nil {
+			num, want, ok := f.num(r), c.num, false
 			switch c.op {
 			case "=":
 				ok = num == want
@@ -304,7 +317,7 @@ func (s selector) match(r benchfmt.SweepRecord) bool {
 		}
 		// String field: '=' against a comma-separated list is "is one
 		// of"; '!=' is "is none of".
-		str, inList := strFields[c.field](r), false
+		str, inList := f.str(r), false
 		for _, v := range strings.Split(c.value, ",") {
 			if str == strings.TrimSpace(v) {
 				inList = true

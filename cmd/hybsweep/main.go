@@ -1,10 +1,11 @@
 // Command hybsweep is the scenario lab, the one native bench CLI: it
-// enumerates the grid algo × threads × shards × dist × depth × batch,
-// runs one measurement per defined cell (measure.Run — one loop, one
-// conservation check) and streams one self-contained JSONL record per
-// cell, measured or failed (panic or timeout). A ranked per-scenario
-// summary with algorithm crossover points goes to stderr, so stdout
-// redirection yields a clean BENCH_sweep.jsonl artifact.
+// enumerates the grid algo × threads × shards × dist × depth × batch
+// (benchfmt.ParseGrid), runs one measurement per defined cell
+// (measure.Run — one loop, one conservation check) and streams one
+// self-contained JSONL record per cell, measured or failed (panic or
+// timeout). A ranked per-scenario summary with algorithm crossover
+// points goes to stderr, so stdout redirection yields a clean
+// BENCH_sweep.jsonl artifact.
 //
 // Cells whose axis combination the execution model does not define
 // are skipped, not errored and not written: depth>1 cells need the
@@ -22,15 +23,27 @@
 // concatenate into one artifact (that is how BENCH_sweep.jsonl is
 // built).
 //
+// The axes are benchfmt.Axes — the one table -grid parsing, cell
+// enumeration, the failed lines' axis fields and the summary's series
+// all derive from; cells run one at a time (concurrent cells would
+// timeshare the host and distort each other), each under -cell-timeout.
+//
+// Exit status: 0 when every defined cell was measured; 1 when a cell
+// failed — panicked, lost operations, or timed out (its line carries
+// "error") — or the JSONL could not be written; 2 on a usage error (an
+// unknown flag, axis or algorithm, threads=0, dist=zipf:3, an unwritable
+// -out), reported before any cell runs.
+//
 // Usage:
 //
 //	hybsweep > sweep.jsonl
 //	hybsweep -grid 'algo=mpserver,hybcomb;threads=1,2,4;depth=1,8;batch=1,32'
 //	GOMAXPROCS=2 hybsweep -grid 'threads=2,4;shards=1,2;dist=uniform,zipf:0.99'
-//	hybsweep -dur 50ms -workers 1 -cell-timeout 30s -out sweep.jsonl
+//	hybsweep -dur 50ms -cell-timeout 30s -out sweep.jsonl
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,188 +52,102 @@ import (
 	"strings"
 	"time"
 
-	"hybsync"
-	"hybsync/harness"
 	"hybsync/internal/benchfmt"
 	"hybsync/internal/measure"
-	"hybsync/internal/sweep"
 	"hybsync/internal/telemetry/export"
 )
 
-// The grid axes in enumeration order. Defaults keep the product small
-// enough for a casual run; -grid overrides any subset.
-func defaultGrid() (*sweep.Grid, error) {
-	return sweep.New(
-		sweep.Axis{Name: "algo", Values: []string{"mpserver", "hybcomb", "shmserver", "ccsynch", "mcs-lock"}},
-		sweep.Axis{Name: "threads", Values: []string{"1", "2"}},
-		sweep.Axis{Name: "shards", Values: []string{"1"}},
-		sweep.Axis{Name: "dist", Values: []string{"uniform"}},
-		sweep.Axis{Name: "depth", Values: []string{"1"}},
-		sweep.Axis{Name: "batch", Values: []string{"1"}},
-	)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// decode reads one grid cell's bindings into the measurement cell.
-func decode(c sweep.Cell, keys uint64) (measure.Cell, error) {
-	m := measure.Cell{Algo: c.Get("algo"), Dist: c.Get("dist"), Keys: keys}
-	var err error
-	for _, axis := range []struct {
-		name string
-		dst  *int
-	}{{"threads", &m.Threads}, {"shards", &m.Shards}, {"depth", &m.Depth}, {"batch", &m.Batch}} {
-		if *axis.dst, err = c.Int(axis.name); err != nil {
-			return m, err
+// run is main with its streams and exit status as values: 0 when every
+// defined cell was measured, 1 when a cell failed (panic, lost
+// operations, timeout) or the JSONL could not be written, 2 on a usage
+// error — reported before any cell runs.
+func run(args []string, stdout, stderr io.Writer) (status int) {
+	fs := flag.NewFlagSet("hybsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	gridFlag := fs.String("grid", "", "axis overrides, e.g. 'algo=mpserver,hybcomb;threads=1,2,4;depth=1,8;batch=1,32' (axes: algo, threads, shards, dist, depth, batch)")
+	dur := fs.Duration("dur", 100*time.Millisecond, "measurement duration per cell")
+	keys := fs.Uint64("keys", 1<<16, "key-space size for keyed (sharded/zipf) cells")
+	cellTimeout := fs.Duration("cell-timeout", 60*time.Second, "hard per-cell timeout; a cell exceeding it is recorded as failed, its executor poisoned and its goroutine abandoned")
+	out := fs.String("out", "-", "JSONL destination ('-' = stdout)")
+	telFlag := fs.Bool("telemetry", true, "arm per-executor telemetry: cell records carry latency_ns/run_len fields (false = disarmed hot path, for overhead-sensitive gating)")
+	debugAddr := fs.String("debug-addr", "", "serve /debug/hybsync and /debug/vars on this address (e.g. localhost:6060) for the sweep's duration")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
-	return m, nil
-}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "hybsweep: "+format+"\n", args...)
+		return 2
+	}
 
-func main() {
-	gridFlag := flag.String("grid", "", "axis overrides, e.g. 'algo=mpserver,hybcomb;threads=1,2,4;depth=1,8;batch=1,32' (axes: algo, threads, shards, dist, depth, batch)")
-	dur := flag.Duration("dur", 100*time.Millisecond, "measurement duration per cell")
-	keys := flag.Uint64("keys", 1<<16, "key-space size for keyed (sharded/zipf) cells")
-	workers := flag.Int("workers", 1, "worker-pool size; >1 runs cells concurrently, which distorts throughput numbers — use for exploratory sweeps only")
-	cellTimeout := flag.Duration("cell-timeout", 60*time.Second, "hard per-cell timeout; a cell exceeding it is recorded as failed and its goroutine abandoned")
-	out := flag.String("out", "-", "JSONL destination ('-' = stdout)")
-	telFlag := flag.Bool("telemetry", true, "arm per-executor telemetry: cell records carry latency_ns/run_len fields (false = disarmed hot path, for overhead-sensitive gating)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/hybsync and /debug/vars on this address (e.g. localhost:6060) for the sweep's duration")
-	flag.Parse()
-
+	// Every axis value is vetted here, before any cell runs: numeric
+	// axes are positive integers, algos resolve against the registry,
+	// dist labels parse as a key distribution or a phase shape.
+	points, err := benchfmt.ParseGrid(*gridFlag, func(p benchfmt.Point) error { return measure.Check(p, *keys) })
+	if err != nil {
+		return usage("-grid: %v", err)
+	}
+	w := stdout
+	if *out != "-" {
+		f, err := os.Create(*out)
+		if err != nil {
+			return usage("-out: %v", err)
+		}
+		defer func() {
+			if err := f.Close(); err != nil && status == 0 {
+				fmt.Fprintf(stderr, "hybsweep: -out: %v\n", err)
+				status = 1
+			}
+		}()
+		w = f
+	}
 	measure.SetTelemetry(*telFlag)
 	if *debugAddr != "" {
 		addr, err := export.Start(*debugAddr)
 		if err != nil {
-			fatalf("-debug-addr: %v", err)
+			return usage("-debug-addr: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "hybsweep: telemetry at http://%s/debug/hybsync\n", addr)
+		fmt.Fprintf(stderr, "hybsweep: telemetry at http://%s/debug/hybsync\n", addr)
 	}
 
-	grid, err := defaultGrid()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if *gridFlag != "" {
-		if err := grid.ParseOverrides(*gridFlag); err != nil {
-			fatalf("-grid: %v", err)
-		}
-	}
-
-	// Validate every axis value before any cell runs: numeric axes
-	// parse as positive ints, algos resolve against the registry, and
-	// dist labels parse as a key distribution or a phase shape.
-	for _, axis := range []string{"threads", "shards", "depth", "batch"} {
-		if _, err := grid.IntAxis(axis); err != nil {
-			fatalf("-grid: %v", err)
-		}
-	}
-	registered := make(map[string]bool)
-	for _, name := range hybsync.Algorithms() {
-		registered[name] = true
-	}
-	algoValues, _ := grid.Values("algo")
-	for _, name := range algoValues {
-		if !registered[name] {
-			fatalf("-grid: unknown algorithm %q (have: %s)", name, strings.Join(hybsync.Algorithms(), ", "))
-		}
-	}
-	distValues, _ := grid.Values("dist")
-	for _, label := range distValues {
-		var err error
-		if harness.IsPhaseSpec(label) {
-			_, err = harness.ParsePhases(label)
-		} else {
-			_, err = harness.ParseDist(label, *keys)
-		}
-		if err != nil {
-			fatalf("-grid: dist %q: %v", label, err)
-		}
-	}
-
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-	jsonl := sweep.NewJSONLWriter(w)
 	host := benchfmt.CurrentHost()
-
-	cells := grid.Cells()
-	specs := make([]measure.Cell, len(cells)) // by Cell.Index
-	for i, c := range cells {
-		if specs[i], err = decode(c, *keys); err != nil {
-			fatalf("-grid: %v", err)
-		}
-	}
-
-	runner := &sweep.Runner{
-		Workers: *workers,
-		Timeout: *cellTimeout,
-		// A timed-out cell's goroutine is abandoned, but the executor it
-		// was driving must not wedge forever: poisoning every live
-		// tracked executor completes the abandoned cell's waiters with
-		// ErrPoisoned and lets its server goroutines drain and exit.
-		// (With Workers > 1 this also condemns concurrently-running
-		// cells — their records fail loudly rather than silently skew.)
-		OnTimeout: func(c sweep.Cell) {
-			if n := measure.PoisonLive(fmt.Sprintf("hybsweep: cell %s exceeded -cell-timeout", c)); n > 0 {
-				fmt.Fprintf(os.Stderr, "hybsweep: cell %s timed out; poisoned %d live executor(s)\n", c, n)
-			}
-		},
-		Check: func(c sweep.Cell) string {
-			_, skip := specs[c.Index].Classify()
-			return skip
-		},
-		Run: func(c sweep.Cell) (any, error) { return measure.Run(specs[c.Index], *dur) },
-	}
-
 	start := time.Now()
-	var measuredRecs []benchfmt.SweepRecord
-	skips := map[string]int{}
-	var writeErr error
-	measured, skipped, failed := runner.Sweep(cells, func(res sweep.Result) {
-		if res.Skip != "" {
-			skips[res.Skip]++
-			return
+	var measured []benchfmt.SweepRecord
+	skips, failed := map[string]int{}, 0
+	for i, p := range points {
+		if _, skip := measure.Classify(p); skip != "" {
+			skips[skip]++
+			continue
 		}
-		rec := benchfmt.SweepRecord{
-			SchemaVersion: benchfmt.SchemaVersion,
-			Host:          host,
-			Cell:          res.Cell.Index,
-			ElapsedMs:     float64(res.Elapsed.Microseconds()) / 1e3,
-		}
-		if res.Err != nil {
-			// A failed cell still describes itself: axis fields from the
-			// cell, no throughput fields.
-			rec.Error = res.Err.Error()
-			m := specs[res.Cell.Index]
-			rec.Algo, rec.Threads = m.Algo, m.Threads
-			rec.Shards, rec.Dist, rec.Depth, rec.Batch = m.Shards, m.Dist, m.Depth, m.Batch
-			fmt.Fprintf(os.Stderr, "hybsweep: cell %d (%s) FAILED: %v\n", res.Cell.Index, res.Cell, res.Err)
+		began := time.Now()
+		rec, err := measure.Guard(*cellTimeout, func() (benchfmt.Record, error) { return measure.Run(p, *keys, *dur) })
+		line := benchfmt.SweepRecord{Host: host, Cell: i, ElapsedMs: float64(time.Since(began).Microseconds()) / 1e3, Record: rec}
+		if err != nil {
+			// A failed cell still describes itself: its point, no
+			// throughput fields.
+			line.Error, line.Point = err.Error(), p
+			failed++
+			fmt.Fprintf(stderr, "hybsweep: cell %d (%s) FAILED: %v\n", i, p, err)
 		} else {
-			rec.Record = res.Value.(benchfmt.Record)
-			measuredRecs = append(measuredRecs, rec)
+			measured = append(measured, line)
 		}
-		if err := jsonl.Write(rec); err != nil && writeErr == nil {
-			writeErr = err
+		if err := benchfmt.WriteSweep(w, line); err != nil {
+			fmt.Fprintf(stderr, "hybsweep: writing JSONL: %v\n", err)
+			return 1
 		}
-	})
-	if writeErr != nil {
-		fatalf("writing JSONL: %v", writeErr)
-	}
-	if err := jsonl.Flush(); err != nil {
-		fatalf("flushing JSONL: %v", err)
 	}
 
-	fmt.Fprintf(os.Stderr, "hybsweep: %d cells (GOMAXPROCS=%d): %d measured, %d skipped%s, %d failed in %v\n",
-		len(cells), host.GoMaxProcs, measured, skipped, reasonCounts(skips), failed, time.Since(start).Round(time.Millisecond))
-	summarize(os.Stderr, measuredRecs)
+	fmt.Fprintf(stderr, "hybsweep: %d cells (GOMAXPROCS=%d): %d measured, %d skipped%s, %d failed in %v\n",
+		len(points), host.GoMaxProcs, len(measured), len(points)-len(measured)-failed, reasonCounts(skips), failed, time.Since(start).Round(time.Millisecond))
+	summarize(stderr, measured)
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // reasonCounts renders the per-reason skip counts, largest first:
@@ -245,19 +172,14 @@ func reasonCounts(skips map[string]int) string {
 	return " (" + strings.Join(reasons, ", ") + ")"
 }
 
-// series is a scenario minus the thread axis — the unit of crossover
-// analysis.
+// series is a scenario minus the algorithm and thread axes — the unit
+// of crossover analysis: the record's point with both blanked.
 type series struct {
-	bench  string
-	shards int
-	dist   string
-	depth  int
-	batch  int
+	bench string
+	benchfmt.Point
 }
 
-func (s series) String() string {
-	return fmt.Sprintf("%s s=%d %s d=%d b=%d", s.bench, s.shards, s.dist, s.depth, s.batch)
-}
+func (s series) String() string { return s.bench + " " + s.Point.String() }
 
 // summarize prints the ranked per-scenario view (every algorithm
 // ordered by throughput within each series × thread count, series in
@@ -271,7 +193,8 @@ func summarize(w io.Writer, recs []benchfmt.SweepRecord) {
 	byThreads := map[series]map[int][]benchfmt.SweepRecord{}
 	var order []series
 	for _, r := range recs {
-		k := series{r.Bench, r.Shards, r.Dist, r.Depth, r.Batch}
+		k := series{r.Bench, r.Point}
+		k.Algo, k.Threads = "", 0
 		if byThreads[k] == nil {
 			byThreads[k] = map[int][]benchfmt.SweepRecord{}
 			order = append(order, k)
@@ -296,14 +219,14 @@ func summarize(w io.Writer, recs []benchfmt.SweepRecord) {
 			for i, r := range g {
 				parts[i] = fmt.Sprintf("%s %.2f", r.Algo, r.Mops)
 			}
-			fmt.Fprintf(w, "  %-40s %s\n", fmt.Sprintf("%s t=%d:", k, t), strings.Join(parts, " > "))
+			fmt.Fprintf(w, "  %-56s %s\n", fmt.Sprintf("%s t=%d:", k, t), strings.Join(parts, " > "))
 			if best := g[0].Algo; best != prev {
 				steps = append(steps, fmt.Sprintf("%s (t=%d)", best, t))
 				prev = best
 			}
 		}
 		if len(steps) > 1 {
-			crossovers = append(crossovers, fmt.Sprintf("  %-32s %s", k.String()+":", strings.Join(steps, " -> ")))
+			crossovers = append(crossovers, fmt.Sprintf("  %-50s %s", k.String()+":", strings.Join(steps, " -> ")))
 		}
 	}
 	fmt.Fprintln(w, "crossovers (best algo by thread count):")
@@ -311,9 +234,4 @@ func summarize(w io.Writer, recs []benchfmt.SweepRecord) {
 		crossovers = []string{"  (none: one algorithm dominates every series at the measured thread counts)"}
 	}
 	fmt.Fprintln(w, strings.Join(crossovers, "\n"))
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "hybsweep: "+format+"\n", args...)
-	os.Exit(1)
 }

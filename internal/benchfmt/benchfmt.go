@@ -1,8 +1,11 @@
 // Package benchfmt is the one definition of the repo's native benchmark
-// record: internal/measure fills a Record, cmd/hybsweep streams it as a
-// self-contained SweepRecord JSONL line (BENCH_sweep.jsonl), and
-// cmd/benchguard reads those lines back — one line shape, no envelope,
-// no parallel struct definitions drifting apart.
+// point and record: a Point is the grid's six axes and Axes the one
+// table that names them (point.go); internal/measure runs a Point and
+// fills a Record, cmd/hybsweep enumerates Points (ParseGrid) and
+// streams each Record as a self-contained SweepRecord JSONL line
+// (WriteSweep, BENCH_sweep.jsonl), and cmd/benchguard reads those lines
+// back (ReadSweep) — one line shape, no envelope, no parallel struct
+// definitions drifting apart.
 //
 // Schema history:
 //
@@ -95,15 +98,14 @@ type Adaptive struct {
 }
 
 // Record is one measured point, complete as internal/measure returns
-// it: throughput, every grid axis, and whichever counters the
-// construction keeps. The shard_* fields appear only on sharded-bench
+// it: the Point (every grid axis), throughput, and whichever counters
+// the construction keeps. The shard_* fields appear only on sharded-bench
 // records: shard_ops is the per-shard occupancy profile
 // (how the keyed workload actually landed) and shard_fairness its
 // max/min ratio (1.0 = perfectly balanced).
 type Record struct {
-	Bench   string  `json:"bench,omitempty"`
-	Algo    string  `json:"algo"`
-	Threads int     `json:"threads"`
+	Bench string `json:"bench,omitempty"`
+	Point
 	Ops     uint64  `json:"ops"`
 	Mops    float64 `json:"mops"`
 	NsPerOp float64 `json:"ns_per_op"`
@@ -117,10 +119,6 @@ type Record struct {
 	// bench "batch" records carry neither for that reason).
 	Rounds   uint64   `json:"rounds,omitempty"`
 	Combined uint64   `json:"combined,omitempty"`
-	Shards   int      `json:"shards,omitempty"`
-	Dist     string   `json:"dist,omitempty"`
-	Depth    int      `json:"depth,omitempty"`
-	Batch    int      `json:"batch,omitempty"`
 	ShardOps []uint64 `json:"shard_ops,omitempty"`
 	// A pointer so sharded records keep the meaningful value 0 ("some
 	// shard was never touched") while non-sharded records omit the
@@ -150,6 +148,15 @@ type SweepRecord struct {
 	Error     string  `json:"error,omitempty"`
 	ElapsedMs float64 `json:"elapsed_ms,omitempty"`
 	Record
+}
+
+// WriteSweep appends rec to w as one sweep JSONL line, stamped with
+// SchemaVersion, in a single Write — so a consumer tailing the file
+// sees whole cells, and files from separate runs concatenate into one
+// valid artifact.
+func WriteSweep(w io.Writer, rec SweepRecord) error {
+	rec.SchemaVersion = SchemaVersion
+	return json.NewEncoder(w).Encode(rec)
 }
 
 // ReadSweep parses sweep JSONL: one SweepRecord per non-empty line.

@@ -77,6 +77,12 @@ func (q *MSQueue1) NewHandle() (*QueueHandle, error) {
 // Close shuts down the underlying executor; idempotent.
 func (q *MSQueue1) Close() error { return q.exec.Close() }
 
+// Err reports the underlying executor's terminal fault (a *PoisonError
+// wrapping core.ErrPoisoned), or nil while it is healthy. On a poisoned
+// queue Dequeue returns 0 — which a stored 0 also is — so a caller that
+// must tell the two apart asks here.
+func (q *MSQueue1) Err() error { return q.exec.Err() }
+
 // Stats reports the underlying executor's combining statistics when it
 // is a combining construction; ok is false otherwise. Call only while
 // no operations are in flight.
@@ -170,6 +176,15 @@ func (q *MSQueue2) Close() error {
 		err = err2
 	}
 	return err
+}
+
+// Err reports the first poisoned side's terminal fault (enqueue side
+// first), or nil while both executors are healthy; see MSQueue1.Err.
+func (q *MSQueue2) Err() error {
+	if err := q.enqExec.Err(); err != nil {
+		return err
+	}
+	return q.deqExec.Err()
 }
 
 // QueueHandle is a goroutine's capability to use a queue.

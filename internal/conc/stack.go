@@ -61,6 +61,12 @@ func (s *Stack) NewHandle() (*StackHandle, error) {
 // Close shuts down the underlying executor; idempotent.
 func (s *Stack) Close() error { return s.exec.Close() }
 
+// Err reports the underlying executor's terminal fault (a *PoisonError
+// wrapping core.ErrPoisoned), or nil while it is healthy. On a poisoned
+// stack Pop returns 0 — which a stored 0 also is — so a caller that must
+// tell the two apart asks here.
+func (s *Stack) Err() error { return s.exec.Err() }
+
 // Stats reports the underlying executor's combining statistics when it
 // is a combining construction; ok is false otherwise. Call only while
 // no operations are in flight.

@@ -1,14 +1,16 @@
 // Package measure is the one native measurement loop: Run drives one
-// grid cell (algo × threads × shards × dist × depth × batch) through
-// the native harness for a fixed duration and returns one complete
-// benchfmt.Record. cmd/hybsweep enumerates cells and streams the
-// records; nothing else in the tree produces a native number besides
-// the contract benchmark.
+// grid point (benchfmt.Point: algo × threads × shards × dist × depth ×
+// batch) through the native harness for a fixed duration and returns
+// one complete benchfmt.Record; Guard bounds a cell by a hard timeout.
+// cmd/hybsweep enumerates points and streams the records; nothing else
+// in the tree produces a native number besides the contract benchmark.
 package measure
 
 import (
 	"fmt"
-	"sync"
+	"runtime/debug"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -69,67 +71,101 @@ func telFields(rec *benchfmt.Record, tel *telemetry.Telemetry) {
 	}
 }
 
-// The live-executor registry: Run tracks the executor (or sharded
-// counter) it is driving for the duration of the cell. A sweep harness
-// whose per-cell timeout fires can then call PoisonLive to condemn
-// whatever the abandoned cell leaked — its waiters unblock with
-// ErrPoisoned and its server goroutines drain and exit — instead of
-// leaking a wedged construction until process exit.
-var (
-	liveMu sync.Mutex
-	live   = make(map[any]struct{})
-)
+// live is the cell Run is driving right now — its executor or sharded
+// counter — so Guard's timeout can condemn what the abandoned cell
+// leaked: its waiters unblock with ErrPoisoned and its server
+// goroutines drain and exit, instead of a wedged construction living
+// until process exit. Cells run one at a time, so one slot is enough;
+// a later cell simply takes it over from an abandoned one.
+var live atomic.Pointer[any]
 
 // poisonable matches hybsync.Poisonable and the object wrappers'
 // Poison passthroughs.
 type poisonable interface{ Poison(v any) }
 
-// track registers x as live under label (and, when tel is armed, in
-// the telemetry registry the /debug/hybsync endpoint walks) and
-// returns the combined untrack function.
+// track makes x the live cell under label (and, when tel is armed,
+// registers it in the telemetry registry the /debug/hybsync endpoint
+// walks) and returns the combined untrack function.
 func track(x any, label string, tel *telemetry.Telemetry) func() {
-	liveMu.Lock()
-	live[x] = struct{}{}
-	liveMu.Unlock()
+	live.Store(&x)
 	unreg := telemetry.Register(label, tel)
 	return func() {
 		unreg()
-		liveMu.Lock()
-		delete(live, x)
-		liveMu.Unlock()
+		live.CompareAndSwap(&x, nil)
 	}
 }
 
-// PoisonLive condemns every live tracked executor with reason and
-// returns how many accepted the fault. It is safe from any goroutine —
-// the sweep runner's OnTimeout hook calls it while the abandoned cell
-// is still running. Each condemnation is counted in the telemetry
-// registry's timeout-condemns counter.
-func PoisonLive(reason any) int {
-	liveMu.Lock()
-	defer liveMu.Unlock()
-	n := 0
-	for x := range live {
-		if p, ok := x.(poisonable); ok {
+// poisonLive condemns the live cell, if there is one and it accepts
+// faults, with reason. It is safe from any goroutine — Guard calls it
+// while the abandoned cell is still running — and counted in the
+// telemetry registry's timeout-condemns counter.
+func poisonLive(reason any) {
+	if x := live.Load(); x != nil {
+		if p, ok := (*x).(poisonable); ok {
 			p.Poison(reason)
 			telemetry.NoteCondemned()
-			n++
 		}
 	}
-	return n
 }
 
-// Cell is one point of the scenario grid. Keys sizes the key space
-// keyed cells draw from; Dist is a key distribution ("uniform",
-// "zipf:theta") or a phase-shifting load shape ("phase:period:duty").
-type Cell struct {
-	Algo    string
-	Threads int
-	Shards  int
-	Dist    string
-	Depth   int
-	Batch   int
-	Keys    uint64
+// Guard runs one cell's measurement under a hard timeout (none when
+// timeout <= 0). A panic in run comes back as an error carrying the
+// stack. A cell that exceeds the timeout fails, poisonLive condemns
+// what it was driving, and its goroutine is abandoned — goroutines
+// cannot be killed, so a truly wedged measurement leaks until process
+// exit: the accepted cost of turning a deadlocked construction into a
+// red sweep record instead of a hung harness.
+func Guard(timeout time.Duration, run func() (benchfmt.Record, error)) (benchfmt.Record, error) {
+	type outcome struct {
+		rec benchfmt.Record
+		err error
+	}
+	done := make(chan outcome, 1) // buffered: an abandoned cell must not block forever on its send
+	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				done <- outcome{err: fmt.Errorf("panic: %v\n%s", p, debug.Stack())}
+			}
+		}()
+		rec, err := run()
+		done <- outcome{rec, err}
+	}()
+	var expired <-chan time.Time
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case o := <-done:
+		return o.rec, o.err
+	case <-expired:
+		err := fmt.Errorf("timed out after %v (goroutine abandoned)", timeout)
+		poisonLive(err.Error())
+		return benchfmt.Record{}, err
+	}
+}
+
+// Check vets the symbolic axes p has set, ahead of any Run: a non-empty
+// Algo must be registered and a non-empty Dist must parse as a key
+// distribution over keys or as a phase shape. It is benchfmt.ParseGrid's
+// vet hook, shown each -grid value alone.
+func Check(p benchfmt.Point, keys uint64) error {
+	if p.Algo != "" && !slices.Contains(hybsync.Algorithms(), p.Algo) {
+		return fmt.Errorf("unknown algorithm %q (have: %s)", p.Algo, strings.Join(hybsync.Algorithms(), ", "))
+	}
+	var err error
+	switch {
+	case p.Dist == "":
+	case harness.IsPhaseSpec(p.Dist):
+		_, err = harness.ParsePhases(p.Dist)
+	default:
+		_, err = harness.ParseDist(p.Dist, keys)
+	}
+	if err != nil {
+		return fmt.Errorf("dist %q: %w", p.Dist, err)
+	}
+	return nil
 }
 
 // The bench kinds a defined cell classifies onto (the record's bench
@@ -151,7 +187,7 @@ const (
 	skipPhaseShards = "phases-over-sharded-unsupported"
 )
 
-// Classify maps a cell to its bench kind, or to a skip reason when the
+// Classify maps a point to its bench kind, or to a skip reason when the
 // combination is undefined. A cell is keyed when it shards the object
 // or skews the key distribution; a keyed cell with batch > 1 issues its
 // keys batch at a time through the router's MultiApply, while the
@@ -159,7 +195,7 @@ const (
 // dist value is not a key distribution at all — it selects the
 // phase-shifting load shape, which drives the scalar blocking counter
 // only.
-func (c Cell) Classify() (bench, skip string) {
+func Classify(c benchfmt.Point) (bench, skip string) {
 	if harness.IsPhaseSpec(c.Dist) {
 		switch {
 		case c.Depth > 1:
@@ -233,8 +269,9 @@ func window(h hybsync.Handle, depth int) (body func(uint64), drain func()) {
 //
 // The cell's kind (Classify) picks the object and the loop body, and
 // nothing else: a keyed cell increments a sharded counter under keys
-// drawn from c.Dist — one Inc per iteration, or with c.Batch > 1 one
-// IncAll (a router MultiApply) of c.Batch keys; every other cell drives
+// drawn from c.Dist over a key space of keys values — one Inc per
+// iteration, or with c.Batch > 1 one IncAll (a router MultiApply) of
+// c.Batch keys; every other cell drives
 // one scalar counter through blocking Apply (counter, phases), a
 // depth-c.Depth Submit/Wait window (async) or ApplyBatch calls of
 // c.Batch requests (batch). A phases cell runs the Apply loop under the
@@ -248,10 +285,10 @@ func window(h hybsync.Handle, depth int) (body func(uint64), drain func()) {
 // twice. Records of cells with c.Batch > 1 carry no rounds/combined
 // (their scalar identity rounds+combined==ops fails when one submission
 // holds many operations; see core.StatsSource).
-func Run(c Cell, dur time.Duration) (benchfmt.Record, error) {
-	bench, skip := c.Classify()
+func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, error) {
+	bench, skip := Classify(c)
 	if skip != "" {
-		return benchfmt.Record{}, fmt.Errorf("cell %+v is undefined: %s", c, skip)
+		return benchfmt.Record{}, fmt.Errorf("cell %s is undefined: %s", c, skip)
 	}
 	run := harness.RunNativeDrain
 	var dist harness.Dist
@@ -262,7 +299,7 @@ func Run(c Cell, dur time.Duration) (benchfmt.Record, error) {
 		ph, err = harness.ParsePhases(c.Dist)
 		run = ph.RunPhased
 	case benchSharded:
-		dist, err = harness.ParseDist(c.Dist, c.Keys)
+		dist, err = harness.ParseDist(c.Dist, keys)
 	}
 	if err != nil {
 		return benchfmt.Record{}, err
@@ -290,12 +327,12 @@ func Run(c Cell, dur time.Duration) (benchfmt.Record, error) {
 			}
 			draw := dist.Sampler(t)
 			if c.Batch > 1 {
-				keys := make([]uint64, c.Batch)
+				batch := make([]uint64, c.Batch)
 				return func(uint64) {
-					for i := range keys {
-						keys[i] = draw()
+					for i := range batch {
+						batch[i] = draw()
 					}
-					if _, err := h.IncAll(keys); err != nil {
+					if _, err := h.IncAll(batch); err != nil {
 						panic(err)
 					}
 				}, nil
@@ -335,11 +372,7 @@ func Run(c Cell, dur time.Duration) (benchfmt.Record, error) {
 		res.PerThread[i] *= uint64(c.Batch)
 	}
 
-	rec := benchfmt.Record{
-		Bench: bench, Algo: c.Algo, Threads: c.Threads,
-		Shards: c.Shards, Dist: c.Dist, Depth: c.Depth, Batch: c.Batch,
-		Ops: res.Ops, Mops: res.Mops(), Fairness: res.Fairness(),
-	}
+	rec := benchfmt.Record{Bench: bench, Point: c, Ops: res.Ops, Mops: res.Mops(), Fairness: res.Fairness()}
 	if rec.Mops > 0 {
 		rec.NsPerOp = 1e3 / rec.Mops
 	}

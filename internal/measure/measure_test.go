@@ -1,17 +1,25 @@
 package measure
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"hybsync"
+	"hybsync/internal/benchfmt"
 )
+
+// Cell is the grid point; keys sizes every test's key space.
+type Cell = benchfmt.Point
+
+const keys = 1024
 
 // one builds the scalar-uniform cell of algo at th threads; tests
 // override the axis under test.
 func one(algo string, th int) Cell {
-	return Cell{Algo: algo, Threads: th, Shards: 1, Dist: "uniform", Depth: 1, Batch: 1, Keys: 1024}
+	return Cell{Algo: algo, Threads: th, Shards: 1, Dist: "uniform", Depth: 1, Batch: 1}
 }
 
 // TestRun drives every bench kind over every registered algorithm for
@@ -36,17 +44,14 @@ func TestRun(t *testing.T) {
 			c := one(algo, 2)
 			k.set(&c)
 			t.Run(k.name+"/"+algo, func(t *testing.T) {
-				rec, err := Run(c, 5*time.Millisecond)
+				rec, err := Run(c, keys, 5*time.Millisecond)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rec.Bench != k.bench || rec.Algo != algo || rec.Threads != 2 {
+				// One identity per point: the point itself, every axis, is on
+				// the record as returned, whatever the kind.
+				if rec.Bench != k.bench || rec.Point != c {
 					t.Fatalf("identity: %+v", rec)
-				}
-				// One identity per point: every axis is on the record as
-				// returned, whatever the kind.
-				if rec.Shards != c.Shards || rec.Dist != c.Dist || rec.Depth != c.Depth || rec.Batch != c.Batch {
-					t.Fatalf("axes not stamped: %+v", rec)
 				}
 				if rec.Ops == 0 || rec.Mops <= 0 || rec.NsPerOp <= 0 || rec.Fairness <= 0 {
 					t.Fatalf("no throughput in %+v", rec)
@@ -91,19 +96,31 @@ func TestRun(t *testing.T) {
 
 func TestRunRejects(t *testing.T) {
 	bad := one("no-such-algo", 1)
-	if _, err := Run(bad, time.Millisecond); err == nil {
+	if _, err := Run(bad, keys, time.Millisecond); err == nil {
 		t.Error("unknown algo accepted")
+	}
+	if err := Check(Cell{Algo: bad.Algo}, keys); err == nil || !strings.Contains(err.Error(), bad.Algo) {
+		t.Errorf("Check(unknown algo) = %v, want an error naming it", err)
+	}
+	// Check vets only what is set: a blank point and a whole valid one pass.
+	for _, ok := range []Cell{{}, one("mpserver", 1), {Dist: "zipf:0.99"}, {Dist: "phase:5ms:0.5"}} {
+		if err := Check(ok, keys); err != nil {
+			t.Errorf("Check(%+v) = %v", ok, err)
+		}
 	}
 	undefined := one("mpserver", 1)
 	undefined.Depth, undefined.Batch = 4, 8
-	if _, err := Run(undefined, time.Millisecond); err == nil {
+	if _, err := Run(undefined, keys, time.Millisecond); err == nil {
 		t.Error("undefined cell measured")
 	}
 	for _, dist := range []string{"zipf:2", "pareto", "phase:0s:0.5"} {
 		c := one("mpserver", 1)
 		c.Dist = dist
-		if _, err := Run(c, time.Millisecond); err == nil {
+		if _, err := Run(c, keys, time.Millisecond); err == nil {
 			t.Errorf("dist %q accepted", dist)
+		}
+		if err := Check(Cell{Dist: dist}, keys); err == nil || !strings.Contains(err.Error(), dist) {
+			t.Errorf("Check(dist %q) = %v, want an error naming it", dist, err)
 		}
 	}
 }
@@ -111,7 +128,7 @@ func TestRunRejects(t *testing.T) {
 func TestDisarmed(t *testing.T) {
 	SetTelemetry(false)
 	defer SetTelemetry(true)
-	rec, err := Run(one("hybcomb", 1), 5*time.Millisecond)
+	rec, err := Run(one("hybcomb", 1), keys, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +154,7 @@ func TestAsyncDrainLiveness(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		done := make(chan error, 1)
 		go func() {
-			_, err := Run(c, 30*time.Millisecond)
+			_, err := Run(c, keys, 30*time.Millisecond)
 			done <- err
 		}()
 		select {
@@ -181,7 +198,7 @@ func TestClassify(t *testing.T) {
 	reached := map[string]bool{}
 	for _, tc := range cases {
 		c := Cell{Algo: "mpserver", Threads: 1, Shards: tc.s, Dist: tc.dist, Depth: tc.d, Batch: tc.b}
-		bench, skip := c.Classify()
+		bench, skip := Classify(c)
 		if bench != tc.bench || skip != tc.skip {
 			t.Errorf("Classify(%+v) = (%q, %q), want (%q, %q)", c, bench, skip, tc.bench, tc.skip)
 		}
@@ -191,5 +208,62 @@ func TestClassify(t *testing.T) {
 		if !reached[reason] {
 			t.Errorf("skip reason %q not covered", reason)
 		}
+	}
+}
+
+// A panic inside a cell comes back as that cell's error, stack
+// attached, and an ordinary error passes through untouched.
+func TestGuardPanicRecovery(t *testing.T) {
+	_, err := Guard(time.Minute, func() (benchfmt.Record, error) { panic("construction broke an invariant") })
+	if err == nil || !strings.Contains(err.Error(), "panic: construction broke an invariant") || !strings.Contains(err.Error(), "goroutine") {
+		t.Fatalf("panic error = %v", err)
+	}
+	rec, err := Guard(0, func() (benchfmt.Record, error) { return benchfmt.Record{Ops: 7}, nil })
+	if err != nil || rec.Ops != 7 {
+		t.Fatalf("after a panicking cell: rec=%+v err=%v", rec, err)
+	}
+}
+
+func TestGuardRunError(t *testing.T) {
+	boom := errors.New("boom")
+	if _, err := Guard(time.Minute, func() (benchfmt.Record, error) { return benchfmt.Record{}, boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// wedged is a tracked cell that never finishes on its own.
+type wedged struct{ poisoned chan any }
+
+func (w *wedged) Poison(v any) { w.poisoned <- v }
+
+// A cell that outlives the timeout fails, what it was driving is
+// poisoned, and the next cell runs normally while the abandoned one is
+// still there — then takes the live slot over from it.
+func TestGuardTimeout(t *testing.T) {
+	cell := &wedged{poisoned: make(chan any, 1)}
+	release, exited := make(chan struct{}), make(chan struct{})
+	_, err := Guard(20*time.Millisecond, func() (benchfmt.Record, error) {
+		defer close(exited)
+		defer track(cell, "test/wedged", nil)()
+		<-release // wedged until the test lets go
+		return benchfmt.Record{}, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "timed out after 20ms") {
+		t.Fatalf("timeout error = %v", err)
+	}
+	select {
+	case <-cell.poisoned:
+	default:
+		t.Fatal("the timed-out cell's executor was not poisoned")
+	}
+
+	rec, err := Guard(time.Minute, func() (benchfmt.Record, error) { return Run(one("hybcomb", 1), keys, time.Millisecond) })
+	if err != nil || rec.Ops == 0 {
+		t.Fatalf("cell after a timed-out one: rec=%+v err=%v", rec, err)
+	}
+	close(release)
+	<-exited
+	if x := live.Load(); x != nil {
+		t.Fatalf("live cell left behind: %v", *x)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // The live-executor registry backs the debug endpoint: benchmarks (and
 // any embedder) register each armed executor's Telemetry under a
 // human-readable label, and Entries snapshots them all. It parallels
-// measure's PoisonLive registry — measure seeds both from the same
+// measure's live-cell slot — measure seeds both from the same
 // tracking call — but lives here so the export layer needs no
 // dependency on the benchmark harness.
 

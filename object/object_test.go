@@ -60,6 +60,45 @@ func TestUnknownAlgorithmPropagates(t *testing.T) {
 	}
 }
 
+// Every executor-backed object answers Err() through the facade's
+// aliases: nil while healthy, the *PoisonError once its executor is
+// condemned (the counter is the one with a public fault hook; the
+// in-package internal/conc test poisons the others from inside).
+func TestObjectsExposeErr(t *testing.T) {
+	type errObject interface {
+		Err() error
+		Close() error
+	}
+	for _, algo := range hybsync.Algorithms() {
+		ctr, err := object.NewCounter(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q1, err1 := object.NewMSQueue1(algo)
+		q2, err2 := object.NewMSQueue2(algo)
+		st, err3 := object.NewStack(algo)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatal(err)
+		}
+		for _, obj := range []errObject{ctr, q1, q2, st} {
+			if err := obj.Err(); err != nil {
+				t.Errorf("%s: healthy %T reports %v", algo, obj, err)
+			}
+		}
+		ctr.Poison("invariant violated")
+		var pe *hybsync.PoisonError
+		if err := ctr.Err(); !errors.Is(err, hybsync.ErrPoisoned) || !errors.As(err, &pe) {
+			t.Errorf("%s: poisoned counter reports %v", algo, err)
+		}
+		for _, obj := range []errObject{q1, q2, st} {
+			if err := obj.Close(); err != nil || obj.Err() != nil {
+				t.Errorf("%s: %T: Close = %v, Err = %v", algo, obj, err, obj.Err())
+			}
+		}
+		ctr.Close()
+	}
+}
+
 // TestQueueFIFOByName checks single-handle FIFO order through both
 // MS-Queue forms over a server construction.
 func TestQueueFIFOByName(t *testing.T) {
