@@ -210,15 +210,10 @@ func TestBatchConcurrentConservation(t *testing.T) {
 	}
 }
 
-// TestStatsAtFlushedQuiescence pins the StatsSource read contract down
-// in terms of flushed handles: once every handle with submissions
-// outstanding has been flushed, the combining statistics are stable
-// (two consecutive reads agree) and account for exactly the scalar
-// operations submitted: rounds + combined == ops on every StatsSource —
-// each round carries its owner's one operation, everything else it
-// served is combined, and a lock acquisition is a round of one.
-func TestStatsAtFlushedQuiescence(t *testing.T) {
-	const goroutines, per = 3, 400
+// statsSources runs body over every registered algorithm that exposes
+// StatsSource, three handles each.
+func statsSources(t *testing.T, body func(t *testing.T, ex hybsync.Executor, src hybsync.StatsSource, handles []hybsync.Handle)) {
+	const goroutines = 3
 	for _, algo := range hybsync.Algorithms() {
 		ex, err := hybsync.NewObject(algo, hybsync.Func(func(op, arg uint64) uint64 { return 0 }),
 			hybsync.WithMaxThreads(goroutines))
@@ -234,72 +229,134 @@ func TestStatsAtFlushedQuiescence(t *testing.T) {
 			continue // the two servers keep no combining statistics
 		}
 		t.Run(algo, func(t *testing.T) {
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				h := hybsync.MustHandle(ex)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						if i%2 == 0 {
-							h.Post(0, 0)
-						} else {
-							h.Submit(0, 0)
-						}
-					}
-					h.Flush() // the read below is only defined after this
-				}()
+			handles := make([]hybsync.Handle, goroutines)
+			for g := range handles {
+				handles[g] = hybsync.MustHandle(ex)
 			}
-			wg.Wait()
-			r1, c1 := src.Stats()
-			r2, c2 := src.Stats()
-			if r1 != r2 || c1 != c2 {
-				t.Fatalf("Stats unstable after all handles flushed: (%d,%d) then (%d,%d)", r1, c1, r2, c2)
-			}
-			if total := uint64(goroutines * per); r1+c1 != total {
-				t.Fatalf("rounds %d + combined %d account for %d ops, want %d (reads are only defined once every handle is flushed)",
-					r1, c1, r1+c1, total)
-			}
+			body(t, ex, src, handles)
 		})
 	}
 }
 
+// TestStatsAtFlushedQuiescence pins the StatsSource read contract down
+// in terms of flushed handles: once every handle with submissions
+// outstanding has been flushed, the combining statistics are stable
+// (two consecutive reads agree) and account for the scalar operations
+// submitted. On the combiners that is the identity rounds + combined ==
+// ops — each round carries its owner's one operation, everything else it
+// served is combined. A lock handle's pipelined submissions execute as
+// deferred runs, each ONE round of several own operations (exactly like
+// an ApplyBatch), so a lock-backed construction reads rounds <= ops —
+// and no fewer rounds than full windows — with combined == 0 on the
+// locks, where nobody executes on another thread's behalf.
+func TestStatsAtFlushedQuiescence(t *testing.T) {
+	const per = 400
+	statsSources(t, func(t *testing.T, ex hybsync.Executor, src hybsync.StatsSource, handles []hybsync.Handle) {
+		var wg sync.WaitGroup
+		for _, h := range handles {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					if i%2 == 0 {
+						h.Post(0, 0)
+					} else {
+						h.Submit(0, 0)
+					}
+				}
+				h.Flush() // the read below is only defined after this
+			}()
+		}
+		wg.Wait()
+		r1, c1 := src.Stats()
+		r2, c2 := src.Stats()
+		if r1 != r2 || c1 != c2 {
+			t.Fatalf("Stats unstable after all handles flushed: (%d,%d) then (%d,%d)", r1, c1, r2, c2)
+		}
+		total := uint64(len(handles) * per)
+		if _, lockBacked := ex.(hybsync.RetryStats); !lockBacked {
+			if r1+c1 != total {
+				t.Fatalf("rounds %d + combined %d account for %d ops, want %d (reads are only defined once every handle is flushed)",
+					r1, c1, r1+c1, total)
+			}
+			return
+		}
+		const queueCap = 39 // the default: a deferred run is at most one window long
+		if r1+c1 > total || r1+c1 < total/queueCap {
+			t.Fatalf("rounds %d + combined %d over %d pipelined ops, want between %d (every window one round) and %d",
+				r1, c1, total, total/queueCap, total)
+		}
+		if _, adaptive := ex.(hybsync.AdaptiveStats); !adaptive && c1 != 0 {
+			t.Fatalf("combined = %d on a lock: nothing executes on another thread's behalf", c1)
+		}
+	})
+}
+
+// TestStatsBlockingIdentity is the other half of the StatsSource
+// counter contract: under blocking Apply every operation is a round
+// owner's single own operation or combined by someone else, so rounds +
+// combined == ops on every StatsSource, the locks (an acquisition is a
+// round of one) and the hybrid included.
+func TestStatsBlockingIdentity(t *testing.T) {
+	const per = 400
+	statsSources(t, func(t *testing.T, _ hybsync.Executor, src hybsync.StatsSource, handles []hybsync.Handle) {
+		var wg sync.WaitGroup
+		for _, h := range handles {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					h.Apply(0, 0)
+				}
+			}()
+		}
+		wg.Wait()
+		if r, c := src.Stats(); r+c != uint64(len(handles)*per) {
+			t.Fatalf("rounds %d + combined %d account for %d ops, want %d", r, c, r+c, len(handles)*per)
+		}
+	})
+}
+
 // TestPipelineStats: the pipelining constructions export backpressure
 // counters — a submission window driven past QueueCap must record
-// stalls and the high-water in-flight depth; immediate-completion
-// constructions do not implement the extension.
+// stalls and the high-water in-flight depth, whether the window is
+// messages in flight (mpserver) or a lock handle's deferred run
+// (mcs-lock); immediate-completion constructions do not implement the
+// extension.
 func TestPipelineStats(t *testing.T) {
 	const qcap = 4
-	ex, err := hybsync.NewObject("mpserver", hybsync.Func(func(op, arg uint64) uint64 { return 0 }),
-		hybsync.WithMaxThreads(2), hybsync.WithQueueCap(qcap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	h := hybsync.MustHandle(ex)
-	const n = 20
-	for i := 0; i < n; i++ {
-		h.Post(0, 0)
-	}
-	h.Flush()
-	ps, ok := ex.(hybsync.PipelineStats)
-	if !ok {
-		t.Fatal("mpserver does not expose PipelineStats")
-	}
-	stalls, depth := ps.Pipeline()
-	if depth != qcap {
-		t.Errorf("maxDepth = %d, want %d (the window is bounded by QueueCap)", depth, qcap)
-	}
-	if want := uint64(n - qcap); stalls != want {
-		t.Errorf("submitStalls = %d, want %d (every post past the window stalls)", stalls, want)
+	for _, algo := range []string{"mpserver", "mcs-lock"} {
+		ex, err := hybsync.NewObject(algo, hybsync.Func(func(op, arg uint64) uint64 { return 0 }),
+			hybsync.WithMaxThreads(2), hybsync.WithQueueCap(qcap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ex.Close()
+		h := hybsync.MustHandle(ex)
+		const n = 20
+		for i := 0; i < n; i++ {
+			h.Post(0, 0)
+		}
+		h.Flush()
+		ps, ok := ex.(hybsync.PipelineStats)
+		if !ok {
+			t.Fatalf("%s does not expose PipelineStats", algo)
+		}
+		stalls, depth := ps.Pipeline()
+		if depth != qcap {
+			t.Errorf("%s: maxDepth = %d, want %d (the window is bounded by QueueCap)", algo, depth, qcap)
+		}
+		if want := uint64(n - qcap); stalls != want {
+			t.Errorf("%s: submitStalls = %d, want %d (every post past the window stalls)", algo, stalls, want)
+		}
 	}
 
-	lk, err := hybsync.NewObject("mcs-lock", hybsync.Func(func(op, arg uint64) uint64 { return 0 }))
+	im, err := hybsync.NewObject("shmserver", hybsync.Func(func(op, arg uint64) uint64 { return 0 }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lk.Close()
-	if _, ok := lk.(hybsync.PipelineStats); ok {
-		t.Error("mcs-lock claims PipelineStats but has no submission pipeline")
+	defer im.Close()
+	if _, ok := im.(hybsync.PipelineStats); ok {
+		t.Error("shmserver claims PipelineStats but has no submission pipeline")
 	}
 }

@@ -16,7 +16,10 @@
 // result, Post fires and forgets, Flush drains, SubmitBatch submits a
 // whole batch for one ticket (request i redeems at Ticket.Offset(i)),
 // ApplyBatch executes one blocking, and the classic blocking Apply is
-// just Submit+Wait. hybsync/shard scales the constructions out: a
+// just Submit+Wait. A lock has no message to leave in flight, so a lock
+// handle defers instead: its Submits and Posts join a pending run that
+// executes under ONE acquisition when a completion is demanded (Wait,
+// Flush, a blocking call, or QueueCap operations pending). hybsync/shard scales the constructions out: a
 // router partitions a keyed object across N independent executors
 // (sharded counter and fixed-capacity hash map in hybsync/object ride
 // on it), and its MultiApply pipelines a keyed batch across shards —

@@ -17,14 +17,23 @@ import (
 )
 
 // owes classifies the built-in constructions for the script: whether a
-// Submit leaves its completion owed when another handle holds the
-// critical section, and whether it does so even uncontended. Anything
-// not listed completes every submission on the spot — or, like the
-// hybrid and application-registered algorithms, makes no promise.
+// Submit leaves its completion owed — and a bounded wait on it times
+// out — while another handle holds the critical section, and whether it
+// leaves it owed even uncontended. A lock handle always defers (its
+// pending run executes at the demand), but the demand itself acquires
+// the lock, so its bounded waits wait out a holder instead of timing
+// out. Anything not listed completes every submission on the spot — or,
+// like the hybrid and application-registered algorithms, makes no
+// promise.
 var owes = map[string]struct{ contended, always bool }{
-	"mpserver": {true, true},
-	"ccsynch":  {true, true},
-	"hybcomb":  {true, false},
+	"mpserver":    {true, true},
+	"ccsynch":     {true, true},
+	"hybcomb":     {true, false},
+	"tas-lock":    {false, true},
+	"ttas-lock":   {false, true},
+	"ticket-lock": {false, true},
+	"mcs-lock":    {false, true},
+	"clh-lock":    {false, true},
 }
 
 func TestHandleContract(t *testing.T) {

@@ -61,13 +61,17 @@ type Handle = core.Handle
 type Ticket = core.Ticket
 
 // StatsSource is implemented by the combining constructions ("hybcomb",
-// "ccsynch"); type-assert an Executor to read combining statistics.
-// Read only at pipeline quiescence: every handle with submissions
-// outstanding has been flushed (or fully waited) first.
+// "ccsynch") and the lock-backed ones (the spin executors and "hybrid",
+// where a round is an acquisition); type-assert an Executor to read
+// combining statistics. rounds + combined == ops holds under blocking
+// Apply; a pipelined lock handle executes its window as one round, so
+// there rounds <= ops. Read only at pipeline quiescence: every handle
+// with submissions outstanding has been flushed (or fully waited) first.
 type StatsSource = core.StatsSource
 
 // PipelineStats is implemented by the pipelining constructions
-// ("mpserver", "hybcomb", "ccsynch") and the shard router:
+// ("mpserver", "hybcomb", "ccsynch", the spin executors, "hybrid") and
+// the shard router:
 // backpressure counters of the submission pipeline (SubmitStalls =
 // submissions that found the pipeline full, MaxDepth = deepest
 // in-flight window any handle reached). Read at pipeline quiescence,

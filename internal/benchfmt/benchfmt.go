@@ -116,7 +116,8 @@ type Record struct {
 	// Rounds/Combined are the executor's combining counters; see the
 	// core.StatsSource godoc for the canonical semantics (including why
 	// the scalar identity rounds+combined==ops fails on batch paths —
-	// bench "batch" records carry neither for that reason).
+	// bench "batch" records, and bench "async" records of the lock-backed
+	// constructions, carry neither for that reason).
 	Rounds   uint64   `json:"rounds,omitempty"`
 	Combined uint64   `json:"combined,omitempty"`
 	ShardOps []uint64 `json:"shard_ops,omitempty"`

@@ -72,7 +72,9 @@ type Executor interface {
 	// Close releases any background resources (server goroutines) and
 	// fails subsequent NewHandle calls. It is idempotent. Operations
 	// submitted before Close stay redeemable: their results are drained
-	// into the completion streams (or were banked at submission), so
+	// into the completion streams, were banked at submission, or — a
+	// lock handle's pending run — execute at the Wait or Flush that
+	// redeems them, which is why handles must be flushed before Close.
 	// Wait and Flush still work afterwards; no new operation may be
 	// issued. On a poisoned executor Close still shuts down and returns
 	// the *PoisonError.
@@ -98,8 +100,11 @@ type Executor interface {
 // round before returning). How much genuinely overlaps depends on the
 // construction — MP-SERVER pipelines up to QueueCap requests per
 // handle, HYBCOMB overlaps registered requests, CC-SYNCH defers
-// completion (and possibly combiner duty) to Wait, and SHM-SERVER and
-// the spin locks complete every submission immediately.
+// completion (and possibly combiner duty) to Wait, a spin lock (and the
+// hybrid's lock mode) defers the whole window to the first completion
+// demanded — a Wait, a Flush, a blocking call behind it, or the
+// QueueCap-th pending operation — and executes it as ONE run under one
+// acquisition, and SHM-SERVER completes every submission immediately.
 //
 // Pipe is the one implementation: every construction's NewHandle
 // returns a *Pipe over its own Transport, and SyncHandle adapts a bare
@@ -113,8 +118,9 @@ type Handle interface {
 	// Submit enqueues (op, arg) for execution in mutual exclusion and
 	// returns a ticket redeemable with Wait. It may block for
 	// back-pressure or combiner duty but does not wait for the
-	// operation's result. The error is reserved for transports that can
-	// fail to accept a submission; the built-in constructions always
+	// operation's result — nor promise that it has executed before a
+	// completion is demanded. The error is reserved for transports that
+	// can fail to accept a submission; the built-in constructions always
 	// return nil.
 	Submit(op, arg uint64) (Ticket, error)
 
@@ -129,7 +135,8 @@ type Handle interface {
 	// in mutual exclusion, in submission order with the handle's other
 	// operations, and its result is discarded. Completion is observed
 	// collectively through Flush (or any later same-handle Wait, by
-	// FIFO).
+	// FIFO); on a lock handle that is also when it executes, unless
+	// QueueCap operations are pending first.
 	Post(op, arg uint64) error
 
 	// Flush blocks until every operation submitted through this handle
@@ -156,13 +163,15 @@ type Handle interface {
 	// contiguous stretch of the server's drain, one chain segment), so a
 	// caller that submits to several executors before waiting on any has
 	// them all working at once; a lock executor — and the hybrid in lock
-	// mode — runs the whole batch under ONE acquisition before it
-	// returns, every result banked; HYBCOMB leaves the requests it could
-	// register owed and, once a request fails registration, executes the
-	// entire rest as one combining round's own run; SHM-SERVER's one
-	// request slot makes it a loop of round trips. Like Submit it may
-	// block for back-pressure — a batch longer than QueueCap settles its
-	// own oldest requests as it goes — or for combiner duty.
+	// mode — with nothing in flight runs the whole batch under ONE
+	// acquisition before it returns, every result banked, and behind
+	// pending submissions appends it to their deferred run; HYBCOMB
+	// leaves the requests it could register owed and, once a request
+	// fails registration, executes the entire rest as one combining
+	// round's own run; SHM-SERVER's one request slot makes it a loop of
+	// round trips. Like Submit it may block for back-pressure — a batch
+	// longer than QueueCap settles its own oldest requests as it goes —
+	// or for combiner duty.
 	SubmitBatch(reqs []Req) (Ticket, error)
 
 	// ApplyBatch executes every request of reqs in mutual exclusion, in
@@ -185,9 +194,11 @@ type Handle interface {
 	// it redeems the ticket and returns the result exactly like Wait;
 	// otherwise it returns ErrNotReady and the ticket remains
 	// outstanding and redeemable. TryWait never waits for another
-	// thread, but on the combining constructions it may perform work
-	// this handle already owes (an inherited CC-SYNCH combining round
-	// whose hand-off has arrived). Like Wait, calling it with a
+	// thread to serve the operation, but it may perform work this handle
+	// already owes: an inherited CC-SYNCH combining round whose hand-off
+	// has arrived, or a lock handle's deferred run — acquired like any
+	// critical section, so it waits out the lock's current holders and
+	// never reports ErrNotReady. Like Wait, calling it with a
 	// redeemed or foreign ticket panics. On a poisoned executor a
 	// completed ticket redeems with the *PoisonError alongside the
 	// value — results produced after the fault are zeros.
@@ -197,8 +208,8 @@ type Handle interface {
 	// completes and redeems the ticket, or returns ErrWaitTimeout after
 	// d with the ticket still outstanding and redeemable (retry, or
 	// fall back to Wait). The bound covers waiting on other threads; a
-	// dispatch this handle itself must execute (immediate-completion
-	// constructions, an inherited combining round) is not interrupted.
+	// dispatch this handle itself must execute (a lock handle's deferred
+	// run, an inherited combining round) is not interrupted.
 	// The poison semantics are TryWait's.
 	WaitTimeout(t Ticket, d time.Duration) (uint64, error)
 
@@ -211,9 +222,11 @@ type Handle interface {
 }
 
 // StatsSource is implemented by the combining constructions (HybComb,
-// CCSynch). Stats must be read only at pipeline quiescence: every
-// handle with submissions outstanding has been flushed (or fully
-// waited) and no new operation is issued until the read returns.
+// CCSynch) and the lock-backed ones (LockExecutor, Hybrid), whose
+// acquisitions are rounds. Stats must be read only at pipeline
+// quiescence: every handle with submissions outstanding has been
+// flushed (or fully waited) and no new operation is issued until the
+// read returns.
 // "While no Apply is in flight" is no longer sufficient wording —
 // submissions are asynchronous, so an unflushed Submit or Post keeps
 // the pipeline live long after the submitting call returned.
@@ -222,18 +235,23 @@ type Handle interface {
 // comments defer here): rounds counts combining rounds, i.e.
 // mutual-exclusion acquisitions that serviced at least one operation;
 // combined counts operations completed inside a round owned by another
-// thread. With purely scalar submissions every operation is either a
-// round owner's single own op or combined by someone else, so
+// thread. Under blocking Apply every operation is either a round
+// owner's single own op or combined by someone else, so
 //
-//	rounds + combined == total ops   (scalar submissions only)
+//	rounds + combined == total ops   (blocking Apply, every source)
 //
+// and on the combiners the same holds for scalar Submit and Post.
 // Batched submissions break that identity by design: an ApplyBatch (or
 // router MultiApply) executes its whole batch as one round's own run —
 // n operations against a single rounds increment — and a drained
-// remote batch adds n to combined for the same one round. The counters
-// then mix units (rounds count batches, combined counts operations),
-// which is why measure.Run strips both from batch-path records instead
-// of publishing numbers that invite the scalar reading.
+// remote batch adds n to combined for the same one round. A pipelined
+// lock handle is the same case spelled one call at a time: its deferred
+// run is one round of n own operations, so a lock-backed source gives
+// rounds <= ops there (combined == 0 on the locks). The counters then
+// mix units (rounds count runs, combined counts operations), which is
+// why measure.Run strips both from batch-path records — and from
+// bench=async records of lock-backed constructions — instead of
+// publishing numbers that invite the scalar reading.
 type StatsSource interface {
 	Stats() (rounds, combined uint64)
 }
@@ -248,8 +266,9 @@ type TelemetrySource interface {
 }
 
 // PipelineStats is implemented by the pipelining constructions
-// (MPServer, HybComb, CCSynch) and aggregated by the shard router; it
-// exposes the backpressure counters of the submission pipeline.
+// (MPServer, HybComb, CCSynch, LockExecutor, Hybrid) and aggregated by
+// the shard router; it exposes the backpressure counters of the
+// submission pipeline.
 // SubmitStalls counts submissions that found the handle's pipeline
 // full and had to absorb or settle an older operation before they
 // could proceed; MaxDepth is the deepest in-flight window any handle

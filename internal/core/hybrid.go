@@ -45,18 +45,19 @@ import (
 // collected entirely within that mode.
 //
 // Transitions preserve the full Handle contract. Handles align to the
-// global mode lazily, at the next operation: switching INTO delegation
-// needs nothing (every lock-mode operation completed synchronously);
-// switching BACK to the lock flushes the handle's inner pipeline
-// first, so the handle's outstanding delegated submissions execute
-// before its first lock-mode operation — per-handle FIFO holds across
-// both edges. Tickets are mode-agnostic because the handle is one
-// pipeline over both modes (see hybTransport): a lock-mode submission
-// is born complete (the lock cannot defer work), a delegated one is
-// owed by the backend's transport, both sit in the same ticket window,
-// and Wait redeems either kind no matter how many transitions happened
-// in between. ApplyBatch reads the mode once and sends the whole batch
-// down one path, so a DispatchBatch run is never split by a transition.
+// global mode lazily, at the next operation, and flush their window on
+// BOTH edges: switching INTO delegation executes the lock side's
+// pending run before the first delegated ship, switching BACK to the
+// lock settles the handle's outstanding delegated submissions before
+// its first lock-mode operation — per-handle FIFO holds across both.
+// Tickets are mode-agnostic because the handle is one pipeline over
+// both modes (see hybTransport): a lock-mode submission is owed by the
+// lock client's deferred run (one acquisition per demand, exactly as on
+// mcs-lock), a delegated one by the backend's transport, both sit in
+// the same ticket window, and Wait redeems either kind no matter how
+// many transitions happened in between. ApplyBatch reads the mode once
+// and sends the whole batch down one path, so a DispatchBatch run is
+// never split by a transition.
 //
 // Faults centralize in the one latch of the embedded shell: both the
 // lock clients and the hybGate dispatch through it, so a panic in
@@ -202,8 +203,10 @@ func (h *Hybrid) Transitions() (promotions, demotions uint64) {
 
 // Stats implements StatsSource. Lock-mode acquisitions count as rounds
 // of their own (each dispatches its own run, nothing combined), on top
-// of the backend's counters, so the scalar identity rounds + combined
-// == ops holds across transitions. Read at pipeline quiescence, like
+// of the backend's counters, so under blocking Apply the scalar
+// identity rounds + combined == ops holds across transitions; a
+// pipelined window's lock-side run is one round of several own
+// operations, as on LockExecutor. Read at pipeline quiescence, like
 // every StatsSource.
 func (h *Hybrid) Stats() (rounds, combined uint64) {
 	acq, _ := h.counts()
@@ -211,9 +214,9 @@ func (h *Hybrid) Stats() (rounds, combined uint64) {
 	return acq + r, c
 }
 
-// Pipeline implements PipelineStats, forwarding the backend's
-// backpressure counters (the hybrid's lock side cannot stall a
-// submission — it completes them on the spot).
+// Pipeline implements PipelineStats with the backend's backpressure
+// counters, which every handle's one window feeds in both modes (see
+// NewHandle) — the lock clients' per-handle ones stay zero.
 func (h *Hybrid) Pipeline() (submitStalls, maxDepth uint64) { return h.inner.Pipeline() }
 
 // maybeAdapt is the controller: called from handle ticks, it evaluates
@@ -286,12 +289,12 @@ func (h *Hybrid) demote() {
 }
 
 // hybTransport is one thread's path through whichever mode is current:
-// in lock mode it is a lock client — every operation runs under a gate
-// acquisition and completes on the spot — in delegation mode it travels
-// the backend's transport. Completions are only ever owed by the
-// backend, so Next is the backend's, and the handle's one window holds
-// both kinds of ticket — a ticket redeems the same however many
-// transitions happened since.
+// in lock mode it is a lock client — submissions join its deferred run,
+// executed under one gate acquisition per demand — in delegation mode
+// it travels the backend's transport. align keeps at most one side
+// owing at a time, and the handle's one window holds both kinds of
+// ticket — a ticket redeems the same however many transitions happened
+// since.
 type hybTransportHot struct {
 	lockClientHot // lock mode
 	h             *Hybrid
@@ -313,18 +316,16 @@ type hybTransport struct {
 	_ [pad.CacheLine - unsafe.Sizeof(hybTransportHot{})%pad.CacheLine]byte
 }
 
-// align observes the global mode and reconciles the handle with it.
-// Entering delegation needs nothing — every lock-mode operation
-// completed synchronously. Leaving it flushes the handle's window
-// first, so delegated submissions still in flight execute before the
-// first lock-mode operation: per-handle FIFO holds across the switch
-// (Flush banks un-waited tickets, which stay redeemable).
+// align observes the global mode and reconciles the handle with it:
+// on either edge it flushes the handle's window first, so whatever the
+// side being left still owes — the lock client's pending run, delegated
+// submissions in flight — executes before the first operation of the
+// new mode: per-handle FIFO holds across the switch (Flush banks
+// un-waited tickets, which stay redeemable).
 func (hd *hybTransport) align() uint32 {
 	m := hd.h.mode.Load()
 	if m != hd.mode {
-		if hd.mode == hybModeDeleg {
-			hd.p.Flush()
-		}
+		hd.p.Flush()
 		hd.mode = m
 	}
 	return m
@@ -350,33 +351,38 @@ func (hd *hybTransport) apply(op, arg uint64) uint64 {
 	return v
 }
 
-// Ship implements Transport. Lock mode completes on the spot (an
-// acquisition cannot be deferred); delegation mode is the backend's
-// Ship.
+// Ship implements Transport: the lock client's Ship (the operation
+// joins its deferred run) or the backend's.
 func (hd *hybTransport) Ship(op, arg uint64) (v uint64, done bool) {
 	if hd.align() == hybModeDeleg {
 		v, done = hd.inner.Ship(op, arg)
 	} else {
-		v, done = hd.lockClientHot.apply(op, arg), true
+		v, done = hd.lockClientHot.Ship(op, arg)
 	}
 	hd.tick()
 	return v, done
 }
 
-// Next implements Transport: whatever is owed — including submissions
-// from before a demotion the handle has not aligned to yet — is owed
-// by the backend.
-func (hd *hybTransport) Next(block bool) (uint64, bool) { return hd.inner.Next(block) }
+// Next implements Transport: the lock side first, then the backend.
+// Whichever side owes — including submissions from before a transition
+// the handle has not aligned to yet — owes everything in flight, since
+// align lets nothing ship on one side while the other still owes.
+func (hd *hybTransport) Next(block bool) (uint64, bool) {
+	if hd.lockClientHot.owes() {
+		return hd.lockClientHot.Next(block)
+	}
+	return hd.inner.Next(block)
+}
 
 // Batch implements Transport. The mode is read once at entry and the
-// whole batch goes down that path — one gate acquisition, or the
-// backend's batch strategy — so a dispatch run is never split by a
-// transition happening mid-batch.
+// whole batch goes down that path — the lock client's batch strategy
+// (one gate acquisition), or the backend's — so a dispatch run is never
+// split by a transition happening mid-batch.
 func (hd *hybTransport) Batch(p *Pipe, reqs []Req, done []uint64, blocking bool) (ticketed int) {
 	if hd.align() == hybModeDeleg {
 		ticketed = hd.inner.Batch(p, reqs, done, blocking)
 	} else {
-		hd.lockClientHot.batch(reqs, done)
+		ticketed = hd.lockClientHot.Batch(p, reqs, done, blocking)
 	}
 	hd.tick()
 	return ticketed

@@ -1,0 +1,268 @@
+package core_test
+
+import (
+	"errors"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"hybsync/internal/core"
+	"hybsync/internal/handletest"
+)
+
+// runRec records the length of every DispatchBatch run; results are
+// execution indices, so ticket order is visible in the values. fuse,
+// when not negative, is the execution index at which it panics.
+type runRec struct {
+	runs  []int
+	state uint64
+	fuse  int64
+}
+
+func (o *runRec) DispatchBatch(reqs []core.Req, results []uint64) {
+	o.runs = append(o.runs, len(reqs))
+	for i := range reqs {
+		if o.fuse >= 0 && o.state == uint64(o.fuse) {
+			panic("lock_runs_test: injected fault")
+		}
+		results[i] = o.state
+		o.state++
+	}
+}
+
+// lockSubjects runs body over every construction whose window is a
+// lock handle's deferred run: the five registered locks and the hybrid
+// pinned in lock mode, each over a fresh recording object and QueueCap
+// queueCap.
+func lockSubjects(t *testing.T, queueCap int, body func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle)) {
+	open := map[string]func(obj core.Object) core.Executor{
+		"hybrid-forced-lock": func(obj core.Object) core.Executor {
+			h := core.NewHybrid(obj, core.Options{QueueCap: queueCap})
+			core.FreezeHybrid(h)
+			return h
+		},
+	}
+	for _, algo := range core.Algorithms() {
+		if strings.HasSuffix(algo, "-lock") {
+			open[algo] = func(obj core.Object) core.Executor {
+				return core.MustNewObject(algo, obj, core.WithQueueCap(queueCap))
+			}
+		}
+	}
+	if len(open) != 6 {
+		t.Fatalf("%d lock subjects, want the five registered locks and the hybrid", len(open))
+	}
+	for name, mk := range open {
+		t.Run(name, func(t *testing.T) {
+			handletest.Guard(t, func() {
+				obj := &runRec{fuse: -1}
+				ex := mk(obj)
+				body(t, obj, ex, core.MustHandle(ex))
+			})
+		})
+	}
+}
+
+func submitN(t *testing.T, h core.Handle, n int) []core.Ticket {
+	t.Helper()
+	tks := make([]core.Ticket, n)
+	for i := range tks {
+		var err error
+		if tks[i], err = h.Submit(0, 0); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+	}
+	return tks
+}
+
+func wantRuns(t *testing.T, obj *runRec, want ...int) {
+	t.Helper()
+	if !slices.Equal(obj.runs, want) {
+		t.Fatalf("the object saw runs %v, want %v", obj.runs, want)
+	}
+}
+
+// TestLockWindowIsOneRun: a window of Submits costs nothing until a
+// completion is demanded, then reaches the object as ONE DispatchBatch
+// under one acquisition; results follow ticket order whatever the Wait
+// order.
+func TestLockWindowIsOneRun(t *testing.T) {
+	lockSubjects(t, 39, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
+		tks := submitN(t, h, 8)
+		wantRuns(t, obj)
+		for _, i := range []int{5, 0, 7, 2, 1, 6, 3, 4} {
+			if v := h.Wait(tks[i]); v != uint64(i) {
+				t.Fatalf("Wait(ticket %d) = %d", i, v)
+			}
+		}
+		wantRuns(t, obj, 8)
+		if rounds, combined := ex.(core.StatsSource).Stats(); rounds != 1 || combined != 0 {
+			t.Errorf("Stats() = (%d, %d), want one round and nothing combined", rounds, combined)
+		}
+	})
+}
+
+// TestLockPostsFlushAsOneRun: Posts execute at the Flush, together.
+func TestLockPostsFlushAsOneRun(t *testing.T) {
+	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+		for i := 0; i < 5; i++ {
+			if err := h.Post(0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantRuns(t, obj)
+		h.Flush()
+		wantRuns(t, obj, 5)
+		h.Flush() // nothing pending: no empty run
+		wantRuns(t, obj, 5)
+	})
+}
+
+// TestLockApplyJoinsPendingRun: a blocking Apply (or ApplyBatch) behind
+// pending submissions executes them and itself as one run, in FIFO
+// order; with nothing pending it is the bare critical section again.
+func TestLockApplyJoinsPendingRun(t *testing.T) {
+	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+		tks := submitN(t, h, 3)
+		if v := h.Apply(0, 0); v != 3 {
+			t.Fatalf("Apply behind three submissions = %d, want 3", v)
+		}
+		wantRuns(t, obj, 4)
+		for i, tk := range tks {
+			if v := h.Wait(tk); v != uint64(i) {
+				t.Fatalf("Wait(ticket %d) = %d", i, v)
+			}
+		}
+		if v := h.Apply(0, 0); v != 4 {
+			t.Fatalf("Apply with nothing in flight = %d, want 4", v)
+		}
+		h.Post(0, 0)
+		res := make([]uint64, 3)
+		h.ApplyBatch(make([]core.Req, 3), res)
+		if !slices.Equal(res, []uint64{6, 7, 8}) {
+			t.Fatalf("ApplyBatch behind a Post = %v, want [6 7 8]", res)
+		}
+		wantRuns(t, obj, 4, 1, 4)
+	})
+}
+
+// TestLockBoundedWaitsExecuteTheRun: nobody else will ever serve a lock
+// handle's pending run, so TryWait and WaitTimeout execute it instead
+// of reporting it not ready.
+func TestLockBoundedWaitsExecuteTheRun(t *testing.T) {
+	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+		tks := submitN(t, h, 4)
+		if v, err := h.TryWait(tks[3]); v != 3 || err != nil {
+			t.Fatalf("TryWait(newest of a pending run) = (%d, %v), want (3, nil)", v, err)
+		}
+		wantRuns(t, obj, 4)
+		more := submitN(t, h, 2)
+		if v, err := h.WaitTimeout(more[0], time.Nanosecond); v != 4 || err != nil {
+			t.Fatalf("WaitTimeout(pending, 1ns) = (%d, %v), want (4, nil)", v, err)
+		}
+		wantRuns(t, obj, 4, 2)
+		h.Flush()
+		wantRuns(t, obj, 4, 2)
+	})
+}
+
+// TestLockQueueCapBoundsTheRun: QueueCap is the deferral bound — the
+// submission past it stalls once and executes the window so far.
+func TestLockQueueCapBoundsTheRun(t *testing.T) {
+	const queueCap = 4
+	lockSubjects(t, queueCap, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
+		tks := submitN(t, h, queueCap)
+		wantRuns(t, obj)
+		tks = append(tks, submitN(t, h, 1)...)
+		wantRuns(t, obj, queueCap)
+		if stalls, depth := ex.(core.PipelineStats).Pipeline(); stalls != 1 || depth != queueCap {
+			t.Errorf("Pipeline() = (%d stalls, depth %d), want (1, %d)", stalls, depth, queueCap)
+		}
+		for i, tk := range tks {
+			if v := h.Wait(tk); v != uint64(i) {
+				t.Fatalf("Wait(ticket %d) = %d", i, v)
+			}
+		}
+		wantRuns(t, obj, queueCap, 1)
+	})
+}
+
+// TestLockCloseThenWait: Close seals the executor; the handle's pending
+// run still executes at the Wait that redeems it.
+func TestLockCloseThenWait(t *testing.T) {
+	lockSubjects(t, 39, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
+		tks := submitN(t, h, 3)
+		if err := ex.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i, tk := range tks {
+			if v := h.Wait(tk); v != uint64(i) {
+				t.Fatalf("Wait(ticket %d) after Close = %d", i, v)
+			}
+		}
+		wantRuns(t, obj, 3)
+	})
+}
+
+// TestLockPoisonMidWindow: a fault inside the deferred run voids the
+// whole run — every pending ticket completes with zero and the handle
+// reports the poison.
+func TestLockPoisonMidWindow(t *testing.T) {
+	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+		obj.fuse = 2
+		tks := submitN(t, h, 5)
+		if err := h.Err(); err != nil {
+			t.Fatalf("Err() = %v before the run executed", err)
+		}
+		for i, tk := range tks {
+			if v := h.Wait(tk); v != 0 {
+				t.Fatalf("Wait(ticket %d) = %d after a fault in its run, want 0", i, v)
+			}
+		}
+		if !errors.Is(h.Err(), core.ErrPoisoned) {
+			t.Fatalf("Err() = %v, want the poison", h.Err())
+		}
+		if _, err := h.Submit(0, 0); !errors.Is(err, core.ErrPoisoned) {
+			t.Fatalf("Submit on the poisoned handle = %v", err)
+		}
+		wantRuns(t, obj, 5)
+	})
+}
+
+// TestLockSubmitBatchBehindSingles: a SubmitBatch behind pending
+// singles joins their run, per-handle FIFO intact; with nothing in
+// flight it stays the on-the-spot run.
+func TestLockSubmitBatchBehindSingles(t *testing.T) {
+	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+		singles := submitN(t, h, 2)
+		batch, err := h.SubmitBatch(make([]core.Req, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := submitN(t, h, 1)
+		wantRuns(t, obj)
+		if v := h.Wait(after[0]); v != 5 {
+			t.Fatalf("Wait(single behind the batch) = %d, want 5", v)
+		}
+		wantRuns(t, obj, 6)
+		for i := 2; i >= 0; i-- {
+			if v := h.Wait(batch.Offset(i)); v != uint64(2+i) {
+				t.Fatalf("Wait(batch offset %d) = %d, want %d", i, v, 2+i)
+			}
+		}
+		for i, tk := range singles {
+			if v := h.Wait(tk); v != uint64(i) {
+				t.Fatalf("Wait(single %d) = %d", i, v)
+			}
+		}
+		spot, err := h.SubmitBatch(make([]core.Req, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRuns(t, obj, 6, 4)
+		if v := h.Wait(spot.Offset(3)); v != 9 {
+			t.Fatalf("Wait(last offset of an on-the-spot batch) = %d, want 9", v)
+		}
+	})
+}

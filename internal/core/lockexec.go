@@ -31,7 +31,12 @@ func init() {
 // The batch contract maps directly: an ApplyBatch executes its whole
 // run against the object under ONE lock acquisition — the lock-world
 // equivalent of a combiner round, except the batch must come from a
-// single thread instead of being collected across threads.
+// single thread instead of being collected across threads. A handle's
+// pipelined submissions are the same run spelled one call at a time:
+// Submit and Post join a deferred run that executes under one
+// acquisition when a completion is demanded (see lockClientHot.Next),
+// so a window costs one hand-off of the lock — and of the protected
+// data — instead of one per operation.
 type LockExecutor struct {
 	Shell
 	obj     Object
@@ -41,17 +46,19 @@ type LockExecutor struct {
 	cells []*retryCell // one per handle, appended under mu
 }
 
-// retryCellHot is one handle's acquisition counters: acq counts lock
-// acquisitions (= dispatch runs), retries the contended steps those
-// acquisitions reported (see spin.Lock).
+// retryCellHot is one handle's counters: acq counts lock acquisitions
+// (= dispatch runs), retries the contended steps those acquisitions
+// reported (see spin.Lock), ps the stalls and depth of its window.
 type retryCellHot struct {
 	acq     atomic.Uint64
 	retries atomic.Uint64
+	ps      PipeCounters
 }
 
 // retryCell pads the counters to a whole cache line so each handle's
 // hot-path increments stay on a private line; the executor sums them
-// only on the read path (Stats, Retries, the hybrid's controller).
+// only on the read path (Stats, Retries, Pipeline, the hybrid's
+// controller).
 //
 //hyblint:padded
 type retryCell struct {
@@ -78,7 +85,9 @@ func (e *LockExecutor) counts() (acq, retries uint64) {
 
 // Stats implements StatsSource: every acquisition dispatches its own
 // run and nothing is ever combined on behalf of another thread, so
-// rounds is the acquisition count and combined is always 0.
+// rounds is the acquisition count and combined is always 0. Under
+// blocking Apply an acquisition is one operation; a pipelined handle's
+// deferred run is one round of n own operations, like an ApplyBatch.
 func (e *LockExecutor) Stats() (rounds, combined uint64) {
 	rounds, _ = e.counts()
 	return rounds, 0
@@ -92,27 +101,42 @@ func (e *LockExecutor) Retries() uint64 {
 	return r
 }
 
+// Pipeline implements PipelineStats over the per-handle cells: a
+// handle's window is its deferred run, QueueCap operations at most.
+func (e *LockExecutor) Pipeline() (submitStalls, maxDepth uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, c := range e.cells {
+		s, d := c.ps.Pipeline()
+		submitStalls, maxDepth = submitStalls+s, max(maxDepth, d)
+	}
+	return submitStalls, maxDepth
+}
+
 // NewHandle implements Executor.
 func (e *LockExecutor) NewHandle() (Handle, error) {
 	if _, err := e.Admit(); err != nil {
 		return nil, err
 	}
 	h := &lockClient{lockClientHot: e.newClient()}
-	// A lock acquisition cannot be deferred or overlapped, so every
-	// submission completes on the spot.
-	return NewImmediatePipe(h.apply, h.batch, &e.PoisonLatch, h.rec), nil
+	// The client is the transport: submissions are left owed in its
+	// pending run, QueueCap of them at most; Apply with nothing in
+	// flight is the bare critical section.
+	return NewPipe(PipeSpec{Transport: h, Apply: h.apply, Latch: &e.PoisonLatch, Rec: h.rec,
+		Counters: &h.cell.ps, Depth: e.Opts.QueueCap}), nil
 }
 
 // Close implements Executor. A lock executor owns no background
-// resources; closing only fails future NewHandle calls. Idempotent; on
-// a poisoned executor it reports the *PoisonError.
+// resources; closing only fails future NewHandle calls — a handle's
+// pending run still executes at the Wait or Flush that redeems it.
+// Idempotent; on a poisoned executor it reports the *PoisonError.
 func (e *LockExecutor) Close() error {
 	e.Seal()
 	return e.Err()
 }
 
-// lockClientHot is one thread's lock (or its node on a queue lock) and
-// acquisition counters.
+// lockClientHot is one thread's lock (or its node on a queue lock),
+// acquisition counters and deferred run: the handle's Transport.
 type lockClientHot struct {
 	e    *LockExecutor
 	lock spin.Lock
@@ -121,6 +145,14 @@ type lockClientHot struct {
 
 	one    [1]Req // scalar batch scratch
 	oneRet [1]uint64
+
+	// pend is the deferred run, shipped and not yet executed; rets[head:]
+	// are results of the last executed run not yet handed to the
+	// pipeline. Together they are what the handle has in flight. They
+	// come last: the blocking path stays within the line it had.
+	pend []Req
+	rets []uint64
+	head int
 }
 
 // lockClient rounds its state up to whole cache lines: handles of different
@@ -167,4 +199,51 @@ func (h *lockClientHot) apply(op, arg uint64) uint64 {
 	h.one[0] = Req{Op: op, Arg: arg}
 	h.batch(h.one[:], h.oneRet[:])
 	return h.oneRet[0]
+}
+
+// Ship implements Transport: the operation joins the pending run and
+// its completion is owed. Nothing is acquired — the run executes when a
+// completion is demanded, and the pipeline's in-flight bound (QueueCap)
+// is what demands one at the latest.
+func (h *lockClientHot) Ship(op, arg uint64) (uint64, bool) {
+	h.pend = append(h.pend, Req{Op: op, Arg: arg})
+	return 0, false
+}
+
+// owes reports whether the client has completions to hand back; the
+// hybrid's transport asks before it turns to its backend.
+func (h *lockClientHot) owes() bool { return h.head < len(h.rets) || len(h.pend) > 0 }
+
+// Next implements Transport: hand back the oldest owed completion,
+// first executing the whole pending run under ONE acquisition when the
+// last executed run has been handed back entirely. There is nobody to
+// wait for but the lock's other holders, so block is moot: TryWait and
+// WaitTimeout execute the run too.
+func (h *lockClientHot) Next(bool) (uint64, bool) {
+	if h.head == len(h.rets) {
+		if cap(h.rets) < len(h.pend) {
+			h.rets = make([]uint64, cap(h.pend))
+		}
+		h.rets = h.rets[:len(h.pend)]
+		h.batch(h.pend, h.rets)
+		h.pend, h.head = h.pend[:0], 0
+	}
+	h.head++
+	return h.rets[h.head-1], true
+}
+
+// Batch implements Transport. With nothing in flight the batch is one
+// run executed on the spot, no ticket at all; behind pending
+// submissions it joins their run, every request ticketed.
+func (h *lockClientHot) Batch(p *Pipe, reqs []Req, done []uint64, _ bool) (ticketed int) {
+	if p.InFlight() == 0 {
+		h.batch(reqs, done)
+		return 0
+	}
+	for _, r := range reqs {
+		p.makeRoom()
+		h.Ship(r.Op, r.Arg)
+		p.issue()
+	}
+	return len(reqs)
 }

@@ -41,18 +41,20 @@ const TicketMisuse = "core: Wait on a ticket that is not outstanding (already wa
 type Transport interface {
 	// Ship submits (op, arg) to execute after everything this handle
 	// shipped before. done reports that the operation has already
-	// executed — a lock cannot defer an acquisition, a combiner serves
-	// its own request — and val is then its result; otherwise the
-	// completion is owed and Next will deliver it. Ship may block for
+	// executed — SHM-SERVER has one request slot, a combiner serves its
+	// own request — and val is then its result; otherwise the completion
+	// is owed and Next will deliver it (a lock client ships into its
+	// pending run and acquires nothing yet). Ship may block for
 	// back-pressure or combiner duty, never for the operation's own
-	// result when the construction can overlap it.
+	// result when the construction can overlap or defer it.
 	Ship(op, arg uint64) (val uint64, done bool)
 
 	// Next delivers the oldest owed completion. With block it waits for
 	// it — performing any duty the wait implies, such as an inherited
-	// combining round — and ok is always true; without, it returns
-	// ok=false rather than wait for another thread. The pipeline calls
-	// it only while completions are owed.
+	// combining round or a lock client's deferred run — and ok is always
+	// true; without, it returns ok=false rather than wait for another
+	// thread to serve it. The pipeline calls it only while completions
+	// are owed.
 	Next(block bool) (val uint64, ok bool)
 
 	// Batch ships reqs in order, behind the handle's earlier
@@ -61,12 +63,13 @@ type Transport interface {
 	// it ticketed: the first ticketed requests took the handle's next
 	// window slots, one each (p.ShipAll, or makeRoom and issue around
 	// every request left owed), and their completions come through
-	// Next; the rest executed on the spot — a lock's one acquisition, a
-	// combiner's own run — and done[i] holds reqs[i]'s result for every
-	// i >= ticketed. The pipeline turns that into tickets (SubmitBatch
-	// banks done's tail) or into results (ApplyBatch passes its results
-	// slice as done and waits the ticketed prefix), so a run executed on
-	// the spot costs no ticket at all on the blocking path.
+	// Next; the rest executed on the spot — a lock's one acquisition
+	// with nothing else in flight, a combiner's own run — and done[i]
+	// holds reqs[i]'s result for every i >= ticketed. The pipeline turns
+	// that into tickets (SubmitBatch banks done's tail) or into results
+	// (ApplyBatch passes its results slice as done and waits the
+	// ticketed prefix), so a run executed on the spot costs no ticket at
+	// all on the blocking path.
 	//
 	// blocking reports that the caller is ApplyBatch, which waits for
 	// the whole batch anyway: a transport may then complete on the spot
@@ -138,12 +141,11 @@ func NewPipe(spec PipeSpec) *Pipe {
 }
 
 // NewImmediatePipe builds the handle of a construction that cannot
-// leave a completion owed (SHM-SERVER's single request slot, a lock):
-// every submission runs apply on the spot and banks the result. batch
-// is the construction's ApplyBatch strategy; nil loops apply.
-func NewImmediatePipe(apply func(op, arg uint64) uint64, batch func(reqs []Req, results []uint64),
-	latch *PoisonLatch, rec *telemetry.Recorder) *Pipe {
-	return NewPipe(PipeSpec{Transport: immediate{apply, batch}, Apply: apply, Latch: latch, Rec: rec})
+// leave a completion owed (SHM-SERVER's single request slot, an
+// adapted bare function): every submission runs apply on the spot and
+// banks the result, and a batch is a loop of them.
+func NewImmediatePipe(apply func(op, arg uint64) uint64, latch *PoisonLatch, rec *telemetry.Recorder) *Pipe {
+	return NewPipe(PipeSpec{Transport: immediate{apply}, Apply: apply, Latch: latch, Rec: rec})
 }
 
 // SyncHandle adapts a bare apply function into a full Handle with
@@ -153,12 +155,11 @@ func NewImmediatePipe(apply func(op, arg uint64) uint64, batch func(reqs []Req, 
 // function has no servicing path of its own and therefore no poison
 // latch; the adapting application owns its fault handling.
 func SyncHandle(apply func(op, arg uint64) uint64) Handle {
-	return NewImmediatePipe(apply, nil, nil, nil)
+	return NewImmediatePipe(apply, nil, nil)
 }
 
 type immediate struct {
 	apply func(op, arg uint64) uint64
-	batch func(reqs []Req, results []uint64)
 }
 
 func (t immediate) Ship(op, arg uint64) (uint64, bool) { return t.apply(op, arg), true }
@@ -168,10 +169,6 @@ func (t immediate) Next(bool) (uint64, bool) {
 }
 
 func (t immediate) Batch(_ *Pipe, reqs []Req, done []uint64, _ bool) int {
-	if t.batch != nil {
-		t.batch(reqs, done)
-		return 0
-	}
 	for i, r := range reqs {
 		done[i] = t.apply(r.Op, r.Arg)
 	}
@@ -475,7 +472,8 @@ func (im *Immediate) Take(t Ticket) uint64 {
 
 // PipeCounters is the shared implementation of PipelineStats, embedded
 // by the pipelining executors (MPServer, HybComb here; CC-Synch in
-// internal/shmsync) and fed by their handles' Pipes. Stalls are counted
+// internal/shmsync; LockExecutor keeps one per handle beside its retry
+// counters) and fed by their handles' Pipes. Stalls are counted
 // directly — a stall already pays a blocking receive or a combining
 // round, so one more atomic add is noise — while depth is published
 // only on a handle's new personal maximum (see Pipe.issue).

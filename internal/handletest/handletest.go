@@ -23,10 +23,13 @@ type Subject struct {
 	// queueCap operations in flight.
 	Open func(t *testing.T, obj core.Object, queueCap int) *System
 	// OwesContended: a Submit returns, its completion owed, while
-	// another handle is inside the critical section (the delegation
-	// constructions). OwesAlways: every Submit leaves its completion
-	// owed, even with one thread (a request is always a message or a
-	// chain cell). The immediate constructions set neither.
+	// another handle is inside the critical section, and the bounded
+	// waits report it not ready until the section is released (the
+	// delegation constructions). OwesAlways: every Submit leaves its
+	// completion owed, even with one thread (a request is always a
+	// message, a chain cell or an entry of a lock handle's deferred run —
+	// whose bounded waits acquire the lock rather than time out, so the
+	// locks set this one alone). The immediate constructions set neither.
 	OwesContended, OwesAlways bool
 }
 
@@ -132,6 +135,7 @@ func Run(t *testing.T, s Subject) {
 	}{
 		{"reverse-wait-past-queuecap", reverseWait},
 		{"post-submit-flush-wait", postSubmitFlush},
+		{"window-across-steps", windowAcrossSteps},
 		{"bounded-waits", boundedWaits},
 		{"apply-and-batch-behind-tickets", applyBehindTickets},
 		{"submit-batch", submitBatch},
@@ -216,6 +220,61 @@ func postSubmitFlush(t *testing.T, s Subject) {
 		sys.step()
 	}
 	h.Flush() // nothing in flight: must return at once
+	sys.close(t)
+}
+
+// windowAcrossSteps: three calls go out between every two steps, Posts
+// among the Submits, so a step always finds submissions outstanding —
+// on the hybrid, pending on the lock side across a promotion and owed
+// by the backend across a demotion. Waited out of order (odd tickets
+// newest-first, then even ones oldest-first, a step between every two),
+// each ticket redeems exactly once with its own operation's result.
+func windowAcrossSteps(t *testing.T, s Subject) {
+	obj := newObject()
+	sys := s.Open(t, obj, queueCap)
+	h := sys.Handle()
+	const n = 6 * 3
+	type issued struct {
+		tk core.Ticket
+		op uint64
+	}
+	var tks []issued
+	for op := uint64(0); op < n; op++ {
+		if op%4 == 1 {
+			if err := h.Post(0, 0); err != nil {
+				t.Fatalf("Post: %v", err)
+			}
+		} else {
+			tk, err := h.Submit(0, 0)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			tks = append(tks, issued{tk, op})
+		}
+		if op%3 == 2 {
+			sys.step()
+		}
+	}
+	wait := func(i int) {
+		t.Helper()
+		if got := h.Wait(tks[i].tk); got != tks[i].op {
+			t.Fatalf("Wait(ticket of operation %d) = %d", tks[i].op, got)
+		}
+		sys.step()
+	}
+	for i := len(tks) - 1; i >= 0; i-- {
+		if i%2 == 1 {
+			wait(i)
+		}
+	}
+	for i := 0; i < len(tks); i += 2 {
+		wait(i)
+	}
+	MustPanic(t, "Wait on a redeemed ticket", func() { h.Wait(tks[len(tks)/2].tk) })
+	h.Flush()
+	if obj.State != n {
+		t.Fatalf("%d operations executed, want %d", obj.State, n)
+	}
 	sys.close(t)
 }
 

@@ -282,9 +282,10 @@ func window(h hybsync.Handle, depth int) (body func(uint64), drain func()) {
 // counters the construction keeps — and checked: after Close the
 // object's state must equal the operations the harness counted, or Run
 // fails rather than record a number for work that was lost or done
-// twice. Records of cells with c.Batch > 1 carry no rounds/combined
-// (their scalar identity rounds+combined==ops fails when one submission
-// holds many operations; see core.StatsSource).
+// twice. Records of cells with c.Batch > 1, and async records of the
+// lock-backed constructions, carry no rounds/combined (their scalar
+// identity rounds+combined==ops fails when one round holds many of its
+// owner's operations; see core.StatsSource).
 func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, error) {
 	bench, skip := Classify(c)
 	if skip != "" {
@@ -389,7 +390,10 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 			rec.Pipe = &benchfmt.Pipeline{SubmitStalls: st, MaxDepth: d}
 		}
 	} else {
-		if s, ok := ex.(hybsync.StatsSource); ok && c.Batch == 1 {
+		// A lock handle's window executes as one round of many own
+		// operations, the unit mix a batch has.
+		_, lockBacked := ex.(hybsync.RetryStats)
+		if s, ok := ex.(hybsync.StatsSource); ok && c.Batch == 1 && !(lockBacked && bench == benchAsync) {
 			rec.Rounds, rec.Combined = s.Stats()
 		}
 		if p, ok := ex.(hybsync.PipelineStats); ok {

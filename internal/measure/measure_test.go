@@ -82,9 +82,15 @@ func TestRun(t *testing.T) {
 					if rec.Rounds+rec.Combined != 0 && rec.Rounds+rec.Combined != rec.Ops {
 						t.Fatalf("rounds+combined != ops: %d+%d != %d", rec.Rounds, rec.Combined, rec.Ops)
 					}
+				case "async":
+					// A lock handle's window is one round of many own
+					// operations: the batch case, and as silent.
+					if (strings.HasSuffix(algo, "-lock") || algo == "hybrid") && rec.Rounds+rec.Combined != 0 {
+						t.Fatalf("lock-backed async record carries rounds/combined: %+v", rec)
+					}
 				}
-				if algo == "mpserver" && k.bench == "async" && rec.Pipe == nil {
-					t.Fatalf("mpserver async record has no pipeline stats: %+v", rec)
+				if (algo == "mpserver" || algo == "mcs-lock") && k.bench == "async" && rec.Pipe == nil {
+					t.Fatalf("%s async record has no pipeline stats: %+v", algo, rec)
 				}
 				if algo == "hybrid" && k.bench != "sharded" && rec.Adapt == nil {
 					t.Fatalf("hybrid record has no transition counts: %+v", rec)

@@ -217,5 +217,14 @@ func FuzzWindow(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 3, 0, 4, 1, 2, 0, 6, 0, 5, 0})
 	f.Add([]byte{0, 0, 2, 0, 0, 0, 4, 1, 5, 0, 5, 250, 3, 0})
 	f.Add([]byte{0, 0, 7, 14, 7, 3, 7, 12, 4, 9, 5, 4, 3, 0, 5, 1, 7, 0, 6, 0, 4, 2})
+	// A lock handle: a deferred run (born pending, a Post discarded)
+	// waited newest-first, an on-the-spot batch (born done), then singles
+	// and a ticketed batch behind them whose arrivals pass the banked run.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 4, 3, 7, 16, 0, 0, 0, 0, 7, 3, 4, 12, 5, 5, 6, 0, 4, 0, 4, 2, 5, 1})
+	// The hybrid: lock-side pending, flushed at the promotion; a
+	// combiner's own request (born done) and registered ones (pending, one
+	// discarded), flushed at the demotion; lock-side pending again; Waits
+	// out of order across all three kinds.
+	f.Add([]byte{0, 0, 0, 0, 6, 0, 1, 0, 0, 0, 0, 0, 2, 4, 6, 0, 0, 0, 0, 0, 4, 6, 4, 0, 4, 2, 5, 3, 4, 5, 5, 4, 4, 1})
 	f.Fuzz(runWindowScript)
 }

@@ -143,7 +143,7 @@ func (s *SHMServer) NewHandle() (core.Handle, error) {
 	// submission is a slot round trip, ApplyBatch loops them, and
 	// batches form server-side instead, across clients, when the sweep
 	// finds consecutive occupied slots.
-	return core.NewImmediatePipe(h.apply, nil, &s.PoisonLatch, s.Opts.Telemetry.Recorder()), nil
+	return core.NewImmediatePipe(h.apply, &s.PoisonLatch, s.Opts.Telemetry.Recorder()), nil
 }
 
 // Close stops the server once all in-flight requests are served (the
