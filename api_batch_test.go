@@ -11,6 +11,7 @@ import (
 
 	"hybsync"
 	"hybsync/harness"
+	"hybsync/internal/core"
 )
 
 // regModel is the sequential reference: a single register with three
@@ -242,13 +243,15 @@ func statsSources(t *testing.T, body func(t *testing.T, ex hybsync.Executor, src
 // in terms of flushed handles: once every handle with submissions
 // outstanding has been flushed, the combining statistics are stable
 // (two consecutive reads agree) and account for the scalar operations
-// submitted. On the combiners that is the identity rounds + combined ==
-// ops — each round carries its owner's one operation, everything else it
-// served is combined. A lock handle's pipelined submissions execute as
-// deferred runs, each ONE round of several own operations (exactly like
-// an ApplyBatch), so a lock-backed construction reads rounds <= ops —
-// and no fewer rounds than full windows — with combined == 0 on the
-// locks, where nobody executes on another thread's behalf.
+// submitted. Where a Submit is one request, that is the identity rounds
+// + combined == ops — each round carries its owner's one operation,
+// everything else it served is combined. Where the handle's window
+// defers (core.WindowDefers: the locks, the hybrid, HybComb), its
+// pipelined submissions execute as deferred runs, each ONE round of
+// several own operations (exactly like an ApplyBatch), so the source
+// reads rounds + combined <= ops — and no fewer than one per full
+// window — with combined == 0 on the locks, where nobody executes on
+// another thread's behalf.
 func TestStatsAtFlushedQuiescence(t *testing.T) {
 	const per = 400
 	statsSources(t, func(t *testing.T, ex hybsync.Executor, src hybsync.StatsSource, handles []hybsync.Handle) {
@@ -274,7 +277,7 @@ func TestStatsAtFlushedQuiescence(t *testing.T) {
 			t.Fatalf("Stats unstable after all handles flushed: (%d,%d) then (%d,%d)", r1, c1, r2, c2)
 		}
 		total := uint64(len(handles) * per)
-		if _, lockBacked := ex.(hybsync.RetryStats); !lockBacked {
+		if !core.WindowDefers(ex) {
 			if r1+c1 != total {
 				t.Fatalf("rounds %d + combined %d account for %d ops, want %d (reads are only defined once every handle is flushed)",
 					r1, c1, r1+c1, total)
@@ -286,7 +289,8 @@ func TestStatsAtFlushedQuiescence(t *testing.T) {
 			t.Fatalf("rounds %d + combined %d over %d pipelined ops, want between %d (every window one round) and %d",
 				r1, c1, total, total/queueCap, total)
 		}
-		if _, adaptive := ex.(hybsync.AdaptiveStats); !adaptive && c1 != 0 {
+		_, lock := ex.(hybsync.RetryStats)
+		if _, adaptive := ex.(hybsync.AdaptiveStats); lock && !adaptive && c1 != 0 {
 			t.Fatalf("combined = %d on a lock: nothing executes on another thread's behalf", c1)
 		}
 	})

@@ -158,8 +158,13 @@ func TestMustHandlePanicsOnExhaustion(t *testing.T) {
 }
 
 func TestRegisterDuplicateRejected(t *testing.T) {
+	// The factory forwards every option it receives: TestHandleContract
+	// covers the registration whenever this test ran first, with the
+	// QueueCap it asks for.
 	factory := func(obj hybsync.Object, o hybsync.Options) (hybsync.Executor, error) {
-		return hybsync.NewObject("hybcomb", obj, hybsync.WithMaxThreads(o.MaxThreads))
+		return hybsync.NewObject("hybcomb", obj, hybsync.WithMaxThreads(o.MaxThreads),
+			hybsync.WithQueueCap(o.QueueCap), hybsync.WithMaxOps(int(o.MaxOps)),
+			hybsync.WithStallTimeout(o.StallTimeout), hybsync.WithTelemetry(o.Telemetry))
 	}
 	if err := hybsync.Register("api-test-custom", factory); err != nil {
 		t.Fatalf("Register: %v", err)

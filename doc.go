@@ -19,7 +19,11 @@
 // just Submit+Wait. A lock has no message to leave in flight, so a lock
 // handle defers instead: its Submits and Posts join a pending run that
 // executes under ONE acquisition when a completion is demanded (Wait,
-// Flush, a blocking call, or QueueCap operations pending). hybsync/shard scales the constructions out: a
+// Flush, a blocking call, or QueueCap operations pending). A HYBCOMB
+// handle defers the same way and ships the run at the demand as one
+// combining round's worth: registered with an open round while it takes
+// requests, the rest executed as the promoted thread's own run.
+// hybsync/shard scales the constructions out: a
 // router partitions a keyed object across N independent executors
 // (sharded counter and fixed-capacity hash map in hybsync/object ride
 // on it), and its MultiApply pipelines a keyed batch across shards —

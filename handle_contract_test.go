@@ -22,13 +22,15 @@ import (
 // leaves it owed even uncontended. A lock handle always defers (its
 // pending run executes at the demand), but the demand itself acquires
 // the lock, so its bounded waits wait out a holder instead of timing
-// out. Anything not listed completes every submission on the spot — or,
-// like the hybrid and application-registered algorithms, makes no
-// promise.
+// out. A HybComb handle defers too, and its demand registers the run
+// with an open round, so its bounded waits do time out while that
+// round's combiner holds the section. Anything not listed completes
+// every submission on the spot — or, like the hybrid and
+// application-registered algorithms, makes no promise.
 var owes = map[string]struct{ contended, always bool }{
 	"mpserver":    {true, true},
 	"ccsynch":     {true, true},
-	"hybcomb":     {true, false},
+	"hybcomb":     {true, true},
 	"tas-lock":    {false, true},
 	"ttas-lock":   {false, true},
 	"ticket-lock": {false, true},

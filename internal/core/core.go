@@ -96,15 +96,17 @@ type Executor interface {
 //
 // Asynchrony is about overlap, not non-blocking submission: Submit may
 // block on transport back-pressure (a full request queue) or on
-// combiner duty (HybComb promotes the submitting thread and serves the
-// round before returning). How much genuinely overlaps depends on the
-// construction — MP-SERVER pipelines up to QueueCap requests per
-// handle, HYBCOMB overlaps registered requests, CC-SYNCH defers
-// completion (and possibly combiner duty) to Wait, a spin lock (and the
-// hybrid's lock mode) defers the whole window to the first completion
+// combiner duty (the hybrid's delegation mode promotes the submitting
+// thread and serves the round before returning). How much genuinely
+// overlaps depends on the construction — MP-SERVER pipelines up to
+// QueueCap requests per handle, CC-SYNCH defers completion (and
+// possibly combiner duty) to Wait, a spin lock (and the hybrid's lock
+// mode) and HYBCOMB defer the whole window to the first completion
 // demanded — a Wait, a Flush, a blocking call behind it, or the
-// QueueCap-th pending operation — and executes it as ONE run under one
-// acquisition, and SHM-SERVER completes every submission immediately.
+// QueueCap-th pending operation — and execute it as ONE run: under one
+// acquisition, or as one combining round's own run after registering
+// what an open round still takes; SHM-SERVER completes every
+// submission immediately.
 //
 // Pipe is the one implementation: every construction's NewHandle
 // returns a *Pipe over its own Transport, and SyncHandle adapts a bare
@@ -135,8 +137,8 @@ type Handle interface {
 	// in mutual exclusion, in submission order with the handle's other
 	// operations, and its result is discarded. Completion is observed
 	// collectively through Flush (or any later same-handle Wait, by
-	// FIFO); on a lock handle that is also when it executes, unless
-	// QueueCap operations are pending first.
+	// FIFO); on a lock or HybComb handle that is also when it executes,
+	// unless QueueCap operations are pending first.
 	Post(op, arg uint64) error
 
 	// Flush blocks until every operation submitted through this handle
@@ -164,11 +166,12 @@ type Handle interface {
 	// caller that submits to several executors before waiting on any has
 	// them all working at once; a lock executor — and the hybrid in lock
 	// mode — with nothing in flight runs the whole batch under ONE
-	// acquisition before it returns, every result banked, and behind
-	// pending submissions appends it to their deferred run; HYBCOMB
-	// leaves the requests it could register owed and, once a request
-	// fails registration, executes the entire rest as one combining
-	// round's own run; SHM-SERVER's one request slot makes it a loop of
+	// acquisition before it returns, every result banked; HYBCOMB with
+	// no deferred run owed leaves the requests it could register owed
+	// and, once a request fails registration, executes the entire rest
+	// as one combining round's own run; both append a batch behind
+	// pending submissions to their deferred run; SHM-SERVER's one
+	// request slot makes it a loop of
 	// round trips. Like Submit it may block for back-pressure — a batch
 	// longer than QueueCap settles its own oldest requests as it goes —
 	// or for combiner duty.
@@ -196,9 +199,11 @@ type Handle interface {
 	// outstanding and redeemable. TryWait never waits for another
 	// thread to serve the operation, but it may perform work this handle
 	// already owes: an inherited CC-SYNCH combining round whose hand-off
-	// has arrived, or a lock handle's deferred run — acquired like any
-	// critical section, so it waits out the lock's current holders and
-	// never reports ErrNotReady. Like Wait, calling it with a
+	// has arrived, a HybComb handle's deferred run — shipped, so what
+	// registers with an open round is then ErrNotReady until served — or
+	// a lock handle's deferred run — acquired like any critical section,
+	// so it waits out the lock's current holders and never reports
+	// ErrNotReady. Like Wait, calling it with a
 	// redeemed or foreign ticket panics. On a poisoned executor a
 	// completed ticket redeems with the *PoisonError alongside the
 	// value — results produced after the fault are zeros.
@@ -240,18 +245,22 @@ type Handle interface {
 //
 //	rounds + combined == total ops   (blocking Apply, every source)
 //
-// and on the combiners the same holds for scalar Submit and Post.
-// Batched submissions break that identity by design: an ApplyBatch (or
-// router MultiApply) executes its whole batch as one round's own run —
-// n operations against a single rounds increment — and a drained
-// remote batch adds n to combined for the same one round. A pipelined
-// lock handle is the same case spelled one call at a time: its deferred
-// run is one round of n own operations, so a lock-backed source gives
-// rounds <= ops there (combined == 0 on the locks). The counters then
-// mix units (rounds count runs, combined counts operations), which is
-// why measure.Run strips both from batch-path records — and from
-// bench=async records of lock-backed constructions — instead of
-// publishing numbers that invite the scalar reading.
+// One rule covers everything else: a round holding n of its owner's
+// operations counts once, so wherever one round can hold several,
+//
+//	rounds + combined <= total ops
+//
+// That is an ApplyBatch (or router MultiApply), whose whole batch is one
+// round's own run, and it is a pipelined handle whose window defers
+// (WindowDefers: the locks, the hybrid's lock mode, HybComb): its
+// deferred run is the same batch spelled one call at a time, one round
+// of n own operations (combined == 0 on the locks, where nobody executes
+// on another's behalf). Where a Submit is one request (CC-SYNCH), scalar
+// Submit and Post keep the identity. The counters then mix units (rounds
+// count runs, combined counts operations), which is why measure.Run
+// strips both from batch-path records — and from bench=async records of
+// deferring constructions — instead of publishing numbers that invite
+// the scalar reading.
 type StatsSource interface {
 	Stats() (rounds, combined uint64)
 }

@@ -37,14 +37,19 @@ import (
 // while responses to its earlier registered requests are still in
 // flight, and the combiner's request drain must not swallow them.
 //
-// Asynchronous submission maps onto the algorithm naturally (see
-// hcTransport): a submission that wins a registration ticket ships its
-// request and leaves the response owed — it arrives on the thread's
-// response queue; one that fails registration promotes the thread to
-// combiner and completes on the spot, together with the round it
-// serves. Round ordering makes completion per-handle FIFO: a combiner
-// serves every ticket of its round before releasing its successor, so
-// responses from earlier rounds always precede those from later ones.
+// Asynchronous submission defers, as on a lock handle (see
+// hcTransport): Submit and Post join the handle's pending run and
+// register nothing. When a completion is demanded — a Wait, a bounded
+// wait, a Flush, a blocking call behind the window, or the QueueCap-th
+// pending operation — the whole run ships the way a batch does:
+// requests register with the open round while it takes them, their
+// responses owed on the thread's response queue, and the first request
+// that fails registration promotes the thread, so the rest of the run
+// is its round's own run, one DispatchBatch. A window thus costs one
+// promotion handshake instead of one per operation. Round ordering
+// makes completion per-handle FIFO: a combiner serves every ticket of
+// its round before releasing its successor, so the registered prefix's
+// responses precede the own run, which precedes everything later.
 //
 // The struct is a whole number of cache lines so that the allocator
 // places it on a line boundary: lastReg and the round counters are
@@ -122,19 +127,24 @@ func NewHybComb(obj Object, opts Options) *HybComb {
 
 // NewHandle implements Executor.
 func (h *HybComb) NewHandle() (Handle, error) {
-	spec, err := h.newSpec()
+	t, err := h.newTransport()
 	if err != nil {
 		return nil, err
 	}
-	return NewPipe(spec), nil
+	// The window never holds more than QueueCap operations, so its run is
+	// sized once here and shipping into it never allocates. The hybrid's
+	// backend transports never defer and get none.
+	t.run = deferredRun{pend: make([]Req, 0, h.Opts.QueueCap), rets: make([]uint64, 0, h.Opts.QueueCap)}
+	return NewPipe(t.spec()), nil
 }
 
-// newSpec admits one more thread and builds its transport; the hybrid
-// executor wraps the spec of its backend instead of taking a handle.
-func (h *HybComb) newSpec() (PipeSpec, error) {
+// newTransport admits one more thread and builds its transport; the
+// hybrid executor puts its own in front of its backend's instead of
+// taking a handle.
+func (h *HybComb) newTransport() (*hcTransport, error) {
 	id, err := h.Admit()
 	if err != nil {
-		return PipeSpec{}, err
+		return nil, err
 	}
 	h.inbox[id] = mpq.NewMpsc(h.Opts.QueueCap)
 	// Responses to one thread come from whichever thread combines each
@@ -157,15 +167,23 @@ func (h *HybComb) newSpec() (PipeSpec, error) {
 	}}
 	h.Arm(&t.wb, "hybcomb: combiner awaiting predecessor round")
 	h.Arm(&t.respWB, "hybcomb: client awaiting combiner response")
+	return t, nil
+}
+
+// spec is the handle over t: at most QueueCap operations in flight,
+// whether pending in its run or owed on its response queue.
+func (t *hcTransport) spec() PipeSpec {
+	h := t.h
 	return PipeSpec{Transport: t, Apply: t.apply, Latch: &h.PoisonLatch, Rec: t.rec,
-		Counters: &h.ps, Depth: h.Opts.QueueCap, Waiter: &t.respWB}, nil
+		Counters: &h.ps, Depth: h.Opts.QueueCap, Waiter: &t.respWB}
 }
 
 // Close implements Executor. HybComb owns no background goroutine —
 // every in-flight registered request is served by its round's combiner
 // (a thread inside an older Apply/Submit call) before that call
 // returns, so at Close time outstanding results already sit on their
-// response rings and tickets stay redeemable with Wait. Closing only
+// response rings, a handle's pending run still ships at the Wait or
+// Flush that redeems it, and tickets stay redeemable. Closing only
 // fails future NewHandle calls; it is idempotent and reports the
 // *PoisonError when poisoned.
 func (h *HybComb) Close() error {
@@ -186,8 +204,8 @@ func (h *HybComb) Pipeline() (submitStalls, maxDepth uint64) { return h.ps.Pipel
 // hcTransport is one thread's place in Algorithm 1: a registered
 // request is a message to the round's combiner and its response comes
 // back on the thread's response queue; a request that fails
-// registration makes the thread the combiner and completes on the spot,
-// together with the round it serves.
+// registration makes the thread the combiner and completes, with the
+// rest of its run, inside the round it serves.
 type hcTransportHot struct {
 	h      *HybComb
 	id     int32
@@ -206,6 +224,13 @@ type hcTransportHot struct {
 	// and Reset per wait so the per-operation path never zeroes the
 	// watchdog state.
 	wb, respWB backoff.Watched
+
+	// run is the handle's deferred window and owed the responses to its
+	// registered requests still to arrive on resp. In shipping order the
+	// handle has in flight: owed responses, the own run's results not yet
+	// handed back, then the pending run (see Next).
+	run  deferredRun
+	owed int
 }
 
 // hcTransport rounds its state up to whole cache lines: handles of different
@@ -221,11 +246,19 @@ type hcTransport struct {
 // apply is apply_op of Algorithm 1 (lines 6-43): register or combine,
 // then block for the result.
 func (hd *hcTransport) apply(op, arg uint64) uint64 {
-	ret, done := hd.Ship(op, arg)
+	ret, done := hd.shipNow(op, arg)
 	if !done {
 		ret, _ = hd.Next(true)
 	}
 	return ret
+}
+
+// combineOne serves the round we own with (op, arg) as its single own
+// operation and returns the result.
+func (hd *hcTransport) combineOne(op, arg uint64) uint64 {
+	hd.one[0] = Req{Op: op, Arg: arg}
+	hd.combineBatch(hd.one[:], hd.oneRet[:])
+	return hd.oneRet[0]
 }
 
 // acquire is lines 8-20 of Algorithm 1: try to register (op, arg) with
@@ -259,24 +292,67 @@ func (hd *hcTransport) acquire(op, arg uint64) bool {
 	}
 }
 
-// Ship implements Transport: register (op, arg) with the current
-// combiner — genuinely asynchronous, the response is owed — or serve a
-// round with it as the combiner's own single operation, done on the
-// spot. Round ordering keeps the two kinds in per-handle FIFO: a
-// combiner waits out its predecessor's round, which served every
-// request this thread registered earlier, before it executes anything.
+// Ship implements Transport: (op, arg) joins the pending run and its
+// completion is owed. Nothing is registered — the run ships when a
+// completion is demanded, and the pipeline's in-flight bound (QueueCap)
+// is what demands one at the latest.
 func (hd *hcTransport) Ship(op, arg uint64) (uint64, bool) {
-	if hd.acquire(op, arg) {
-		return 0, false
-	}
-	hd.one[0] = Req{Op: op, Arg: arg}
-	hd.combineBatch(hd.one[:], hd.oneRet[:])
-	return hd.oneRet[0], true
+	hd.run.add(op, arg)
+	return 0, false
 }
 
-// Next implements Transport: the next response off the thread's queue.
+// shipNow is the eager Ship the hybrid's delegated side keeps, so that
+// the run lengths its demotion signal reads measure combining rather
+// than one client's deferral: register (op, arg) with the current
+// combiner, the response owed, or serve a round with it as the
+// combiner's own single operation, done on the spot. Round ordering
+// keeps the two kinds in per-handle FIFO: a combiner waits out its
+// predecessor's round, which served every request this thread
+// registered earlier, before it executes anything.
+func (hd *hcTransport) shipNow(op, arg uint64) (uint64, bool) {
+	if hd.acquire(op, arg) {
+		hd.owed++
+		return 0, false
+	}
+	return hd.combineOne(op, arg), true
+}
+
+// Next implements Transport: the oldest owed completion — a response
+// off the thread's queue, else the own run's next result. With both
+// handed back, the pending run ships first, through register: its
+// registered prefix becomes owed on the queue and the rest executes as
+// our round's own run. Shipping may wait out a predecessor round even
+// without block — combiner duty, like a lock handle's acquisition —
+// but never for another thread to serve a registered request.
 func (hd *hcTransport) Next(block bool) (uint64, bool) {
-	return mpq.RecvWord(hd.resp, &hd.respWB, block)
+	if hd.owed == 0 && !hd.run.ready() {
+		reqs, rets := hd.run.take()
+		hd.owed = hd.register(reqs, rets)
+		hd.run.head = hd.owed // the prefix's results arrive on resp instead
+	}
+	if hd.owed > 0 {
+		v, ok := mpq.RecvWord(hd.resp, &hd.respWB, block)
+		if ok {
+			hd.owed--
+		}
+		return v, ok
+	}
+	return hd.run.next(), true
+}
+
+// register ships a run whose window slots are open already: each
+// request registers with the current combiner until one fails
+// registration and promotes us, and the rest of the run is our round's
+// own run — one DispatchBatch (line 23 generalized), its results
+// written to rets[i:]. It returns how many requests registered.
+func (hd *hcTransport) register(reqs []Req, rets []uint64) int {
+	for i, r := range reqs {
+		if !hd.acquire(r.Op, r.Arg) {
+			hd.combineBatch(reqs[i:], rets[i:])
+			return i
+		}
+	}
+	return len(reqs)
 }
 
 // serveRun executes one drained run of registered requests as a single
@@ -362,17 +438,21 @@ func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 	h.combined.Add(uint64(opsCompleted))
 }
 
-// Batch implements Transport: walk the batch registering requests with
-// the current combiner; the first request that fails registration
-// promotes us, and the batch's entire remaining run becomes the round's
-// own run — one DispatchBatch for all of it (line 23 generalized),
-// written straight into done with no ticket at all. The registered
-// prefix is ticketed and its responses are owed. A batch therefore
-// costs at most one promotion handshake, with the dispatch indirection
-// amortized across the whole remainder. done is never runRets:
-// combineBatch's serveRun reuses runRets for drained-run responses
-// while the own-run results are still live.
+// Batch implements Transport. Behind a deferred run still owed the
+// batch joins it, every request ticketed. Otherwise it ships eagerly:
+// walk the batch registering requests with the current combiner; the
+// first request that fails registration promotes us, and the batch's
+// entire remaining run becomes the round's own run — one DispatchBatch
+// for all of it (line 23 generalized), written straight into done with
+// no ticket at all. The registered prefix is ticketed and its responses
+// are owed. A batch therefore costs at most one promotion handshake,
+// with the dispatch indirection amortized across the whole remainder.
+// done is never runRets: combineBatch's serveRun reuses runRets for
+// drained-run responses while the own-run results are still live.
 func (hd *hcTransport) Batch(p *Pipe, reqs []Req, done []uint64, _ bool) (registered int) {
+	if hd.run.owes() {
+		return hd.run.join(p, reqs)
+	}
 	for registered < len(reqs) {
 		p.makeRoom()
 		if !hd.acquire(reqs[registered].Op, reqs[registered].Arg) {
@@ -380,6 +460,7 @@ func (hd *hcTransport) Batch(p *Pipe, reqs []Req, done []uint64, _ bool) (regist
 			hd.combineBatch(reqs[registered:], done[registered:])
 			break
 		}
+		hd.owed++
 		p.issue()
 		registered++
 	}

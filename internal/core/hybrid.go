@@ -164,15 +164,14 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 	if _, err := h.Admit(); err != nil {
 		return nil, err
 	}
-	spec, err := h.inner.newSpec()
+	inner, err := h.inner.newTransport()
 	if err != nil {
 		return nil, err
 	}
 	t := &hybTransport{hybTransportHot: hybTransportHot{
 		lockClientHot: h.newClient(),
 		h:             h,
-		inner:         spec.Transport,
-		innerApply:    spec.Apply,
+		inner:         inner,
 		mode:          h.mode.Load(),
 		winTick:       hybridTickEvery,
 	}}
@@ -180,6 +179,7 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 	// own and the hybrid's latch in place of one that never trips: the
 	// in-flight bound, the stall counters and the waiter stay the
 	// backend's, so one window serves both modes.
+	spec := inner.spec()
 	spec.Transport, spec.Apply, spec.Latch = t, t.apply, &h.PoisonLatch
 	t.p = NewPipe(spec)
 	return t.p, nil
@@ -291,16 +291,17 @@ func (h *Hybrid) demote() {
 // hybTransport is one thread's path through whichever mode is current:
 // in lock mode it is a lock client — submissions join its deferred run,
 // executed under one gate acquisition per demand — in delegation mode
-// it travels the backend's transport. align keeps at most one side
-// owing at a time, and the handle's one window holds both kinds of
-// ticket — a ticket redeems the same however many transitions happened
-// since.
+// it travels the backend's transport, shipping each submission on the
+// spot rather than deferring it: the delegated run lengths are the
+// demotion signal, and they must measure combining across threads, not
+// one client's window. align keeps at most one side owing at a time,
+// and the handle's one window holds both kinds of ticket — a ticket
+// redeems the same however many transitions happened since.
 type hybTransportHot struct {
 	lockClientHot // lock mode
 	h             *Hybrid
-	p             *Pipe // the handle over this transport; align flushes it
-	inner         Transport
-	innerApply    func(op, arg uint64) uint64
+	p             *Pipe        // the handle over this transport; align flushes it
+	inner         *hcTransport // delegation mode
 
 	mode    uint32 // last observed global mode; see align
 	winTick uint32 // countdown to the next controller poke
@@ -343,7 +344,7 @@ func (hd *hybTransport) tick() {
 func (hd *hybTransport) apply(op, arg uint64) uint64 {
 	var v uint64
 	if hd.align() == hybModeDeleg {
-		v = hd.innerApply(op, arg)
+		v = hd.inner.apply(op, arg)
 	} else {
 		v = hd.lockClientHot.apply(op, arg)
 	}
@@ -352,10 +353,10 @@ func (hd *hybTransport) apply(op, arg uint64) uint64 {
 }
 
 // Ship implements Transport: the lock client's Ship (the operation
-// joins its deferred run) or the backend's.
+// joins its deferred run) or the backend's eager one.
 func (hd *hybTransport) Ship(op, arg uint64) (v uint64, done bool) {
 	if hd.align() == hybModeDeleg {
-		v, done = hd.inner.Ship(op, arg)
+		v, done = hd.inner.shipNow(op, arg)
 	} else {
 		v, done = hd.lockClientHot.Ship(op, arg)
 	}
@@ -368,7 +369,7 @@ func (hd *hybTransport) Ship(op, arg uint64) (v uint64, done bool) {
 // the handle has not aligned to yet — owes everything in flight, since
 // align lets nothing ship on one side while the other still owes.
 func (hd *hybTransport) Next(block bool) (uint64, bool) {
-	if hd.lockClientHot.owes() {
+	if hd.lockClientHot.run.owes() {
 		return hd.lockClientHot.Next(block)
 	}
 	return hd.inner.Next(block)

@@ -13,18 +13,28 @@ import (
 
 // runRec records the length of every DispatchBatch run; results are
 // execution indices, so ticket order is visible in the values. fuse,
-// when not negative, is the execution index at which it panics.
+// when not negative, is the execution index at which it panics; an
+// opPark request parks the dispatching thread, inside its run, until
+// release is closed.
 type runRec struct {
 	runs  []int
 	state uint64
 	fuse  int64
+
+	entered, release chan struct{}
 }
+
+const opPark = 1
 
 func (o *runRec) DispatchBatch(reqs []core.Req, results []uint64) {
 	o.runs = append(o.runs, len(reqs))
-	for i := range reqs {
+	for i, r := range reqs {
 		if o.fuse >= 0 && o.state == uint64(o.fuse) {
 			panic("lock_runs_test: injected fault")
+		}
+		if r.Op == opPark {
+			o.entered <- struct{}{}
+			<-o.release
 		}
 		results[i] = o.state
 		o.state++
@@ -32,9 +42,9 @@ func (o *runRec) DispatchBatch(reqs []core.Req, results []uint64) {
 }
 
 // lockSubjects runs body over every construction whose window is a
-// lock handle's deferred run: the five registered locks and the hybrid
-// pinned in lock mode, each over a fresh recording object and QueueCap
-// queueCap.
+// handle's deferred run: the five registered locks, the hybrid pinned
+// in lock mode and hybcomb, each over a fresh recording object and
+// QueueCap queueCap.
 func lockSubjects(t *testing.T, queueCap int, body func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle)) {
 	open := map[string]func(obj core.Object) core.Executor{
 		"hybrid-forced-lock": func(obj core.Object) core.Executor {
@@ -44,14 +54,14 @@ func lockSubjects(t *testing.T, queueCap int, body func(t *testing.T, obj *runRe
 		},
 	}
 	for _, algo := range core.Algorithms() {
-		if strings.HasSuffix(algo, "-lock") {
+		if strings.HasSuffix(algo, "-lock") || algo == "hybcomb" {
 			open[algo] = func(obj core.Object) core.Executor {
 				return core.MustNewObject(algo, obj, core.WithQueueCap(queueCap))
 			}
 		}
 	}
-	if len(open) != 6 {
-		t.Fatalf("%d lock subjects, want the five registered locks and the hybrid", len(open))
+	if len(open) != 7 {
+		t.Fatalf("%d deferring subjects, want the five registered locks, the hybrid and hybcomb", len(open))
 	}
 	for name, mk := range open {
 		t.Run(name, func(t *testing.T) {
@@ -85,8 +95,8 @@ func wantRuns(t *testing.T, obj *runRec, want ...int) {
 
 // TestLockWindowIsOneRun: a window of Submits costs nothing until a
 // completion is demanded, then reaches the object as ONE DispatchBatch
-// under one acquisition; results follow ticket order whatever the Wait
-// order.
+// — under one acquisition, or as a lone combiner's own run; results
+// follow ticket order whatever the Wait order.
 func TestLockWindowIsOneRun(t *testing.T) {
 	lockSubjects(t, 39, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
 		tks := submitN(t, h, 8)
@@ -147,9 +157,9 @@ func TestLockApplyJoinsPendingRun(t *testing.T) {
 	})
 }
 
-// TestLockBoundedWaitsExecuteTheRun: nobody else will ever serve a lock
-// handle's pending run, so TryWait and WaitTimeout execute it instead
-// of reporting it not ready.
+// TestLockBoundedWaitsExecuteTheRun: nobody else will ever serve a lone
+// handle's pending run — a lock's, or hybcomb's with no round open — so
+// TryWait and WaitTimeout execute it instead of reporting it not ready.
 func TestLockBoundedWaitsExecuteTheRun(t *testing.T) {
 	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		tks := submitN(t, h, 4)
@@ -265,4 +275,55 @@ func TestLockSubmitBatchBehindSingles(t *testing.T) {
 			t.Fatalf("Wait(last offset of an on-the-spot batch) = %d, want 9", v)
 		}
 	})
+}
+
+// TestHybCombRunJoinsOpenRound: with another thread's round parked in
+// the object, a demanded pending run registers with that round — the
+// demand, a TryWait, ships it and reports it not ready — and is served
+// inside it as one drained run, combined on the owner's behalf.
+func TestHybCombRunJoinsOpenRound(t *testing.T) {
+	handletest.Guard(t, func() {
+		obj := &runRec{fuse: -1, entered: make(chan struct{}), release: make(chan struct{})}
+		ex := core.NewHybComb(obj, core.Options{MaxThreads: 2})
+		holder, h := core.MustHandle(ex), core.MustHandle(ex)
+		held := make(chan uint64)
+		go func() { held <- holder.Apply(opPark, 0) }()
+		<-obj.entered
+		tks := submitN(t, h, 6)
+		for i := 0; i < 2; i++ {
+			if _, err := h.TryWait(tks[5]); !errors.Is(err, core.ErrNotReady) {
+				t.Fatalf("TryWait with the round's combiner parked = %v, want ErrNotReady", err)
+			}
+		}
+		close(obj.release)
+		if v := <-held; v != 0 {
+			t.Fatalf("holder's Apply = %d, want 0", v)
+		}
+		for _, i := range []int{3, 0, 5, 1, 4, 2} {
+			if v := h.Wait(tks[i]); v != uint64(1+i) {
+				t.Fatalf("Wait(ticket %d) = %d, want %d", i, v, 1+i)
+			}
+		}
+		wantRuns(t, obj, 1, 6)
+		if rounds, combined := ex.Stats(); rounds != 1 || combined != 6 {
+			t.Errorf("Stats() = (%d, %d), want the holder's one round combining the run of 6", rounds, combined)
+		}
+	})
+}
+
+// TestWindowDefers: the one property behind the rounds + combined <= ops
+// reading of a pipelined StatsSource holds for every construction whose
+// handle defers its window, and for no other.
+func TestWindowDefers(t *testing.T) {
+	for _, algo := range core.Algorithms() {
+		if strings.Contains(algo, "-test-") {
+			continue // registered by another test, under its own name
+		}
+		want := strings.HasSuffix(algo, "-lock") || algo == "hybrid" || algo == "hybcomb"
+		ex := core.MustNewObject(algo, core.Func(func(op, arg uint64) uint64 { return 0 }))
+		if got := core.WindowDefers(ex); got != want {
+			t.Errorf("WindowDefers(%s) = %v, want %v", algo, got, want)
+		}
+		ex.Close()
+	}
 }

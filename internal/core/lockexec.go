@@ -146,13 +146,9 @@ type lockClientHot struct {
 	one    [1]Req // scalar batch scratch
 	oneRet [1]uint64
 
-	// pend is the deferred run, shipped and not yet executed; rets[head:]
-	// are results of the last executed run not yet handed to the
-	// pipeline. Together they are what the handle has in flight. They
-	// come last: the blocking path stays within the line it had.
-	pend []Req
-	rets []uint64
-	head int
+	// run is what the handle has in flight. It comes last: the blocking
+	// path stays within the line it had.
+	run deferredRun
 }
 
 // lockClient rounds its state up to whole cache lines: handles of different
@@ -206,13 +202,9 @@ func (h *lockClientHot) apply(op, arg uint64) uint64 {
 // completion is demanded, and the pipeline's in-flight bound (QueueCap)
 // is what demands one at the latest.
 func (h *lockClientHot) Ship(op, arg uint64) (uint64, bool) {
-	h.pend = append(h.pend, Req{Op: op, Arg: arg})
+	h.run.add(op, arg)
 	return 0, false
 }
-
-// owes reports whether the client has completions to hand back; the
-// hybrid's transport asks before it turns to its backend.
-func (h *lockClientHot) owes() bool { return h.head < len(h.rets) || len(h.pend) > 0 }
 
 // Next implements Transport: hand back the oldest owed completion,
 // first executing the whole pending run under ONE acquisition when the
@@ -220,30 +212,19 @@ func (h *lockClientHot) owes() bool { return h.head < len(h.rets) || len(h.pend)
 // wait for but the lock's other holders, so block is moot: TryWait and
 // WaitTimeout execute the run too.
 func (h *lockClientHot) Next(bool) (uint64, bool) {
-	if h.head == len(h.rets) {
-		if cap(h.rets) < len(h.pend) {
-			h.rets = make([]uint64, cap(h.pend))
-		}
-		h.rets = h.rets[:len(h.pend)]
-		h.batch(h.pend, h.rets)
-		h.pend, h.head = h.pend[:0], 0
+	if !h.run.ready() {
+		h.batch(h.run.take())
 	}
-	h.head++
-	return h.rets[h.head-1], true
+	return h.run.next(), true
 }
 
 // Batch implements Transport. With nothing in flight the batch is one
 // run executed on the spot, no ticket at all; behind pending
 // submissions it joins their run, every request ticketed.
 func (h *lockClientHot) Batch(p *Pipe, reqs []Req, done []uint64, _ bool) (ticketed int) {
-	if p.InFlight() == 0 {
-		h.batch(reqs, done)
-		return 0
+	if h.run.owes() {
+		return h.run.join(p, reqs)
 	}
-	for _, r := range reqs {
-		p.makeRoom()
-		h.Ship(r.Op, r.Arg)
-		p.issue()
-	}
-	return len(reqs)
+	h.batch(reqs, done)
+	return 0
 }

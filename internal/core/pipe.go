@@ -41,20 +41,21 @@ const TicketMisuse = "core: Wait on a ticket that is not outstanding (already wa
 type Transport interface {
 	// Ship submits (op, arg) to execute after everything this handle
 	// shipped before. done reports that the operation has already
-	// executed — SHM-SERVER has one request slot, a combiner serves its
-	// own request — and val is then its result; otherwise the completion
-	// is owed and Next will deliver it (a lock client ships into its
-	// pending run and acquires nothing yet). Ship may block for
+	// executed — SHM-SERVER has one request slot, the hybrid's delegated
+	// side serves its own request as a combiner — and val is then its
+	// result; otherwise the completion is owed and Next will deliver it
+	// (a lock or HybComb client ships into its deferred run and neither
+	// acquires nor registers anything yet). Ship may block for
 	// back-pressure or combiner duty, never for the operation's own
 	// result when the construction can overlap or defer it.
 	Ship(op, arg uint64) (val uint64, done bool)
 
 	// Next delivers the oldest owed completion. With block it waits for
 	// it — performing any duty the wait implies, such as an inherited
-	// combining round or a lock client's deferred run — and ok is always
-	// true; without, it returns ok=false rather than wait for another
-	// thread to serve it. The pipeline calls it only while completions
-	// are owed.
+	// combining round or executing a deferred run — and ok is always
+	// true; without, it still performs that duty but returns ok=false
+	// rather than wait for another thread to serve it. The pipeline
+	// calls it only while completions are owed.
 	Next(block bool) (val uint64, ok bool)
 
 	// Batch ships reqs in order, behind the handle's earlier

@@ -27,9 +27,10 @@ type Subject struct {
 	// waits report it not ready until the section is released (the
 	// delegation constructions). OwesAlways: every Submit leaves its
 	// completion owed, even with one thread (a request is always a
-	// message, a chain cell or an entry of a lock handle's deferred run —
-	// whose bounded waits acquire the lock rather than time out, so the
-	// locks set this one alone). The immediate constructions set neither.
+	// message, a chain cell or an entry of a deferred run — HybComb's, or
+	// a lock handle's, whose bounded waits acquire the lock rather than
+	// time out, so the locks set this one alone). The immediate
+	// constructions set neither.
 	OwesContended, OwesAlways bool
 }
 

@@ -17,6 +17,7 @@ import (
 	"hybsync"
 	"hybsync/harness"
 	"hybsync/internal/benchfmt"
+	"hybsync/internal/core"
 	"hybsync/internal/telemetry"
 	"hybsync/object"
 )
@@ -283,9 +284,9 @@ func window(h hybsync.Handle, depth int) (body func(uint64), drain func()) {
 // object's state must equal the operations the harness counted, or Run
 // fails rather than record a number for work that was lost or done
 // twice. Records of cells with c.Batch > 1, and async records of the
-// lock-backed constructions, carry no rounds/combined (their scalar
-// identity rounds+combined==ops fails when one round holds many of its
-// owner's operations; see core.StatsSource).
+// constructions whose window defers (core.WindowDefers), carry no
+// rounds/combined (their scalar identity rounds+combined==ops fails when
+// one round holds many of its owner's operations; see core.StatsSource).
 func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, error) {
 	bench, skip := Classify(c)
 	if skip != "" {
@@ -390,10 +391,9 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 			rec.Pipe = &benchfmt.Pipeline{SubmitStalls: st, MaxDepth: d}
 		}
 	} else {
-		// A lock handle's window executes as one round of many own
+		// A deferring handle's window executes as one round of many own
 		// operations, the unit mix a batch has.
-		_, lockBacked := ex.(hybsync.RetryStats)
-		if s, ok := ex.(hybsync.StatsSource); ok && c.Batch == 1 && !(lockBacked && bench == benchAsync) {
+		if s, ok := ex.(hybsync.StatsSource); ok && c.Batch == 1 && !(bench == benchAsync && core.WindowDefers(ex)) {
 			rec.Rounds, rec.Combined = s.Stats()
 		}
 		if p, ok := ex.(hybsync.PipelineStats); ok {

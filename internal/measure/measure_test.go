@@ -83,10 +83,14 @@ func TestRun(t *testing.T) {
 						t.Fatalf("rounds+combined != ops: %d+%d != %d", rec.Rounds, rec.Combined, rec.Ops)
 					}
 				case "async":
-					// A lock handle's window is one round of many own
+					// A deferring handle's window is one round of many own
 					// operations: the batch case, and as silent.
-					if (strings.HasSuffix(algo, "-lock") || algo == "hybrid") && rec.Rounds+rec.Combined != 0 {
-						t.Fatalf("lock-backed async record carries rounds/combined: %+v", rec)
+					defers := strings.HasSuffix(algo, "-lock") || algo == "hybrid" || algo == "hybcomb"
+					if defers && rec.Rounds+rec.Combined != 0 {
+						t.Fatalf("deferring async record carries rounds/combined: %+v", rec)
+					}
+					if algo == "ccsynch" && rec.Rounds+rec.Combined != rec.Ops {
+						t.Fatalf("ccsynch async record breaks rounds+combined == ops: %+v", rec)
 					}
 				}
 				if (algo == "mpserver" || algo == "mcs-lock") && k.bench == "async" && rec.Pipe == nil {

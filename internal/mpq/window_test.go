@@ -226,5 +226,10 @@ func FuzzWindow(f *testing.F) {
 	// discarded), flushed at the demotion; lock-side pending again; Waits
 	// out of order across all three kinds.
 	f.Add([]byte{0, 0, 0, 0, 6, 0, 1, 0, 0, 0, 0, 0, 2, 4, 6, 0, 0, 0, 0, 0, 4, 6, 4, 0, 4, 2, 5, 3, 4, 5, 5, 4, 4, 1})
+	// A HybComb handle: a deferred run (a Post discarded) shipped by a
+	// TryWait that finds it not ready — its registered prefix arrives
+	// off the ring, then the own-run tail — with more pending work and a
+	// batch joining it behind, waited out of order and flushed.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 5, 5, 4, 3, 0, 3, 0, 4, 3, 0, 0, 0, 0, 7, 3, 4, 9, 5, 0, 5, 4, 6, 0, 5, 10, 4, 1})
 	f.Fuzz(runWindowScript)
 }
