@@ -277,7 +277,7 @@ func TestStatsAtFlushedQuiescence(t *testing.T) {
 			t.Fatalf("Stats unstable after all handles flushed: (%d,%d) then (%d,%d)", r1, c1, r2, c2)
 		}
 		total := uint64(len(handles) * per)
-		if !core.WindowDefers(ex) {
+		if !core.WindowDefers(handles[0]) {
 			if r1+c1 != total {
 				t.Fatalf("rounds %d + combined %d account for %d ops, want %d (reads are only defined once every handle is flushed)",
 					r1, c1, r1+c1, total)

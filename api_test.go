@@ -6,6 +6,7 @@ package hybsync_test
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -103,7 +104,7 @@ func TestTooManyHandles(t *testing.T) {
 
 			// The poisoned refusal first: its *PoisonError says what the
 			// executor calls itself — name, unless an application
-			// registered an alias (api-test-custom builds a hybcomb).
+			// registered an alias (api-test-custom* builds a hybcomb).
 			ex := open()
 			ex.(hybsync.Poisonable).Poison("lifecycle test")
 			_, err := ex.NewHandle()
@@ -157,6 +158,10 @@ func TestMustHandlePanicsOnExhaustion(t *testing.T) {
 	hybsync.MustHandle(ex)
 }
 
+// customRuns numbers TestRegisterDuplicateRejected's runs: the registry
+// is process-wide, so each run (go test -count) registers its own name.
+var customRuns int
+
 func TestRegisterDuplicateRejected(t *testing.T) {
 	// The factory forwards every option it receives: TestHandleContract
 	// covers the registration whenever this test ran first, with the
@@ -166,14 +171,18 @@ func TestRegisterDuplicateRejected(t *testing.T) {
 			hybsync.WithQueueCap(o.QueueCap), hybsync.WithMaxOps(int(o.MaxOps)),
 			hybsync.WithStallTimeout(o.StallTimeout), hybsync.WithTelemetry(o.Telemetry))
 	}
-	if err := hybsync.Register("api-test-custom", factory); err != nil {
+	name := "api-test-custom"
+	if customRuns++; customRuns > 1 {
+		name = fmt.Sprintf("%s-%d", name, customRuns)
+	}
+	if err := hybsync.Register(name, factory); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := hybsync.Register("api-test-custom", factory); !errors.Is(err, hybsync.ErrDuplicateAlgorithm) {
+	if err := hybsync.Register(name, factory); !errors.Is(err, hybsync.ErrDuplicateAlgorithm) {
 		t.Fatalf("duplicate Register = %v, want ErrDuplicateAlgorithm", err)
 	}
 	// The custom registration is reachable through New like any built-in.
-	ex, err := hybsync.NewObject("api-test-custom", hybsync.Func(func(op, arg uint64) uint64 { return arg }))
+	ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 { return arg }))
 	if err != nil {
 		t.Fatalf("New(custom): %v", err)
 	}

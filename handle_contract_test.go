@@ -9,6 +9,7 @@ package hybsync_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"hybsync"
@@ -16,34 +17,36 @@ import (
 	"hybsync/internal/handletest"
 )
 
-// owes classifies the built-in constructions for the script: whether a
-// Submit leaves its completion owed — and a bounded wait on it times
-// out — while another handle holds the critical section, and whether it
-// leaves it owed even uncontended. A lock handle always defers (its
-// pending run executes at the demand), but the demand itself acquires
-// the lock, so its bounded waits wait out a holder instead of timing
-// out. A HybComb handle defers too, and its demand registers the run
-// with an open round, so its bounded waits do time out while that
-// round's combiner holds the section. Anything not listed completes
-// every submission on the spot — or, like the hybrid and
-// application-registered algorithms, makes no promise.
-var owes = map[string]struct{ contended, always bool }{
-	"mpserver":    {true, true},
-	"ccsynch":     {true, true},
-	"hybcomb":     {true, true},
-	"tas-lock":    {false, true},
-	"ttas-lock":   {false, true},
-	"ticket-lock": {false, true},
-	"mcs-lock":    {false, true},
-	"clh-lock":    {false, true},
+// owesContended names the constructions whose Submit returns, its
+// completion owed, while another handle holds the critical section, so
+// that a bounded wait on it times out: a request is a message or a
+// chain cell, and a HybComb handle's demanded run registers with the
+// holder's open round. A lock handle defers too, but its demand
+// acquires the lock and waits out the holder instead of timing out.
+var owesContended = []string{"mpserver", "ccsynch", "hybcomb"}
+
+// owesAlways reads the script's OwesAlways off a fresh handle of name:
+// one Submit, uncontended, leaves its completion in flight.
+func owesAlways(t *testing.T, name string) bool {
+	ex, err := hybsync.NewObject(name, hybsync.Func(func(op, arg uint64) uint64 { return 0 }))
+	if err != nil {
+		t.Fatalf("NewObject(%q): %v", name, err)
+	}
+	defer ex.Close()
+	h := hybsync.MustHandle(ex)
+	defer h.Flush()
+	if _, err := h.Submit(0, 0); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return h.(*core.Pipe).InFlight() == 1
 }
 
 func TestHandleContract(t *testing.T) {
 	for _, name := range hybsync.Algorithms() {
 		t.Run(name, func(t *testing.T) {
 			handletest.Run(t, handletest.Subject{
-				OwesContended: owes[name].contended,
-				OwesAlways:    owes[name].always,
+				OwesContended: slices.Contains(owesContended, name),
+				OwesAlways:    owesAlways(t, name),
 				Open: func(t *testing.T, obj core.Object, queueCap int) *handletest.System {
 					ex, err := hybsync.NewObject(name, obj, hybsync.WithMaxThreads(4), hybsync.WithQueueCap(queueCap))
 					if err != nil {

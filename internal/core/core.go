@@ -111,7 +111,8 @@ type Executor interface {
 // Pipe is the one implementation: every construction's NewHandle
 // returns a *Pipe over its own Transport, and SyncHandle adapts a bare
 // function the same way, so the contract below is stated — and tested
-// — once.
+// — once. The deferred window is the Pipe's too: one pending run per
+// handle, which a deferring transport only executes (WindowDefers).
 type Handle interface {
 	// Apply executes (op, arg) in mutual exclusion and returns the
 	// result, exactly as Submit followed by Wait.
@@ -169,12 +170,11 @@ type Handle interface {
 	// acquisition before it returns, every result banked; HYBCOMB with
 	// no deferred run owed leaves the requests it could register owed
 	// and, once a request fails registration, executes the entire rest
-	// as one combining round's own run; both append a batch behind
-	// pending submissions to their deferred run; SHM-SERVER's one
-	// request slot makes it a loop of
-	// round trips. Like Submit it may block for back-pressure — a batch
-	// longer than QueueCap settles its own oldest requests as it goes —
-	// or for combiner duty.
+	// as one combining round's own run; behind pending submissions of
+	// either, the batch joins the handle's deferred run; SHM-SERVER's
+	// one request slot makes it a loop of round trips. Like Submit it
+	// may block for back-pressure — a batch longer than QueueCap settles
+	// its own oldest requests as it goes — or for combiner duty.
 	SubmitBatch(reqs []Req) (Ticket, error)
 
 	// ApplyBatch executes every request of reqs in mutual exclusion, in

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,12 +110,20 @@ func TestNewHandleAfterClose(t *testing.T) {
 	}
 }
 
+// dupRuns numbers TestRegistryDuplicateAndUnknown's runs: the registry
+// is process-wide, so each run (go test -count) registers its own name.
+var dupRuns int
+
 func TestRegistryDuplicateAndUnknown(t *testing.T) {
 	f := func(obj Object, o Options) (Executor, error) { return NewHybComb(obj, o), nil }
-	if err := Register("core-test-dup", f); err != nil {
+	name := "core-test-dup"
+	if dupRuns++; dupRuns > 1 {
+		name = fmt.Sprintf("%s-%d", name, dupRuns)
+	}
+	if err := Register(name, f); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := Register("core-test-dup", f); !errors.Is(err, ErrDuplicateAlgorithm) {
+	if err := Register(name, f); !errors.Is(err, ErrDuplicateAlgorithm) {
 		t.Fatalf("duplicate Register = %v, want ErrDuplicateAlgorithm", err)
 	}
 	if _, err := NewObject("core-test-missing", Func(func(op, arg uint64) uint64 { return 0 })); !errors.Is(err, ErrUnknownAlgorithm) {

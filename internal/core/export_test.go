@@ -11,3 +11,7 @@ func ForceHybridMode(h *Hybrid, promote bool) { forceMode(h, promote) }
 // whole evaluation window — so forced transitions own the mode. Call it
 // before h hands out handles.
 func FreezeHybrid(h *Hybrid) { h.window = math.MaxUint64 }
+
+// HybCombLastCombiner is the thread id on h's last registered combiner
+// node: the thread that promoted itself last (-1 before anyone did).
+func HybCombLastCombiner(h *HybComb) int32 { return h.lastReg.Load().threadID.Load() }

@@ -38,7 +38,7 @@ import (
 // flight, and the combiner's request drain must not swallow them.
 //
 // Asynchronous submission defers, as on a lock handle (see
-// hcTransport): Submit and Post join the handle's pending run and
+// hcTransport.Run): Submit and Post join the pipeline's pending run and
 // register nothing. When a completion is demanded — a Wait, a bounded
 // wait, a Flush, a blocking call behind the window, or the QueueCap-th
 // pending operation — the whole run ships the way a batch does:
@@ -131,10 +131,6 @@ func (h *HybComb) NewHandle() (Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The window never holds more than QueueCap operations, so its run is
-	// sized once here and shipping into it never allocates. The hybrid's
-	// backend transports never defer and get none.
-	t.run = deferredRun{pend: make([]Req, 0, h.Opts.QueueCap), rets: make([]uint64, 0, h.Opts.QueueCap)}
 	return NewPipe(t.spec()), nil
 }
 
@@ -171,7 +167,7 @@ func (h *HybComb) newTransport() (*hcTransport, error) {
 }
 
 // spec is the handle over t: at most QueueCap operations in flight,
-// whether pending in its run or owed on its response queue.
+// whether pending in the pipeline's run or owed on t's response queue.
 func (t *hcTransport) spec() PipeSpec {
 	h := t.h
 	return PipeSpec{Transport: t, Apply: t.apply, Latch: &h.PoisonLatch, Rec: t.rec,
@@ -224,13 +220,6 @@ type hcTransportHot struct {
 	// and Reset per wait so the per-operation path never zeroes the
 	// watchdog state.
 	wb, respWB backoff.Watched
-
-	// run is the handle's deferred window and owed the responses to its
-	// registered requests still to arrive on resp. In shipping order the
-	// handle has in flight: owed responses, the own run's results not yet
-	// handed back, then the pending run (see Next).
-	run  deferredRun
-	owed int
 }
 
 // hcTransport rounds its state up to whole cache lines: handles of different
@@ -246,8 +235,8 @@ type hcTransport struct {
 // apply is apply_op of Algorithm 1 (lines 6-43): register or combine,
 // then block for the result.
 func (hd *hcTransport) apply(op, arg uint64) uint64 {
-	ret, done := hd.shipNow(op, arg)
-	if !done {
+	ret, how := hd.shipNow(op, arg)
+	if how == ShipOwed {
 		ret, _ = hd.Next(true)
 	}
 	return ret
@@ -292,14 +281,11 @@ func (hd *hcTransport) acquire(op, arg uint64) bool {
 	}
 }
 
-// Ship implements Transport: (op, arg) joins the pending run and its
-// completion is owed. Nothing is registered — the run ships when a
-// completion is demanded, and the pipeline's in-flight bound (QueueCap)
-// is what demands one at the latest.
-func (hd *hcTransport) Ship(op, arg uint64) (uint64, bool) {
-	hd.run.add(op, arg)
-	return 0, false
-}
+// Ship implements Transport: (op, arg) is deferred into the pipeline's
+// pending run. Nothing is registered — the run ships when a completion
+// is demanded, and the pipeline's in-flight bound (QueueCap) is what
+// demands one at the latest.
+func (hd *hcTransport) Ship(uint64, uint64) (uint64, Shipped) { return 0, ShipDeferred }
 
 // shipNow is the eager Ship the hybrid's delegated side keeps, so that
 // the run lengths its demotion signal reads measure combining rather
@@ -309,43 +295,29 @@ func (hd *hcTransport) Ship(op, arg uint64) (uint64, bool) {
 // keeps the two kinds in per-handle FIFO: a combiner waits out its
 // predecessor's round, which served every request this thread
 // registered earlier, before it executes anything.
-func (hd *hcTransport) shipNow(op, arg uint64) (uint64, bool) {
+func (hd *hcTransport) shipNow(op, arg uint64) (uint64, Shipped) {
 	if hd.acquire(op, arg) {
-		hd.owed++
-		return 0, false
+		return 0, ShipOwed
 	}
-	return hd.combineOne(op, arg), true
+	return hd.combineOne(op, arg), ShipDone
 }
 
-// Next implements Transport: the oldest owed completion — a response
-// off the thread's queue, else the own run's next result. With both
-// handed back, the pending run ships first, through register: its
-// registered prefix becomes owed on the queue and the rest executes as
-// our round's own run. Shipping may wait out a predecessor round even
-// without block — combiner duty, like a lock handle's acquisition —
-// but never for another thread to serve a registered request.
+// Next implements Transport: the oldest response to a registered
+// request, off the thread's queue.
 func (hd *hcTransport) Next(block bool) (uint64, bool) {
-	if hd.owed == 0 && !hd.run.ready() {
-		reqs, rets := hd.run.take()
-		hd.owed = hd.register(reqs, rets)
-		hd.run.head = hd.owed // the prefix's results arrive on resp instead
-	}
-	if hd.owed > 0 {
-		v, ok := mpq.RecvWord(hd.resp, &hd.respWB, block)
-		if ok {
-			hd.owed--
-		}
-		return v, ok
-	}
-	return hd.run.next(), true
+	return mpq.RecvWord(hd.resp, &hd.respWB, block)
 }
 
-// register ships a run whose window slots are open already: each
+// Run ships the pending run, whose window slots are open already: each
 // request registers with the current combiner until one fails
 // registration and promotes us, and the rest of the run is our round's
 // own run — one DispatchBatch (line 23 generalized), its results
-// written to rets[i:]. It returns how many requests registered.
-func (hd *hcTransport) register(reqs []Req, rets []uint64) int {
+// written to rets[i:]. It returns how many requests registered, whose
+// responses are owed on the queue. Shipping may wait out a predecessor
+// round even for a TryWait — combiner duty, like a lock handle's
+// acquisition — but never for another thread to serve a registered
+// request.
+func (hd *hcTransport) Run(reqs []Req, rets []uint64) (owed int) {
 	for i, r := range reqs {
 		if !hd.acquire(r.Op, r.Arg) {
 			hd.combineBatch(reqs[i:], rets[i:])
@@ -438,9 +410,8 @@ func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 	h.combined.Add(uint64(opsCompleted))
 }
 
-// Batch implements Transport. Behind a deferred run still owed the
-// batch joins it, every request ticketed. Otherwise it ships eagerly:
-// walk the batch registering requests with the current combiner; the
+// Batch implements Transport: with no run pending it ships eagerly,
+// walking the batch registering requests with the current combiner; the
 // first request that fails registration promotes us, and the batch's
 // entire remaining run becomes the round's own run — one DispatchBatch
 // for all of it (line 23 generalized), written straight into done with
@@ -450,9 +421,6 @@ func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 // done is never runRets: combineBatch's serveRun reuses runRets for
 // drained-run responses while the own-run results are still live.
 func (hd *hcTransport) Batch(p *Pipe, reqs []Req, done []uint64, _ bool) (registered int) {
-	if hd.run.owes() {
-		return hd.run.join(p, reqs)
-	}
 	for registered < len(reqs) {
 		p.makeRoom()
 		if !hd.acquire(reqs[registered].Op, reqs[registered].Arg) {
@@ -460,7 +428,6 @@ func (hd *hcTransport) Batch(p *Pipe, reqs []Req, done []uint64, _ bool) (regist
 			hd.combineBatch(reqs[registered:], done[registered:])
 			break
 		}
-		hd.owed++
 		p.issue()
 		registered++
 	}

@@ -51,13 +51,13 @@ import (
 // lock settles the handle's outstanding delegated submissions before
 // its first lock-mode operation — per-handle FIFO holds across both.
 // Tickets are mode-agnostic because the handle is one pipeline over
-// both modes (see hybTransport): a lock-mode submission is owed by the
-// lock client's deferred run (one acquisition per demand, exactly as on
-// mcs-lock), a delegated one by the backend's transport, both sit in
-// the same ticket window, and Wait redeems either kind no matter how
-// many transitions happened in between. ApplyBatch reads the mode once
-// and sends the whole batch down one path, so a DispatchBatch run is
-// never split by a transition.
+// both modes (see hybTransport): a lock-mode submission waits in the
+// pipeline's deferred run (one acquisition per demand, exactly as on
+// mcs-lock), a delegated one is owed by the backend's transport, both
+// sit in the same ticket window, and Wait redeems either kind no matter
+// how many transitions happened in between. A batch joins the pending
+// run if there is one, else reads the mode once; either way it goes
+// down one path, so a DispatchBatch run is never split by a transition.
 //
 // Faults centralize in the one latch of the embedded shell: both the
 // lock clients and the hybGate dispatch through it, so a panic in
@@ -289,14 +289,15 @@ func (h *Hybrid) demote() {
 }
 
 // hybTransport is one thread's path through whichever mode is current:
-// in lock mode it is a lock client — submissions join its deferred run,
-// executed under one gate acquisition per demand — in delegation mode
-// it travels the backend's transport, shipping each submission on the
-// spot rather than deferring it: the delegated run lengths are the
-// demotion signal, and they must measure combining across threads, not
-// one client's window. align keeps at most one side owing at a time,
-// and the handle's one window holds both kinds of ticket — a ticket
-// redeems the same however many transitions happened since.
+// in lock mode it is a lock client — submissions defer into the
+// pipeline's run, executed under one gate acquisition per demand — in
+// delegation mode it travels the backend's transport, shipping each
+// submission on the spot rather than deferring it: the delegated run
+// lengths are the demotion signal, and they must measure combining
+// across threads, not one client's window. align keeps at most one side
+// owing at a time, and the handle's one window holds both kinds of
+// ticket — a ticket redeems the same however many transitions happened
+// since.
 type hybTransportHot struct {
 	lockClientHot // lock mode
 	h             *Hybrid
@@ -352,28 +353,19 @@ func (hd *hybTransport) apply(op, arg uint64) uint64 {
 	return v
 }
 
-// Ship implements Transport: the lock client's Ship (the operation
-// joins its deferred run) or the backend's eager one.
-func (hd *hybTransport) Ship(op, arg uint64) (v uint64, done bool) {
+// Ship implements Transport: deferred into the pipeline's run, which
+// the lock client's Run executes, or the backend's eager ship.
+func (hd *hybTransport) Ship(op, arg uint64) (v uint64, how Shipped) {
+	how = ShipDeferred
 	if hd.align() == hybModeDeleg {
-		v, done = hd.inner.shipNow(op, arg)
-	} else {
-		v, done = hd.lockClientHot.Ship(op, arg)
+		v, how = hd.inner.shipNow(op, arg)
 	}
 	hd.tick()
-	return v, done
+	return v, how
 }
 
-// Next implements Transport: the lock side first, then the backend.
-// Whichever side owes — including submissions from before a transition
-// the handle has not aligned to yet — owes everything in flight, since
-// align lets nothing ship on one side while the other still owes.
-func (hd *hybTransport) Next(block bool) (uint64, bool) {
-	if hd.lockClientHot.run.owes() {
-		return hd.lockClientHot.Next(block)
-	}
-	return hd.inner.Next(block)
-}
+// Next implements Transport: only the backend ever owes a completion.
+func (hd *hybTransport) Next(block bool) (uint64, bool) { return hd.inner.Next(block) }
 
 // Batch implements Transport. The mode is read once at entry and the
 // whole batch goes down that path — the lock client's batch strategy

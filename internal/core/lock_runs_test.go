@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -311,19 +312,79 @@ func TestHybCombRunJoinsOpenRound(t *testing.T) {
 	})
 }
 
+// TestHybCombRunSplitsAtMaxOps: a demanded run that meets another
+// thread's parked round registers only what that round still takes
+// (MaxOps), promotes its owner with the rest and executes the rest as
+// its own round's run once the parked round is done. The registered
+// prefix completes first, then the own run: every ticket, waited out of
+// order, redeems its own execution index.
+func TestHybCombRunSplitsAtMaxOps(t *testing.T) {
+	handletest.Guard(t, func() {
+		obj := &runRec{fuse: -1, entered: make(chan struct{}), release: make(chan struct{})}
+		ex := core.NewHybComb(obj, core.Options{MaxThreads: 2, MaxOps: 3})
+		holder, h := core.MustHandle(ex), core.MustHandle(ex) // thread ids 0 and 1
+		held := make(chan uint64)
+		go func() { held <- holder.Apply(opPark, 0) }()
+		<-obj.entered
+		tks := submitN(t, h, 6)
+		got := make(chan []uint64)
+		go func() {
+			vals := make([]uint64, len(tks))
+			for _, i := range []int{4, 0, 5, 1, 3, 2} {
+				vals[i] = h.Wait(tks[i])
+			}
+			got <- vals
+		}()
+		for core.HybCombLastCombiner(ex) != 1 { // h registered 3 and promoted behind the parked round
+			runtime.Gosched()
+		}
+		close(obj.release)
+		if v := <-held; v != 0 {
+			t.Fatalf("holder's Apply = %d, want 0", v)
+		}
+		for i, v := range <-got {
+			if v != uint64(1+i) {
+				t.Fatalf("Wait(ticket %d) = %d, want %d", i, v, 1+i)
+			}
+		}
+		wantRuns(t, obj, 1, 3, 3)
+		if rounds, combined := ex.Stats(); rounds != 2 || combined != 3 {
+			t.Errorf("Stats() = (%d, %d), want two rounds, the holder's combining the prefix of 3", rounds, combined)
+		}
+	})
+}
+
 // TestWindowDefers: the one property behind the rounds + combined <= ops
-// reading of a pipelined StatsSource holds for every construction whose
-// handle defers its window, and for no other.
+// reading of a pipelined StatsSource holds for a handle of every
+// construction whose window defers, and for no other — every registered
+// algorithm is classified here, and a bare SyncHandle does not defer.
 func TestWindowDefers(t *testing.T) {
+	want := map[string]bool{
+		"tas-lock": true, "ttas-lock": true, "ticket-lock": true, "mcs-lock": true, "clh-lock": true,
+		"hybrid": true, "hybcomb": true,
+		"mpserver": false, "ccsynch": false, "shmserver": false,
+	}
+	seen := 0
 	for _, algo := range core.Algorithms() {
 		if strings.Contains(algo, "-test-") {
 			continue // registered by another test, under its own name
 		}
-		want := strings.HasSuffix(algo, "-lock") || algo == "hybrid" || algo == "hybcomb"
+		defers, ok := want[algo]
+		if !ok {
+			t.Errorf("%s is not classified: add it to want", algo)
+			continue
+		}
+		seen++
 		ex := core.MustNewObject(algo, core.Func(func(op, arg uint64) uint64 { return 0 }))
-		if got := core.WindowDefers(ex); got != want {
-			t.Errorf("WindowDefers(%s) = %v, want %v", algo, got, want)
+		if got := core.WindowDefers(core.MustHandle(ex)); got != defers {
+			t.Errorf("WindowDefers(a %s handle) = %v, want %v", algo, got, defers)
 		}
 		ex.Close()
+	}
+	if seen != len(want) {
+		t.Errorf("%d of the %d classified algorithms are registered", seen, len(want))
+	}
+	if core.WindowDefers(core.SyncHandle(func(op, arg uint64) uint64 { return 0 })) {
+		t.Error("WindowDefers(SyncHandle) = true, want false")
 	}
 }

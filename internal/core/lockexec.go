@@ -34,7 +34,7 @@ func init() {
 // single thread instead of being collected across threads. A handle's
 // pipelined submissions are the same run spelled one call at a time:
 // Submit and Post join a deferred run that executes under one
-// acquisition when a completion is demanded (see lockClientHot.Next),
+// acquisition when a completion is demanded (see lockClientHot.Run),
 // so a window costs one hand-off of the lock — and of the protected
 // data — instead of one per operation.
 type LockExecutor struct {
@@ -119,8 +119,8 @@ func (e *LockExecutor) NewHandle() (Handle, error) {
 		return nil, err
 	}
 	h := &lockClient{lockClientHot: e.newClient()}
-	// The client is the transport: submissions are left owed in its
-	// pending run, QueueCap of them at most; Apply with nothing in
+	// The client is the transport: submissions are deferred into the
+	// pipeline's run, QueueCap of them at most; Apply with nothing in
 	// flight is the bare critical section.
 	return NewPipe(PipeSpec{Transport: h, Apply: h.apply, Latch: &e.PoisonLatch, Rec: h.rec,
 		Counters: &h.cell.ps, Depth: e.Opts.QueueCap}), nil
@@ -135,8 +135,8 @@ func (e *LockExecutor) Close() error {
 	return e.Err()
 }
 
-// lockClientHot is one thread's lock (or its node on a queue lock),
-// acquisition counters and deferred run: the handle's Transport.
+// lockClientHot is one thread's lock (or its node on a queue lock) and
+// acquisition counters: the handle's Transport.
 type lockClientHot struct {
 	e    *LockExecutor
 	lock spin.Lock
@@ -145,10 +145,6 @@ type lockClientHot struct {
 
 	one    [1]Req // scalar batch scratch
 	oneRet [1]uint64
-
-	// run is what the handle has in flight. It comes last: the blocking
-	// path stays within the line it had.
-	run deferredRun
 }
 
 // lockClient rounds its state up to whole cache lines: handles of different
@@ -197,34 +193,25 @@ func (h *lockClientHot) apply(op, arg uint64) uint64 {
 	return h.oneRet[0]
 }
 
-// Ship implements Transport: the operation joins the pending run and
-// its completion is owed. Nothing is acquired — the run executes when a
+// Ship implements Transport: the operation is deferred into the
+// pipeline's pending run. Nothing is acquired — the run executes when a
 // completion is demanded, and the pipeline's in-flight bound (QueueCap)
 // is what demands one at the latest.
-func (h *lockClientHot) Ship(op, arg uint64) (uint64, bool) {
-	h.run.add(op, arg)
-	return 0, false
-}
+func (h *lockClientHot) Ship(uint64, uint64) (uint64, Shipped) { return 0, ShipDeferred }
 
-// Next implements Transport: hand back the oldest owed completion,
-// first executing the whole pending run under ONE acquisition when the
-// last executed run has been handed back entirely. There is nobody to
-// wait for but the lock's other holders, so block is moot: TryWait and
-// WaitTimeout execute the run too.
-func (h *lockClientHot) Next(bool) (uint64, bool) {
-	if !h.run.ready() {
-		h.batch(h.run.take())
-	}
-	return h.run.next(), true
-}
+// Next implements Transport: a lock client owes nothing but its run.
+func (h *lockClientHot) Next(bool) (uint64, bool) { panic(neverOwed) }
 
-// Batch implements Transport. With nothing in flight the batch is one
-// run executed on the spot, no ticket at all; behind pending
-// submissions it joins their run, every request ticketed.
-func (h *lockClientHot) Batch(p *Pipe, reqs []Req, done []uint64, _ bool) (ticketed int) {
-	if h.run.owes() {
-		return h.run.join(p, reqs)
-	}
-	h.batch(reqs, done)
+// Run executes the pending run under ONE acquisition. There is nobody to
+// wait for but the lock's other holders, so TryWait and WaitTimeout
+// execute the run too.
+func (h *lockClientHot) Run(reqs []Req, rets []uint64) (owed int) {
+	h.batch(reqs, rets)
 	return 0
+}
+
+// Batch implements Transport: with nothing in flight, the batch is one
+// run executed on the spot, no ticket at all.
+func (h *lockClientHot) Batch(_ *Pipe, reqs []Req, done []uint64, _ bool) (ticketed int) {
+	return h.Run(reqs, done)
 }

@@ -185,9 +185,9 @@ func (t *mpTransport) apply(op, arg uint64) uint64 {
 }
 
 // Ship implements Transport.
-func (t *mpTransport) Ship(op, arg uint64) (uint64, bool) {
+func (t *mpTransport) Ship(op, arg uint64) (uint64, Shipped) {
 	t.s.reqs.Send(mpq.Words3(t.id, op, arg))
-	return 0, false
+	return 0, ShipOwed
 }
 
 // Next implements Transport. The server replies to a Post like to any

@@ -33,29 +33,26 @@ const TicketMisuse = "core: Wait on a ticket that is not outstanding (already wa
 // pipeline: how one request travels and how its completion comes back.
 // Everything else — tickets, the in-flight bound, banking, Post
 // discards, Flush, the bounded waits, poison short-circuits, latency
-// sampling — is Pipe's, once, for every construction.
+// sampling, and the deferred run of a transport that defers — is
+// Pipe's, once, for every construction.
 //
 // A transport is driven by its handle's goroutine only. Completions
 // come back in shipping order (per-handle FIFO is the construction's
 // obligation; the pipeline relies on it and never reorders).
 type Transport interface {
 	// Ship submits (op, arg) to execute after everything this handle
-	// shipped before. done reports that the operation has already
-	// executed — SHM-SERVER has one request slot, the hybrid's delegated
-	// side serves its own request as a combiner — and val is then its
-	// result; otherwise the completion is owed and Next will deliver it
-	// (a lock or HybComb client ships into its deferred run and neither
-	// acquires nor registers anything yet). Ship may block for
-	// back-pressure or combiner duty, never for the operation's own
-	// result when the construction can overlap or defer it.
-	Ship(op, arg uint64) (val uint64, done bool)
+	// shipped before, and says what became of it (see Shipped). Ship may
+	// block for back-pressure or combiner duty, never for the
+	// operation's own result when the construction can overlap or
+	// defer it.
+	Ship(op, arg uint64) (val uint64, how Shipped)
 
-	// Next delivers the oldest owed completion. With block it waits for
-	// it — performing any duty the wait implies, such as an inherited
-	// combining round or executing a deferred run — and ok is always
-	// true; without, it still performs that duty but returns ok=false
-	// rather than wait for another thread to serve it. The pipeline
-	// calls it only while completions are owed.
+	// Next delivers the oldest completion the transport owes. With
+	// block it waits for it — performing any duty the wait implies,
+	// such as an inherited combining round — and ok is always true;
+	// without, it still performs that duty but returns ok=false rather
+	// than wait for another thread to serve it. The pipeline calls it
+	// only while the transport owes a completion.
 	Next(block bool) (val uint64, ok bool)
 
 	// Batch ships reqs in order, behind the handle's earlier
@@ -78,8 +75,38 @@ type Transport interface {
 	// ticketing it (CC-SYNCH with nothing else in flight). Without it,
 	// Batch waits for nothing the construction can overlap. len(reqs)
 	// >= 1 and len(done) == len(reqs); the empty and poisoned cases
-	// never reach here.
+	// never reach here, and neither does a batch behind a pending run,
+	// which the pipeline joins to the run itself.
 	Batch(p *Pipe, reqs []Req, done []uint64, blocking bool) (ticketed int)
+}
+
+// Shipped is what Ship did with an operation.
+type Shipped uint8
+
+const (
+	// ShipOwed: the completion is owed and Next will deliver it.
+	ShipOwed Shipped = iota
+	// ShipDone: the operation has already executed — SHM-SERVER has one
+	// request slot, the hybrid's delegated side serves its own request as
+	// a combiner — and val is its result.
+	ShipDone
+	// ShipDeferred: nothing was shipped, acquired or registered. The
+	// operation joins the pipeline's pending run, which the transport's
+	// Run executes when a completion is demanded (a lock or HybComb
+	// client, the hybrid in lock mode).
+	ShipDeferred
+)
+
+// runner is the one entry point of a transport whose Ship defers.
+type runner interface {
+	// Run executes the pending run reqs as ONE run and returns how many
+	// of its requests it left owed instead: the first owed completions
+	// come through Next, and rets[i] holds reqs[i]'s result for every
+	// i >= owed. A lock executes all of it under one acquisition (owed
+	// 0); HybComb registers a prefix with an open round and executes the
+	// rest as its own round's run. The pipeline calls it when a
+	// completion is demanded and the transport owes nothing older.
+	Run(reqs []Req, rets []uint64) (owed int)
 }
 
 // PipeSpec is what a construction's NewHandle assembles a handle from.
@@ -113,10 +140,15 @@ type pipeHot struct {
 	win     mpq.Window
 	deepest uint64   // this handle's in-flight high-water mark
 	done    []uint64 // Batch's done scratch: SubmitBatch, ApplyBatch(reqs, nil)
+
+	// run is the window of a transport that defers. It comes last, so the
+	// fields Apply reads stay on the lines they had.
+	run deferredRun
 }
 
 // Pipe is the one Handle implementation: a ticket window over a
-// construction's Transport. See DESIGN.md "Handle pipeline". Handles
+// construction's Transport and, where the transport defers, the one
+// deferred run the window fills. See DESIGN.md "Handle pipeline". Handles
 // of different threads are allocated side by side, and a pipelining
 // thread writes its window on every operation, so the state is rounded
 // up to whole cache lines like the transports'.
@@ -138,7 +170,13 @@ func NewPipe(spec PipeSpec) *Pipe {
 		spec.Waiter = new(backoff.Watched)
 	}
 	spec.Depth = max(spec.Depth, 1)
-	return &Pipe{pipeHot: pipeHot{spec: spec}}
+	p := &Pipe{pipeHot: pipeHot{spec: spec}}
+	if r, ok := spec.Transport.(runner); ok {
+		// The run never holds more than the window, so it is sized once
+		// here and deferring into it never allocates.
+		p.run = deferredRun{exec: r, pend: make([]Req, 0, spec.Depth), rets: make([]uint64, 0, spec.Depth)}
+	}
+	return p
 }
 
 // NewImmediatePipe builds the handle of a construction that cannot
@@ -163,11 +201,13 @@ type immediate struct {
 	apply func(op, arg uint64) uint64
 }
 
-func (t immediate) Ship(op, arg uint64) (uint64, bool) { return t.apply(op, arg), true }
+func (t immediate) Ship(op, arg uint64) (uint64, Shipped) { return t.apply(op, arg), ShipDone }
 
-func (t immediate) Next(bool) (uint64, bool) {
-	panic("core: immediate transport asked for a completion it never owed")
-}
+func (t immediate) Next(bool) (uint64, bool) { panic(neverOwed) }
+
+// neverOwed is the panic of a Next nobody should call: the transport
+// completes on the spot, or defers into the pipeline's run.
+const neverOwed = "core: transport asked for a completion it never owed"
 
 func (t immediate) Batch(_ *Pipe, reqs []Req, done []uint64, _ bool) int {
 	for i, r := range reqs {
@@ -224,9 +264,23 @@ func (p *Pipe) applySlow(op, arg uint64) uint64 {
 	return v
 }
 
-// settle moves the oldest owed completion from the transport into its
-// window slot; false only when block is false and it has not arrived.
+// settle moves the oldest in-flight completion into its window slot;
+// false only when block is false and it has not arrived. In shipping
+// order a handle has in flight what its transport owes, then the run's
+// results not yet handed back, then the pending run. So while the
+// transport owes more than the run holds the completion is Next's;
+// otherwise it is the run's next result, once the pending run has been
+// taken and Run — whose owed prefix, if any, comes first through Next.
 func (p *Pipe) settle(block bool) bool {
+	r := &p.run
+	if p.win.InFlight() == r.holds() && !r.ready() {
+		reqs, rets := r.take()
+		r.head = r.exec.Run(reqs, rets)
+	}
+	if p.win.InFlight() == r.holds() {
+		p.win.Arrive(r.next())
+		return true
+	}
 	v, ok := p.spec.Transport.Next(block)
 	if ok {
 		p.win.Arrive(v)
@@ -263,12 +317,15 @@ func (p *Pipe) issue() uint64 {
 // number; a discarded operation that completed on the spot needs none.
 func (p *Pipe) ship(op, arg uint64, discard bool) uint64 {
 	p.makeRoom()
-	val, done := p.spec.Transport.Ship(op, arg)
-	if done {
+	val, how := p.spec.Transport.Ship(op, arg)
+	switch how {
+	case ShipDone:
 		if discard {
 			return 0
 		}
 		return p.win.IssueDone(val)
+	case ShipDeferred:
+		p.run.add(op, arg)
 	}
 	seq := p.issue()
 	if discard {
@@ -392,7 +449,7 @@ func (p *Pipe) SubmitBatch(reqs []Req) (Ticket, error) {
 		return first, nil
 	}
 	done := p.scratch(len(reqs))
-	ticketed := p.spec.Transport.Batch(p, reqs, done, false)
+	ticketed := p.batch(reqs, done, false)
 	for _, v := range done[ticketed:] {
 		p.win.IssueDone(v)
 	}
@@ -429,13 +486,29 @@ func (p *Pipe) ApplyBatch(reqs []Req, results []uint64) {
 		t0 = time.Now()
 	}
 	first := p.win.Next()
-	ticketed := p.spec.Transport.Batch(p, reqs, results[:len(reqs)], true)
+	ticketed := p.batch(reqs, results[:len(reqs)], true)
 	for i := 0; i < ticketed; i++ {
 		results[i] = p.wait(first + uint64(i))
 	}
 	if sampled {
 		p.spec.Rec.Latency(t0)
 	}
+}
+
+// batch is SubmitBatch's and ApplyBatch's one transport call. Behind a
+// run still owed, every request joins the pending run and takes the
+// handle's next window slot, so the batch executes with — and after —
+// what it queued behind; otherwise the transport ships it its own way.
+func (p *Pipe) batch(reqs []Req, done []uint64, blocking bool) (ticketed int) {
+	if p.run.holds() == 0 {
+		return p.spec.Transport.Batch(p, reqs, done, blocking)
+	}
+	for _, q := range reqs {
+		p.makeRoom()
+		p.run.add(q.Op, q.Arg)
+		p.issue()
+	}
+	return len(reqs)
 }
 
 // ShipAll is the batch strategy of a request-per-message transport:

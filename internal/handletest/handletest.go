@@ -25,11 +25,11 @@ type Subject struct {
 	// OwesContended: a Submit returns, its completion owed, while
 	// another handle is inside the critical section, and the bounded
 	// waits report it not ready until the section is released (the
-	// delegation constructions). OwesAlways: every Submit leaves its
-	// completion owed, even with one thread (a request is always a
-	// message, a chain cell or an entry of a deferred run — HybComb's, or
-	// a lock handle's, whose bounded waits acquire the lock rather than
-	// time out, so the locks set this one alone). The immediate
+	// delegation constructions). OwesAlways: a Submit leaves its
+	// completion in flight even with one thread (a request is a message,
+	// a chain cell or an entry of the pipeline's deferred run — whose
+	// bounded waits on a lock acquire it rather than time out, so the
+	// locks and the hybrid set this one alone). The immediate
 	// constructions set neither.
 	OwesContended, OwesAlways bool
 }

@@ -311,11 +311,12 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 	// Sized generously enough for any thread count a grid drives.
 	opts := []hybsync.Option{hybsync.WithMaxThreads(256), hybsync.WithTelemetry(tel)}
 	var (
-		sc    *object.ShardedCounter     // keyed cells
-		ex    hybsync.Executor           // scalar cells
-		drive interface{ Close() error } // whichever of the two this cell drives
-		state func() uint64              // the object's value, read at quiescence
-		setup func(t int) (body func(uint64), drain func())
+		sc     *object.ShardedCounter     // keyed cells
+		ex     hybsync.Executor           // scalar cells
+		drive  interface{ Close() error } // whichever of the two this cell drives
+		state  func() uint64              // the object's value, read at quiescence
+		setup  func(t int) (body func(uint64), drain func())
+		defers bool // ex's handles defer their window (core.WindowDefers)
 	)
 	if bench == benchSharded {
 		if sc, err = object.NewShardedCounter(c.Algo, c.Shards, opts...); err != nil {
@@ -351,8 +352,11 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 			return benchfmt.Record{}, fmt.Errorf("NewObject(%s): %w", c.Algo, err)
 		}
 		drive, state = ex, func() uint64 { return ctr.state }
-		setup = func(int) (func(uint64), func()) {
+		setup = func(t int) (func(uint64), func()) {
 			h := hybsync.MustHandle(ex)
+			if t == 0 { // every handle of one executor answers alike
+				defers = core.WindowDefers(h)
+			}
 			switch bench {
 			case benchAsync:
 				return window(h, c.Depth)
@@ -393,7 +397,7 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 	} else {
 		// A deferring handle's window executes as one round of many own
 		// operations, the unit mix a batch has.
-		if s, ok := ex.(hybsync.StatsSource); ok && c.Batch == 1 && !(bench == benchAsync && core.WindowDefers(ex)) {
+		if s, ok := ex.(hybsync.StatsSource); ok && c.Batch == 1 && !(bench == benchAsync && defers) {
 			rec.Rounds, rec.Combined = s.Stats()
 		}
 		if p, ok := ex.(hybsync.PipelineStats); ok {

@@ -301,7 +301,7 @@ func (h *ccTransport) apply(op, arg uint64) uint64 { return h.complete(h.publish
 
 // Ship implements core.Transport: publish the cell, defer the spin (and
 // any inherited combiner duty) to Next.
-func (h *ccTransport) Ship(op, arg uint64) (uint64, bool) {
+func (h *ccTransport) Ship(op, arg uint64) (uint64, core.Shipped) {
 	if h.head > 0 && len(h.owed) == cap(h.owed) {
 		// Slide the live cells down instead of letting append grow the
 		// array: at most depth are ever owed.
@@ -309,7 +309,7 @@ func (h *ccTransport) Ship(op, arg uint64) (uint64, bool) {
 		h.head = 0
 	}
 	h.owed = append(h.owed, h.publish(op, arg))
-	return 0, false
+	return 0, core.ShipOwed
 }
 
 // Next implements core.Transport: complete the oldest owed cell.
