@@ -209,7 +209,7 @@ func TestTicketMisusePanics(t *testing.T) {
 					for i := range theirs {
 						theirs[i], _ = b.Submit(0, uint64(i))
 					}
-					b.Flush() // an unwaited ccsynch cell may hold the duty a's Wait needs
+					b.Flush() // b's tickets settle before the executor closes
 					handletest.MustPanic(t, "never-issued ticket", func() { wait(a, theirs[2]) })
 					mine, _ := a.Submit(0, 7)
 					if v := a.Wait(mine); v != 7 {

@@ -246,8 +246,8 @@ func statsSources(t *testing.T, body func(t *testing.T, ex hybsync.Executor, src
 // submitted. Where a Submit is one request, that is the identity rounds
 // + combined == ops — each round carries its owner's one operation,
 // everything else it served is combined. Where the handle's window
-// defers (core.WindowDefers: the locks, the hybrid, HybComb), its
-// pipelined submissions execute as deferred runs, each ONE round of
+// defers (core.WindowDefers: the locks, the hybrid, HybComb, CC-Synch),
+// its pipelined submissions execute as deferred runs, each ONE round of
 // several own operations (exactly like an ApplyBatch), so the source
 // reads rounds + combined <= ops — and no fewer than one per full
 // window — with combined == 0 on the locks, where nobody executes on

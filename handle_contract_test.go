@@ -19,11 +19,12 @@ import (
 
 // owesContended names the constructions whose Submit returns, its
 // completion owed, while another handle holds the critical section, so
-// that a bounded wait on it times out: a request is a message or a
-// chain cell, and a HybComb handle's demanded run registers with the
-// holder's open round. A lock handle defers too, but its demand
-// acquires the lock and waits out the holder instead of timing out.
-var owesContended = []string{"mpserver", "ccsynch", "hybcomb"}
+// that a bounded wait on it times out: a request is a message, and a
+// HybComb handle's demanded run registers with the holder's open round.
+// A lock or CC-Synch handle defers too, but its demand acquires the lock
+// or publishes the run's one chain cell and completes it, waiting out
+// the holder instead of timing out.
+var owesContended = []string{"mpserver", "hybcomb"}
 
 // owesAlways reads the script's OwesAlways off a fresh handle of name:
 // one Submit, uncontended, leaves its completion in flight.

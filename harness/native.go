@@ -94,13 +94,13 @@ func RunNative(threads int, dur time.Duration, maxLocalWork uint64, setup func(t
 // goroutine itself runs after the stop flag fires, while the other
 // workers are still iterating or draining.
 //
-// The drain MUST run inside the worker, concurrently with its peers,
-// whenever a thread can exit the loop with submissions outstanding.
-// With CC-Synch an unwaited cell can hold the round's dormant combiner
-// duty — the duty another thread's in-loop Wait is spinning on — so
-// flushing the handles only after every worker returned deadlocks:
-// the spinner never exits, the flush never starts. (Found by the
-// hybsweep grid at gomaxprocs=2, algo=ccsynch, threads=4, depth=8.)
+// The drain runs inside the worker, concurrently with its peers, by
+// convention: a construction whose unwaited submissions could hold up
+// another thread's in-loop Wait would deadlock if the flushes only
+// started after every worker returned. CC-Synch's per-request cells
+// once could (an unwaited cell held the round's combiner duty; found by
+// the hybsweep grid at gomaxprocs=2, algo=ccsynch, threads=4, depth=8,
+// and replayed by measure's TestAsyncDrainLiveness).
 func RunNativeDrain(threads int, dur time.Duration, maxLocalWork uint64, setup func(thread int) (body func(i uint64), drain func())) NativeResult {
 	var stop atomic.Bool
 	per := make([]uint64, threads)

@@ -64,10 +64,11 @@ type Ticket = core.Ticket
 // "ccsynch") and the lock-backed ones (the spin executors and "hybrid",
 // where a round is an acquisition); type-assert an Executor to read
 // combining statistics. rounds + combined == ops holds under blocking
-// Apply; a batch, and a pipelined lock or "hybcomb" handle, executes
-// many of its owner's operations as one round, so there rounds +
-// combined <= ops. Read only at pipeline quiescence: every handle
-// with submissions outstanding has been flushed (or fully waited) first.
+// Apply; a batch, and a pipelined lock, "hybcomb" or "ccsynch" handle,
+// executes many of its owner's operations as one round, so there
+// rounds + combined <= ops. Read only at pipeline quiescence: every
+// handle with submissions outstanding has been flushed (or fully
+// waited) first.
 type StatsSource = core.StatsSource
 
 // PipelineStats is implemented by the pipelining constructions

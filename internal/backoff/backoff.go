@@ -18,10 +18,10 @@
 //   - A stall watchdog: an Armed backoff that reaches the sleep phase
 //     and keeps waiting past its stall budget reports once — by
 //     default a goroutine dump to stderr — so a lost wakeup or a
-//     dormant combiner duty surfaces as a loud diagnostic instead of
-//     an infinite quiet spin. Disarmed (stall 0) backoffs never check
-//     a clock; armed ones only do so in the sleep phase, where a
-//     time.Now is noise against a microsecond sleep.
+//     combiner duty nobody takes up surfaces as a loud diagnostic
+//     instead of an infinite quiet spin. Disarmed (stall 0) backoffs
+//     never check a clock; armed ones only do so in the sleep phase,
+//     where a time.Now is noise against a microsecond sleep.
 //   - A schedule perturber: tests install a function that every Wait
 //     reaching the yield or sleep phase invokes, letting a chaos
 //     harness inject Gosched/sleep exactly at the points where the

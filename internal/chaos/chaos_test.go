@@ -58,8 +58,8 @@ func (c *counter) DispatchBatch(reqs []hybsync.Req, results []uint64) {
 
 // paths drives one handle through each submission shape the contract
 // offers. Each path runs iters operations (or stops early once the
-// executor reports a fault) and flushes before returning, so no cell
-// or ticket is left holding dormant combiner duty.
+// executor reports a fault) and flushes before returning, so no ticket
+// is left outstanding when the executor closes.
 var paths = map[string]func(h hybsync.Handle, iters int){
 	"scalar": func(h hybsync.Handle, iters int) {
 		for i := 0; i < iters && h.Err() == nil; i++ {

@@ -99,14 +99,13 @@ type Executor interface {
 // combiner duty (the hybrid's delegation mode promotes the submitting
 // thread and serves the round before returning). How much genuinely
 // overlaps depends on the construction — MP-SERVER pipelines up to
-// QueueCap requests per handle, CC-SYNCH defers completion (and
-// possibly combiner duty) to Wait, a spin lock (and the hybrid's lock
-// mode) and HYBCOMB defer the whole window to the first completion
-// demanded — a Wait, a Flush, a blocking call behind it, or the
-// QueueCap-th pending operation — and execute it as ONE run: under one
-// acquisition, or as one combining round's own run after registering
-// what an open round still takes; SHM-SERVER completes every
-// submission immediately.
+// QueueCap requests per handle; a spin lock (and the hybrid's lock
+// mode), HYBCOMB and CC-SYNCH defer the whole window to the first
+// completion demanded — a Wait, a Flush, a blocking call behind it, or
+// the QueueCap-th pending operation — and execute it as ONE run: under
+// one acquisition, as one combining round's own run after registering
+// what an open round still takes, or as one chain cell a combiner
+// serves whole; SHM-SERVER completes every submission immediately.
 //
 // Pipe is the one implementation: every construction's NewHandle
 // returns a *Pipe over its own Transport, and SyncHandle adapts a bare
@@ -138,8 +137,8 @@ type Handle interface {
 	// in mutual exclusion, in submission order with the handle's other
 	// operations, and its result is discarded. Completion is observed
 	// collectively through Flush (or any later same-handle Wait, by
-	// FIFO); on a lock or HybComb handle that is also when it executes,
-	// unless QueueCap operations are pending first.
+	// FIFO); on a lock, HybComb or CC-Synch handle that is also when it
+	// executes, unless QueueCap operations are pending first.
 	Post(op, arg uint64) error
 
 	// Flush blocks until every operation submitted through this handle
@@ -162,12 +161,13 @@ type Handle interface {
 	// Semantically it is Submit once per request, but the construction
 	// ships the batch its own way, as few DispatchBatch runs as it can,
 	// and what overlaps with the caller is what the construction can
-	// overlap: MP-SERVER and CC-SYNCH leave the whole batch owed (one
-	// contiguous stretch of the server's drain, one chain segment), so a
-	// caller that submits to several executors before waiting on any has
-	// them all working at once; a lock executor — and the hybrid in lock
-	// mode — with nothing in flight runs the whole batch under ONE
-	// acquisition before it returns, every result banked; HYBCOMB with
+	// overlap: MP-SERVER leaves the whole batch owed (one contiguous
+	// stretch of the server's drain), so a caller that submits to several
+	// executors before waiting on any has them all working at once; a
+	// lock executor — and the hybrid in lock mode — with nothing in
+	// flight runs the whole batch under ONE acquisition before it
+	// returns, every result banked, and CC-SYNCH publishes it as one
+	// chain cell and completes that before it returns; HYBCOMB with
 	// no deferred run owed leaves the requests it could register owed
 	// and, once a request fails registration, executes the entire rest
 	// as one combining round's own run; behind pending submissions of
@@ -252,11 +252,10 @@ type Handle interface {
 //
 // That is an ApplyBatch (or router MultiApply), whose whole batch is one
 // round's own run, and it is a pipelined handle whose window defers
-// (WindowDefers: the locks, the hybrid's lock mode, HybComb): its
-// deferred run is the same batch spelled one call at a time, one round
-// of n own operations (combined == 0 on the locks, where nobody executes
-// on another's behalf). Where a Submit is one request (CC-SYNCH), scalar
-// Submit and Post keep the identity. The counters then mix units (rounds
+// (WindowDefers: the locks, the hybrid's lock mode, HybComb, CC-SYNCH):
+// its deferred run is the same batch spelled one call at a time, one
+// round of n own operations (combined == 0 on the locks, where nobody
+// executes on another's behalf). The counters then mix units (rounds
 // count runs, combined counts operations), which is why measure.Run
 // strips both from batch-path records — and from bench=async records of
 // deferring constructions — instead of publishing numbers that invite

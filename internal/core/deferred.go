@@ -6,8 +6,9 @@ package core
 // it and acquires nothing; the Pipe takes the run when a completion is
 // demanded and the transport executes it as ONE run (exec.Run) — a lock
 // client under one acquisition, a HybComb client as one combining
-// round's own run after registering what a round still takes. exec is
-// nil where the transport never defers.
+// round's own run after registering what a round still takes, a
+// CC-Synch client as one chain cell. exec is nil where the transport
+// never defers.
 type deferredRun struct {
 	exec runner
 	pend []Req
@@ -41,7 +42,8 @@ func (r *deferredRun) next() uint64 {
 }
 
 // WindowDefers reports whether h defers its window into its Pipe's run
-// — a lock's handle, the hybrid's (in lock mode) and HybComb's — so that
+// — a lock's handle, the hybrid's (in lock mode), HybComb's and
+// CC-Synch's — so that
 // one round holds many of its owner's pipelined operations and
 // StatsSource reads rounds + combined <= ops there (see StatsSource).
 func WindowDefers(h Handle) bool {

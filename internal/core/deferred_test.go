@@ -33,7 +33,7 @@ func TestDeferredWindowAllocs(t *testing.T) {
 	const queueCap = 8
 	var ctr uint64
 	obj := core.Func(func(op, arg uint64) uint64 { ctr++; return ctr })
-	for _, name := range []string{"mcs-lock", "hybcomb", "hybrid-lock", "hybrid-delegation"} {
+	for _, name := range []string{"mcs-lock", "hybcomb", "ccsynch", "hybrid-lock", "hybrid-delegation"} {
 		t.Run(name, func(t *testing.T) {
 			ex, _ := openDeferring(name, obj, queueCap)
 			defer ex.Close()
@@ -76,10 +76,10 @@ func TestDeferredWindowAllocs(t *testing.T) {
 }
 
 // FuzzDeferredWindow drives one handle of a deferring construction —
-// mcs-lock, hybcomb, or the hybrid frozen in lock mode with forced
-// edges — through a script of every call that fills, joins or demands
-// its deferred run, at QueueCap 2 to 5, over a recording object whose
-// results are execution indices. Per-handle FIFO and exactly-once
+// mcs-lock, hybcomb, ccsynch, or the hybrid frozen in lock mode with
+// forced edges — through a script of every call that fills, joins or
+// demands its deferred run, at QueueCap 2 to 5, over a recording object
+// whose results are execution indices. Per-handle FIFO and exactly-once
 // redemption then read as values: every redeemed ticket returns its
 // operation's submission index, a redeemed ticket is not outstanding,
 // and after a Flush nothing is in flight and the object has executed
@@ -94,9 +94,11 @@ func FuzzDeferredWindow(f *testing.F) {
 		{0, 0x00, 0x00, 0x01, 0x35, 0x05, 0x18, 0x08},
 		{1, 0x00, 0x01, 0x32, 0x00, 0x06, 0x07, 0x14, 0x05, 0x08},
 		{2, 0x00, 0x01, 0x09, 0x00, 0x09, 0x52, 0x05, 0x09, 0x17, 0x08},
-		{5, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x23, 0x03, 0x44, 0x08},
-		{8, 0x00, 0x09, 0x01, 0x09, 0x00, 0x24, 0x09, 0x03, 0x26, 0x05},
-		{11, 0x02, 0x52, 0x00, 0x09, 0x00, 0x07, 0x06, 0x05, 0x08},
+		{6, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x23, 0x03, 0x44, 0x08},
+		{10, 0x00, 0x09, 0x01, 0x09, 0x00, 0x24, 0x09, 0x03, 0x26, 0x05},
+		{14, 0x02, 0x52, 0x00, 0x09, 0x00, 0x07, 0x06, 0x05, 0x08},
+		{3, 0x00, 0x01, 0x32, 0x00, 0x06, 0x07, 0x14, 0x05, 0x08},
+		{15, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x23, 0x03, 0x44, 0x57, 0x08},
 	} {
 		f.Add(seed)
 	}
@@ -109,8 +111,8 @@ func FuzzDeferredWindow(f *testing.F) {
 }
 
 func deferredWindow(t *testing.T, script []byte) {
-	subjects := []string{"mcs-lock", "hybcomb", "hybrid-lock"}
-	name, queueCap := subjects[script[0]%3], 2+int(script[0]/3%4)
+	subjects := []string{"mcs-lock", "hybcomb", "hybrid-lock", "ccsynch"}
+	name, queueCap := subjects[script[0]%4], 2+int(script[0]/4%4)
 	obj := &runRec{fuse: -1}
 	ex, edge := openDeferring(name, obj, queueCap)
 	h := core.MustHandle(ex)

@@ -420,7 +420,7 @@ func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 // with the dispatch indirection amortized across the whole remainder.
 // done is never runRets: combineBatch's serveRun reuses runRets for
 // drained-run responses while the own-run results are still live.
-func (hd *hcTransport) Batch(p *Pipe, reqs []Req, done []uint64, _ bool) (registered int) {
+func (hd *hcTransport) Batch(p *Pipe, reqs []Req, done []uint64) (registered int) {
 	for registered < len(reqs) {
 		p.makeRoom()
 		if !hd.acquire(reqs[registered].Op, reqs[registered].Arg) {

@@ -371,11 +371,11 @@ func (hd *hybTransport) Next(block bool) (uint64, bool) { return hd.inner.Next(b
 // whole batch goes down that path — the lock client's batch strategy
 // (one gate acquisition), or the backend's — so a dispatch run is never
 // split by a transition happening mid-batch.
-func (hd *hybTransport) Batch(p *Pipe, reqs []Req, done []uint64, blocking bool) (ticketed int) {
+func (hd *hybTransport) Batch(p *Pipe, reqs []Req, done []uint64) (ticketed int) {
 	if hd.align() == hybModeDeleg {
-		ticketed = hd.inner.Batch(p, reqs, done, blocking)
+		ticketed = hd.inner.Batch(p, reqs, done)
 	} else {
-		ticketed = hd.lockClientHot.Batch(p, reqs, done, blocking)
+		ticketed = hd.lockClientHot.Batch(p, reqs, done)
 	}
 	hd.tick()
 	return ticketed

@@ -42,11 +42,11 @@ func (o *runRec) DispatchBatch(reqs []core.Req, results []uint64) {
 	}
 }
 
-// lockSubjects runs body over every construction whose window is a
+// deferSubjects runs body over every construction whose window is a
 // handle's deferred run: the five registered locks, the hybrid pinned
-// in lock mode and hybcomb, each over a fresh recording object and
-// QueueCap queueCap.
-func lockSubjects(t *testing.T, queueCap int, body func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle)) {
+// in lock mode, hybcomb and ccsynch, each over a fresh recording object
+// and QueueCap queueCap.
+func deferSubjects(t *testing.T, queueCap int, body func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle)) {
 	open := map[string]func(obj core.Object) core.Executor{
 		"hybrid-forced-lock": func(obj core.Object) core.Executor {
 			h := core.NewHybrid(obj, core.Options{QueueCap: queueCap})
@@ -55,14 +55,14 @@ func lockSubjects(t *testing.T, queueCap int, body func(t *testing.T, obj *runRe
 		},
 	}
 	for _, algo := range core.Algorithms() {
-		if strings.HasSuffix(algo, "-lock") || algo == "hybcomb" {
+		if strings.HasSuffix(algo, "-lock") || algo == "hybcomb" || algo == "ccsynch" {
 			open[algo] = func(obj core.Object) core.Executor {
 				return core.MustNewObject(algo, obj, core.WithQueueCap(queueCap))
 			}
 		}
 	}
-	if len(open) != 7 {
-		t.Fatalf("%d deferring subjects, want the five registered locks, the hybrid and hybcomb", len(open))
+	if len(open) != 8 {
+		t.Fatalf("%d deferring subjects, want the five registered locks, the hybrid, hybcomb and ccsynch", len(open))
 	}
 	for name, mk := range open {
 		t.Run(name, func(t *testing.T) {
@@ -99,7 +99,7 @@ func wantRuns(t *testing.T, obj *runRec, want ...int) {
 // — under one acquisition, or as a lone combiner's own run; results
 // follow ticket order whatever the Wait order.
 func TestLockWindowIsOneRun(t *testing.T) {
-	lockSubjects(t, 39, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
+	deferSubjects(t, 39, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
 		tks := submitN(t, h, 8)
 		wantRuns(t, obj)
 		for _, i := range []int{5, 0, 7, 2, 1, 6, 3, 4} {
@@ -116,7 +116,7 @@ func TestLockWindowIsOneRun(t *testing.T) {
 
 // TestLockPostsFlushAsOneRun: Posts execute at the Flush, together.
 func TestLockPostsFlushAsOneRun(t *testing.T) {
-	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+	deferSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		for i := 0; i < 5; i++ {
 			if err := h.Post(0, 0); err != nil {
 				t.Fatal(err)
@@ -134,7 +134,7 @@ func TestLockPostsFlushAsOneRun(t *testing.T) {
 // pending submissions executes them and itself as one run, in FIFO
 // order; with nothing pending it is the bare critical section again.
 func TestLockApplyJoinsPendingRun(t *testing.T) {
-	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+	deferSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		tks := submitN(t, h, 3)
 		if v := h.Apply(0, 0); v != 3 {
 			t.Fatalf("Apply behind three submissions = %d, want 3", v)
@@ -159,10 +159,11 @@ func TestLockApplyJoinsPendingRun(t *testing.T) {
 }
 
 // TestLockBoundedWaitsExecuteTheRun: nobody else will ever serve a lone
-// handle's pending run — a lock's, or hybcomb's with no round open — so
-// TryWait and WaitTimeout execute it instead of reporting it not ready.
+// handle's pending run — a lock's, or a combining construction's with
+// no round open — so TryWait and WaitTimeout execute it instead of
+// reporting it not ready.
 func TestLockBoundedWaitsExecuteTheRun(t *testing.T) {
-	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+	deferSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		tks := submitN(t, h, 4)
 		if v, err := h.TryWait(tks[3]); v != 3 || err != nil {
 			t.Fatalf("TryWait(newest of a pending run) = (%d, %v), want (3, nil)", v, err)
@@ -182,7 +183,7 @@ func TestLockBoundedWaitsExecuteTheRun(t *testing.T) {
 // submission past it stalls once and executes the window so far.
 func TestLockQueueCapBoundsTheRun(t *testing.T) {
 	const queueCap = 4
-	lockSubjects(t, queueCap, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
+	deferSubjects(t, queueCap, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
 		tks := submitN(t, h, queueCap)
 		wantRuns(t, obj)
 		tks = append(tks, submitN(t, h, 1)...)
@@ -202,7 +203,7 @@ func TestLockQueueCapBoundsTheRun(t *testing.T) {
 // TestLockCloseThenWait: Close seals the executor; the handle's pending
 // run still executes at the Wait that redeems it.
 func TestLockCloseThenWait(t *testing.T) {
-	lockSubjects(t, 39, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
+	deferSubjects(t, 39, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
 		tks := submitN(t, h, 3)
 		if err := ex.Close(); err != nil {
 			t.Fatal(err)
@@ -220,7 +221,7 @@ func TestLockCloseThenWait(t *testing.T) {
 // whole run — every pending ticket completes with zero and the handle
 // reports the poison.
 func TestLockPoisonMidWindow(t *testing.T) {
-	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+	deferSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		obj.fuse = 2
 		tks := submitN(t, h, 5)
 		if err := h.Err(); err != nil {
@@ -245,7 +246,7 @@ func TestLockPoisonMidWindow(t *testing.T) {
 // singles joins their run, per-handle FIFO intact; with nothing in
 // flight it stays the on-the-spot run.
 func TestLockSubmitBatchBehindSingles(t *testing.T) {
-	lockSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+	deferSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		singles := submitN(t, h, 2)
 		batch, err := h.SubmitBatch(make([]core.Req, 3))
 		if err != nil {
@@ -361,8 +362,8 @@ func TestHybCombRunSplitsAtMaxOps(t *testing.T) {
 func TestWindowDefers(t *testing.T) {
 	want := map[string]bool{
 		"tas-lock": true, "ttas-lock": true, "ticket-lock": true, "mcs-lock": true, "clh-lock": true,
-		"hybrid": true, "hybcomb": true,
-		"mpserver": false, "ccsynch": false, "shmserver": false,
+		"hybrid": true, "hybcomb": true, "ccsynch": true,
+		"mpserver": false, "shmserver": false,
 	}
 	seen := 0
 	for _, algo := range core.Algorithms() {

@@ -200,7 +200,7 @@ func (h *lockClientHot) apply(op, arg uint64) uint64 {
 func (h *lockClientHot) Ship(uint64, uint64) (uint64, Shipped) { return 0, ShipDeferred }
 
 // Next implements Transport: a lock client owes nothing but its run.
-func (h *lockClientHot) Next(bool) (uint64, bool) { panic(neverOwed) }
+func (h *lockClientHot) Next(bool) (uint64, bool) { panic(NeverOwed) }
 
 // Run executes the pending run under ONE acquisition. There is nobody to
 // wait for but the lock's other holders, so TryWait and WaitTimeout
@@ -212,6 +212,6 @@ func (h *lockClientHot) Run(reqs []Req, rets []uint64) (owed int) {
 
 // Batch implements Transport: with nothing in flight, the batch is one
 // run executed on the spot, no ticket at all.
-func (h *lockClientHot) Batch(_ *Pipe, reqs []Req, done []uint64, _ bool) (ticketed int) {
+func (h *lockClientHot) Batch(_ *Pipe, reqs []Req, done []uint64) (ticketed int) {
 	return h.Run(reqs, done)
 }

@@ -196,4 +196,4 @@ func (t *mpTransport) Ship(op, arg uint64) (uint64, Shipped) {
 func (t *mpTransport) Next(block bool) (uint64, bool) { return mpq.RecvWord(t.resp, &t.wb, block) }
 
 // Batch implements Transport.
-func (t *mpTransport) Batch(p *Pipe, reqs []Req, _ []uint64, _ bool) int { return p.ShipAll(reqs) }
+func (t *mpTransport) Batch(p *Pipe, reqs []Req, _ []uint64) int { return p.ShipAll(reqs) }

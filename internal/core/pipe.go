@@ -67,17 +67,11 @@ type Transport interface {
 	// that into tickets (SubmitBatch banks done's tail) or into results
 	// (ApplyBatch passes its results slice as done and waits the
 	// ticketed prefix), so a run executed on the spot costs no ticket at
-	// all on the blocking path.
-	//
-	// blocking reports that the caller is ApplyBatch, which waits for
-	// the whole batch anyway: a transport may then complete on the spot
-	// what it would otherwise leave owed, where that is cheaper than
-	// ticketing it (CC-SYNCH with nothing else in flight). Without it,
-	// Batch waits for nothing the construction can overlap. len(reqs)
-	// >= 1 and len(done) == len(reqs); the empty and poisoned cases
-	// never reach here, and neither does a batch behind a pending run,
-	// which the pipeline joins to the run itself.
-	Batch(p *Pipe, reqs []Req, done []uint64, blocking bool) (ticketed int)
+	// all on the blocking path. len(reqs) >= 1 and len(done) ==
+	// len(reqs); the empty and poisoned cases never reach here, and
+	// neither does a batch behind a pending run, which the pipeline joins
+	// to the run itself.
+	Batch(p *Pipe, reqs []Req, done []uint64) (ticketed int)
 }
 
 // Shipped is what Ship did with an operation.
@@ -92,8 +86,8 @@ const (
 	ShipDone
 	// ShipDeferred: nothing was shipped, acquired or registered. The
 	// operation joins the pipeline's pending run, which the transport's
-	// Run executes when a completion is demanded (a lock or HybComb
-	// client, the hybrid in lock mode).
+	// Run executes when a completion is demanded (a lock, HybComb or
+	// CC-Synch client, the hybrid in lock mode).
 	ShipDeferred
 )
 
@@ -103,8 +97,9 @@ type runner interface {
 	// of its requests it left owed instead: the first owed completions
 	// come through Next, and rets[i] holds reqs[i]'s result for every
 	// i >= owed. A lock executes all of it under one acquisition (owed
-	// 0); HybComb registers a prefix with an open round and executes the
-	// rest as its own round's run. The pipeline calls it when a
+	// 0), CC-Synch publishes it as one chain cell and completes that
+	// (owed 0); HybComb registers a prefix with an open round and
+	// executes the rest as its own round's run. The pipeline calls it when a
 	// completion is demanded and the transport owes nothing older.
 	Run(reqs []Req, rets []uint64) (owed int)
 }
@@ -203,13 +198,13 @@ type immediate struct {
 
 func (t immediate) Ship(op, arg uint64) (uint64, Shipped) { return t.apply(op, arg), ShipDone }
 
-func (t immediate) Next(bool) (uint64, bool) { panic(neverOwed) }
+func (t immediate) Next(bool) (uint64, bool) { panic(NeverOwed) }
 
-// neverOwed is the panic of a Next nobody should call: the transport
+// NeverOwed is the panic of a Next nobody should call: the transport
 // completes on the spot, or defers into the pipeline's run.
-const neverOwed = "core: transport asked for a completion it never owed"
+const NeverOwed = "core: transport asked for a completion it never owed"
 
-func (t immediate) Batch(_ *Pipe, reqs []Req, done []uint64, _ bool) int {
+func (t immediate) Batch(_ *Pipe, reqs []Req, done []uint64) int {
 	for i, r := range reqs {
 		done[i] = t.apply(r.Op, r.Arg)
 	}
@@ -227,8 +222,7 @@ func (p *Pipe) Err() error {
 }
 
 // InFlight returns how many of this handle's operations are shipped
-// and not yet completed; for a transport's Batch choosing between its
-// direct and its ticketed strategy.
+// and not yet completed.
 func (p *Pipe) InFlight() int { return p.win.InFlight() }
 
 // Apply implements Handle. With nothing in flight it is the
@@ -246,10 +240,8 @@ func (p *Pipe) Apply(op, arg uint64) uint64 {
 }
 
 // applySlow is Apply behind in-flight submissions, or sampled. Behind
-// submissions it must queue (per-handle FIFO — and on CC-SYNCH an older
-// unwaited cell may hold the combining duty that the round trip would
-// otherwise spin on forever), so it composes literally as Submit+Wait
-// and Wait takes the sample. The latency sampling rule is one for every
+// submissions it must queue (per-handle FIFO), so it composes literally
+// as Submit+Wait and Wait takes the sample. The latency sampling rule is one for every
 // construction: each blocking call of the contract — Apply, Wait,
 // ApplyBatch — is one sampling opportunity, whatever it finds banked;
 // the disarmed cost is Sample's nil check, and the clock is read only
@@ -362,9 +354,7 @@ func (p *Pipe) Flush() {
 }
 
 // wait redeems ticket seq, settling older completions into their slots
-// on the way: an out-of-order Wait banks what it passes. Settling in
-// order is also what CC-SYNCH needs — the oldest cell is the one that
-// may hold dormant combining duty.
+// on the way: an out-of-order Wait banks what it passes.
 func (p *Pipe) wait(seq uint64) uint64 {
 	for {
 		switch v, st := p.win.Take(seq); st {
@@ -449,7 +439,7 @@ func (p *Pipe) SubmitBatch(reqs []Req) (Ticket, error) {
 		return first, nil
 	}
 	done := p.scratch(len(reqs))
-	ticketed := p.batch(reqs, done, false)
+	ticketed := p.batch(reqs, done)
 	for _, v := range done[ticketed:] {
 		p.win.IssueDone(v)
 	}
@@ -486,7 +476,7 @@ func (p *Pipe) ApplyBatch(reqs []Req, results []uint64) {
 		t0 = time.Now()
 	}
 	first := p.win.Next()
-	ticketed := p.batch(reqs, results[:len(reqs)], true)
+	ticketed := p.batch(reqs, results[:len(reqs)])
 	for i := 0; i < ticketed; i++ {
 		results[i] = p.wait(first + uint64(i))
 	}
@@ -499,9 +489,9 @@ func (p *Pipe) ApplyBatch(reqs []Req, results []uint64) {
 // run still owed, every request joins the pending run and takes the
 // handle's next window slot, so the batch executes with — and after —
 // what it queued behind; otherwise the transport ships it its own way.
-func (p *Pipe) batch(reqs []Req, done []uint64, blocking bool) (ticketed int) {
+func (p *Pipe) batch(reqs []Req, done []uint64) (ticketed int) {
 	if p.run.holds() == 0 {
-		return p.spec.Transport.Batch(p, reqs, done, blocking)
+		return p.spec.Transport.Batch(p, reqs, done)
 	}
 	for _, q := range reqs {
 		p.makeRoom()

@@ -243,10 +243,8 @@ func (o *counter) DispatchBatch(reqs []hybsync.Req, results []uint64) {
 // window is the depth-window loop body: keep up to depth submissions
 // outstanding on h, waiting on the oldest once the window fills. The
 // drain is h.Flush, run by the worker itself while its peers are still
-// going (the drain half of harness.RunNativeDrain): with CC-Synch a
-// stopping thread's unwaited cell can hold the combiner duty another
-// thread's in-loop Wait is spinning on, so deferring every Flush until
-// all workers exited would deadlock.
+// going (the drain half of harness.RunNativeDrain, whose comment tells
+// why that is the convention).
 func window(h hybsync.Handle, depth int) (body func(uint64), drain func()) {
 	win := make([]hybsync.Ticket, depth)
 	var head, count int

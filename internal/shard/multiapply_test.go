@@ -49,7 +49,8 @@ func TestMultiApplyRefusedShard(t *testing.T) {
 				t.Fatalf("MultiApply across an exhausted shard = %v, want ErrTooManyHandles", err)
 			}
 			// Submitted groups ran to completion before the error returned
-			// (on CC-SYNCH an unwaited cell would not have executed at all).
+			// (on a deferring construction an unwaited run would not have
+			// executed at all).
 			if want := []uint64{3, 2, 1, 0}; !slices.Equal(obj.done, want) {
 				t.Errorf("shards executed %v operations, want %v", obj.done, want)
 			}

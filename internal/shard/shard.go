@@ -432,8 +432,8 @@ func (h *Handle) Flush() {
 // destination shard (stable within a group) and every touched shard
 // receives its group as ONE SubmitBatch before any result is waited
 // for. Operations routed to different shards therefore overlap wherever
-// the construction can leave a batch owed (MP-SERVER, CC-SYNCH,
-// HYBCOMB's registered requests), and on every construction a shard's
+// the construction can leave a batch owed (MP-SERVER, HYBCOMB's
+// registered requests), and on every construction a shard's
 // group is one mutual-exclusion run where a sequence of Apply calls
 // would be one per key: a lock executor takes its lock once per group,
 // a combiner executes the group as its round's own run, and the object

@@ -33,20 +33,14 @@ func init() {
 // releasing the served cells after the run — the dispatch analogue of
 // the message-passing constructions' batched receives.
 //
-// Asynchronous submission publishes the request cell without spinning:
-// each outstanding operation holds its own node (pooled per handle, up
-// to depth in flight), and completion — spinning on that node, and
-// combining when the round's combiner handed us the duty — happens at
-// Wait. The chain orders a handle's cells in submission order and
-// combiners serve the chain in order, so completion is per-handle FIFO.
-//
-// Deferred combiner duty is the price of deferring completion: requests
-// behind an unwaited cell that was handed the combiner role do not
-// execute until that cell's handle calls Wait or Flush. Every submitted
-// ticket must therefore eventually be waited or flushed — and draining
-// several handles' pipelines from one goroutine should flush them
-// concurrently, not sequentially, since one handle's unflushed cell can
-// hold the duty another handle's Flush is spinning on.
+// Asynchronous submission defers, as on a lock handle (see
+// ccTransport.Run): Submit and Post join the pipeline's pending run and
+// publish nothing. When a completion is demanded the whole run is
+// published as ONE cell that points at it — one tail SWAP, one cell and
+// one spin per window instead of one per operation — and the combiner
+// that walks the cell serves all of its requests. A handle therefore
+// has at most one cell on the chain, and its owner is spinning on it,
+// so combiner duty handed to a cell is always taken up at once.
 //
 // tail is declared ahead of the shell on purpose: it then shares its
 // cache line with the latch and MaxOps, which a combiner reads before it
@@ -66,16 +60,19 @@ type CCSynch struct {
 	ps       core.PipeCounters
 }
 
-// ccNodeHot is a request cell's live fields; every thread spins on its
-// own node's wait flag, so the enclosing ccNode rounds the cell up to a
-// whole number of cache lines (verified by TestNodeLayout) to keep
-// separately-allocated nodes from false-sharing.
+// ccNodeHot is a request cell's live fields: one (op, arg), or, when run
+// is set, a handle's whole deferred run. Every thread spins on its own
+// node's wait flag, so the enclosing ccNode rounds the cell up to one
+// cache line (verified by TestNodeLayout) to keep separately-allocated
+// nodes from false-sharing; run is one pointer rather than the run's two
+// slice headers, which would take the cell to two lines.
 type ccNodeHot struct {
 	wait      atomic.Bool
 	completed bool
 	op        uint64
 	arg       uint64
 	ret       uint64
+	run       *ccRun
 	next      atomic.Pointer[ccNode]
 }
 
@@ -83,6 +80,14 @@ type ccNodeHot struct {
 type ccNode struct {
 	ccNodeHot
 	_ [pad.CacheLine - unsafe.Sizeof(ccNodeHot{})%pad.CacheLine]byte
+}
+
+// ccRun is a deferred run as its cell publishes it: the requests, and
+// where the combiner that serves the cell writes their results before it
+// clears the cell's wait flag.
+type ccRun struct {
+	reqs []core.Req
+	rets []uint64
 }
 
 // NewCCSynch creates the structure; Options.MaxOps is the combining
@@ -106,11 +111,10 @@ func (c *CCSynch) NewHandle() (core.Handle, error) {
 }
 
 // Close implements core.Executor. CC-Synch owns no background
-// goroutine — outstanding cells live on the shared chain and are
-// settled by their handle's Wait/Flush (which also discharges dormant
-// combiner duty), so tickets stay redeemable after Close. Closing only
-// fails future NewHandle calls; it is idempotent and reports the
-// *PoisonError when poisoned.
+// goroutine, and a handle's pending run is published and served at the
+// Wait or Flush that demands it, so tickets stay redeemable after
+// Close. Closing only fails future NewHandle calls; it is idempotent and
+// reports the *PoisonError when poisoned.
 func (c *CCSynch) Close() error {
 	c.Seal()
 	return c.Err()
@@ -126,25 +130,18 @@ func (c *CCSynch) Stats() (rounds, combined uint64) {
 // Pipeline implements core.PipelineStats.
 func (c *CCSynch) Pipeline() (submitStalls, maxDepth uint64) { return c.ps.Pipeline() }
 
-// ccTransport is one thread's end of the chain. Ship publishes a cell
-// and leaves its completion owed; the owed cells wait in publication
-// order, and Next completes the oldest — which is also what discharges
-// combiner duty that cell may have inherited while nobody was waiting
-// on it.
+// ccTransport is one thread's end of the chain. Ship defers into the
+// pipeline's run, and Run publishes that run as one cell and completes
+// it on the spot, so the handle never leaves a cell on the chain that
+// nobody spins on.
 type ccTransportHot struct {
 	c *CCSynch
-	// node is the resident spare of the paper's node exchange (nil while
-	// on loan to the chain), free the spares reclaimed beyond it, which
-	// only a pipelining handle has. Routing the blocking round trip's
-	// exchange through the slice too read contended-apply 10 % low.
+	// node is the resident spare of the paper's node exchange: publish
+	// swaps it onto the tail, and complete takes the served cell back in
+	// its place.
 	node *ccNode
-	free []*ccNode
-
-	// owed holds the published cells whose completion the pipeline has
-	// not collected yet, oldest at head; the pipeline keeps at most
-	// depth of them.
-	owed []*ccNode
-	head int
+	// run is what the handle's cell points at while a run is published.
+	run ccRun
 
 	// Combiner-side batch scratch: the chain segment being served, its
 	// requests and their results (chunked at ccRunCap).
@@ -170,26 +167,11 @@ type ccTransport struct {
 	_ [pad.CacheLine - unsafe.Sizeof(ccTransportHot{})%pad.CacheLine]byte
 }
 
-// takeSpare hands out a free node for the next swap onto the chain,
-// growing the pool when every node is in flight.
-func (h *ccTransport) takeSpare() *ccNode {
-	if n := h.node; n != nil {
-		h.node = nil
-		return n
-	}
-	if k := len(h.free); k > 0 {
-		n := h.free[k-1]
-		h.free = h.free[:k-1]
-		return n
-	}
-	return &ccNode{}
-}
-
-// publish is the submission half of CC-Synch: swap a spare node onto
-// the tail and fill the previous tail with our request. The returned
-// cell is the operation's completion point.
-func (h *ccTransport) publish(op, arg uint64) *ccNode {
-	nextNode := h.takeSpare()
+// publish is the submission half of CC-Synch: swap the spare node onto
+// the tail and fill the previous tail with our request, (op, arg) or
+// run. The returned cell is the request's completion point.
+func (h *ccTransport) publish(op, arg uint64, run *ccRun) *ccNode {
+	nextNode := h.node
 	nextNode.wait.Store(true)
 	nextNode.completed = false
 	nextNode.next.Store(nil)
@@ -197,162 +179,142 @@ func (h *ccTransport) publish(op, arg uint64) *ccNode {
 	cur := h.c.tail.Swap(nextNode)
 	cur.op = op
 	cur.arg = arg
+	cur.run = run
 	cur.next.Store(nextNode) // publish after filling the request
 	return cur
 }
 
 // ccRunCap bounds one DispatchBatch run while combining, matching the
-// message-passing constructions' receive-buffer cap: a chain of up to
-// MaxOps cells is served in runs of at most this many.
+// message-passing constructions' receive-buffer cap: a round of up to
+// MaxOps requests is served in runs of at most this many, except that a
+// run cell is never split.
 const ccRunCap = 256
 
-// flushRun executes the collected chain segment as one DispatchBatch
-// and releases every served cell; the combiner's own cell cur is not
-// released (its result is returned through myRet instead).
-func (h *ccTransport) flushRun(cur *ccNode, myRet *uint64) {
-	if len(h.cells) == 0 {
+// flushRun executes the collected chain segment as one DispatchBatch,
+// scatters the results to the cells (a run cell's into its run's rets)
+// and releases every served cell but the combiner's own, cur.
+func (h *ccTransport) flushRun(cur *ccNode) {
+	if len(h.creqs) == 0 {
 		return
 	}
-	if cap(h.crets) < len(h.cells) {
-		h.crets = make([]uint64, len(h.cells))
+	if cap(h.crets) < len(h.creqs) {
+		h.crets = make([]uint64, len(h.creqs))
 	}
-	rets := h.crets[:len(h.cells)]
+	rets := h.crets[:len(h.creqs)]
 	// Dispatch through the poison latch: a panicking object poisons the
 	// executor and the run completes with zeros, so every cell in the
 	// segment is still released and no follower spins forever.
 	h.c.PoisonLatch.Dispatch(h.c.obj, h.creqs, rets)
-	h.rec.RunLen(len(h.cells))
-	for i, cell := range h.cells {
-		if cell == cur {
-			*myRet = rets[i]
-			continue
+	h.rec.RunLen(len(rets))
+	k := 0
+	for _, cell := range h.cells {
+		if cell.run != nil {
+			k += copy(cell.run.rets, rets[k:])
+		} else {
+			cell.ret = rets[k]
+			k++
 		}
-		cell.ret = rets[i]
-		cell.completed = true
-		cell.wait.Store(false)
+		if cell != cur {
+			cell.completed = true
+			cell.wait.Store(false)
+		}
 	}
 	h.cells = h.cells[:0]
 	h.creqs = h.creqs[:0]
 }
 
-// completeCell spins locally on the cell and combines if the round's
-// combiner handed us the duty; the caller owns the cell's reclaim.
-func (h *ccTransport) completeCell(cur *ccNode) uint64 {
-	c := h.c
+// complete spins locally on the cell, combines if the round's combiner
+// handed us the duty, and takes the served cell back as the next spare.
+// It returns the result of an (op, arg) cell.
+func (h *ccTransport) complete(cur *ccNode) uint64 {
 	if cur.wait.Load() {
 		h.wb.Reset()
 		for cur.wait.Load() {
 			h.wb.Wait()
 		}
 	}
-	if cur.completed {
-		return cur.ret
+	if !cur.completed {
+		h.combine(cur)
 	}
+	h.node = cur
+	return cur.ret
+}
 
-	// Combiner: walk the chain starting at our own request, collecting
-	// each run of published cells into a reusable batch and executing
-	// it as one DispatchBatch (chunked at ccRunCap). Cells release
-	// after their run executes — followers wait for the run, the
-	// flat-combining trade for amortizing the dispatch indirection.
+// combine is the combiner: walk the chain starting at our own cell,
+// collecting each run of published requests into a reusable batch and
+// executing it as one DispatchBatch (chunked at ccRunCap). Cells release
+// after their run executes — followers wait for the run, the
+// flat-combining trade for amortizing the dispatch indirection. MaxOps
+// counts requests, so a run cell that would take the round past it ends
+// the round and inherits the duty; our own cell is always served whole.
+func (h *ccTransport) combine(cur *ccNode) {
+	c := h.c
 	tmp := cur
-	var count int32
-	var myRet uint64
+	var count, own int32
+	// The condition reads MaxOps, on the tail's line, before each next
+	// load: the delay that gives a publisher time to link (see CCSynch).
 	for count < c.Opts.MaxOps {
 		next := tmp.next.Load()
 		if next == nil {
 			break
 		}
-		count++
+		n := int32(1)
+		if tmp.run != nil {
+			n = int32(len(tmp.run.reqs))
+		}
+		if count > 0 && count+n > c.Opts.MaxOps {
+			break
+		}
+		if len(h.creqs) > 0 && len(h.creqs)+int(n) > ccRunCap {
+			h.flushRun(cur)
+		}
+		if tmp == cur {
+			own = n
+		}
+		count += n
 		h.cells = append(h.cells, tmp)
-		h.creqs = append(h.creqs, core.Req{Op: tmp.op, Arg: tmp.arg})
-		if len(h.cells) == ccRunCap {
-			h.flushRun(cur, &myRet)
+		if tmp.run != nil {
+			h.creqs = append(h.creqs, tmp.run.reqs...)
+		} else {
+			h.creqs = append(h.creqs, core.Req{Op: tmp.op, Arg: tmp.arg})
 		}
 		tmp = next
 	}
-	h.flushRun(cur, &myRet)
+	h.flushRun(cur)
 	// Hand over: the owner of tmp wakes with completed=false and combines.
 	tmp.wait.Store(false)
 	c.rounds.Add(1)
-	c.combined.Add(uint64(count - 1)) // the walk began at our own cell
-	return myRet
+	c.combined.Add(uint64(count - own))
 }
 
-// complete is the completion half of an asynchronous submission:
-// completeCell plus returning the cell to the pool.
-func (h *ccTransport) complete(cur *ccNode) uint64 {
-	ret := h.completeCell(cur)
-	if h.node == nil {
-		h.node = cur // the served cell is the next spare
-	} else {
-		h.free = append(h.free, cur)
-	}
-	return ret
-}
+// apply is the synchronous algorithm, one (op, arg) cell: publish, then
+// complete. With nothing in flight the resident spare is home, so
+// publish loans it out and complete takes the served cell in its place:
+// the paper's node exchange.
+func (h *ccTransport) apply(op, arg uint64) uint64 { return h.complete(h.publish(op, arg, nil)) }
 
-// apply is the synchronous algorithm: publish, then complete. The
-// pipeline calls it only with nothing owed — with an older unwaited
-// cell on the chain it would have to queue behind it, since that cell
-// may hold the round's dormant combiner duty and spinning on a later
-// one would wait for a combiner that never comes. With nothing owed
-// the resident spare is home, so publish loans it out and complete
-// takes the served cell in its place: the paper's node exchange.
-func (h *ccTransport) apply(op, arg uint64) uint64 { return h.complete(h.publish(op, arg)) }
+// Ship implements core.Transport: the operation is deferred into the
+// pipeline's pending run. Nothing is published until a completion is
+// demanded.
+func (h *ccTransport) Ship(uint64, uint64) (uint64, core.Shipped) { return 0, core.ShipDeferred }
 
-// Ship implements core.Transport: publish the cell, defer the spin (and
-// any inherited combiner duty) to Next.
-func (h *ccTransport) Ship(op, arg uint64) (uint64, core.Shipped) {
-	if h.head > 0 && len(h.owed) == cap(h.owed) {
-		// Slide the live cells down instead of letting append grow the
-		// array: at most depth are ever owed.
-		h.owed = h.owed[:copy(h.owed, h.owed[h.head:])]
-		h.head = 0
-	}
-	h.owed = append(h.owed, h.publish(op, arg))
-	return 0, core.ShipOwed
-}
+// Next implements core.Transport: a CC-Synch handle owes nothing but its
+// run.
+func (h *ccTransport) Next(bool) (uint64, bool) { panic(core.NeverOwed) }
 
-// Next implements core.Transport: complete the oldest owed cell.
-// Without block it only does so once the cell's wait flag has cleared,
-// so it never waits for another thread — but a cleared flag may mean
-// inherited combining duty, which then runs to the end of its round.
-func (h *ccTransport) Next(block bool) (uint64, bool) {
-	cell := h.owed[h.head]
-	if !block && cell.wait.Load() {
-		return 0, false
-	}
-	h.head++
-	return h.complete(cell), true
-}
-
-// Batch implements core.Transport: publish a cell per request —
-// submission order, so the cells form a contiguous-per-handle chain
-// segment — and leave every completion owed. Whichever cell inherits
-// combiner duty serves the chain (our remaining cells included) through
-// single DispatchBatch runs, so collecting the batch typically costs one
-// spin-wait and one dispatch call instead of one per operation.
-//
-// A blocking batch with no cell owed needs no tickets: each chunk, at
-// most the handle's depth bound, is published and completed right here,
-// which keeps a cell's whole life at a publish and a completion (the
-// window adds a quarter to that: 52 → 66 ns per request at 32). With
-// cells owed the batch must queue behind them through the pipeline (the
-// apply hazard).
-func (h *ccTransport) Batch(p *core.Pipe, reqs []core.Req, done []uint64, blocking bool) int {
-	if !blocking || p.InFlight() != 0 {
-		return p.ShipAll(reqs)
-	}
-	depth := h.c.Opts.QueueCap
-	for start := 0; start < len(reqs); start += depth {
-		end := min(start+depth, len(reqs))
-		for _, r := range reqs[start:end] {
-			h.Ship(r.Op, r.Arg)
-		}
-		// Completing the first cell combines the whole published
-		// segment (one DispatchBatch run); the rest wake completed.
-		for i := start; i < end; i++ {
-			done[i], _ = h.Next(true)
-		}
-	}
+// Run publishes the pending run as ONE cell and completes it on the
+// spot: a spin until a combiner has served the run, or, if the cell
+// inherits the duty, a round that starts with the whole run. The run's
+// results are in rets when it returns, none owed.
+func (h *ccTransport) Run(reqs []core.Req, rets []uint64) (owed int) {
+	h.run = ccRun{reqs: reqs, rets: rets}
+	h.complete(h.publish(0, 0, &h.run))
+	h.run = ccRun{} // the handle retains neither slice
 	return 0
+}
+
+// Batch implements core.Transport: with nothing in flight, the batch is
+// one run published and completed on the spot, no ticket at all.
+func (h *ccTransport) Batch(_ *core.Pipe, reqs []core.Req, done []uint64) (ticketed int) {
+	return h.Run(reqs, done)
 }

@@ -186,9 +186,11 @@ func TestSlotLayout(t *testing.T) {
 	}
 }
 
+// TestNodeLayout: a chain cell is exactly one cache line, which is why
+// a run cell carries one pointer to its run rather than its slices.
 func TestNodeLayout(t *testing.T) {
-	if !pad.Padded(unsafe.Sizeof(ccNode{})) {
-		t.Fatalf("ccNode is %d bytes, not a whole number of cache lines", unsafe.Sizeof(ccNode{}))
+	if got := unsafe.Sizeof(ccNode{}); got != pad.CacheLine {
+		t.Fatalf("ccNode is %d bytes, want one %d-byte cache line", got, pad.CacheLine)
 	}
 }
 
