@@ -323,10 +323,10 @@ func TestStatsBlockingIdentity(t *testing.T) {
 
 // TestPipelineStats: the pipelining constructions export backpressure
 // counters — a submission window driven past QueueCap must record
-// stalls and the high-water in-flight depth, whether the window is
-// messages in flight (mpserver) or a lock handle's deferred run
-// (mcs-lock); immediate-completion constructions do not implement the
-// extension.
+// stalls and the high-water in-flight depth, whether the window's
+// deferred run goes to a server as a message (mpserver) or executes
+// under a lock (mcs-lock); immediate-completion constructions do not
+// implement the extension.
 func TestPipelineStats(t *testing.T) {
 	const qcap = 4
 	for _, algo := range []string{"mpserver", "mcs-lock"} {

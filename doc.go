@@ -10,19 +10,19 @@
 // executes a whole drained run of {op, arg} requests in one
 // mutual-exclusion call (NewObject; a bare function converts with the
 // looping Func adapter), and the Handle contract is a submit/complete
-// pipeline: because a request is a message, a client need not block
-// between submission and reply,
-// so Submit(op, arg) returns a Ticket, Wait(Ticket) collects the
-// result, Post fires and forgets, Flush drains, SubmitBatch submits a
-// whole batch for one ticket (request i redeems at Ticket.Offset(i)),
+// pipeline: a client need not block between submission and reply, so
+// Submit(op, arg) returns a Ticket, Wait(Ticket) collects the result,
+// Post fires and forgets, Flush drains, SubmitBatch submits a whole
+// batch for one ticket (request i redeems at Ticket.Offset(i)),
 // ApplyBatch executes one blocking, and the classic blocking Apply is
-// just Submit+Wait. A lock has no message to leave in flight, so a lock
-// handle defers instead: its Submits and Posts join a pending run that
-// executes under ONE acquisition when a completion is demanded (Wait,
-// Flush, a blocking call, or QueueCap operations pending). A HYBCOMB
-// handle defers the same way and ships the run at the demand as one
-// combining round's worth: registered with an open round while it takes
-// requests, the rest executed as the promoted thread's own run.
+// just Submit+Wait. A handle defers its window: its Submits and Posts
+// join a pending run — invisible to other threads until then — that
+// executes when a completion is demanded (Wait, Flush, a blocking call,
+// or QueueCap operations pending): under ONE acquisition on a lock, as
+// one combining round's worth on HYBCOMB (registered with an open round
+// while it takes requests, the rest executed as the promoted thread's
+// own run), as one chain cell on CC-SYNCH, and on MP-SERVER as one
+// request message the server answers with one reply.
 // hybsync/shard scales the constructions out: a
 // router partitions a keyed object across N independent executors
 // (sharded counter and fixed-capacity hash map in hybsync/object ride

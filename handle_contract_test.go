@@ -19,8 +19,9 @@ import (
 
 // owesContended names the constructions whose Submit returns, its
 // completion owed, while another handle holds the critical section, so
-// that a bounded wait on it times out: a request is a message, and a
-// HybComb handle's demanded run registers with the holder's open round.
+// that a bounded wait on it times out: an MP-SERVER handle's demanded
+// run is a message the parked server has not served, and a HybComb
+// handle's registers with the holder's open round.
 // A lock or CC-Synch handle defers too, but its demand acquires the lock
 // or publishes the run's one chain cell and completes it, waiting out
 // the holder instead of timing out.

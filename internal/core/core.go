@@ -73,8 +73,9 @@ type Executor interface {
 	// fails subsequent NewHandle calls. It is idempotent. Operations
 	// submitted before Close stay redeemable: their results are drained
 	// into the completion streams, were banked at submission, or — a
-	// lock handle's pending run — execute at the Wait or Flush that
-	// redeems them, which is why handles must be flushed before Close.
+	// handle's pending run — execute at the Wait or Flush that redeems
+	// them (on MP-SERVER, whose server Close stops, on the redeeming
+	// thread), which is why handles must be flushed before Close.
 	// Wait and Flush still work afterwards; no new operation may be
 	// issued. On a poisoned executor Close still shuts down and returns
 	// the *PoisonError.
@@ -98,14 +99,14 @@ type Executor interface {
 // block on transport back-pressure (a full request queue) or on
 // combiner duty (the hybrid's delegation mode promotes the submitting
 // thread and serves the round before returning). How much genuinely
-// overlaps depends on the construction — MP-SERVER pipelines up to
-// QueueCap requests per handle; a spin lock (and the hybrid's lock
-// mode), HYBCOMB and CC-SYNCH defer the whole window to the first
-// completion demanded — a Wait, a Flush, a blocking call behind it, or
-// the QueueCap-th pending operation — and execute it as ONE run: under
-// one acquisition, as one combining round's own run after registering
-// what an open round still takes, or as one chain cell a combiner
-// serves whole; SHM-SERVER completes every submission immediately.
+// overlaps depends on the construction — a spin lock (and the hybrid's
+// lock mode), HYBCOMB, CC-SYNCH and MP-SERVER defer the whole window to
+// the first completion demanded — a Wait, a Flush, a blocking call
+// behind it, or the QueueCap-th pending operation — and execute it as
+// ONE run: under one acquisition, as one combining round's own run
+// after registering what an open round still takes, as one chain cell a
+// combiner serves whole, or as one request message the server answers
+// with one reply; SHM-SERVER completes every submission immediately.
 //
 // Pipe is the one implementation: every construction's NewHandle
 // returns a *Pipe over its own Transport, and SyncHandle adapts a bare
@@ -137,8 +138,8 @@ type Handle interface {
 	// in mutual exclusion, in submission order with the handle's other
 	// operations, and its result is discarded. Completion is observed
 	// collectively through Flush (or any later same-handle Wait, by
-	// FIFO); on a lock, HybComb or CC-Synch handle that is also when it
-	// executes, unless QueueCap operations are pending first.
+	// FIFO); on a lock, HybComb, CC-Synch or MP-SERVER handle that is
+	// also when it executes, unless QueueCap operations are pending first.
 	Post(op, arg uint64) error
 
 	// Flush blocks until every operation submitted through this handle
@@ -161,17 +162,18 @@ type Handle interface {
 	// Semantically it is Submit once per request, but the construction
 	// ships the batch its own way, as few DispatchBatch runs as it can,
 	// and what overlaps with the caller is what the construction can
-	// overlap: MP-SERVER leaves the whole batch owed (one contiguous
-	// stretch of the server's drain), so a caller that submits to several
-	// executors before waiting on any has them all working at once; a
-	// lock executor — and the hybrid in lock mode — with nothing in
-	// flight runs the whole batch under ONE acquisition before it
-	// returns, every result banked, and CC-SYNCH publishes it as one
-	// chain cell and completes that before it returns; HYBCOMB with
-	// no deferred run owed leaves the requests it could register owed
-	// and, once a request fails registration, executes the entire rest
-	// as one combining round's own run; behind pending submissions of
-	// either, the batch joins the handle's deferred run; SHM-SERVER's
+	// overlap: MP-SERVER with no deferred run pending leaves the whole
+	// batch owed (one request message, or one per stretch the window has
+	// room for), so a caller that submits to several executors before
+	// waiting on any has them all working at once; a lock executor — and
+	// the hybrid in lock mode — with nothing in flight runs the whole
+	// batch under ONE acquisition before it returns, every result
+	// banked, and CC-SYNCH publishes it as one chain cell and completes
+	// that before it returns; HYBCOMB with no deferred run owed leaves
+	// the requests it could register owed and, once a request fails
+	// registration, executes the entire rest as one combining round's own
+	// run; behind pending submissions of any of these, the batch joins
+	// the handle's deferred run; SHM-SERVER's
 	// one request slot makes it a loop of round trips. Like Submit it
 	// may block for back-pressure — a batch longer than QueueCap settles
 	// its own oldest requests as it goes — or for combiner duty.
@@ -252,7 +254,8 @@ type Handle interface {
 //
 // That is an ApplyBatch (or router MultiApply), whose whole batch is one
 // round's own run, and it is a pipelined handle whose window defers
-// (WindowDefers: the locks, the hybrid's lock mode, HybComb, CC-SYNCH):
+// (WindowDefers: the locks, the hybrid's lock mode, HybComb, CC-SYNCH,
+// MP-SERVER, which keeps no such counters):
 // its deferred run is the same batch spelled one call at a time, one
 // round of n own operations (combined == 0 on the locks, where nobody
 // executes on another's behalf). The counters then mix units (rounds

@@ -281,6 +281,33 @@ func TestHybCombLineAligned(t *testing.T) {
 	}
 }
 
+// TestMPServerHandleLineAligned: an mpserver handle's transport and the
+// two rings of its run cell each start on a cache line in every handle,
+// so the results the server writes into the cell never share a line
+// with the transport state the client writes, or with another handle's
+// cell.
+func TestMPServerHandleLineAligned(t *testing.T) {
+	if !pad.Padded(unsafe.Sizeof(mpTransport{})) {
+		t.Fatalf("mpTransport is %d bytes, not a whole number of cache lines", unsafe.Sizeof(mpTransport{}))
+	}
+	for _, queueCap := range []int{2, 39} {
+		s := NewMPServer(Func(func(op, arg uint64) uint64 { return 0 }), Options{MaxThreads: 16, QueueCap: queueCap})
+		for i := 0; i < 16; i++ {
+			tr := MustHandle(s).(*Pipe).spec.Transport.(*mpTransport)
+			for what, p := range map[string]unsafe.Pointer{
+				"transport":    unsafe.Pointer(tr),
+				"request ring": unsafe.Pointer(&tr.cell.reqs[0]),
+				"result ring":  unsafe.Pointer(&tr.cell.rets[0]),
+			} {
+				if off := uintptr(p) % pad.CacheLine; off != 0 {
+					t.Fatalf("QueueCap %d, handle %d: the %s starts %d bytes into a cache line", queueCap, i, what, off)
+				}
+			}
+		}
+		s.Close()
+	}
+}
+
 // TestHandleCreatedMidApply covers the per-handle rings: NewHandle
 // allocates a handle's response ring (and HybComb inbox) while other
 // handles are mid-Apply, and the server or the other threads' combiners

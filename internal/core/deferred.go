@@ -7,7 +7,8 @@ package core
 // when a completion is demanded and the transport executes it as ONE run
 // (Transport.Run) — a lock client under one acquisition, a HybComb
 // client as one combining round's own run after registering what a
-// round still takes, a CC-Synch client as one chain cell.
+// round still takes, a CC-Synch client as one chain cell, an MP-SERVER
+// client as one request message.
 type deferredRun struct {
 	pend []Req
 	rets []uint64
@@ -40,8 +41,8 @@ func (r *deferredRun) next() uint64 {
 }
 
 // WindowDefers reports whether h defers its window into its Pipe's run
-// — a lock's handle, the hybrid's (in lock mode), HybComb's and
-// CC-Synch's: every Pipe not built eager — so that one round holds many
+// — a lock's handle, the hybrid's (in lock mode), HybComb's, CC-Synch's
+// and MP-SERVER's: every Pipe not built eager — so that one round holds many
 // of its owner's pipelined operations and StatsSource reads rounds +
 // combined <= ops there (see StatsSource).
 func WindowDefers(h Handle) bool {

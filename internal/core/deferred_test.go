@@ -78,11 +78,13 @@ func TestDeferredWindowAllocs(t *testing.T) {
 }
 
 // FuzzDeferredWindow drives one handle of a pipelining construction —
-// mcs-lock, hybcomb, ccsynch, the hybrid frozen in either mode with
-// forced edges, or the eager mpserver, whose batches stop at the
-// window's room and resume as it frees — through a script of every
-// call that fills, joins or demands its deferred run or hands a run over
-// at once, at QueueCap 2 to 5, over a recording object
+// mcs-lock, hybcomb, ccsynch, mpserver (whose runs travel through a
+// run cell of at least eight slots, so a script wraps it, and whose
+// batches behind an owed run stop at the window's room and resume as it
+// frees), or the hybrid frozen in either mode with forced edges —
+// through a script of every call that fills, joins or demands its
+// deferred run or hands a run over at once, at QueueCap 2 to 5, over a
+// recording object
 // whose results are execution indices. Per-handle FIFO and exactly-once
 // redemption then read as values: every redeemed ticket returns its
 // operation's submission index, a redeemed ticket is not outstanding,
@@ -107,6 +109,11 @@ func FuzzDeferredWindow(f *testing.F) {
 		{4, 0x00, 0x01, 0x52, 0x00, 0x45, 0x05, 0x06, 0x08},
 		{5, 0x00, 0x09, 0x01, 0x52, 0x09, 0x00, 0x44, 0x17, 0x08},
 		{22, 0x00, 0x00, 0x00, 0x52, 0x09, 0x42, 0x09, 0x05, 0x07, 0x08},
+		// mpserver at QueueCap 2, 3 and 4: batches behind owed runs, the
+		// run cell wrapping more than once.
+		{4, 0x32, 0x52, 0x05, 0x52, 0x00, 0x00, 0x06, 0x42, 0x15, 0x52, 0x07, 0x08},
+		{10, 0x52, 0x32, 0x00, 0x01, 0x06, 0x52, 0x25, 0x52, 0x44, 0x52, 0x08},
+		{16, 0x32, 0x52, 0x00, 0x00, 0x07, 0x52, 0x52, 0x35, 0x52, 0x01, 0x01, 0x08},
 	} {
 		f.Add(seed)
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"hybsync/internal/mpq"
+)
 
 // ForceHybridMode drives a hybrid transition edge for the external
 // test package (hybrid_contract_test.go cannot live in package core:
@@ -15,3 +19,9 @@ func FreezeHybrid(h *Hybrid) { h.window = math.MaxUint64 }
 // HybCombLastCombiner is the thread id on h's last registered combiner
 // node: the thread that promoted itself last (-1 before anyone did).
 func HybCombLastCombiner(h *HybComb) int32 { return h.lastReg.Load().threadID.Load() }
+
+// MPServerQuitMarker sends s's server the quit marker as Close does,
+// without sealing s: a run a handle sends afterwards lands behind it on
+// the request ring, which otherwise only an operation issued while Close
+// runs, against its contract, can do.
+func MPServerQuitMarker(s *MPServer) { s.reqs.Send(mpq.Words3(0, opQuit, 0)) }

@@ -44,9 +44,11 @@ func (o *runRec) DispatchBatch(reqs []core.Req, results []uint64) {
 
 // deferSubjects runs body over every construction whose window is a
 // handle's deferred run: the five registered locks, the hybrid pinned
-// in lock mode, hybcomb and ccsynch, each over a fresh recording object
-// and QueueCap queueCap.
-func deferSubjects(t *testing.T, queueCap int, body func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle)) {
+// in lock mode, hybcomb and ccsynch — whose demand executes the run, or
+// registers it with an open round — and, with server, mpserver, whose
+// demand sends the run as one message the server answers in its own
+// time; each over a fresh recording object and QueueCap queueCap.
+func deferSubjects(t *testing.T, queueCap int, server bool, body func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle)) {
 	open := map[string]func(obj core.Object) core.Executor{
 		"hybrid-forced-lock": func(obj core.Object) core.Executor {
 			h := core.NewHybrid(obj, core.Options{QueueCap: queueCap})
@@ -55,14 +57,18 @@ func deferSubjects(t *testing.T, queueCap int, body func(t *testing.T, obj *runR
 		},
 	}
 	for _, algo := range core.Algorithms() {
-		if strings.HasSuffix(algo, "-lock") || algo == "hybcomb" || algo == "ccsynch" {
+		if strings.HasSuffix(algo, "-lock") || algo == "hybcomb" || algo == "ccsynch" || server && algo == "mpserver" {
 			open[algo] = func(obj core.Object) core.Executor {
 				return core.MustNewObject(algo, obj, core.WithQueueCap(queueCap))
 			}
 		}
 	}
-	if len(open) != 8 {
-		t.Fatalf("%d deferring subjects, want the five registered locks, the hybrid, hybcomb and ccsynch", len(open))
+	want := 8
+	if server {
+		want++
+	}
+	if len(open) != want {
+		t.Fatalf("%d deferring subjects, want the five registered locks, the hybrid, hybcomb, ccsynch and (with server) mpserver", len(open))
 	}
 	for name, mk := range open {
 		t.Run(name, func(t *testing.T) {
@@ -70,6 +76,7 @@ func deferSubjects(t *testing.T, queueCap int, body func(t *testing.T, obj *runR
 				obj := &runRec{fuse: -1}
 				ex := mk(obj)
 				body(t, obj, ex, core.MustHandle(ex))
+				ex.Close() // stops mpserver's server; the poisoned cases report the poison
 			})
 		})
 	}
@@ -96,10 +103,11 @@ func wantRuns(t *testing.T, obj *runRec, want ...int) {
 
 // TestLockWindowIsOneRun: a window of Submits costs nothing until a
 // completion is demanded, then reaches the object as ONE DispatchBatch
-// — under one acquisition, or as a lone combiner's own run; results
-// follow ticket order whatever the Wait order.
+// — under one acquisition, as a lone combiner's own run, or as one
+// message to the server; results follow ticket order whatever the Wait
+// order.
 func TestLockWindowIsOneRun(t *testing.T) {
-	deferSubjects(t, 39, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
+	deferSubjects(t, 39, true, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
 		tks := submitN(t, h, 8)
 		wantRuns(t, obj)
 		for _, i := range []int{5, 0, 7, 2, 1, 6, 3, 4} {
@@ -108,15 +116,17 @@ func TestLockWindowIsOneRun(t *testing.T) {
 			}
 		}
 		wantRuns(t, obj, 8)
-		if rounds, combined := ex.(core.StatsSource).Stats(); rounds != 1 || combined != 0 {
-			t.Errorf("Stats() = (%d, %d), want one round and nothing combined", rounds, combined)
+		if ss, ok := ex.(core.StatsSource); ok {
+			if rounds, combined := ss.Stats(); rounds != 1 || combined != 0 {
+				t.Errorf("Stats() = (%d, %d), want one round and nothing combined", rounds, combined)
+			}
 		}
 	})
 }
 
 // TestLockPostsFlushAsOneRun: Posts execute at the Flush, together.
 func TestLockPostsFlushAsOneRun(t *testing.T) {
-	deferSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+	deferSubjects(t, 39, true, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		for i := 0; i < 5; i++ {
 			if err := h.Post(0, 0); err != nil {
 				t.Fatal(err)
@@ -134,7 +144,7 @@ func TestLockPostsFlushAsOneRun(t *testing.T) {
 // pending submissions executes them and itself as one run, in FIFO
 // order; with nothing pending it is the bare critical section again.
 func TestLockApplyJoinsPendingRun(t *testing.T) {
-	deferSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+	deferSubjects(t, 39, true, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		tks := submitN(t, h, 3)
 		if v := h.Apply(0, 0); v != 3 {
 			t.Fatalf("Apply behind three submissions = %d, want 3", v)
@@ -163,7 +173,7 @@ func TestLockApplyJoinsPendingRun(t *testing.T) {
 // no round open — so TryWait and WaitTimeout execute it instead of
 // reporting it not ready.
 func TestLockBoundedWaitsExecuteTheRun(t *testing.T) {
-	deferSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+	deferSubjects(t, 39, false, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		tks := submitN(t, h, 4)
 		if v, err := h.TryWait(tks[3]); v != 3 || err != nil {
 			t.Fatalf("TryWait(newest of a pending run) = (%d, %v), want (3, nil)", v, err)
@@ -183,7 +193,7 @@ func TestLockBoundedWaitsExecuteTheRun(t *testing.T) {
 // submission past it stalls once and executes the window so far.
 func TestLockQueueCapBoundsTheRun(t *testing.T) {
 	const queueCap = 4
-	deferSubjects(t, queueCap, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
+	deferSubjects(t, queueCap, true, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
 		tks := submitN(t, h, queueCap)
 		wantRuns(t, obj)
 		tks = append(tks, submitN(t, h, 1)...)
@@ -206,7 +216,7 @@ func TestLockQueueCapBoundsTheRun(t *testing.T) {
 // with no stall.
 func TestLockBatchPastQueueCapIsOneRun(t *testing.T) {
 	const queueCap = 4
-	deferSubjects(t, queueCap, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
+	deferSubjects(t, queueCap, false, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
 		tk, err := h.SubmitBatch(make([]core.Req, 3*queueCap))
 		if err != nil {
 			t.Fatal(err)
@@ -227,10 +237,11 @@ func TestLockBatchPastQueueCapIsOneRun(t *testing.T) {
 	})
 }
 
-// TestLockCloseThenWait: Close seals the executor; the handle's pending
-// run still executes at the Wait that redeems it.
+// TestLockCloseThenWait: Close seals the executor (and stops mpserver's
+// server); the handle's pending run still executes at the Wait that
+// redeems it.
 func TestLockCloseThenWait(t *testing.T) {
-	deferSubjects(t, 39, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
+	deferSubjects(t, 39, true, func(t *testing.T, obj *runRec, ex core.Executor, h core.Handle) {
 		tks := submitN(t, h, 3)
 		if err := ex.Close(); err != nil {
 			t.Fatal(err)
@@ -248,7 +259,7 @@ func TestLockCloseThenWait(t *testing.T) {
 // whole run — every pending ticket completes with zero and the handle
 // reports the poison.
 func TestLockPoisonMidWindow(t *testing.T) {
-	deferSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+	deferSubjects(t, 39, true, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		obj.fuse = 2
 		tks := submitN(t, h, 5)
 		if err := h.Err(); err != nil {
@@ -273,7 +284,7 @@ func TestLockPoisonMidWindow(t *testing.T) {
 // singles joins their run, per-handle FIFO intact; with nothing in
 // flight it stays the on-the-spot run.
 func TestLockSubmitBatchBehindSingles(t *testing.T) {
-	deferSubjects(t, 39, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
+	deferSubjects(t, 39, false, func(t *testing.T, obj *runRec, _ core.Executor, h core.Handle) {
 		singles := submitN(t, h, 2)
 		batch, err := h.SubmitBatch(make([]core.Req, 3))
 		if err != nil {
@@ -389,8 +400,8 @@ func TestHybCombRunSplitsAtMaxOps(t *testing.T) {
 func TestWindowDefers(t *testing.T) {
 	want := map[string]bool{
 		"tas-lock": true, "ttas-lock": true, "ticket-lock": true, "mcs-lock": true, "clh-lock": true,
-		"hybrid": true, "hybcomb": true, "ccsynch": true,
-		"mpserver": false, "shmserver": false,
+		"hybrid": true, "hybcomb": true, "ccsynch": true, "mpserver": true,
+		"shmserver": false,
 	}
 	seen := 0
 	for _, algo := range core.Algorithms() {

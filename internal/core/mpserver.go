@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"hybsync/internal/backoff"
@@ -10,48 +12,88 @@ import (
 
 // MPServer is the paper's MP-SERVER: a dedicated server goroutine owns
 // the protected object and executes every critical section; clients send
-// {id, op, arg} request messages and block on a one-message response
-// queue. The server's receive reads from a local queue and its response
-// send never blocks (each client bounds its in-flight requests by its
-// response ring's capacity), so — as on the hardware — no
-// synchronization-related waiting remains on the server's critical path
-// while requests are pending.
+// request messages and block on a one-message response queue. The
+// server's receive reads from a local queue and its response send never
+// blocks (each client bounds its in-flight requests by its response
+// ring's capacity), so — as on the hardware — no synchronization-related
+// waiting remains on the server's critical path while requests are
+// pending.
 //
 // The transport is role-specialized (the paper's §5 theme that the
 // request/response path must be as lean as the hardware's): the request
 // queue is an mpq.Mpsc (clients claim send slots with one fetch-and-add;
 // the server never CASes) and each response queue is an mpq.Spsc (no
 // atomic read-modify-write at all). The server drains up to MaxOps
-// pending requests per wakeup (capped at 256 per receive by
-// Options.batchLen) with a batched receive — and hands the whole
-// drained run to the object as ONE DispatchBatch call, scattering the
-// responses to the per-client rings after the call returns. Batching
-// thus amortizes both the queue synchronization (RecvBatch) and the
-// dispatch indirection (DispatchBatch) across the run.
+// pending messages per wakeup (capped at 256 per receive by
+// Options.batchLen) with a batched receive — and hands every request the
+// drained messages carry to the object as ONE DispatchBatch call,
+// scattering the responses after the call returns. Batching thus
+// amortizes both the queue synchronization (RecvBatch) and the dispatch
+// indirection (DispatchBatch) across the run.
 //
-// MPServer is the construction where asynchronous submission pays off
-// most directly: a request is a message, so a client may keep up to
-// QueueCap requests in flight per handle (shipping one sends without
-// blocking on the reply; the handle's window numbers the replies as
-// they come off the response ring). Per-sender FIFO on the request ring
-// plus in-order service plus the FIFO response ring give per-handle
-// FIFO completion. A handle bounds its in-flight count by the response
-// ring's capacity, so the server's response send never blocks.
+// A message is one of two frames. A blocking Apply is one inline
+// {id, op, arg} request answered by its result. A handle's pipelined
+// window defers into its Pipe's run, as on the locks and the combiners,
+// and when a completion is demanded the run travels as ONE message,
+// {id|runFrame, start, n}: its requests sit in the handle's run cell (see
+// mpRunCell) from slot start on, the server writes their results back
+// into the same slots, and one reply word carrying n answers the lot —
+// a window costs one ring cell, one server wake and one reply instead of
+// one of each per request (the grouped request and response lines of
+// ffwd, Roghanchi et al., SOSP 2017). A handle has at most QueueCap
+// operations in flight, so its run cell never wraps onto a slot still
+// owed and the server's response send never blocks. Per-sender FIFO on
+// the request ring plus in-order service plus the FIFO response ring
+// give per-handle FIFO completion.
+//
+// opQuit is reserved: an operation with that opcode must not be sent to
+// an MPServer.
 type MPServer struct {
 	Shell
 	obj  Object
 	reqs *mpq.Mpsc // any client sends, only serve receives
-	// resp[id] is handle id's response ring (QueueCap deep, SPSC:
-	// server → client), created by NewHandle. The server learns an id
-	// only from a request that handle sent, and the request ring's
-	// publication orders the slot's write before the server's read.
-	resp []*mpq.Spsc
-	done chan struct{}
+	// peers[id] is handle id's transport, registered by NewHandle: the
+	// server finds the handle's response ring (QueueCap deep, SPSC:
+	// server → client) and run cell there, and Close its sending flag.
+	// The server learns an id only from a message that handle sent, and
+	// the request ring's publication orders the slot's write, and the
+	// cell's, before the server's reads.
+	peers []atomic.Pointer[mpTransport]
+	done  chan struct{}
+	// late serializes the runs handles execute themselves once the
+	// server has stopped (see mpTransport.Run).
+	late sync.Mutex
 	ps   PipeCounters
 }
 
 // opQuit is an internal opcode that stops the server loop.
 const opQuit = ^uint64(0)
+
+// runFrame marks a run message in its first word, beside the sender's
+// id, so a run takes no opcode from the object's.
+const runFrame = uint64(1) << 63
+
+// mpRunCell is one handle's run cell: a ring of request slots the client
+// writes and the server reads, and a ring of result slots the server
+// writes and the client reads, both indexed by position&mask. A run
+// message names its first slot and its length. Each ring is its own
+// allocation of whole cache lines (at least eight slots, a power of
+// two), so it starts on a line of its own in every handle: the server's
+// result writes never share a line with the client's transport state or
+// another handle's cell.
+type mpRunCell struct {
+	reqs []Req
+	rets []uint64
+	mask uint64
+}
+
+func newRunCell(queueCap int) mpRunCell {
+	n := 8
+	for n < queueCap {
+		n <<= 1
+	}
+	return mpRunCell{reqs: make([]Req, n), rets: make([]uint64, n), mask: uint64(n - 1)}
+}
 
 // NewMPServer starts the server goroutine. Close must be called to stop
 // it.
@@ -59,16 +101,16 @@ func NewMPServer(obj Object, opts Options) *MPServer {
 	s := &MPServer{obj: obj, done: make(chan struct{})}
 	s.Init("mpserver", opts)
 	s.reqs = mpq.NewMpsc(s.Opts.QueueCap)
-	s.resp = make([]*mpq.Spsc, s.Opts.MaxThreads)
+	s.peers = make([]atomic.Pointer[mpTransport], s.Opts.MaxThreads)
 	go s.serve()
 	return s
 }
 
-// serve is the server loop: drain a batch of requests per wakeup,
-// execute the run as one DispatchBatch, then scatter the responses.
-// Batching pays the blocking-receive synchronization and the dispatch
-// indirection once for up to batchLen requests; the price is that the
-// first client of a run now waits for the whole run before its
+// serve is the server loop: drain a batch of messages per wakeup,
+// execute every request they carry as one DispatchBatch, then scatter
+// the responses. Batching pays the blocking-receive synchronization and
+// the dispatch indirection once for the whole drain; the price is that
+// the first client of a drain now waits for all of it before its
 // response goes out — the flat-combining trade the paper's combiners
 // make on every round.
 //
@@ -80,7 +122,6 @@ func (s *MPServer) serve() {
 	defer close(s.done)
 	rec := s.Opts.Telemetry.Recorder() // server-goroutine owned
 	buf := make([]mpq.Msg, s.Opts.batchLen())
-	ids := make([]uint64, len(buf))
 	run := make([]Req, 0, len(buf))
 	rets := make([]uint64, len(buf))
 	// serveBatch executes one drained batch, skipping (but remembering)
@@ -90,18 +131,41 @@ func (s *MPServer) serve() {
 	serveBatch := func(msgs []mpq.Msg) (quit bool) {
 		run = run[:0]
 		for _, m := range msgs {
-			if m.W[1] == opQuit {
+			switch {
+			case m.W[0]&runFrame != 0:
+				c := &s.peers[m.W[0]&^runFrame].Load().cell
+				for i := range m.W[2] {
+					run = append(run, c.reqs[(m.W[1]+i)&c.mask])
+				}
+			case m.W[1] == opQuit:
 				quit = true
-				continue
+			default:
+				run = append(run, Req{Op: m.W[1], Arg: m.W[2]})
 			}
-			ids[len(run)] = m.W[0]
-			run = append(run, Req{Op: m.W[1], Arg: m.W[2]})
 		}
-		if len(run) > 0 {
-			s.PoisonLatch.Dispatch(s.obj, run, rets[:len(run)])
-			rec.RunLen(len(run))
-			for i := range run {
-				s.resp[ids[i]].Send(mpq.Word(rets[i]))
+		if len(run) == 0 {
+			return quit
+		}
+		if len(rets) < len(run) {
+			rets = make([]uint64, cap(run))
+		}
+		s.PoisonLatch.Dispatch(s.obj, run, rets[:len(run)])
+		rec.RunLen(len(run))
+		next := rets
+		for _, m := range msgs {
+			switch {
+			case m.W[0]&runFrame != 0:
+				p := s.peers[m.W[0]&^runFrame].Load()
+				n := m.W[2]
+				for i, v := range next[:n] {
+					p.cell.rets[(m.W[1]+uint64(i))&p.cell.mask] = v
+				}
+				next = next[n:]
+				p.resp.Send(mpq.Word(n))
+			case m.W[1] == opQuit:
+			default:
+				s.peers[m.W[0]].Load().resp.Send(mpq.Word(next[0]))
+				next = next[1:]
 			}
 		}
 		return quit
@@ -109,8 +173,9 @@ func (s *MPServer) serve() {
 	for {
 		if serveBatch(buf[:s.reqs.RecvBatch(buf)]) {
 			// Draining close: serve everything already published on the
-			// request ring, then exit. Requests submitted before Close
-			// claimed their ring slots before opQuit's send, so after
+			// request ring, then exit. Messages sent before Close, and
+			// the runs Close waited for, claimed their ring slots before
+			// opQuit's send, so after
 			// this drain every outstanding ticket has its response
 			// banked on its client's ring.
 			for {
@@ -124,7 +189,10 @@ func (s *MPServer) serve() {
 	}
 }
 
-// NewHandle implements Executor.
+// NewHandle implements Executor: the handle's transport, with its
+// response ring and run cell, is registered with the server, and its
+// window defers into its Pipe's run, which travels as one message when a
+// completion is demanded.
 func (s *MPServer) NewHandle() (Handle, error) {
 	id, err := s.Admit()
 	if err != nil {
@@ -132,26 +200,35 @@ func (s *MPServer) NewHandle() (Handle, error) {
 	}
 	// QueueCap deep (not 1): the response ring is the completion stream
 	// of the handle's submission pipeline, and must hold one reply per
-	// in-flight request.
-	s.resp[id] = mpq.NewSpsc(s.Opts.QueueCap)
-	t := &mpTransport{mpTransportHot: mpTransportHot{s: s, id: uint64(id), resp: s.resp[id]}}
+	// message in flight — at most one per operation.
+	t := &mpTransport{mpTransportHot: mpTransportHot{s: s, id: uint64(id),
+		resp: mpq.NewSpsc(s.Opts.QueueCap), cell: newRunCell(s.Opts.QueueCap)}}
 	s.Arm(&t.wb, "mpserver: client awaiting response")
-	// Eager: a request is a message the server works on while the client
-	// does something else, so holding it back until a completion is
-	// demanded only delays it (3.94 against 4.2–4.6 Mops/s, DESIGN.md
-	// "What a window overlaps").
+	s.peers[id].Store(t)
 	return NewPipe(PipeSpec{Transport: t, Apply: t.apply, Latch: &s.PoisonLatch, Rec: s.Opts.Telemetry.Recorder(),
-		Counters: &s.ps, Depth: s.Opts.QueueCap, Waiter: &t.wb, Eager: true}), nil
+		Counters: &s.ps, Depth: s.Opts.QueueCap, Waiter: &t.wb}), nil
 }
 
 // Close stops the server goroutine, draining the request ring first so
-// every operation submitted before Close has its response banked on
-// its client's ring — outstanding tickets stay redeemable with Wait.
-// It is idempotent; no operation may be issued afterwards. On a
-// poisoned executor Close still stops the server and reports the
-// *PoisonError.
+// every message sent before Close has its response banked on its
+// client's ring — outstanding tickets stay redeemable with Wait, and a
+// handle's run still pending executes at the Wait or Flush that redeems
+// it, whether that runs after Close or at the same time (see
+// mpTransport.Run). It is idempotent; no operation may be issued
+// afterwards. On a poisoned executor Close still stops the server and
+// reports the *PoisonError.
 func (s *MPServer) Close() error {
 	if s.Seal() {
+		// A run whose sender read the executor unsealed goes out ahead
+		// of the quit marker: wait for every such send to land.
+		for i := range min(int(s.handles.Load()), len(s.peers)) {
+			if t := s.peers[i].Load(); t != nil {
+				var b backoff.Backoff
+				for t.sending.Load() {
+					b.Wait()
+				}
+			}
+		}
 		s.reqs.Send(mpq.Words3(0, opQuit, 0))
 		<-s.done
 	}
@@ -161,15 +238,31 @@ func (s *MPServer) Close() error {
 // Pipeline implements PipelineStats.
 func (s *MPServer) Pipeline() (submitStalls, maxDepth uint64) { return s.ps.Pipeline() }
 
-// mpTransport is one client's path to the server: requests go out on the
+// mpTransport is one client's path to the server: messages go out on the
 // shared MPSC ring, replies come back on the client's own SPSC ring in
-// submission order. Every request is a message, so nothing completes on
-// the spot and a run is simply pipelined.
+// the order the messages went out, and a run's results in its run cell.
+//
+//hyblint:padsep
 type mpTransportHot struct {
+	// Set by NewHandle and read-only after; the server reads resp and
+	// cell here too, so what the client writes per operation starts a
+	// line further on.
 	s    *MPServer
 	id   uint64
 	resp *mpq.Spsc
-	wb   backoff.Watched // awaiting a reply, under the stall watchdog
+	cell mpRunCell
+	_    pad.Line
+
+	// tail is the cell position the next run starts at, head the
+	// position of the oldest result not yet handed out, and ready how
+	// many results from head on the replies received so far cover.
+	tail, head uint64
+	ready      int32
+	// sending is set from Run's check of the seal until its message is
+	// on the request ring; Close waits for it to clear before it sends
+	// the quit marker.
+	sending atomic.Bool
+	wb      backoff.Watched // awaiting a reply, under the stall watchdog
 }
 
 // mpTransport rounds its state up to whole cache lines: handles of different
@@ -182,26 +275,84 @@ type mpTransport struct {
 	_ [pad.CacheLine - unsafe.Sizeof(mpTransportHot{})%pad.CacheLine]byte
 }
 
+// apply is the blocking round trip, one inline request message. The
+// pipeline calls it only with nothing in flight, so its reply is the
+// next on the ring.
 func (t *mpTransport) apply(op, arg uint64) uint64 {
 	t.s.reqs.Send(mpq.Words3(t.id, op, arg))
-	v, _ := t.Next(true)
+	v, _ := mpq.RecvWord(t.resp, &t.wb, true)
 	return v
 }
 
-// Run implements Transport: the run goes out back to back — contiguous
-// on the request ring, so the server's drain sees it as part of one
-// run — and every request is owed, so collecting the results costs one
-// round-trip wait for the run instead of one per operation. It stops at
-// the window's room.
-func (t *mpTransport) Run(reqs []Req, _ []uint64, room int) (owed int) {
-	owed = min(len(reqs), room)
-	for _, r := range reqs[:owed] {
-		t.s.reqs.Send(mpq.Words3(t.id, r.Op, r.Arg))
+// Run implements Transport: the run up to the window's room is copied
+// into the run cell from tail on and goes out as one message, and all of
+// it is owed. Run never waits for the reply — only, on a full request
+// ring, for the server to drain. The room bound is what keeps the copy
+// off the slots still owed: the handle never has more than QueueCap
+// operations in flight, and the cell has at least QueueCap slots.
+//
+// Once Close has sealed the executor nobody will serve a message sent
+// now, so a run still pending then — redeemed by a Wait or Flush after
+// Close or racing it — executes here, once the server has stopped,
+// owing nothing. The seal is read with the sending flag up, so either
+// Run sees it or Close waits for the message before its quit marker.
+func (t *mpTransport) Run(reqs []Req, rets []uint64, room int) (owed int) {
+	t.sending.Store(true)
+	if t.s.Sealed() {
+		t.sending.Store(false)
+		return t.runLate(reqs, rets)
 	}
+	owed = min(len(reqs), room)
+	c := &t.cell
+	for i, r := range reqs[:owed] {
+		c.reqs[(t.tail+uint64(i))&c.mask] = r
+	}
+	t.s.reqs.Send(mpq.Words3(t.id|runFrame, t.tail&c.mask, uint64(owed)))
+	t.sending.Store(false)
+	t.tail += uint64(owed)
 	return owed
 }
 
-// Next implements Owing. The server replies to a Post like to any
-// request (it cannot know the client does not care); the window drops
-// that reply on arrival.
-func (t *mpTransport) Next(block bool) (uint64, bool) { return mpq.RecvWord(t.resp, &t.wb, block) }
+// runLate executes a run after Close, in place: the server's draining
+// exit has served every message sent before, so the run still comes
+// after everything the handle ran earlier.
+func (t *mpTransport) runLate(reqs []Req, rets []uint64) (owed int) {
+	s := t.s
+	<-s.done
+	s.late.Lock()
+	defer s.late.Unlock()
+	s.PoisonLatch.Dispatch(s.obj, reqs, rets)
+	return 0
+}
+
+// Next implements Owing: the oldest owed result, out of the run cell. A
+// run's one reply word, received when the first of its results is
+// wanted, says how many of them the server has written. The server
+// answers a Post like any request (it cannot know the client does not
+// care); the window drops that result on arrival.
+//
+// A reply that is not there yet is a server round trip away, and the
+// server may be the goroutine this one's processor should run: where
+// runnable goroutines outnumber processors, spinning first only delays
+// the serve. So a blocking Next takes one step of a yield-first backoff
+// before the usual wait (on a 2-CPU host, mpserver's pipelined-window
+// rate read +20 to +47 % against spinning first, and +4 % against
+// yielding on every step of the wait; CHANGES.md).
+func (t *mpTransport) Next(block bool) (uint64, bool) {
+	if t.ready == 0 {
+		n, ok := mpq.RecvWord(t.resp, &t.wb, false)
+		if !ok && block {
+			yield := backoff.Yielding()
+			yield.Wait()
+			n, ok = mpq.RecvWord(t.resp, &t.wb, true)
+		}
+		if !ok {
+			return 0, false
+		}
+		t.ready = int32(n)
+	}
+	t.ready--
+	v := t.cell.rets[t.head&t.cell.mask]
+	t.head++
+	return v, true
+}

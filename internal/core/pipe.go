@@ -48,11 +48,12 @@ type Transport interface {
 	// for every i >= owed. A lock executes the run under one acquisition
 	// and CC-Synch publishes it as one chain cell and completes that,
 	// owing nothing; HybComb registers a prefix with an open round and
-	// executes the rest as its own round's run; MP-SERVER sends a message
-	// per request and owes them all; SHM-SERVER's one slot loops round
-	// trips. Run may block for back-pressure or combiner duty, never for
-	// another thread to serve what it leaves owed. len(reqs) >= 1,
-	// len(rets) == len(reqs) and room >= 1.
+	// executes the rest as its own round's run; MP-SERVER copies the run
+	// into the handle's run cell, sends it as one message and owes it
+	// all; SHM-SERVER's one slot loops round trips. Run may block for
+	// back-pressure or combiner duty, never for another thread to serve
+	// what it leaves owed. len(reqs) >= 1, len(rets) == len(reqs) and
+	// room >= 1.
 	//
 	// room is how many completions the window can still take: Run leaves
 	// at most room owed, and an Owing transport that reaches room owed
@@ -65,9 +66,9 @@ type Transport interface {
 	Run(reqs []Req, rets []uint64, room int) (owed int)
 }
 
-// Owing is a Transport whose runs can leave completions owed: a request
-// is a message (MP-SERVER) or a registration with another thread's
-// round (HybComb, the hybrid's delegated side).
+// Owing is a Transport whose runs can leave completions owed: a run is
+// a message (MP-SERVER) or registrations with another thread's round
+// (HybComb, the hybrid's delegated side).
 type Owing interface {
 	Transport
 
@@ -104,9 +105,10 @@ type PipeSpec struct {
 	Waiter *backoff.Watched
 	// Eager: each submission is handed to Run at once, as a run of one,
 	// instead of joining the pending run until a completion is demanded.
-	// A request that is a message already overlaps the client's work
-	// (MP-SERVER), and a one-slot transport has nothing to gather
-	// (SHM-SERVER, SyncHandle).
+	// Only a transport that completes every submission on the spot is
+	// built eager (SHM-SERVER's one slot, SyncHandle: there is nothing to
+	// gather). The hybrid's mode edges move the same policy: eager while
+	// its delegated side is up (see hybTransport).
 	Eager bool
 }
 

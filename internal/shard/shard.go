@@ -436,8 +436,9 @@ func (h *Handle) Flush() {
 // registered requests), and on every construction a shard's
 // group is one mutual-exclusion run where a sequence of Apply calls
 // would be one per key: a lock executor takes its lock once per group,
-// a combiner executes the group as its round's own run, and the object
-// sees a single DispatchShardBatch. args may be nil (every operation
+// a combiner executes the group as its round's own run, an MP-SERVER
+// shard receives a group that fits the handle's window as one request
+// message, and the object sees a single DispatchShardBatch. args may be nil (every operation
 // gets argument 0); otherwise len(args) must equal len(keys). When a
 // shard refuses its group — its handle cannot be opened, or the shard
 // is poisoned — the groups already submitted are waited out before the
