@@ -11,7 +11,6 @@ import (
 
 	"hybsync"
 	"hybsync/harness"
-	"hybsync/internal/core"
 )
 
 // regModel is the sequential reference: a single register with three
@@ -243,15 +242,12 @@ func statsSources(t *testing.T, body func(t *testing.T, ex hybsync.Executor, src
 // in terms of flushed handles: once every handle with submissions
 // outstanding has been flushed, the combining statistics are stable
 // (two consecutive reads agree) and account for the scalar operations
-// submitted. Where a Submit is one request, that is the identity rounds
-// + combined == ops — each round carries its owner's one operation,
-// everything else it served is combined. Where the handle's window
-// defers (core.WindowDefers: the locks, the hybrid, HybComb, CC-Synch),
-// its pipelined submissions execute as deferred runs, each ONE round of
-// several own operations (exactly like an ApplyBatch), so the source
-// reads rounds + combined <= ops — and no fewer than one per full
-// window — with combined == 0 on the locks, where nobody executes on
-// another thread's behalf.
+// submitted. Every StatsSource defers a handle's window (the locks, the
+// hybrid, HybComb, CC-Synch), so its pipelined submissions execute as
+// deferred runs, each ONE round of several own operations (exactly like
+// an ApplyBatch), and the source reads rounds + combined <= ops — and no
+// fewer than one per full window — with combined == 0 on the locks,
+// where nobody executes on another thread's behalf.
 func TestStatsAtFlushedQuiescence(t *testing.T) {
 	const per = 400
 	statsSources(t, func(t *testing.T, ex hybsync.Executor, src hybsync.StatsSource, handles []hybsync.Handle) {
@@ -277,13 +273,6 @@ func TestStatsAtFlushedQuiescence(t *testing.T) {
 			t.Fatalf("Stats unstable after all handles flushed: (%d,%d) then (%d,%d)", r1, c1, r2, c2)
 		}
 		total := uint64(len(handles) * per)
-		if !core.WindowDefers(handles[0]) {
-			if r1+c1 != total {
-				t.Fatalf("rounds %d + combined %d account for %d ops, want %d (reads are only defined once every handle is flushed)",
-					r1, c1, r1+c1, total)
-			}
-			return
-		}
 		const queueCap = 39 // the default: a deferred run is at most one window long
 		if r1+c1 > total || r1+c1 < total/queueCap {
 			t.Fatalf("rounds %d + combined %d over %d pipelined ops, want between %d (every window one round) and %d",

@@ -84,7 +84,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 }
 
 // TestTooManyHandles is the lifecycle table every registered algorithm
-// shares through core.Shell.Admit: WithMaxThreads bounds the handles of
+// shares through core.Shell.admit: WithMaxThreads bounds the handles of
 // every construction (the lock executors and CC-Synch included — they
 // used to hand out handles until Close), a closed executor refuses with
 // ErrClosed and a poisoned one with its *PoisonError, Close is
@@ -205,8 +205,6 @@ func TestBadOptionsRejectedAtNew(t *testing.T) {
 		"WithMaxOps(-1)":     hybsync.WithMaxOps(-1),
 		"WithQueueCap(0)":    hybsync.WithQueueCap(0),
 		"WithQueueCap(-9)":   hybsync.WithQueueCap(-9),
-		"WithShards(0)":      hybsync.WithShards(0),
-		"WithShards(-2)":     hybsync.WithShards(-2),
 	}
 	for name, opt := range bad {
 		t.Run(name, func(t *testing.T) {
@@ -217,7 +215,7 @@ func TestBadOptionsRejectedAtNew(t *testing.T) {
 	}
 	// Valid values (and unset defaults) still construct.
 	ex, err := hybsync.NewObject("mpserver", hybsync.Func(dispatch),
-		hybsync.WithMaxThreads(2), hybsync.WithShards(3), hybsync.WithQueueCap(8))
+		hybsync.WithMaxThreads(2), hybsync.WithQueueCap(8))
 	if err != nil {
 		t.Fatalf("New with valid options: %v", err)
 	}

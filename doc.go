@@ -3,7 +3,7 @@
 // PPoPP 2014) and is the public API of the repository: the
 // Object/Executor/Handle contract, the string-keyed algorithm
 // registry (NewObject, Register, Algorithms), functional options
-// (WithMaxThreads, WithMaxOps, WithQueueCap, WithShards) and the
+// (WithMaxThreads, WithMaxOps, WithQueueCap) and the
 // uniform lifecycle — error-returning NewHandle and idempotent Close —
 // that every construction satisfies.
 // The execution contract is batch-aware: an Object's DispatchBatch
@@ -40,13 +40,15 @@
 //     paper's four constructions and evaluation objects. The
 //     cmd/tilebench driver regenerates every figure of the paper's §5.
 //
-//   - internal/core, internal/shmsync, internal/spin, internal/conc,
-//     internal/mpq (public faces: this package and hybsync/object):
-//     the same algorithms as a native Go library on real goroutines —
-//     MP-SERVER and HYBCOMB over lock-free bounded message queues,
-//     CC-SYNCH and SHM-SERVER over shared memory, classic spin locks
-//     (and the hybrid that starts as one and promotes itself to
-//     HYBCOMB), and the evaluation's concurrent objects (counter,
+//   - internal/core, internal/spin, internal/conc, internal/mpq
+//     (public faces: this package and hybsync/object): the same
+//     algorithms as a native Go library on real goroutines — every
+//     construction in internal/core: MP-SERVER and HYBCOMB over
+//     lock-free bounded message queues, CC-SYNCH and SHM-SERVER over
+//     shared memory, classic spin locks (the lock algorithms
+//     themselves in internal/spin) and the hybrid that starts as one
+//     and promotes itself to HYBCOMB — and the evaluation's concurrent
+//     objects (counter,
 //     MS-Queues, LCRQ, Treiber stack, coarse-lock stack). cmd/hybsweep
 //     measures them through the registry, one grid cell at a time.
 //

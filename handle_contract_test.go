@@ -120,7 +120,7 @@ func TestOneExecutorShell(t *testing.T) {
 				f, _ = typ.FieldByName("Shell")
 			}
 			if !f.Anonymous || f.Type != reflect.TypeOf(core.Shell{}) {
-				t.Errorf("executor %v does not embed core.Shell: build NewHandle on Shell.Admit and Close on Shell.Seal", typ)
+				t.Errorf("executor %v does not embed core.Shell: build NewHandle on Shell.admit and Close on Shell.seal", typ)
 			}
 		})
 	}

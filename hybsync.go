@@ -5,13 +5,6 @@ import (
 
 	"hybsync/internal/core"
 	"hybsync/internal/telemetry"
-
-	// The constructions self-register with the algorithm registry from
-	// their packages' init functions (core's own, the lock executors
-	// included, come with the import above); linking shmsync here makes
-	// every built-in algorithm available to NewObject through the bare
-	// hybsync import.
-	_ "hybsync/internal/shmsync"
 )
 
 // Req is one operation of a batch: opcode plus the single 64-bit
@@ -179,11 +172,6 @@ func WithMaxOps(n int) Option { return core.WithMaxOps(n) }
 // WithQueueCap sets the per-thread message-queue capacity in messages
 // (default 39 ≈ the TILE-Gx's 118-word UDN buffer / 3-word requests).
 func WithQueueCap(n int) Option { return core.WithQueueCap(n) }
-
-// WithShards sets how many independent shards the hybsync/shard router
-// splits a keyed object across (default 1); the single-executor
-// constructions ignore it.
-func WithShards(n int) Option { return core.WithShards(n) }
 
 // WithStallTimeout arms the stall watchdog: any blocking wait inside
 // the construction (a client awaiting its response, a combiner

@@ -6,11 +6,6 @@ import (
 	"testing"
 
 	"hybsync/internal/core"
-
-	// Register the shared-memory and spin-lock algorithms so the
-	// registry-driven factories below can build them.
-	_ "hybsync/internal/shmsync"
-	_ "hybsync/internal/spin"
 )
 
 // factories enumerates every construction as an ExecutorFactory through

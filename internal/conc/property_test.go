@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"hybsync/internal/core"
-	"hybsync/internal/shmsync"
 )
 
 // TestExecutorSequentialEquivalence is a property test: a random
@@ -62,10 +61,10 @@ func TestExecutorSequentialEquivalence(t *testing.T) {
 			return core.NewMPServer(obj, core.Options{MaxThreads: 4})
 		}},
 		{"ccsynch", func(obj core.Object) core.Executor {
-			return shmsync.NewCCSynch(obj, core.Options{})
+			return core.NewCCSynch(obj, core.Options{})
 		}},
 		{"shmserver", func(obj core.Object) core.Executor {
-			return shmsync.NewSHMServer(obj, core.Options{MaxThreads: 4})
+			return core.NewSHMServer(obj, core.Options{MaxThreads: 4})
 		}},
 	} {
 		exec := exec

@@ -1,27 +1,13 @@
-// Package shmsync implements the paper's pure-shared-memory baselines:
-// CC-SYNCH (Fatourou & Kallimanis, PPoPP'12), the most efficient
-// shared-memory combining construction, and SHM-SERVER, a simplified RCL
-// (Lozi et al., USENIX ATC'12) where a dedicated server thread polls
-// per-client cache-line channels. Both satisfy core.Executor so every
-// concurrent object in this repository can run over them.
-package shmsync
+package core
 
 import (
 	"sync/atomic"
 	"unsafe"
 
 	"hybsync/internal/backoff"
-	"hybsync/internal/core"
 	"hybsync/internal/pad"
 	"hybsync/internal/telemetry"
 )
-
-// The package's constructions self-register with the core registry so
-// hybsync.NewObject can build them by name.
-func init() {
-	core.MustRegister("ccsynch", func(obj core.Object, o core.Options) (core.Executor, error) { return NewCCSynch(obj, o), nil })
-	core.MustRegister("shmserver", func(obj core.Object, o core.Options) (core.Executor, error) { return NewSHMServer(obj, o), nil })
-}
 
 // CCSynch executes critical sections with the CC-Synch combining
 // algorithm: threads SWAP their spare node onto a shared tail to publish
@@ -52,12 +38,12 @@ func init() {
 // chain's end belongs to ROADMAP direction C.
 type CCSynch struct {
 	tail atomic.Pointer[ccNode]
-	core.Shell
-	obj core.Object
+	Shell
+	obj Object
 
 	rounds   atomic.Uint64
 	combined atomic.Uint64
-	ps       core.PipeCounters
+	ps       pipeCounters
 }
 
 // ccNodeHot is a request cell's live fields: one (op, arg), or, when run
@@ -86,37 +72,37 @@ type ccNode struct {
 // where the combiner that serves the cell writes their results before it
 // clears the cell's wait flag.
 type ccRun struct {
-	reqs []core.Req
+	reqs []Req
 	rets []uint64
 }
 
 // NewCCSynch creates the structure; Options.MaxOps is the combining
 // bound and Options.QueueCap the per-handle in-flight bound.
-func NewCCSynch(obj core.Object, o core.Options) *CCSynch {
+func NewCCSynch(obj Object, o Options) *CCSynch {
 	c := &CCSynch{obj: obj}
-	c.Init("ccsynch", o)
+	c.init("ccsynch", o)
 	c.tail.Store(&ccNode{}) // initial dummy: wait=false, completed=false
 	return c
 }
 
-// NewHandle implements core.Executor.
-func (c *CCSynch) NewHandle() (core.Handle, error) {
-	if _, err := c.Admit(); err != nil {
+// NewHandle implements Executor.
+func (c *CCSynch) NewHandle() (Handle, error) {
+	if _, err := c.admit(); err != nil {
 		return nil, err
 	}
 	h := &ccTransport{ccTransportHot: ccTransportHot{c: c, node: &ccNode{}, rec: c.Opts.Telemetry.Recorder()}}
-	c.Arm(&h.wb, "ccsynch: waiting for cell service")
-	return core.NewPipe(core.PipeSpec{Transport: h, Apply: h.apply, Latch: &c.PoisonLatch, Rec: h.rec,
+	c.arm(&h.wb, "ccsynch: waiting for cell service")
+	return newPipe(pipeSpec{Transport: h, Apply: h.apply, Latch: &c.PoisonLatch, Rec: h.rec,
 		Counters: &c.ps, Depth: c.Opts.QueueCap, Waiter: &h.wb}), nil
 }
 
-// Close implements core.Executor. CC-Synch owns no background
+// Close implements Executor. CC-Synch owns no background
 // goroutine, and a handle's pending run is published and served at the
 // Wait or Flush that demands it, so tickets stay redeemable after
 // Close. Closing only fails future NewHandle calls; it is idempotent and
 // reports the *PoisonError when poisoned.
 func (c *CCSynch) Close() error {
-	c.Seal()
+	c.seal()
 	return c.Err()
 }
 
@@ -127,7 +113,7 @@ func (c *CCSynch) Stats() (rounds, combined uint64) {
 	return c.rounds.Load(), c.combined.Load()
 }
 
-// Pipeline implements core.PipelineStats.
+// Pipeline implements PipelineStats.
 func (c *CCSynch) Pipeline() (submitStalls, maxDepth uint64) { return c.ps.Pipeline() }
 
 // ccTransport is one thread's end of the chain. Its pipeline defers
@@ -146,7 +132,7 @@ type ccTransportHot struct {
 	// Combiner-side batch scratch: the chain segment being served, its
 	// requests and their results (chunked at ccRunCap).
 	cells []*ccNode
-	creqs []core.Req
+	creqs []Req
 	crets []uint64
 
 	rec *telemetry.Recorder
@@ -276,7 +262,7 @@ func (h *ccTransport) combine(cur *ccNode) {
 		if tmp.run != nil {
 			h.creqs = append(h.creqs, tmp.run.reqs...)
 		} else {
-			h.creqs = append(h.creqs, core.Req{Op: tmp.op, Arg: tmp.arg})
+			h.creqs = append(h.creqs, Req{Op: tmp.op, Arg: tmp.arg})
 		}
 		tmp = next
 	}
@@ -293,13 +279,13 @@ func (h *ccTransport) combine(cur *ccNode) {
 // the paper's node exchange.
 func (h *ccTransport) apply(op, arg uint64) uint64 { return h.complete(h.publish(op, arg, nil)) }
 
-// Run implements core.Transport: the run — the pipeline's deferred
+// Run implements Transport: the run — the pipeline's deferred
 // window, or a batch with nothing in flight — is published as ONE cell
 // and completed on the spot: a spin until a combiner has served the
 // run, or, if the cell inherits the duty, a round that starts with the
 // whole run. The run's results are in rets when it returns, none owed,
 // so the window's room does not bound it.
-func (h *ccTransport) Run(reqs []core.Req, rets []uint64, _ int) (owed int) {
+func (h *ccTransport) Run(reqs []Req, rets []uint64, _ int) (owed int) {
 	h.run = ccRun{reqs: reqs, rets: rets}
 	h.complete(h.publish(0, 0, &h.run))
 	h.run = ccRun{} // the handle retains neither slice

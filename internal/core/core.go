@@ -1,8 +1,13 @@
 // Package core implements the paper's two message-passing constructions
 // for executing contended critical sections — MP-SERVER (§4.1) and
-// HYBCOMB (§4.2, Algorithm 1) — as a native Go library, and owns the
-// Executor contract plus the algorithm registry that the root hybsync
-// package re-exports.
+// HYBCOMB (§4.2, Algorithm 1) — as a native Go library, together with
+// its baselines: the spin-lock executors, the adaptive hybrid, and the
+// two pure-shared-memory constructions, CC-SYNCH (Fatourou &
+// Kallimanis, PPoPP'12), the most efficient shared-memory combining
+// construction, and SHM-SERVER, a simplified RCL (Lozi et al., USENIX
+// ATC'12) where a dedicated server thread polls per-client cache-line
+// channels. It owns the Executor contract plus the algorithm registry
+// that the root hybsync package re-exports.
 //
 // On the TILE-Gx the request/response traffic rides the hardware User
 // Dynamic Network; in this library it rides bounded lock-free message
@@ -43,13 +48,12 @@ import (
 )
 
 // Executor is the common contract of all critical-section constructions
-// in this repository (core.MPServer, core.HybComb, core.Hybrid,
-// core.LockExecutor, shmsync.CCSynch, shmsync.SHMServer). Every
-// construction shares one lifecycle, implemented once in Shell:
-// NewHandle hands out per-goroutine capabilities until MaxThreads is
-// exhausted or the executor is closed, and Close is idempotent and safe
-// to call exactly like any other — even on constructions that own no
-// background resources.
+// in this repository (MPServer, HybComb, Hybrid, LockExecutor, CCSynch,
+// SHMServer). Every construction shares one lifecycle, implemented once
+// in Shell: NewHandle hands out per-goroutine capabilities until
+// MaxThreads is exhausted or the executor is closed, and Close is
+// idempotent and safe to call exactly like any other — even on
+// constructions that own no background resources.
 //
 // Close versus Poison: Close is the orderly exit — it drains or
 // completes whatever is still in flight (every construction guarantees
@@ -112,7 +116,7 @@ type Executor interface {
 // returns a *Pipe over its own Transport, and SyncHandle adapts a bare
 // function the same way, so the contract below is stated — and tested
 // — once. The deferred window is the Pipe's too: one pending run per
-// handle, which a deferring transport only executes (WindowDefers).
+// handle, which a deferring transport only executes.
 type Handle interface {
 	// Apply executes (op, arg) in mutual exclusion and returns the
 	// result, exactly as Submit followed by Wait.
@@ -253,16 +257,14 @@ type Handle interface {
 //	rounds + combined <= total ops
 //
 // That is an ApplyBatch (or router MultiApply), whose whole batch is one
-// round's own run, and it is a pipelined handle whose window defers
-// (WindowDefers: the locks, the hybrid's lock mode, HybComb, CC-SYNCH,
-// MP-SERVER, which keeps no such counters):
-// its deferred run is the same batch spelled one call at a time, one
-// round of n own operations (combined == 0 on the locks, where nobody
-// executes on another's behalf). The counters then mix units (rounds
+// round's own run, and it is a pipelined handle of any source: every
+// one defers its window (the locks, HybComb, CC-SYNCH, the hybrid in
+// lock mode), and its deferred run is the same batch spelled one call
+// at a time, one round of n own operations (combined == 0 on the locks,
+// where nobody executes on another's behalf). The counters then mix units (rounds
 // count runs, combined counts operations), which is why measure.Run
-// strips both from batch-path records — and from bench=async records of
-// deferring constructions — instead of publishing numbers that invite
-// the scalar reading.
+// strips both from batch-path and bench=async records instead of
+// publishing numbers that invite the scalar reading.
 type StatsSource interface {
 	Stats() (rounds, combined uint64)
 }
@@ -319,7 +321,8 @@ var (
 	// ErrDuplicateAlgorithm reports a Register with a taken name.
 	ErrDuplicateAlgorithm = errors.New("algorithm already registered")
 	// ErrBadOption reports an option explicitly set to an invalid value
-	// (non-positive MaxThreads, MaxOps, QueueCap or Shards). It is
+	// (non-positive MaxThreads, MaxOps or QueueCap, a negative
+	// StallTimeout) or a non-positive shard count. It is
 	// detected at New time, not when the bad value would later
 	// misbehave.
 	ErrBadOption = errors.New("bad option")
@@ -338,7 +341,7 @@ func MustHandle(e Executor) Handle {
 
 // Options configures the constructions. Callers build it with the
 // functional With* options; the zero value is valid for every
-// constructor (Shell.Init fills the paper's evaluation defaults).
+// constructor (each fills the paper's evaluation defaults).
 // Explicitly setting a sizing option to a non-positive value is
 // rejected with ErrBadOption when the Options are built (leaving an
 // option unset selects its default).
@@ -355,9 +358,6 @@ type Options struct {
 	// handle never keeps more than QueueCap operations in flight, so a
 	// server or combiner can never block on a full response queue.
 	QueueCap int
-	// Shards is the shard count consumed by the shard router (default
-	// 1). The single-executor constructions ignore it.
-	Shards int
 	// StallTimeout arms the stall watchdog on the construction's wait
 	// loops (a client awaiting its response or cell service, a HybComb
 	// successor awaiting its predecessor's round): a wait that reaches
@@ -372,7 +372,7 @@ type Options struct {
 	// disarmed hot path is one nil-receiver check per site.
 	Telemetry *telemetry.Telemetry
 
-	// err records the first invalid With* value; BuildOptions reports it.
+	// err records the first invalid With* value; buildOptions reports it.
 	err error
 }
 
@@ -424,19 +424,6 @@ func WithQueueCap(n int) Option {
 	}
 }
 
-// WithShards sets how many independent shards the shard router splits a
-// keyed object across (default 1). Single-executor constructions ignore
-// it.
-func WithShards(n int) Option {
-	return func(o *Options) {
-		if n <= 0 {
-			o.reject("WithShards", n)
-			return
-		}
-		o.Shards = n
-	}
-}
-
 // WithStallTimeout arms the stall watchdog: a construction wait loop
 // that makes no progress for d reports once (by default a goroutine
 // dump to stderr — see backoff.SetStallHandler). Pick d well above any
@@ -465,10 +452,10 @@ func WithTelemetry(t *telemetry.Telemetry) Option {
 	return func(o *Options) { o.Telemetry = t }
 }
 
-// BuildOptions folds opts over the zero Options, rejects explicitly-set
+// buildOptions folds opts over the zero Options, rejects explicitly-set
 // invalid values with an error wrapping ErrBadOption, and fills
 // defaults.
-func BuildOptions(opts ...Option) (Options, error) {
+func buildOptions(opts ...Option) (Options, error) {
 	var o Options
 	for _, opt := range opts {
 		if opt != nil {
@@ -491,9 +478,6 @@ func (o *Options) fill() {
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 39
-	}
-	if o.Shards <= 0 {
-		o.Shards = 1
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -221,11 +222,11 @@ func TestHybCombCombiningHappens(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o, err := BuildOptions()
+	o, err := buildOptions()
 	if err != nil {
-		t.Fatalf("BuildOptions(): %v", err)
+		t.Fatalf("buildOptions(): %v", err)
 	}
-	if o.MaxThreads != 128 || o.MaxOps != 200 || o.QueueCap != 39 || o.Shards != 1 {
+	if o.MaxThreads != 128 || o.MaxOps != 200 || o.QueueCap != 39 {
 		t.Fatalf("bad defaults: %+v", o)
 	}
 }
@@ -237,19 +238,17 @@ func TestOptionsRejectNonPositive(t *testing.T) {
 		"WithMaxOps(0)":      WithMaxOps(0),
 		"WithMaxOps(-7)":     WithMaxOps(-7),
 		"WithQueueCap(0)":    WithQueueCap(0),
-		"WithShards(0)":      WithShards(0),
-		"WithShards(-2)":     WithShards(-2),
 	}
 	for name, opt := range bad {
-		if _, err := BuildOptions(opt); !errors.Is(err, ErrBadOption) {
-			t.Errorf("BuildOptions(%s) = %v, want ErrBadOption", name, err)
+		if _, err := buildOptions(opt); !errors.Is(err, ErrBadOption) {
+			t.Errorf("buildOptions(%s) = %v, want ErrBadOption", name, err)
 		}
 	}
-	o, err := BuildOptions(WithMaxThreads(3), WithShards(5))
+	o, err := buildOptions(WithMaxThreads(3), WithQueueCap(5))
 	if err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
-	if o.MaxThreads != 3 || o.Shards != 5 {
+	if o.MaxThreads != 3 || o.QueueCap != 5 {
 		t.Fatalf("valid options not applied: %+v", o)
 	}
 }
@@ -281,21 +280,52 @@ func TestHybCombLineAligned(t *testing.T) {
 	}
 }
 
-// TestMPServerHandleLineAligned: an mpserver handle's transport and the
-// two rings of its run cell each start on a cache line in every handle,
-// so the results the server writes into the cell never share a line
-// with the transport state the client writes, or with another handle's
-// cell.
-func TestMPServerHandleLineAligned(t *testing.T) {
-	if !pad.Padded(unsafe.Sizeof(mpTransport{})) {
-		t.Fatalf("mpTransport is %d bytes, not a whole number of cache lines", unsafe.Sizeof(mpTransport{}))
+// TestHandlesLineAligned: every construction's handle — its Pipe and,
+// where the transport is a pointer, the transport — is whole cache lines
+// and starts on one in every handle, so one thread's per-operation
+// writes never share a line with a neighbouring handle's, and the
+// handle's hot words fall on the same lines from one run to the next (a
+// struct in a non-whole-line size class is placed differently from one
+// allocation to the next).
+func TestHandlesLineAligned(t *testing.T) {
+	if !pad.Padded(unsafe.Sizeof(Pipe{})) {
+		t.Fatalf("Pipe is %d bytes, not a whole number of cache lines", unsafe.Sizeof(Pipe{}))
 	}
+	for _, algo := range Algorithms() {
+		ex := MustNewObject(algo, Func(func(op, arg uint64) uint64 { return 0 }), WithMaxThreads(16))
+		for i := 0; i < 16; i++ {
+			p, ok := MustHandle(ex).(*Pipe)
+			if !ok {
+				t.Fatalf("%s: handle %d is not a *Pipe", algo, i)
+			}
+			if off := uintptr(unsafe.Pointer(p)) % pad.CacheLine; off != 0 {
+				t.Fatalf("%s: handle %d's Pipe starts %d bytes into a cache line", algo, i, off)
+			}
+			tr := reflect.ValueOf(p.spec.Transport)
+			if tr.Kind() != reflect.Pointer {
+				continue
+			}
+			if size := tr.Elem().Type().Size(); !pad.Padded(size) {
+				t.Fatalf("%s: %s is %d bytes, not a whole number of cache lines", algo, tr.Elem().Type(), size)
+			}
+			if off := tr.Pointer() % pad.CacheLine; off != 0 {
+				t.Fatalf("%s: handle %d's %s starts %d bytes into a cache line", algo, i, tr.Elem().Type(), off)
+			}
+		}
+		ex.Close()
+	}
+}
+
+// TestMPServerHandleLineAligned: the two rings of an mpserver handle's
+// run cell each start on a cache line in every handle, so the results
+// the server writes into the cell never share a line with the transport
+// state the client writes, or with another handle's cell.
+func TestMPServerHandleLineAligned(t *testing.T) {
 	for _, queueCap := range []int{2, 39} {
 		s := NewMPServer(Func(func(op, arg uint64) uint64 { return 0 }), Options{MaxThreads: 16, QueueCap: queueCap})
 		for i := 0; i < 16; i++ {
 			tr := MustHandle(s).(*Pipe).spec.Transport.(*mpTransport)
 			for what, p := range map[string]unsafe.Pointer{
-				"transport":    unsafe.Pointer(tr),
 				"request ring": unsafe.Pointer(&tr.cell.reqs[0]),
 				"result ring":  unsafe.Pointer(&tr.cell.rets[0]),
 			} {

@@ -39,13 +39,3 @@ func (r *deferredRun) next() uint64 {
 	r.head++
 	return r.rets[r.head-1]
 }
-
-// WindowDefers reports whether h defers its window into its Pipe's run
-// — a lock's handle, the hybrid's (in lock mode), HybComb's, CC-Synch's
-// and MP-SERVER's: every Pipe not built eager — so that one round holds many
-// of its owner's pipelined operations and StatsSource reads rounds +
-// combined <= ops there (see StatsSource).
-func WindowDefers(h Handle) bool {
-	p, ok := h.(*Pipe)
-	return ok && !p.spec.Eager
-}

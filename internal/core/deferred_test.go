@@ -26,7 +26,7 @@ func openDeferring(name string, obj core.Object, queueCap int) (ex core.Executor
 
 // TestDeferredWindowAllocs: once a handle's window has run once,
 // pipelining through it allocates nothing — the pending run is the
-// Pipe's, sized at NewPipe, an eager pipe's run of one borrows its
+// Pipe's, sized at newPipe, an eager pipe's run of one borrows its
 // buffers, and the ticket window reuses its slots.
 func TestDeferredWindowAllocs(t *testing.T) {
 	if raceEnabled {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 
 	"hybsync/internal/mpq"
 )
@@ -25,3 +26,26 @@ func HybCombLastCombiner(h *HybComb) int32 { return h.lastReg.Load().threadID.Lo
 // the request ring, which otherwise only an operation issued while Close
 // runs, against its contract, can do.
 func MPServerQuitMarker(s *MPServer) { s.reqs.Send(mpq.Words3(0, opQuit, 0)) }
+
+// CCSynchLinks returns a wait for the next cell linked into c's chain:
+// each call returns once a cell is linked behind the end the previous
+// one saw (the tail when CCSynchLinks ran), and moves that end there.
+// The cell a publisher fills is the tail it swapped out, whose next it
+// sets last, so a returned wait means that request is on the chain.
+func CCSynchLinks(c *CCSynch) (awaitLink func()) {
+	last := c.tail.Load()
+	return func() {
+		for last.next.Load() == nil {
+			runtime.Gosched()
+		}
+		last = last.next.Load()
+	}
+}
+
+// NewTestPipe builds a handle over tr, a scripted transport, whose
+// window holds depth operations; eager hands each submission over at
+// once. ctr reads the handle's pipeline counters.
+func NewTestPipe(tr Transport, depth int, eager bool) (h *Pipe, ctr PipelineStats) {
+	c := new(pipeCounters)
+	return newPipe(pipeSpec{Transport: tr, Counters: c, Depth: depth, Eager: eager}), c
+}

@@ -84,7 +84,7 @@ type hybCombHot struct {
 	// Stats counts combining activity (read at pipeline quiescence).
 	rounds   atomic.Uint64
 	combined atomic.Uint64
-	ps       PipeCounters
+	ps       pipeCounters
 }
 
 // hcNode is Algorithm 1's Node. Each of the three fields is written and
@@ -110,7 +110,7 @@ type hcNode struct {
 func NewHybComb(obj Object, opts Options) *HybComb {
 	h := &HybComb{}
 	h.obj = obj
-	h.Init("hybcomb", opts)
+	h.init("hybcomb", opts)
 	h.inbox = make([]*mpq.Mpsc, h.Opts.MaxThreads)
 	h.resp = make([]*mpq.Mpsc, h.Opts.MaxThreads)
 	// The initial node {⊥, MAX_OPS, true}: full, so the first thread
@@ -131,14 +131,14 @@ func (h *HybComb) NewHandle() (Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewPipe(t.spec()), nil
+	return newPipe(t.spec()), nil
 }
 
 // newTransport admits one more thread and builds its transport; the
 // hybrid executor puts its own in front of its backend's instead of
 // taking a handle.
 func (h *HybComb) newTransport() (*hcTransport, error) {
-	id, err := h.Admit()
+	id, err := h.admit()
 	if err != nil {
 		return nil, err
 	}
@@ -161,16 +161,16 @@ func (h *HybComb) newTransport() (*hcTransport, error) {
 		runRets: make([]uint64, bl),
 		rec:     h.Opts.Telemetry.Recorder(),
 	}}
-	h.Arm(&t.wb, "hybcomb: combiner awaiting predecessor round")
-	h.Arm(&t.respWB, "hybcomb: client awaiting combiner response")
+	h.arm(&t.wb, "hybcomb: combiner awaiting predecessor round")
+	h.arm(&t.respWB, "hybcomb: client awaiting combiner response")
 	return t, nil
 }
 
 // spec is the handle over t: at most QueueCap operations in flight,
 // whether pending in the pipeline's run or owed on t's response queue.
-func (t *hcTransport) spec() PipeSpec {
+func (t *hcTransport) spec() pipeSpec {
 	h := t.h
-	return PipeSpec{Transport: t, Apply: t.apply, Latch: &h.PoisonLatch, Rec: t.rec,
+	return pipeSpec{Transport: t, Apply: t.apply, Latch: &h.PoisonLatch, Rec: t.rec,
 		Counters: &h.ps, Depth: h.Opts.QueueCap, Waiter: &t.respWB}
 }
 
@@ -183,7 +183,7 @@ func (t *hcTransport) spec() PipeSpec {
 // fails future NewHandle calls; it is idempotent and reports the
 // *PoisonError when poisoned.
 func (h *HybComb) Close() error {
-	h.Seal()
+	h.seal()
 	return h.Err()
 }
 

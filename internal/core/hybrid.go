@@ -152,7 +152,7 @@ func NewHybrid(obj Object, opts Options) *Hybrid {
 	l := &spin.MCSLock{}
 	h := &Hybrid{gate: l.NewMCSHandle(), promoteAt: hybridPromote, demoteBelow: hybridDemote, window: hybridWindow}
 	h.obj, h.factory = obj, func() spin.Lock { return l.NewMCSHandle() }
-	h.Init("hybrid", opts)
+	h.init("hybrid", opts)
 	h.inner = NewHybComb(hybGate{h}, h.Opts)
 	return h
 }
@@ -161,7 +161,7 @@ func NewHybrid(obj Object, opts Options) *Hybrid {
 // eagerly (1:1, same MaxThreads bound) so a promotion never allocates
 // on the data path.
 func (h *Hybrid) NewHandle() (Handle, error) {
-	if _, err := h.Admit(); err != nil {
+	if _, err := h.admit(); err != nil {
 		return nil, err
 	}
 	inner, err := h.inner.newTransport()
@@ -180,7 +180,7 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 	// backend's, so one window serves both modes.
 	spec := inner.spec()
 	spec.Transport, spec.Apply, spec.Latch = t, t.apply, &h.PoisonLatch
-	t.p = NewPipe(spec)
+	t.p = newPipe(spec)
 	return t.p, nil
 }
 
@@ -188,7 +188,7 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 // report the hybrid's fault state. The backend's own latch never trips,
 // so its Close error can only be nil.
 func (h *Hybrid) Close() error {
-	h.Seal()
+	h.seal()
 	if err := h.inner.Close(); err != nil {
 		return err
 	}

@@ -393,37 +393,60 @@ func TestHybCombRunSplitsAtMaxOps(t *testing.T) {
 	})
 }
 
-// TestWindowDefers: the one property behind the rounds + combined <= ops
-// reading of a pipelined StatsSource holds for a handle of every
-// construction whose window defers, and for no other — every registered
-// algorithm is classified here, and a bare SyncHandle does not defer.
-func TestWindowDefers(t *testing.T) {
-	want := map[string]bool{
-		"tas-lock": true, "ttas-lock": true, "ticket-lock": true, "mcs-lock": true, "clh-lock": true,
-		"hybrid": true, "hybcomb": true, "ccsynch": true, "mpserver": true,
-		"shmserver": false,
-	}
-	seen := 0
-	for _, algo := range core.Algorithms() {
-		if strings.Contains(algo, "-test-") {
-			continue // registered by another test, under its own name
+// TestCCSynchRunCellRespectsMaxOps: MaxOps counts requests, not cells.
+// Two handles' runs of 3 queue behind a round parked in the object; the
+// first run's owner inherits the duty and serves its own cell, and the
+// second, which would take the round to 6 > MaxOps 4, ends the round
+// and is handed the duty. A run of 6 on its own is its owner's own
+// round, served whole.
+func TestCCSynchRunCellRespectsMaxOps(t *testing.T) {
+	handletest.Guard(t, func() {
+		obj := &runRec{fuse: -1, entered: make(chan struct{}), release: make(chan struct{})}
+		c := core.NewCCSynch(obj, core.Options{MaxOps: 4})
+		defer c.Close()
+		holder, a, b := core.MustHandle(c), core.MustHandle(c), core.MustHandle(c)
+		held := make(chan uint64)
+		go func() { held <- holder.Apply(opPark, 0) }()
+		<-obj.entered
+
+		window := func(h core.Handle, n int) []uint64 {
+			tks := make([]core.Ticket, n)
+			for i := range tks {
+				tks[i], _ = h.Submit(0, 0)
+			}
+			vals := make([]uint64, n)
+			for i, tk := range tks {
+				vals[i] = h.Wait(tk)
+			}
+			return vals
 		}
-		defers, ok := want[algo]
-		if !ok {
-			t.Errorf("%s is not classified: add it to want", algo)
-			continue
+		// Each run is linked into the chain before the next one publishes.
+		got := [2]chan []uint64{make(chan []uint64, 1), make(chan []uint64, 1)}
+		awaitLink := core.CCSynchLinks(c)
+		for i, h := range []core.Handle{a, b} {
+			go func() { got[i] <- window(h, 3) }()
+			awaitLink()
 		}
-		seen++
-		ex := core.MustNewObject(algo, core.Func(func(op, arg uint64) uint64 { return 0 }))
-		if got := core.WindowDefers(core.MustHandle(ex)); got != defers {
-			t.Errorf("WindowDefers(a %s handle) = %v, want %v", algo, got, defers)
+		close(obj.release)
+		if v := <-held; v != 0 {
+			t.Fatalf("holder's Apply = %d, want 0", v)
 		}
-		ex.Close()
-	}
-	if seen != len(want) {
-		t.Errorf("%d of the %d classified algorithms are registered", seen, len(want))
-	}
-	if core.WindowDefers(core.SyncHandle(func(op, arg uint64) uint64 { return 0 })) {
-		t.Error("WindowDefers(SyncHandle) = true, want false")
-	}
+		first, second := <-got[0], <-got[1]
+		if !slices.Equal(first, []uint64{1, 2, 3}) || !slices.Equal(second, []uint64{4, 5, 6}) {
+			t.Fatalf("the two windows redeemed %v and %v, want [1 2 3] and [4 5 6]", first, second)
+		}
+		if !slices.Equal(obj.runs, []int{1, 3, 3}) {
+			t.Fatalf("the object saw runs %v, want [1 3 3]: a run cell past MaxOps joined the round", obj.runs)
+		}
+		if rounds, combined := c.Stats(); rounds != 3 || combined != 0 {
+			t.Errorf("Stats() = (%d, %d), want three rounds, each its combiner's own cell", rounds, combined)
+		}
+
+		if vals := window(a, 6); !slices.Equal(vals, []uint64{7, 8, 9, 10, 11, 12}) {
+			t.Fatalf("a lone run of 6 redeemed %v", vals)
+		}
+		if !slices.Equal(obj.runs, []int{1, 3, 3, 6}) {
+			t.Fatalf("the object saw runs %v, want [1 3 3 6]: a lone run past MaxOps is one own round", obj.runs)
+		}
+	})
 }

@@ -22,7 +22,7 @@ func init() {
 		"mcs-lock":    func() func() spin.Lock { l := &spin.MCSLock{}; return func() spin.Lock { return l.NewMCSHandle() } },
 		"clh-lock":    func() func() spin.Lock { l := spin.NewCLHLock(); return func() spin.Lock { return l.NewCLHHandle() } },
 	} {
-		MustRegister(name, func(obj Object, o Options) (Executor, error) { return newLockExecutor(name, mk(), obj, o), nil })
+		mustRegister(name, func(obj Object, o Options) (Executor, error) { return newLockExecutor(name, mk(), obj, o), nil })
 	}
 }
 
@@ -52,7 +52,7 @@ type LockExecutor struct {
 type retryCellHot struct {
 	acq     atomic.Uint64
 	retries atomic.Uint64
-	ps      PipeCounters
+	ps      pipeCounters
 }
 
 // retryCell pads the counters to a whole cache line so each handle's
@@ -68,7 +68,7 @@ type retryCell struct {
 
 func newLockExecutor(algo string, factory func() spin.Lock, obj Object, o Options) *LockExecutor {
 	e := &LockExecutor{obj: obj, factory: factory}
-	e.Init(algo, o)
+	e.init(algo, o)
 	return e
 }
 
@@ -115,14 +115,14 @@ func (e *LockExecutor) Pipeline() (submitStalls, maxDepth uint64) {
 
 // NewHandle implements Executor.
 func (e *LockExecutor) NewHandle() (Handle, error) {
-	if _, err := e.Admit(); err != nil {
+	if _, err := e.admit(); err != nil {
 		return nil, err
 	}
 	h := &lockClient{lockClientHot: e.newClient()}
 	// The client is the transport: submissions are deferred into the
 	// pipeline's run, QueueCap of them at most; Apply with nothing in
 	// flight is the bare critical section.
-	return NewPipe(PipeSpec{Transport: h, Apply: h.apply, Latch: &e.PoisonLatch, Rec: h.rec,
+	return newPipe(pipeSpec{Transport: h, Apply: h.apply, Latch: &e.PoisonLatch, Rec: h.rec,
 		Counters: &h.cell.ps, Depth: e.Opts.QueueCap}), nil
 }
 
@@ -131,7 +131,7 @@ func (e *LockExecutor) NewHandle() (Handle, error) {
 // pending run still executes at the Wait or Flush that redeems it.
 // Idempotent; on a poisoned executor it reports the *PoisonError.
 func (e *LockExecutor) Close() error {
-	e.Seal()
+	e.seal()
 	return e.Err()
 }
 

@@ -63,7 +63,7 @@ type MPServer struct {
 	// late serializes the runs handles execute themselves once the
 	// server has stopped (see mpTransport.Run).
 	late sync.Mutex
-	ps   PipeCounters
+	ps   pipeCounters
 }
 
 // opQuit is an internal opcode that stops the server loop.
@@ -99,7 +99,7 @@ func newRunCell(queueCap int) mpRunCell {
 // it.
 func NewMPServer(obj Object, opts Options) *MPServer {
 	s := &MPServer{obj: obj, done: make(chan struct{})}
-	s.Init("mpserver", opts)
+	s.init("mpserver", opts)
 	s.reqs = mpq.NewMpsc(s.Opts.QueueCap)
 	s.peers = make([]atomic.Pointer[mpTransport], s.Opts.MaxThreads)
 	go s.serve()
@@ -194,7 +194,7 @@ func (s *MPServer) serve() {
 // window defers into its Pipe's run, which travels as one message when a
 // completion is demanded.
 func (s *MPServer) NewHandle() (Handle, error) {
-	id, err := s.Admit()
+	id, err := s.admit()
 	if err != nil {
 		return nil, err
 	}
@@ -203,9 +203,9 @@ func (s *MPServer) NewHandle() (Handle, error) {
 	// message in flight — at most one per operation.
 	t := &mpTransport{mpTransportHot: mpTransportHot{s: s, id: uint64(id),
 		resp: mpq.NewSpsc(s.Opts.QueueCap), cell: newRunCell(s.Opts.QueueCap)}}
-	s.Arm(&t.wb, "mpserver: client awaiting response")
+	s.arm(&t.wb, "mpserver: client awaiting response")
 	s.peers[id].Store(t)
-	return NewPipe(PipeSpec{Transport: t, Apply: t.apply, Latch: &s.PoisonLatch, Rec: s.Opts.Telemetry.Recorder(),
+	return newPipe(pipeSpec{Transport: t, Apply: t.apply, Latch: &s.PoisonLatch, Rec: s.Opts.Telemetry.Recorder(),
 		Counters: &s.ps, Depth: s.Opts.QueueCap, Waiter: &t.wb}), nil
 }
 
@@ -218,7 +218,7 @@ func (s *MPServer) NewHandle() (Handle, error) {
 // afterwards. On a poisoned executor Close still stops the server and
 // reports the *PoisonError.
 func (s *MPServer) Close() error {
-	if s.Seal() {
+	if s.seal() {
 		// A run whose sender read the executor unsealed goes out ahead
 		// of the quit marker: wait for every such send to land.
 		for i := range min(int(s.handles.Load()), len(s.peers)) {
@@ -298,7 +298,7 @@ func (t *mpTransport) apply(op, arg uint64) uint64 {
 // Run sees it or Close waits for the message before its quit marker.
 func (t *mpTransport) Run(reqs []Req, rets []uint64, room int) (owed int) {
 	t.sending.Store(true)
-	if t.s.Sealed() {
+	if t.s.sealed.Load() {
 		t.sending.Store(false)
 		return t.runLate(reqs, rets)
 	}

@@ -62,7 +62,7 @@ type Transport interface {
 	// Run. A return below room means the whole run was handed over. The
 	// pipeline hands over its pending run once the transport owes nothing
 	// older, and a batch with no run pending, or a submission on an eager
-	// pipe (PipeSpec.Eager), at once.
+	// pipe (pipeSpec.Eager), at once.
 	Run(reqs []Req, rets []uint64, room int) (owed int)
 }
 
@@ -80,8 +80,8 @@ type Owing interface {
 	Next(block bool) (val uint64, ok bool)
 }
 
-// PipeSpec is what a construction's NewHandle assembles a handle from.
-type PipeSpec struct {
+// pipeSpec is what a construction's NewHandle assembles a handle from.
+type pipeSpec struct {
 	Transport Transport
 	// Apply is the blocking round trip of one operation, used only while
 	// nothing is in flight — so the uncontended critical section pays no
@@ -97,7 +97,7 @@ type PipeSpec struct {
 	// Depth bounds the operations in flight (Options.QueueCap), pending
 	// in the run or owed. Both matter to every transport but one that
 	// completes each submission on the spot.
-	Counters *PipeCounters
+	Counters *pipeCounters
 	Depth    int
 	// Waiter is the transport's own watched waiter, borrowed by
 	// WaitTimeout's deadline loop so a wedged construction still trips
@@ -114,7 +114,7 @@ type PipeSpec struct {
 
 // pipeHot is a Pipe's state; see Pipe for the padding.
 type pipeHot struct {
-	spec PipeSpec // Counters and Waiter never nil, Depth at least 1
+	spec pipeSpec // Counters and Waiter never nil, Depth at least 1
 
 	win     mpq.Window
 	deepest uint64   // this handle's in-flight high-water mark
@@ -143,10 +143,10 @@ type Pipe struct {
 
 var _ Handle = (*Pipe)(nil)
 
-// NewPipe builds the handle for one goroutine over spec.
-func NewPipe(spec PipeSpec) *Pipe {
+// newPipe builds the handle for one goroutine over spec.
+func newPipe(spec pipeSpec) *Pipe {
 	if spec.Counters == nil {
-		spec.Counters = new(PipeCounters)
+		spec.Counters = new(pipeCounters)
 	}
 	if spec.Waiter == nil {
 		spec.Waiter = new(backoff.Watched)
@@ -160,12 +160,12 @@ func NewPipe(spec PipeSpec) *Pipe {
 	return p
 }
 
-// NewImmediatePipe builds the handle of a construction that cannot
+// newImmediatePipe builds the handle of a construction that cannot
 // leave a completion owed (SHM-SERVER's single request slot, an
 // adapted bare function): every submission runs apply on the spot and
 // banks the result, and a batch is a loop of them.
-func NewImmediatePipe(apply func(op, arg uint64) uint64, latch *PoisonLatch, rec *telemetry.Recorder) *Pipe {
-	return NewPipe(PipeSpec{Transport: immediate{apply}, Apply: apply, Latch: latch, Rec: rec, Eager: true})
+func newImmediatePipe(apply func(op, arg uint64) uint64, latch *PoisonLatch, rec *telemetry.Recorder) *Pipe {
+	return newPipe(pipeSpec{Transport: immediate{apply}, Apply: apply, Latch: latch, Rec: rec, Eager: true})
 }
 
 // SyncHandle adapts a bare apply function into a full Handle with
@@ -175,7 +175,7 @@ func NewImmediatePipe(apply func(op, arg uint64) uint64, latch *PoisonLatch, rec
 // function has no servicing path of its own and therefore no poison
 // latch; the adapting application owns its fault handling.
 func SyncHandle(apply func(op, arg uint64) uint64) Handle {
-	return NewImmediatePipe(apply, nil, nil)
+	return newImmediatePipe(apply, nil, nil)
 }
 
 type immediate struct {
@@ -529,21 +529,20 @@ func (im *Immediate) Take(t Ticket) uint64 {
 	return v
 }
 
-// PipeCounters is the shared implementation of PipelineStats, embedded
-// by the pipelining executors (MPServer, HybComb here; CC-Synch in
-// internal/shmsync; LockExecutor keeps one per handle beside its retry
-// counters) and fed by their handles' Pipes. Stalls are counted
+// pipeCounters is the shared implementation of PipelineStats, embedded
+// by the pipelining executors (MPServer, HybComb, CC-Synch;
+// LockExecutor keeps one per handle beside its retry counters) and fed by their handles' Pipes. Stalls are counted
 // directly — a stall already pays a blocking receive or a combining
 // round, so one more atomic add is noise — while depth is published
 // only on a handle's new personal maximum (see Pipe.issue).
-type PipeCounters struct {
+type pipeCounters struct {
 	stalls atomic.Uint64
 	depth  atomic.Uint64
 }
 
 // bumpDepth raises the published maximum in-flight depth to d
 // (monotonic CAS max).
-func (p *PipeCounters) bumpDepth(d uint64) {
+func (p *pipeCounters) bumpDepth(d uint64) {
 	for {
 		cur := p.depth.Load()
 		if d <= cur || p.depth.CompareAndSwap(cur, d) {
@@ -553,6 +552,6 @@ func (p *PipeCounters) bumpDepth(d uint64) {
 }
 
 // Pipeline implements PipelineStats.
-func (p *PipeCounters) Pipeline() (submitStalls, maxDepth uint64) {
+func (p *pipeCounters) Pipeline() (submitStalls, maxDepth uint64) {
 	return p.stalls.Load(), p.depth.Load()
 }

@@ -108,8 +108,7 @@ func TestPipeHandsOverRuns(t *testing.T) {
 				o := &scriptedOwing{scripted{owe: c.owe}}
 				s, tr = &o.scripted, o
 			}
-			ctr := new(core.PipeCounters)
-			h := core.NewPipe(core.PipeSpec{Transport: tr, Counters: ctr, Depth: depth, Eager: c.eager})
+			h, ctr := core.NewTestPipe(tr, depth, c.eager)
 			tks := c.do(h)
 			if !slices.Equal(s.runs, c.before) {
 				t.Errorf("runs handed over before a completion was demanded: %v, want %v", s.runs, c.before)

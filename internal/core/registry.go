@@ -35,8 +35,8 @@ func Register(name string, f Factory) error {
 	return nil
 }
 
-// MustRegister is Register, panicking on failure; for init-time use.
-func MustRegister(name string, f Factory) {
+// mustRegister is Register, panicking on failure; for init-time use.
+func mustRegister(name string, f Factory) {
 	if err := Register(name, f); err != nil {
 		panic(err)
 	}
@@ -54,7 +54,7 @@ func NewObject(name string, obj Object, opts ...Option) (Executor, error) {
 		return nil, fmt.Errorf("core: %q (have: %s): %w",
 			name, strings.Join(Algorithms(), ", "), ErrUnknownAlgorithm)
 	}
-	o, err := BuildOptions(opts...)
+	o, err := buildOptions(opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -82,10 +82,12 @@ func Algorithms() []string {
 	return names
 }
 
-// The package's own delegation constructions self-register here, the
-// lock executors in lockexec.go, shmsync's from its own init.
+// The package's delegation and shared-memory constructions register
+// here, the lock executors in lockexec.go.
 func init() {
-	MustRegister("mpserver", func(obj Object, o Options) (Executor, error) { return NewMPServer(obj, o), nil })
-	MustRegister("hybcomb", func(obj Object, o Options) (Executor, error) { return NewHybComb(obj, o), nil })
-	MustRegister("hybrid", func(obj Object, o Options) (Executor, error) { return NewHybrid(obj, o), nil })
+	mustRegister("mpserver", func(obj Object, o Options) (Executor, error) { return NewMPServer(obj, o), nil })
+	mustRegister("hybcomb", func(obj Object, o Options) (Executor, error) { return NewHybComb(obj, o), nil })
+	mustRegister("hybrid", func(obj Object, o Options) (Executor, error) { return NewHybrid(obj, o), nil })
+	mustRegister("ccsynch", func(obj Object, o Options) (Executor, error) { return NewCCSynch(obj, o), nil })
+	mustRegister("shmserver", func(obj Object, o Options) (Executor, error) { return NewSHMServer(obj, o), nil })
 }

@@ -5,7 +5,6 @@ import (
 
 	"hybsync/internal/core"
 	"hybsync/internal/shard"
-	_ "hybsync/internal/shmsync" // registers ccsynch and shmserver: every algorithm is under test
 )
 
 // runLog is a keyed object that records the length of every

@@ -13,7 +13,7 @@ import (
 // shellHot is Shell's state; see Shell for the padding.
 type shellHot struct {
 	PoisonLatch
-	// Opts is the construction's configuration, defaults filled by Init.
+	// Opts is the construction's configuration, defaults filled by init.
 	Opts    Options
 	sealed  atomic.Bool
 	handles atomic.Int32
@@ -41,20 +41,20 @@ type Shell struct {
 	_ [pad.CacheLine - unsafe.Sizeof(shellHot{})%pad.CacheLine]byte
 }
 
-// Init names the construction and fills its options' defaults, so the
+// init names the construction and fills its options' defaults, so the
 // zero Options is valid for every constructor. Call it before the
 // executor is shared.
-func (s *Shell) Init(algo string, o Options) {
+func (s *Shell) init(algo string, o Options) {
 	o.fill()
 	s.Algo, s.Tel, s.Opts = algo, o.Telemetry, o
 }
 
-// Admit is the admission half of every NewHandle: it fails with the
+// admit is the admission half of every NewHandle: it fails with the
 // *PoisonError once poisoned, with ErrClosed once sealed and with
 // ErrTooManyHandles once MaxThreads handles exist, each wrapped with
 // the algorithm's name; otherwise it returns the new handle's index in
 // [0, MaxThreads).
-func (s *Shell) Admit() (id int, err error) {
+func (s *Shell) admit() (id int, err error) {
 	err = s.Err()
 	if err == nil && s.sealed.Load() {
 		err = ErrClosed
@@ -68,22 +68,18 @@ func (s *Shell) Admit() (id int, err error) {
 	return 0, fmt.Errorf("%s: NewHandle: %w", s.Algo, err)
 }
 
-// Seal fails every later Admit with ErrClosed. It reports whether this
+// seal fails every later admit with ErrClosed. It reports whether this
 // call was the first, which is the one that stops a construction's
 // background goroutine.
-func (s *Shell) Seal() (first bool) { return s.sealed.CompareAndSwap(false, true) }
-
-// Sealed reports whether Seal has been called; a polling server's exit
-// condition.
-func (s *Shell) Sealed() bool { return s.sealed.Load() }
+func (s *Shell) seal() (first bool) { return s.sealed.CompareAndSwap(false, true) }
 
 // Telemetry implements TelemetrySource.
 func (s *Shell) Telemetry() *telemetry.Telemetry { return s.Opts.Telemetry }
 
-// Arm readies w, in place, as one of the construction's watched
+// arm readies w, in place, as one of the construction's watched
 // waiters: the executor's stall budget, label for the watchdog's
 // report, and the telemetry core counting its firings.
-func (s *Shell) Arm(w *backoff.Watched, label string) {
+func (s *Shell) arm(w *backoff.Watched, label string) {
 	*w = backoff.Armed(s.Opts.StallTimeout, label)
 	w.SetOnStall(s.Opts.Telemetry.StallHook())
 }

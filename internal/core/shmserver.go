@@ -1,11 +1,10 @@
-package shmsync
+package core
 
 import (
 	"sync/atomic"
 	"unsafe"
 
 	"hybsync/internal/backoff"
-	"hybsync/internal/core"
 	"hybsync/internal/pad"
 )
 
@@ -17,12 +16,12 @@ import (
 // run of consecutive occupied slots found in one pass is gathered and
 // executed as ONE DispatchBatch call before the results are written
 // back and the slots released, and an idle server backs off (spin →
-// yield → sleep) instead of burning its core. This is message passing
+// yield → sleep) instead of burning its  This is message passing
 // emulated over coherent shared memory — the baseline whose
 // per-request coherence misses MP-SERVER eliminates.
 type SHMServer struct {
-	core.Shell
-	obj   core.Object
+	Shell
+	obj   Object
 	slots []shmSlot // Options.MaxThreads of them
 	done  chan struct{}
 }
@@ -45,9 +44,9 @@ type shmSlot struct {
 
 // NewSHMServer starts the polling server goroutine for up to
 // Options.MaxThreads clients. Close must be called to stop it.
-func NewSHMServer(obj core.Object, o core.Options) *SHMServer {
+func NewSHMServer(obj Object, o Options) *SHMServer {
 	s := &SHMServer{obj: obj, done: make(chan struct{})}
-	s.Init("shmserver", o)
+	s.init("shmserver", o)
 	s.slots = make([]shmSlot, s.Opts.MaxThreads)
 	go s.serve()
 	return s
@@ -64,7 +63,7 @@ func (s *SHMServer) serve() {
 	// releases the slots. Contended neighbours thus amortize the
 	// dispatch indirection while a lone client still gets a 1-batch.
 	pend := make([]*shmSlot, 0, len(s.slots))
-	reqs := make([]core.Req, 0, len(s.slots))
+	reqs := make([]Req, 0, len(s.slots))
 	rets := make([]uint64, len(s.slots))
 	rec := s.Opts.Telemetry.Recorder() // server-goroutine owned
 	flush := func() {
@@ -103,7 +102,7 @@ func (s *SHMServer) serve() {
 				continue
 			}
 			pend = append(pend, slot)
-			reqs = append(reqs, core.Req{Op: req - 1, Arg: slot.arg})
+			reqs = append(reqs, Req{Op: req - 1, Arg: slot.arg})
 			served = true
 		}
 		if len(pend) != 0 {
@@ -116,7 +115,7 @@ func (s *SHMServer) serve() {
 			idle.Reset()
 			continue
 		}
-		if s.Sealed() {
+		if s.sealed.Load() {
 			// Draining close: one more full sweep after observing the seal.
 			// A request published before Close happened-before the seal's
 			// store, so this sweep sees it — the empty sweep above
@@ -130,20 +129,20 @@ func (s *SHMServer) serve() {
 	}
 }
 
-// NewHandle implements core.Executor.
-func (s *SHMServer) NewHandle() (core.Handle, error) {
-	id, err := s.Admit()
+// NewHandle implements Executor.
+func (s *SHMServer) NewHandle() (Handle, error) {
+	id, err := s.admit()
 	if err != nil {
 		return nil, err
 	}
 	h := &shmClient{shmClientHot: shmClientHot{slot: &s.slots[id]}}
-	s.Arm(&h.wb, "shmserver: waiting for server sweep")
+	s.arm(&h.wb, "shmserver: waiting for server sweep")
 	// A client owns exactly one request slot, so nothing can be left in
 	// flight and a client's own batch cannot travel together: every
 	// submission is a slot round trip, ApplyBatch loops them, and
 	// batches form server-side instead, across clients, when the sweep
 	// finds consecutive occupied slots.
-	return core.NewImmediatePipe(h.apply, &s.PoisonLatch, s.Opts.Telemetry.Recorder()), nil
+	return newImmediatePipe(h.apply, &s.PoisonLatch, s.Opts.Telemetry.Recorder()), nil
 }
 
 // Close stops the server once all in-flight requests are served (the
@@ -152,7 +151,7 @@ func (s *SHMServer) NewHandle() (core.Handle, error) {
 // a poisoned executor it still stops the server and reports the
 // *PoisonError.
 func (s *SHMServer) Close() error {
-	if s.Seal() {
+	if s.seal() {
 		<-s.done
 	}
 	return s.Err()

@@ -17,7 +17,6 @@ import (
 	"hybsync"
 	"hybsync/harness"
 	"hybsync/internal/benchfmt"
-	"hybsync/internal/core"
 	"hybsync/internal/telemetry"
 	"hybsync/object"
 )
@@ -281,10 +280,11 @@ func window(h hybsync.Handle, depth int) (body func(uint64), drain func()) {
 // counters the construction keeps — and checked: after Close the
 // object's state must equal the operations the harness counted, or Run
 // fails rather than record a number for work that was lost or done
-// twice. Records of cells with c.Batch > 1, and async records of the
-// constructions whose window defers (core.WindowDefers), carry no
-// rounds/combined (their scalar identity rounds+combined==ops fails when
-// one round holds many of its owner's operations; see core.StatsSource).
+// twice. Records of cells with c.Batch > 1, and async records, carry no
+// rounds/combined: there one round can hold many of its owner's
+// operations — every construction that keeps the counters defers a
+// pipelined window — and their scalar identity rounds+combined==ops
+// fails (see core.StatsSource).
 func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, error) {
 	bench, skip := Classify(c)
 	if skip != "" {
@@ -309,12 +309,11 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 	// Sized generously enough for any thread count a grid drives.
 	opts := []hybsync.Option{hybsync.WithMaxThreads(256), hybsync.WithTelemetry(tel)}
 	var (
-		sc     *object.ShardedCounter     // keyed cells
-		ex     hybsync.Executor           // scalar cells
-		drive  interface{ Close() error } // whichever of the two this cell drives
-		state  func() uint64              // the object's value, read at quiescence
-		setup  func(t int) (body func(uint64), drain func())
-		defers bool // ex's handles defer their window (core.WindowDefers)
+		sc    *object.ShardedCounter     // keyed cells
+		ex    hybsync.Executor           // scalar cells
+		drive interface{ Close() error } // whichever of the two this cell drives
+		state func() uint64              // the object's value, read at quiescence
+		setup func(t int) (body func(uint64), drain func())
 	)
 	if bench == benchSharded {
 		if sc, err = object.NewShardedCounter(c.Algo, c.Shards, opts...); err != nil {
@@ -352,9 +351,6 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 		drive, state = ex, func() uint64 { return ctr.state }
 		setup = func(t int) (func(uint64), func()) {
 			h := hybsync.MustHandle(ex)
-			if t == 0 { // every handle of one executor answers alike
-				defers = core.WindowDefers(h)
-			}
 			switch bench {
 			case benchAsync:
 				return window(h, c.Depth)
@@ -393,9 +389,9 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 			rec.Pipe = &benchfmt.Pipeline{SubmitStalls: st, MaxDepth: d}
 		}
 	} else {
-		// A deferring handle's window executes as one round of many own
-		// operations, the unit mix a batch has.
-		if s, ok := ex.(hybsync.StatsSource); ok && c.Batch == 1 && !(bench == benchAsync && defers) {
+		// A deferred window executes as one round of many own operations,
+		// the unit mix a batch has.
+		if s, ok := ex.(hybsync.StatsSource); ok && c.Batch == 1 && bench != benchAsync {
 			rec.Rounds, rec.Combined = s.Stats()
 		}
 		if p, ok := ex.(hybsync.PipelineStats); ok {

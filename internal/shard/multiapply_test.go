@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hybsync/internal/core"
-	_ "hybsync/internal/shmsync" // registers ccsynch and shmserver: every algorithm is under test
 )
 
 // faultObj counts the operations each shard executed and panics on the

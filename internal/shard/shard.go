@@ -186,16 +186,9 @@ func (r *Router) Poison(v any) {
 	}
 }
 
-// Stats implements core.StatsSource by summing the combining statistics
-// of every shard whose executor is itself a StatsSource; read it only
-// at quiescence.
-func (r *Router) Stats() (rounds, combined uint64) {
-	rounds, combined, _ = r.CombiningStats()
-	return rounds, combined
-}
-
-// CombiningStats is Stats plus ok, which is false when no shard's
-// executor keeps combining statistics.
+// CombiningStats sums the combining statistics of every shard whose
+// executor is a core.StatsSource; ok is false when no shard's executor
+// keeps them. Read it only at quiescence.
 func (r *Router) CombiningStats() (rounds, combined uint64, ok bool) {
 	for _, e := range r.execs {
 		if s, isSource := e.(core.StatsSource); isSource {
@@ -208,19 +201,13 @@ func (r *Router) CombiningStats() (rounds, combined uint64, ok bool) {
 	return rounds, combined, ok
 }
 
-// Pipeline implements core.PipelineStats by aggregating the shards
-// whose executors keep pipeline counters: stalls sum, the maximum
-// depth is the max across shards. Shards without counters contribute
-// nothing. Read only at pipeline quiescence, like the per-executor
-// counters.
-func (r *Router) Pipeline() (submitStalls, maxDepth uint64) {
-	submitStalls, maxDepth, _ = r.PipelineCounters()
-	return submitStalls, maxDepth
-}
-
-// PipelineCounters is Pipeline plus ok, which is false when no shard's
-// executor keeps pipeline counters — distinguishing "measured and
-// unstalled" from "nothing measures" (mirroring CombiningStats).
+// PipelineCounters aggregates the shards whose executors keep pipeline
+// counters (core.PipelineStats): stalls sum, the maximum depth is the
+// max across shards, and shards without counters contribute nothing. ok
+// is false when no shard's executor keeps them — distinguishing
+// "measured and unstalled" from "nothing measures" (mirroring
+// CombiningStats). Read only at pipeline quiescence, like the
+// per-executor counters.
 func (r *Router) PipelineCounters() (submitStalls, maxDepth uint64, ok bool) {
 	for _, e := range r.execs {
 		if p, isSource := e.(core.PipelineStats); isSource {

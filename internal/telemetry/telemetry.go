@@ -4,7 +4,7 @@
 // read with a merge-on-read Snapshot.
 //
 // The design splits hot-path cost from read-path cost the same way
-// core.PipeCounters does:
+// core's pipeline counters (core.PipelineStats) do:
 //
 //   - Recording is one or two uncontended atomic adds on a
 //     cache-line-padded shard row owned (modulo round-robin reuse) by
@@ -54,7 +54,7 @@ type Telemetry struct {
 
 	// Rare-event counters: incremented on paths that are already slow
 	// (a tripped poison latch, a stall report, a full pipeline), so a
-	// direct atomic add is noise — the PipeCounters argument.
+	// direct atomic add is noise — the pipeline counters' argument.
 	poisons      atomic.Uint64
 	stalls       atomic.Uint64
 	submitStalls atomic.Uint64
@@ -123,8 +123,8 @@ func (t *Telemetry) NoteStall() {
 }
 
 // NoteSubmitStall counts one submission that found its handle's
-// pipeline full, mirroring core.PipeCounters.NoteStall as a telemetry
-// event.
+// pipeline full, mirroring the submit stalls core's pipeline counters
+// report (core.PipelineStats) as a telemetry event.
 func (t *Telemetry) NoteSubmitStall() {
 	if t != nil {
 		t.submitStalls.Add(1)

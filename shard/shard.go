@@ -5,10 +5,10 @@
 // (Broadcast/Aggregate) executed shard-by-shard without global locking.
 //
 //	var parts [8]uint64
-//	r, err := shard.NewObject("mpserver", shard.KeyedFunc(func(s int, op, arg uint64) uint64 {
+//	r, err := shard.NewObject("mpserver", 8, shard.KeyedFunc(func(s int, op, arg uint64) uint64 {
 //		parts[s] += arg // runs in shard s's critical section
 //		return parts[s]
-//	}), hybsync.WithShards(8))
+//	}))
 //	h, err := r.NewHandle()          // one per goroutine
 //	v, err := h.Apply(key, 0, 1)     // routes key to its shard
 //	t, err := h.Submit(key, 0, 1)    // same, without waiting
@@ -76,31 +76,26 @@ func HotKeyIsolating(base Partitioner, hot ...uint64) Partitioner {
 	return ishard.HotKeyIsolating(base, hot...)
 }
 
-// NewObject builds a router whose shards all run the named algorithm,
-// routing with the default Fibonacci partitioner. The shard count comes
-// from hybsync.WithShards (default 1); the remaining options configure
-// each shard's executor independently. Every run a shard's executor
-// forms (a drained server batch, a combining round, a MultiApply group)
-// reaches obj as one DispatchShardBatch call for that shard; a bare
-// function is NewObject(algo, KeyedFunc(f)).
-func NewObject(algo string, obj KeyedObject, opts ...hybsync.Option) (*Router, error) {
-	return NewObjectPartitioned(algo, obj, nil, opts...)
+// NewObject builds a router of nshards shards that all run the named
+// algorithm, routing with the default Fibonacci partitioner; a
+// non-positive nshards fails with hybsync.ErrBadOption. The options
+// configure each shard's executor independently. Every run a shard's
+// executor forms (a drained server batch, a combining round, a
+// MultiApply group) reaches obj as one DispatchShardBatch call for that
+// shard; a bare function is NewObject(algo, nshards, KeyedFunc(f)).
+func NewObject(algo string, nshards int, obj KeyedObject, opts ...hybsync.Option) (*Router, error) {
+	return NewObjectPartitioned(algo, nshards, obj, nil, opts...)
 }
 
 // NewObjectPartitioned is NewObject with an explicit Partitioner (nil
 // selects Fibonacci).
-func NewObjectPartitioned(algo string, obj KeyedObject, part Partitioner, opts ...hybsync.Option) (*Router, error) {
-	o, err := core.BuildOptions(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return ishard.NewObjectRouter(o.Shards, obj, part, factoryFor(algo, opts))
+func NewObjectPartitioned(algo string, nshards int, obj KeyedObject, part Partitioner, opts ...hybsync.Option) (*Router, error) {
+	return ishard.NewObjectRouter(nshards, obj, part, factoryFor(algo, opts))
 }
 
 // NewMixed builds a router with one shard per listed algorithm — shard
 // i runs algos[i] — for ablating mixed constructions against uniform
-// ones. Any hybsync.WithShards in opts is ignored; the shard count is
-// len(algos).
+// ones.
 func NewMixed(algos []string, obj KeyedObject, opts ...hybsync.Option) (*Router, error) {
 	if len(algos) == 0 {
 		return nil, fmt.Errorf("shard: NewMixed needs at least one algorithm")

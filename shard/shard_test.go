@@ -1,10 +1,11 @@
 // Tests for the public shard facade: registry-name construction, the
-// WithShards option, mixed-algorithm routers, and the root package's
+// shard-count argument, mixed-algorithm routers, and the root package's
 // sentinel lifecycle surfacing through the router.
 package shard_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -15,10 +16,10 @@ import (
 func TestNewRoutesAcrossShards(t *testing.T) {
 	const nshards = 4
 	var parts [nshards]uint64
-	r, err := shard.NewObject("mpserver", shard.KeyedFunc(func(s int, op, arg uint64) uint64 {
+	r, err := shard.NewObject("mpserver", nshards, shard.KeyedFunc(func(s int, op, arg uint64) uint64 {
 		parts[s] += arg
 		return parts[s]
-	}), hybsync.WithShards(nshards))
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +94,10 @@ func TestNewMixedOneShardPerAlgorithm(t *testing.T) {
 
 func TestFacadeSentinels(t *testing.T) {
 	d := func(s int, op, arg uint64) uint64 { return 0 }
-	if _, err := shard.NewObject("no-such-algo", shard.KeyedFunc(d), hybsync.WithShards(2)); !errors.Is(err, hybsync.ErrUnknownAlgorithm) {
+	if _, err := shard.NewObject("no-such-algo", 2, shard.KeyedFunc(d)); !errors.Is(err, hybsync.ErrUnknownAlgorithm) {
 		t.Errorf("unknown algorithm = %v, want ErrUnknownAlgorithm", err)
 	}
-	if _, err := shard.NewObject("mpserver", shard.KeyedFunc(d), hybsync.WithShards(0)); !errors.Is(err, hybsync.ErrBadOption) {
-		t.Errorf("WithShards(0) = %v, want ErrBadOption", err)
-	}
-	r, err := shard.NewObject("mpserver", shard.KeyedFunc(d), hybsync.WithShards(2), hybsync.WithMaxThreads(1))
+	r, err := shard.NewObject("mpserver", 2, shard.KeyedFunc(d), hybsync.WithMaxThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +120,34 @@ func TestFacadeSentinels(t *testing.T) {
 	}
 }
 
+// TestShardCountRejectedAtNew: the shard count is an argument of both
+// constructors, and a non-positive one fails with a wrapped ErrBadOption
+// before any shard's executor is built; a bad executor option fails the
+// same way, from the first shard's construction.
+func TestShardCountRejectedAtNew(t *testing.T) {
+	d := shard.KeyedFunc(func(s int, op, arg uint64) uint64 { return 0 })
+	for _, n := range []int{0, -2} {
+		t.Run(fmt.Sprintf("nshards=%d", n), func(t *testing.T) {
+			if _, err := shard.NewObject("mpserver", n, d); !errors.Is(err, hybsync.ErrBadOption) {
+				t.Errorf("NewObject with %d shards = %v, want ErrBadOption", n, err)
+			}
+			if _, err := shard.NewObjectPartitioned("mpserver", n, d, shard.Modulo); !errors.Is(err, hybsync.ErrBadOption) {
+				t.Errorf("NewObjectPartitioned with %d shards = %v, want ErrBadOption", n, err)
+			}
+		})
+	}
+	if _, err := shard.NewObject("mpserver", 2, d, hybsync.WithQueueCap(0)); !errors.Is(err, hybsync.ErrBadOption) {
+		t.Errorf("NewObject with WithQueueCap(0) = %v, want ErrBadOption", err)
+	}
+}
+
 func TestPartitionedHotKeys(t *testing.T) {
 	hits := make([]uint64, 4)
 	p := shard.HotKeyIsolating(shard.Fibonacci, 42)
-	r, err := shard.NewObjectPartitioned("hybcomb", shard.KeyedFunc(func(s int, op, arg uint64) uint64 {
+	r, err := shard.NewObjectPartitioned("hybcomb", 4, shard.KeyedFunc(func(s int, op, arg uint64) uint64 {
 		hits[s]++
 		return 0
-	}), p, hybsync.WithShards(4))
+	}), p)
 	if err != nil {
 		t.Fatal(err)
 	}
