@@ -1,4 +1,5 @@
-// Command hyblint runs the hybsync analyzer suite as a go vet tool:
+// Command hyblint runs the hybsync analyzer suite — padcheck and
+// backoffcheck, the two checks no test makes — as a go vet tool:
 //
 //	go build -o /tmp/hyblint ./cmd/hyblint
 //	go vet -vettool=/tmp/hyblint ./...
@@ -31,9 +32,13 @@ import (
 	"os"
 	"strings"
 
-	"hybsync/internal/analysis/hyblint"
+	"hybsync/internal/analysis/backoffcheck"
 	"hybsync/internal/analysis/lintkit"
+	"hybsync/internal/analysis/padcheck"
 )
+
+// analyzers is the suite, in reporting order.
+var analyzers = []*lintkit.Analyzer{padcheck.Analyzer, backoffcheck.Analyzer}
 
 func main() {
 	log.SetFlags(0)
@@ -177,7 +182,7 @@ func runUnit(cfgFile string, jsonOut bool) int {
 	}
 	byAnalyzer := make(map[string][]jsonDiag)
 	exit := 0
-	for _, a := range hyblint.Analyzers() {
+	for _, a := range analyzers {
 		var diags []lintkit.Diagnostic
 		pass := &lintkit.Pass{
 			Analyzer:   a,

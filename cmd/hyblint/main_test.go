@@ -34,13 +34,16 @@ func TestVettool(t *testing.T) {
 	const bad = `package scratch
 
 import (
-	"errors"
 	"sync/atomic"
+	"unsafe"
 )
 
-var ErrClosed = errors.New("closed")
+type hot struct{ n atomic.Uint64 }
 
-func IsClosed(err error) bool { return err == ErrClosed }
+type cell struct {
+	hot hot
+	_   [64 - unsafe.Sizeof(hot{})%64]byte
+}
 
 func WaitReady(ready *atomic.Bool) {
 	for !ready.Load() {
@@ -52,7 +55,7 @@ func WaitReady(ready *atomic.Bool) {
 	if err == nil {
 		t.Fatalf("go vet passed over a module with violations; output:\n%s", out)
 	}
-	for _, wantDiag := range []string{"use errors.Is", "raw spin loop"} {
+	for _, wantDiag := range []string{"no //hyblint:padded marker", "raw spin loop"} {
 		if !strings.Contains(out, wantDiag) {
 			t.Errorf("vet output does not mention %q:\n%s", wantDiag, out)
 		}
@@ -61,13 +64,17 @@ func WaitReady(ready *atomic.Bool) {
 	const good = `package scratch
 
 import (
-	"errors"
 	"sync/atomic"
+	"unsafe"
 )
 
-var ErrClosed = errors.New("closed")
+type hot struct{ n atomic.Uint64 }
 
-func IsClosed(err error) bool { return errors.Is(err, ErrClosed) }
+//hyblint:padded
+type cell struct {
+	hot hot
+	_   [64 - unsafe.Sizeof(hot{})%64]byte
+}
 
 func WaitReady(ready *atomic.Bool) bool { return ready.Load() }
 `

@@ -10,7 +10,7 @@
 // without the analyzer.
 //
 // Fixture packages import each other by bare directory name (a fixture
-// "core" package stands in for hybsync/internal/core) and may import
+// "pad" package stands in for hybsync/internal/pad) and may import
 // the real standard library, which is type-checked from GOROOT source
 // so the suite runs offline. Every fixture is type-checked and analyzed
 // twice, with the gc sizes for amd64 and for 386 regardless of host, and

@@ -14,10 +14,10 @@ import (
 // (no space after //, like //go:build) either on the line of a
 // construct or as the last line of the comment group immediately above
 // it. Two kinds exist: markers that opt a declaration into a contract
-// (//hyblint:padded, //hyblint:padsep on struct types) and waivers
-// that suppress a finding at one site with reviewer sign-off
-// (//hyblint:rawspin, //hyblint:latchok, //hyblint:senteq). Anything
-// after the name on the same comment line is free-form justification.
+// (//hyblint:padded, //hyblint:padsep on struct types) and the one
+// waiver, which suppresses a finding at one site with reviewer sign-off
+// (//hyblint:rawspin). Anything after the name on the same comment line
+// is free-form justification.
 const directivePrefix = "//hyblint:"
 
 // Directive reports whether a hyblint directive named name is attached

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"hybsync"
-	"hybsync/internal/backoff"
 	"hybsync/internal/chaos"
 )
 
@@ -302,46 +301,6 @@ func TestBoundedWaits(t *testing.T) {
 	if v, err := h.WaitTimeout(tk, 10*time.Second); err != nil || v != 0 {
 		t.Fatalf("WaitTimeout after unwedge = (%d, %v), want (0, nil)", v, err)
 	}
-	if err := ex.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStallWatchdog wires WithStallTimeout through to the backoff
-// stall handler: a wait that outlives the budget must report exactly
-// once with its construction label.
-func TestStallWatchdog(t *testing.T) {
-	defer watchdog(t, 30*time.Second)()
-	fired := make(chan string, 8)
-	backoff.SetStallHandler(func(label string, waited time.Duration) {
-		fired <- label
-	})
-	defer backoff.SetStallHandler(nil)
-
-	obj := &blockingObject{release: make(chan struct{})}
-	ex, err := hybsync.NewObject("mpserver", obj,
-		hybsync.WithQueueCap(4), hybsync.WithStallTimeout(20*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := hybsync.MustHandle(ex)
-	tk, err := h.Submit(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WaitTimeout(tk, 2*time.Second); !errors.Is(err, hybsync.ErrWaitTimeout) {
-		t.Fatalf("WaitTimeout = %v, want ErrWaitTimeout (server is wedged)", err)
-	}
-	select {
-	case label := <-fired:
-		if label == "" {
-			t.Fatal("stall handler fired with empty label")
-		}
-	default:
-		t.Fatal("stall handler did not fire within a 2s wait on a 20ms budget")
-	}
-	close(obj.release)
-	h.Wait(tk)
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,10 @@ func ForceHybridMode(h *Hybrid, promote bool) { forceMode(h, promote) }
 // before h hands out handles.
 func FreezeHybrid(h *Hybrid) { h.window = math.MaxUint64 }
 
+// HybridBackend is h's delegation backend, whose own latch the
+// hybrid's design keeps from ever tripping.
+func HybridBackend(h *Hybrid) *HybComb { return h.inner }
+
 // HybCombLastCombiner is the thread id on h's last registered combiner
 // node: the thread that promoted itself last (-1 before anyone did).
 func HybCombLastCombiner(h *HybComb) int32 { return h.lastReg.Load().threadID.Load() }

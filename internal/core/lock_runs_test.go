@@ -14,9 +14,11 @@ import (
 
 // runRec records the length of every DispatchBatch run; results are
 // execution indices, so ticket order is visible in the values. fuse,
-// when not negative, is the execution index at which it panics; an
-// opPark request parks the dispatching thread, inside its run, until
-// release is closed.
+// when not negative, is the execution index at which it panics, once:
+// a one-shot fuse trips one latch on whichever path dispatched it, and
+// cannot recur on another, guarded path and hide a bypass. An opPark
+// request parks the dispatching thread, inside its run, until release
+// is closed.
 type runRec struct {
 	runs  []int
 	state uint64
@@ -31,6 +33,7 @@ func (o *runRec) DispatchBatch(reqs []core.Req, results []uint64) {
 	o.runs = append(o.runs, len(reqs))
 	for i, r := range reqs {
 		if o.fuse >= 0 && o.state == uint64(o.fuse) {
+			o.fuse = -1
 			panic("lock_runs_test: injected fault")
 		}
 		if r.Op == opPark {
