@@ -36,7 +36,18 @@ import (
 // a line of its own two contending threads run 20 % slower
 // (contended-apply, CHANGES.md PR 18). An honest waiting policy at the
 // chain's end belongs to ROADMAP direction C.
+//
+// The tail pad makes the struct whole cache lines, so an executor is
+// placed on a line by its size alone rather than by the size class it
+// happens to fall in (TestCCSynchLineAligned).
 type CCSynch struct {
+	ccSynchHot
+	_ [pad.CacheLine - unsafe.Sizeof(ccSynchHot{})%pad.CacheLine]byte
+}
+
+// ccSynchHot is CCSynch's state; see CCSynch for the field order and
+// the padding.
+type ccSynchHot struct {
 	tail atomic.Pointer[ccNode]
 	Shell
 	obj Object
@@ -62,7 +73,6 @@ type ccNodeHot struct {
 	next      atomic.Pointer[ccNode]
 }
 
-//hyblint:padded
 type ccNode struct {
 	ccNodeHot
 	_ [pad.CacheLine - unsafe.Sizeof(ccNodeHot{})%pad.CacheLine]byte
@@ -79,7 +89,7 @@ type ccRun struct {
 // NewCCSynch creates the structure; Options.MaxOps is the combining
 // bound and Options.QueueCap the per-handle in-flight bound.
 func NewCCSynch(obj Object, o Options) *CCSynch {
-	c := &CCSynch{obj: obj}
+	c := &CCSynch{ccSynchHot: ccSynchHot{obj: obj}}
 	c.init("ccsynch", o)
 	c.tail.Store(&ccNode{}) // initial dummy: wait=false, completed=false
 	return c
@@ -146,8 +156,6 @@ type ccTransportHot struct {
 // ccTransport rounds its state up to whole cache lines: handles of different
 // threads are allocated side by side, and one thread's per-operation
 // writes must not invalidate the line a neighbour reads its own from.
-//
-//hyblint:padded
 type ccTransport struct {
 	ccTransportHot
 	_ [pad.CacheLine - unsafe.Sizeof(ccTransportHot{})%pad.CacheLine]byte

@@ -264,6 +264,24 @@ func TestHybCombNodeLayout(t *testing.T) {
 	}
 }
 
+// linePlaced reports whether the address assertions of the LineAligned
+// tests hold on this target, and logs why they are skipped where they do
+// not. A whole-line struct starts on a line only while the allocator puts
+// nothing in front of it: Go 1.22 and later put an 8-byte malloc header in
+// front of a pointerful heap object larger than 512 B on 64-bit targets
+// and larger than 128 B on 386 (pointer size × pointer bits). Every placed
+// type here is pointerful and at most 512 B, so placement is promised on
+// 64-bit targets only; the sizes are asserted on every target.
+func linePlaced(t *testing.T) bool {
+	t.Helper()
+	ptr := unsafe.Sizeof(uintptr(0))
+	if ptr == 8 {
+		return true
+	}
+	t.Logf("placement not asserted: line placement is promised on 64-bit targets only, since on this %d-bit target Go puts an 8-byte malloc header in front of a pointerful object larger than %d B", 8*ptr, ptr*8*ptr)
+	return false
+}
+
 // TestHybCombLineAligned pins what the padding of HybComb buys: every
 // executor starts on a cache-line boundary, so the words written each
 // round fall on the same lines in every executor of every run. At 240
@@ -271,6 +289,9 @@ func TestHybCombNodeLayout(t *testing.T) {
 func TestHybCombLineAligned(t *testing.T) {
 	if !pad.Padded(unsafe.Sizeof(HybComb{})) {
 		t.Fatalf("HybComb is %d bytes, not a whole number of cache lines", unsafe.Sizeof(HybComb{}))
+	}
+	if !linePlaced(t) {
+		return
 	}
 	for i := 0; i < 16; i++ {
 		h := NewHybComb(Func(func(op, arg uint64) uint64 { return 0 }), Options{})
@@ -280,17 +301,28 @@ func TestHybCombLineAligned(t *testing.T) {
 	}
 }
 
+// TestShellLayout: the Shell every executor embeds is whole cache lines,
+// so the fields an executor declares after it start on a line of their
+// own.
+func TestShellLayout(t *testing.T) {
+	if !pad.Padded(unsafe.Sizeof(Shell{})) {
+		t.Fatalf("Shell is %d bytes, not a whole number of cache lines", unsafe.Sizeof(Shell{}))
+	}
+}
+
 // TestHandlesLineAligned: every construction's handle — its Pipe and,
 // where the transport is a pointer, the transport — is whole cache lines
 // and starts on one in every handle, so one thread's per-operation
 // writes never share a line with a neighbouring handle's, and the
 // handle's hot words fall on the same lines from one run to the next (a
 // struct in a non-whole-line size class is placed differently from one
-// allocation to the next).
+// allocation to the next). The sizes hold on every target, the
+// placement on 64-bit targets (linePlaced).
 func TestHandlesLineAligned(t *testing.T) {
 	if !pad.Padded(unsafe.Sizeof(Pipe{})) {
 		t.Fatalf("Pipe is %d bytes, not a whole number of cache lines", unsafe.Sizeof(Pipe{}))
 	}
+	placed := linePlaced(t)
 	for _, algo := range Algorithms() {
 		ex := MustNewObject(algo, Func(func(op, arg uint64) uint64 { return 0 }), WithMaxThreads(16))
 		for i := 0; i < 16; i++ {
@@ -298,7 +330,7 @@ func TestHandlesLineAligned(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: handle %d is not a *Pipe", algo, i)
 			}
-			if off := uintptr(unsafe.Pointer(p)) % pad.CacheLine; off != 0 {
+			if off := uintptr(unsafe.Pointer(p)) % pad.CacheLine; placed && off != 0 {
 				t.Fatalf("%s: handle %d's Pipe starts %d bytes into a cache line", algo, i, off)
 			}
 			tr := reflect.ValueOf(p.spec.Transport)
@@ -308,7 +340,7 @@ func TestHandlesLineAligned(t *testing.T) {
 			if size := tr.Elem().Type().Size(); !pad.Padded(size) {
 				t.Fatalf("%s: %s is %d bytes, not a whole number of cache lines", algo, tr.Elem().Type(), size)
 			}
-			if off := tr.Pointer() % pad.CacheLine; off != 0 {
+			if off := tr.Pointer() % pad.CacheLine; placed && off != 0 {
 				t.Fatalf("%s: handle %d's %s starts %d bytes into a cache line", algo, i, tr.Elem().Type(), off)
 			}
 		}
@@ -321,6 +353,11 @@ func TestHandlesLineAligned(t *testing.T) {
 // the server writes into the cell never share a line with the transport
 // state the client writes, or with another handle's cell.
 func TestMPServerHandleLineAligned(t *testing.T) {
+	var hot mpTransportHot
+	if pad.SameLine(unsafe.Offsetof(hot.cell)+unsafe.Sizeof(hot.cell)-1, unsafe.Offsetof(hot.tail)) {
+		t.Fatalf("mpTransportHot: the run cell (ends at %d) shares a cache line with tail (at %d)",
+			unsafe.Offsetof(hot.cell)+unsafe.Sizeof(hot.cell)-1, unsafe.Offsetof(hot.tail))
+	}
 	for _, queueCap := range []int{2, 39} {
 		s := NewMPServer(Func(func(op, arg uint64) uint64 { return 0 }), Options{MaxThreads: 16, QueueCap: queueCap})
 		for i := 0; i < 16; i++ {

@@ -57,8 +57,6 @@ import (
 // they fall on lines would otherwise change from one executor to the
 // next (at 240 bytes it did: four placements, 10 % apart with two
 // threads — CHANGES.md PR 18).
-//
-//hyblint:padded
 type HybComb struct {
 	hybCombHot
 	_ [pad.CacheLine - unsafe.Sizeof(hybCombHot{})%pad.CacheLine]byte
@@ -91,9 +89,7 @@ type hybCombHot struct {
 // spun on by different threads at different times (registering threads
 // FAA nOps while the successor spins on done), so each lives on its own
 // cache line; the pads are sized from the fields themselves and the
-// layout is machine-verified by TestHybCombNodeLayout and hyblint.
-//
-//hyblint:padded
+// layout is machine-verified by TestHybCombNodeLayout.
 type hcNode struct {
 	threadID atomic.Int32
 	_        [pad.CacheLine - unsafe.Sizeof(atomic.Int32{})%pad.CacheLine]byte
@@ -225,8 +221,6 @@ type hcTransportHot struct {
 // hcTransport rounds its state up to whole cache lines: handles of different
 // threads are allocated side by side, and one thread's per-operation
 // writes must not invalidate the line a neighbour reads its own from.
-//
-//hyblint:padded
 type hcTransport struct {
 	hcTransportHot
 	_ [pad.CacheLine - unsafe.Sizeof(hcTransportHot{})%pad.CacheLine]byte

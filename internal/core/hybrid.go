@@ -310,8 +310,6 @@ type hybTransportHot struct {
 // hybTransport rounds its state up to whole cache lines: handles of different
 // threads are allocated side by side, and one thread's per-operation
 // writes must not invalidate the line a neighbour reads its own from.
-//
-//hyblint:padded
 type hybTransport struct {
 	hybTransportHot
 	_ [pad.CacheLine - unsafe.Sizeof(hybTransportHot{})%pad.CacheLine]byte

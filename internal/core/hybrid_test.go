@@ -274,12 +274,18 @@ func TestHybridPoisonMidTransition(t *testing.T) {
 		tg.Add(1)
 		go toggler(h, stop, &tg)
 
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
+		// Every handle exists before any goroutine runs: the fuse may
+		// trip before a late NewHandle, which then fails by contract.
+		handles := make([]Handle, goroutines)
+		for g := range handles {
 			hd, err := h.NewHandle()
 			if err != nil {
 				t.Fatalf("NewHandle: %v", err)
 			}
+			handles[g] = hd
+		}
+		var wg sync.WaitGroup
+		for _, hd := range handles {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -59,8 +59,6 @@ type retryCellHot struct {
 // hot-path increments stay on a private line; the executor sums them
 // only on the read path (Stats, Retries, Pipeline, the hybrid's
 // controller).
-//
-//hyblint:padded
 type retryCell struct {
 	retryCellHot
 	_ [pad.CacheLine - unsafe.Sizeof(retryCellHot{})%pad.CacheLine]byte
@@ -150,8 +148,6 @@ type lockClientHot struct {
 // lockClient rounds its state up to whole cache lines: handles of different
 // threads are allocated side by side, and one thread's per-operation
 // writes must not invalidate the line a neighbour reads its own from.
-//
-//hyblint:padded
 type lockClient struct {
 	lockClientHot
 	_ [pad.CacheLine - unsafe.Sizeof(lockClientHot{})%pad.CacheLine]byte

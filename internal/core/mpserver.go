@@ -241,8 +241,6 @@ func (s *MPServer) Pipeline() (submitStalls, maxDepth uint64) { return s.ps.Pipe
 // mpTransport is one client's path to the server: messages go out on the
 // shared MPSC ring, replies come back on the client's own SPSC ring in
 // the order the messages went out, and a run's results in its run cell.
-//
-//hyblint:padsep
 type mpTransportHot struct {
 	// Set by NewHandle and read-only after; the server reads resp and
 	// cell here too, so what the client writes per operation starts a
@@ -268,8 +266,6 @@ type mpTransportHot struct {
 // mpTransport rounds its state up to whole cache lines: handles of different
 // threads are allocated side by side, and one thread's per-operation
 // writes must not invalidate the line a neighbour reads its own from.
-//
-//hyblint:padded
 type mpTransport struct {
 	mpTransportHot
 	_ [pad.CacheLine - unsafe.Sizeof(mpTransportHot{})%pad.CacheLine]byte

@@ -134,8 +134,6 @@ type pipeHot struct {
 // of different threads are allocated side by side, and a pipelining
 // thread writes its window on every operation, so the state is rounded
 // up to whole cache lines like the transports'.
-//
-//hyblint:padded
 type Pipe struct {
 	pipeHot
 	_ [pad.CacheLine - unsafe.Sizeof(pipeHot{})%pad.CacheLine]byte

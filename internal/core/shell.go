@@ -34,8 +34,6 @@ type shellHot struct {
 // it, which some thread writes on every operation, start on a line of
 // their own — in a construction that itself starts on a line, which the
 // allocator grants only to whole-line size classes (see HybComb).
-//
-//hyblint:padded
 type Shell struct {
 	shellHot
 	_ [pad.CacheLine - unsafe.Sizeof(shellHot{})%pad.CacheLine]byte

@@ -36,7 +36,6 @@ type shmSlotHot struct {
 	ret uint64
 }
 
-//hyblint:padded
 type shmSlot struct {
 	shmSlotHot
 	_ [pad.CacheLine - unsafe.Sizeof(shmSlotHot{})%pad.CacheLine]byte
@@ -169,8 +168,6 @@ type shmClientHot struct {
 // shmClient rounds its state up to whole cache lines: handles of different
 // threads are allocated side by side, and one thread's per-operation
 // writes must not invalidate the line a neighbour reads its own from.
-//
-//hyblint:padded
 type shmClient struct {
 	shmClientHot
 	_ [pad.CacheLine - unsafe.Sizeof(shmClientHot{})%pad.CacheLine]byte

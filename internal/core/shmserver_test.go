@@ -118,8 +118,14 @@ func TestSHMServerZeroResultValues(t *testing.T) {
 	}
 }
 
+// TestSlotLayout: a slot and the client that writes it are each whole
+// cache lines. The client is not reachable from TestHandlesLineAligned:
+// the Pipe holds it inside a value transport.
 func TestSlotLayout(t *testing.T) {
 	if !pad.Padded(unsafe.Sizeof(shmSlot{})) {
 		t.Fatalf("shmSlot is %d bytes, not a whole number of cache lines", unsafe.Sizeof(shmSlot{}))
+	}
+	if !pad.Padded(unsafe.Sizeof(shmClient{})) {
+		t.Fatalf("shmClient is %d bytes, not a whole number of cache lines", unsafe.Sizeof(shmClient{}))
 	}
 }

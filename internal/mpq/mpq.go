@@ -103,7 +103,6 @@ type ringCellHot struct {
 	msg Msg
 }
 
-//hyblint:padded
 type ringCell struct {
 	ringCellHot
 	_ [pad.CacheLine - unsafe.Sizeof(ringCellHot{})%pad.CacheLine]byte
@@ -146,8 +145,6 @@ func ringSize(cap int) int {
 //
 // Exactly one goroutine may call the receive methods over the ring's
 // lifetime; Empty is safe from anywhere but advisory.
-//
-//hyblint:padsep
 type ring struct {
 	_ pad.Line
 	// deq is written only by the consumer; producers read it only when

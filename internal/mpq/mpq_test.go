@@ -506,9 +506,15 @@ func TestEmptyFromThirdGoroutine(t *testing.T) {
 // geometry of every ring live on different cache lines, deqSeen rides
 // on the line the fetch-and-add owns anyway, and a ring cell is a
 // whole-line array element whose stamp and message share its first
-// line.
+// line. A queue's producer words start a full line in, so they never
+// share a line with whatever the allocator put in front of the queue.
 func TestLayout(t *testing.T) {
 	var m Mpsc
+	var s Spsc
+	if unsafe.Offsetof(m.enq) < pad.CacheLine || unsafe.Offsetof(s.enq) < pad.CacheLine {
+		t.Errorf("producer words start %d (Mpsc) and %d (Spsc) bytes in, not a full line",
+			unsafe.Offsetof(m.enq), unsafe.Offsetof(s.enq))
+	}
 	if !pad.SameLine(unsafe.Offsetof(m.enq), unsafe.Offsetof(m.deqSeen)+unsafe.Sizeof(m.deqSeen)-1) {
 		t.Error("Mpsc: enq and deqSeen are on different cache lines")
 	}
@@ -516,7 +522,6 @@ func TestLayout(t *testing.T) {
 		unsafe.Offsetof(m.deq)) {
 		t.Error("Mpsc: producer words (enq+deqSeen) and deq share a cache line")
 	}
-	var s Spsc
 	if pad.SameLine(unsafe.Offsetof(s.deqCache)+unsafe.Sizeof(s.deqCache)-1,
 		unsafe.Offsetof(s.deq)) {
 		t.Error("Spsc: producer words (enq+deqCache) and deq share a cache line")

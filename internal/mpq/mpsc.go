@@ -30,8 +30,6 @@ import (
 // over the queue's lifetime; concurrent consumers are a data race by
 // contract. Send is safe from any number of goroutines. Empty is safe
 // from anywhere but advisory.
-//
-//hyblint:padsep
 type Mpsc struct {
 	_   pad.Line
 	enq atomic.Uint64

@@ -19,8 +19,6 @@ import (
 // Recv/TryRecv/RecvBatch/TryRecvBatch over the queue's lifetime;
 // concurrent producers (or consumers) are a data race by contract.
 // Empty is safe from anywhere but advisory.
-//
-//hyblint:padsep
 type Spsc struct {
 	_ pad.Line
 	// Producer-private, never read by another goroutine: the next

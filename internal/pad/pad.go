@@ -28,7 +28,12 @@
 //
 // Each package that pads asserts its layout in a test with
 // unsafe.Offsetof/unsafe.Sizeof and the SameLine/Padded helpers below,
-// so the layouts are machine-verified rather than hand-counted.
+// so the layouts are machine-verified rather than hand-counted. Those
+// constants fold for the target the test is built for, so CI runs the
+// layout tests on amd64 and on 386: a pad that is right for 64-bit
+// pointers and wrong for 32-bit ones fails there. A whole-line struct
+// is also line-placed on 64-bit targets, where the tests assert it; on
+// 386 a malloc header shifts it, and placement is not promised.
 package pad
 
 // CacheLine is the assumed false-sharing granularity in bytes. 64 is

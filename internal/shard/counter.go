@@ -17,8 +17,6 @@ const (
 // ctrSlot is one shard's partition of the counter, padded to a cache
 // line: each slot is touched only inside its shard's critical section,
 // and padding keeps neighbouring shards' servers from false-sharing.
-//
-//hyblint:padded
 type ctrSlot struct {
 	ctrHot
 	_ [pad.CacheLine - unsafe.Sizeof(ctrHot{})%pad.CacheLine]byte

@@ -66,8 +66,6 @@ type ExecFactory func(shard int, obj core.Object) (core.Executor, error)
 
 // occSlot is a per-shard operation counter padded to a cache line so
 // shards do not false-share occupancy updates.
-//
-//hyblint:padded
 type occSlot struct {
 	occHot
 	_ [pad.CacheLine - unsafe.Sizeof(occHot{})%pad.CacheLine]byte

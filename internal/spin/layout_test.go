@@ -14,10 +14,11 @@ import (
 // threads spin on are whole-line allocations.
 func TestLockLayout(t *testing.T) {
 	for name, size := range map[string]uintptr{
-		"TASLock":  unsafe.Sizeof(TASLock{}),
-		"TTASLock": unsafe.Sizeof(TTASLock{}),
-		"mcsNode":  unsafe.Sizeof(mcsNode{}),
-		"clhNode":  unsafe.Sizeof(clhNode{}),
+		"TASLock":    unsafe.Sizeof(TASLock{}),
+		"TTASLock":   unsafe.Sizeof(TTASLock{}),
+		"TicketLock": unsafe.Sizeof(TicketLock{}),
+		"mcsNode":    unsafe.Sizeof(mcsNode{}),
+		"clhNode":    unsafe.Sizeof(clhNode{}),
 	} {
 		if !pad.Padded(size) {
 			t.Errorf("%s is %d bytes, not a whole number of cache lines", name, size)

@@ -34,8 +34,6 @@ type Lock interface {
 
 // TASLock is a plain test-and-set lock: every acquisition attempt is a
 // remote atomic, so contention floods the interconnect.
-//
-//hyblint:padded
 type TASLock struct {
 	v atomic.Bool
 	_ [pad.CacheLine - unsafe.Sizeof(atomic.Bool{})%pad.CacheLine]byte
@@ -60,8 +58,6 @@ func (l *TASLock) Unlock() { l.v.Store(false) }
 
 // TTASLock spins on a local read and only attempts the swap when the
 // lock looks free, eliminating most remote atomics.
-//
-//hyblint:padded
 type TTASLock struct {
 	v atomic.Bool
 	_ [pad.CacheLine - unsafe.Sizeof(atomic.Bool{})%pad.CacheLine]byte
@@ -94,8 +90,6 @@ func (l *TTASLock) Unlock() { l.v.Store(false) }
 
 // TicketLock grants the lock in FIFO order with a fetch-and-add ticket
 // dispenser (Mellor-Crummey & Scott 1991, §2).
-//
-//hyblint:padsep
 type TicketLock struct {
 	next  atomic.Uint64
 	_     [pad.CacheLine - unsafe.Sizeof(atomic.Uint64{})%pad.CacheLine]byte
@@ -133,7 +127,6 @@ type mcsNodeHot struct {
 	next   atomic.Pointer[mcsNode]
 }
 
-//hyblint:padded
 type mcsNode struct {
 	mcsNodeHot
 	_ [pad.CacheLine - unsafe.Sizeof(mcsNodeHot{})%pad.CacheLine]byte
@@ -203,7 +196,6 @@ type CLHLock struct {
 	tail atomic.Pointer[clhNode]
 }
 
-//hyblint:padded
 type clhNode struct {
 	locked atomic.Bool
 	_      [pad.CacheLine - unsafe.Sizeof(atomic.Bool{})%pad.CacheLine]byte

@@ -31,8 +31,6 @@ type histRow struct {
 
 // paddedRow rounds histRow up to a whole number of cache lines so
 // adjacent shard rows never false-share (the pad package idiom).
-//
-//hyblint:padded
 type paddedRow struct {
 	histRow
 	_ [pad.CacheLine - unsafe.Sizeof(histRow{})%pad.CacheLine]byte
