@@ -15,23 +15,26 @@ import (
 	"hybsync"
 )
 
-// requiredAlgos are the constructions the registry must always expose:
-// the paper's four, the spin-lock baselines, and the adaptive hybrid.
-var requiredAlgos = []string{
-	"mpserver", "hybcomb", "ccsynch", "shmserver",
-	"tas-lock", "ttas-lock", "ticket-lock", "mcs-lock", "clh-lock",
-	"hybrid",
-}
+// requiredAlgos are the built-in constructions, sorted: the paper's
+// four, the spin-lock baselines and the adaptive hybrid.
+var requiredAlgos = []string{"ccsynch", "hybcomb", "hybrid", "mcs-lock", "mpserver", "shmserver", "tas-lock", "ttas-lock"}
 
+// testRegistered is the prefix of every name this package's tests
+// register (TestRegisterDuplicateRejected).
+const testRegistered = "api-test-"
+
+// TestAlgorithmsComplete: the registry's built-ins are exactly
+// requiredAlgos — a construction registered later is added here on
+// purpose, and one that goes is removed on purpose.
 func TestAlgorithmsComplete(t *testing.T) {
-	have := make(map[string]bool)
+	var builtins []string
 	for _, name := range hybsync.Algorithms() {
-		have[name] = true
-	}
-	for _, name := range requiredAlgos {
-		if !have[name] {
-			t.Errorf("registry is missing %q (have %v)", name, hybsync.Algorithms())
+		if !strings.HasPrefix(name, testRegistered) {
+			builtins = append(builtins, name)
 		}
+	}
+	if !slices.Equal(builtins, requiredAlgos) {
+		t.Errorf("built-in algorithms are %v, want %v", builtins, requiredAlgos)
 	}
 }
 
@@ -171,7 +174,7 @@ func TestRegisterDuplicateRejected(t *testing.T) {
 			hybsync.WithQueueCap(o.QueueCap), hybsync.WithMaxOps(int(o.MaxOps)),
 			hybsync.WithStallTimeout(o.StallTimeout), hybsync.WithTelemetry(o.Telemetry))
 	}
-	name := "api-test-custom"
+	name := testRegistered + "custom"
 	if customRuns++; customRuns > 1 {
 		name = fmt.Sprintf("%s-%d", name, customRuns)
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hybsync/internal/benchfmt"
 )
@@ -118,6 +120,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 // describes itself, and the sweep exits 1 — after running the cells
 // behind it.
 func TestTimedOutCellExits1(t *testing.T) {
+	before := runtime.NumGoroutine()
 	status, lines, stderr := sweep(t, "-cell-timeout", "1ms", "-dur", "200ms", "-grid", "algo=mpserver,hybcomb;threads=1")
 	if status != 1 {
 		t.Fatalf("exit %d, want 1:\n%s", status, stderr)
@@ -131,5 +134,37 @@ func TestTimedOutCellExits1(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "cell 0 ("+want.String()+") FAILED") || !strings.Contains(stderr, "2 failed") {
 		t.Errorf("stderr: %s", stderr)
+	}
+	settle(t, before)
+}
+
+// An abandoned async or sharded cell's workers meet its poisoned
+// construction in Submit, NewHandle, Inc or IncAll. They stop quietly:
+// the sweep exits 1 with one failed line per cell, and the process
+// outlives the abandoned workers instead of dying in their panic.
+func TestTimedOutAsyncAndShardedCells(t *testing.T) {
+	for _, grid := range []string{"algo=mpserver;threads=1;depth=4", "algo=hybcomb;threads=2;shards=4"} {
+		before := runtime.NumGoroutine()
+		status, lines, stderr := sweep(t, "-cell-timeout", "1ms", "-dur", "200ms", "-grid", grid)
+		if status != 1 {
+			t.Errorf("%s: exit %d, want 1:\n%s", grid, status, stderr)
+		}
+		if len(lines) != 1 || !strings.Contains(lines[0].Error, "timed out after 1ms") {
+			t.Errorf("%s: want one failed line, got %+v", grid, lines)
+		}
+		settle(t, before)
+	}
+}
+
+// settle waits until the goroutines a sweep's abandoned cells left
+// behind have ended — their workers run out -dur against the condemned
+// construction — so that a worker that panics does so inside the test
+// that abandoned it. before is the count ahead of the sweep.
+func settle(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running 10s after the sweep, %d before it", runtime.NumGoroutine(), before)
+		}
 	}
 }

@@ -75,9 +75,10 @@ type PipelineStats = core.PipelineStats
 
 // RetryStats is implemented by the lock-path constructions (the spin
 // executors and "hybrid"): Retries counts contended lock acquisitions
-// — the attempts beyond the first that dispatching threads spent
-// spinning. It is the contention signal the adaptive hybrid promotes
-// on. Read at pipeline quiescence, like StatsSource.
+// — on MCS ("mcs-lock", "hybrid") one per acquisition that queued
+// behind a predecessor, on "tas-lock" and "ttas-lock" every attempt
+// beyond the first. It is the contention signal the adaptive hybrid
+// promotes on. Read at pipeline quiescence, like StatsSource.
 type RetryStats = core.RetryStats
 
 // AdaptiveStats is implemented by the adaptive constructions
@@ -195,10 +196,10 @@ func WithTelemetry(t *Telemetry) Option { return core.WithTelemetry(t) }
 // the object amortize work across the run (a counter sums it locally,
 // a queue applies it without per-operation indirection); a bare
 // function is NewObject(name, Func(f)). Built-in names are "mpserver",
-// "hybcomb", "ccsynch", "shmserver", the adaptive "hybrid" (a lock that
-// promotes itself to hybcomb delegation under contention) and the
-// spin-lock executors "tas-lock", "ttas-lock", "ticket-lock",
-// "mcs-lock", "clh-lock"; Algorithms lists everything registered.
+// "hybcomb", "ccsynch", "shmserver", the adaptive "hybrid" (an
+// mcs-lock that promotes itself to hybcomb delegation under
+// contention) and the spin-lock executors "mcs-lock", "tas-lock" and
+// "ttas-lock"; Algorithms lists everything registered.
 // Unknown names fail with ErrUnknownAlgorithm; options explicitly set
 // to invalid values fail with ErrBadOption.
 func NewObject(name string, obj Object, opts ...Option) (Executor, error) {

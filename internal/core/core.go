@@ -295,8 +295,11 @@ type PipelineStats interface {
 // a lock (LockExecutor, and the hybrid, whose lock mode is one): Retries
 // reports the cumulative contended-acquisition steps across all
 // handles — acquisitions that found the lock held and had to wait or
-// retry. It is the lock-side contention gauge the adaptive hybrid
-// executor promotes on. Like Stats, exact only at quiescence.
+// retry. On MCS (mcs-lock and the hybrid) that is exactly one count per
+// acquisition that queued behind a predecessor; tas-lock and ttas-lock
+// count every failed attempt. It is the lock-side contention gauge the
+// adaptive hybrid executor promotes on. Like Stats, exact only at
+// quiescence.
 type RetryStats interface {
 	Retries() uint64
 }

@@ -27,21 +27,35 @@ func openDeferring(name string, obj core.Object, queueCap int) (ex core.Executor
 // TestDeferredWindowAllocs: once a handle's window has run once,
 // pipelining through it allocates nothing — the pending run is the
 // Pipe's, sized at newPipe, an eager pipe's run of one borrows its
-// buffers, and the ticket window reuses its slots.
+// buffers, and the ticket window reuses its slots — and neither does a
+// blocking Apply or ApplyBatch. The subjects are every registered
+// construction, the hybrid frozen in each mode, and SyncHandle.
 func TestDeferredWindowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const queueCap = 8
 	var ctr uint64
-	obj := core.Func(func(op, arg uint64) uint64 { ctr++; return ctr })
-	for _, name := range []string{"mcs-lock", "hybcomb", "ccsynch", "hybrid-lock", "hybrid-delegation", "mpserver"} {
-		t.Run(name, func(t *testing.T) {
+	apply := func(op, arg uint64) uint64 { ctr++; return ctr }
+	obj := core.Func(apply)
+	open := map[string]func() (core.Handle, func() error){
+		"SyncHandle": func() (core.Handle, func() error) {
+			return core.SyncHandle(apply), func() error { return nil }
+		},
+	}
+	for _, name := range append(core.Algorithms(), "hybrid-lock", "hybrid-delegation") {
+		open[name] = func() (core.Handle, func() error) {
 			ex, _ := openDeferring(name, obj, queueCap)
-			defer ex.Close()
-			h := core.MustHandle(ex)
+			return core.MustHandle(ex), ex.Close
+		}
+	}
+	for name, mk := range open {
+		t.Run(name, func(t *testing.T) {
+			h, closeEx := mk()
+			defer closeEx()
 			tks := make([]core.Ticket, queueCap)
 			reqs := make([]core.Req, 3)
+			batch, rets := make([]core.Req, 32), make([]uint64, 32)
 			for script, run := range map[string]func(){
 				"submit-window-wait": func() {
 					for i := range tks {
@@ -67,6 +81,12 @@ func TestDeferredWindowAllocs(t *testing.T) {
 						h.Wait(c.Offset(i))
 					}
 				},
+				"apply": func() {
+					for i := 0; i < 8; i++ {
+						h.Apply(0, 0)
+					}
+				},
+				"apply-batch-32": func() { h.ApplyBatch(batch, rets) },
 			} {
 				run() // warm-up: sizes the ticket window and the batch scratch
 				if n := testing.AllocsPerRun(100, run); n != 0 {

@@ -70,10 +70,11 @@ type Hybrid struct {
 	inner *HybComb        // delegation mode, over hybGate
 	gate  *spin.MCSHandle // the backend's place in the gate queue; its dispatches are serialized
 
-	// The controller's thresholds (see the hybrid* constants); fields so
-	// that in-package tests can move them before any handle exists.
-	promoteAt, demoteBelow float64
-	window                 uint64
+	// The controller's promotion threshold and window (see the hybrid*
+	// constants); fields so that in-package tests can move them before
+	// any handle exists.
+	promoteAt float64
+	window    uint64
 
 	mode atomic.Uint32 // hybModeLock or hybModeDeleg
 
@@ -102,9 +103,10 @@ const (
 	hybModeDeleg
 )
 
-// The controller's thresholds. hybridPromote is the contended-
-// acquisition rate (retry steps per lock acquisition, so roughly the
-// fraction of acquisitions that queued) at which the lock side promotes;
+// The controller's thresholds. hybridPromote is the fraction of lock
+// acquisitions that queued behind a predecessor (retries per
+// acquisition: the MCS gate counts exactly 1 per queued acquisition)
+// at which the lock side promotes;
 // hybridDemote the mean dispatch-run length below which a delegation
 // window counts as quiescent; hybridWindow the minimum number of
 // operations between two evaluations of either signal — smaller windows
@@ -150,7 +152,7 @@ func (g hybGate) DispatchBatch(reqs []Req, results []uint64) {
 // construction.
 func NewHybrid(obj Object, opts Options) *Hybrid {
 	l := &spin.MCSLock{}
-	h := &Hybrid{gate: l.NewMCSHandle(), promoteAt: hybridPromote, demoteBelow: hybridDemote, window: hybridWindow}
+	h := &Hybrid{gate: l.NewMCSHandle(), promoteAt: hybridPromote, window: hybridWindow}
 	h.obj, h.factory = obj, func() spin.Lock { return l.NewMCSHandle() }
 	h.init("hybrid", opts)
 	h.inner = NewHybComb(hybGate{h}, h.Opts)
@@ -250,7 +252,7 @@ func (h *Hybrid) maybeAdapt() {
 		return
 	}
 	h.ctl.lastRuns, h.ctl.lastOps, h.ctl.lastStalls = runs, ops, stalls
-	if dRuns > 0 && float64(dOps) < h.demoteBelow*float64(dRuns) && dStalls == 0 {
+	if dRuns > 0 && float64(dOps) < hybridDemote*float64(dRuns) && dStalls == 0 {
 		h.ctl.quiet++
 		if h.ctl.quiet >= hybridQuietWindows {
 			h.demote()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -46,7 +45,7 @@ func (o *runRec) DispatchBatch(reqs []core.Req, results []uint64) {
 }
 
 // deferSubjects runs body over every construction whose window is a
-// handle's deferred run: the five registered locks, the hybrid pinned
+// handle's deferred run: the three registered locks, the hybrid pinned
 // in lock mode, hybcomb and ccsynch — whose demand executes the run, or
 // registers it with an open round — and, with server, mpserver, whose
 // demand sends the run as one message the server answers in its own
@@ -60,18 +59,18 @@ func deferSubjects(t *testing.T, queueCap int, server bool, body func(t *testing
 		},
 	}
 	for _, algo := range core.Algorithms() {
-		if strings.HasSuffix(algo, "-lock") || algo == "hybcomb" || algo == "ccsynch" || server && algo == "mpserver" {
+		if algo == "tas-lock" || algo == "ttas-lock" || algo == "mcs-lock" || algo == "hybcomb" || algo == "ccsynch" || server && algo == "mpserver" {
 			open[algo] = func(obj core.Object) core.Executor {
 				return core.MustNewObject(algo, obj, core.WithQueueCap(queueCap))
 			}
 		}
 	}
-	want := 8
+	want := 6
 	if server {
 		want++
 	}
 	if len(open) != want {
-		t.Fatalf("%d deferring subjects, want the five registered locks, the hybrid, hybcomb, ccsynch and (with server) mpserver", len(open))
+		t.Fatalf("%d deferring subjects, want the three registered locks, the hybrid, hybcomb, ccsynch and (with server) mpserver", len(open))
 	}
 	for name, mk := range open {
 		t.Run(name, func(t *testing.T) {

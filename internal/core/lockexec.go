@@ -10,24 +10,27 @@ import (
 	"hybsync/internal/telemetry"
 )
 
-// The lock-based executors, by registry name. Queue locks (mcs, clh)
-// hand each executor handle its own node-carrying lock handle over one
-// shared lock; the centralized locks (tas, ttas, ticket) share one
-// instance.
+// The lock-based executors, by registry name. MCS hands each executor
+// handle its own node-carrying lock handle over one shared lock; the
+// centralized locks (tas, ttas) share one instance.
 func init() {
-	for name, mk := range map[string]func() func() spin.Lock{
-		"tas-lock":    func() func() spin.Lock { l := &spin.TASLock{}; return func() spin.Lock { return l } },
-		"ttas-lock":   func() func() spin.Lock { l := &spin.TTASLock{}; return func() spin.Lock { return l } },
-		"ticket-lock": func() func() spin.Lock { l := &spin.TicketLock{}; return func() spin.Lock { return l } },
-		"mcs-lock":    func() func() spin.Lock { l := &spin.MCSLock{}; return func() spin.Lock { return l.NewMCSHandle() } },
-		"clh-lock":    func() func() spin.Lock { l := spin.NewCLHLock(); return func() spin.Lock { return l.NewCLHHandle() } },
-	} {
-		mustRegister(name, func(obj Object, o Options) (Executor, error) { return newLockExecutor(name, mk(), obj, o), nil })
-	}
+	mustRegister("tas-lock", func(obj Object, o Options) (Executor, error) {
+		l := &spin.TASLock{}
+		return newLockExecutor("tas-lock", func() spin.Lock { return l }, obj, o), nil
+	})
+	mustRegister("ttas-lock", func(obj Object, o Options) (Executor, error) {
+		l := &spin.TTASLock{}
+		return newLockExecutor("ttas-lock", func() spin.Lock { return l }, obj, o), nil
+	})
+	mustRegister("mcs-lock", func(obj Object, o Options) (Executor, error) {
+		l := &spin.MCSLock{}
+		return newLockExecutor("mcs-lock", func() spin.Lock { return l.NewMCSHandle() }, obj, o), nil
+	})
 }
 
 // LockExecutor adapts a spin.Lock into an Executor, so the repository's
-// concurrent objects can run over classic locks as an extra baseline.
+// concurrent objects can run over classic locks: mcs-lock, the paper's
+// classic-lock baseline, and the tas-lock and ttas-lock spin locks.
 // The batch contract maps directly: an ApplyBatch executes its whole
 // run against the object under ONE lock acquisition — the lock-world
 // equivalent of a combiner round, except the batch must come from a
@@ -133,8 +136,8 @@ func (e *LockExecutor) Close() error {
 	return e.Err()
 }
 
-// lockClientHot is one thread's lock (or its node on a queue lock) and
-// acquisition counters: the handle's Transport.
+// lockClientHot is one thread's lock (or its node on the queue lock)
+// and its acquisition counters: the handle's Transport.
 type lockClientHot struct {
 	e    *LockExecutor
 	lock spin.Lock

@@ -7,7 +7,9 @@
 package measure
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -239,6 +241,30 @@ func (o *counter) DispatchBatch(reqs []hybsync.Req, results []uint64) {
 	o.state = v
 }
 
+// must is the loop bodies' error check. An error that wraps
+// hybsync.ErrPoisoned ends the worker quietly: its cell's construction
+// was condemned — by Guard's timeout, whose record of the cell is
+// already a failure, or by a fault that fails the cell at Close — so
+// the worker stops issuing work (runtime.Goexit runs the harness's
+// deferred bookkeeping) instead of panicking in a goroutine nothing
+// recovers. Any other error fails loudly.
+func must(err error) {
+	switch {
+	case err == nil:
+	case errors.Is(err, hybsync.ErrPoisoned):
+		runtime.Goexit()
+	default:
+		panic(err)
+	}
+}
+
+// refused is the loop body of a worker whose NewHandle failed: its
+// first iteration hands err to must. Setup itself must return, because
+// the harness's start barrier waits for every worker's setup.
+func refused(err error) func(uint64) {
+	return func(uint64) { must(err) }
+}
+
 // window is the depth-window loop body: keep up to depth submissions
 // outstanding on h, waiting on the oldest once the window fills. The
 // drain is h.Flush, run by the worker itself while its peers are still
@@ -254,9 +280,7 @@ func window(h hybsync.Handle, depth int) (body func(uint64), drain func()) {
 			count--
 		}
 		tk, err := h.Submit(0, 0)
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		win[(head+count)%depth] = tk
 		count++
 	}, h.Flush
@@ -323,7 +347,7 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 		setup = func(t int) (func(uint64), func()) {
 			h, err := sc.NewHandle()
 			if err != nil {
-				panic(err)
+				return refused(err), nil
 			}
 			draw := dist.Sampler(t)
 			if c.Batch > 1 {
@@ -332,15 +356,13 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 					for i := range batch {
 						batch[i] = draw()
 					}
-					if _, err := h.IncAll(batch); err != nil {
-						panic(err)
-					}
+					_, err := h.IncAll(batch)
+					must(err)
 				}, nil
 			}
 			return func(uint64) {
-				if _, err := h.Inc(draw()); err != nil {
-					panic(err)
-				}
+				_, err := h.Inc(draw())
+				must(err)
 			}, nil
 		}
 	} else {
@@ -350,7 +372,10 @@ func Run(c benchfmt.Point, keys uint64, dur time.Duration) (benchfmt.Record, err
 		}
 		drive, state = ex, func() uint64 { return ctr.state }
 		setup = func(t int) (func(uint64), func()) {
-			h := hybsync.MustHandle(ex)
+			h, err := ex.NewHandle()
+			if err != nil {
+				return refused(err), nil
+			}
 			switch bench {
 			case benchAsync:
 				return window(h, c.Depth)

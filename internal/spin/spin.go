@@ -1,11 +1,12 @@
-// Package spin provides the classic spin-lock algorithms — test-and-set,
-// test-and-test-and-set, ticket, MCS and CLH queue locks — the
-// classic-lock baselines of the paper's Section 3: queue locks achieve
-// O(1) RMRs per acquisition through local spinning, but unlike the
-// server/combiner approaches they still move the protected data to the
-// acquiring core on every critical section. The package is a leaf: it
-// holds the algorithms only, and internal/core adapts them into
-// executors (core.LockExecutor, and the hybrid's lock mode).
+// Package spin provides the MCS queue lock (Mellor-Crummey & Scott,
+// TOCS 1991), the classic-lock baseline of the paper's Section 3, and
+// two centralized spin locks beside it, test-and-set and
+// test-and-test-and-set: a queue lock achieves O(1) RMRs per
+// acquisition through local spinning, but unlike the server/combiner
+// approaches it still moves the protected data to the acquiring core
+// on every critical section. The package is a leaf: it holds the
+// algorithms only, and internal/core adapts them into executors
+// (core.LockExecutor, and the hybrid's lock mode, which is MCS).
 package spin
 
 import (
@@ -20,12 +21,11 @@ import (
 // contention. LockCounted acquires the lock and returns the number of
 // contended steps the acquisition took: 0 for an acquisition that
 // succeeded on the first attempt, and otherwise a lock-specific
-// positive count (failed swaps for tas/ttas, waiters ahead at arrival
-// for ticket, 1 for the queue locks, which learn only "had a
-// predecessor"); Lock is LockCounted with the count dropped. The count
-// feeds the lock executor's per-handle retry cells and, through them,
-// the adaptive hybrid executor's promotion signal. Locks in this
-// package are not reentrant.
+// positive count (failed attempts for tas/ttas; 1 for MCS, which
+// learns only "had a predecessor"); Lock is LockCounted with the count
+// dropped. The count feeds the lock executor's per-handle retry cells
+// and, through them, the adaptive hybrid executor's promotion signal.
+// Locks in this package are not reentrant.
 type Lock interface {
 	Lock()
 	LockCounted() uint64
@@ -87,33 +87,6 @@ func (l *TTASLock) LockCounted() uint64 {
 
 // Unlock implements Lock.
 func (l *TTASLock) Unlock() { l.v.Store(false) }
-
-// TicketLock grants the lock in FIFO order with a fetch-and-add ticket
-// dispenser (Mellor-Crummey & Scott 1991, §2).
-type TicketLock struct {
-	next  atomic.Uint64
-	_     [pad.CacheLine - unsafe.Sizeof(atomic.Uint64{})%pad.CacheLine]byte
-	owner atomic.Uint64
-	_     [pad.CacheLine - unsafe.Sizeof(atomic.Uint64{})%pad.CacheLine]byte
-}
-
-// Lock implements Lock.
-func (l *TicketLock) Lock() { l.LockCounted() }
-
-// LockCounted implements Lock; the count is the queue depth at
-// arrival (tickets ahead of ours when we drew).
-func (l *TicketLock) LockCounted() uint64 {
-	t := l.next.Add(1) - 1
-	r := t - l.owner.Load()
-	var b backoff.Backoff
-	for l.owner.Load() != t {
-		b.Wait()
-	}
-	return r
-}
-
-// Unlock implements Lock.
-func (l *TicketLock) Unlock() { l.owner.Add(1) }
 
 // MCSLock is the Mellor-Crummey & Scott queue lock: each waiter spins on
 // a flag in its own queue node, so a lock handover costs O(1) RMRs.
@@ -188,61 +161,4 @@ func (h *MCSHandle) Unlock() {
 	// contended path only, and off the hand-off's critical path)
 	// re-establishes the node invariant.
 	n.next.Store(nil)
-}
-
-// CLHLock is the Craig / Landin-Hagersten queue lock: waiters spin on
-// their predecessor's node.
-type CLHLock struct {
-	tail atomic.Pointer[clhNode]
-}
-
-type clhNode struct {
-	locked atomic.Bool
-	_      [pad.CacheLine - unsafe.Sizeof(atomic.Bool{})%pad.CacheLine]byte
-}
-
-// CLHHandle is one goroutine's capability to take a CLHLock.
-type CLHHandle struct {
-	l    *CLHLock
-	node *clhNode
-	pred *clhNode
-}
-
-// NewCLHLock creates a CLH lock (it needs an initial dummy node, so the
-// zero value is not usable).
-func NewCLHLock() *CLHLock {
-	l := &CLHLock{}
-	l.tail.Store(&clhNode{}) // initial unlocked dummy
-	return l
-}
-
-// NewCLHHandle creates the per-goroutine handle.
-func (l *CLHLock) NewCLHHandle() *CLHHandle {
-	return &CLHHandle{l: l, node: &clhNode{}}
-}
-
-// Lock acquires the lock, spinning on the predecessor's node.
-func (h *CLHHandle) Lock() { h.LockCounted() }
-
-// LockCounted implements Lock: 1 when the predecessor still
-// held its node locked on arrival, 0 otherwise.
-func (h *CLHHandle) LockCounted() uint64 {
-	h.node.locked.Store(true)
-	h.pred = h.l.tail.Swap(h.node)
-	if !h.pred.locked.Load() {
-		return 0
-	}
-	var b backoff.Backoff
-	for h.pred.locked.Load() {
-		b.Wait()
-	}
-	return 1
-}
-
-// Unlock releases the lock; the predecessor's node is recycled as this
-// handle's next node (the classic CLH node exchange).
-func (h *CLHHandle) Unlock() {
-	n := h.node
-	h.node = h.pred
-	n.locked.Store(false)
 }

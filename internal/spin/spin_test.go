@@ -1,6 +1,7 @@
 package spin
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,11 +11,9 @@ import (
 // over one shared lock instance.
 func lockFactories() map[string]func() func() Lock {
 	return map[string]func() func() Lock{
-		"tas":    func() func() Lock { l := &TASLock{}; return func() Lock { return l } },
-		"ttas":   func() func() Lock { l := &TTASLock{}; return func() Lock { return l } },
-		"ticket": func() func() Lock { l := &TicketLock{}; return func() Lock { return l } },
-		"mcs":    func() func() Lock { l := &MCSLock{}; return func() Lock { return l.NewMCSHandle() } },
-		"clh":    func() func() Lock { l := NewCLHLock(); return func() Lock { return l.NewCLHHandle() } },
+		"tas":  func() func() Lock { l := &TASLock{}; return func() Lock { return l } },
+		"ttas": func() func() Lock { l := &TTASLock{}; return func() Lock { return l } },
+		"mcs":  func() func() Lock { l := &MCSLock{}; return func() Lock { return l.NewMCSHandle() } },
 	}
 }
 
@@ -53,25 +52,14 @@ func TestMutualExclusion(t *testing.T) {
 	}
 }
 
-// TestTicketLockFIFO verifies ticket order is granted in FIFO order when
-// acquired sequentially.
-func TestTicketLockFIFO(t *testing.T) {
-	l := &TicketLock{}
-	for i := 0; i < 100; i++ {
-		l.Lock()
-		l.Unlock()
-	}
-	if l.next.Load() != 100 || l.owner.Load() != 100 {
-		t.Fatalf("ticket state: next=%d owner=%d", l.next.Load(), l.owner.Load())
-	}
-}
-
 // TestMCSUncontended covers the fast path (tail CAS to nil on unlock).
 func TestMCSUncontended(t *testing.T) {
 	l := &MCSLock{}
 	h := l.NewMCSHandle()
 	for i := 0; i < 100; i++ {
-		h.Lock()
+		if r := h.LockCounted(); r != 0 {
+			t.Fatalf("uncontended LockCounted = %d, want 0", r)
+		}
 		h.Unlock()
 	}
 	if l.tail.Load() != nil {
@@ -79,12 +67,27 @@ func TestMCSUncontended(t *testing.T) {
 	}
 }
 
-// TestCLHNodeRecycling covers the predecessor-node exchange.
-func TestCLHNodeRecycling(t *testing.T) {
-	l := NewCLHLock()
-	h := l.NewCLHHandle()
-	for i := 0; i < 100; i++ {
-		h.Lock()
-		h.Unlock()
+// TestMCSCountsQueuedAcquisition: an acquisition that finds a
+// predecessor counts exactly 1 — the unit of the lock executor's
+// Retries and so of the hybrid's promotion signal.
+func TestMCSCountsQueuedAcquisition(t *testing.T) {
+	l := &MCSLock{}
+	holder, waiter := l.NewMCSHandle(), l.NewMCSHandle()
+	holder.Lock()
+	got := make(chan uint64)
+	go func() {
+		r := waiter.LockCounted()
+		waiter.Unlock()
+		got <- r
+	}()
+	for l.tail.Load() == holder.node { // until the waiter has swapped itself in
+		runtime.Gosched()
+	}
+	holder.Unlock()
+	if r := <-got; r != 1 {
+		t.Fatalf("queued LockCounted = %d, want 1", r)
+	}
+	if l.tail.Load() != nil {
+		t.Fatal("tail not nil after the queue drained")
 	}
 }

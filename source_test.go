@@ -8,8 +8,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -61,6 +64,63 @@ func TestNoRawSpinLoops(t *testing.T) {
 	}
 	if files == 0 {
 		t.Fatal("no Go files found: the test must run from the module root")
+	}
+}
+
+// TestDocsNameTheBuiltins: README's registry table and NewObject's doc
+// comment name exactly the built-in algorithms, so neither drifts when
+// a construction comes or goes.
+func TestDocsNameTheBuiltins(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table's rows sit between its header line and the next blank
+	// line; a row's first cell lists its names in backticks.
+	_, table, ok := strings.Cut(string(readme), "`hybsync.Algorithms()` lists the registered names:")
+	if !ok {
+		t.Fatal("README has no registry table")
+	}
+	table, _, _ = strings.Cut(strings.TrimLeft(table, "\n"), "\n\n")
+	var inTable []string
+	for _, row := range strings.Split(table, "\n")[2:] {
+		cells := strings.Split(row, "|")
+		if len(cells) < 3 {
+			t.Fatalf("README registry table: malformed row %q", row)
+		}
+		inTable = append(inTable, quoted(cells[1], "`")...)
+	}
+	sameNames(t, "README's registry table", inTable)
+
+	f, err := parser.ParseFile(token.NewFileSet(), "hybsync.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == "NewObject" && fn.Recv == nil {
+			sameNames(t, "NewObject's doc comment", quoted(fn.Doc.Text(), `"`))
+			return
+		}
+	}
+	t.Fatal("hybsync.go declares no NewObject")
+}
+
+// quoted returns the algorithm-shaped names that q quotes in s.
+func quoted(s, q string) []string {
+	re := regexp.MustCompile(regexp.QuoteMeta(q) + `([a-z][a-z-]*)` + regexp.QuoteMeta(q))
+	var names []string
+	for _, m := range re.FindAllStringSubmatch(s, -1) {
+		names = append(names, m[1])
+	}
+	return names
+}
+
+// sameNames fails unless names, sorted, are requiredAlgos.
+func sameNames(t *testing.T, where string, names []string) {
+	t.Helper()
+	slices.Sort(names)
+	if !slices.Equal(names, requiredAlgos) {
+		t.Errorf("%s names %v, want the built-ins %v", where, names, requiredAlgos)
 	}
 }
 
