@@ -242,11 +242,11 @@ func statsSources(t *testing.T, body func(t *testing.T, ex hybsync.Executor, src
 // in terms of flushed handles: once every handle with submissions
 // outstanding has been flushed, the combining statistics are stable
 // (two consecutive reads agree) and account for the scalar operations
-// submitted. Every StatsSource defers a handle's window (the locks, the
+// submitted. Every StatsSource defers a handle's window (mcs-lock, the
 // hybrid, HybComb, CC-Synch), so its pipelined submissions execute as
 // deferred runs, each ONE round of several own operations (exactly like
 // an ApplyBatch), and the source reads rounds + combined <= ops — and no
-// fewer than one per full window — with combined == 0 on the locks,
+// fewer than one per full window — with combined == 0 on the lock,
 // where nobody executes on another thread's behalf.
 func TestStatsAtFlushedQuiescence(t *testing.T) {
 	const per = 400
@@ -288,7 +288,7 @@ func TestStatsAtFlushedQuiescence(t *testing.T) {
 // TestStatsBlockingIdentity is the other half of the StatsSource
 // counter contract: under blocking Apply every operation is a round
 // owner's single own operation or combined by someone else, so rounds +
-// combined == ops on every StatsSource, the locks (an acquisition is a
+// combined == ops on every StatsSource, mcs-lock (an acquisition is a
 // round of one) and the hybrid included.
 func TestStatsBlockingIdentity(t *testing.T) {
 	const per = 400

@@ -16,8 +16,8 @@ import (
 )
 
 // requiredAlgos are the built-in constructions, sorted: the paper's
-// four, the spin-lock baselines and the adaptive hybrid.
-var requiredAlgos = []string{"ccsynch", "hybcomb", "hybrid", "mcs-lock", "mpserver", "shmserver", "tas-lock", "ttas-lock"}
+// four, its classic-lock baseline and the adaptive hybrid.
+var requiredAlgos = []string{"ccsynch", "hybcomb", "hybrid", "mcs-lock", "mpserver", "shmserver"}
 
 // testRegistered is the prefix of every name this package's tests
 // register (TestRegisterDuplicateRejected).

@@ -45,12 +45,12 @@
 //     algorithms as a native Go library on real goroutines — every
 //     construction in internal/core: MP-SERVER and HYBCOMB over
 //     lock-free bounded message queues, CC-SYNCH and SHM-SERVER over
-//     shared memory, classic spin locks (the lock algorithms
-//     themselves in internal/spin) and the hybrid that starts as one
-//     and promotes itself to HYBCOMB — and the evaluation's concurrent
-//     objects (counter,
-//     MS-Queues, LCRQ, Treiber stack, coarse-lock stack). cmd/hybsweep
-//     measures them through the registry, one grid cell at a time.
+//     shared memory, the MCS queue lock (the algorithm itself in
+//     internal/spin) and the hybrid that starts as one and promotes
+//     itself to HYBCOMB — and the evaluation's concurrent objects
+//     (counter, MS-Queues, LCRQ, Treiber stack, coarse-lock stack).
+//     cmd/hybsweep measures them through the registry, one grid cell
+//     at a time.
 //
 // See README.md for a tour and DESIGN.md for the system inventory,
 // the registry and lifecycle contract, and the per-experiment index.

@@ -54,7 +54,7 @@ type Handle = core.Handle
 type Ticket = core.Ticket
 
 // StatsSource is implemented by the combining constructions ("hybcomb",
-// "ccsynch") and the lock-backed ones (the spin executors and "hybrid",
+// "ccsynch") and the lock-backed ones ("mcs-lock" and "hybrid",
 // where a round is an acquisition); type-assert an Executor to read
 // combining statistics. rounds + combined == ops holds under blocking
 // Apply; a batch, and a pipelined lock, "hybcomb" or "ccsynch" handle,
@@ -65,7 +65,7 @@ type Ticket = core.Ticket
 type StatsSource = core.StatsSource
 
 // PipelineStats is implemented by the pipelining constructions
-// ("mpserver", "hybcomb", "ccsynch", the spin executors, "hybrid") and
+// ("mpserver", "hybcomb", "ccsynch", "mcs-lock", "hybrid") and
 // the shard router:
 // backpressure counters of the submission pipeline (SubmitStalls =
 // submissions that found the pipeline full, MaxDepth = deepest
@@ -73,12 +73,11 @@ type StatsSource = core.StatsSource
 // like StatsSource.
 type PipelineStats = core.PipelineStats
 
-// RetryStats is implemented by the lock-path constructions (the spin
-// executors and "hybrid"): Retries counts contended lock acquisitions
-// — on MCS ("mcs-lock", "hybrid") one per acquisition that queued
-// behind a predecessor, on "tas-lock" and "ttas-lock" every attempt
-// beyond the first. It is the contention signal the adaptive hybrid
-// promotes on. Read at pipeline quiescence, like StatsSource.
+// RetryStats is implemented by the lock-path constructions ("mcs-lock"
+// and "hybrid"): Retries counts the lock acquisitions that queued
+// behind a predecessor on the MCS lock, one per acquisition. It is the
+// contention signal the adaptive hybrid promotes on. Read at pipeline
+// quiescence, like StatsSource.
 type RetryStats = core.RetryStats
 
 // AdaptiveStats is implemented by the adaptive constructions
@@ -196,10 +195,9 @@ func WithTelemetry(t *Telemetry) Option { return core.WithTelemetry(t) }
 // the object amortize work across the run (a counter sums it locally,
 // a queue applies it without per-operation indirection); a bare
 // function is NewObject(name, Func(f)). Built-in names are "mpserver",
-// "hybcomb", "ccsynch", "shmserver", the adaptive "hybrid" (an
-// mcs-lock that promotes itself to hybcomb delegation under
-// contention) and the spin-lock executors "mcs-lock", "tas-lock" and
-// "ttas-lock"; Algorithms lists everything registered.
+// "hybcomb", "ccsynch", "shmserver", the MCS queue lock "mcs-lock" and
+// the adaptive "hybrid" (an mcs-lock that promotes itself to hybcomb
+// delegation under contention); Algorithms lists everything registered.
 // Unknown names fail with ErrUnknownAlgorithm; options explicitly set
 // to invalid values fail with ErrBadOption.
 func NewObject(name string, obj Object, opts ...Option) (Executor, error) {

@@ -1,6 +1,6 @@
 // Package backoff provides the single adaptive wait loop shared by
 // every spinning site in the repository (message-queue send/receive,
-// the HybComb combiner hand-off, the SHM-server slots, the spin locks).
+// the HybComb combiner hand-off, the SHM-server slots, the MCS lock).
 //
 // The paper's algorithms busy-wait because on the TILE-Gx a waiting
 // core is a dedicated core; under the Go runtime a spinning goroutine

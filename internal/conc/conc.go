@@ -3,7 +3,8 @@
 // queues in one-lock and two-lock form, an LCRQ-style nonblocking queue,
 // Treiber's nonblocking stack and a coarse-lock stack. The blocking
 // variants are parameterized by a core.Executor factory, so each can run
-// over MP-SERVER, HYBCOMB, CC-SYNCH, SHM-SERVER or any spin lock.
+// over MP-SERVER, HYBCOMB, CC-SYNCH, SHM-SERVER, the MCS lock or the
+// hybrid.
 package conc
 
 import "hybsync/internal/core"

@@ -23,8 +23,8 @@ func factories() map[string]ExecutorFactory {
 		"ccsynch":         mk("ccsynch"),
 		"ccsynch-maxops1": mk("ccsynch", core.WithMaxOps(1)),
 		"shmserver":       mk("shmserver", core.WithMaxThreads(64)),
-		"ttas-lock":       mk("ttas-lock"),
 		"mcs-lock":        mk("mcs-lock"),
+		"hybrid":          mk("hybrid", core.WithMaxThreads(64)),
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package core implements the paper's two message-passing constructions
 // for executing contended critical sections — MP-SERVER (§4.1) and
 // HYBCOMB (§4.2, Algorithm 1) — as a native Go library, together with
-// its baselines: the spin-lock executors, the adaptive hybrid, and the
+// its baselines: the MCS lock executor, the adaptive hybrid, and the
 // two pure-shared-memory constructions, CC-SYNCH (Fatourou &
 // Kallimanis, PPoPP'12), the most efficient shared-memory combining
 // construction, and SHM-SERVER, a simplified RCL (Lozi et al., USENIX
@@ -103,7 +103,7 @@ type Executor interface {
 // block on transport back-pressure (a full request queue) or on
 // combiner duty (the hybrid's delegation mode promotes the submitting
 // thread and serves the round before returning). How much genuinely
-// overlaps depends on the construction — a spin lock (and the hybrid's
+// overlaps depends on the construction — the MCS lock (and the hybrid's
 // lock mode), HYBCOMB, CC-SYNCH and MP-SERVER defer the whole window to
 // the first completion demanded — a Wait, a Flush, a blocking call
 // behind it, or the QueueCap-th pending operation — and execute it as
@@ -258,9 +258,9 @@ type Handle interface {
 //
 // That is an ApplyBatch (or router MultiApply), whose whole batch is one
 // round's own run, and it is a pipelined handle of any source: every
-// one defers its window (the locks, HybComb, CC-SYNCH, the hybrid in
+// one defers its window (mcs-lock, HybComb, CC-SYNCH, the hybrid in
 // lock mode), and its deferred run is the same batch spelled one call
-// at a time, one round of n own operations (combined == 0 on the locks,
+// at a time, one round of n own operations (combined == 0 on the lock,
 // where nobody executes on another's behalf). The counters then mix units (rounds
 // count runs, combined counts operations), which is why measure.Run
 // strips both from batch-path and bench=async records instead of
@@ -292,14 +292,11 @@ type PipelineStats interface {
 }
 
 // RetryStats is implemented by the executors whose mutual exclusion is
-// a lock (LockExecutor, and the hybrid, whose lock mode is one): Retries
-// reports the cumulative contended-acquisition steps across all
-// handles — acquisitions that found the lock held and had to wait or
-// retry. On MCS (mcs-lock and the hybrid) that is exactly one count per
-// acquisition that queued behind a predecessor; tas-lock and ttas-lock
-// count every failed attempt. It is the lock-side contention gauge the
-// adaptive hybrid executor promotes on. Like Stats, exact only at
-// quiescence.
+// the MCS lock (LockExecutor, and the hybrid, whose lock mode is one):
+// Retries reports, across all handles, the acquisitions that queued
+// behind a predecessor — a retry is one acquisition that queued. It is
+// the lock-side contention gauge the adaptive hybrid executor promotes
+// on. Like Stats, exact only at quiescence.
 type RetryStats interface {
 	Retries() uint64
 }

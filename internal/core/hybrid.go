@@ -151,9 +151,9 @@ func (g hybGate) DispatchBatch(reqs []Req, results []uint64) {
 // is built eagerly so a promotion is a single atomic mode flip, never a
 // construction.
 func NewHybrid(obj Object, opts Options) *Hybrid {
-	l := &spin.MCSLock{}
-	h := &Hybrid{gate: l.NewMCSHandle(), promoteAt: hybridPromote, window: hybridWindow}
-	h.obj, h.factory = obj, func() spin.Lock { return l.NewMCSHandle() }
+	h := &Hybrid{promoteAt: hybridPromote, window: hybridWindow}
+	h.obj, h.lock = obj, &spin.MCSLock{}
+	h.gate = h.lock.NewMCSHandle()
 	h.init("hybrid", opts)
 	h.inner = NewHybComb(hybGate{h}, h.Opts)
 	return h

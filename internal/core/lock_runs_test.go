@@ -45,8 +45,8 @@ func (o *runRec) DispatchBatch(reqs []core.Req, results []uint64) {
 }
 
 // deferSubjects runs body over every construction whose window is a
-// handle's deferred run: the three registered locks, the hybrid pinned
-// in lock mode, hybcomb and ccsynch — whose demand executes the run, or
+// handle's deferred run: mcs-lock, the hybrid pinned in lock mode,
+// hybcomb and ccsynch — whose demand executes the run, or
 // registers it with an open round — and, with server, mpserver, whose
 // demand sends the run as one message the server answers in its own
 // time; each over a fresh recording object and QueueCap queueCap.
@@ -59,18 +59,18 @@ func deferSubjects(t *testing.T, queueCap int, server bool, body func(t *testing
 		},
 	}
 	for _, algo := range core.Algorithms() {
-		if algo == "tas-lock" || algo == "ttas-lock" || algo == "mcs-lock" || algo == "hybcomb" || algo == "ccsynch" || server && algo == "mpserver" {
+		if algo == "mcs-lock" || algo == "hybcomb" || algo == "ccsynch" || server && algo == "mpserver" {
 			open[algo] = func(obj core.Object) core.Executor {
 				return core.MustNewObject(algo, obj, core.WithQueueCap(queueCap))
 			}
 		}
 	}
-	want := 6
+	want := 4
 	if server {
 		want++
 	}
 	if len(open) != want {
-		t.Fatalf("%d deferring subjects, want the three registered locks, the hybrid, hybcomb, ccsynch and (with server) mpserver", len(open))
+		t.Fatalf("%d deferring subjects, want mcs-lock, the hybrid, hybcomb, ccsynch and (with server) mpserver", len(open))
 	}
 	for name, mk := range open {
 		t.Run(name, func(t *testing.T) {

@@ -10,48 +10,31 @@ import (
 	"hybsync/internal/telemetry"
 )
 
-// The lock-based executors, by registry name. MCS hands each executor
-// handle its own node-carrying lock handle over one shared lock; the
-// centralized locks (tas, ttas) share one instance.
-func init() {
-	mustRegister("tas-lock", func(obj Object, o Options) (Executor, error) {
-		l := &spin.TASLock{}
-		return newLockExecutor("tas-lock", func() spin.Lock { return l }, obj, o), nil
-	})
-	mustRegister("ttas-lock", func(obj Object, o Options) (Executor, error) {
-		l := &spin.TTASLock{}
-		return newLockExecutor("ttas-lock", func() spin.Lock { return l }, obj, o), nil
-	})
-	mustRegister("mcs-lock", func(obj Object, o Options) (Executor, error) {
-		l := &spin.MCSLock{}
-		return newLockExecutor("mcs-lock", func() spin.Lock { return l.NewMCSHandle() }, obj, o), nil
-	})
-}
-
-// LockExecutor adapts a spin.Lock into an Executor, so the repository's
-// concurrent objects can run over classic locks: mcs-lock, the paper's
-// classic-lock baseline, and the tas-lock and ttas-lock spin locks.
-// The batch contract maps directly: an ApplyBatch executes its whole
-// run against the object under ONE lock acquisition — the lock-world
-// equivalent of a combiner round, except the batch must come from a
-// single thread instead of being collected across threads. A handle's
-// pipelined submissions are the same run spelled one call at a time:
-// Submit and Post join a deferred run that executes under one
-// acquisition when a completion is demanded (see lockClientHot.Run),
-// so a window costs one hand-off of the lock — and of the protected
-// data — instead of one per operation.
+// LockExecutor adapts one MCS queue lock into an Executor, so the
+// repository's concurrent objects can run over the paper's classic-lock
+// baseline, mcs-lock; each handle holds its own node-carrying handle on
+// the executor's one lock. The batch contract maps directly: an
+// ApplyBatch executes its whole run against the object under ONE lock
+// acquisition — the lock-world equivalent of a combiner round, except
+// the batch must come from a single thread instead of being collected
+// across threads. A handle's pipelined submissions are the same run
+// spelled one call at a time: Submit and Post join a deferred run that
+// executes under one acquisition when a completion is demanded (see
+// lockClientHot.Run), so a window costs one hand-off of the lock — and
+// of the protected data — instead of one per operation.
 type LockExecutor struct {
 	Shell
-	obj     Object
-	factory func() spin.Lock // one lock per handle, or the one shared lock
+	obj  Object
+	lock *spin.MCSLock // its own allocation: no executor field shares the tail's line
 
 	mu    sync.Mutex
 	cells []*retryCell // one per handle, appended under mu
 }
 
 // retryCellHot is one handle's counters: acq counts lock acquisitions
-// (= dispatch runs), retries the contended steps those acquisitions
-// reported (see spin.Lock), ps the stalls and depth of its window.
+// (= dispatch runs), retries those that queued behind a predecessor
+// (see spin.MCSHandle.LockCounted), ps the stalls and depth of its
+// window.
 type retryCellHot struct {
 	acq     atomic.Uint64
 	retries atomic.Uint64
@@ -67,8 +50,8 @@ type retryCell struct {
 	_ [pad.CacheLine - unsafe.Sizeof(retryCellHot{})%pad.CacheLine]byte
 }
 
-func newLockExecutor(algo string, factory func() spin.Lock, obj Object, o Options) *LockExecutor {
-	e := &LockExecutor{obj: obj, factory: factory}
+func newLockExecutor(algo string, obj Object, o Options) *LockExecutor {
+	e := &LockExecutor{obj: obj, lock: &spin.MCSLock{}}
 	e.init(algo, o)
 	return e
 }
@@ -94,9 +77,9 @@ func (e *LockExecutor) Stats() (rounds, combined uint64) {
 	return rounds, 0
 }
 
-// Retries implements RetryStats: the cumulative contended-acquisition
-// steps across all handles — the contention gauge the adaptive hybrid
-// executor promotes on.
+// Retries implements RetryStats: the acquisitions, across all handles,
+// that queued behind a predecessor — the contention gauge the adaptive
+// hybrid executor promotes on.
 func (e *LockExecutor) Retries() uint64 {
 	_, r := e.counts()
 	return r
@@ -136,11 +119,11 @@ func (e *LockExecutor) Close() error {
 	return e.Err()
 }
 
-// lockClientHot is one thread's lock (or its node on the queue lock)
-// and its acquisition counters: the handle's Transport.
+// lockClientHot is one thread's handle on the executor's MCS lock (its
+// queue node) and its acquisition counters: the handle's Transport.
 type lockClientHot struct {
 	e    *LockExecutor
-	lock spin.Lock
+	lock *spin.MCSHandle
 	cell *retryCell
 	rec  *telemetry.Recorder
 
@@ -156,13 +139,13 @@ type lockClient struct {
 	_ [pad.CacheLine - unsafe.Sizeof(lockClientHot{})%pad.CacheLine]byte
 }
 
-// newClient builds one more thread's lock and counters.
+// newClient builds one more thread's lock handle and counters.
 func (e *LockExecutor) newClient() lockClientHot {
 	cell := &retryCell{}
 	e.mu.Lock()
 	e.cells = append(e.cells, cell)
 	e.mu.Unlock()
-	return lockClientHot{e: e, lock: e.factory(), cell: cell, rec: e.Opts.Telemetry.Recorder()}
+	return lockClientHot{e: e, lock: e.lock.NewMCSHandle(), cell: cell, rec: e.Opts.Telemetry.Recorder()}
 }
 
 // Run implements Transport: the run — the pipeline's deferred window,
@@ -170,8 +153,8 @@ func (e *LockExecutor) newClient() lockClientHot {
 // amortizing both the handover and the dispatch indirection across it,
 // and nothing is ever owed. There is nobody to wait for but the lock's
 // other holders, so TryWait and WaitTimeout execute the run too. The
-// acquisition and any contended-retry steps feed the handle's padded
-// cell (and the armed telemetry core, on the contended path only — an
+// acquisition, and a retry if it queued, feed the handle's padded cell
+// (and the armed telemetry core, on the contended path only — an
 // uncontended acquisition pays one private-line add and nothing
 // shared). The dispatch runs through the poison latch — recovery
 // happens inside it, so a panicking object still releases the lock and

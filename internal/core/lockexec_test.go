@@ -3,15 +3,12 @@ package core
 import (
 	"sync"
 	"testing"
-
-	"hybsync/internal/spin"
 )
 
 // TestLockExecutor adapts a lock into the Executor interface.
 func TestLockExecutor(t *testing.T) {
 	var state uint64
-	l := &spin.MCSLock{}
-	ex := newLockExecutor("mcs-lock", func() spin.Lock { return l.NewMCSHandle() }, Func(func(op, arg uint64) uint64 {
+	ex := newLockExecutor("mcs-lock", Func(func(op, arg uint64) uint64 {
 		v := state
 		state = v + arg
 		return v

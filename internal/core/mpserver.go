@@ -33,7 +33,7 @@ import (
 //
 // A message is one of two frames. A blocking Apply is one inline
 // {id, op, arg} request answered by its result. A handle's pipelined
-// window defers into its Pipe's run, as on the locks and the combiners,
+// window defers into its Pipe's run, as on the lock and the combiners,
 // and when a completion is demanded the run travels as ONE message,
 // {id|runFrame, start, n}: its requests sit in the handle's run cell (see
 // mpRunCell) from slot start on, the server writes their results back

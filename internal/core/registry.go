@@ -82,12 +82,12 @@ func Algorithms() []string {
 	return names
 }
 
-// The package's delegation and shared-memory constructions register
-// here, the lock executors in lockexec.go.
+// The package's constructions, by registry name.
 func init() {
 	mustRegister("mpserver", func(obj Object, o Options) (Executor, error) { return NewMPServer(obj, o), nil })
 	mustRegister("hybcomb", func(obj Object, o Options) (Executor, error) { return NewHybComb(obj, o), nil })
 	mustRegister("hybrid", func(obj Object, o Options) (Executor, error) { return NewHybrid(obj, o), nil })
 	mustRegister("ccsynch", func(obj Object, o Options) (Executor, error) { return NewCCSynch(obj, o), nil })
 	mustRegister("shmserver", func(obj Object, o Options) (Executor, error) { return NewSHMServer(obj, o), nil })
+	mustRegister("mcs-lock", func(obj Object, o Options) (Executor, error) { return newLockExecutor("mcs-lock", obj, o), nil })
 }

@@ -36,7 +36,7 @@ func (l *runLog) DispatchShardBatch(s int, reqs []core.Req, results []uint64) {
 
 // TestMultiApplyOneRunPerShard: a single client's MultiApply reaches
 // every touched shard as one SubmitBatch, and the constructions that
-// execute a handle's batch in one piece — the locks (the hybrid in lock
+// execute a handle's batch in one piece — mcs-lock (the hybrid in lock
 // mode among them), a combiner serving its own run or its own chain
 // segment — hand it to the object as exactly one DispatchShardBatch. A
 // server drains whatever part of the group has been published when it

@@ -29,7 +29,7 @@ type Subject struct {
 	// completion in flight even with one thread (a request is a message,
 	// a chain cell or an entry of the pipeline's deferred run — whose
 	// bounded waits on a lock acquire it rather than time out, so the
-	// locks and the hybrid set this one alone). The immediate
+	// lock and the hybrid set this one alone). The immediate
 	// constructions set neither.
 	OwesContended, OwesAlways bool
 }

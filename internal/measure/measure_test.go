@@ -85,7 +85,7 @@ func TestRun(t *testing.T) {
 				case "async":
 					// A deferring handle's window is one round of many own
 					// operations: the batch case, and as silent.
-					defers := algo == "tas-lock" || algo == "ttas-lock" || algo == "mcs-lock" || algo == "hybrid" || algo == "hybcomb" || algo == "ccsynch" || algo == "mpserver"
+					defers := algo == "mcs-lock" || algo == "hybrid" || algo == "hybcomb" || algo == "ccsynch" || algo == "mpserver"
 					if defers && rec.Rounds+rec.Combined != 0 {
 						t.Fatalf("deferring async record carries rounds/combined: %+v", rec)
 					}

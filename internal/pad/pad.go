@@ -1,6 +1,6 @@
 // Package pad centralizes cache-line padding for the hot-path data
 // structures (mpq rings, HybComb nodes, CC-Synch cells, SHM-server
-// slots, spin locks). Two idioms replace the hand-counted byte arrays
+// slots, the MCS lock's queue nodes). Two idioms replace the hand-counted byte arrays
 // the seed used:
 //
 //   - Between two fields that must not false-share, insert a full

@@ -7,49 +7,38 @@ import (
 	"testing"
 )
 
-// lockFactories enumerates every lock, each as a per-goroutine factory
-// over one shared lock instance.
-func lockFactories() map[string]func() func() Lock {
-	return map[string]func() func() Lock{
-		"tas":  func() func() Lock { l := &TASLock{}; return func() Lock { return l } },
-		"ttas": func() func() Lock { l := &TTASLock{}; return func() Lock { return l } },
-		"mcs":  func() func() Lock { l := &MCSLock{}; return func() Lock { return l.NewMCSHandle() } },
-	}
-}
-
-// TestMutualExclusion hammers a plain counter under each lock; any
-// missing exclusion loses increments (and trips the race detector,
-// because the counter is intentionally non-atomic).
+// TestMutualExclusion hammers a plain counter under one MCSLock, a
+// handle per goroutine; any missing exclusion loses increments (and
+// trips the race detector, because the counter is intentionally
+// non-atomic).
 func TestMutualExclusion(t *testing.T) {
 	const goroutines, per = 8, 5000
-	for name, mkf := range lockFactories() {
-		t.Run(name, func(t *testing.T) {
-			factory := mkf()
-			var counter uint64
-			var inCS atomic.Int32
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					l := factory()
-					for i := 0; i < per; i++ {
-						l.Lock()
-						if inCS.Add(1) != 1 {
-							t.Error("two goroutines inside the critical section")
-						}
-						counter++
-						inCS.Add(-1)
-						l.Unlock()
+	t.Run("mcs", func(t *testing.T) {
+		l := &MCSLock{}
+		var counter uint64
+		var inCS atomic.Int32
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h := l.NewMCSHandle()
+				for i := 0; i < per; i++ {
+					h.Lock()
+					if inCS.Add(1) != 1 {
+						t.Error("two goroutines inside the critical section")
 					}
-				}()
-			}
-			wg.Wait()
-			if counter != goroutines*per {
-				t.Fatalf("counter = %d, want %d", counter, goroutines*per)
-			}
-		})
-	}
+					counter++
+					inCS.Add(-1)
+					h.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		if counter != goroutines*per {
+			t.Fatalf("counter = %d, want %d", counter, goroutines*per)
+		}
+	})
 }
 
 // TestMCSUncontended covers the fast path (tail CAS to nil on unlock).

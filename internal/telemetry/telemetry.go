@@ -148,9 +148,8 @@ func (t *Telemetry) NoteDemotion() {
 }
 
 // NoteLockRetries counts n contended lock acquisitions (acquisitions
-// that found the lock held and had to wait or retry) — the promotion
-// signal of the adaptive executor and the spin executors' contention
-// gauge. Called on the contended path only, where the wait already
+// that queued behind a predecessor on the MCS lock) — the promotion
+// signal of the adaptive executor and mcs-lock's contention gauge. Called on the contended path only, where the wait already
 // dwarfs the add.
 func (t *Telemetry) NoteLockRetries(n uint64) {
 	if t != nil && n != 0 {

@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
@@ -16,6 +17,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"hybsync/internal/benchfmt"
 )
 
 // rawSpinExempt are the directories whose raw waiting is the point:
@@ -103,6 +106,48 @@ func TestDocsNameTheBuiltins(t *testing.T) {
 		}
 	}
 	t.Fatal("hybsync.go declares no NewObject")
+}
+
+// TestMeasuredAlgosAreTheBuiltins: the registry is exactly what is
+// measured — the algo lists of CI's scenario-lab grid and armed-telemetry
+// smoke grid, and the set of algos in the committed sweep corpus — so a
+// construction registered but never run, or run but no longer
+// registered, fails here.
+func TestMeasuredAlgosAreTheBuiltins(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A step runs from its "- name:" line to the next one; its first
+	// algo= list is its grid's.
+	algoList := regexp.MustCompile(`algo=([a-z,-]+)`)
+	for _, step := range []string{"scenario lab", "telemetry armed smoke"} {
+		_, body, ok := strings.Cut(string(ci), "- name: "+step)
+		if !ok {
+			t.Fatalf("ci.yml has no %q step", step)
+		}
+		body, _, _ = strings.Cut(body, "- name: ")
+		m := algoList.FindStringSubmatch(body)
+		if m == nil {
+			t.Fatalf("ci.yml's %q step has no algo= grid", step)
+		}
+		sameNames(t, "ci.yml's "+step+" grid", strings.Split(m[1], ","))
+	}
+
+	corpus, err := os.Open("BENCH_sweep.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corpus.Close()
+	recs, err := benchfmt.ReadSweep(corpus)
+	if err != nil {
+		t.Fatalf("BENCH_sweep.jsonl: %v", err)
+	}
+	seen := map[string]bool{}
+	for _, rec := range recs {
+		seen[rec.Algo] = true
+	}
+	sameNames(t, "BENCH_sweep.jsonl", slices.Collect(maps.Keys(seen)))
 }
 
 // quoted returns the algorithm-shaped names that q quotes in s.
