@@ -12,6 +12,17 @@
 // the common case at GOMAXPROCS=1), and finally short sleeps with
 // exponential growth so long-idle waiters stop consuming CPU entirely.
 //
+// Where a waiter's ladder starts is its role's choice. The zero Backoff
+// starts with the spin window and Yielding() with the yield window. The
+// two waits of a server construction take a Role, which restarts the
+// ladder by the process's occupancy estimate (see Occupy): live server
+// loops and the client handles registered with them, against
+// GOMAXPROCS. Where each of those waiters has a processor to itself a
+// spin is cheaper than any hand-over, so the role spins patiently
+// first (two-phase competitive spinning, Karlin et al., SOSP 1991);
+// where they outnumber the processors, spinning only delays the peer
+// it waits for.
+//
 // Two fault-containment hooks ride on the waiter, both free on the
 // fast path:
 //
@@ -39,6 +50,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"hybsync/internal/pad"
 )
 
 const (
@@ -50,6 +63,9 @@ const (
 	// these bounds so a long-idle waiter converges to maxSleep wakeups.
 	minSleep = time.Microsecond
 	maxSleep = 100 * time.Microsecond
+	// patientSpins is a patient role's extra pure-spin budget, spent
+	// before the usual ladder.
+	patientSpins = 4096
 )
 
 // Backoff is the adaptive waiter. The zero value is ready to use; it is
@@ -58,9 +74,57 @@ const (
 // wait loop, so growing it taxes every spinning site in the repository
 // (watchdog state lives in the separate Watched wrapper).
 type Backoff struct {
-	n          int
-	sleep      time.Duration
-	yieldFirst bool
+	n     int
+	sleep time.Duration
+	// role decides the step Reset restarts n at: 0 is the plain ladder,
+	// spinLimit is yield-first, and a negative start spins that many
+	// extra re-checks first.
+	role Role
+}
+
+// Role names a server construction's waiting site. Its Reset picks the
+// ladder's start from the occupancy estimate (see Occupy):
+//
+//	role    patient (4,096 extra spins, then the ladder) while   otherwise
+//	Server  servers < GOMAXPROCS                                 the plain ladder
+//	Reply   servers + clients <= GOMAXPROCS                      yield-first
+//
+// At GOMAXPROCS 1 no role is patient: the peer can only run once the
+// waiter gives up the processor.
+type Role uint8
+
+const (
+	ladder   Role = iota // the zero Backoff
+	yielding             // Yielding()
+	// Server is a server loop polling its empty request ring.
+	Server
+	// Reply is a client awaiting its server's reply.
+	Reply
+)
+
+// For returns a Backoff in role r, its ladder started where the
+// estimate puts it now.
+func For(r Role) Backoff { return Backoff{n: r.start(), role: r} }
+
+// start is the step a role other than the plain ladder starts at; only
+// Server and Reply read the occupancy estimate.
+func (r Role) start() int {
+	if r == yielding {
+		return spinLimit
+	}
+	return r.startAt(occupancy.load())
+}
+
+// startAt is where Server or Reply starts under the given estimate.
+func (r Role) startAt(servers, clients, procs int) int {
+	switch {
+	case procs > 1 && r == Server && servers < procs,
+		procs > 1 && r == Reply && servers+clients <= procs:
+		return -patientSpins
+	case r == Reply:
+		return spinLimit
+	}
+	return 0
 }
 
 // Wait performs one escalation step: spin, then yield, then sleep.
@@ -99,13 +163,66 @@ func (b *Backoff) Wait() {
 func (b *Backoff) sleeping() bool { return b.n > yieldLimit }
 
 // Reset re-arms the escalation after the condition fired; call it when
-// progress is made so the next wait starts in the cheap spin phase.
+// progress is made so the next wait starts where the waiter's role
+// does: the spin phase, the yield phase for Yielding(), and wherever
+// the occupancy estimate puts Server and Reply now.
 func (b *Backoff) Reset() {
 	b.n = 0
-	if b.yieldFirst {
-		b.n = spinLimit
+	if b.role != ladder {
+		b.n = b.role.start()
 	}
 	b.sleep = 0
+}
+
+// occupancy is the process's estimate of the waiters that each hold a
+// processor. Its fields are packed into one word, so a Reset reads them
+// together with one load; only registrations write it, so the word's
+// line, which it has to itself, stays in every waiter's cache.
+var occupancy estimate
+
+type estimate struct {
+	_ pad.Line
+	// word is servers | clients<<occupancyBits | procs<<2*occupancyBits,
+	// procs being GOMAXPROCS as captured at the last write: reading it
+	// on a wait path would take the scheduler's lock.
+	word atomic.Uint64
+	_    pad.Line
+}
+
+const occupancyBits = 21
+
+func (e *estimate) load() (servers, clients, procs int) { return unpack(e.word.Load()) }
+
+func unpack(w uint64) (servers, clients, procs int) {
+	const mask = 1<<occupancyBits - 1
+	return int(w & mask), int(w >> occupancyBits & mask), int(w >> (2 * occupancyBits))
+}
+
+// Occupy adds servers server loops and clients client handles to the
+// occupancy estimate; negative counts take them out again. A server
+// construction calls it when its loop starts and exits, when a handle
+// registers, and when Close gives its handles back. Every count added
+// must be taken out: a leaked one turns the patient roles on or off
+// for the whole process.
+func Occupy(servers, clients int) {
+	procs := uint64(runtime.GOMAXPROCS(0))
+	for {
+		old := occupancy.word.Load()
+		s, c, _ := unpack(old)
+		s, c = s+servers, c+clients
+		if s < 0 || c < 0 {
+			panic("backoff: occupancy taken out that was never added")
+		}
+		if occupancy.word.CompareAndSwap(old, uint64(s)|uint64(c)<<occupancyBits|procs<<(2*occupancyBits)) {
+			return
+		}
+	}
+}
+
+// Occupancy reads the estimate's counts.
+func Occupancy() (servers, clients int) {
+	servers, clients, _ = occupancy.load()
+	return servers, clients
 }
 
 // Watched is a Backoff with the stall watchdog attached. It is larger
@@ -175,11 +292,12 @@ func (w *Watched) Reset() {
 }
 
 // Yielding returns a Backoff that skips the pure-spin phase and starts
-// at the yield phase. Use it when each re-check of the condition is
-// itself expensive — e.g. the SHM-server's full slot sweep — so that
-// burning re-checks is never cheaper than handing over the processor.
-// Reset re-arms it to yield-first as well.
-func Yielding() Backoff { return Backoff{yieldFirst: true, n: spinLimit} }
+// at the yield phase, whatever the occupancy. Use it when each re-check
+// of the condition is itself expensive — the SHM-server's full slot
+// sweep — so that burning re-checks is never cheaper than handing over
+// the processor. Reset re-arms it to yield-first as well. A wait that
+// is yield-first only where the processors are crowded is Reply's.
+func Yielding() Backoff { return Backoff{role: yielding, n: spinLimit} }
 
 // StallHandler receives one stall report: the waiting site's label and
 // how long it has been sleeping without progress.

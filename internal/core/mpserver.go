@@ -28,7 +28,7 @@ import (
 // Options.batchLen) with a batched receive — and hands every request the
 // drained messages carry to the object as ONE DispatchBatch call,
 // scattering the responses after the call returns. Batching thus
-// amortizes both the queue synchronization (RecvBatch) and the dispatch
+// amortizes both the queue synchronization (TryRecvBatch) and the dispatch
 // indirection (DispatchBatch) across the run.
 //
 // A message is one of two frames. A blocking Apply is one inline
@@ -64,6 +64,9 @@ type MPServer struct {
 	// server has stopped (see mpTransport.Run).
 	late sync.Mutex
 	ps   pipeCounters
+	// clients counts the handles in backoff's occupancy estimate; the
+	// server loop counts itself from NewMPServer until it exits.
+	clients occupants
 }
 
 // opQuit is an internal opcode that stops the server loop.
@@ -102,6 +105,7 @@ func NewMPServer(obj Object, opts Options) *MPServer {
 	s.init("mpserver", opts)
 	s.reqs = mpq.NewMpsc(s.Opts.QueueCap)
 	s.peers = make([]atomic.Pointer[mpTransport], s.Opts.MaxThreads)
+	backoff.Occupy(1, 0)
 	go s.serve()
 	return s
 }
@@ -114,12 +118,17 @@ func NewMPServer(obj Object, opts Options) *MPServer {
 // response goes out — the flat-combining trade the paper's combiners
 // make on every round.
 //
+// An empty ring is polled in the Server role: while the server loops
+// leave a processor free it spins patiently, as the paper's server on
+// its own core does, and otherwise it takes the plain ladder.
+//
 // Dispatch runs through the poison latch: a panic escaping the object
 // poisons the executor, and the loop carries on replying (zeros from
 // then on) so every in-flight and future request still completes —
 // the server never dies silently with waiters blocked on its rings.
 func (s *MPServer) serve() {
 	defer close(s.done)
+	defer backoff.Occupy(-1, 0)
 	rec := s.Opts.Telemetry.Recorder() // server-goroutine owned
 	buf := make([]mpq.Msg, s.Opts.batchLen())
 	run := make([]Req, 0, len(buf))
@@ -170,8 +179,17 @@ func (s *MPServer) serve() {
 		}
 		return quit
 	}
+	idle := backoff.For(backoff.Server)
 	for {
-		if serveBatch(buf[:s.reqs.RecvBatch(buf)]) {
+		n := s.reqs.TryRecvBatch(buf)
+		if n == 0 {
+			idle.Reset()
+			for n == 0 {
+				idle.Wait()
+				n = s.reqs.TryRecvBatch(buf)
+			}
+		}
+		if serveBatch(buf[:n]) {
 			// Draining close: serve everything already published on the
 			// request ring, then exit. Messages sent before Close, and
 			// the runs Close waited for, claimed their ring slots before
@@ -204,6 +222,8 @@ func (s *MPServer) NewHandle() (Handle, error) {
 	t := &mpTransport{mpTransportHot: mpTransportHot{s: s, id: uint64(id),
 		resp: mpq.NewSpsc(s.Opts.QueueCap), cell: newRunCell(s.Opts.QueueCap)}}
 	s.arm(&t.wb, "mpserver: client awaiting response")
+	t.wb.Backoff = backoff.For(backoff.Reply)
+	s.clients.join()
 	s.peers[id].Store(t)
 	return newPipe(pipeSpec{Transport: t, Apply: t.apply, Latch: &s.PoisonLatch, Rec: s.Opts.Telemetry.Recorder(),
 		Counters: &s.ps, Depth: s.Opts.QueueCap, Waiter: &t.wb}), nil
@@ -231,6 +251,7 @@ func (s *MPServer) Close() error {
 		}
 		s.reqs.Send(mpq.Words3(0, opQuit, 0))
 		<-s.done
+		s.clients.leave()
 	}
 	return s.Err()
 }
@@ -260,7 +281,8 @@ type mpTransportHot struct {
 	// on the request ring; Close waits for it to clear before it sends
 	// the quit marker.
 	sending atomic.Bool
-	wb      backoff.Watched // awaiting a reply, under the stall watchdog
+	// wb awaits a reply, in the Reply role and under the stall watchdog.
+	wb backoff.Watched
 }
 
 // mpTransport rounds its state up to whole cache lines: handles of different
@@ -276,8 +298,23 @@ type mpTransport struct {
 // next on the ring.
 func (t *mpTransport) apply(op, arg uint64) uint64 {
 	t.s.reqs.Send(mpq.Words3(t.id, op, arg))
-	v, _ := mpq.RecvWord(t.resp, &t.wb, true)
+	v, _ := t.reply(true)
 	return v
+}
+
+// reply receives the next reply word; with block it waits for it on
+// wb, so the wait runs in the Reply role and the stall watchdog and the
+// schedule perturber see it whether or not the watchdog is armed.
+func (t *mpTransport) reply(block bool) (uint64, bool) {
+	m, ok := t.resp.TryRecv()
+	if !ok && block {
+		t.wb.Reset()
+		for !ok {
+			t.wb.Wait()
+			m, ok = t.resp.TryRecv()
+		}
+	}
+	return m.W[0], ok
 }
 
 // Run implements Transport: the run up to the window's room is copied
@@ -327,21 +364,14 @@ func (t *mpTransport) runLate(reqs []Req, rets []uint64) (owed int) {
 // answers a Post like any request (it cannot know the client does not
 // care); the window drops that result on arrival.
 //
-// A reply that is not there yet is a server round trip away, and the
-// server may be the goroutine this one's processor should run: where
-// runnable goroutines outnumber processors, spinning first only delays
-// the serve. So a blocking Next takes one step of a yield-first backoff
-// before the usual wait (on a 2-CPU host, mpserver's pipelined-window
-// rate read +20 to +47 % against spinning first, and +4 % against
-// yielding on every step of the wait; CHANGES.md).
+// A reply that is not there yet is a server round trip away. A blocking
+// Next waits for it as a blocking Apply does, in the Reply role: it
+// spins while the server and every registered client have a processor
+// each, and where they outnumber the processors — the server may be the
+// goroutine this one's processor should run — it yields first.
 func (t *mpTransport) Next(block bool) (uint64, bool) {
 	if t.ready == 0 {
-		n, ok := mpq.RecvWord(t.resp, &t.wb, false)
-		if !ok && block {
-			yield := backoff.Yielding()
-			yield.Wait()
-			n, ok = mpq.RecvWord(t.resp, &t.wb, true)
-		}
+		n, ok := t.reply(block)
 		if !ok {
 			return 0, false
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -80,4 +81,34 @@ func (s *Shell) Telemetry() *telemetry.Telemetry { return s.Opts.Telemetry }
 func (s *Shell) arm(w *backoff.Watched, label string) {
 	*w = backoff.Armed(s.Opts.StallTimeout, label)
 	w.SetOnStall(s.Opts.Telemetry.StallHook())
+}
+
+// occupants is a server construction's share of backoff's occupancy
+// estimate beyond its server loop: each handle it admitted, counted at
+// NewHandle until Close gives them all back. A handle admitted while
+// Close runs is counted before Close or not at all.
+type occupants struct {
+	mu     sync.Mutex
+	n      int
+	closed bool
+}
+
+// join counts one admitted handle.
+func (o *occupants) join() {
+	o.mu.Lock()
+	if !o.closed {
+		o.n++
+		backoff.Occupy(0, 1)
+	}
+	o.mu.Unlock()
+}
+
+// leave gives every counted handle back; later calls do nothing.
+func (o *occupants) leave() {
+	o.mu.Lock()
+	if !o.closed {
+		o.closed = true
+		backoff.Occupy(0, -o.n)
+	}
+	o.mu.Unlock()
 }

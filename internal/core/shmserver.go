@@ -24,6 +24,9 @@ type SHMServer struct {
 	obj   Object
 	slots []shmSlot // Options.MaxThreads of them
 	done  chan struct{}
+	// clients counts the handles in backoff's occupancy estimate; the
+	// sweep loop counts itself from NewSHMServer until it exits.
+	clients occupants
 }
 
 // shmSlotHot is one client channel: req holds op+1 (0 = empty). The
@@ -47,12 +50,17 @@ func NewSHMServer(obj Object, o Options) *SHMServer {
 	s := &SHMServer{obj: obj, done: make(chan struct{})}
 	s.init("shmserver", o)
 	s.slots = make([]shmSlot, s.Opts.MaxThreads)
+	backoff.Occupy(1, 0)
 	go s.serve()
 	return s
 }
 
+// serve is the sweep loop. It holds a processor as MP-SERVER's loop
+// does, so it counts in backoff's occupancy estimate, but its idle wait
+// stays yield-first whatever the estimate: each re-check is a sweep.
 func (s *SHMServer) serve() {
 	defer close(s.done)
+	defer backoff.Occupy(-1, 0)
 	// Each idle re-check is a full slot sweep, so skip the pure-spin
 	// phase: yield to the clients immediately, then escalate to sleep.
 	idle := backoff.Yielding()
@@ -136,6 +144,7 @@ func (s *SHMServer) NewHandle() (Handle, error) {
 	}
 	h := &shmClient{shmClientHot: shmClientHot{slot: &s.slots[id]}}
 	s.arm(&h.wb, "shmserver: waiting for server sweep")
+	s.clients.join()
 	// A client owns exactly one request slot, so nothing can be left in
 	// flight and a client's own batch cannot travel together: every
 	// submission is a slot round trip, ApplyBatch loops them, and
@@ -152,6 +161,7 @@ func (s *SHMServer) NewHandle() (Handle, error) {
 func (s *SHMServer) Close() error {
 	if s.seal() {
 		<-s.done
+		s.clients.leave()
 	}
 	return s.Err()
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hybsync/internal/backoff"
 	"hybsync/internal/pad"
 )
 
@@ -18,7 +19,10 @@ var roundTripSink uint64
 // MP-SERVER's request and response rings, chan↔chan the ablation
 // baseline) with both ways of waiting: spin polls TryRecv and nothing
 // else, so the row is the protocol's line transfers alone; block is
-// Recv, which adds internal/backoff's escalation. floor is the least
+// Recv, which adds internal/backoff's escalation; policy is MP-SERVER's
+// own waiting, the server polling in backoff's Server role and the
+// client awaiting its reply in the Reply role, registered in the
+// occupancy estimate as one server and one client. floor is the least
 // any protocol could cost on this host — two padded words bounced
 // between the same two goroutines — so each spin row reads as
 // nanoseconds above the line-transfer floor.
@@ -104,4 +108,31 @@ func BenchmarkRingRoundTrip(b *testing.B) {
 			})
 		}
 	}
+
+	b.Run("mpsc-spsc/policy", func(b *testing.B) {
+		backoff.Occupy(1, 1)
+		defer backoff.Occupy(-1, -1)
+		in := func(q Queue, r backoff.Role) func() Msg {
+			w := backoff.For(r)
+			return func() Msg {
+				m, ok := q.TryRecv()
+				if !ok {
+					w.Reset()
+					for !ok {
+						w.Wait()
+						m, ok = q.TryRecv()
+					}
+				}
+				return m
+			}
+		}
+		req, resp := NewMpsc(39), NewSpsc(39)
+		serve, reply := in(req, backoff.Server), in(resp, backoff.Reply)
+		echo(b, func(uint64) {
+			resp.Send(serve())
+		}, func(i uint64) {
+			req.Send(Word(i))
+			roundTripSink += reply().W[0]
+		})
+	})
 }
