@@ -20,7 +20,7 @@ func main() {
 
 	// Every registered construction can back the counter; HYBCOMB has
 	// no dedicated server (threads combine for each other) while
-	// MP-SERVER runs a server goroutine that Close shuts down.
+	// MP-SERVER is served by a pooled server loop until Close.
 	for _, algo := range []string{"hybcomb", "mpserver"} {
 		c, err := object.NewCounter(algo, hybsync.WithMaxThreads(goroutines))
 		if err != nil {

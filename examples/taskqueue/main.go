@@ -3,7 +3,7 @@
 // queues as the backbone of parallelization frameworks (it cites OpenMP
 // tasking); this example is that use case in miniature: producers
 // enqueue work items, workers dequeue and execute them, and the queue's
-// critical sections are all executed by the dedicated server goroutine.
+// critical sections are all executed by the queue's server loop.
 //
 //	go run ./examples/taskqueue
 package main

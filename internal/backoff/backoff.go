@@ -1,6 +1,8 @@
 // Package backoff provides the single adaptive wait loop shared by
-// every spinning site in the repository (message-queue send/receive,
-// the HybComb combiner hand-off, the SHM-server slots, the MCS lock).
+// every spinning site in the repository: message-queue send/receive,
+// the HybComb combiner hand-off, the CC-Synch cell wait, the MCS lock,
+// an SHM-SERVER client's slot wait, an MP-SERVER client's reply wait
+// and the pooled server loops' idle poll.
 //
 // The paper's algorithms busy-wait because on the TILE-Gx a waiting
 // core is a dedicated core; under the Go runtime a spinning goroutine
@@ -13,15 +15,15 @@
 // exponential growth so long-idle waiters stop consuming CPU entirely.
 //
 // Where a waiter's ladder starts is its role's choice. The zero Backoff
-// starts with the spin window and Yielding() with the yield window. The
-// two waits of a server construction take a Role, which restarts the
-// ladder by the process's occupancy estimate (see Occupy): live server
-// loops and the client handles registered with them, against
-// GOMAXPROCS. Where each of those waiters has a processor to itself a
-// spin is cheaper than any hand-over, so the role spins patiently
-// first (two-phase competitive spinning, Karlin et al., SOSP 1991);
-// where they outnumber the processors, spinning only delays the peer
-// it waits for.
+// starts with the spin window and Yielding() with the yield window. A
+// server loop's idle poll and an MP-SERVER client's reply wait take a
+// Role, which restarts the ladder by the process's occupancy estimate
+// (see Occupy): live server loops and the client handles registered
+// with them, against GOMAXPROCS. Where each of those waiters has a
+// processor to itself a spin is cheaper than any hand-over, so the
+// role spins patiently first (two-phase competitive spinning, Karlin
+// et al., SOSP 1991); where they outnumber the processors, spinning
+// only delays the peer it waits for.
 //
 // Two fault-containment hooks ride on the waiter, both free on the
 // fast path:
@@ -96,7 +98,7 @@ type Role uint8
 const (
 	ladder   Role = iota // the zero Backoff
 	yielding             // Yielding()
-	// Server is a server loop polling its empty request ring.
+	// Server is a server loop whose pass found no request pending.
 	Server
 	// Reply is a client awaiting its server's reply.
 	Reply
@@ -199,11 +201,12 @@ func unpack(w uint64) (servers, clients, procs int) {
 }
 
 // Occupy adds servers server loops and clients client handles to the
-// occupancy estimate; negative counts take them out again. A server
-// construction calls it when its loop starts and exits, when a handle
-// registers, and when Close gives its handles back. Every count added
-// must be taken out: a leaked one turns the patient roles on or off
-// for the whole process.
+// occupancy estimate; negative counts take them out again. The server
+// pool calls it when one of its loops starts and when it exits, once
+// per loop however many executors it serves, and a server construction
+// when a handle registers and when Close gives its handles back. Every
+// count added must be taken out: a leaked one turns the patient roles
+// on or off for the whole process.
 func Occupy(servers, clients int) {
 	procs := uint64(runtime.GOMAXPROCS(0))
 	for {
@@ -293,10 +296,10 @@ func (w *Watched) Reset() {
 
 // Yielding returns a Backoff that skips the pure-spin phase and starts
 // at the yield phase, whatever the occupancy. Use it when each re-check
-// of the condition is itself expensive — the SHM-server's full slot
-// sweep — so that burning re-checks is never cheaper than handing over
-// the processor. Reset re-arms it to yield-first as well. A wait that
-// is yield-first only where the processors are crowded is Reply's.
+// of the condition is itself expensive, so that burning re-checks is
+// never cheaper than handing over the processor. Reset re-arms it to
+// yield-first as well. A wait that is yield-first only where the
+// processors are crowded is Reply's.
 func Yielding() Backoff { return Backoff{role: yielding, n: spinLimit} }
 
 // StallHandler receives one stall report: the waiting site's label and

@@ -138,7 +138,9 @@ func (o deqObject) DispatchBatch(reqs []core.Req, results []uint64) {
 }
 
 // NewMSQueue2 builds the queue over two executors (for MP-SERVER this
-// means two dedicated server goroutines, the cost §5.4 discusses).
+// means two executors on the server pool: two server loops where
+// GOMAXPROCS leaves room for them, one shared loop otherwise — the cost
+// §5.4 discusses).
 func NewMSQueue2(f ExecutorFactory) (*MSQueue2, error) {
 	q := &MSQueue2{}
 	dummy := &aqnode{}

@@ -5,7 +5,7 @@
 // two pure-shared-memory constructions, CC-SYNCH (Fatourou &
 // Kallimanis, PPoPP'12), the most efficient shared-memory combining
 // construction, and SHM-SERVER, a simplified RCL (Lozi et al., USENIX
-// ATC'12) where a dedicated server thread polls per-client cache-line
+// ATC'12) where a server thread polls per-client cache-line
 // channels. It owns the Executor contract plus the algorithm registry
 // that the root hybsync package re-exports.
 //
@@ -58,14 +58,14 @@ import (
 // Close versus Poison: Close is the orderly exit — it drains or
 // completes whatever is still in flight (every construction guarantees
 // that a ticket submitted before Close remains redeemable with Wait
-// after it), stops background goroutines, and seals the executor
-// against new handles. Poison (see Poisonable) is the fault exit — a
-// terminal latch, tripped by a panic escaping Object.DispatchBatch on
-// the servicing path or set explicitly, after which the object is
-// never invoked again and all machinery keeps running with zero
-// results so no waiter is left hanging. The two compose: Close on a
-// poisoned executor still performs its shutdown and reports the
-// *PoisonError.
+// after it), detaches a server construction from its server loop, and
+// seals the executor against new handles. Poison (see Poisonable) is
+// the fault exit — a terminal latch, tripped by a panic escaping
+// Object.DispatchBatch on the servicing path or set explicitly, after
+// which the object is never invoked again and all machinery keeps
+// running with zero results so no waiter is left hanging. The two
+// compose: Close on a poisoned executor still performs its shutdown and
+// reports the *PoisonError.
 type Executor interface {
 	// NewHandle returns a per-goroutine handle. Each goroutine that
 	// submits operations must use its own Handle. It fails with
@@ -73,12 +73,13 @@ type Executor interface {
 	// after Close, and with the *PoisonError once poisoned.
 	NewHandle() (Handle, error)
 
-	// Close releases any background resources (server goroutines) and
-	// fails subsequent NewHandle calls. It is idempotent. Operations
-	// submitted before Close stay redeemable: their results are drained
-	// into the completion streams, were banked at submission, or — a
-	// handle's pending run — execute at the Wait or Flush that redeems
-	// them (on MP-SERVER, whose server Close stops, on the redeeming
+	// Close releases any background resources (a server construction's
+	// place on its pooled server loop) and fails subsequent NewHandle
+	// calls. It is idempotent. Operations submitted before Close stay
+	// redeemable: their results are drained into the completion
+	// streams, were banked at submission, or — a handle's pending run —
+	// execute at the Wait or Flush that redeems them (on MP-SERVER,
+	// whose server loop Close detaches it from, on the redeeming
 	// thread), which is why handles must be flushed before Close.
 	// Wait and Flush still work afterwards; no new operation may be
 	// issued. On a poisoned executor Close still shuts down and returns

@@ -34,7 +34,7 @@ func TestMPServerBasic(t *testing.T) {
 
 func TestMPServerConcurrentMutualExclusion(t *testing.T) {
 	// The dispatch deliberately does a racy read-modify-write; mutual
-	// exclusion (single server goroutine) must make it safe, and the
+	// exclusion (one server loop per executor) must make it safe, and the
 	// race detector must stay silent.
 	var state uint64
 	s := NewMPServer(Func(func(op, arg uint64) uint64 {

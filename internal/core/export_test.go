@@ -53,3 +53,31 @@ func NewTestPipe(tr Transport, depth int, eager bool) (h *Pipe, ctr PipelineStat
 	c := new(pipeCounters)
 	return newPipe(pipeSpec{Transport: tr, Counters: c, Depth: depth, Eager: eager}), c
 }
+
+// SharesServerLoop reports whether a and b, each an MP-SERVER or an
+// SHM-SERVER, are attached to the same server loop.
+func SharesServerLoop(a, b Executor) bool {
+	done := func(ex Executor) chan struct{} {
+		switch s := ex.(type) {
+		case *MPServer:
+			return s.done
+		case *SHMServer:
+			return s.done
+		}
+		return nil
+	}
+	pool.Lock()
+	defer pool.Unlock()
+	for _, l := range pool.loops {
+		var n int
+		for _, m := range *l.members.Load() {
+			if m.done == done(a) || m.done == done(b) {
+				n++
+			}
+		}
+		if n == 2 {
+			return true
+		}
+	}
+	return false
+}

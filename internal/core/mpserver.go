@@ -8,11 +8,14 @@ import (
 	"hybsync/internal/backoff"
 	"hybsync/internal/mpq"
 	"hybsync/internal/pad"
+	"hybsync/internal/telemetry"
 )
 
-// MPServer is the paper's MP-SERVER: a dedicated server goroutine owns
-// the protected object and executes every critical section; clients send
-// request messages and block on a one-message response queue. The
+// MPServer is the paper's MP-SERVER: a server loop owns the protected
+// object and executes every critical section; clients send request
+// messages and block on a one-message response queue. The loop is one
+// of the process's pooled server loops (see attach), which may serve
+// other executors between this one's drains. The
 // server's receive reads from a local queue and its response send never
 // blocks (each client bounds its in-flight requests by its response
 // ring's capacity), so — as on the hardware — no synchronization-related
@@ -24,7 +27,7 @@ import (
 // queue is an mpq.Mpsc (clients claim send slots with one fetch-and-add;
 // the server never CASes) and each response queue is an mpq.Spsc (no
 // atomic read-modify-write at all). The server drains up to MaxOps
-// pending messages per wakeup (capped at 256 per receive by
+// pending messages per drain (capped at 256 per receive by
 // Options.batchLen) with a batched receive — and hands every request the
 // drained messages carry to the object as ONE DispatchBatch call,
 // scattering the responses after the call returns. Batching thus
@@ -59,17 +62,21 @@ type MPServer struct {
 	// the request ring's publication orders the slot's write, and the
 	// cell's, before the server's reads.
 	peers []atomic.Pointer[mpTransport]
-	done  chan struct{}
+	// done is closed once the server loop has drained the executor
+	// after Close and let it go.
+	done chan struct{}
+	rec  *telemetry.Recorder // the server loop's, for this executor
 	// late serializes the runs handles execute themselves once the
-	// server has stopped (see mpTransport.Run).
+	// server loop has let the executor go (see mpTransport.Run).
 	late sync.Mutex
 	ps   pipeCounters
 	// clients counts the handles in backoff's occupancy estimate; the
-	// server loop counts itself from NewMPServer until it exits.
+	// server loop counts itself, once for all its executors.
 	clients occupants
 }
 
-// opQuit is an internal opcode that stops the server loop.
+// opQuit is an internal opcode: the executor has closed, and its
+// server loop lets it go once the ring is drained.
 const opQuit = ^uint64(0)
 
 // runFrame marks a run message in its first word, beside the sender's
@@ -98,113 +105,97 @@ func newRunCell(queueCap int) mpRunCell {
 	return mpRunCell{reqs: make([]Req, n), rets: make([]uint64, n), mask: uint64(n - 1)}
 }
 
-// NewMPServer starts the server goroutine. Close must be called to stop
-// it.
+// NewMPServer builds the executor and attaches it to a loop of the
+// server pool, which serves it until Close: Close must be called to
+// let the loop go.
 func NewMPServer(obj Object, opts Options) *MPServer {
 	s := &MPServer{obj: obj, done: make(chan struct{})}
 	s.init("mpserver", opts)
+	s.rec = s.Opts.Telemetry.Recorder()
 	s.reqs = mpq.NewMpsc(s.Opts.QueueCap)
 	s.peers = make([]atomic.Pointer[mpTransport], s.Opts.MaxThreads)
-	backoff.Occupy(1, 0)
-	go s.serve()
+	attach(s, s.done)
 	return s
 }
 
-// serve is the server loop: drain a batch of messages per wakeup,
-// execute every request they carry as one DispatchBatch, then scatter
-// the responses. Batching pays the blocking-receive synchronization and
-// the dispatch indirection once for the whole drain; the price is that
-// the first client of a drain now waits for all of it before its
-// response goes out — the flat-combining trade the paper's combiners
-// make on every round.
-//
-// An empty ring is polled in the Server role: while the server loops
-// leave a processor free it spins patiently, as the paper's server on
-// its own core does, and otherwise it takes the plain ladder.
+// serve implements source: drain a batch of messages, execute every
+// request they carry as one DispatchBatch, then scatter the responses.
+// Batching pays the receive synchronization and the dispatch
+// indirection once for the whole drain; the price is that the first
+// client of a drain now waits for all of it before its response goes
+// out — the flat-combining trade the paper's combiners make on every
+// round.
 //
 // Dispatch runs through the poison latch: a panic escaping the object
-// poisons the executor, and the loop carries on replying (zeros from
+// poisons the executor, and the server carries on replying (zeros from
 // then on) so every in-flight and future request still completes —
 // the server never dies silently with waiters blocked on its rings.
-func (s *MPServer) serve() {
-	defer close(s.done)
-	defer backoff.Occupy(-1, 0)
-	rec := s.Opts.Telemetry.Recorder() // server-goroutine owned
-	buf := make([]mpq.Msg, s.Opts.batchLen())
-	run := make([]Req, 0, len(buf))
-	rets := make([]uint64, len(buf))
-	// serveBatch executes one drained batch, skipping (but remembering)
-	// the quit marker: requests that landed behind opQuit in the ring
-	// still get served and answered, so a draining Close completes them
-	// instead of dropping them on the floor.
-	serveBatch := func(msgs []mpq.Msg) (quit bool) {
-		run = run[:0]
-		for _, m := range msgs {
-			switch {
-			case m.W[0]&runFrame != 0:
-				c := &s.peers[m.W[0]&^runFrame].Load().cell
-				for i := range m.W[2] {
-					run = append(run, c.reqs[(m.W[1]+i)&c.mask])
-				}
-			case m.W[1] == opQuit:
-				quit = true
-			default:
-				run = append(run, Req{Op: m.W[1], Arg: m.W[2]})
-			}
-		}
-		if len(run) == 0 {
-			return quit
-		}
-		if len(rets) < len(run) {
-			rets = make([]uint64, cap(run))
-		}
-		s.PoisonLatch.Dispatch(s.obj, run, rets[:len(run)])
-		rec.RunLen(len(run))
-		next := rets
-		for _, m := range msgs {
-			switch {
-			case m.W[0]&runFrame != 0:
-				p := s.peers[m.W[0]&^runFrame].Load()
-				n := m.W[2]
-				for i, v := range next[:n] {
-					p.cell.rets[(m.W[1]+uint64(i))&p.cell.mask] = v
-				}
-				next = next[n:]
-				p.resp.Send(mpq.Word(n))
-			case m.W[1] == opQuit:
-			default:
-				s.peers[m.W[0]].Load().resp.Send(mpq.Word(next[0]))
-				next = next[1:]
-			}
-		}
-		return quit
+func (s *MPServer) serve(sc *scratch) (served, drained bool) {
+	buf := sc.inbox(s.Opts.batchLen())
+	n := s.reqs.TryRecvBatch(buf)
+	if n == 0 {
+		return false, false
 	}
-	idle := backoff.For(backoff.Server)
+	if !s.serveBatch(sc, buf[:n]) {
+		return true, false
+	}
+	// Draining close: serve everything already published on the
+	// request ring, then leave the loop. Messages sent before Close, and
+	// the runs Close waited for, claimed their ring slots before
+	// opQuit's send, so after this drain every outstanding ticket has
+	// its response banked on its client's ring.
 	for {
 		n := s.reqs.TryRecvBatch(buf)
 		if n == 0 {
-			idle.Reset()
-			for n == 0 {
-				idle.Wait()
-				n = s.reqs.TryRecvBatch(buf)
-			}
+			return true, true
 		}
-		if serveBatch(buf[:n]) {
-			// Draining close: serve everything already published on the
-			// request ring, then exit. Messages sent before Close, and
-			// the runs Close waited for, claimed their ring slots before
-			// opQuit's send, so after
-			// this drain every outstanding ticket has its response
-			// banked on its client's ring.
-			for {
-				n := s.reqs.TryRecvBatch(buf)
-				if n == 0 {
-					return
-				}
-				serveBatch(buf[:n])
+		s.serveBatch(sc, buf[:n])
+	}
+}
+
+// serveBatch executes one drained batch, skipping (but remembering)
+// the quit marker: requests that landed behind opQuit in the ring
+// still get served and answered, so a draining Close completes them
+// instead of dropping them on the floor.
+func (s *MPServer) serveBatch(sc *scratch, msgs []mpq.Msg) (quit bool) {
+	run := sc.run[:0]
+	for _, m := range msgs {
+		switch {
+		case m.W[0]&runFrame != 0:
+			c := &s.peers[m.W[0]&^runFrame].Load().cell
+			for i := range m.W[2] {
+				run = append(run, c.reqs[(m.W[1]+i)&c.mask])
 			}
+		case m.W[1] == opQuit:
+			quit = true
+		default:
+			run = append(run, Req{Op: m.W[1], Arg: m.W[2]})
 		}
 	}
+	sc.run = run
+	if len(run) == 0 {
+		return quit
+	}
+	rets := sc.results(len(run))
+	s.PoisonLatch.Dispatch(s.obj, run, rets)
+	s.rec.RunLen(len(run))
+	for _, m := range msgs {
+		switch {
+		case m.W[0]&runFrame != 0:
+			p := s.peers[m.W[0]&^runFrame].Load()
+			n := m.W[2]
+			for i, v := range rets[:n] {
+				p.cell.rets[(m.W[1]+uint64(i))&p.cell.mask] = v
+			}
+			rets = rets[n:]
+			p.resp.Send(mpq.Word(n))
+		case m.W[1] == opQuit:
+		default:
+			s.peers[m.W[0]].Load().resp.Send(mpq.Word(rets[0]))
+			rets = rets[1:]
+		}
+	}
+	return quit
 }
 
 // NewHandle implements Executor: the handle's transport, with its
@@ -229,14 +220,15 @@ func (s *MPServer) NewHandle() (Handle, error) {
 		Counters: &s.ps, Depth: s.Opts.QueueCap, Waiter: &t.wb}), nil
 }
 
-// Close stops the server goroutine, draining the request ring first so
+// Close detaches the executor from its server loop, which drains the
+// request ring first so
 // every message sent before Close has its response banked on its
 // client's ring — outstanding tickets stay redeemable with Wait, and a
 // handle's run still pending executes at the Wait or Flush that redeems
 // it, whether that runs after Close or at the same time (see
 // mpTransport.Run). It is idempotent; no operation may be issued
-// afterwards. On a poisoned executor Close still stops the server and
-// reports the *PoisonError.
+// afterwards. On a poisoned executor Close still detaches the executor
+// and reports the *PoisonError.
 func (s *MPServer) Close() error {
 	if s.seal() {
 		// A run whose sender read the executor unsealed goes out ahead
@@ -326,9 +318,10 @@ func (t *mpTransport) reply(block bool) (uint64, bool) {
 //
 // Once Close has sealed the executor nobody will serve a message sent
 // now, so a run still pending then — redeemed by a Wait or Flush after
-// Close or racing it — executes here, once the server has stopped,
-// owing nothing. The seal is read with the sending flag up, so either
-// Run sees it or Close waits for the message before its quit marker.
+// Close or racing it — executes here, once the server loop has let the
+// executor go, owing nothing. The seal is read with the sending flag
+// up, so either Run sees it or Close waits for the message before its
+// quit marker.
 func (t *mpTransport) Run(reqs []Req, rets []uint64, room int) (owed int) {
 	t.sending.Store(true)
 	if t.s.sealed.Load() {
@@ -346,9 +339,10 @@ func (t *mpTransport) Run(reqs []Req, rets []uint64, room int) (owed int) {
 	return owed
 }
 
-// runLate executes a run after Close, in place: the server's draining
-// exit has served every message sent before, so the run still comes
-// after everything the handle ran earlier.
+// runLate executes a run after Close, in place: the server loop's
+// drain before it let the executor go has served every message sent
+// before, so the run still comes after everything the handle ran
+// earlier.
 func (t *mpTransport) runLate(reqs []Req, rets []uint64) (owed int) {
 	s := t.s
 	<-s.done

@@ -56,7 +56,8 @@ func (e *PoisonError) Unwrap() error { return ErrPoisoned }
 // fan-out) implement it. Poisoning is a latch, not a shutdown: it
 // stops the object from ever being invoked again and fails future
 // submissions fast, but it cannot unwedge a goroutine already blocked
-// inside the object, and background goroutines still need Close.
+// inside the object, and a server construction still needs Close to
+// leave its server loop.
 // Abandoning an executor (a timed-out sweep cell, a wedged benchmark)
 // should poison it so any stragglers fail fast instead of combining
 // against a dead owner's state.

@@ -68,8 +68,8 @@ func (s *Shell) admit() (id int, err error) {
 }
 
 // seal fails every later admit with ErrClosed. It reports whether this
-// call was the first, which is the one that stops a construction's
-// background goroutine.
+// call was the first, which is the one that detaches a server
+// construction from its server loop.
 func (s *Shell) seal() (first bool) { return s.sealed.CompareAndSwap(false, true) }
 
 // Telemetry implements TelemetrySource.

@@ -6,26 +6,31 @@ import (
 
 	"hybsync/internal/backoff"
 	"hybsync/internal/pad"
+	"hybsync/internal/telemetry"
 )
 
 // SHMServer is the paper's SHM-SERVER: a simplified RCL. Each client
 // owns one padded slot (its "cache line channel"); it publishes {op,
 // arg} there and spins until the server writes back the result. A
-// dedicated server goroutine scans the slots round-robin — each sweep
+// server loop of the pool (see attach), which may serve other executors
+// between this one's sweeps, scans the slots round-robin — each sweep
 // is a batched receive in the same sense as MPServer's drain: every
 // run of consecutive occupied slots found in one pass is gathered and
 // executed as ONE DispatchBatch call before the results are written
-// back and the slots released, and an idle server backs off (spin →
-// yield → sleep) instead of burning its  This is message passing
+// back and the slots released, and an idle loop backs off instead of
+// burning its processor. This is message passing
 // emulated over coherent shared memory — the baseline whose
 // per-request coherence misses MP-SERVER eliminates.
 type SHMServer struct {
 	Shell
 	obj   Object
 	slots []shmSlot // Options.MaxThreads of them
-	done  chan struct{}
+	// done is closed once the server loop has drained the executor
+	// after Close and let it go.
+	done chan struct{}
+	rec  *telemetry.Recorder // the server loop's, for this executor
 	// clients counts the handles in backoff's occupancy estimate; the
-	// sweep loop counts itself from NewSHMServer until it exits.
+	// server loop counts itself, once for all its executors.
 	clients occupants
 }
 
@@ -44,96 +49,90 @@ type shmSlot struct {
 	_ [pad.CacheLine - unsafe.Sizeof(shmSlotHot{})%pad.CacheLine]byte
 }
 
-// NewSHMServer starts the polling server goroutine for up to
-// Options.MaxThreads clients. Close must be called to stop it.
+// NewSHMServer builds the executor for up to Options.MaxThreads
+// clients and attaches it to a loop of the server pool, which sweeps
+// its slots until Close: Close must be called to let the loop go.
 func NewSHMServer(obj Object, o Options) *SHMServer {
 	s := &SHMServer{obj: obj, done: make(chan struct{})}
 	s.init("shmserver", o)
+	s.rec = s.Opts.Telemetry.Recorder()
 	s.slots = make([]shmSlot, s.Opts.MaxThreads)
-	backoff.Occupy(1, 0)
-	go s.serve()
+	attach(s, s.done)
 	return s
 }
 
-// serve is the sweep loop. It holds a processor as MP-SERVER's loop
-// does, so it counts in backoff's occupancy estimate, but its idle wait
-// stays yield-first whatever the estimate: each re-check is a sweep.
-func (s *SHMServer) serve() {
-	defer close(s.done)
-	defer backoff.Occupy(-1, 0)
-	// Each idle re-check is a full slot sweep, so skip the pure-spin
-	// phase: yield to the clients immediately, then escalate to sleep.
-	idle := backoff.Yielding()
-	// A sweep gathers each run of consecutive occupied slots into one
-	// batch; a gap in the scan (or the end of the sweep) flushes the
-	// run as a single DispatchBatch, then writes the results back and
-	// releases the slots. Contended neighbours thus amortize the
-	// dispatch indirection while a lone client still gets a 1-batch.
-	pend := make([]*shmSlot, 0, len(s.slots))
-	reqs := make([]Req, 0, len(s.slots))
-	rets := make([]uint64, len(s.slots))
-	rec := s.Opts.Telemetry.Recorder() // server-goroutine owned
-	flush := func() {
-		if len(pend) == 0 {
-			return
-		}
-		// Dispatch through the poison latch: a panicking object poisons
-		// the server and the run completes with zeros, so every occupied
-		// slot is still released — clients never spin on a dead server.
-		s.PoisonLatch.Dispatch(s.obj, reqs, rets[:len(reqs)])
-		for i, slot := range pend {
-			slot.ret = rets[i]
-			slot.req.Store(0) // release: the client observes ret before this
-		}
-		// Record after the release stores: the sweep is the round trip's
-		// critical path, and even a nil-recorder call between publish and
-		// release delays every spinning client.
-		rec.RunLen(len(pend))
-		pend = pend[:0]
-		reqs = reqs[:0]
+// serve implements source: one sweep of the slots, and once Close has
+// sealed the executor and a sweep finds nothing, one more before it
+// reports the executor drained. A request published before Close
+// happened-before the seal's store, so that last sweep sees it — the
+// empty sweep before may have scanned its slot before the publish
+// landed.
+func (s *SHMServer) serve(sc *scratch) (served, drained bool) {
+	if s.sweep(sc) {
+		return true, false
 	}
-	// The emptiness guard is hoisted to the call sites: flush outgrew
-	// the inlining budget when it learned to record run lengths, and an
-	// outlined call per empty slot taxes every sweep by a call per slot
-	// — a measurable per-op regression at one client, where each sweep
-	// scans the full slot array for one occupied entry. With the guard
-	// here, the empty-slot path stays call-free however flush grows.
-	sweep := func() (served bool) {
-		for i := range s.slots {
-			slot := &s.slots[i]
-			req := slot.req.Load()
-			if req == 0 {
-				if len(pend) != 0 {
-					flush() // end of a consecutive occupied run
-				}
-				continue
-			}
-			pend = append(pend, slot)
-			reqs = append(reqs, Req{Op: req - 1, Arg: slot.arg})
-			served = true
-		}
-		if len(pend) != 0 {
-			flush()
-		}
-		return served
+	if !s.sealed.Load() {
+		return false, false
 	}
-	for {
-		if sweep() {
-			idle.Reset()
-			continue
-		}
-		if s.sealed.Load() {
-			// Draining close: one more full sweep after observing the seal.
-			// A request published before Close happened-before the seal's
-			// store, so this sweep sees it — the empty sweep above
-			// may have scanned that slot before the publish landed.
-			if !sweep() {
-				return
+	served = s.sweep(sc)
+	return served, !served
+}
+
+// sweep gathers each run of consecutive occupied slots into one batch;
+// a gap in the scan (or the end of the sweep) flushes the run as a
+// single DispatchBatch, then writes the results back and releases the
+// slots. Contended neighbours thus amortize the dispatch indirection
+// while a lone client still gets a 1-batch.
+//
+// A sweep scans only the slots of admitted handles: the rest stay
+// empty, and an idle loop's re-check then costs what MP-SERVER's empty
+// receive does, whatever MaxThreads is. A handle is admitted before
+// its first publish, so a sweep that misses a slot just admitted
+// finds it on the next, and the last sweep after the seal finds every
+// slot a request was published in before Close.
+//
+// The emptiness guard is hoisted to the call sites: flush outgrew
+// the inlining budget when it learned to record run lengths, and an
+// outlined call per empty slot taxes every sweep by a call per slot.
+// With the guard here, the empty-slot path stays call-free however
+// flush grows.
+func (s *SHMServer) sweep(sc *scratch) (served bool) {
+	slots := s.slots[:min(int(s.handles.Load()), len(s.slots))]
+	run, rets := sc.run[:0], sc.results(len(slots))
+	for i := range slots {
+		slot := &slots[i]
+		req := slot.req.Load()
+		if req == 0 {
+			if len(run) != 0 {
+				s.flush(slots[i-len(run):i], run, rets) // end of a consecutive occupied run
+				run = run[:0]
 			}
 			continue
 		}
-		idle.Wait()
+		run = append(run, Req{Op: req - 1, Arg: slot.arg})
+		served = true
 	}
+	if len(run) != 0 {
+		s.flush(slots[len(slots)-len(run):], run, rets)
+	}
+	sc.run = run
+	return served
+}
+
+// flush executes the run the occupied slots hold and releases them.
+func (s *SHMServer) flush(slots []shmSlot, run []Req, rets []uint64) {
+	// Dispatch through the poison latch: a panicking object poisons
+	// the executor and the run completes with zeros, so every occupied
+	// slot is still released — clients never spin on a dead server.
+	s.PoisonLatch.Dispatch(s.obj, run, rets[:len(run)])
+	for i := range slots {
+		slots[i].ret = rets[i]
+		slots[i].req.Store(0) // release: the client observes ret before this
+	}
+	// Record after the release stores: the sweep is the round trip's
+	// critical path, and even a nil-recorder call between publish and
+	// release delays every spinning client.
+	s.rec.RunLen(len(run))
 }
 
 // NewHandle implements Executor.
@@ -153,11 +152,11 @@ func (s *SHMServer) NewHandle() (Handle, error) {
 	return newImmediatePipe(h.apply, &s.PoisonLatch, s.Opts.Telemetry.Recorder()), nil
 }
 
-// Close stops the server once all in-flight requests are served (the
-// server drains occupied slots before exiting, so a concurrent Apply
-// that published before Close still completes). It is idempotent; on
-// a poisoned executor it still stops the server and reports the
-// *PoisonError.
+// Close detaches the executor from its server loop once all in-flight
+// requests are served (the loop drains occupied slots before it lets
+// the executor go, so a concurrent Apply that published before Close
+// still completes). It is idempotent; on a poisoned executor it still
+// detaches the executor and reports the *PoisonError.
 func (s *SHMServer) Close() error {
 	if s.seal() {
 		<-s.done

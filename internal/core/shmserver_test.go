@@ -85,7 +85,7 @@ func TestLifecycleAfterClose(t *testing.T) {
 	}
 }
 
-// TestSHMServerRecordsFirstSweep: the server goroutine takes its
+// TestSHMServerRecordsFirstSweep: the executor takes its server loop's
 // recorder from the Options it was built with, so a server built armed
 // records the run length of its very first non-empty sweep — there is
 // no later moment at which telemetry attaches. The record follows the

@@ -83,7 +83,9 @@ func NewMSQueue1(algo string, opts ...hybsync.Option) (*MSQueue1, error) {
 
 // NewMSQueue2 builds the two-lock Michael & Scott queue over two
 // independent executors of the named algorithm (for "mpserver" that
-// means two dedicated server goroutines, the cost §5.4 discusses).
+// means two executors on the server pool: two server loops where
+// GOMAXPROCS leaves room for them, one shared loop otherwise — the cost
+// §5.4 discusses).
 func NewMSQueue2(algo string, opts ...hybsync.Option) (*MSQueue2, error) {
 	return conc.NewMSQueue2(factory(algo, opts))
 }
