@@ -47,7 +47,7 @@
 //     lock-free bounded message queues, CC-SYNCH and SHM-SERVER over
 //     shared memory, the MCS queue lock (the algorithm itself in
 //     internal/spin) and the hybrid that starts as one and promotes
-//     itself to HYBCOMB — and the evaluation's concurrent objects
+//     itself to CC-SYNCH — and the evaluation's concurrent objects
 //     (counter, MS-Queues, LCRQ, Treiber stack, coarse-lock stack).
 //     cmd/hybsweep measures them through the registry, one grid cell
 //     at a time.

@@ -196,7 +196,7 @@ func WithTelemetry(t *Telemetry) Option { return core.WithTelemetry(t) }
 // a queue applies it without per-operation indirection); a bare
 // function is NewObject(name, Func(f)). Built-in names are "mpserver",
 // "hybcomb", "ccsynch", "shmserver", the MCS queue lock "mcs-lock" and
-// the adaptive "hybrid" (an mcs-lock that promotes itself to hybcomb
+// the adaptive "hybrid" (an mcs-lock that promotes itself to ccsynch
 // delegation under contention); Algorithms lists everything registered.
 // Unknown names fail with ErrUnknownAlgorithm; options explicitly set
 // to invalid values fail with ErrBadOption.

@@ -52,9 +52,8 @@ type ccSynchHot struct {
 	Shell
 	obj Object
 
-	rounds   atomic.Uint64
-	combined atomic.Uint64
-	ps       pipeCounters
+	rounds roundTally // each handle's combining rounds, counted in its transport
+	ps     pipeCounters
 }
 
 // ccNodeHot is a request cell's live fields: one (op, arg), or, when run
@@ -97,13 +96,32 @@ func NewCCSynch(obj Object, o Options) *CCSynch {
 
 // NewHandle implements Executor.
 func (c *CCSynch) NewHandle() (Handle, error) {
+	h, err := c.newTransport()
+	if err != nil {
+		return nil, err
+	}
+	return newPipe(h.spec()), nil
+}
+
+// newTransport admits one more thread and builds its transport; the
+// hybrid executor puts its own in front of its backend's instead of
+// taking a handle.
+func (c *CCSynch) newTransport() (*ccTransport, error) {
 	if _, err := c.admit(); err != nil {
 		return nil, err
 	}
 	h := &ccTransport{ccTransportHot: ccTransportHot{c: c, node: &ccNode{}, rec: c.Opts.Telemetry.Recorder()}}
 	c.arm(&h.wb, "ccsynch: waiting for cell service")
-	return newPipe(pipeSpec{Transport: h, Apply: h.apply, Latch: &c.PoisonLatch, Rec: h.rec,
-		Counters: &c.ps, Depth: c.Opts.QueueCap, Waiter: &h.wb}), nil
+	c.rounds.join(&h.rounds)
+	return h, nil
+}
+
+// spec is the handle over h: at most QueueCap operations pending in the
+// pipeline's run, none ever owed.
+func (h *ccTransport) spec() pipeSpec {
+	c := h.c
+	return pipeSpec{Transport: h, Apply: h.apply, Latch: &c.PoisonLatch, Rec: h.rec,
+		Counters: &c.ps, Depth: c.Opts.QueueCap, Waiter: &h.wb}
 }
 
 // Close implements Executor. CC-Synch owns no background
@@ -117,11 +135,10 @@ func (c *CCSynch) Close() error {
 }
 
 // Stats returns combining rounds and requests combined for others (a
-// round's first cell is its combiner's own and counts towards neither).
-// Read only at pipeline quiescence (every handle flushed).
-func (c *CCSynch) Stats() (rounds, combined uint64) {
-	return c.rounds.Load(), c.combined.Load()
-}
+// round's first cell is its combiner's own and counts towards neither),
+// summed over the handles' transports. Read only at pipeline quiescence
+// (every handle flushed).
+func (c *CCSynch) Stats() (rounds, combined uint64) { return c.rounds.Stats() }
 
 // Pipeline implements PipelineStats.
 func (c *CCSynch) Pipeline() (submitStalls, maxDepth uint64) { return c.ps.Pipeline() }
@@ -145,7 +162,8 @@ type ccTransportHot struct {
 	creqs []Req
 	crets []uint64
 
-	rec *telemetry.Recorder
+	rec    *telemetry.Recorder
+	rounds roundCell // the rounds this thread combined
 
 	// wb is the watched waiter for cell-service spins, constructed once
 	// per handle and Reset per wait loop so the per-operation path never
@@ -277,8 +295,7 @@ func (h *ccTransport) combine(cur *ccNode) {
 	h.flushRun(cur)
 	// Hand over: the owner of tmp wakes with completed=false and combines.
 	tmp.wait.Store(false)
-	c.rounds.Add(1)
-	c.combined.Add(uint64(count - own))
+	h.rounds.count(uint64(count - own))
 }
 
 // apply is the synchronous algorithm, one (op, arg) cell: publish, then

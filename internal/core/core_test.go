@@ -381,9 +381,12 @@ func TestMPServerHandleLineAligned(t *testing.T) {
 // then find that ring through a plain slice slot. The slot's write must
 // be ordered before every such read by the newcomer's first request or
 // its node's registration CAS — which the race detector checks here for
-// mpserver, hybcomb and a promoted hybrid. Small
-// MaxOps keeps HybComb's combiner role rotating, so newcomers both
-// register with others and are registered with.
+// mpserver and hybcomb. Small MaxOps keeps HybComb's combiner role
+// rotating, so newcomers both register with others and are registered
+// with. A promoted hybrid has no per-handle rings, but its newcomers
+// join the lock's retry cells and the backend's round tally, which
+// combiners write while the newcomer is built, and small MaxOps hands
+// its CC-Synch combiner duty around as well.
 func TestHandleCreatedMidApply(t *testing.T) {
 	const residents, newcomers, per = 2, 12, 300
 	for _, tc := range []struct {
@@ -396,7 +399,7 @@ func TestHandleCreatedMidApply(t *testing.T) {
 		{"hybcomb", func(obj Object) Executor {
 			return NewHybComb(obj, Options{MaxThreads: residents + newcomers, MaxOps: 4})
 		}},
-		{"hybrid/hybcomb", func(obj Object) Executor {
+		{"hybrid/ccsynch", func(obj Object) Executor {
 			h := newFrozenHybrid(obj, Options{MaxThreads: residents + newcomers, MaxOps: 4})
 			forceMode(h, true)
 			return h

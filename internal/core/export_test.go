@@ -19,7 +19,7 @@ func FreezeHybrid(h *Hybrid) { h.window = math.MaxUint64 }
 
 // HybridBackend is h's delegation backend, whose own latch the
 // hybrid's design keeps from ever tripping.
-func HybridBackend(h *Hybrid) *HybComb { return h.inner }
+func HybridBackend(h *Hybrid) *CCSynch { return h.inner }
 
 // HybCombLastCombiner is the thread id on h's last registered combiner
 // node: the thread that promoted itself last (-1 before anyone did).

@@ -155,10 +155,11 @@ func TestHybridDelegatedFaultPoisonsTheHybrid(t *testing.T) {
 // turn: on the combiner's response or cell service, and, with the round
 // full at MaxOps 1, as the next combiner awaiting the parked round. The
 // hybrid in delegation mode waits as its backend does and reports
-// hybcomb's labels.
+// ccsynch's label.
 func TestStallWatchdog(t *testing.T) {
 	const budget, bound = 20 * time.Millisecond, 5 * time.Second
 	combining := []string{"hybcomb: client awaiting combiner response", "hybcomb: combiner awaiting predecessor round"}
+	chain := []string{"ccsynch: waiting for cell service"}
 	byName := func(algo string) func(core.Object) core.Executor {
 		return func(obj core.Object) core.Executor {
 			return core.MustNewObject(algo, obj, core.WithMaxOps(1), core.WithStallTimeout(budget))
@@ -172,14 +173,14 @@ func TestStallWatchdog(t *testing.T) {
 	}{
 		{"mpserver", byName("mpserver"), "mpserver: client awaiting response", nil},
 		{"shmserver", byName("shmserver"), "shmserver: waiting for server sweep", nil},
-		{"ccsynch", byName("ccsynch"), "", []string{"ccsynch: waiting for cell service"}},
+		{"ccsynch", byName("ccsynch"), "", chain},
 		{"hybcomb", byName("hybcomb"), "", combining},
 		{"hybrid-forced-delegation", func(obj core.Object) core.Executor {
 			h := core.NewHybrid(obj, core.Options{MaxOps: 1, StallTimeout: budget})
 			core.FreezeHybrid(h)
 			core.ForceHybridMode(h, true)
 			return h
-		}, "", combining},
+		}, "", chain},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// The handler runs on the waiting goroutine and must not block it:

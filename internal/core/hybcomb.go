@@ -52,11 +52,10 @@ import (
 // responses precede the own run, which precedes everything later.
 //
 // The struct is a whole number of cache lines so that the allocator
-// places it on a line boundary: lastReg and the round counters are
-// written every round beside words every registration reads, and how
-// they fall on lines would otherwise change from one executor to the
-// next (at 240 bytes it did: four placements, 10 % apart with two
-// threads — CHANGES.md PR 18).
+// places it on a line boundary: lastReg is written every round beside
+// words every registration reads, and how they fall on lines would
+// otherwise change from one executor to the next (at 240 bytes it did:
+// four placements, 10 % apart with two threads, as CHANGES.md records).
 type HybComb struct {
 	hybCombHot
 	_ [pad.CacheLine - unsafe.Sizeof(hybCombHot{})%pad.CacheLine]byte
@@ -79,10 +78,8 @@ type hybCombHot struct {
 	inbox []*mpq.Mpsc
 	resp  []*mpq.Mpsc
 
-	// Stats counts combining activity (read at pipeline quiescence).
-	rounds   atomic.Uint64
-	combined atomic.Uint64
-	ps       pipeCounters
+	rounds roundTally // each handle's combining rounds, counted in its transport
+	ps     pipeCounters
 }
 
 // hcNode is Algorithm 1's Node. Each of the three fields is written and
@@ -121,19 +118,10 @@ func NewHybComb(obj Object, opts Options) *HybComb {
 	return h
 }
 
-// NewHandle implements Executor.
+// NewHandle implements Executor. The handle holds at most QueueCap
+// operations in flight, whether pending in the pipeline's run or owed
+// on its response queue.
 func (h *HybComb) NewHandle() (Handle, error) {
-	t, err := h.newTransport()
-	if err != nil {
-		return nil, err
-	}
-	return newPipe(t.spec()), nil
-}
-
-// newTransport admits one more thread and builds its transport; the
-// hybrid executor puts its own in front of its backend's instead of
-// taking a handle.
-func (h *HybComb) newTransport() (*hcTransport, error) {
 	id, err := h.admit()
 	if err != nil {
 		return nil, err
@@ -146,28 +134,18 @@ func (h *HybComb) newTransport() (*hcTransport, error) {
 	n := &hcNode{}
 	n.threadID.Store(int32(id))
 	n.nOps.Store(h.Opts.MaxOps) // parked: nobody can register with it
-	bl := h.Opts.batchLen()
 	t := &hcTransport{hcTransportHot: hcTransportHot{
-		h:       h,
-		id:      int32(id),
-		myNode:  n,
-		resp:    h.resp[id],
-		batch:   make([]mpq.Msg, bl),
-		runReqs: make([]Req, bl),
-		runRets: make([]uint64, bl),
-		rec:     h.Opts.Telemetry.Recorder(),
+		h:      h,
+		id:     int32(id),
+		myNode: n,
+		resp:   h.resp[id],
+		rec:    h.Opts.Telemetry.Recorder(),
 	}}
 	h.arm(&t.wb, "hybcomb: combiner awaiting predecessor round")
 	h.arm(&t.respWB, "hybcomb: client awaiting combiner response")
-	return t, nil
-}
-
-// spec is the handle over t: at most QueueCap operations in flight,
-// whether pending in the pipeline's run or owed on t's response queue.
-func (t *hcTransport) spec() pipeSpec {
-	h := t.h
-	return pipeSpec{Transport: t, Apply: t.apply, Latch: &h.PoisonLatch, Rec: t.rec,
-		Counters: &h.ps, Depth: h.Opts.QueueCap, Waiter: &t.respWB}
+	h.rounds.join(&t.rounds)
+	return newPipe(pipeSpec{Transport: t, Apply: t.apply, Latch: &h.PoisonLatch, Rec: t.rec,
+		Counters: &h.ps, Depth: h.Opts.QueueCap, Waiter: &t.respWB}), nil
 }
 
 // Close implements Executor. HybComb owns no background goroutine —
@@ -184,11 +162,10 @@ func (h *HybComb) Close() error {
 }
 
 // Stats returns the number of completed combining rounds and the total
-// requests served by combiners for other threads. Read only at
-// pipeline quiescence (every handle flushed or fully waited).
-func (h *HybComb) Stats() (rounds, combined uint64) {
-	return h.rounds.Load(), h.combined.Load()
-}
+// requests served by combiners for other threads, summed over the
+// handles' transports. Read only at pipeline quiescence (every handle
+// flushed or fully waited).
+func (h *HybComb) Stats() (rounds, combined uint64) { return h.rounds.Stats() }
 
 // Pipeline implements PipelineStats.
 func (h *HybComb) Pipeline() (submitStalls, maxDepth uint64) { return h.ps.Pipeline() }
@@ -204,12 +181,13 @@ type hcTransportHot struct {
 	myNode *hcNode
 	resp   *mpq.Mpsc // h.resp[id]
 
-	batch   []mpq.Msg // combiner-side receive buffer
-	runReqs []Req     // combiner-side batch-dispatch scratch
+	batch   []mpq.Msg // combiner-side receive buffer, made by the first round
+	runReqs []Req     // combiner-side batch-dispatch scratch, likewise
 	runRets []uint64
 	one     [1]Req // scalar combiner-path scratch
 	oneRet  [1]uint64
 	rec     *telemetry.Recorder
+	rounds  roundCell // the rounds this thread combined
 
 	// Watched waiters for the combiner's wait on its predecessor round
 	// and the client's wait for a response, constructed once per handle
@@ -348,6 +326,10 @@ func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 	// Every drained run is one queue synchronization and one
 	// DispatchBatch.
 	mine := h.inbox[hd.id]
+	if hd.batch == nil {
+		bl := h.Opts.batchLen()
+		hd.batch, hd.runReqs, hd.runRets = make([]mpq.Msg, bl), make([]Req, bl), make([]uint64, bl)
+	}
 	buf := hd.batch
 	for {
 		n := mine.TryRecvBatch(buf)
@@ -389,6 +371,5 @@ func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 	hd.myNode.threadID.Store(hd.id)
 	oldNode.done.Store(true)
 
-	h.rounds.Add(1)
-	h.combined.Add(uint64(opsCompleted))
+	hd.rounds.count(uint64(opsCompleted))
 }

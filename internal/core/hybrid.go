@@ -14,7 +14,7 @@ import (
 // faster than any delegation scheme, above it delegation wins — so
 // instead of picking a side at construction time, Hybrid starts as an
 // uncontended lock fast path and promotes itself to delegation
-// (HybComb) when the measured contention crosses a threshold, demoting
+// (CC-Synch) when the measured contention crosses a threshold, demoting
 // back when the delegation side runs quiescent.
 //
 // The lock mode IS the lock executor: Hybrid embeds a LockExecutor over
@@ -26,9 +26,10 @@ import (
 // transition, every dispatch anywhere holds the gate and mutual
 // exclusion never has a window. The backend's dispatches are already
 // serialized (one combiner at a time), so the gate adds one uncontended
-// acquisition per drained RUN on the delegation side — amortized across
-// the run, which is what keeps the promoted path within noise of the
-// bare backend.
+// acquisition per combined RUN on the delegation side, amortized across
+// the run. With two clients, whose rounds are short, that acquisition is
+// most of what the promoted path still pays over the bare backend
+// (ROADMAP direction E).
 //
 // The contention signal is the lock executor's: each acquisition
 // reports whether it found a predecessor in the gate queue (a contended
@@ -48,26 +49,28 @@ import (
 // global mode lazily, at the next run their pipeline hands over (or the
 // next blocking Apply), and per-handle FIFO holds across both edges: a
 // lock-mode handle's pending run executes on whichever side is current
-// when it is demanded, and switching BACK to the lock settles the
-// handle's outstanding delegated submissions before its first lock-mode
-// run. Tickets are mode-agnostic because the handle is one pipeline
-// over both modes (see hybTransport): a lock-mode submission waits in
-// the pipeline's deferred run (one acquisition per demand, exactly as
-// on mcs-lock), a delegated one is owed by the backend's transport,
-// both sit in the same ticket window, and Wait redeems either kind no
-// matter how many transitions happened in between. A run reads the mode
-// once and goes down one path, so a DispatchBatch run is never split by
-// a transition.
+// when it is demanded, and a delegated submission completes before its
+// Submit returns — a CC-Synch run is served on the spot and never owed —
+// so switching BACK to the lock has nothing to settle. Tickets are
+// mode-agnostic because the handle is one pipeline over both modes (see
+// hybTransport): a lock-mode submission waits in the pipeline's deferred
+// run (one acquisition per demand, exactly as on mcs-lock), a delegated
+// one is banked in the same ticket window, and Wait redeems either kind
+// no matter how many transitions happened in between. A run reads the
+// mode once and goes down one path, so a DispatchBatch run is never
+// split by a transition.
 //
 // Faults centralize in the one latch of the embedded shell: both the
 // lock clients and the hybGate dispatch through it, so a panic in
 // either mode trips ONE latch, the backend machinery stays healthy and
 // keeps serving (poisoned zeros), and Err/Poison behave exactly like
-// every other construction.
+// every other construction. Close is the lock executor's: it seals the
+// hybrid, whose admission every handle passes before the backend's, and
+// the backend owns nothing to release.
 type Hybrid struct {
 	LockExecutor // lock mode, and the shell
 
-	inner *HybComb        // delegation mode, over hybGate
+	inner *CCSynch        // delegation mode, over hybGate
 	gate  *spin.MCSHandle // the backend's place in the gate queue; its dispatches are serialized
 
 	// The controller's promotion threshold and window (see the hybrid*
@@ -76,15 +79,19 @@ type Hybrid struct {
 	promoteAt float64
 	window    uint64
 
-	mode atomic.Uint32 // hybModeLock or hybModeDeleg
-
-	// Delegated-run accounting, written by the serialized gate dispatch:
-	// the demotion signal's numerator and denominator.
-	dRuns atomic.Uint64
-	dOps  atomic.Uint64
+	mode atomic.Uint32 // hybModeLock or hybModeDeleg, loaded by every operation
 
 	promotions atomic.Uint64
 	demotions  atomic.Uint64
+
+	// Delegated-run accounting, written by the serialized gate dispatch:
+	// the demotion signal's numerator and denominator. Each delegated run
+	// writes them, so they sit a line away from mode, which every handle
+	// loads on every operation (TestHybridLayout).
+	_     pad.Line
+	dRuns atomic.Uint64
+	dOps  atomic.Uint64
+	_     pad.Line
 
 	// ctl is the adaptive controller's state, touched only under ctlMu
 	// (acquired with TryLock from the tick path, so an evaluation in
@@ -155,7 +162,7 @@ func NewHybrid(obj Object, opts Options) *Hybrid {
 	h.obj, h.lock = obj, &spin.MCSLock{}
 	h.gate = h.lock.NewMCSHandle()
 	h.init("hybrid", opts)
-	h.inner = NewHybComb(hybGate{h}, h.Opts)
+	h.inner = NewCCSynch(hybGate{h}, h.Opts)
 	return h
 }
 
@@ -184,17 +191,6 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 	spec.Transport, spec.Apply, spec.Latch = t, t.apply, &h.PoisonLatch
 	t.p = newPipe(spec)
 	return t.p, nil
-}
-
-// Close implements Executor: seal this executor, seal the backend, and
-// report the hybrid's fault state. The backend's own latch never trips,
-// so its Close error can only be nil.
-func (h *Hybrid) Close() error {
-	h.seal()
-	if err := h.inner.Close(); err != nil {
-		return err
-	}
-	return h.Err()
 }
 
 // Transitions implements AdaptiveStats.
@@ -296,14 +292,14 @@ func (h *Hybrid) demote() {
 // is eager, handing each submission over on the spot rather than
 // deferring it: the delegated run lengths are the demotion signal, and
 // they must measure combining across threads, not one client's window.
-// align keeps at most one side owing at a time, and the handle's one
-// window holds both kinds of ticket — a ticket redeems the same however
-// many transitions happened since.
+// Neither side ever owes a completion, and the handle's one window
+// holds both kinds of ticket — a ticket redeems the same however many
+// transitions happened since.
 type hybTransportHot struct {
 	lockClientHot // lock mode
 	h             *Hybrid
 	p             *Pipe        // the handle over this transport; align sets its policy
-	inner         *hcTransport // delegation mode
+	inner         *ccTransport // delegation mode
 
 	mode    uint32 // last observed global mode, lock (deferring) at first; see align
 	winTick uint32 // countdown to the next controller poke
@@ -319,17 +315,12 @@ type hybTransport struct {
 
 // align observes the global mode and reconciles the handle with it: the
 // pipeline defers in lock mode and hands each submission over at once in
-// delegation mode, and on the demotion edge the delegated submissions
-// still owed are settled first, so they complete before the lock side
-// executes anything and per-handle FIFO holds across the switch. The
-// promotion edge has nothing to settle: the lock side never owes, and a
-// pending run it left is the run being handed over.
+// delegation mode. Neither edge has anything to settle: neither side
+// ever owes, and a pending run the lock side left is the run being
+// handed over.
 func (hd *hybTransport) align() uint32 {
 	m := hd.h.mode.Load()
 	if m != hd.mode {
-		if hd.mode == hybModeDeleg {
-			hd.p.settleOwed()
-		}
 		hd.mode = m
 		hd.p.eager = m == hybModeDeleg
 	}
@@ -359,21 +350,15 @@ func (hd *hybTransport) apply(op, arg uint64) uint64 {
 }
 
 // Run implements Transport. The mode is read once and the run goes down
-// that path — one gate acquisition whatever the room, or the backend's
-// register-then-own-run, which stops at the room — so a dispatch run is
-// never split by a transition happening mid-run.
+// that path — one gate acquisition, or one chain cell of the backend —
+// so a dispatch run is never split by a transition happening mid-run.
+// Both complete the run on the spot: nothing is owed.
 func (hd *hybTransport) Run(reqs []Req, rets []uint64, room int) (owed int) {
-	took := len(reqs)
 	if hd.align() == hybModeDeleg {
-		if owed = hd.inner.Run(reqs, rets, room); owed == room {
-			took = owed
-		}
+		hd.inner.Run(reqs, rets, room)
 	} else {
-		owed = hd.lockClientHot.Run(reqs, rets, room)
+		hd.lockClientHot.Run(reqs, rets, room)
 	}
-	hd.tick(took)
-	return owed
+	hd.tick(len(reqs))
+	return 0
 }
-
-// Next implements Owing: only the backend ever owes a completion.
-func (hd *hybTransport) Next(block bool) (uint64, bool) { return hd.inner.Next(block) }

@@ -13,8 +13,9 @@ import (
 // Post discards, bounded waits, FIFO behind outstanding tickets,
 // draining Close and poison completion must not care which mode each
 // step ran in, nor that the handle's one window holds lock-mode and
-// delegated tickets side by side. The subtest is named for the
-// delegation side of the edges.
+// delegated tickets side by side. The subtest keeps the name of the
+// delegation backend it was written against, hybcomb, so that its
+// test IDs stay stable across the swap to CC-Synch.
 func TestHybridContractAcrossTransitions(t *testing.T) {
 	t.Run("hybcomb", func(t *testing.T) {
 		handletest.Run(t, handletest.Subject{
@@ -39,12 +40,14 @@ func TestHybridContractAcrossTransitions(t *testing.T) {
 // edges deterministically: a run pending on the lock side when the mode
 // is promoted keeps deferring — the handle notices the edge when the
 // run is handed over — and executes as one delegated run when demanded;
-// after it the handle hands each submission over at once, and
-// submissions registered with another thread's combining round, owed by
-// the backend when the mode is demoted, are settled before the first
-// lock-side one; Posts ride along. Every ticket, waited out of order,
-// redeems once with its own operation's result: per-handle FIFO by
-// value.
+// after it the handle hands each submission over at once, and each
+// completes before its Submit returns: one queued behind another
+// thread's parked combining round waits on the chain until that round
+// is released, and the rest execute on the spot. Once the mode is
+// demoted the next submission is handed over as the handle notices the
+// edge, with nothing owed to settle, and later ones defer again; Posts
+// ride along. Every ticket, waited out of order, redeems once with its
+// own operation's result: per-handle FIFO by value.
 func TestHybridWindowAcrossEdges(t *testing.T) {
 	handletest.Guard(t, func() {
 		obj := &handletest.Object{Fuse: -1, Entered: make(chan struct{}, 1), Release: make(chan struct{})}
@@ -90,17 +93,46 @@ func TestHybridWindowAcrossEdges(t *testing.T) {
 		held := make(chan uint64, 1)
 		go func() { held <- holder.Apply(handletest.OpGate, 0) }() // operation 4: a round, parked in the object
 		<-obj.Entered
-		submit(5) // handed over at once: registered with the holder's round, owed by the backend
-		post()
-		submit(7)
+		awaitLink := core.CCSynchLinks(core.HybridBackend(hy))
+		type submitted struct {
+			tk  core.Ticket
+			err error
+		}
+		queued := make(chan submitted, 1)
+		go func() { // operation 5: handed over at once, a cell behind the parked round
+			tk, err := h.Submit(0, 0)
+			queued <- submitted{tk, err}
+		}()
+		awaitLink()
+		select {
+		case s := <-queued:
+			t.Fatalf("a delegated Submit returned (%v) with the round ahead of it parked", s.err)
+		default:
+		}
 		if obj.State != 4 {
 			t.Fatalf("%d operations executed with the holder's round parked, want 4", obj.State)
 		}
-		core.ForceHybridMode(hy, false)
 		close(obj.Release)
-		submit(8) // the lock side again, behind what the backend owes
-		post()
+		s := <-queued
+		if s.err != nil {
+			t.Fatalf("Submit: %v", s.err)
+		}
+		tks = append(tks, issued{s.tk, 5})
+		if obj.State != 6 {
+			t.Fatalf("after the delegated Submit returned %d operations executed, want 6", obj.State)
+		}
+		post() // operations 6 and 7 execute on the spot
+		submit(7)
+		if obj.State != 8 {
+			t.Fatalf("%d operations executed after two more delegated submissions, want 8", obj.State)
+		}
+		core.ForceHybridMode(hy, false)
+		submit(8) // handed over at once, as the handle notices the edge: the lock side, nothing owed ahead of it
+		post()    // the lock side defers again
 		submit(10)
+		if obj.State != 9 {
+			t.Fatalf("%d operations executed before the lock side's run was demanded, want 9", obj.State)
+		}
 
 		for _, i := range []int{5, 3, 1, 2, 6, 4, 0} {
 			if got := h.Wait(tks[i].tk); got != tks[i].op {

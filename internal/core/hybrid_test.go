@@ -153,6 +153,9 @@ func TestHybridTransitionsProperty(t *testing.T) {
 	}
 	for _, procs := range []int{1, 2} {
 		for _, sh := range shapes {
+			// "hybcomb" names the delegation backend the test was written
+			// against, kept so that the test IDs stay stable across the
+			// swap to CC-Synch.
 			t.Run(fmt.Sprintf("procs=%d/hybcomb/%s", procs, sh.name), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				obj, load := counterObj()
@@ -256,7 +259,7 @@ func TestHybridBatchOneDispatchRun(t *testing.T) {
 // every participant (zeros), and fail subsequent submissions fast. The
 // test completing at all is the no-deadlock assertion.
 func TestHybridPoisonMidTransition(t *testing.T) {
-	t.Run("hybcomb", func(t *testing.T) { // named for the delegation side of the edges
+	t.Run("ccsynch", func(t *testing.T) { // named for the delegation side of the edges
 
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 		const goroutines, per, fuse = 4, 4000, 5000
@@ -446,7 +449,10 @@ func TestHybridStatsScalarInvariant(t *testing.T) {
 
 // TestHybridLayout machine-verifies the padding of the hybrid's
 // per-handle state — its transport and the lock executor's retry cells
-// it counts in — like the spin and hybcomb layout tests.
+// it counts in — like the spin and hybcomb layout tests, and that the
+// demotion counters every delegated run writes are at least a line away
+// from mode, which every operation loads, and from the controller state
+// after them, wherever the executor is placed.
 func TestHybridLayout(t *testing.T) {
 	for name, size := range map[string]uintptr{
 		"hybTransport": unsafe.Sizeof(hybTransport{}),
@@ -455,5 +461,16 @@ func TestHybridLayout(t *testing.T) {
 		if !pad.Padded(size) {
 			t.Errorf("%s is %d bytes, not a whole number of cache lines", name, size)
 		}
+	}
+	var h Hybrid
+	modeEnd := unsafe.Offsetof(h.mode) + unsafe.Sizeof(h.mode)
+	if gap := unsafe.Offsetof(h.dRuns) - modeEnd; gap < pad.CacheLine {
+		t.Errorf("dRuns starts %d bytes after mode ends, want at least a line", gap)
+	}
+	if unsafe.Offsetof(h.dOps) != unsafe.Offsetof(h.dRuns)+unsafe.Sizeof(h.dRuns) {
+		t.Errorf("dOps (at %d) does not follow dRuns (at %d)", unsafe.Offsetof(h.dOps), unsafe.Offsetof(h.dRuns))
+	}
+	if gap := unsafe.Offsetof(h.ctlMu) - (unsafe.Offsetof(h.dOps) + unsafe.Sizeof(h.dOps)); gap < pad.CacheLine {
+		t.Errorf("ctlMu starts %d bytes after dOps ends, want at least a line", gap)
 	}
 }

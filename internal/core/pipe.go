@@ -68,7 +68,7 @@ type Transport interface {
 
 // Owing is a Transport whose runs can leave completions owed: a run is
 // a message (MP-SERVER) or registrations with another thread's round
-// (HybComb, the hybrid's delegated side).
+// (HybComb).
 type Owing interface {
 	Transport
 
@@ -254,15 +254,6 @@ func (p *Pipe) settle(block bool) bool {
 		p.win.Arrive(v)
 	}
 	return ok
-}
-
-// settleOwed settles every completion the transport owes and leaves the
-// run alone: the hybrid's demotion edge, before its lock side executes
-// anything. It is safe inside Run, whose own requests are not yet owed.
-func (p *Pipe) settleOwed() {
-	for p.win.InFlight() > p.run.holds() {
-		p.settle(true)
-	}
 }
 
 // makeRoom keeps the operations in flight below the bound — so a server

@@ -112,3 +112,44 @@ func (o *occupants) leave() {
 	}
 	o.mu.Unlock()
 }
+
+// roundCell is one combiner's tally of the combining rounds it served
+// and the requests it served in them for other threads. Combining runs
+// on the combiner's own goroutine, so only the transport that holds the
+// cell writes it: a round costs two plain stores on the transport's own
+// line, not two atomic adds on an executor line that alternating
+// combiners pull across cores. The atomics only make the read race-free.
+type roundCell struct{ rounds, combined atomic.Uint64 }
+
+// count records one round that served combined requests for others.
+// Owner only.
+func (c *roundCell) count(combined uint64) {
+	c.rounds.Store(c.rounds.Load() + 1)
+	c.combined.Store(c.combined.Load() + combined)
+}
+
+// roundTally is a combining executor's list of its transports' round
+// cells, one per handle, summed on the read path.
+type roundTally struct {
+	mu    sync.Mutex
+	cells []*roundCell
+}
+
+// join adds one transport's cell.
+func (t *roundTally) join(c *roundCell) {
+	t.mu.Lock()
+	t.cells = append(t.cells, c)
+	t.mu.Unlock()
+}
+
+// Stats implements StatsSource: the rounds and the requests combined for
+// others, summed over every handle's cell; exact only at quiescence.
+func (t *roundTally) Stats() (rounds, combined uint64) {
+	t.mu.Lock()
+	for _, c := range t.cells {
+		rounds += c.rounds.Load()
+		combined += c.combined.Load()
+	}
+	t.mu.Unlock()
+	return rounds, combined
+}

@@ -226,8 +226,8 @@ func postSubmitFlush(t *testing.T, s Subject) {
 
 // windowAcrossSteps: three calls go out between every two steps, Posts
 // among the Submits, so a step always finds submissions outstanding —
-// on the hybrid, pending on the lock side across a promotion and owed
-// by the backend across a demotion. Waited out of order (odd tickets
+// on the hybrid, pending on the lock side across a promotion and
+// completed by the backend, banked, across a demotion. Waited out of order (odd tickets
 // newest-first, then even ones oldest-first, a step between every two),
 // each ticket redeems exactly once with its own operation's result.
 func windowAcrossSteps(t *testing.T, s Subject) {
