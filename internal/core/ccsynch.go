@@ -124,16 +124,6 @@ func (h *ccTransport) spec() pipeSpec {
 		Counters: &c.ps, Depth: c.Opts.QueueCap, Waiter: &h.wb}
 }
 
-// Close implements Executor. CC-Synch owns no background
-// goroutine, and a handle's pending run is published and served at the
-// Wait or Flush that demands it, so tickets stay redeemable after
-// Close. Closing only fails future NewHandle calls; it is idempotent and
-// reports the *PoisonError when poisoned.
-func (c *CCSynch) Close() error {
-	c.seal()
-	return c.Err()
-}
-
 // Stats returns combining rounds and requests combined for others (a
 // round's first cell is its combiner's own and counts towards neither),
 // summed over the handles' transports. Read only at pipeline quiescence

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"runtime"
-
-	"hybsync/internal/mpq"
 )
 
 // ForceHybridMode drives a hybrid transition edge for the external
@@ -24,12 +22,6 @@ func HybridBackend(h *Hybrid) *CCSynch { return h.inner }
 // HybCombLastCombiner is the thread id on h's last registered combiner
 // node: the thread that promoted itself last (-1 before anyone did).
 func HybCombLastCombiner(h *HybComb) int32 { return h.lastReg.Load().threadID.Load() }
-
-// MPServerQuitMarker sends s's server the quit marker as Close does,
-// without sealing s: a run a handle sends afterwards lands behind it on
-// the request ring, which otherwise only an operation issued while Close
-// runs, against its contract, can do.
-func MPServerQuitMarker(s *MPServer) { s.reqs.Send(mpq.Words3(0, opQuit, 0)) }
 
 // CCSynchLinks returns a wait for the next cell linked into c's chain:
 // each call returns once a cell is linked behind the end the previous
@@ -57,21 +49,12 @@ func NewTestPipe(tr Transport, depth int, eager bool) (h *Pipe, ctr PipelineStat
 // SharesServerLoop reports whether a and b, each an MP-SERVER or an
 // SHM-SERVER, are attached to the same server loop.
 func SharesServerLoop(a, b Executor) bool {
-	done := func(ex Executor) chan struct{} {
-		switch s := ex.(type) {
-		case *MPServer:
-			return s.done
-		case *SHMServer:
-			return s.done
-		}
-		return nil
-	}
 	pool.Lock()
 	defer pool.Unlock()
 	for _, l := range pool.loops {
 		var n int
 		for _, m := range *l.members.Load() {
-			if m.done == done(a) || m.done == done(b) {
+			if any(m.src) == any(a) || any(m.src) == any(b) {
 				n++
 			}
 		}

@@ -148,19 +148,6 @@ func (h *HybComb) NewHandle() (Handle, error) {
 		Counters: &h.ps, Depth: h.Opts.QueueCap, Waiter: &t.respWB}), nil
 }
 
-// Close implements Executor. HybComb owns no background goroutine —
-// every in-flight registered request is served by its round's combiner
-// (a thread inside an older Apply/Submit call) before that call
-// returns, so at Close time outstanding results already sit on their
-// response rings, a handle's pending run still ships at the Wait or
-// Flush that redeems it, and tickets stay redeemable. Closing only
-// fails future NewHandle calls; it is idempotent and reports the
-// *PoisonError when poisoned.
-func (h *HybComb) Close() error {
-	h.seal()
-	return h.Err()
-}
-
 // Stats returns the number of completed combining rounds and the total
 // requests served by combiners for other threads, summed over the
 // handles' transports. Read only at pipeline quiescence (every handle

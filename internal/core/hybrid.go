@@ -64,9 +64,9 @@ import (
 // lock clients and the hybGate dispatch through it, so a panic in
 // either mode trips ONE latch, the backend machinery stays healthy and
 // keeps serving (poisoned zeros), and Err/Poison behave exactly like
-// every other construction. Close is the lock executor's: it seals the
-// hybrid, whose admission every handle passes before the backend's, and
-// the backend owns nothing to release.
+// every other construction. Close is the shell's: it seals the hybrid,
+// whose admission every handle passes before the backend's, and the
+// backend owns nothing to release.
 type Hybrid struct {
 	LockExecutor // lock mode, and the shell
 

@@ -13,26 +13,22 @@ import (
 // Post discards, bounded waits, FIFO behind outstanding tickets,
 // draining Close and poison completion must not care which mode each
 // step ran in, nor that the handle's one window holds lock-mode and
-// delegated tickets side by side. The subtest keeps the name of the
-// delegation backend it was written against, hybcomb, so that its
-// test IDs stay stable across the swap to CC-Synch.
+// delegated tickets side by side.
 func TestHybridContractAcrossTransitions(t *testing.T) {
-	t.Run("hybcomb", func(t *testing.T) {
-		handletest.Run(t, handletest.Subject{
-			Open: func(t *testing.T, obj core.Object, queueCap int) *handletest.System {
-				h := core.NewHybrid(obj, core.Options{MaxThreads: 4, QueueCap: queueCap})
-				core.FreezeHybrid(h) // the forced transitions own the mode
-				promote := false
-				return &handletest.System{
-					Ex:     h,
-					Handle: func() core.Handle { return core.MustHandle(h) },
-					Step: func() {
-						promote = !promote
-						core.ForceHybridMode(h, promote)
-					},
-				}
-			},
-		})
+	handletest.Run(t, handletest.Subject{
+		Open: func(t *testing.T, obj core.Object, queueCap int) *handletest.System {
+			h := core.NewHybrid(obj, core.Options{MaxThreads: 4, QueueCap: queueCap})
+			core.FreezeHybrid(h) // the forced transitions own the mode
+			promote := false
+			return &handletest.System{
+				Ex:     h,
+				Handle: func() core.Handle { return core.MustHandle(h) },
+				Step: func() {
+					promote = !promote
+					core.ForceHybridMode(h, promote)
+				},
+			}
+		},
 	})
 }
 

@@ -153,10 +153,7 @@ func TestHybridTransitionsProperty(t *testing.T) {
 	}
 	for _, procs := range []int{1, 2} {
 		for _, sh := range shapes {
-			// "hybcomb" names the delegation backend the test was written
-			// against, kept so that the test IDs stay stable across the
-			// swap to CC-Synch.
-			t.Run(fmt.Sprintf("procs=%d/hybcomb/%s", procs, sh.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, sh.name), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				obj, load := counterObj()
 				h := newFrozenHybrid(obj, Options{MaxThreads: goroutines})

@@ -110,15 +110,6 @@ func (e *LockExecutor) NewHandle() (Handle, error) {
 		Counters: &h.cell.ps, Depth: e.Opts.QueueCap}), nil
 }
 
-// Close implements Executor. A lock executor owns no background
-// resources; closing only fails future NewHandle calls — a handle's
-// pending run still executes at the Wait or Flush that redeems it.
-// Idempotent; on a poisoned executor it reports the *PoisonError.
-func (e *LockExecutor) Close() error {
-	e.seal()
-	return e.Err()
-}
-
 // lockClientHot is one thread's handle on the executor's MCS lock (its
 // queue node) and its acquisition counters: the handle's Transport.
 type lockClientHot struct {

@@ -8,7 +8,6 @@ import (
 	"hybsync/internal/backoff"
 	"hybsync/internal/mpq"
 	"hybsync/internal/pad"
-	"hybsync/internal/telemetry"
 )
 
 // MPServer is the paper's MP-SERVER: a server loop owns the protected
@@ -48,13 +47,9 @@ import (
 // owed and the server's response send never blocks. Per-sender FIFO on
 // the request ring plus in-order service plus the FIFO response ring
 // give per-handle FIFO completion.
-//
-// opQuit is reserved: an operation with that opcode must not be sent to
-// an MPServer.
 type MPServer struct {
-	Shell
-	obj  Object
-	reqs *mpq.Mpsc // any client sends, only serve receives
+	server
+	reqs *mpq.Mpsc // any client sends, only drain receives
 	// peers[id] is handle id's transport, registered by NewHandle: the
 	// server finds the handle's response ring (QueueCap deep, SPSC:
 	// server → client) and run cell there, and Close its sending flag.
@@ -62,22 +57,11 @@ type MPServer struct {
 	// the request ring's publication orders the slot's write, and the
 	// cell's, before the server's reads.
 	peers []atomic.Pointer[mpTransport]
-	// done is closed once the server loop has drained the executor
-	// after Close and let it go.
-	done chan struct{}
-	rec  *telemetry.Recorder // the server loop's, for this executor
 	// late serializes the runs handles execute themselves once the
 	// server loop has let the executor go (see mpTransport.Run).
 	late sync.Mutex
 	ps   pipeCounters
-	// clients counts the handles in backoff's occupancy estimate; the
-	// server loop counts itself, once for all its executors.
-	clients occupants
 }
-
-// opQuit is an internal opcode: the executor has closed, and its
-// server loop lets it go once the ring is drained.
-const opQuit = ^uint64(0)
 
 // runFrame marks a run message in its first word, beside the sender's
 // id, so a run takes no opcode from the object's.
@@ -109,16 +93,15 @@ func newRunCell(queueCap int) mpRunCell {
 // server pool, which serves it until Close: Close must be called to
 // let the loop go.
 func NewMPServer(obj Object, opts Options) *MPServer {
-	s := &MPServer{obj: obj, done: make(chan struct{})}
-	s.init("mpserver", opts)
-	s.rec = s.Opts.Telemetry.Recorder()
+	s := new(MPServer)
+	s.init("mpserver", obj, opts)
 	s.reqs = mpq.NewMpsc(s.Opts.QueueCap)
 	s.peers = make([]atomic.Pointer[mpTransport], s.Opts.MaxThreads)
-	attach(s, s.done)
+	attach(s, &s.server)
 	return s
 }
 
-// serve implements source: drain a batch of messages, execute every
+// drain implements source: receive a batch of messages, execute every
 // request they carry as one DispatchBatch, then scatter the responses.
 // Batching pays the receive synchronization and the dispatch
 // indirection once for the whole drain; the price is that the first
@@ -130,58 +113,29 @@ func NewMPServer(obj Object, opts Options) *MPServer {
 // poisons the executor, and the server carries on replying (zeros from
 // then on) so every in-flight and future request still completes —
 // the server never dies silently with waiters blocked on its rings.
-func (s *MPServer) serve(sc *scratch) (served, drained bool) {
-	buf := sc.inbox(s.Opts.batchLen())
-	n := s.reqs.TryRecvBatch(buf)
-	if n == 0 {
-		return false, false
+func (s *MPServer) drain(sc *scratch) (served bool) {
+	msgs := sc.inbox(s.Opts.batchLen())
+	msgs = msgs[:s.reqs.TryRecvBatch(msgs)]
+	if len(msgs) == 0 {
+		return false
 	}
-	if !s.serveBatch(sc, buf[:n]) {
-		return true, false
-	}
-	// Draining close: serve everything already published on the
-	// request ring, then leave the loop. Messages sent before Close, and
-	// the runs Close waited for, claimed their ring slots before
-	// opQuit's send, so after this drain every outstanding ticket has
-	// its response banked on its client's ring.
-	for {
-		n := s.reqs.TryRecvBatch(buf)
-		if n == 0 {
-			return true, true
-		}
-		s.serveBatch(sc, buf[:n])
-	}
-}
-
-// serveBatch executes one drained batch, skipping (but remembering)
-// the quit marker: requests that landed behind opQuit in the ring
-// still get served and answered, so a draining Close completes them
-// instead of dropping them on the floor.
-func (s *MPServer) serveBatch(sc *scratch, msgs []mpq.Msg) (quit bool) {
 	run := sc.run[:0]
 	for _, m := range msgs {
-		switch {
-		case m.W[0]&runFrame != 0:
+		if m.W[0]&runFrame != 0 {
 			c := &s.peers[m.W[0]&^runFrame].Load().cell
 			for i := range m.W[2] {
 				run = append(run, c.reqs[(m.W[1]+i)&c.mask])
 			}
-		case m.W[1] == opQuit:
-			quit = true
-		default:
+		} else {
 			run = append(run, Req{Op: m.W[1], Arg: m.W[2]})
 		}
 	}
 	sc.run = run
-	if len(run) == 0 {
-		return quit
-	}
 	rets := sc.results(len(run))
 	s.PoisonLatch.Dispatch(s.obj, run, rets)
 	s.rec.RunLen(len(run))
 	for _, m := range msgs {
-		switch {
-		case m.W[0]&runFrame != 0:
+		if m.W[0]&runFrame != 0 {
 			p := s.peers[m.W[0]&^runFrame].Load()
 			n := m.W[2]
 			for i, v := range rets[:n] {
@@ -189,13 +143,12 @@ func (s *MPServer) serveBatch(sc *scratch, msgs []mpq.Msg) (quit bool) {
 			}
 			rets = rets[n:]
 			p.resp.Send(mpq.Word(n))
-		case m.W[1] == opQuit:
-		default:
+		} else {
 			s.peers[m.W[0]].Load().resp.Send(mpq.Word(rets[0]))
 			rets = rets[1:]
 		}
 	}
-	return quit
+	return true
 }
 
 // NewHandle implements Executor: the handle's transport, with its
@@ -221,31 +174,26 @@ func (s *MPServer) NewHandle() (Handle, error) {
 }
 
 // Close detaches the executor from its server loop, which drains the
-// request ring first so
-// every message sent before Close has its response banked on its
-// client's ring — outstanding tickets stay redeemable with Wait, and a
-// handle's run still pending executes at the Wait or Flush that redeems
-// it, whether that runs after Close or at the same time (see
-// mpTransport.Run). It is idempotent; no operation may be issued
-// afterwards. On a poisoned executor Close still detaches the executor
-// and reports the *PoisonError.
-func (s *MPServer) Close() error {
-	if s.seal() {
-		// A run whose sender read the executor unsealed goes out ahead
-		// of the quit marker: wait for every such send to land.
-		for i := range min(int(s.handles.Load()), len(s.peers)) {
-			if t := s.peers[i].Load(); t != nil {
-				var b backoff.Backoff
-				for t.sending.Load() {
-					b.Wait()
-				}
+// request ring first so every message sent before Close has its
+// response banked on its client's ring — outstanding tickets stay
+// redeemable with Wait, and a handle's run still pending executes at
+// the Wait or Flush that redeems it, whether that runs after Close or
+// at the same time (see mpTransport.Run). It is idempotent; no
+// operation may be issued afterwards. On a poisoned executor Close
+// still detaches the executor and reports the *PoisonError.
+func (s *MPServer) Close() error { return s.close(s.settle) }
+
+// settle waits for every run whose sender read the executor unsealed
+// to be on the request ring, so the loop's last drain sees it.
+func (s *MPServer) settle() {
+	for i := range min(int(s.handles.Load()), len(s.peers)) {
+		if t := s.peers[i].Load(); t != nil {
+			var b backoff.Backoff
+			for t.sending.Load() {
+				b.Wait()
 			}
 		}
-		s.reqs.Send(mpq.Words3(0, opQuit, 0))
-		<-s.done
-		s.clients.leave()
 	}
-	return s.Err()
 }
 
 // Pipeline implements PipelineStats.
@@ -270,8 +218,8 @@ type mpTransportHot struct {
 	tail, head uint64
 	ready      int32
 	// sending is set from Run's check of the seal until its message is
-	// on the request ring; Close waits for it to clear before it sends
-	// the quit marker.
+	// on the request ring; Close waits for it to clear before it tells
+	// the server loop that the ring is complete.
 	sending atomic.Bool
 	// wb awaits a reply, in the Reply role and under the stall watchdog.
 	wb backoff.Watched
@@ -320,8 +268,8 @@ func (t *mpTransport) reply(block bool) (uint64, bool) {
 // now, so a run still pending then — redeemed by a Wait or Flush after
 // Close or racing it — executes here, once the server loop has let the
 // executor go, owing nothing. The seal is read with the sending flag
-// up, so either Run sees it or Close waits for the message before its
-// quit marker.
+// up, so either Run sees it or Close waits for the message to be on
+// the ring before the loop's last drain.
 func (t *mpTransport) Run(reqs []Req, rets []uint64, room int) (owed int) {
 	t.sending.Store(true)
 	if t.s.sealed.Load() {
@@ -340,8 +288,8 @@ func (t *mpTransport) Run(reqs []Req, rets []uint64, room int) (owed int) {
 }
 
 // runLate executes a run after Close, in place: the server loop's
-// drain before it let the executor go has served every message sent
-// before, so the run still comes after everything the handle ran
+// last drain before it let the executor go has served every message
+// sent before, so the run still comes after everything the handle ran
 // earlier.
 func (t *mpTransport) runLate(reqs []Req, rets []uint64) (owed int) {
 	s := t.s

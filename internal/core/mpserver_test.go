@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"hybsync/internal/core"
@@ -129,7 +130,11 @@ func TestMPServerRunIsOneMessage(t *testing.T) {
 		}
 	})
 
-	run("close-drains-runs-behind-quit", func(t *testing.T) {
+	run("close-drains-the-ring", func(t *testing.T) {
+		// The server is parked in one handle's dispatch with another
+		// handle's run already on the ring when Close starts: the loop
+		// must serve that run before it lets the executor go, so Close
+		// returns with it executed.
 		obj := &runRec{fuse: -1, entered: make(chan struct{}), release: make(chan struct{})}
 		s, holder := open(obj, queueCap)
 		h := core.MustHandle(s)
@@ -137,22 +142,31 @@ func TestMPServerRunIsOneMessage(t *testing.T) {
 		go func() { held <- holder.Apply(opPark, 0) }()
 		<-obj.entered
 		tks := submitN(t, h, 3)
-		core.MPServerQuitMarker(s)
 		if _, err := h.TryWait(tks[0]); !errors.Is(err, core.ErrNotReady) {
 			t.Fatalf("TryWait with the server parked = %v, want ErrNotReady", err)
+		}
+		closed := make(chan error)
+		go func() { closed <- s.Close() }()
+		for _, err := s.NewHandle(); !errors.Is(err, core.ErrClosed); _, err = s.NewHandle() {
+			runtime.Gosched()
+		}
+		select {
+		case err := <-closed:
+			t.Fatalf("Close returned %v with the server parked", err)
+		default:
 		}
 		close(obj.release)
 		if v := <-held; v != 0 {
 			t.Fatalf("holder's Apply = %d, want 0", v)
 		}
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		wantRuns(t, obj, 1, 3)
 		for i, tk := range tks {
 			if v := h.Wait(tk); v != uint64(1+i) {
 				t.Fatalf("Wait(ticket %d) = %d, want %d", i, v, 1+i)
 			}
-		}
-		wantRuns(t, obj, 1, 3)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
 		}
 	})
 
@@ -192,10 +206,10 @@ func TestMPServerRunIsOneMessage(t *testing.T) {
 		}
 	})
 
-	run("an-opcode-below-quit-is-an-operation", func(t *testing.T) {
+	run("every-opcode-is-an-operation", func(t *testing.T) {
 		s, h := open(core.Func(func(op, arg uint64) uint64 { return op ^ arg }), queueCap)
 		defer s.Close()
-		const op = ^uint64(0) - 1 // only the quit opcode is reserved
+		const op = ^uint64(0) // the largest opcode, no construction reserves it
 		for arg := uint64(0); arg < 2*queueCap; arg++ {
 			if v := h.Apply(op, arg); v != op^arg {
 				t.Fatalf("Apply(%#x, %d) = %#x, want %#x", op, arg, v, op^arg)

@@ -15,7 +15,8 @@ type Req struct {
 // len(results) == len(reqs) and that the two slices do not overlap;
 // the object may read reqs and write results only until DispatchBatch
 // returns and must not retain either slice (constructions reuse both
-// buffers for the next run).
+// buffers for the next run). Every uint64 opcode and argument belongs
+// to the object: no construction reserves one for itself.
 //
 // A DispatchBatch call owns the object exactly like a critical section
 // under a lock: the whole run executes under the construction's mutual

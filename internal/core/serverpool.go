@@ -8,6 +8,7 @@ import (
 
 	"hybsync/internal/backoff"
 	"hybsync/internal/mpq"
+	"hybsync/internal/telemetry"
 )
 
 // The server constructions share a process-wide pool of server loops:
@@ -21,11 +22,87 @@ import (
 // source is one pooled executor as its server loop sees it:
 // MP-SERVER's request ring and SHM-SERVER's slots.
 type source interface {
-	// serve makes one bounded drain of the executor's pending requests
+	// drain makes one bounded drain of the executor's pending requests
 	// and executes them through its own latch, with the loop's scratch.
-	// It reports whether it found any, and whether the executor has
-	// closed and is drained, so the loop lets it go.
-	serve(sc *scratch) (served, drained bool)
+	// It reports whether it found any.
+	drain(sc *scratch) (served bool)
+}
+
+// server is the part MP-SERVER and SHM-SERVER share: the shell, the
+// protected object, and what the server loop and Close use to let the
+// executor go. Each construction declares its Close as a call to
+// close, since the shell's would not wait for the loop.
+type server struct {
+	Shell
+	obj Object
+	rec *telemetry.Recorder // the server loop's, for this executor
+	// quiet is raised by Close once every request it must see served
+	// is published; the loop reads it before a drain (see run). With
+	// occupants at two words, it costs MPServer and SHMServer no larger
+	// size class.
+	quiet atomic.Bool
+	// done is closed once the server loop has let the executor go.
+	done chan struct{}
+	// clients counts the handles in backoff's occupancy estimate; the
+	// server loop counts itself, once for all its executors.
+	clients occupants
+}
+
+// init names the construction, fills its options and readies the
+// server part. The construction builds its own state after it and
+// attaches itself last, before the executor is shared.
+func (s *server) init(algo string, obj Object, o Options) {
+	s.Shell.init(algo, o)
+	s.obj, s.rec, s.done = obj, s.Opts.Telemetry.Recorder(), make(chan struct{})
+}
+
+// close is every server construction's Close. The first call seals
+// the executor, runs settle if there is one (the construction's wait
+// for requests that read it unsealed to be published), raises quiet,
+// waits for the loop to drain the executor and let it go, and gives
+// back its handles' occupancy. It is idempotent; on a poisoned
+// executor it still detaches the executor and reports the
+// *PoisonError.
+func (s *server) close(settle func()) error {
+	if s.seal() {
+		if settle != nil {
+			settle()
+		}
+		s.quiet.Store(true)
+		<-s.done
+		s.clients.leave()
+	}
+	return s.Err()
+}
+
+// occupants is a server construction's share of backoff's occupancy
+// estimate beyond its server loop: each handle it admitted, counted at
+// NewHandle until Close gives them all back. A handle admitted while
+// Close runs is counted before Close or not at all.
+type occupants struct {
+	mu     sync.Mutex
+	n      int32 // so n and closed share one word
+	closed bool
+}
+
+// join counts one admitted handle.
+func (o *occupants) join() {
+	o.mu.Lock()
+	if !o.closed {
+		o.n++
+		backoff.Occupy(0, 1)
+	}
+	o.mu.Unlock()
+}
+
+// leave gives every counted handle back; later calls do nothing.
+func (o *occupants) leave() {
+	o.mu.Lock()
+	if !o.closed {
+		o.closed = true
+		backoff.Occupy(0, -int(o.n))
+	}
+	o.mu.Unlock()
 }
 
 // scratch is a server loop's drain buffers, allocated by the loop and
@@ -54,11 +131,11 @@ func (sc *scratch) results(n int) []uint64 {
 	return sc.rets[:n]
 }
 
-// member is one executor attached to a loop; done is closed once the
-// loop has let it go.
+// member is one executor attached to a loop: its drain, and the
+// server part that tells the loop when to let it go.
 type member struct {
-	src  source
-	done chan struct{}
+	src source
+	s   *server
 }
 
 // serverLoop is one pooled server goroutine.
@@ -74,10 +151,11 @@ var pool struct {
 	loops []*serverLoop
 }
 
-// attach puts src on the least-loaded server loop, starting a new one
-// while fewer than max(1, GOMAXPROCS−1) run. A loop counts itself in
-// backoff's occupancy estimate from its start to its exit.
-func attach(src source, done chan struct{}) {
+// attach puts src, whose server part is s, on the least-loaded server
+// loop, starting a new one while fewer than max(1, GOMAXPROCS−1) run.
+// A loop counts itself in backoff's occupancy estimate from its start
+// to its exit.
+func attach(src source, s *server) {
 	pool.Lock()
 	defer pool.Unlock()
 	var l *serverLoop
@@ -91,13 +169,22 @@ func attach(src source, done chan struct{}) {
 		l = slices.MinFunc(pool.loops, func(a, b *serverLoop) int { return len(*a.members.Load()) - len(*b.members.Load()) })
 	}
 	ms := *l.members.Load()
-	ms = append(slices.Clip(ms), member{src, done})
+	ms = append(slices.Clip(ms), member{src, s})
 	l.members.Store(&ms)
 }
 
 // run is the server loop. Each pass gives every executor one bounded
 // drain and dispatch, on its own object, latch and telemetry recorder;
 // a poisoned executor replies zeros and the loop serves the others on.
+//
+// A closing executor is let go by one rule: the loop reads its quiet
+// flag before the drain, and a drain that finds nothing after a quiet
+// read ends its membership. Every request published before Close, and
+// every run Close's settle waited for, happened-before quiet's store,
+// so that drain sees it; a drain that found nothing has left nothing
+// behind. The drain before quiet's read may have missed a request
+// whose publish had not landed yet, which is why the flag is read
+// first.
 //
 // A pass that finds nothing waits in the Server role: while the server
 // loops leave a processor free it spins patiently, as the paper's
@@ -109,9 +196,10 @@ func (l *serverLoop) run() {
 	for {
 		served := false
 		for _, m := range *l.members.Load() {
-			s, drained := m.src.serve(&sc)
-			served = served || s
-			if drained && l.leave(m) {
+			quiet := m.s.quiet.Load()
+			if m.src.drain(&sc) {
+				served = true
+			} else if quiet && l.leave(m) {
 				return
 			}
 		}
@@ -128,13 +216,13 @@ func (l *serverLoop) run() {
 // Close is told, so Close returns with the estimate released.
 func (l *serverLoop) leave(m member) (empty bool) {
 	pool.Lock()
-	ms := slices.DeleteFunc(slices.Clone(*l.members.Load()), func(x member) bool { return x.done == m.done })
+	ms := slices.DeleteFunc(slices.Clone(*l.members.Load()), func(x member) bool { return x.s == m.s })
 	l.members.Store(&ms)
 	if empty = len(ms) == 0; empty {
 		pool.loops = slices.DeleteFunc(pool.loops, func(x *serverLoop) bool { return x == l })
 		backoff.Occupy(-1, 0)
 	}
 	pool.Unlock()
-	close(m.done)
+	close(m.s.done)
 	return empty
 }

@@ -72,6 +72,18 @@ func (s *Shell) admit() (id int, err error) {
 // construction from its server loop.
 func (s *Shell) seal() (first bool) { return s.sealed.CompareAndSwap(false, true) }
 
+// Close implements Executor for the constructions with no servicing
+// goroutine (the lock executor, CC-Synch, HybComb and the hybrid): it
+// only seals, failing later NewHandle calls. Every operation already
+// submitted completes on a client's own thread — a handle's pending
+// run at the Wait or Flush that redeems it — so tickets stay
+// redeemable. It is idempotent; on a poisoned executor it reports the
+// *PoisonError.
+func (s *Shell) Close() error {
+	s.seal()
+	return s.Err()
+}
+
 // Telemetry implements TelemetrySource.
 func (s *Shell) Telemetry() *telemetry.Telemetry { return s.Opts.Telemetry }
 
@@ -81,36 +93,6 @@ func (s *Shell) Telemetry() *telemetry.Telemetry { return s.Opts.Telemetry }
 func (s *Shell) arm(w *backoff.Watched, label string) {
 	*w = backoff.Armed(s.Opts.StallTimeout, label)
 	w.SetOnStall(s.Opts.Telemetry.StallHook())
-}
-
-// occupants is a server construction's share of backoff's occupancy
-// estimate beyond its server loop: each handle it admitted, counted at
-// NewHandle until Close gives them all back. A handle admitted while
-// Close runs is counted before Close or not at all.
-type occupants struct {
-	mu     sync.Mutex
-	n      int
-	closed bool
-}
-
-// join counts one admitted handle.
-func (o *occupants) join() {
-	o.mu.Lock()
-	if !o.closed {
-		o.n++
-		backoff.Occupy(0, 1)
-	}
-	o.mu.Unlock()
-}
-
-// leave gives every counted handle back; later calls do nothing.
-func (o *occupants) leave() {
-	o.mu.Lock()
-	if !o.closed {
-		o.closed = true
-		backoff.Occupy(0, -o.n)
-	}
-	o.mu.Unlock()
 }
 
 // roundCell is one combiner's tally of the combining rounds it served

@@ -6,7 +6,6 @@ import (
 
 	"hybsync/internal/backoff"
 	"hybsync/internal/pad"
-	"hybsync/internal/telemetry"
 )
 
 // SHMServer is the paper's SHM-SERVER: a simplified RCL. Each client
@@ -22,26 +21,19 @@ import (
 // emulated over coherent shared memory — the baseline whose
 // per-request coherence misses MP-SERVER eliminates.
 type SHMServer struct {
-	Shell
-	obj   Object
+	server
 	slots []shmSlot // Options.MaxThreads of them
-	// done is closed once the server loop has drained the executor
-	// after Close and let it go.
-	done chan struct{}
-	rec  *telemetry.Recorder // the server loop's, for this executor
-	// clients counts the handles in backoff's occupancy estimate; the
-	// server loop counts itself, once for all its executors.
-	clients occupants
 }
 
-// shmSlotHot is one client channel: req holds op+1 (0 = empty). The
-// server writes ret then clears req; the client spins on req. The
-// enclosing shmSlot rounds it up to a whole cache line (verified by
-// TestSlotLayout) so neighbouring clients never false-share.
+// shmSlotHot is one client channel: the client writes op and arg, then
+// sets req; the server writes ret, then clears req; the client spins
+// on req. req is a flag of its own, so every opcode is an operation.
+// The enclosing shmSlot rounds it up to a whole cache line (verified
+// by TestSlotLayout) so neighbouring clients never false-share.
 type shmSlotHot struct {
-	req atomic.Uint64
-	arg uint64
-	ret uint64
+	req     atomic.Uint64 // 1 while a request is published, 0 when served
+	op, arg uint64
+	ret     uint64
 }
 
 type shmSlot struct {
@@ -53,63 +45,44 @@ type shmSlot struct {
 // clients and attaches it to a loop of the server pool, which sweeps
 // its slots until Close: Close must be called to let the loop go.
 func NewSHMServer(obj Object, o Options) *SHMServer {
-	s := &SHMServer{obj: obj, done: make(chan struct{})}
-	s.init("shmserver", o)
-	s.rec = s.Opts.Telemetry.Recorder()
+	s := new(SHMServer)
+	s.init("shmserver", obj, o)
 	s.slots = make([]shmSlot, s.Opts.MaxThreads)
-	attach(s, s.done)
+	attach(s, &s.server)
 	return s
 }
 
-// serve implements source: one sweep of the slots, and once Close has
-// sealed the executor and a sweep finds nothing, one more before it
-// reports the executor drained. A request published before Close
-// happened-before the seal's store, so that last sweep sees it — the
-// empty sweep before may have scanned its slot before the publish
-// landed.
-func (s *SHMServer) serve(sc *scratch) (served, drained bool) {
-	if s.sweep(sc) {
-		return true, false
-	}
-	if !s.sealed.Load() {
-		return false, false
-	}
-	served = s.sweep(sc)
-	return served, !served
-}
-
-// sweep gathers each run of consecutive occupied slots into one batch;
-// a gap in the scan (or the end of the sweep) flushes the run as a
-// single DispatchBatch, then writes the results back and releases the
-// slots. Contended neighbours thus amortize the dispatch indirection
+// drain implements source with one sweep of the slots. It gathers
+// each run of consecutive occupied slots into one batch; a gap in the
+// scan (or the end of the sweep) flushes the run as a single
+// DispatchBatch, then writes the results back and releases the slots. Contended neighbours thus amortize the dispatch indirection
 // while a lone client still gets a 1-batch.
 //
 // A sweep scans only the slots of admitted handles: the rest stay
 // empty, and an idle loop's re-check then costs what MP-SERVER's empty
 // receive does, whatever MaxThreads is. A handle is admitted before
 // its first publish, so a sweep that misses a slot just admitted
-// finds it on the next, and the last sweep after the seal finds every
-// slot a request was published in before Close.
+// finds it on the next, and the loop's last sweep after Close finds
+// every slot a request was published in before.
 //
 // The emptiness guard is hoisted to the call sites: flush outgrew
 // the inlining budget when it learned to record run lengths, and an
 // outlined call per empty slot taxes every sweep by a call per slot.
 // With the guard here, the empty-slot path stays call-free however
 // flush grows.
-func (s *SHMServer) sweep(sc *scratch) (served bool) {
+func (s *SHMServer) drain(sc *scratch) (served bool) {
 	slots := s.slots[:min(int(s.handles.Load()), len(s.slots))]
 	run, rets := sc.run[:0], sc.results(len(slots))
 	for i := range slots {
 		slot := &slots[i]
-		req := slot.req.Load()
-		if req == 0 {
+		if slot.req.Load() == 0 {
 			if len(run) != 0 {
 				s.flush(slots[i-len(run):i], run, rets) // end of a consecutive occupied run
 				run = run[:0]
 			}
 			continue
 		}
-		run = append(run, Req{Op: req - 1, Arg: slot.arg})
+		run = append(run, Req{Op: slot.op, Arg: slot.arg})
 		served = true
 	}
 	if len(run) != 0 {
@@ -157,13 +130,7 @@ func (s *SHMServer) NewHandle() (Handle, error) {
 // the executor go, so a concurrent Apply that published before Close
 // still completes). It is idempotent; on a poisoned executor it still
 // detaches the executor and reports the *PoisonError.
-func (s *SHMServer) Close() error {
-	if s.seal() {
-		<-s.done
-		s.clients.leave()
-	}
-	return s.Err()
-}
+func (s *SHMServer) Close() error { return s.close(nil) }
 
 // shmClient is one client's channel to the server.
 type shmClientHot struct {
@@ -185,8 +152,8 @@ type shmClient struct {
 // apply publishes the request in the client's slot and spins locally
 // until the server clears it.
 func (h *shmClient) apply(op, arg uint64) uint64 {
-	h.slot.arg = arg
-	h.slot.req.Store(op + 1)
+	h.slot.op, h.slot.arg = op, arg
+	h.slot.req.Store(1)
 	if h.slot.req.Load() != 0 {
 		h.wb.Reset()
 		for h.slot.req.Load() != 0 {
