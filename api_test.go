@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hybsync"
 )
@@ -196,18 +197,19 @@ func TestRegisterDuplicateRejected(t *testing.T) {
 }
 
 // TestBadOptionsRejectedAtNew: explicitly setting a sizing option to a
-// non-positive value must fail New with a wrapped ErrBadOption instead
-// of silently substituting a default (or misbehaving later); unset
-// options still default.
+// non-positive value, or the stall timeout to a negative one, must fail
+// New with a wrapped ErrBadOption instead of silently substituting a
+// default (or misbehaving later); unset options still default.
 func TestBadOptionsRejectedAtNew(t *testing.T) {
 	dispatch := func(op, arg uint64) uint64 { return 0 }
 	bad := map[string]hybsync.Option{
-		"WithMaxThreads(0)":  hybsync.WithMaxThreads(0),
-		"WithMaxThreads(-4)": hybsync.WithMaxThreads(-4),
-		"WithMaxOps(0)":      hybsync.WithMaxOps(0),
-		"WithMaxOps(-1)":     hybsync.WithMaxOps(-1),
-		"WithQueueCap(0)":    hybsync.WithQueueCap(0),
-		"WithQueueCap(-9)":   hybsync.WithQueueCap(-9),
+		"WithMaxThreads(0)":     hybsync.WithMaxThreads(0),
+		"WithMaxThreads(-4)":    hybsync.WithMaxThreads(-4),
+		"WithMaxOps(0)":         hybsync.WithMaxOps(0),
+		"WithMaxOps(-1)":        hybsync.WithMaxOps(-1),
+		"WithQueueCap(0)":       hybsync.WithQueueCap(0),
+		"WithQueueCap(-9)":      hybsync.WithQueueCap(-9),
+		"WithStallTimeout(-5s)": hybsync.WithStallTimeout(-5 * time.Second),
 	}
 	for name, opt := range bad {
 		t.Run(name, func(t *testing.T) {

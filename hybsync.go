@@ -178,7 +178,8 @@ func WithQueueCap(n int) Option { return core.WithQueueCap(n) }
 // awaiting its predecessor) that makes no progress for d reports once
 // to the backoff package's stall handler — by default a goroutine dump
 // on stderr — without affecting the wait itself. 0 (the default)
-// disables the watchdog and keeps the hot path free of clock reads.
+// disables the watchdog and keeps the hot path free of clock reads; a
+// negative d fails NewObject with ErrBadOption.
 func WithStallTimeout(d time.Duration) Option { return core.WithStallTimeout(d) }
 
 // WithTelemetry attaches t as the executor's metric core: blocking

@@ -75,15 +75,12 @@ type Executor interface {
 
 	// Close releases any background resources (a server construction's
 	// place on its pooled server loop) and fails subsequent NewHandle
-	// calls. It is idempotent. Operations submitted before Close stay
-	// redeemable: their results are drained into the completion
-	// streams, were banked at submission, or — a handle's pending run —
-	// execute at the Wait or Flush that redeems them (on MP-SERVER,
-	// whose server loop Close detaches it from, on the redeeming
-	// thread), which is why handles must be flushed before Close.
-	// Wait and Flush still work afterwards; no new operation may be
-	// issued. On a poisoned executor Close still shuts down and returns
-	// the *PoisonError.
+	// calls. It is idempotent. It takes nothing else away: every
+	// operation submitted before Close stays redeemable, and one issued
+	// on an existing handle after Close, or racing it, executes and
+	// never hangs — on a server construction whose loop has let the
+	// executor go, the issuing thread serves it. On a poisoned executor
+	// Close still shuts down and returns the *PoisonError.
 	Close() error
 
 	// Err reports the executor's fault state: nil while healthy, the
@@ -343,9 +340,9 @@ func MustHandle(e Executor) Handle {
 // Options configures the constructions. Callers build it with the
 // functional With* options; the zero value is valid for every
 // constructor (each fills the paper's evaluation defaults).
-// Explicitly setting a sizing option to a non-positive value is
-// rejected with ErrBadOption when the Options are built (leaving an
-// option unset selects its default).
+// Explicitly setting a sizing option to a non-positive value, or
+// StallTimeout to a negative one, is rejected with ErrBadOption when
+// the Options are built (leaving an option unset selects its default).
 type Options struct {
 	// MaxThreads bounds how many Handles an executor hands out (default
 	// 128), whatever the construction.
@@ -380,10 +377,11 @@ type Options struct {
 // Option mutates Options; see WithMaxThreads and friends.
 type Option func(*Options)
 
-// reject records the first explicitly-set invalid option value.
-func (o *Options) reject(opt string, v int) {
+// reject records the first explicitly-set invalid option value, with
+// the rule it breaks.
+func (o *Options) reject(opt string, v any, rule string) {
 	if o.err == nil {
-		o.err = fmt.Errorf("core: %s(%d): value must be positive: %w", opt, v, ErrBadOption)
+		o.err = fmt.Errorf("core: %s(%v): value must %s: %w", opt, v, rule, ErrBadOption)
 	}
 }
 
@@ -391,7 +389,7 @@ func (o *Options) reject(opt string, v int) {
 func WithMaxThreads(n int) Option {
 	return func(o *Options) {
 		if n <= 0 {
-			o.reject("WithMaxThreads", n)
+			o.reject("WithMaxThreads", n, "be positive")
 			return
 		}
 		o.MaxThreads = n
@@ -404,7 +402,7 @@ func WithMaxThreads(n int) Option {
 func WithMaxOps(n int) Option {
 	return func(o *Options) {
 		if n <= 0 {
-			o.reject("WithMaxOps", n)
+			o.reject("WithMaxOps", n, "be positive")
 			return
 		}
 		if n > math.MaxInt32 {
@@ -418,7 +416,7 @@ func WithMaxOps(n int) Option {
 func WithQueueCap(n int) Option {
 	return func(o *Options) {
 		if n <= 0 {
-			o.reject("WithQueueCap", n)
+			o.reject("WithQueueCap", n, "be positive")
 			return
 		}
 		o.QueueCap = n
@@ -434,7 +432,7 @@ func WithQueueCap(n int) Option {
 func WithStallTimeout(d time.Duration) Option {
 	return func(o *Options) {
 		if d < 0 {
-			o.reject("WithStallTimeout", int(d))
+			o.reject("WithStallTimeout", d, "not be negative")
 			return
 		}
 		o.StallTimeout = d

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"hybsync/internal/pad"
@@ -233,16 +235,24 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestOptionsRejectNonPositive(t *testing.T) {
 	bad := map[string]Option{
-		"WithMaxThreads(0)":  WithMaxThreads(0),
-		"WithMaxThreads(-1)": WithMaxThreads(-1),
-		"WithMaxOps(0)":      WithMaxOps(0),
-		"WithMaxOps(-7)":     WithMaxOps(-7),
-		"WithQueueCap(0)":    WithQueueCap(0),
+		"WithMaxThreads(0)":     WithMaxThreads(0),
+		"WithMaxThreads(-1)":    WithMaxThreads(-1),
+		"WithMaxOps(0)":         WithMaxOps(0),
+		"WithMaxOps(-7)":        WithMaxOps(-7),
+		"WithQueueCap(0)":       WithQueueCap(0),
+		"WithStallTimeout(-5s)": WithStallTimeout(-5 * time.Second),
 	}
 	for name, opt := range bad {
 		if _, err := buildOptions(opt); !errors.Is(err, ErrBadOption) {
 			t.Errorf("buildOptions(%s) = %v, want ErrBadOption", name, err)
 		}
+	}
+	// The message names the value as it was written, and the rule.
+	if _, err := buildOptions(WithStallTimeout(-5 * time.Second)); err == nil || !strings.Contains(err.Error(), "WithStallTimeout(-5s): value must not be negative") {
+		t.Errorf("buildOptions(WithStallTimeout(-5s)) = %v, want it to name -5s and the rule", err)
+	}
+	if _, err := buildOptions(WithStallTimeout(0)); err != nil {
+		t.Errorf("buildOptions(WithStallTimeout(0)) = %v, want 0 accepted (it disables the watchdog)", err)
 	}
 	o, err := buildOptions(WithMaxThreads(3), WithQueueCap(5))
 	if err != nil {

@@ -11,11 +11,12 @@ import (
 )
 
 // Fault containment on the dispatch paths that only a fault test can
-// reach: a run executed after Close, a combiner serving another
-// handle's registration, and the hybrid's delegated side. Every
-// Object.DispatchBatch goes through the construction's PoisonLatch, so
-// a panic there poisons the executor, every waiter completes with
-// zeros, and the panic never reaches a caller.
+// reach: a server's requests drained by their own client after Close,
+// a combiner serving another handle's registration, and the hybrid's
+// delegated side. Every Object.DispatchBatch goes through the
+// construction's PoisonLatch, so a panic there poisons the executor,
+// every waiter completes with zeros, and the panic never reaches a
+// caller.
 
 // contained runs f and fails the test if a panic escapes it.
 func contained(t *testing.T, what string, f func()) {
@@ -57,6 +58,41 @@ func TestMPServerLateRunPoisons(t *testing.T) {
 			}
 		})
 		wantPoisonError(t, "Err()", h.Err())
+		wantPoisonError(t, "Close()", s.Close())
+		if obj.state != 1 {
+			t.Errorf("the object executed %d operations, want the one before the fault", obj.state)
+		}
+	})
+}
+
+// TestSHMServerLateApplyPoisons: once Close has let the server loop go,
+// a request published in a slot is served by its own client's drain,
+// and a fault there is contained as on the server: the faulted Apply
+// and every later operation complete with zeros, and the handles and
+// executor report the *PoisonError.
+func TestSHMServerLateApplyPoisons(t *testing.T) {
+	handletest.Guard(t, func() {
+		obj := &runRec{fuse: 1}
+		s := core.NewSHMServer(obj, core.Options{MaxThreads: 2})
+		a, b := core.MustHandle(s), core.MustHandle(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		contained(t, "Apply after Close", func() {
+			if v := a.Apply(0, 0); v != 0 {
+				t.Fatalf("a's Apply = %d, want execution index 0", v)
+			}
+			if v := b.Apply(0, 0); v != 0 {
+				t.Fatalf("b's Apply, which faults, = %d, want 0", v)
+			}
+			if v := a.Apply(0, 0); v != 0 {
+				t.Fatalf("a's Apply after the fault = %d, want 0", v)
+			}
+			_, err := b.Submit(0, 0)
+			wantPoisonError(t, "b's Submit after the fault", err)
+		})
+		wantPoisonError(t, "a's Err()", a.Err())
+		wantPoisonError(t, "b's Err()", b.Err())
 		wantPoisonError(t, "Close()", s.Close())
 		if obj.state != 1 {
 			t.Errorf("the object executed %d operations, want the one before the fault", obj.state)

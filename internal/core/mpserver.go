@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -50,17 +49,13 @@ import (
 type MPServer struct {
 	server
 	reqs *mpq.Mpsc // any client sends, only drain receives
-	// peers[id] is handle id's transport, registered by NewHandle: the
-	// server finds the handle's response ring (QueueCap deep, SPSC:
-	// server → client) and run cell there, and Close its sending flag.
-	// The server learns an id only from a message that handle sent, and
-	// the request ring's publication orders the slot's write, and the
-	// cell's, before the server's reads.
+	// peers[id] is handle id's transport, registered by NewHandle: a
+	// drain finds the handle's response ring (QueueCap deep, SPSC:
+	// server → client) and run cell there. It learns an id only from a
+	// message that handle sent, and the request ring's publication
+	// orders the slot's write, and the cell's, before the drain's reads.
 	peers []atomic.Pointer[mpTransport]
-	// late serializes the runs handles execute themselves once the
-	// server loop has let the executor go (see mpTransport.Run).
-	late sync.Mutex
-	ps   pipeCounters
+	ps    pipeCounters
 }
 
 // runFrame marks a run message in its first word, beside the sender's
@@ -173,29 +168,6 @@ func (s *MPServer) NewHandle() (Handle, error) {
 		Counters: &s.ps, Depth: s.Opts.QueueCap, Waiter: &t.wb}), nil
 }
 
-// Close detaches the executor from its server loop, which drains the
-// request ring first so every message sent before Close has its
-// response banked on its client's ring — outstanding tickets stay
-// redeemable with Wait, and a handle's run still pending executes at
-// the Wait or Flush that redeems it, whether that runs after Close or
-// at the same time (see mpTransport.Run). It is idempotent; no
-// operation may be issued afterwards. On a poisoned executor Close
-// still detaches the executor and reports the *PoisonError.
-func (s *MPServer) Close() error { return s.close(s.settle) }
-
-// settle waits for every run whose sender read the executor unsealed
-// to be on the request ring, so the loop's last drain sees it.
-func (s *MPServer) settle() {
-	for i := range min(int(s.handles.Load()), len(s.peers)) {
-		if t := s.peers[i].Load(); t != nil {
-			var b backoff.Backoff
-			for t.sending.Load() {
-				b.Wait()
-			}
-		}
-	}
-}
-
 // Pipeline implements PipelineStats.
 func (s *MPServer) Pipeline() (submitStalls, maxDepth uint64) { return s.ps.Pipeline() }
 
@@ -217,10 +189,6 @@ type mpTransportHot struct {
 	// many results from head on the replies received so far cover.
 	tail, head uint64
 	ready      int32
-	// sending is set from Run's check of the seal until its message is
-	// on the request ring; Close waits for it to clear before it tells
-	// the server loop that the ring is complete.
-	sending atomic.Bool
 	// wb awaits a reply, in the Reply role and under the stall watchdog.
 	wb backoff.Watched
 }
@@ -235,9 +203,11 @@ type mpTransport struct {
 
 // apply is the blocking round trip, one inline request message. The
 // pipeline calls it only with nothing in flight, so its reply is the
-// next on the ring.
+// next on the ring. After Close the reply is there once published
+// returns.
 func (t *mpTransport) apply(op, arg uint64) uint64 {
 	t.s.reqs.Send(mpq.Words3(t.id, op, arg))
+	t.s.published(t.s)
 	v, _ := t.reply(true)
 	return v
 }
@@ -264,40 +234,19 @@ func (t *mpTransport) reply(block bool) (uint64, bool) {
 // off the slots still owed: the handle never has more than QueueCap
 // operations in flight, and the cell has at least QueueCap slots.
 //
-// Once Close has sealed the executor nobody will serve a message sent
-// now, so a run still pending then — redeemed by a Wait or Flush after
-// Close or racing it — executes here, once the server loop has let the
-// executor go, owing nothing. The seal is read with the sending flag
-// up, so either Run sees it or Close waits for the message to be on
-// the ring before the loop's last drain.
-func (t *mpTransport) Run(reqs []Req, rets []uint64, room int) (owed int) {
-	t.sending.Store(true)
-	if t.s.sealed.Load() {
-		t.sending.Store(false)
-		return t.runLate(reqs, rets)
-	}
+// A run sent once Close has sealed the executor may be drained by its
+// own sender (see server.published): its reply is then on the ring,
+// and its results in the cell, when Run returns.
+func (t *mpTransport) Run(reqs []Req, _ []uint64, room int) (owed int) {
 	owed = min(len(reqs), room)
 	c := &t.cell
 	for i, r := range reqs[:owed] {
 		c.reqs[(t.tail+uint64(i))&c.mask] = r
 	}
 	t.s.reqs.Send(mpq.Words3(t.id|runFrame, t.tail&c.mask, uint64(owed)))
-	t.sending.Store(false)
 	t.tail += uint64(owed)
+	t.s.published(t.s)
 	return owed
-}
-
-// runLate executes a run after Close, in place: the server loop's
-// last drain before it let the executor go has served every message
-// sent before, so the run still comes after everything the handle ran
-// earlier.
-func (t *mpTransport) runLate(reqs []Req, rets []uint64) (owed int) {
-	s := t.s
-	<-s.done
-	s.late.Lock()
-	defer s.late.Unlock()
-	s.PoisonLatch.Dispatch(s.obj, reqs, rets)
-	return 0
 }
 
 // Next implements Owing: the oldest owed result, out of the run cell. A

@@ -24,9 +24,7 @@ func TestEveryOpcodeIsAnOperation(t *testing.T) {
 				return op ^ arg ^ 1
 			}))
 			h := core.MustHandle(ex)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
+			within(t, bound, func() {
 				called := func(path string, op, arg uint64) {
 					t.Helper()
 					if n := len(calls); n == 0 || calls[n-1] != (core.Req{Op: op, Arg: arg}) {
@@ -65,12 +63,7 @@ func TestEveryOpcodeIsAnOperation(t *testing.T) {
 				if err := ex.Close(); err != nil {
 					t.Error(err)
 				}
-			}()
-			select {
-			case <-done:
-			case <-time.After(bound):
-				t.Fatalf("hung for %v", bound)
-			}
+			})
 		})
 	}
 }

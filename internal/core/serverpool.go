@@ -29,23 +29,20 @@ type source interface {
 }
 
 // server is the part MP-SERVER and SHM-SERVER share: the shell, the
-// protected object, and what the server loop and Close use to let the
-// executor go. Each construction declares its Close as a call to
-// close, since the shell's would not wait for the loop.
+// protected object, and what the server loop, Close and the clients
+// that publish after Close use to let the executor go.
 type server struct {
 	Shell
 	obj Object
 	rec *telemetry.Recorder // the server loop's, for this executor
-	// quiet is raised by Close once every request it must see served
-	// is published; the loop reads it before a drain (see run). With
-	// occupants at two words, it costs MPServer and SHMServer no larger
-	// size class.
-	quiet atomic.Bool
 	// done is closed once the server loop has let the executor go.
 	done chan struct{}
 	// clients counts the handles in backoff's occupancy estimate; the
 	// server loop counts itself, once for all its executors.
 	clients occupants
+	// late serializes the drains clients make themselves once the
+	// server loop has let the executor go (see published).
+	late sync.Mutex
 }
 
 // init names the construction, fills its options and readies the
@@ -56,23 +53,41 @@ func (s *server) init(algo string, obj Object, o Options) {
 	s.obj, s.rec, s.done = obj, s.Opts.Telemetry.Recorder(), make(chan struct{})
 }
 
-// close is every server construction's Close. The first call seals
-// the executor, runs settle if there is one (the construction's wait
-// for requests that read it unsealed to be published), raises quiet,
-// waits for the loop to drain the executor and let it go, and gives
-// back its handles' occupancy. It is idempotent; on a poisoned
-// executor it still detaches the executor and reports the
-// *PoisonError.
-func (s *server) close(settle func()) error {
+// Close implements Executor for both server constructions. The first
+// call seals the executor, waits for the server loop to drain it and
+// let it go, and gives back its handles' occupancy. It is idempotent;
+// on a poisoned executor it still detaches the executor and reports
+// the *PoisonError.
+func (s *server) Close() error {
 	if s.seal() {
-		if settle != nil {
-			settle()
-		}
-		s.quiet.Store(true)
 		<-s.done
 		s.clients.leave()
 	}
 	return s.Err()
+}
+
+// published is a client's one step past Close, taken after every
+// publish of a request to src (whose server part is s): the client
+// reads the seal only once its request is published. If the seal is
+// not there yet, the publish came before it, so the loop's drain
+// after its own read of the seal finds the request. If it is, the
+// loop may have let the executor go without it, so the client waits
+// for the loop to be done and drains src itself, under late, until
+// nothing is left — its own request and any other whose sender is
+// still on its way here. A drain that stops at a request claimed but
+// not yet published leaves it to that request's sender, which reads
+// the seal after it publishes. The drain dispatches through the latch,
+// which contains a fault, so late is always released.
+func (s *server) published(src source) {
+	if !s.sealed.Load() {
+		return
+	}
+	<-s.done
+	s.late.Lock()
+	var sc scratch
+	for src.drain(&sc) {
+	}
+	s.late.Unlock()
 }
 
 // occupants is a server construction's share of backoff's occupancy
@@ -177,14 +192,14 @@ func attach(src source, s *server) {
 // drain and dispatch, on its own object, latch and telemetry recorder;
 // a poisoned executor replies zeros and the loop serves the others on.
 //
-// A closing executor is let go by one rule: the loop reads its quiet
-// flag before the drain, and a drain that finds nothing after a quiet
-// read ends its membership. Every request published before Close, and
-// every run Close's settle waited for, happened-before quiet's store,
-// so that drain sees it; a drain that found nothing has left nothing
-// behind. The drain before quiet's read may have missed a request
-// whose publish had not landed yet, which is why the flag is read
-// first.
+// A closing executor is let go by one rule: the loop reads its seal
+// before the drain, and a drain that finds nothing after a read that
+// saw the seal ends its membership. A client reads the seal after it
+// publishes (see published), so a request whose sender saw no seal
+// was published before the seal and that drain sees it; a sender that
+// saw the seal drains for itself. The drain before the seal's read may
+// have missed a request whose publish had not landed yet, which is
+// why the seal is read first.
 //
 // A pass that finds nothing waits in the Server role: while the server
 // loops leave a processor free it spins patiently, as the paper's
@@ -196,10 +211,10 @@ func (l *serverLoop) run() {
 	for {
 		served := false
 		for _, m := range *l.members.Load() {
-			quiet := m.s.quiet.Load()
+			sealed := m.s.sealed.Load()
 			if m.src.drain(&sc) {
 				served = true
-			} else if quiet && l.leave(m) {
+			} else if sealed && l.leave(m) {
 				return
 			}
 		}

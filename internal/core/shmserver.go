@@ -114,7 +114,7 @@ func (s *SHMServer) NewHandle() (Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &shmClient{shmClientHot: shmClientHot{slot: &s.slots[id]}}
+	h := &shmClient{shmClientHot: shmClientHot{s: s, slot: &s.slots[id]}}
 	s.arm(&h.wb, "shmserver: waiting for server sweep")
 	s.clients.join()
 	// A client owns exactly one request slot, so nothing can be left in
@@ -125,15 +125,9 @@ func (s *SHMServer) NewHandle() (Handle, error) {
 	return newImmediatePipe(h.apply, &s.PoisonLatch, s.Opts.Telemetry.Recorder()), nil
 }
 
-// Close detaches the executor from its server loop once all in-flight
-// requests are served (the loop drains occupied slots before it lets
-// the executor go, so a concurrent Apply that published before Close
-// still completes). It is idempotent; on a poisoned executor it still
-// detaches the executor and reports the *PoisonError.
-func (s *SHMServer) Close() error { return s.close(nil) }
-
 // shmClient is one client's channel to the server.
 type shmClientHot struct {
+	s    *SHMServer
 	slot *shmSlot
 	// wb is the watched waiter for the slot spin, constructed once per
 	// handle and Reset per round trip so the per-operation path never
@@ -150,10 +144,12 @@ type shmClient struct {
 }
 
 // apply publishes the request in the client's slot and spins locally
-// until the server clears it.
+// until the server clears it. After Close the slot is clear once
+// published returns.
 func (h *shmClient) apply(op, arg uint64) uint64 {
 	h.slot.op, h.slot.arg = op, arg
 	h.slot.req.Store(1)
+	h.s.published(h.s)
 	if h.slot.req.Load() != 0 {
 		h.wb.Reset()
 		for h.slot.req.Load() != 0 {

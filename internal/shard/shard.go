@@ -147,7 +147,9 @@ func (r *Router) NewHandle() (*Handle, error) {
 // was already closed directly — and every shard is closed even when an
 // earlier one fails: the per-shard errors are aggregated with
 // errors.Join (each wrapped with its shard index), so errors.Is still
-// finds the sentinels. No Apply may be in flight or issued afterwards.
+// finds the sentinels. As on every executor, an operation in flight or
+// issued afterwards executes, on a shard whose handle it has already
+// opened, and fails with ErrClosed on one it has not.
 func (r *Router) Close() error {
 	r.closed.Store(true)
 	var errs []error
