@@ -313,34 +313,43 @@ func TestStatsBlockingIdentity(t *testing.T) {
 // TestPipelineStats: the pipelining constructions export backpressure
 // counters — a submission window driven past QueueCap must record
 // stalls and the high-water in-flight depth, whether the window's
-// deferred run goes to a server as a message (mpserver) or executes
-// under a lock (mcs-lock); immediate-completion constructions do not
-// implement the extension.
+// deferred run goes to a server as a message (mpserver), to a combiner
+// (hybcomb, ccsynch) or executes under a lock (mcs-lock, the hybrid in
+// lock mode). Each handle counts its own; the executor reports the
+// stalls summed over its handles and the deepest window any reached.
+// Immediate-completion constructions do not implement the extension.
 func TestPipelineStats(t *testing.T) {
 	const qcap = 4
-	for _, algo := range []string{"mpserver", "mcs-lock"} {
+	for _, algo := range []string{"mpserver", "hybcomb", "ccsynch", "mcs-lock", "hybrid"} {
 		ex, err := hybsync.NewObject(algo, hybsync.Func(func(op, arg uint64) uint64 { return 0 }),
 			hybsync.WithMaxThreads(2), hybsync.WithQueueCap(qcap))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ex.Close()
-		h := hybsync.MustHandle(ex)
-		const n = 20
-		for i := 0; i < n; i++ {
-			h.Post(0, 0)
-		}
-		h.Flush()
 		ps, ok := ex.(hybsync.PipelineStats)
 		if !ok {
 			t.Fatalf("%s does not expose PipelineStats", algo)
 		}
-		stalls, depth := ps.Pipeline()
-		if depth != qcap {
-			t.Errorf("%s: maxDepth = %d, want %d (the window is bounded by QueueCap)", algo, depth, qcap)
+		// Every post past a full window stalls; a window of n posts
+		// reaches min(n, qcap).
+		post := func(h hybsync.Handle, n int) {
+			for i := 0; i < n; i++ {
+				h.Post(0, 0)
+			}
+			h.Flush()
 		}
-		if want := uint64(n - qcap); stalls != want {
-			t.Errorf("%s: submitStalls = %d, want %d (every post past the window stalls)", algo, stalls, want)
+		deep, shallow := hybsync.MustHandle(ex), hybsync.MustHandle(ex)
+		post(deep, 2*qcap)
+		post(shallow, 2)
+		if stalls, depth := ps.Pipeline(); stalls != qcap || depth != qcap {
+			t.Errorf("%s: Pipeline() = (%d stalls, depth %d), want (%d, %d): the deep handle's stalls, the deepest window",
+				algo, stalls, depth, qcap, qcap)
+		}
+		post(shallow, qcap+1)
+		if stalls, depth := ps.Pipeline(); stalls != qcap+1 || depth != qcap {
+			t.Errorf("%s: Pipeline() = (%d stalls, depth %d), want (%d, %d): both handles' stalls summed, the deepest window",
+				algo, stalls, depth, qcap+1, qcap)
 		}
 	}
 

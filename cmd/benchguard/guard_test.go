@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -107,13 +108,39 @@ func TestCompare(t *testing.T) {
 		"b": {200, 115, 111}, // median 115, +15% — regressed
 		// c missing
 	}
-	if !compare(baseline, candidates, 0.10) {
+	var out strings.Builder
+	if !compare(&out, baseline, candidates, 0.10) {
 		t.Fatal("regression and missing point not flagged")
+	}
+	// Each side carries its median, quartiles and run count.
+	for _, want := range []string{
+		"baseline      100.0 ns/op [100.0–100.0 n=1]  candidate      105.0 ns/op [97.5–106.5 n=3]    +5.0%  ok",
+		"baseline      100.0 ns/op [95.0–200.0 n=3]  candidate      115.0 ns/op [113.0–157.5 n=3]   +15.0%  REGRESSED",
+		"baseline      100.0 ns/op [100.0–100.0 n=1]  candidate MISSING",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("compare output lacks %q:\n%s", want, out.String())
+		}
 	}
 	delete(baseline, "c")
 	candidates["b"] = []float64{105, 90, 100}
-	if compare(baseline, candidates, 0.10) {
+	if compare(io.Discard, baseline, candidates, 0.10) {
 		t.Fatal("clean candidates flagged")
+	}
+}
+
+func TestSpread(t *testing.T) {
+	for _, c := range []struct {
+		xs   []float64
+		want string
+	}{
+		{[]float64{7}, "7.0 ns/op [7.0–7.0 n=1]"},
+		{[]float64{4, 1, 3, 2}, "2.5 ns/op [1.5–3.5 n=4]"},
+		{[]float64{5, 1, 4, 2, 3}, "3.0 ns/op [2.0–4.0 n=5]"},
+	} {
+		if got := strings.TrimSpace(spread(c.xs)); got != c.want {
+			t.Errorf("spread(%v) = %q, want %q", c.xs, got, c.want)
+		}
 	}
 }
 

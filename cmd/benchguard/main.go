@@ -38,7 +38,10 @@
 // Both sides of every comparison are MEDIANS: of the candidate files'
 // samples of the cell (run an odd number, three is typical, so one
 // noisy run cannot fail or pass the gate alone), and of the baseline's
-// when it holds the cell more than once. Exit status 1 means at least
+// when it holds the cell more than once. Each side is printed with its
+// quartiles and run count, `median [q1–q3 n=runs]`, so a trip can be
+// read against the spread of the samples behind it; the spread never
+// changes the verdict. Exit status 1 means at least
 // one point regressed more than -max-regress relative to the baseline
 // or went missing (extra candidate points are ignored); 2 is a usage
 // error — a missing -baseline, an unreadable file, a bad -vs or -where.
@@ -47,6 +50,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -91,8 +95,9 @@ func main() {
 
 // compare runs the gate: for every baseline point, the median of the
 // candidate samples against the median of the baseline's, within the
-// tolerance. Returns true when any point failed.
-func compare(baseline, candidates map[string][]float64, maxRegress float64) bool {
+// tolerance, one line per point on w. Returns true when any point
+// failed.
+func compare(w io.Writer, baseline, candidates map[string][]float64, maxRegress float64) bool {
 	keys := make([]string, 0, len(baseline))
 	for k := range baseline {
 		keys = append(keys, k)
@@ -103,19 +108,18 @@ func compare(baseline, candidates map[string][]float64, maxRegress float64) bool
 		base := median(baseline[key])
 		runs := candidates[key]
 		if len(runs) == 0 {
-			fmt.Printf("  %-80s baseline %10.1f ns/op  candidate MISSING\n", key, base)
+			fmt.Fprintf(w, "  %-80s baseline %s  candidate MISSING\n", key, spread(baseline[key]))
 			failed = true
 			continue
 		}
-		med := median(runs)
-		delta := (med - base) / base
+		delta := (median(runs) - base) / base
 		status := "ok"
 		if delta > maxRegress {
 			status = "REGRESSED"
 			failed = true
 		}
-		fmt.Printf("  %-80s baseline %10.1f ns/op  median %10.1f ns/op  %+6.1f%%  %s\n",
-			key, base, med, delta*100, status)
+		fmt.Fprintf(w, "  %-80s baseline %s  candidate %s  %+6.1f%%  %s\n",
+			key, spread(baseline[key]), spread(runs), delta*100, status)
 	}
 	return failed
 }
@@ -127,6 +131,14 @@ func median(xs []float64) float64 {
 		return xs[n/2]
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// spread formats one side of a comparison: the median of xs (ns/op),
+// its first and third quartiles — the medians of the lower and upper
+// halves, each holding the middle sample when n is odd — and n.
+func spread(xs []float64) string {
+	med, n := median(xs), len(xs) // median sorts xs
+	return fmt.Sprintf("%10.1f ns/op [%.1f–%.1f n=%d]", med, median(xs[:(n+1)/2]), median(xs[n/2:]), n)
 }
 
 // cellKey is the full identity of a sweep cell — bench, the grid point
@@ -202,7 +214,7 @@ func guard(baselinePath string, candidatePaths []string, where whereFlags, vs st
 	}
 	fmt.Printf("benchguard: %s where [%s], median of %d run(s) vs %s (tolerance +%.0f%%)\n",
 		what, where.String(), len(candidatePaths), baselinePath, maxRegress*100)
-	return compare(baseline, candidates, maxRegress), nil
+	return compare(os.Stdout, baseline, candidates, maxRegress), nil
 }
 
 // ---- -where clause parsing and matching ----

@@ -66,7 +66,7 @@ type StatsSource = core.StatsSource
 
 // PipelineStats is implemented by the pipelining constructions
 // ("mpserver", "hybcomb", "ccsynch", "mcs-lock", "hybrid") and
-// the shard router:
+// aggregated by the shard router:
 // backpressure counters of the submission pipeline (SubmitStalls =
 // submissions that found the pipeline full, MaxDepth = deepest
 // in-flight window any handle reached). Read at pipeline quiescence,

@@ -51,9 +51,6 @@ type ccSynchHot struct {
 	tail atomic.Pointer[ccNode]
 	Shell
 	obj Object
-
-	rounds roundTally // each handle's combining rounds, counted in its transport
-	ps     pipeCounters
 }
 
 // ccNodeHot is a request cell's live fields: one (op, arg), or, when run
@@ -100,7 +97,9 @@ func (c *CCSynch) NewHandle() (Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPipe(h.spec()), nil
+	p := c.handle(h.spec())
+	h.cnt = &p.cnt
+	return p, nil
 }
 
 // newTransport admits one more thread and builds its transport; the
@@ -112,7 +111,6 @@ func (c *CCSynch) newTransport() (*ccTransport, error) {
 	}
 	h := &ccTransport{ccTransportHot: ccTransportHot{c: c, node: &ccNode{}, rec: c.Opts.Telemetry.Recorder()}}
 	c.arm(&h.wb, "ccsynch: waiting for cell service")
-	c.rounds.join(&h.rounds)
 	return h, nil
 }
 
@@ -121,17 +119,17 @@ func (c *CCSynch) newTransport() (*ccTransport, error) {
 func (h *ccTransport) spec() pipeSpec {
 	c := h.c
 	return pipeSpec{Transport: h, Apply: h.apply, Latch: &c.PoisonLatch, Rec: h.rec,
-		Counters: &c.ps, Depth: c.Opts.QueueCap, Waiter: &h.wb}
+		Depth: c.Opts.QueueCap, Waiter: &h.wb}
 }
 
 // Stats returns combining rounds and requests combined for others (a
 // round's first cell is its combiner's own and counts towards neither),
-// summed over the handles' transports. Read only at pipeline quiescence
+// summed over the handles' cells. Read only at pipeline quiescence
 // (every handle flushed).
-func (c *CCSynch) Stats() (rounds, combined uint64) { return c.rounds.Stats() }
+func (c *CCSynch) Stats() (rounds, combined uint64) { return c.totals().stats() }
 
 // Pipeline implements PipelineStats.
-func (c *CCSynch) Pipeline() (submitStalls, maxDepth uint64) { return c.ps.Pipeline() }
+func (c *CCSynch) Pipeline() (submitStalls, maxDepth uint64) { return c.totals().pipeline() }
 
 // ccTransport is one thread's end of the chain. Its pipeline defers
 // submissions into the pending run, and Run publishes that run as one
@@ -152,8 +150,8 @@ type ccTransportHot struct {
 	creqs []Req
 	crets []uint64
 
-	rec    *telemetry.Recorder
-	rounds roundCell // the rounds this thread combined
+	rec *telemetry.Recorder
+	cnt *counts // the handle's counter cell, where the rounds this thread combined count
 
 	// wb is the watched waiter for cell-service spins, constructed once
 	// per handle and Reset per wait loop so the per-operation path never
@@ -285,7 +283,7 @@ func (h *ccTransport) combine(cur *ccNode) {
 	h.flushRun(cur)
 	// Hand over: the owner of tmp wakes with completed=false and combines.
 	tmp.wait.Store(false)
-	h.rounds.count(uint64(count - own))
+	h.cnt.round(uint64(count - own))
 }
 
 // apply is the synchronous algorithm, one (op, arg) cell: publish, then

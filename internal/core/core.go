@@ -236,9 +236,6 @@ type Handle interface {
 // quiescence: every handle with submissions outstanding has been
 // flushed (or fully waited) and no new operation is issued until the
 // read returns.
-// "While no Apply is in flight" is no longer sufficient wording —
-// submissions are asynchronous, so an unflushed Submit or Post keeps
-// the pipeline live long after the submitting call returned.
 //
 // Counter semantics (the canonical statement — DESIGN.md and benchfmt
 // comments defer here): rounds counts combining rounds, i.e.

@@ -394,9 +394,9 @@ func TestMPServerHandleLineAligned(t *testing.T) {
 // mpserver and hybcomb. Small MaxOps keeps HybComb's combiner role
 // rotating, so newcomers both register with others and are registered
 // with. A promoted hybrid has no per-handle rings, but its newcomers
-// join the lock's retry cells and the backend's round tally, which
-// combiners write while the newcomer is built, and small MaxOps hands
-// its CC-Synch combiner duty around as well.
+// list their counter cells with the shell while the residents' ticks
+// walk that list, and small MaxOps hands its CC-Synch combiner duty
+// around as well.
 func TestHandleCreatedMidApply(t *testing.T) {
 	const residents, newcomers, per = 2, 12, 300
 	for _, tc := range []struct {

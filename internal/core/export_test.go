@@ -42,9 +42,13 @@ func CCSynchLinks(c *CCSynch) (awaitLink func()) {
 // window holds depth operations; eager hands each submission over at
 // once. ctr reads the handle's pipeline counters.
 func NewTestPipe(tr Transport, depth int, eager bool) (h *Pipe, ctr PipelineStats) {
-	c := new(pipeCounters)
-	return newPipe(pipeSpec{Transport: tr, Counters: c, Depth: depth, Eager: eager}), c
+	var s Shell
+	return s.handle(pipeSpec{Transport: tr, Depth: depth, Eager: eager}), pipelineOf{&s}
 }
+
+type pipelineOf struct{ s *Shell }
+
+func (p pipelineOf) Pipeline() (submitStalls, maxDepth uint64) { return p.s.totals().pipeline() }
 
 // SharesServerLoop reports whether a and b, each an MP-SERVER or an
 // SHM-SERVER, are attached to the same server loop.

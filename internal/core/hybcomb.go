@@ -77,9 +77,6 @@ type hybCombHot struct {
 	// sent, so the slots' writes are ordered before every read.
 	inbox []*mpq.Mpsc
 	resp  []*mpq.Mpsc
-
-	rounds roundTally // each handle's combining rounds, counted in its transport
-	ps     pipeCounters
 }
 
 // hcNode is Algorithm 1's Node. Each of the three fields is written and
@@ -143,19 +140,20 @@ func (h *HybComb) NewHandle() (Handle, error) {
 	}}
 	h.arm(&t.wb, "hybcomb: combiner awaiting predecessor round")
 	h.arm(&t.respWB, "hybcomb: client awaiting combiner response")
-	h.rounds.join(&t.rounds)
-	return newPipe(pipeSpec{Transport: t, Apply: t.apply, Latch: &h.PoisonLatch, Rec: t.rec,
-		Counters: &h.ps, Depth: h.Opts.QueueCap, Waiter: &t.respWB}), nil
+	p := h.handle(pipeSpec{Transport: t, Apply: t.apply, Latch: &h.PoisonLatch, Rec: t.rec,
+		Depth: h.Opts.QueueCap, Waiter: &t.respWB})
+	t.cnt = &p.cnt
+	return p, nil
 }
 
 // Stats returns the number of completed combining rounds and the total
 // requests served by combiners for other threads, summed over the
-// handles' transports. Read only at pipeline quiescence (every handle
+// handles' cells. Read only at pipeline quiescence (every handle
 // flushed or fully waited).
-func (h *HybComb) Stats() (rounds, combined uint64) { return h.rounds.Stats() }
+func (h *HybComb) Stats() (rounds, combined uint64) { return h.totals().stats() }
 
 // Pipeline implements PipelineStats.
-func (h *HybComb) Pipeline() (submitStalls, maxDepth uint64) { return h.ps.Pipeline() }
+func (h *HybComb) Pipeline() (submitStalls, maxDepth uint64) { return h.totals().pipeline() }
 
 // hcTransport is one thread's place in Algorithm 1: a registered
 // request is a message to the round's combiner and its response comes
@@ -174,7 +172,7 @@ type hcTransportHot struct {
 	one     [1]Req // scalar combiner-path scratch
 	oneRet  [1]uint64
 	rec     *telemetry.Recorder
-	rounds  roundCell // the rounds this thread combined
+	cnt     *counts // the handle's counter cell, where the rounds this thread combined count
 
 	// Watched waiters for the combiner's wait on its predecessor round
 	// and the client's wait for a response, constructed once per handle
@@ -358,5 +356,5 @@ func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 	hd.myNode.threadID.Store(hd.id)
 	oldNode.done.Store(true)
 
-	hd.rounds.count(uint64(opsCompleted))
+	hd.cnt.round(uint64(opsCompleted))
 }

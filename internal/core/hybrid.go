@@ -33,7 +33,7 @@ import (
 //
 // The contention signal is the lock executor's: each acquisition
 // reports whether it found a predecessor in the gate queue (a contended
-// acquisition), counted in the handle's padded retry cell. The
+// acquisition), counted in the handle's counter cell. The
 // controller — piggybacked on operation ticks, guarded by a TryLock so
 // it never serializes the data path — promotes when the contended
 // fraction over a window of at least hybridWindow operations reaches
@@ -185,11 +185,13 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 	}}
 	// The backend's spec with the hybrid's transport in front of its
 	// own and the hybrid's latch in place of one that never trips: the
-	// in-flight bound, the stall counters and the waiter stay the
-	// backend's, so one window serves both modes.
+	// in-flight bound and the waiter stay the backend's, so one window
+	// serves both modes. Both sides count in the one cell of that window:
+	// lock acquisitions and combining rounds alike are rounds.
 	spec := inner.spec()
 	spec.Transport, spec.Apply, spec.Latch = t, t.apply, &h.PoisonLatch
-	t.p = newPipe(spec)
+	t.p = h.handle(spec)
+	t.cnt, inner.cnt = &t.p.cnt, &t.p.cnt
 	return t.p, nil
 }
 
@@ -197,24 +199,6 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 func (h *Hybrid) Transitions() (promotions, demotions uint64) {
 	return h.promotions.Load(), h.demotions.Load()
 }
-
-// Stats implements StatsSource. Lock-mode acquisitions count as rounds
-// of their own (each dispatches its own run, nothing combined), on top
-// of the backend's counters, so under blocking Apply the scalar
-// identity rounds + combined == ops holds across transitions; a
-// pipelined window's lock-side run is one round of several own
-// operations, as on LockExecutor. Read at pipeline quiescence, like
-// every StatsSource.
-func (h *Hybrid) Stats() (rounds, combined uint64) {
-	acq, _ := h.counts()
-	r, c := h.inner.Stats()
-	return acq + r, c
-}
-
-// Pipeline implements PipelineStats with the backend's backpressure
-// counters, which every handle's one window feeds in both modes (see
-// NewHandle) — the lock clients' per-handle ones stay zero.
-func (h *Hybrid) Pipeline() (submitStalls, maxDepth uint64) { return h.inner.Pipeline() }
 
 // maybeAdapt is the controller: called from handle ticks, it evaluates
 // the current mode's signal once at least h.window operations have
@@ -230,19 +214,18 @@ func (h *Hybrid) maybeAdapt() {
 		return
 	}
 	if h.mode.Load() == hybModeLock {
-		acq, ret := h.counts()
-		dA, dR := acq-h.ctl.lastAcq, ret-h.ctl.lastRet
+		t := h.totals()
+		dA, dR := t.rounds-h.ctl.lastAcq, t.retries-h.ctl.lastRet
 		if dA < h.window {
 			return
 		}
-		h.ctl.lastAcq, h.ctl.lastRet = acq, ret
+		h.ctl.lastAcq, h.ctl.lastRet = t.rounds, t.retries
 		if float64(dR) >= h.promoteAt*float64(dA) {
 			h.promote()
 		}
 		return
 	}
-	runs, ops := h.dRuns.Load(), h.dOps.Load()
-	stalls, _ := h.inner.Pipeline()
+	runs, ops, stalls := h.dRuns.Load(), h.dOps.Load(), h.totals().stalls
 	dRuns, dOps, dStalls := runs-h.ctl.lastRuns, ops-h.ctl.lastOps, stalls-h.ctl.lastStalls
 	if dOps < h.window {
 		return
@@ -266,11 +249,9 @@ func (h *Hybrid) promote() {
 	if !h.mode.CompareAndSwap(hybModeLock, hybModeDeleg) {
 		return
 	}
-	h.ctl.lastRuns, h.ctl.lastOps = h.dRuns.Load(), h.dOps.Load()
-	h.ctl.lastStalls, _ = h.inner.Pipeline()
+	h.ctl.lastRuns, h.ctl.lastOps, h.ctl.lastStalls = h.dRuns.Load(), h.dOps.Load(), h.totals().stalls
 	h.ctl.quiet = 0
-	h.promotions.Add(1)
-	h.Opts.Telemetry.NotePromotion()
+	bump(&h.promotions, 1)
 }
 
 // demote flips delegation → lock and rebases the lock-side baselines.
@@ -279,10 +260,10 @@ func (h *Hybrid) demote() {
 	if !h.mode.CompareAndSwap(hybModeDeleg, hybModeLock) {
 		return
 	}
-	h.ctl.lastAcq, h.ctl.lastRet = h.counts()
+	t := h.totals()
+	h.ctl.lastAcq, h.ctl.lastRet = t.rounds, t.retries
 	h.ctl.quiet = 0
-	h.demotions.Add(1)
-	h.Opts.Telemetry.NoteDemotion()
+	bump(&h.demotions, 1)
 }
 
 // hybTransport is one thread's path through whichever mode is current:

@@ -445,19 +445,15 @@ func TestHybridStatsScalarInvariant(t *testing.T) {
 }
 
 // TestHybridLayout machine-verifies the padding of the hybrid's
-// per-handle state — its transport and the lock executor's retry cells
-// it counts in — like the spin and hybcomb layout tests, and that the
-// demotion counters every delegated run writes are at least a line away
-// from mode, which every operation loads, and from the controller state
-// after them, wherever the executor is placed.
+// per-handle transport, like the spin and hybcomb layout tests (its
+// counter cell is inside its Pipe, which TestHandlesLineAligned
+// checks), and that the demotion counters every delegated run writes
+// are at least a line away from mode, which every operation loads, and
+// from the controller state after them, wherever the executor is
+// placed.
 func TestHybridLayout(t *testing.T) {
-	for name, size := range map[string]uintptr{
-		"hybTransport": unsafe.Sizeof(hybTransport{}),
-		"retryCell":    unsafe.Sizeof(retryCell{}),
-	} {
-		if !pad.Padded(size) {
-			t.Errorf("%s is %d bytes, not a whole number of cache lines", name, size)
-		}
+	if size := unsafe.Sizeof(hybTransport{}); !pad.Padded(size) {
+		t.Errorf("hybTransport is %d bytes, not a whole number of cache lines", size)
 	}
 	var h Hybrid
 	modeEnd := unsafe.Offsetof(h.mode) + unsafe.Sizeof(h.mode)

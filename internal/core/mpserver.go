@@ -55,7 +55,6 @@ type MPServer struct {
 	// message that handle sent, and the request ring's publication
 	// orders the slot's write, and the cell's, before the drain's reads.
 	peers []atomic.Pointer[mpTransport]
-	ps    pipeCounters
 }
 
 // runFrame marks a run message in its first word, beside the sender's
@@ -164,12 +163,12 @@ func (s *MPServer) NewHandle() (Handle, error) {
 	t.wb.Backoff = backoff.For(backoff.Reply)
 	s.clients.join()
 	s.peers[id].Store(t)
-	return newPipe(pipeSpec{Transport: t, Apply: t.apply, Latch: &s.PoisonLatch, Rec: s.Opts.Telemetry.Recorder(),
-		Counters: &s.ps, Depth: s.Opts.QueueCap, Waiter: &t.wb}), nil
+	return s.handle(pipeSpec{Transport: t, Apply: t.apply, Latch: &s.PoisonLatch, Rec: s.Opts.Telemetry.Recorder(),
+		Depth: s.Opts.QueueCap, Waiter: &t.wb}), nil
 }
 
 // Pipeline implements PipelineStats.
-func (s *MPServer) Pipeline() (submitStalls, maxDepth uint64) { return s.ps.Pipeline() }
+func (s *MPServer) Pipeline() (submitStalls, maxDepth uint64) { return s.totals().pipeline() }
 
 // mpTransport is one client's path to the server: messages go out on the
 // shared MPSC ring, replies come back on the client's own SPSC ring in

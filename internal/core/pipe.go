@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -93,12 +92,10 @@ type pipeSpec struct {
 	Latch *PoisonLatch
 	// Rec takes the latency samples (nil when telemetry is disarmed).
 	Rec *telemetry.Recorder
-	// Counters receives submit stalls and the deepest window reached;
 	// Depth bounds the operations in flight (Options.QueueCap), pending
-	// in the run or owed. Both matter to every transport but one that
+	// in the run or owed. It matters to every transport but one that
 	// completes each submission on the spot.
-	Counters *pipeCounters
-	Depth    int
+	Depth int
 	// Waiter is the transport's own watched waiter, borrowed by
 	// WaitTimeout's deadline loop so a wedged construction still trips
 	// the stall watchdog under its own label.
@@ -114,11 +111,11 @@ type pipeSpec struct {
 
 // pipeHot is a Pipe's state; see Pipe for the padding.
 type pipeHot struct {
-	spec pipeSpec // Counters and Waiter never nil, Depth at least 1
+	spec pipeSpec // Waiter never nil, Depth at least 1
 
-	win     mpq.Window
-	deepest uint64   // this handle's in-flight high-water mark
-	done    []uint64 // batch's done scratch: SubmitBatch, ApplyBatch(reqs, nil)
+	win  mpq.Window
+	cnt  counts   // the handle's counter cell; the transport counts its rounds here
+	done []uint64 // batch's done scratch: SubmitBatch, ApplyBatch(reqs, nil)
 
 	owing Owing // spec.Transport where it can owe, else nil
 	eager bool  // spec.Eager, except where the hybrid's mode edges move it
@@ -143,9 +140,6 @@ var _ Handle = (*Pipe)(nil)
 
 // newPipe builds the handle for one goroutine over spec.
 func newPipe(spec pipeSpec) *Pipe {
-	if spec.Counters == nil {
-		spec.Counters = new(pipeCounters)
-	}
 	if spec.Waiter == nil {
 		spec.Waiter = new(backoff.Watched)
 	}
@@ -261,7 +255,7 @@ func (p *Pipe) settle(block bool) bool {
 // by settling the oldest when the window is full (a submit stall).
 func (p *Pipe) makeRoom() {
 	if p.win.InFlight() >= p.spec.Depth {
-		p.spec.Counters.stalls.Add(1)
+		bump(&p.cnt.stalls, 1)
 		if p.spec.Latch != nil {
 			p.spec.Latch.Tel.NoteSubmitStall()
 		}
@@ -269,14 +263,12 @@ func (p *Pipe) makeRoom() {
 	}
 }
 
-// issue opens the window slot of an operation just shipped, publishing
-// the in-flight depth only when this handle reaches a new personal
-// maximum — a handful of shared-line touches per handle lifetime.
+// issue opens the window slot of an operation just shipped and raises
+// the handle's depth count to the window's new in-flight depth.
 func (p *Pipe) issue() uint64 {
 	seq := p.win.Issue()
-	if d := uint64(p.win.InFlight()); d > p.deepest {
-		p.deepest = d
-		p.spec.Counters.bumpDepth(d)
+	if d := uint64(p.win.InFlight()); d > p.cnt.depth.Load() {
+		p.cnt.depth.Store(d)
 	}
 	return seq
 }
@@ -516,31 +508,4 @@ func (im *Immediate) Take(t Ticket) uint64 {
 		panic(TicketMisuse)
 	}
 	return v
-}
-
-// pipeCounters is the shared implementation of PipelineStats, embedded
-// by the pipelining executors (MPServer, HybComb, CC-Synch;
-// LockExecutor keeps one per handle beside its retry counters) and fed by their handles' Pipes. Stalls are counted
-// directly — a stall already pays a blocking receive or a combining
-// round, so one more atomic add is noise — while depth is published
-// only on a handle's new personal maximum (see Pipe.issue).
-type pipeCounters struct {
-	stalls atomic.Uint64
-	depth  atomic.Uint64
-}
-
-// bumpDepth raises the published maximum in-flight depth to d
-// (monotonic CAS max).
-func (p *pipeCounters) bumpDepth(d uint64) {
-	for {
-		cur := p.depth.Load()
-		if d <= cur || p.depth.CompareAndSwap(cur, d) {
-			return
-		}
-	}
-}
-
-// Pipeline implements PipelineStats.
-func (p *pipeCounters) Pipeline() (submitStalls, maxDepth uint64) {
-	return p.stalls.Load(), p.depth.Load()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -18,21 +17,25 @@ type shellHot struct {
 	Opts    Options
 	sealed  atomic.Bool
 	handles atomic.Int32
+	// cells lists the counter cells of the handles built by handle, the
+	// newest first.
+	cells atomic.Pointer[counts]
 }
 
 // Shell is the executor side every construction shares, as Pipe is the
 // handle side: the fault latch, the filled Options, admission of
 // handles (fault, then sealed, then the MaxThreads bound — one
-// sequence, one wording), the sealed flag Close sets, and the
-// telemetry and stall-watchdog wiring. A construction embeds it first
-// and writes only what differs: its shared state, its Transport and
-// its servicing loop. See DESIGN.md "Executor shell".
+// sequence, one wording), the sealed flag Close sets, the sum of the
+// handles' counter cells, and the telemetry and stall-watchdog wiring.
+// A construction embeds it first and writes only what differs: its
+// shared state, its Transport and its servicing loop. See DESIGN.md
+// "Executor shell".
 //
 // Every field is written rarely (NewHandle, Close, the one poison
-// trip) and read on the hot path (the latch by every dispatch, Opts by
+// trip, a read of the counter sums) and read on the hot path (the latch by every dispatch, Opts by
 // the combiners), so the struct is rounded up to whole cache lines:
-// the tail pointers and round counters a construction declares after
-// it, which some thread writes on every operation, start on a line of
+// the tail pointers a construction declares after it, which some
+// thread writes on every operation, start on a line of
 // their own — in a construction that itself starts on a line, which the
 // allocator grants only to whole-line size classes (see HybComb).
 type Shell struct {
@@ -95,43 +98,69 @@ func (s *Shell) arm(w *backoff.Watched, label string) {
 	w.SetOnStall(s.Opts.Telemetry.StallHook())
 }
 
-// roundCell is one combiner's tally of the combining rounds it served
-// and the requests it served in them for other threads. Combining runs
-// on the combiner's own goroutine, so only the transport that holds the
-// cell writes it: a round costs two plain stores on the transport's own
-// line, not two atomic adds on an executor line that alternating
-// combiners pull across cores. The atomics only make the read race-free.
-type roundCell struct{ rounds, combined atomic.Uint64 }
+// counts is one handle's counter cell, inside its Pipe: the rounds it
+// ran — combining rounds it served, and lock acquisitions, each of
+// which is a round of the holder's own run — the requests it combined
+// in them for other threads, the acquisitions that queued behind a
+// predecessor, its submit stalls and the deepest its window reached.
+// Only the handle's goroutine writes the cell (bump, and Pipe.issue's
+// depth), so a count is a load and a store on a line the handle owns,
+// not a read-modify-write on a line the executor's handles share. The
+// atomics make the executor's read race-free: the hybrid's controller
+// takes it under load.
+type counts struct {
+	rounds, combined, retries, stalls, depth atomic.Uint64
 
-// count records one round that served combined requests for others.
-// Owner only.
-func (c *roundCell) count(combined uint64) {
-	c.rounds.Store(c.rounds.Load() + 1)
-	c.combined.Store(c.combined.Load() + combined)
+	next *counts // the cell of the executor's previous handle, set before the cell is listed
 }
 
-// roundTally is a combining executor's list of its transports' round
-// cells, one per handle, summed on the read path.
-type roundTally struct {
-	mu    sync.Mutex
-	cells []*roundCell
+// bump adds n to w, a count with one writer at a time: a cell's owner
+// (or the hybrid's controller, under its lock, for its transitions).
+func bump(w *atomic.Uint64, n uint64) { w.Store(w.Load() + n) }
+
+// round counts one combining round that served combined requests for
+// other threads. Owner only.
+func (c *counts) round(combined uint64) {
+	bump(&c.rounds, 1)
+	bump(&c.combined, combined)
 }
 
-// join adds one transport's cell.
-func (t *roundTally) join(c *roundCell) {
-	t.mu.Lock()
-	t.cells = append(t.cells, c)
-	t.mu.Unlock()
+// totals is an executor's counts: its handles' cells summed, depth the
+// deepest any handle's window reached.
+type totals struct {
+	rounds, combined, retries, stalls, depth uint64
 }
 
-// Stats implements StatsSource: the rounds and the requests combined for
-// others, summed over every handle's cell; exact only at quiescence.
-func (t *roundTally) Stats() (rounds, combined uint64) {
-	t.mu.Lock()
-	for _, c := range t.cells {
-		rounds += c.rounds.Load()
-		combined += c.combined.Load()
+// stats is StatsSource's read of t.
+func (t totals) stats() (rounds, combined uint64) { return t.rounds, t.combined }
+
+// pipeline is PipelineStats's read of t.
+func (t totals) pipeline() (submitStalls, maxDepth uint64) { return t.stalls, t.depth }
+
+// handle builds the Pipe over spec as one of the construction's handles
+// and lists its counter cell with the ones totals sums. The list costs
+// the Shell one pointer, so it keeps its size on every target (a mutex
+// and a slice would add a line to it on amd64 and on 386 alike).
+func (s *Shell) handle(spec pipeSpec) *Pipe {
+	p := newPipe(spec)
+	for {
+		p.cnt.next = s.cells.Load()
+		if s.cells.CompareAndSwap(p.cnt.next, &p.cnt) {
+			return p
+		}
 	}
-	t.mu.Unlock()
-	return rounds, combined
+}
+
+// totals sums the cells of the handles built by handle. It is what
+// Stats, Retries and Pipeline read, exact only at quiescence, and the
+// hybrid's controller reads it under load.
+func (s *Shell) totals() (t totals) {
+	for c := s.cells.Load(); c != nil; c = c.next {
+		t.rounds += c.rounds.Load()
+		t.combined += c.combined.Load()
+		t.retries += c.retries.Load()
+		t.stalls += c.stalls.Load()
+		t.depth = max(t.depth, c.depth.Load())
+	}
+	return t
 }

@@ -49,8 +49,8 @@ func (h *MCSHandle) Lock() { h.LockCounted() }
 
 // LockCounted is Lock reporting contention: 1 when the tail swap
 // revealed a predecessor to queue behind, 0 for the uncontended fast
-// path. The count feeds the lock executor's per-handle retry cells
-// and, through them, the adaptive hybrid executor's promotion signal.
+// path. The count feeds the lock handles' counter cells and, through
+// them, the adaptive hybrid executor's promotion signal.
 //
 // The node invariant — next is nil and locked is false whenever the
 // node is not enqueued — is restored by the contended handoff in

@@ -4,7 +4,7 @@
 // read with a merge-on-read Snapshot.
 //
 // The design splits hot-path cost from read-path cost the same way
-// core's pipeline counters (core.PipelineStats) do:
+// core's per-handle counter cells (summed for core.PipelineStats) do:
 //
 //   - Recording is one or two uncontended atomic adds on a
 //     cache-line-padded shard row owned (modulo round-robin reuse) by
@@ -54,17 +54,10 @@ type Telemetry struct {
 
 	// Rare-event counters: incremented on paths that are already slow
 	// (a tripped poison latch, a stall report, a full pipeline), so a
-	// direct atomic add is noise — the pipeline counters' argument.
+	// direct atomic add is noise.
 	poisons      atomic.Uint64
 	stalls       atomic.Uint64
 	submitStalls atomic.Uint64
-
-	// Adaptive-executor counters: mode transitions are rare by
-	// construction (hysteresis), and a contended lock acquisition is
-	// already a multi-hundred-cycle event, so these too are direct adds.
-	promotions  atomic.Uint64
-	demotions   atomic.Uint64
-	lockRetries atomic.Uint64
 
 	sampleEvery uint32
 	nextRec     atomic.Uint32
@@ -131,32 +124,6 @@ func (t *Telemetry) NoteSubmitStall() {
 	}
 }
 
-// NotePromotion counts one lock→delegation mode switch by an adaptive
-// executor attached to this core.
-func (t *Telemetry) NotePromotion() {
-	if t != nil {
-		t.promotions.Add(1)
-	}
-}
-
-// NoteDemotion counts one delegation→lock mode switch by an adaptive
-// executor attached to this core.
-func (t *Telemetry) NoteDemotion() {
-	if t != nil {
-		t.demotions.Add(1)
-	}
-}
-
-// NoteLockRetries counts n contended lock acquisitions (acquisitions
-// that queued behind a predecessor on the MCS lock) — the promotion
-// signal of the adaptive executor and mcs-lock's contention gauge. Called on the contended path only, where the wait already
-// dwarfs the add.
-func (t *Telemetry) NoteLockRetries(n uint64) {
-	if t != nil && n != 0 {
-		t.lockRetries.Add(n)
-	}
-}
-
 // StallHook returns a callback for backoff.Watched.SetOnStall that
 // counts watchdog firings here, or nil when disarmed (SetOnStall
 // treats nil as "no hook").
@@ -180,9 +147,6 @@ func (t *Telemetry) Snapshot() Snapshot {
 		Poisons:      t.poisons.Load(),
 		Stalls:       t.stalls.Load(),
 		SubmitStalls: t.submitStalls.Load(),
-		Promotions:   t.promotions.Load(),
-		Demotions:    t.demotions.Load(),
-		LockRetries:  t.lockRetries.Load(),
 	}
 }
 
@@ -236,16 +200,14 @@ func (r *Recorder) RunLen(n int) {
 
 // Snapshot is one merged read of a Telemetry: the two histograms plus
 // the event counters. It is a plain value — subtract with Delta, add
-// with Merge — and doubles as the JSON payload of the debug endpoint.
+// with Merge. The debug endpoint serves its own view of it (see
+// package export).
 type Snapshot struct {
 	Latency      Hist   `json:"latency_ns"`
 	RunLen       Hist   `json:"run_len"`
 	Poisons      uint64 `json:"poisons"`
 	Stalls       uint64 `json:"stall_reports"`
 	SubmitStalls uint64 `json:"submit_stalls"`
-	Promotions   uint64 `json:"promotions"`
-	Demotions    uint64 `json:"demotions"`
-	LockRetries  uint64 `json:"lock_retries"`
 }
 
 // Delta returns the change from prev to s — the interval view a
@@ -259,9 +221,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		Poisons:      s.Poisons - prev.Poisons,
 		Stalls:       s.Stalls - prev.Stalls,
 		SubmitStalls: s.SubmitStalls - prev.SubmitStalls,
-		Promotions:   s.Promotions - prev.Promotions,
-		Demotions:    s.Demotions - prev.Demotions,
-		LockRetries:  s.LockRetries - prev.LockRetries,
 	}
 }
 
@@ -274,9 +233,6 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 		Poisons:      s.Poisons + other.Poisons,
 		Stalls:       s.Stalls + other.Stalls,
 		SubmitStalls: s.SubmitStalls + other.SubmitStalls,
-		Promotions:   s.Promotions + other.Promotions,
-		Demotions:    s.Demotions + other.Demotions,
-		LockRetries:  s.LockRetries + other.LockRetries,
 	}
 }
 
