@@ -258,12 +258,6 @@ func Armed(stall time.Duration, label string) Watched {
 // lost.
 func (w *Watched) SetOnStall(f func()) { w.onStall = f }
 
-// Active reports whether the watchdog is armed. Wait loops that have a
-// cheaper disarmed equivalent (e.g. a queue's own blocking receive)
-// can branch on it and only pay the observed TryRecv/Wait loop when a
-// stall would actually be reported.
-func (w *Watched) Active() bool { return w.stall > 0 }
-
 // Wait escalates like Backoff.Wait; once armed and in the sleep phase
 // it additionally tracks elapsed stall time. Disarmed (stall 0), the
 // extra cost is one predictable branch per call.

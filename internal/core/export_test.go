@@ -3,12 +3,27 @@ package core
 import (
 	"math"
 	"runtime"
+	"sync"
 )
 
 // ForceHybridMode drives a hybrid transition edge for the external
 // test package (hybrid_contract_test.go cannot live in package core:
 // the script it runs, internal/handletest, imports core).
 func ForceHybridMode(h *Hybrid, promote bool) { forceMode(h, promote) }
+
+// ToggleHybrid flips h's mode continuously, as toggler does, until the
+// returned stop is called; stop returns the transitions made so far.
+func ToggleHybrid(h *Hybrid) (stop func() (promotions, demotions uint64)) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go toggler(h, done, &wg)
+	return func() (promotions, demotions uint64) {
+		close(done)
+		wg.Wait()
+		return h.Transitions()
+	}
+}
 
 // FreezeHybrid disables h's controller — no run of operations is ever a
 // whole evaluation window — so forced transitions own the mode. Call it

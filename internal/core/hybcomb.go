@@ -242,7 +242,7 @@ func (hd *hcTransport) acquire(op, arg uint64) bool {
 // Next implements Owing: the oldest response to a registered request,
 // off the thread's queue.
 func (hd *hcTransport) Next(block bool) (uint64, bool) {
-	return mpq.RecvWord(hd.resp, &hd.respWB, block)
+	return recvReply(hd.resp, &hd.respWB, block)
 }
 
 // Run implements Transport: each request registers with the current

@@ -35,14 +35,17 @@ import (
 // reports whether it found a predecessor in the gate queue (a contended
 // acquisition), counted in the handle's counter cell. The
 // controller — piggybacked on operation ticks, guarded by a TryLock so
-// it never serializes the data path — promotes when the contended
-// fraction over a window of at least hybridWindow operations reaches
-// hybridPromote. In delegation mode the signal inverts: the gate counts
-// delegated runs and the operations they carried, and the controller
-// demotes only after hybridQuietWindows consecutive windows whose mean
-// run length stays below hybridDemote with zero submit stalls — the
+// it never serializes the data path — reads nothing but those cells
+// (Shell.totals), as deltas from one baseline. It promotes when the
+// contended fraction over a window of at least hybridWindow served
+// requests reaches hybridPromote. In delegation mode the signal
+// inverts: the backend's combiners count their rounds and the requests
+// they combined for other threads in the same cells, and the
+// controller demotes only after hybridQuietWindows consecutive windows
+// whose combining rate — requests served per round, a round's own run
+// counted once — stays below hybridDemote with zero submit stalls, the
 // hysteresis that keeps a phase-shifting workload from thrashing.
-// Baselines reset on every transition, so each mode's evidence is
+// Every transition rebases the baseline, so each mode's evidence is
 // collected entirely within that mode.
 //
 // Transitions preserve the full Handle contract. Handles align to the
@@ -81,27 +84,16 @@ type Hybrid struct {
 
 	mode atomic.Uint32 // hybModeLock or hybModeDeleg, loaded by every operation
 
-	promotions atomic.Uint64
-	demotions  atomic.Uint64
-
-	// Delegated-run accounting, written by the serialized gate dispatch:
-	// the demotion signal's numerator and denominator. Each delegated run
-	// writes them, so they sit a line away from mode, which every handle
-	// loads on every operation (TestHybridLayout).
-	_     pad.Line
-	dRuns atomic.Uint64
-	dOps  atomic.Uint64
-	_     pad.Line
-
 	// ctl is the adaptive controller's state, touched only under ctlMu
 	// (acquired with TryLock from the tick path, so an evaluation in
-	// progress makes concurrent ticks skip, not queue).
+	// progress makes concurrent ticks skip, not queue). Every tick
+	// writes ctlMu, so it sits a line away from mode (TestHybridLayout).
+	_     pad.Line
 	ctlMu sync.Mutex
 	ctl   struct {
-		lastAcq, lastRet  uint64 // lock-side baselines
-		lastRuns, lastOps uint64 // delegation-side baselines
-		lastStalls        uint64
-		quiet             int // consecutive quiescent windows (hysteresis)
+		last  totals    // the baseline every window is a delta from
+		quiet int       // consecutive quiescent windows (hysteresis)
+		into  [2]uint64 // transitions into each mode: [hybModeDeleg] promotions, [hybModeLock] demotions
 	}
 }
 
@@ -114,10 +106,12 @@ const (
 // acquisitions that queued behind a predecessor (retries per
 // acquisition: the MCS gate counts exactly 1 per queued acquisition)
 // at which the lock side promotes;
-// hybridDemote the mean dispatch-run length below which a delegation
+// hybridDemote the combining rate — requests served per combining
+// round, the round's own run counted once — below which a delegation
 // window counts as quiescent; hybridWindow the minimum number of
-// operations between two evaluations of either signal — smaller windows
-// react faster and thrash easier, 1024 rides out sub-window bursts.
+// requests served (rounds plus requests combined for others) between
+// two evaluations of either signal — smaller windows react faster and
+// thrash easier, 1024 rides out sub-window bursts.
 const (
 	hybridPromote = 0.5
 	hybridDemote  = 1.25
@@ -150,8 +144,6 @@ func (g hybGate) DispatchBatch(reqs []Req, results []uint64) {
 	h.gate.Lock()
 	h.PoisonLatch.Dispatch(h.obj, reqs, results)
 	h.gate.Unlock()
-	h.dRuns.Add(1)
-	h.dOps.Add(uint64(len(reqs)))
 }
 
 // NewHybrid creates the adaptive construction. The delegation backend
@@ -197,14 +189,18 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 
 // Transitions implements AdaptiveStats.
 func (h *Hybrid) Transitions() (promotions, demotions uint64) {
-	return h.promotions.Load(), h.demotions.Load()
+	h.ctlMu.Lock()
+	defer h.ctlMu.Unlock()
+	return h.ctl.into[hybModeDeleg], h.ctl.into[hybModeLock]
 }
 
 // maybeAdapt is the controller: called from handle ticks, it evaluates
-// the current mode's signal once at least h.window operations have
-// accumulated since the last evaluation, and flips the mode on a
-// threshold crossing. TryLock keeps it off the data path — a tick that
-// finds an evaluation in progress just skips.
+// the current mode's signal once at least h.window requests have been
+// served since the baseline, and flips the mode on a threshold
+// crossing. A window counts rounds plus requests combined for others:
+// each round's own run once, every request another round served for it
+// once. TryLock keeps it off the data path — a tick that finds an
+// evaluation in progress just skips.
 func (h *Hybrid) maybeAdapt() {
 	if !h.ctlMu.TryLock() {
 		return
@@ -213,57 +209,38 @@ func (h *Hybrid) maybeAdapt() {
 	if h.Poisoned() {
 		return
 	}
+	t, b := h.totals(), h.ctl.last
+	rounds, served := t.rounds-b.rounds, t.rounds+t.combined-b.rounds-b.combined
+	if served < h.window {
+		return
+	}
+	h.ctl.last = t
 	if h.mode.Load() == hybModeLock {
-		t := h.totals()
-		dA, dR := t.rounds-h.ctl.lastAcq, t.retries-h.ctl.lastRet
-		if dA < h.window {
-			return
-		}
-		h.ctl.lastAcq, h.ctl.lastRet = t.rounds, t.retries
-		if float64(dR) >= h.promoteAt*float64(dA) {
-			h.promote()
+		if float64(t.retries-b.retries) >= h.promoteAt*float64(rounds) {
+			h.flip(hybModeLock, hybModeDeleg)
 		}
 		return
 	}
-	runs, ops, stalls := h.dRuns.Load(), h.dOps.Load(), h.totals().stalls
-	dRuns, dOps, dStalls := runs-h.ctl.lastRuns, ops-h.ctl.lastOps, stalls-h.ctl.lastStalls
-	if dOps < h.window {
-		return
-	}
-	h.ctl.lastRuns, h.ctl.lastOps, h.ctl.lastStalls = runs, ops, stalls
-	if dRuns > 0 && float64(dOps) < hybridDemote*float64(dRuns) && dStalls == 0 {
-		h.ctl.quiet++
-		if h.ctl.quiet >= hybridQuietWindows {
-			h.demote()
+	if float64(served) < hybridDemote*float64(rounds) && t.stalls == b.stalls {
+		if h.ctl.quiet++; h.ctl.quiet >= hybridQuietWindows {
+			h.flip(hybModeDeleg, hybModeLock)
 		}
 		return
 	}
 	h.ctl.quiet = 0
 }
 
-// promote flips lock → delegation and rebases the delegation-side
-// baselines, so demotion evidence starts from zero. Callers hold
-// ctlMu (the controller, or a transition test forcing the edge); the
-// CAS makes a forced edge idempotent.
-func (h *Hybrid) promote() {
-	if !h.mode.CompareAndSwap(hybModeLock, hybModeDeleg) {
+// flip is the one transition edge, from → to: it rebases the baseline,
+// so the new mode's evidence starts from zero, and counts the
+// transition. Callers hold ctlMu (the controller, or a transition test
+// forcing the edge); the CAS makes a forced edge idempotent.
+func (h *Hybrid) flip(from, to uint32) {
+	if !h.mode.CompareAndSwap(from, to) {
 		return
 	}
-	h.ctl.lastRuns, h.ctl.lastOps, h.ctl.lastStalls = h.dRuns.Load(), h.dOps.Load(), h.totals().stalls
+	h.ctl.last = h.totals()
 	h.ctl.quiet = 0
-	bump(&h.promotions, 1)
-}
-
-// demote flips delegation → lock and rebases the lock-side baselines.
-// Same locking contract as promote.
-func (h *Hybrid) demote() {
-	if !h.mode.CompareAndSwap(hybModeDeleg, hybModeLock) {
-		return
-	}
-	t := h.totals()
-	h.ctl.lastAcq, h.ctl.lastRet = t.rounds, t.retries
-	h.ctl.quiet = 0
-	bump(&h.demotions, 1)
+	h.ctl.into[to]++
 }
 
 // hybTransport is one thread's path through whichever mode is current:
@@ -271,8 +248,8 @@ func (h *Hybrid) demote() {
 // pipeline's run, executed under one gate acquisition per demand — in
 // delegation mode it travels the backend's transport, and its pipeline
 // is eager, handing each submission over on the spot rather than
-// deferring it: the delegated run lengths are the demotion signal, and
-// they must measure combining across threads, not one client's window.
+// deferring it, the policy a measurement chose (DESIGN "Contention
+// signal").
 // Neither side ever owes a completion, and the handle's one window
 // holds both kinds of ticket — a ticket redeems the same however many
 // transitions happened since.

@@ -5,6 +5,7 @@ import (
 
 	"hybsync/internal/core"
 	"hybsync/internal/handletest"
+	"hybsync/internal/historytest"
 )
 
 // TestHybridContractAcrossTransitions runs the handle-contract script
@@ -30,6 +31,26 @@ func TestHybridContractAcrossTransitions(t *testing.T) {
 			}
 		},
 	})
+}
+
+// TestHybridHistoryAcrossEdges checks the hybrid's counter history in
+// real time, across handles, on each of the Handle's paths, while its
+// mode flips under them: an edge that let a run of one mode overlap a
+// run of the other, or dropped or reordered a completion, shows as a
+// pair of increments out of real-time order or a read that misses a
+// flushed one.
+func TestHybridHistoryAcrossEdges(t *testing.T) {
+	historytest.Run(t, func(t *testing.T, obj core.Object, handles int) core.Executor {
+		h := core.NewHybrid(obj, core.Options{MaxThreads: handles})
+		core.FreezeHybrid(h) // the forced transitions own the mode
+		stop := core.ToggleHybrid(h)
+		t.Cleanup(func() {
+			if p, d := stop(); p == 0 || d == 0 {
+				t.Errorf("the history crossed no edge: promotions=%d demotions=%d", p, d)
+			}
+		})
+		return h
+	}, 4, 5000)
 }
 
 // TestHybridWindowAcrossEdges walks one handle's window over both

@@ -7,7 +7,7 @@
 // every two steps (TestHybridTicketsAcrossSwitch is now its
 // reverse-wait-past-queuecap case, TestHybridWaitVariantsAcrossSwitch
 // its bounded-waits case). In-package so the tests can force transition
-// edges deterministically through promote/demote and set the
+// edges deterministically through flip and set the
 // controller's thresholds, which are not options.
 package core
 
@@ -34,14 +34,14 @@ func newFrozenHybrid(obj Object, o Options) *Hybrid {
 }
 
 // forceMode drives a transition edge under the controller's lock, the
-// way the controller itself would. The CAS inside promote/demote makes
-// a stale force a no-op.
+// way the controller itself would. The CAS inside flip makes a stale
+// force a no-op.
 func forceMode(h *Hybrid, promote bool) {
 	h.ctlMu.Lock()
 	if promote {
-		h.promote()
+		h.flip(hybModeLock, hybModeDeleg)
 	} else {
-		h.demote()
+		h.flip(hybModeDeleg, hybModeLock)
 	}
 	h.ctlMu.Unlock()
 }
@@ -212,13 +212,25 @@ func TestHybridTransitionsProperty(t *testing.T) {
 	}
 }
 
+// runCounter is counterObj's counter that also counts the runs that
+// reach it, one per DispatchBatch call.
+type runCounter struct{ state, runs uint64 }
+
+func (o *runCounter) DispatchBatch(reqs []Req, results []uint64) {
+	o.runs++
+	for i := range reqs {
+		results[i] = o.state
+		o.state++
+	}
+}
+
 // TestHybridBatchOneDispatchRun pins the unsplit-run guarantee on both
 // paths, deterministically: with a single participant, a lock-mode
 // batch executes under one gate acquisition and a delegated batch
 // becomes the combiner's own run — in both cases ONE DispatchBatch,
 // observable as consecutive counter values.
 func TestHybridBatchOneDispatchRun(t *testing.T) {
-	obj, _ := counterObj()
+	obj := &runCounter{}
 	h := newFrozenHybrid(obj, Options{})
 	hd, err := h.NewHandle()
 	if err != nil {
@@ -232,7 +244,7 @@ func TestHybridBatchOneDispatchRun(t *testing.T) {
 		promote bool
 	}{{"lock", false}, {"delegation", true}} {
 		forceMode(h, phase.promote)
-		runsBefore := h.dRuns.Load()
+		runsBefore := obj.runs
 		hd.ApplyBatch(reqs, results)
 		for j := 1; j < batch; j++ {
 			if results[j] != results[j-1]+1 {
@@ -240,11 +252,41 @@ func TestHybridBatchOneDispatchRun(t *testing.T) {
 					phase.mode, j, results[j], j-1, results[j-1])
 			}
 		}
-		if phase.promote {
-			if runs := h.dRuns.Load() - runsBefore; runs != 1 {
-				t.Fatalf("delegated batch took %d gate runs, want 1", runs)
-			}
+		if runs := obj.runs - runsBefore; runs != 1 {
+			t.Fatalf("%s mode: batch took %d dispatch runs, want 1", phase.mode, runs)
 		}
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHybridDemotesUnderOneHandlesBatches runs the live controller on
+// the edge where a round's own run is a batch: promoted, with one
+// handle's ApplyBatch(8) calls its only traffic, every combining round
+// serves its owner's run and combines nothing for anyone, so each
+// window's combining rate is 1 and the hybrid must demote after
+// hybridQuietWindows windows. Read as run length, the same traffic
+// measures 8 requests per run and the hybrid never demotes.
+func TestHybridDemotesUnderOneHandlesBatches(t *testing.T) {
+	obj, _ := counterObj()
+	h := NewHybrid(obj, Options{})
+	hd, err := h.NewHandle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forceMode(h, true)
+	const batch = 8
+	reqs := make([]Req, batch)
+	results := make([]uint64, batch)
+	// A batch is one round, so a window is h.window batches; one spare
+	// window covers the ticks' granularity.
+	for i := uint64(0); i < (hybridQuietWindows+1)*h.window; i++ {
+		hd.ApplyBatch(reqs, results)
+	}
+	if p, d := h.Transitions(); p != 1 || d != 1 {
+		t.Fatalf("after %d windows of one handle's batches: promotions=%d demotions=%d, want 1 and 1",
+			hybridQuietWindows+1, p, d)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
@@ -447,23 +489,16 @@ func TestHybridStatsScalarInvariant(t *testing.T) {
 // TestHybridLayout machine-verifies the padding of the hybrid's
 // per-handle transport, like the spin and hybcomb layout tests (its
 // counter cell is inside its Pipe, which TestHandlesLineAligned
-// checks), and that the demotion counters every delegated run writes
-// are at least a line away from mode, which every operation loads, and
-// from the controller state after them, wherever the executor is
-// placed.
+// checks), and that the controller's lock, which every tick writes, is
+// at least a line away from mode, which every operation loads,
+// wherever the executor is placed.
 func TestHybridLayout(t *testing.T) {
 	if size := unsafe.Sizeof(hybTransport{}); !pad.Padded(size) {
 		t.Errorf("hybTransport is %d bytes, not a whole number of cache lines", size)
 	}
 	var h Hybrid
 	modeEnd := unsafe.Offsetof(h.mode) + unsafe.Sizeof(h.mode)
-	if gap := unsafe.Offsetof(h.dRuns) - modeEnd; gap < pad.CacheLine {
-		t.Errorf("dRuns starts %d bytes after mode ends, want at least a line", gap)
-	}
-	if unsafe.Offsetof(h.dOps) != unsafe.Offsetof(h.dRuns)+unsafe.Sizeof(h.dRuns) {
-		t.Errorf("dOps (at %d) does not follow dRuns (at %d)", unsafe.Offsetof(h.dOps), unsafe.Offsetof(h.dRuns))
-	}
-	if gap := unsafe.Offsetof(h.ctlMu) - (unsafe.Offsetof(h.dOps) + unsafe.Sizeof(h.dOps)); gap < pad.CacheLine {
-		t.Errorf("ctlMu starts %d bytes after dOps ends, want at least a line", gap)
+	if gap := unsafe.Offsetof(h.ctlMu) - modeEnd; gap < pad.CacheLine {
+		t.Errorf("ctlMu starts %d bytes after mode ends, want at least a line", gap)
 	}
 }

@@ -207,23 +207,8 @@ type mpTransport struct {
 func (t *mpTransport) apply(op, arg uint64) uint64 {
 	t.s.reqs.Send(mpq.Words3(t.id, op, arg))
 	t.s.published(t.s)
-	v, _ := t.reply(true)
+	v, _ := recvReply(t.resp, &t.wb, true)
 	return v
-}
-
-// reply receives the next reply word; with block it waits for it on
-// wb, so the wait runs in the Reply role and the stall watchdog and the
-// schedule perturber see it whether or not the watchdog is armed.
-func (t *mpTransport) reply(block bool) (uint64, bool) {
-	m, ok := t.resp.TryRecv()
-	if !ok && block {
-		t.wb.Reset()
-		for !ok {
-			t.wb.Wait()
-			m, ok = t.resp.TryRecv()
-		}
-	}
-	return m.W[0], ok
 }
 
 // Run implements Transport: the run up to the window's room is copied
@@ -261,7 +246,7 @@ func (t *mpTransport) Run(reqs []Req, _ []uint64, room int) (owed int) {
 // goroutine this one's processor should run — it yields first.
 func (t *mpTransport) Next(block bool) (uint64, bool) {
 	if t.ready == 0 {
-		n, ok := t.reply(block)
+		n, ok := recvReply(t.resp, &t.wb, block)
 		if !ok {
 			return 0, false
 		}

@@ -79,6 +79,22 @@ type Owing interface {
 	Next(block bool) (val uint64, ok bool)
 }
 
+// recvReply is both Owing transports' reply wait: it receives the next
+// one-word reply off q, and with block it waits for it on w, so the
+// wait runs in w's role and the stall watchdog and the schedule
+// perturber see it whether or not the watchdog is armed.
+func recvReply(q mpq.Queue, w *backoff.Watched, block bool) (uint64, bool) {
+	m, ok := q.TryRecv()
+	if !ok && block {
+		w.Reset()
+		for !ok {
+			w.Wait()
+			m, ok = q.TryRecv()
+		}
+	}
+	return m.W[0], ok
+}
+
 // pipeSpec is what a construction's NewHandle assembles a handle from.
 type pipeSpec struct {
 	Transport Transport

@@ -107,15 +107,15 @@ func (s *Shell) arm(w *backoff.Watched, label string) {
 // depth), so a count is a load and a store on a line the handle owns,
 // not a read-modify-write on a line the executor's handles share. The
 // atomics make the executor's read race-free: the hybrid's controller
-// takes it under load.
+// takes it under load, and reads nothing else.
 type counts struct {
 	rounds, combined, retries, stalls, depth atomic.Uint64
 
 	next *counts // the cell of the executor's previous handle, set before the cell is listed
 }
 
-// bump adds n to w, a count with one writer at a time: a cell's owner
-// (or the hybrid's controller, under its lock, for its transitions).
+// bump adds n to w, a count of a cell, which only the cell's owner
+// writes.
 func bump(w *atomic.Uint64, n uint64) { w.Store(w.Load() + n) }
 
 // round counts one combining round that served combined requests for

@@ -43,17 +43,17 @@ import (
 	"hybsync/internal/pad"
 )
 
-// Msg is one hardware-style message: N words of payload (1..3).
+// Msg is one hardware-style message: up to three words of payload,
+// whose count the frame's receiver knows from its role.
 type Msg struct {
-	N int
 	W [3]uint64
 }
 
 // Word builds a 1-word message.
-func Word(v uint64) Msg { return Msg{N: 1, W: [3]uint64{v}} }
+func Word(v uint64) Msg { return Msg{W: [3]uint64{v}} }
 
 // Words3 builds a 3-word message (the request frame {id, op, arg}).
-func Words3(a, b, c uint64) Msg { return Msg{N: 3, W: [3]uint64{a, b, c}} }
+func Words3(a, b, c uint64) Msg { return Msg{W: [3]uint64{a, b, c}} }
 
 // Queue is a bounded FIFO with blocking Send/Recv, non-blocking TryRecv
 // (the paper's is_queue_empty + receive idiom), and batched receive for

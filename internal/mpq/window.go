@@ -1,7 +1,5 @@
 package mpq
 
-import "hybsync/internal/backoff"
-
 // Window is the ticket window of one submission pipeline: a slot per
 // issued ticket, in a growable deque indexed by the ticket's sequence
 // number. It is the one place ticket state lives — the handle pipeline
@@ -159,30 +157,6 @@ func (w *Window) trim() {
 	for w.base != w.next && w.slots[w.base&w.mask].state == slotRetired {
 		w.base++
 	}
-}
-
-// RecvWord receives the next message of q, a one-word completion, the
-// way a pipeline's transport needs it: without block it returns
-// ok=false rather than wait; with block it waits under w's stall
-// watchdog — with w armed the blocking loop is driven here, so the
-// watchdog can observe a message that never comes; disarmed, the
-// queue's own (cheaper) blocking receive does the waiting.
-func RecvWord(q Queue, w *backoff.Watched, block bool) (val uint64, ok bool) {
-	m, ok := q.TryRecv()
-	switch {
-	case ok:
-	case !block:
-		return 0, false
-	case !w.Active():
-		m = q.Recv()
-	default:
-		w.Reset()
-		for !ok {
-			w.Wait()
-			m, ok = q.TryRecv()
-		}
-	}
-	return m.W[0], true
 }
 
 // Ticketed numbers the messages of a FIFO queue as a completion stream:
