@@ -11,6 +11,7 @@
 //
 // Run everything:  go test -bench=. -benchmem
 // One figure:      go test -bench=BenchmarkSimFigure/3a -benchtime=1x
+// Fixed path:      go test -run '^$' -bench ApplyUncontended -cpu 1
 package hybsync_test
 
 import (
@@ -55,6 +56,25 @@ func BenchmarkSimFigure(b *testing.B) {
 }
 
 // --- Native-layer benchmarks -------------------------------------------
+
+// BenchmarkApplyUncontended is each built-in construction's fixed
+// per-operation path alone: one handle, blocking Apply of v += arg, and
+// nothing else running. It is the layer whose locked instructions
+// TestFenceBudget counts; run it at -cpu 1 to compare parent and change.
+func BenchmarkApplyUncontended(b *testing.B) {
+	for _, algo := range requiredAlgos {
+		b.Run(algo, func(b *testing.B) {
+			var v uint64
+			ex := hybsync.MustNewObject(algo, hybsync.Func(func(_, arg uint64) uint64 { v += arg; return v }))
+			defer ex.Close()
+			h := hybsync.MustHandle(ex)
+			b.ResetTimer()
+			for range b.N {
+				h.Apply(0, 1)
+			}
+		})
+	}
+}
 
 // nativeAlgos enumerates the native constructions for benching, by
 // their registry names.

@@ -61,7 +61,12 @@ type Ticket = core.Ticket
 // executes many of its owner's operations as one round, so there
 // rounds + combined <= ops. Read only at pipeline quiescence: every
 // handle with submissions outstanding has been flushed (or fully
-// waited) first.
+// waited) first. The counters are plain words each handle's goroutine
+// writes, so the read is race-free only for a reader that has
+// synchronized with every one of them: each has returned from its last
+// call (a Flush, a Wait, or a Close it made), and that return happens
+// before the read — the reader is that goroutine, or has waited for it
+// with a WaitGroup or a channel.
 type StatsSource = core.StatsSource
 
 // PipelineStats is implemented by the pipelining constructions
@@ -70,6 +75,7 @@ type StatsSource = core.StatsSource
 // backpressure counters of the submission pipeline (SubmitStalls =
 // submissions that found the pipeline full, MaxDepth = deepest
 // in-flight window any handle reached). Read at pipeline quiescence,
+// by a reader that has synchronized with every handle's goroutine,
 // like StatsSource.
 type PipelineStats = core.PipelineStats
 
@@ -77,7 +83,8 @@ type PipelineStats = core.PipelineStats
 // and "hybrid"): Retries counts the lock acquisitions that queued
 // behind a predecessor on the MCS lock, one per acquisition. It is the
 // contention signal the adaptive hybrid promotes on. Read at pipeline
-// quiescence, like StatsSource.
+// quiescence, by a reader that has synchronized with every handle's
+// goroutine, like StatsSource.
 type RetryStats = core.RetryStats
 
 // AdaptiveStats is implemented by the adaptive constructions

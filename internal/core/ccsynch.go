@@ -59,19 +59,43 @@ type ccSynchHot struct {
 // cache line (verified by TestNodeLayout) to keep separately-allocated
 // nodes from false-sharing; run is one pointer rather than the run's two
 // slice headers, which would take the cell to two lines.
+//
+// wait and next are the two fields another thread reads while the cell
+// is on the chain. They are plain words with atomic accessors (waiting,
+// release, link, linked) rather than atomic types, so that publish can
+// write them plainly while the cell is still private — wait as a uint32
+// and next as a pointer whose plain write keeps the compiler's write
+// barrier.
 type ccNodeHot struct {
-	wait      atomic.Bool
+	wait      uint32 // 1 while the owner must spin; cleared by release
 	completed bool
 	op        uint64
 	arg       uint64
 	ret       uint64
 	run       *ccRun
-	next      atomic.Pointer[ccNode]
+	next      *ccNode // set by link
 }
 
 type ccNode struct {
 	ccNodeHot
 	_ [pad.CacheLine - unsafe.Sizeof(ccNodeHot{})%pad.CacheLine]byte
+}
+
+// waiting reports whether the cell's owner must still spin.
+func (n *ccNode) waiting() bool { return atomic.LoadUint32(&n.wait) != 0 }
+
+// release clears the cell's wait flag: its owner stops spinning, and
+// sees every write made to the cell before the release.
+func (n *ccNode) release() { atomic.StoreUint32(&n.wait, 0) }
+
+// link publishes next as the cell after n, once n's request is filled.
+func (n *ccNode) link(next *ccNode) {
+	atomic.StorePointer((*unsafe.Pointer)(unsafe.Pointer(&n.next)), unsafe.Pointer(next))
+}
+
+// linked is the cell after n, or nil while none is linked.
+func (n *ccNode) linked() *ccNode {
+	return (*ccNode)(atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(&n.next))))
 }
 
 // ccRun is a deferred run as its cell publishes it: the requests, and
@@ -170,17 +194,30 @@ type ccTransport struct {
 // publish is the submission half of CC-Synch: swap the spare node onto
 // the tail and fill the previous tail with our request, (op, arg) or
 // run. The returned cell is the request's completion point.
+//
+// The spare is written plainly. It is private until the tail swap: the
+// handle took it back from a cell whose release it observed, and every
+// access by the combiner that released it happened before that
+// release. Two threads reach it after the swap, and both through an
+// atomic operation that follows the swap in this goroutine's order:
+// the next publisher, whose own tail swap returns it and so observes
+// ours, and a combiner, whose linked() load returns it and so observes
+// our link store. Each therefore reads the three fields as written here
+// (go.dev/ref/mem: an atomic operation observed by another is
+// synchronized before it). The swap, the link store, and the release
+// and hand-off stores stay atomic: each is what publishes a write to a
+// thread that may already be reading the cell.
 func (h *ccTransport) publish(op, arg uint64, run *ccRun) *ccNode {
 	nextNode := h.node
-	nextNode.wait.Store(true)
+	nextNode.wait = 1
 	nextNode.completed = false
-	nextNode.next.Store(nil)
+	nextNode.next = nil
 
 	cur := h.c.tail.Swap(nextNode)
 	cur.op = op
 	cur.arg = arg
 	cur.run = run
-	cur.next.Store(nextNode) // publish after filling the request
+	cur.link(nextNode) // publish after filling the request
 	return cur
 }
 
@@ -216,7 +253,7 @@ func (h *ccTransport) flushRun(cur *ccNode) {
 		}
 		if cell != cur {
 			cell.completed = true
-			cell.wait.Store(false)
+			cell.release()
 		}
 	}
 	h.cells = h.cells[:0]
@@ -227,9 +264,9 @@ func (h *ccTransport) flushRun(cur *ccNode) {
 // handed us the duty, and takes the served cell back as the next spare.
 // It returns the result of an (op, arg) cell.
 func (h *ccTransport) complete(cur *ccNode) uint64 {
-	if cur.wait.Load() {
+	if cur.waiting() {
 		h.wb.Reset()
-		for cur.wait.Load() {
+		for cur.waiting() {
 			h.wb.Wait()
 		}
 	}
@@ -254,7 +291,7 @@ func (h *ccTransport) combine(cur *ccNode) {
 	// The condition reads MaxOps, on the tail's line, before each next
 	// load: the delay that gives a publisher time to link (see CCSynch).
 	for count < c.Opts.MaxOps {
-		next := tmp.next.Load()
+		next := tmp.linked()
 		if next == nil {
 			break
 		}
@@ -282,7 +319,7 @@ func (h *ccTransport) combine(cur *ccNode) {
 	}
 	h.flushRun(cur)
 	// Hand over: the owner of tmp wakes with completed=false and combines.
-	tmp.wait.Store(false)
+	tmp.release()
 	h.cnt.round(uint64(count - own))
 }
 

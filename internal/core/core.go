@@ -237,6 +237,15 @@ type Handle interface {
 // flushed (or fully waited) and no new operation is issued until the
 // read returns.
 //
+// The quiescence rule, which PipelineStats and RetryStats share: the
+// counters are plain words, each written only by its handle's
+// goroutine, so a read is race-free, and exact, only for a reader that
+// has synchronized with every writer. Each handle's goroutine must have
+// returned from its last call — its Flush, its last Wait, or a Close
+// it made itself — and that return must happen before the read: the
+// reader is that goroutine, or it has waited for it (WaitGroup.Wait, a
+// channel receive). A read while handles run is a data race.
+//
 // Counter semantics (the canonical statement — DESIGN.md and benchfmt
 // comments defer here): rounds counts combining rounds, i.e.
 // mutual-exclusion acquisitions that serviced at least one operation;
@@ -281,7 +290,8 @@ type TelemetrySource interface {
 // full and had to absorb or settle an older operation before they
 // could proceed; MaxDepth is the deepest in-flight window any handle
 // has reached. Like Stats, read only at pipeline quiescence (every
-// handle flushed).
+// handle flushed), by a reader that has synchronized with every
+// handle's goroutine (see StatsSource).
 type PipelineStats interface {
 	Pipeline() (submitStalls, maxDepth uint64)
 }
@@ -291,7 +301,8 @@ type PipelineStats interface {
 // Retries reports, across all handles, the acquisitions that queued
 // behind a predecessor — a retry is one acquisition that queued. It is
 // the lock-side contention gauge the adaptive hybrid executor promotes
-// on. Like Stats, exact only at quiescence.
+// on. Like Stats, read only at quiescence, by a reader that has
+// synchronized with every handle's goroutine (see StatsSource).
 type RetryStats interface {
 	Retries() uint64
 }

@@ -36,7 +36,7 @@ func HybridBackend(h *Hybrid) *CCSynch { return h.inner }
 
 // HybCombLastCombiner is the thread id on h's last registered combiner
 // node: the thread that promoted itself last (-1 before anyone did).
-func HybCombLastCombiner(h *HybComb) int32 { return h.lastReg.Load().threadID.Load() }
+func HybCombLastCombiner(h *HybComb) int32 { return h.lastReg.Load().id() }
 
 // CCSynchLinks returns a wait for the next cell linked into c's chain:
 // each call returns once a cell is linked behind the end the previous
@@ -46,10 +46,10 @@ func HybCombLastCombiner(h *HybComb) int32 { return h.lastReg.Load().threadID.Lo
 func CCSynchLinks(c *CCSynch) (awaitLink func()) {
 	last := c.tail.Load()
 	return func() {
-		for last.next.Load() == nil {
+		for last.linked() == nil {
 			runtime.Gosched()
 		}
-		last = last.next.Load()
+		last = last.linked()
 	}
 }
 

@@ -84,14 +84,26 @@ type hybCombHot struct {
 // FAA nOps while the successor spins on done), so each lives on its own
 // cache line; the pads are sized from the fields themselves and the
 // layout is machine-verified by TestHybCombNodeLayout.
+//
+// threadID and done are plain words with atomic readers (id, over), so
+// that the combiner that takes a node back can re-arm them plainly
+// before it registers the node again (see combineBatch). nOps stays an
+// atomic type: a thread that loaded the node as lastReg long ago may
+// FAA it at any time.
 type hcNode struct {
-	threadID atomic.Int32
-	_        [pad.CacheLine - unsafe.Sizeof(atomic.Int32{})%pad.CacheLine]byte
+	threadID int32
+	_        [pad.CacheLine - unsafe.Sizeof(int32(0))%pad.CacheLine]byte
 	nOps     atomic.Int32
 	_        [pad.CacheLine - unsafe.Sizeof(atomic.Int32{})%pad.CacheLine]byte
-	done     atomic.Bool
-	_        [pad.CacheLine - unsafe.Sizeof(atomic.Bool{})%pad.CacheLine]byte
+	done     uint32 // 1 once the round registered under the node is over
+	_        [pad.CacheLine - unsafe.Sizeof(uint32(0))%pad.CacheLine]byte
 }
+
+// id is the thread the node registers rounds for.
+func (n *hcNode) id() int32 { return atomic.LoadInt32(&n.threadID) }
+
+// over reports whether the round registered under the node has ended.
+func (n *hcNode) over() bool { return atomic.LoadUint32(&n.done) != 0 }
 
 // NewHybComb creates the structure. Unlike MPServer there is no
 // background goroutine: threads combine for each other on demand, an
@@ -106,10 +118,8 @@ func NewHybComb(obj Object, opts Options) *HybComb {
 	// The initial node {⊥, MAX_OPS, true}: full, so the first thread
 	// fails registration and promotes itself; done, so it proceeds
 	// immediately.
-	init := &hcNode{}
-	init.threadID.Store(-1)
+	init := &hcNode{threadID: -1, done: 1}
 	init.nOps.Store(h.Opts.MaxOps)
-	init.done.Store(true)
 	h.lastReg.Store(init)
 	h.departed.Store(init)
 	return h
@@ -128,8 +138,7 @@ func (h *HybComb) NewHandle() (Handle, error) {
 	// round — serialized in time, but many producers over the queue's
 	// lifetime, hence Mpsc rather than Spsc.
 	h.resp[id] = mpq.NewMpsc(h.Opts.QueueCap)
-	n := &hcNode{}
-	n.threadID.Store(int32(id))
+	n := &hcNode{threadID: int32(id)}
 	n.nOps.Store(h.Opts.MaxOps) // parked: nobody can register with it
 	t := &hcTransport{hcTransportHot: hcTransportHot{
 		h:      h,
@@ -222,15 +231,15 @@ func (hd *hcTransport) acquire(op, arg uint64) bool {
 		if lastReg.nOps.Add(1)-1 < h.Opts.MaxOps {
 			// Lines 13-14: registered; ship the request. The response
 			// arrives on our response queue once the combiner serves it.
-			h.inbox[lastReg.threadID.Load()].Send(mpq.Words3(uint64(hd.id), op, arg))
+			h.inbox[lastReg.id()].Send(mpq.Words3(uint64(hd.id), op, arg))
 			return true
 		}
 		// Line 17: promote ourselves to combiner.
 		if h.lastReg.CompareAndSwap(lastReg, hd.myNode) {
-			hd.myNode.nOps.Store(0)   // line 18
-			if !lastReg.done.Load() { // lines 19-20
+			hd.myNode.nOps.Store(0) // line 18
+			if !lastReg.over() {    // lines 19-20
 				hd.wb.Reset()
-				for !lastReg.done.Load() {
+				for !lastReg.over() {
 					hd.wb.Wait()
 				}
 			}
@@ -242,7 +251,7 @@ func (hd *hcTransport) acquire(op, arg uint64) bool {
 // Next implements Owing: the oldest response to a registered request,
 // off the thread's queue.
 func (hd *hcTransport) Next(block bool) (uint64, bool) {
-	return recvReply(hd.resp, &hd.respWB, block)
+	return recvReply(&hd.resp.Ring, &hd.respWB, block)
 }
 
 // Run implements Transport: each request registers with the current
@@ -350,11 +359,24 @@ func (hd *hcTransport) combineBatch(own []Req, results []uint64) {
 	// release our successor. We take the node the previous combiner
 	// left behind — we were the thread spinning on it, so we are the
 	// one thread entitled to reset its done flag.
+	//
+	// The re-arm is two plain writes: neither field has another
+	// accessor until our lastReg CAS registers the node again. done is
+	// read only by the thread whose CAS replaced the node as lastReg:
+	// that was us, in the round that just ended, and next time it is a
+	// thread whose CAS observes ours. threadID is read only by a thread
+	// whose FAA on nOps granted it a ticket. In the node's last round
+	// that thread sent its request before the predecessor received it
+	// and departed, and our departed.Swap observes that departure; in
+	// the node's next round its FAA observes our nOps.Store(0), which
+	// follows our CAS. Either way the read and the write are ordered
+	// (go.dev/ref/mem). The release of our successor, and the swap,
+	// stay atomic: another thread is already waiting to observe them.
 	oldNode := hd.myNode
 	hd.myNode = h.departed.Swap(oldNode)
-	hd.myNode.done.Store(false)
-	hd.myNode.threadID.Store(hd.id)
-	oldNode.done.Store(true)
+	hd.myNode.done = 0
+	hd.myNode.threadID = hd.id
+	atomic.StoreUint32(&oldNode.done, 1)
 
 	hd.cnt.round(uint64(opsCompleted))
 }

@@ -33,12 +33,14 @@ import (
 //
 // The contention signal is the lock executor's: each acquisition
 // reports whether it found a predecessor in the gate queue (a contended
-// acquisition), counted in the handle's counter cell. The
-// controller — piggybacked on operation ticks, guarded by a TryLock so
-// it never serializes the data path — reads nothing but those cells
-// (Shell.totals), as deltas from one baseline. It promotes when the
-// contended fraction over a window of at least hybridWindow served
-// requests reaches hybridPromote. In delegation mode the signal
+// acquisition), counted in the handle's counter cell. Every
+// hybridTickEvery operations a handle publishes its cell's rounds,
+// combined, retries and stalls into atomic words (counts.publish), and
+// the controller — piggybacked on those ticks, guarded by a TryLock so
+// it never serializes the data path — reads nothing but the published
+// words (Shell.published), as deltas from one baseline. It promotes
+// when the contended fraction over a window of at least hybridWindow
+// served requests reaches hybridPromote. In delegation mode the signal
 // inverts: the backend's combiners count their rounds and the requests
 // they combined for other threads in the same cells, and the
 // controller demotes only after hybridQuietWindows consecutive windows
@@ -209,7 +211,7 @@ func (h *Hybrid) maybeAdapt() {
 	if h.Poisoned() {
 		return
 	}
-	t, b := h.totals(), h.ctl.last
+	t, b := h.published(), h.ctl.last
 	rounds, served := t.rounds-b.rounds, t.rounds+t.combined-b.rounds-b.combined
 	if served < h.window {
 		return
@@ -238,7 +240,7 @@ func (h *Hybrid) flip(from, to uint32) {
 	if !h.mode.CompareAndSwap(from, to) {
 		return
 	}
-	h.ctl.last = h.totals()
+	h.ctl.last = h.published()
 	h.ctl.quiet = 0
 	h.ctl.into[to]++
 }
@@ -286,13 +288,16 @@ func (hd *hybTransport) align() uint32 {
 }
 
 // tick counts n operations towards the next controller poke, one every
-// hybridTickEvery operations.
+// hybridTickEvery operations, which publishes the handle's counts
+// first: the controller then reads them, as of this tick, even if this
+// handle's poke finds it busy.
 func (hd *hybTransport) tick(n int) {
 	if uint32(n) < hd.winTick {
 		hd.winTick -= uint32(n)
 		return
 	}
 	hd.winTick = hybridTickEvery
+	hd.cnt.publish()
 	hd.h.maybeAdapt()
 }
 

@@ -104,12 +104,10 @@ func (e *LockExecutor) newClient() lockClientHot {
 // never wedged; they observe the poisoned zero instead. The run is
 // never owed, so the window's room does not bound it.
 func (h *lockClientHot) Run(reqs []Req, rets []uint64, _ int) (owed int) {
-	if r := h.lock.LockCounted(); r != 0 {
-		bump(&h.cnt.retries, r)
-	}
+	h.cnt.retries += h.lock.LockCounted()
 	h.e.PoisonLatch.Dispatch(h.e.obj, reqs, rets)
 	h.lock.Unlock()
-	bump(&h.cnt.rounds, 1)
+	h.cnt.rounds++
 	h.rec.RunLen(len(reqs))
 	return 0
 }

@@ -207,7 +207,7 @@ type mpTransport struct {
 func (t *mpTransport) apply(op, arg uint64) uint64 {
 	t.s.reqs.Send(mpq.Words3(t.id, op, arg))
 	t.s.published(t.s)
-	v, _ := recvReply(t.resp, &t.wb, true)
+	v, _ := recvReply(&t.resp.Ring, &t.wb, true)
 	return v
 }
 
@@ -246,7 +246,7 @@ func (t *mpTransport) Run(reqs []Req, _ []uint64, room int) (owed int) {
 // goroutine this one's processor should run — it yields first.
 func (t *mpTransport) Next(block bool) (uint64, bool) {
 	if t.ready == 0 {
-		n, ok := recvReply(t.resp, &t.wb, block)
+		n, ok := recvReply(&t.resp.Ring, &t.wb, block)
 		if !ok {
 			return 0, false
 		}

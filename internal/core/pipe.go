@@ -82,8 +82,10 @@ type Owing interface {
 // recvReply is both Owing transports' reply wait: it receives the next
 // one-word reply off q, and with block it waits for it on w, so the
 // wait runs in w's role and the stall watchdog and the schedule
-// perturber see it whether or not the watchdog is armed.
-func recvReply(q mpq.Queue, w *backoff.Watched, block bool) (uint64, bool) {
+// perturber see it whether or not the watchdog is armed. q is the ring
+// both reply queues embed (MP-SERVER's Spsc, HybComb's Mpsc), so the
+// receive is a direct call that inlines, not an interface call.
+func recvReply(q *mpq.Ring, w *backoff.Watched, block bool) (uint64, bool) {
 	m, ok := q.TryRecv()
 	if !ok && block {
 		w.Reset()
@@ -271,7 +273,7 @@ func (p *Pipe) settle(block bool) bool {
 // by settling the oldest when the window is full (a submit stall).
 func (p *Pipe) makeRoom() {
 	if p.win.InFlight() >= p.spec.Depth {
-		bump(&p.cnt.stalls, 1)
+		p.cnt.stalls++
 		if p.spec.Latch != nil {
 			p.spec.Latch.Tel.NoteSubmitStall()
 		}
@@ -283,8 +285,8 @@ func (p *Pipe) makeRoom() {
 // the handle's depth count to the window's new in-flight depth.
 func (p *Pipe) issue() uint64 {
 	seq := p.win.Issue()
-	if d := uint64(p.win.InFlight()); d > p.cnt.depth.Load() {
-		p.cnt.depth.Store(d)
+	if d := uint64(p.win.InFlight()); d > p.cnt.depth {
+		p.cnt.depth = d
 	}
 	return seq
 }

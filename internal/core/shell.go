@@ -103,26 +103,46 @@ func (s *Shell) arm(w *backoff.Watched, label string) {
 // which is a round of the holder's own run — the requests it combined
 // in them for other threads, the acquisitions that queued behind a
 // predecessor, its submit stalls and the deepest its window reached.
-// Only the handle's goroutine writes the cell (bump, and Pipe.issue's
-// depth), so a count is a load and a store on a line the handle owns,
-// not a read-modify-write on a line the executor's handles share. The
-// atomics make the executor's read race-free: the hybrid's controller
-// takes it under load, and reads nothing else.
+// Only the handle's goroutine writes the five counts (its transport,
+// and its Pipe's stalls and depth), so they are plain words on a line
+// the handle owns: a count is an add, not a read-modify-write on a line
+// the executor's handles share, and on amd64 not an XCHG either, which
+// is what a Go atomic store compiles to. A plain word is race-free only
+// for a reader that has synchronized with its writer, which is what
+// Stats, Retries and Pipeline promise (see StatsSource).
+//
+// The one reader that runs while handles are active is the hybrid's
+// controller. It reads pub, which the handle refreshes from the counts
+// every hybridTickEvery operations (publish), and never the counts.
 type counts struct {
-	rounds, combined, retries, stalls, depth atomic.Uint64
+	rounds, combined, retries, stalls, depth uint64
+
+	pub signal // the counts as of the handle's last publish, for the hybrid's controller
 
 	next *counts // the cell of the executor's previous handle, set before the cell is listed
 }
 
-// bump adds n to w, a count of a cell, which only the cell's owner
-// writes.
-func bump(w *atomic.Uint64, n uint64) { w.Store(w.Load() + n) }
+// signal is the part of a handle's counts the hybrid's controller
+// reads while the handle runs: atomic words, stored by the owner at
+// each publish and loaded by the controller.
+type signal struct {
+	rounds, combined, retries, stalls atomic.Uint64
+}
 
 // round counts one combining round that served combined requests for
 // other threads. Owner only.
 func (c *counts) round(combined uint64) {
-	bump(&c.rounds, 1)
-	bump(&c.combined, combined)
+	c.rounds++
+	c.combined += combined
+}
+
+// publish copies the counts the hybrid's controller reads into pub.
+// Owner only; four stores every hybridTickEvery operations.
+func (c *counts) publish() {
+	c.pub.rounds.Store(c.rounds)
+	c.pub.combined.Store(c.combined)
+	c.pub.retries.Store(c.retries)
+	c.pub.stalls.Store(c.stalls)
 }
 
 // totals is an executor's counts: its handles' cells summed, depth the
@@ -152,15 +172,35 @@ func (s *Shell) handle(spec pipeSpec) *Pipe {
 }
 
 // totals sums the cells of the handles built by handle. It is what
-// Stats, Retries and Pipeline read, exact only at quiescence, and the
-// hybrid's controller reads it under load.
+// Stats, Retries and Pipeline read: plain words, so only a reader that
+// has synchronized with every handle's goroutine may call it (see
+// StatsSource).
 func (s *Shell) totals() (t totals) {
 	for c := s.cells.Load(); c != nil; c = c.next {
-		t.rounds += c.rounds.Load()
-		t.combined += c.combined.Load()
-		t.retries += c.retries.Load()
-		t.stalls += c.stalls.Load()
-		t.depth = max(t.depth, c.depth.Load())
+		t.rounds += c.rounds
+		t.combined += c.combined
+		t.retries += c.retries
+		t.stalls += c.stalls
+		t.depth = max(t.depth, c.depth)
 	}
 	return t
+}
+
+// published sums the cells' published words: the hybrid controller's
+// read, race-free while the handles run, each handle's part as of its
+// last publish. depth is not published and reads 0.
+func (s *Shell) published() (t totals) {
+	for c := s.cells.Load(); c != nil; c = c.next {
+		c.pub.addTo(&t)
+	}
+	return t
+}
+
+// addTo adds the published words to t. A helper, so that published's
+// loop has a call in its body and is not mistaken for a spin.
+func (p *signal) addTo(t *totals) {
+	t.rounds += p.rounds.Load()
+	t.combined += p.combined.Load()
+	t.retries += p.retries.Load()
+	t.stalls += p.stalls.Load()
 }

@@ -25,7 +25,7 @@
 //     single fetch-and-add instead of a CAS retry loop; the consumer
 //     never CASes.
 //
-// Both rings speak one stamped-cell protocol (see ring): a message is
+// Both rings speak one stamped-cell protocol (see Ring): a message is
 // one cache line the producer writes and the consumer reads, and
 // nothing else crosses cores per message.
 //
@@ -118,9 +118,13 @@ func ringSize(cap int) int {
 	return n
 }
 
-// ring is what Spsc and Mpsc share: the stamped cells and the whole
+// Ring is what Spsc and Mpsc share: the stamped cells and the whole
 // consumer half of the protocol. The two rings differ only in how a
-// producer claims a position and learns that its cell is free.
+// producer claims a position and learns that its cell is free. It is
+// exported so that a consumer holding either ring can receive through
+// the concrete type, whose TryRecv inlines, rather than through Queue.
+// It has no constructor: a Ring is only ever the one inside an Spsc or
+// an Mpsc.
 //
 // The message at position pos lives in cells[pos&mask] and is published
 // by stamping that cell's seq with pos+1 — a value no other lap of the
@@ -145,7 +149,7 @@ func ringSize(cap int) int {
 //
 // Exactly one goroutine may call the receive methods over the ring's
 // lifetime; Empty is safe from anywhere but advisory.
-type ring struct {
+type Ring struct {
 	_ pad.Line
 	// deq is written only by the consumer; producers read it only when
 	// the ring looks full.
@@ -157,13 +161,13 @@ type ring struct {
 	cells []ringCell
 }
 
-func (r *ring) init(cap int) {
+func (r *Ring) init(cap int) {
 	n := ringSize(cap)
 	r.mask, r.bound, r.cells = uint64(n-1), uint64(max(cap, 2)), make([]ringCell, n)
 }
 
 // Recv implements Queue. Consumer-side only.
-func (r *ring) Recv() Msg {
+func (r *Ring) Recv() Msg {
 	var b backoff.Backoff
 	for {
 		if m, ok := r.TryRecv(); ok {
@@ -177,7 +181,7 @@ func (r *ring) Recv() Msg {
 // when the ring is empty and when the head cell is claimed by a
 // producer that has not yet stamped it: an unpublished message is not
 // receivable, exactly as an in-flight hardware packet is not.
-func (r *ring) TryRecv() (Msg, bool) {
+func (r *Ring) TryRecv() (Msg, bool) {
 	pos := r.deq.Load() // own field
 	cell := &r.cells[pos&r.mask]
 	if cell.seq.Load() != pos+1 {
@@ -189,12 +193,12 @@ func (r *ring) TryRecv() (Msg, bool) {
 }
 
 // RecvBatch implements Queue. Consumer-side only.
-func (r *ring) RecvBatch(buf []Msg) int { return recvBatchBlocking(r, buf) }
+func (r *Ring) RecvBatch(buf []Msg) int { return recvBatchBlocking(r, buf) }
 
 // TryRecvBatch implements Queue. Consumer-side only: it walks the run
 // of already-published cells and advances deq once at the end, so the
 // producer-visible synchronization cost is one store per batch.
-func (r *ring) TryRecvBatch(buf []Msg) int {
+func (r *Ring) TryRecvBatch(buf []Msg) int {
 	pos := r.deq.Load()
 	n := 0
 	for n < len(buf) {
@@ -214,7 +218,7 @@ func (r *ring) TryRecvBatch(buf []Msg) int {
 
 // Empty implements Queue. Advisory; a stamp other than pos+1 covers
 // both genuinely empty and "head cell claimed but not yet written".
-func (r *ring) Empty() bool {
+func (r *Ring) Empty() bool {
 	pos := r.deq.Load()
 	return r.cells[pos&r.mask].seq.Load() != pos+1
 }

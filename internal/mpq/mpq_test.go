@@ -329,12 +329,12 @@ func TestMsgConstructors(t *testing.T) {
 
 // ringOf exposes the stamped-cell state of either production ring, so
 // the protocol tests run over both.
-func ringOf(q Queue) *ring {
+func ringOf(q Queue) *Ring {
 	switch q := q.(type) {
 	case *Spsc:
-		return &q.ring
+		return &q.Ring
 	case *Mpsc:
-		return &q.ring
+		return &q.Ring
 	}
 	panic("not a stamped-cell ring")
 }
@@ -523,7 +523,7 @@ func TestLayout(t *testing.T) {
 		unsafe.Offsetof(s.deq)) {
 		t.Error("Spsc: producer words (enq+deqCache) and deq share a cache line")
 	}
-	var r ring
+	var r Ring
 	if pad.SameLine(unsafe.Offsetof(r.deq)+unsafe.Sizeof(r.deq)-1, unsafe.Offsetof(r.mask)) {
 		t.Error("ring: deq shares a cache line with the read-only geometry")
 	}

@@ -11,7 +11,7 @@ import (
 // request queue and the HybComb inboxes, where any thread may send but
 // only the owning thread receives. Producers claim a position with a
 // single fetch-and-add on enq — one atomic RMW per send, no retry loop —
-// and publish by stamping the cell (see ring). The single consumer
+// and publish by stamping the cell (see Ring). The single consumer
 // never performs an RMW and never writes a cell.
 //
 // Back-pressure: position pos may be written once deq > pos-bound.
@@ -37,7 +37,7 @@ type Mpsc struct {
 	// only rises; a lost raise leaves it lower, which is merely
 	// conservative.
 	deqSeen atomic.Uint64
-	ring
+	Ring
 }
 
 // NewMpsc creates a many-producers/single-consumer queue that holds cap

@@ -6,7 +6,7 @@ import (
 )
 
 // Spsc is the single-producer/single-consumer fast path: a bounded
-// stamped-cell ring (see ring) with no atomic read-modify-write at all.
+// stamped-cell ring (see Ring) with no atomic read-modify-write at all.
 // The producer's position is a private plain word — nobody else ever
 // reads it, because the consumer finds messages by their stamps — and
 // fullness is judged against a private snapshot of deq, refreshed only
@@ -25,7 +25,7 @@ type Spsc struct {
 	// position to write and a snapshot of deq.
 	enq      uint64
 	deqCache uint64
-	ring
+	Ring
 }
 
 // NewSpsc creates a single-producer/single-consumer queue that holds cap

@@ -23,8 +23,11 @@ type MCSLock struct {
 	tail atomic.Pointer[mcsNode]
 }
 
+// mcsNodeHot's locked flag is a plain word with atomic accessors
+// rather than an atomic type, so that LockCounted can set it plainly
+// while no other thread can reach it (see LockCounted).
 type mcsNodeHot struct {
-	locked atomic.Bool
+	locked uint32 // 1 while the owner must spin; cleared by the hand-off
 	next   atomic.Pointer[mcsNode]
 }
 
@@ -49,8 +52,9 @@ func (h *MCSHandle) Lock() { h.LockCounted() }
 
 // LockCounted is Lock reporting contention: 1 when the tail swap
 // revealed a predecessor to queue behind, 0 for the uncontended fast
-// path. The count feeds the lock handles' counter cells and, through
-// them, the adaptive hybrid executor's promotion signal.
+// path. The caller adds the result to its handle's counter cell, a
+// plain word, and the adaptive hybrid executor's promotion signal is
+// built from those cells.
 //
 // The node invariant — next is nil and locked is false whenever the
 // node is not enqueued — is restored by the contended handoff in
@@ -63,10 +67,17 @@ func (h *MCSHandle) LockCounted() uint64 {
 	if pred == nil {
 		return 0
 	}
-	n.locked.Store(true) // before the link: the releaser may clear it immediately
+	// Set before the link, because the releaser may clear it at once.
+	// The write is plain: locked has no other accessor until the link
+	// store below, and the predecessor's hand-off reaches n only through
+	// the atomic load of pred.next that observes that store, so the
+	// write happens before the hand-off's (go.dev/ref/mem). The last
+	// write before this one, the hand-off that ended n's previous wait,
+	// happened before that wait's final load did.
+	n.locked = 1
 	pred.next.Store(n)
 	var b backoff.Backoff
-	for n.locked.Load() {
+	for atomic.LoadUint32(&n.locked) != 0 {
 		b.Wait()
 	}
 	return 1
@@ -85,7 +96,7 @@ func (h *MCSHandle) Unlock() {
 			b.Wait() // successor is between SWAP and next.Store
 		}
 	}
-	next.locked.Store(false)
+	atomic.StoreUint32(&next.locked, 0)
 	// n is dequeued once the successor is known: no one links behind it
 	// again until its owner re-enqueues, so clearing next here (the
 	// contended path only, and off the hand-off's critical path)
