@@ -45,8 +45,8 @@ var fenceCalls = []string{"sync/atomic.", "internal/runtime/atomic."}
 // Each such instruction counts as often as its line ran, and the sum
 // over n is the count per Apply. A budgeted construction fails when that
 // exceeds its budget by half a fence or more: an amortized share below
-// that — the hybrid's controller tick, once every 256 operations — is
-// reported, not charged. Run with -v for the table DESIGN "Fence budget"
+// that — a store once every few hundred operations — is reported, not
+// charged. Run with -v for the table DESIGN "Fence budget"
 // reads. Like TestNoRawSpinLoops it checks the module's own code, here
 // as the amd64 compiler emits it, so it skips on other targets.
 func TestFenceBudget(t *testing.T) {

@@ -15,14 +15,15 @@ import (
 // whose wait clears with completed unset becomes the combiner, serving
 // up to MaxOps requests along the list. The combiner walks its chain
 // segment into a reusable request batch and executes each run as one
-// DispatchBatch call against the object (chunked at ccRunCap),
-// releasing the served cells after the run — the dispatch analogue of
-// the message-passing constructions' batched receives.
+// DispatchBatch call against the object (chunked at runCap; a run cell
+// is never split), releasing the served cells after the run — the
+// dispatch analogue of the message-passing constructions' batched
+// receives.
 //
 // Asynchronous submission defers, as on a lock handle (see
 // ccTransport.Run): Submit and Post join the pipeline's pending run and
 // publish nothing. When a completion is demanded the whole run is
-// published as ONE cell that points at it — one tail SWAP, one cell and
+// put on the chain as ONE cell that points at it — one tail SWAP, one cell and
 // one spin per window instead of one per operation — and the combiner
 // that walks the cell serves all of its requests. A handle therefore
 // has at most one cell on the chain, and its owner is spinning on it,
@@ -39,7 +40,7 @@ import (
 //
 // The tail pad makes the struct whole cache lines, so an executor is
 // placed on a line by its size alone rather than by the size class it
-// happens to fall in (TestCCSynchLineAligned).
+// happens to fall in (TestExecutorsLineAligned).
 type CCSynch struct {
 	ccSynchHot
 	_ [pad.CacheLine - unsafe.Sizeof(ccSynchHot{})%pad.CacheLine]byte
@@ -165,11 +166,11 @@ type ccTransportHot struct {
 	// swaps it onto the tail, and complete takes the served cell back in
 	// its place.
 	node *ccNode
-	// run is what the handle's cell points at while a run is published.
+	// run is what the handle's cell points at while a run is on the chain.
 	run ccRun
 
 	// Combiner-side batch scratch: the chain segment being served, its
-	// requests and their results (chunked at ccRunCap).
+	// requests and their results (chunked at runCap).
 	cells []*ccNode
 	creqs []Req
 	crets []uint64
@@ -220,12 +221,6 @@ func (h *ccTransport) publish(op, arg uint64, run *ccRun) *ccNode {
 	cur.link(nextNode) // publish after filling the request
 	return cur
 }
-
-// ccRunCap bounds one DispatchBatch run while combining, matching the
-// message-passing constructions' receive-buffer cap: a round of up to
-// MaxOps requests is served in runs of at most this many, except that a
-// run cell is never split.
-const ccRunCap = 256
 
 // flushRun executes the collected chain segment as one DispatchBatch,
 // scatters the results to the cells (a run cell's into its run's rets)
@@ -278,8 +273,8 @@ func (h *ccTransport) complete(cur *ccNode) uint64 {
 }
 
 // combine is the combiner: walk the chain starting at our own cell,
-// collecting each run of published requests into a reusable batch and
-// executing it as one DispatchBatch (chunked at ccRunCap). Cells release
+// collecting each run of requests on the chain into a reusable batch and
+// executing it as one DispatchBatch (chunked at runCap). Cells release
 // after their run executes — followers wait for the run, the
 // flat-combining trade for amortizing the dispatch indirection. MaxOps
 // counts requests, so a run cell that would take the round past it ends
@@ -302,7 +297,7 @@ func (h *ccTransport) combine(cur *ccNode) {
 		if count > 0 && count+n > c.Opts.MaxOps {
 			break
 		}
-		if len(h.creqs) > 0 && len(h.creqs)+int(n) > ccRunCap {
+		if len(h.creqs) > 0 && len(h.creqs)+int(n) > runCap {
 			h.flushRun(cur)
 		}
 		if tmp == cur {
@@ -330,7 +325,7 @@ func (h *ccTransport) combine(cur *ccNode) {
 func (h *ccTransport) apply(op, arg uint64) uint64 { return h.complete(h.publish(op, arg, nil)) }
 
 // Run implements Transport: the run — the pipeline's deferred
-// window, or a batch with nothing in flight — is published as ONE cell
+// window, or a batch with nothing in flight — goes on the chain as ONE cell
 // and completed on the spot: a spin until a combiner has served the
 // run, or, if the cell inherits the duty, a round that starts with the
 // whole run. The run's results are in rets when it returns, none owed,

@@ -182,22 +182,3 @@ func TestNodeLayout(t *testing.T) {
 		t.Fatalf("ccNode is %d bytes, want one %d-byte cache line", got, pad.CacheLine)
 	}
 }
-
-// TestCCSynchLineAligned pins what CCSynch's field order relies on (tail
-// on the line of the latch and MaxOps): the struct is whole cache lines,
-// and every executor starts on a cache-line boundary (on 64-bit targets:
-// linePlaced).
-func TestCCSynchLineAligned(t *testing.T) {
-	if !pad.Padded(unsafe.Sizeof(CCSynch{})) {
-		t.Fatalf("CCSynch is %d bytes, not a whole number of cache lines", unsafe.Sizeof(CCSynch{}))
-	}
-	if !linePlaced(t) {
-		return
-	}
-	for i := 0; i < 16; i++ {
-		c := NewCCSynch(Func(func(op, arg uint64) uint64 { return 0 }), Options{})
-		if off := uintptr(unsafe.Pointer(c)) % pad.CacheLine; off != 0 {
-			t.Fatalf("executor %d starts %d bytes into a cache line", i, off)
-		}
-	}
-}

@@ -99,16 +99,19 @@ type Executor interface {
 //
 // Asynchrony is about overlap, not non-blocking submission: Submit may
 // block on transport back-pressure (a full request queue) or on
-// combiner duty (the hybrid's delegation mode promotes the submitting
-// thread and serves the round before returning). How much genuinely
-// overlaps depends on the construction — the MCS lock (and the hybrid's
-// lock mode), HYBCOMB, CC-SYNCH and MP-SERVER defer the whole window to
-// the first completion demanded — a Wait, a Flush, a blocking call
-// behind it, or the QueueCap-th pending operation — and execute it as
-// ONE run: under one acquisition, as one combining round's own run
-// after registering what an open round still takes, as one chain cell a
-// combiner serves whole, or as one request message the server answers
-// with one reply; SHM-SERVER completes every submission immediately.
+// combiner duty (a submission that finds QueueCap operations in flight
+// first settles the oldest, which may hand the pending run over and
+// serve a combining round). How much genuinely overlaps depends on the
+// construction — the MCS lock, the hybrid in both modes, HYBCOMB,
+// CC-SYNCH and MP-SERVER defer the whole window to the first completion
+// demanded — a Wait, a Flush, a blocking call behind it, or the
+// QueueCap-th pending operation — and execute it as ONE run: under one
+// acquisition, as one combining round's own run after registering what
+// an open round still takes, as one chain cell a combiner serves whole,
+// or as one request message the server answers with one reply; the
+// hybrid's run takes the lock's path or the chain's, whichever mode is
+// current when it is demanded; SHM-SERVER completes every submission
+// immediately.
 //
 // Pipe is the one implementation: every construction's NewHandle
 // returns a *Pipe over its own Transport, and SyncHandle adapts a bare
@@ -140,8 +143,9 @@ type Handle interface {
 	// in mutual exclusion, in submission order with the handle's other
 	// operations, and its result is discarded. Completion is observed
 	// collectively through Flush (or any later same-handle Wait, by
-	// FIFO); on a lock, HybComb, CC-Synch or MP-SERVER handle that is
-	// also when it executes, unless QueueCap operations are pending first.
+	// FIFO); on a lock, hybrid, HybComb, CC-Synch or MP-SERVER handle
+	// that is also when it executes, unless QueueCap operations are
+	// pending first.
 	Post(op, arg uint64) error
 
 	// Flush blocks until every operation submitted through this handle
@@ -170,8 +174,8 @@ type Handle interface {
 	// waiting on any has them all working at once; a lock executor — and
 	// the hybrid in lock mode — with nothing in flight runs the whole
 	// batch under ONE acquisition before it returns, every result
-	// banked, and CC-SYNCH publishes it as one chain cell and completes
-	// that before it returns; HYBCOMB with no deferred run owed leaves
+	// banked, and CC-SYNCH — and the hybrid in delegation mode — puts it
+	// on the chain as one cell and completes that before it returns; HYBCOMB with no deferred run owed leaves
 	// the requests it could register owed and, once a request fails
 	// registration, executes the entire rest as one combining round's own
 	// run; behind pending submissions of any of these, the batch joins
@@ -200,15 +204,18 @@ type Handle interface {
 	// TryWait is the non-blocking Wait: if t's operation has completed,
 	// it redeems the ticket and returns the result exactly like Wait;
 	// otherwise it returns ErrNotReady and the ticket remains
-	// outstanding and redeemable. TryWait never waits for another
-	// thread to serve the operation, but it may perform work this handle
-	// already owes: an inherited CC-SYNCH combining round whose hand-off
-	// has arrived, a HybComb handle's deferred run — shipped, so what
-	// registers with an open round is then ErrNotReady until served — or
-	// a lock handle's deferred run — acquired like any critical section,
-	// so it waits out the lock's current holders and never reports
-	// ErrNotReady. Like Wait, calling it with a
-	// redeemed or foreign ticket panics. On a poisoned executor a
+	// outstanding and redeemable. Its bound covers waiting for other
+	// threads to serve what the handle has already handed over, not the
+	// run the handle itself must hand over: a TryWait that demands the
+	// handle's deferred run executes it, because nobody else will. A
+	// lock handle acquires like any critical section, so it waits out
+	// the lock's current holders; a CC-SYNCH handle puts the run on the
+	// chain as one cell and completes it, spinning until a combiner
+	// serves the cell or running the round the cell is handed; a hybrid
+	// handle does one or the other, whichever mode is current. None of
+	// them reports ErrNotReady. A HybComb handle ships its run, so what
+	// registers with an open round is then ErrNotReady until served.
+	// Like Wait, calling it with a redeemed or foreign ticket panics. On a poisoned executor a
 	// completed ticket redeems with the *PoisonError alongside the
 	// value — results produced after the fault are zeros.
 	TryWait(t Ticket) (uint64, error)
@@ -217,8 +224,9 @@ type Handle interface {
 	// completes and redeems the ticket, or returns ErrWaitTimeout after
 	// d with the ticket still outstanding and redeemable (retry, or
 	// fall back to Wait). The bound covers waiting on other threads; a
-	// dispatch this handle itself must execute (a lock handle's deferred
-	// run, an inherited combining round) is not interrupted.
+	// run this handle itself must hand over (a lock handle's deferred
+	// run, a CC-SYNCH or hybrid handle's run cell and the round it may
+	// inherit) is not interrupted.
 	// The poison semantics are TryWait's.
 	WaitTimeout(t Ticket, d time.Duration) (uint64, error)
 
@@ -263,7 +271,7 @@ type Handle interface {
 // That is an ApplyBatch (or router MultiApply), whose whole batch is one
 // round's own run, and it is a pipelined handle of any source: every
 // one defers its window (mcs-lock, HybComb, CC-SYNCH, the hybrid in
-// lock mode), and its deferred run is the same batch spelled one call
+// both modes), and its deferred run is the same batch spelled one call
 // at a time, one round of n own operations (combined == 0 on the lock,
 // where nobody executes on another's behalf). The counters then mix units (rounds
 // count runs, combined counts operations), which is why measure.Run
@@ -488,13 +496,13 @@ func (o *Options) fill() {
 	}
 }
 
+// runCap bounds one DispatchBatch run that a server or combiner
+// collects from other threads: the message-passing constructions'
+// receive buffers hold at most this many requests (batchLen), and
+// CC-Synch's combiner serves a round in runs of at most this many.
+const runCap = 256
+
 // batchLen sizes a server/combiner receive buffer: up to MaxOps
-// requests are drained per wakeup, capped so an effectively unbounded
-// MaxOps does not allocate an enormous buffer.
-func (o *Options) batchLen() int {
-	const maxBatch = 256
-	if int(o.MaxOps) < maxBatch {
-		return int(o.MaxOps)
-	}
-	return maxBatch
-}
+// requests are drained per wakeup, capped at runCap so an effectively
+// unbounded MaxOps does not allocate an enormous buffer.
+func (o *Options) batchLen() int { return min(int(o.MaxOps), runCap) }

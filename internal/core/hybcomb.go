@@ -22,7 +22,7 @@ import (
 // The inboxes are mpq.Mpsc queues (any thread sends; only the owner
 // receives) and the combiner drains them with batched receives: both
 // the eager drain (lines 25-28) and the granted-ticket drain (lines
-// 34-37) consume a run of published requests per queue synchronization —
+// 34-37) consume a run of sent requests per queue synchronization —
 // and each drained run executes as ONE DispatchBatch call against the
 // object, with the responses scattered to the requesters' queues after
 // the call. The combiner's own operations batch the same way: a
@@ -73,7 +73,7 @@ type hybCombHot struct {
 	// registered with id as combiner (drained by the owner), resp[id]
 	// the responses to the owner's own registered requests. Another
 	// thread learns id only from a node's threadID — stored by the
-	// owner, published by its lastReg CAS — or from a request the owner
+	// owner, made visible by its lastReg CAS — or from a request the owner
 	// sent, so the slots' writes are ordered before every read.
 	inbox []*mpq.Mpsc
 	resp  []*mpq.Mpsc

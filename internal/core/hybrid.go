@@ -31,39 +31,37 @@ import (
 // most of what the promoted path still pays over the bare backend
 // (ROADMAP direction E).
 //
-// The contention signal is the lock executor's: each acquisition
+// The controller's evidence is the lock executor's: each acquisition
 // reports whether it found a predecessor in the gate queue (a contended
 // acquisition), counted in the handle's counter cell. Every
-// hybridTickEvery operations a handle publishes its cell's rounds,
-// combined, retries and stalls into atomic words (counts.publish), and
-// the controller — piggybacked on those ticks, guarded by a TryLock so
-// it never serializes the data path — reads nothing but the published
-// words (Shell.published), as deltas from one baseline. It promotes
-// when the contended fraction over a window of at least hybridWindow
-// served requests reaches hybridPromote. In delegation mode the signal
-// inverts: the backend's combiners count their rounds and the requests
-// they combined for other threads in the same cells, and the
-// controller demotes only after hybridQuietWindows consecutive windows
-// whose combining rate — requests served per round, a round's own run
-// counted once — stays below hybridDemote with zero submit stalls, the
-// hysteresis that keeps a phase-shifting workload from thrashing.
-// Every transition rebases the baseline, so each mode's evidence is
-// collected entirely within that mode.
+// hybridTickEvery operations a handle pokes the controller, guarded by
+// a TryLock so it never serializes the data path. Under that lock the
+// handle adds its own rounds, combined, retries and stalls since its
+// last such poke into the controller's window (ctl.win), reading its own
+// plain counts. The controller promotes when the contended fraction over
+// a window of at least hybridWindow served requests reaches
+// hybridPromote. In delegation mode the evidence inverts: the backend's
+// combiners count their rounds and the requests they combined for other
+// threads in the same cells, and the controller demotes only after
+// hybridQuietWindows consecutive windows whose combining rate —
+// requests served per round, a round's own run counted once — stays
+// below hybridDemote with zero submit stalls, the hysteresis that keeps
+// a phase-shifting workload from thrashing. The window is zeroed when
+// it closes and at every transition, so it holds what the handles'
+// pokes added since: each handle's counts since its previous poke,
+// which may straddle the transition.
 //
-// Transitions preserve the full Handle contract. Handles align to the
-// global mode lazily, at the next run their pipeline hands over (or the
-// next blocking Apply), and per-handle FIFO holds across both edges: a
-// lock-mode handle's pending run executes on whichever side is current
-// when it is demanded, and a delegated submission completes before its
-// Submit returns — a CC-Synch run is served on the spot and never owed —
-// so switching BACK to the lock has nothing to settle. Tickets are
+// Transitions preserve the full Handle contract. Both modes defer: a
+// submission joins the handle's pending run, and a run reads the mode
+// once, when it is handed over, and goes down one path — under one gate
+// acquisition, or as one chain cell of the backend, as on bare
+// ccsynch — so a DispatchBatch run is never split by a transition.
+// Either path completes the run before it returns and never owes a
+// completion, so neither edge has anything to settle. Tickets are
 // mode-agnostic because the handle is one pipeline over both modes (see
-// hybTransport): a lock-mode submission waits in the pipeline's deferred
-// run (one acquisition per demand, exactly as on mcs-lock), a delegated
-// one is banked in the same ticket window, and Wait redeems either kind
-// no matter how many transitions happened in between. A run reads the
-// mode once and goes down one path, so a DispatchBatch run is never
-// split by a transition.
+// hybTransport): every submission waits in the same pending run and
+// ticket window, and Wait redeems it no matter how many transitions
+// happened in between.
 //
 // Faults centralize in the one latch of the embedded shell: both the
 // lock clients and the hybGate dispatch through it, so a panic in
@@ -93,10 +91,16 @@ type Hybrid struct {
 	_     pad.Line
 	ctlMu sync.Mutex
 	ctl   struct {
-		last  totals    // the baseline every window is a delta from
+		win   evidence  // the open window: what the handles' ticks added since it opened
 		quiet int       // consecutive quiescent windows (hysteresis)
 		into  [2]uint64 // transitions into each mode: [hybModeDeleg] promotions, [hybModeLock] demotions
 	}
+}
+
+// evidence is the part of the handles' counts the controller judges:
+// rounds, requests combined for others, retries and submit stalls.
+type evidence struct {
+	rounds, combined, retries, stalls uint64
 }
 
 const (
@@ -112,7 +116,7 @@ const (
 // round, the round's own run counted once — below which a delegation
 // window counts as quiescent; hybridWindow the minimum number of
 // requests served (rounds plus requests combined for others) between
-// two evaluations of either signal — smaller windows react faster and
+// two evaluations in either mode — smaller windows react faster and
 // thrash easier, 1024 rides out sub-window bursts.
 const (
 	hybridPromote = 0.5
@@ -127,9 +131,9 @@ const hybridQuietWindows = 3
 
 // hybridTickEvery is how many operations a handle performs between
 // controller pokes. The controller itself enforces the hybridWindow
-// minimum on the global deltas, so this only bounds reaction latency,
-// not window size — 256 keeps the controller's TryLock and counter
-// sweeps under 1% of the uncontended lock path.
+// minimum on the window, so this only bounds reaction latency, not
+// window size — 256 keeps the controller's TryLock under 1% of the
+// uncontended lock path.
 const hybridTickEvery = 256
 
 // hybGate is the object the delegation backend executes against: the
@@ -184,9 +188,9 @@ func (h *Hybrid) NewHandle() (Handle, error) {
 	// lock acquisitions and combining rounds alike are rounds.
 	spec := inner.spec()
 	spec.Transport, spec.Apply, spec.Latch = t, t.apply, &h.PoisonLatch
-	t.p = h.handle(spec)
-	t.cnt, inner.cnt = &t.p.cnt, &t.p.cnt
-	return t.p, nil
+	p := h.handle(spec)
+	t.cnt, inner.cnt = &p.cnt, &p.cnt
+	return p, nil
 }
 
 // Transitions implements AdaptiveStats.
@@ -196,34 +200,26 @@ func (h *Hybrid) Transitions() (promotions, demotions uint64) {
 	return h.ctl.into[hybModeDeleg], h.ctl.into[hybModeLock]
 }
 
-// maybeAdapt is the controller: called from handle ticks, it evaluates
-// the current mode's signal once at least h.window requests have been
-// served since the baseline, and flips the mode on a threshold
-// crossing. A window counts rounds plus requests combined for others:
-// each round's own run once, every request another round served for it
-// once. TryLock keeps it off the data path — a tick that finds an
-// evaluation in progress just skips.
-func (h *Hybrid) maybeAdapt() {
-	if !h.ctlMu.TryLock() {
+// adapt is the controller, run by a tick under ctlMu once it has added
+// its handle's counts to the window: it evaluates the current mode's
+// evidence once the window has served at least h.window requests,
+// closes the window, and flips the mode on a threshold crossing. A
+// window counts rounds plus requests combined for others: each round's
+// own run once, every request another round served for it once.
+func (h *Hybrid) adapt() {
+	w := h.ctl.win
+	served := w.rounds + w.combined
+	if served < h.window || h.Poisoned() {
 		return
 	}
-	defer h.ctlMu.Unlock()
-	if h.Poisoned() {
-		return
-	}
-	t, b := h.published(), h.ctl.last
-	rounds, served := t.rounds-b.rounds, t.rounds+t.combined-b.rounds-b.combined
-	if served < h.window {
-		return
-	}
-	h.ctl.last = t
+	h.ctl.win = evidence{}
 	if h.mode.Load() == hybModeLock {
-		if float64(t.retries-b.retries) >= h.promoteAt*float64(rounds) {
+		if float64(w.retries) >= h.promoteAt*float64(w.rounds) {
 			h.flip(hybModeLock, hybModeDeleg)
 		}
 		return
 	}
-	if float64(served) < hybridDemote*float64(rounds) && t.stalls == b.stalls {
+	if float64(served) < hybridDemote*float64(w.rounds) && w.stalls == 0 {
 		if h.ctl.quiet++; h.ctl.quiet >= hybridQuietWindows {
 			h.flip(hybModeDeleg, hybModeLock)
 		}
@@ -232,37 +228,33 @@ func (h *Hybrid) maybeAdapt() {
 	h.ctl.quiet = 0
 }
 
-// flip is the one transition edge, from → to: it rebases the baseline,
-// so the new mode's evidence starts from zero, and counts the
+// flip is the one transition edge, from → to: it zeroes the window, so
+// the new mode's evidence starts from nothing, and counts the
 // transition. Callers hold ctlMu (the controller, or a transition test
 // forcing the edge); the CAS makes a forced edge idempotent.
 func (h *Hybrid) flip(from, to uint32) {
 	if !h.mode.CompareAndSwap(from, to) {
 		return
 	}
-	h.ctl.last = h.published()
+	h.ctl.win = evidence{}
 	h.ctl.quiet = 0
 	h.ctl.into[to]++
 }
 
 // hybTransport is one thread's path through whichever mode is current:
-// in lock mode it is a lock client — submissions defer into the
-// pipeline's run, executed under one gate acquisition per demand — in
-// delegation mode it travels the backend's transport, and its pipeline
-// is eager, handing each submission over on the spot rather than
-// deferring it, the policy a measurement chose (DESIGN "Contention
-// signal").
-// Neither side ever owes a completion, and the handle's one window
-// holds both kinds of ticket — a ticket redeems the same however many
-// transitions happened since.
+// in lock mode it is a lock client, in delegation mode it travels the
+// backend's transport. Its pipeline defers in both, so a window is one
+// gate acquisition or one chain cell, whichever mode is current when
+// the window is demanded; neither side ever owes a completion, and the
+// handle's one window holds every ticket, which redeems the same
+// however many transitions happened since.
 type hybTransportHot struct {
 	lockClientHot // lock mode
 	h             *Hybrid
-	p             *Pipe        // the handle over this transport; align sets its policy
 	inner         *ccTransport // delegation mode
 
-	mode    uint32 // last observed global mode, lock (deferring) at first; see align
-	winTick uint32 // countdown to the next controller poke
+	seen    evidence // the handle's counts as of its last tick that took ctlMu
+	winTick uint32   // countdown to the next controller poke
 }
 
 // hybTransport rounds its state up to whole cache lines: handles of different
@@ -273,37 +265,35 @@ type hybTransport struct {
 	_ [pad.CacheLine - unsafe.Sizeof(hybTransportHot{})%pad.CacheLine]byte
 }
 
-// align observes the global mode and reconciles the handle with it: the
-// pipeline defers in lock mode and hands each submission over at once in
-// delegation mode. Neither edge has anything to settle: neither side
-// ever owes, and a pending run the lock side left is the run being
-// handed over.
-func (hd *hybTransport) align() uint32 {
-	m := hd.h.mode.Load()
-	if m != hd.mode {
-		hd.mode = m
-		hd.p.eager = m == hybModeDeleg
-	}
-	return m
-}
-
 // tick counts n operations towards the next controller poke, one every
-// hybridTickEvery operations, which publishes the handle's counts
-// first: the controller then reads them, as of this tick, even if this
-// handle's poke finds it busy.
+// hybridTickEvery operations. A poke that takes ctlMu adds the handle's
+// counts since its last such poke to the window — its own plain words,
+// read by their writer — and runs the controller; one that finds the
+// controller busy skips, and its counts wait for the next.
 func (hd *hybTransport) tick(n int) {
 	if uint32(n) < hd.winTick {
 		hd.winTick -= uint32(n)
 		return
 	}
 	hd.winTick = hybridTickEvery
-	hd.cnt.publish()
-	hd.h.maybeAdapt()
+	h := hd.h
+	if !h.ctlMu.TryLock() {
+		return
+	}
+	c, w := hd.cnt, &h.ctl.win
+	now := evidence{c.rounds, c.combined, c.retries, c.stalls}
+	w.rounds += now.rounds - hd.seen.rounds
+	w.combined += now.combined - hd.seen.combined
+	w.retries += now.retries - hd.seen.retries
+	w.stalls += now.stalls - hd.seen.stalls
+	hd.seen = now
+	h.adapt()
+	h.ctlMu.Unlock()
 }
 
 func (hd *hybTransport) apply(op, arg uint64) uint64 {
 	var v uint64
-	if hd.align() == hybModeDeleg {
+	if hd.h.mode.Load() == hybModeDeleg {
 		v = hd.inner.apply(op, arg)
 	} else {
 		v = hd.lockClientHot.apply(op, arg)
@@ -317,7 +307,7 @@ func (hd *hybTransport) apply(op, arg uint64) uint64 {
 // so a dispatch run is never split by a transition happening mid-run.
 // Both complete the run on the spot: nothing is owed.
 func (hd *hybTransport) Run(reqs []Req, rets []uint64, room int) (owed int) {
-	if hd.align() == hybModeDeleg {
+	if hd.h.mode.Load() == hybModeDeleg {
 		hd.inner.Run(reqs, rets, room)
 	} else {
 		hd.lockClientHot.Run(reqs, rets, room)

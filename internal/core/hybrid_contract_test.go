@@ -53,21 +53,33 @@ func TestHybridHistoryAcrossEdges(t *testing.T) {
 	}, 4, 5000)
 }
 
+// runCounting is the script's object counting the DispatchBatch runs
+// that reach it. Runs are serialized by the construction, and the test
+// reads the count only after synchronizing with the last run.
+type runCounting struct {
+	*handletest.Object
+	runs int
+}
+
+func (o *runCounting) DispatchBatch(reqs []core.Req, results []uint64) {
+	o.runs++
+	o.Object.DispatchBatch(reqs, results)
+}
+
 // TestHybridWindowAcrossEdges walks one handle's window over both
-// edges deterministically: a run pending on the lock side when the mode
-// is promoted keeps deferring — the handle notices the edge when the
-// run is handed over — and executes as one delegated run when demanded;
-// after it the handle hands each submission over at once, and each
-// completes before its Submit returns: one queued behind another
-// thread's parked combining round waits on the chain until that round
-// is released, and the rest execute on the spot. Once the mode is
-// demoted the next submission is handed over as the handle notices the
-// edge, with nothing owed to settle, and later ones defer again; Posts
-// ride along. Every ticket, waited out of order, redeems once with its
-// own operation's result: per-handle FIFO by value.
+// edges deterministically, with both modes deferring. A run pending on
+// the lock side when the mode is promoted keeps deferring, and executes
+// as ONE delegated run when demanded. In delegation mode Submit and Post
+// execute nothing, even with another thread's round parked in the
+// object; a Flush then puts the window on the chain as one cell behind
+// that round, blocks until the round is released, and executes the
+// window as one run. A run pending across a demotion executes as one
+// lock-side run, and the lock side defers again after it. Every ticket,
+// waited out of order, redeems once with its own operation's result:
+// per-handle FIFO by value.
 func TestHybridWindowAcrossEdges(t *testing.T) {
 	handletest.Guard(t, func() {
-		obj := &handletest.Object{Fuse: -1, Entered: make(chan struct{}, 1), Release: make(chan struct{})}
+		obj := &runCounting{Object: &handletest.Object{Fuse: -1, Entered: make(chan struct{}, 1), Release: make(chan struct{})}}
 		hy := core.NewHybrid(obj, core.Options{MaxThreads: 2, QueueCap: 8})
 		core.FreezeHybrid(hy)
 		h, holder := core.MustHandle(hy), core.MustHandle(hy)
@@ -90,80 +102,73 @@ func TestHybridWindowAcrossEdges(t *testing.T) {
 				t.Fatalf("Post: %v", err)
 			}
 		}
+		executed := func(ops, runs int, when string) {
+			t.Helper()
+			if obj.State != uint64(ops) || obj.runs != runs {
+				t.Fatalf("%s: %d operations executed in %d runs, want %d in %d", when, obj.State, obj.runs, ops, runs)
+			}
+		}
 
 		submit(0) // the lock side's pending run: operations 0, 1, 2
 		post()
 		submit(2)
-		if obj.State != 0 {
-			t.Fatalf("%d operations executed before any completion was demanded", obj.State)
-		}
+		executed(0, 0, "before any completion was demanded")
 		core.ForceHybridMode(hy, true)
-		submit(3) // joins the pending run: no run has been handed over since the edge
-		if obj.State != 0 {
-			t.Fatalf("%d operations executed before any completion was demanded", obj.State)
-		}
-		h.Flush() // the run of four, delegated: a lone combiner's own run
-		if obj.State != 4 {
-			t.Fatalf("after Flush %d operations executed, want 4", obj.State)
-		}
+		submit(3) // joins the pending run: nothing is handed over at the edge
+		executed(0, 0, "after the promotion")
+		h.Flush() // the run of four, delegated as one cell
+		executed(4, 1, "after Flush")
 
 		held := make(chan uint64, 1)
 		go func() { held <- holder.Apply(handletest.OpGate, 0) }() // operation 4: a round, parked in the object
 		<-obj.Entered
+		submit(5) // deferred: none of these waits on the parked round
+		post()
+		submit(7)
+		executed(4, 2, "with the holder's round parked")
 		awaitLink := core.CCSynchLinks(core.HybridBackend(hy))
-		type submitted struct {
-			tk  core.Ticket
-			err error
-		}
-		queued := make(chan submitted, 1)
-		go func() { // operation 5: handed over at once, a cell behind the parked round
-			tk, err := h.Submit(0, 0)
-			queued <- submitted{tk, err}
+		flushed := make(chan struct{})
+		go func() { // the window, one cell behind the parked round
+			h.Flush()
+			close(flushed)
 		}()
 		awaitLink()
 		select {
-		case s := <-queued:
-			t.Fatalf("a delegated Submit returned (%v) with the round ahead of it parked", s.err)
+		case <-flushed:
+			t.Fatal("a delegated Flush returned with the round ahead of its cell parked")
 		default:
 		}
-		if obj.State != 4 {
-			t.Fatalf("%d operations executed with the holder's round parked, want 4", obj.State)
-		}
+		executed(4, 2, "with the window's cell behind the parked round")
 		close(obj.Release)
-		s := <-queued
-		if s.err != nil {
-			t.Fatalf("Submit: %v", s.err)
-		}
-		tks = append(tks, issued{s.tk, 5})
-		if obj.State != 6 {
-			t.Fatalf("after the delegated Submit returned %d operations executed, want 6", obj.State)
-		}
-		post() // operations 6 and 7 execute on the spot
-		submit(7)
-		if obj.State != 8 {
-			t.Fatalf("%d operations executed after two more delegated submissions, want 8", obj.State)
-		}
-		core.ForceHybridMode(hy, false)
-		submit(8) // handed over at once, as the handle notices the edge: the lock side, nothing owed ahead of it
-		post()    // the lock side defers again
-		submit(10)
-		if obj.State != 9 {
-			t.Fatalf("%d operations executed before the lock side's run was demanded, want 9", obj.State)
+		<-flushed
+		executed(8, 3, "after the released round and the Flush")
+		if v := <-held; v != 4 {
+			t.Fatalf("holder's Apply = %d, want 4", v)
 		}
 
-		for _, i := range []int{5, 3, 1, 2, 6, 4, 0} {
+		submit(8) // a delegated run, pending across the demotion
+		post()
+		core.ForceHybridMode(hy, false)
+		submit(10)
+		executed(8, 3, "after the demotion")
+		if got := h.Wait(tks[len(tks)-1].tk); got != 10 {
+			t.Fatalf("Wait(ticket of operation 10) = %d", got)
+		}
+		executed(11, 4, "after the Wait that demanded the run across the demotion")
+		tks = tks[:len(tks)-1]
+		submit(11) // the lock side defers again
+		post()
+		submit(13)
+		executed(11, 4, "after the lock side's submissions")
+
+		for _, i := range []int{7, 4, 0, 5, 2, 6, 1, 3} {
 			if got := h.Wait(tks[i].tk); got != tks[i].op {
 				t.Fatalf("Wait(ticket of operation %d) = %d", tks[i].op, got)
 			}
 		}
+		executed(14, 5, "after the last Wait")
 		handletest.MustPanic(t, "Wait on a redeemed ticket", func() { h.Wait(tks[3].tk) })
-		if v := <-held; v != 4 {
-			t.Fatalf("holder's Apply = %d, want 4", v)
-		}
 		h.Flush()
-		if obj.State != 11 {
-			t.Fatalf("%d operations executed, want 11", obj.State)
-		}
 		if err := hy.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -202,11 +202,11 @@ type mpTransport struct {
 
 // apply is the blocking round trip, one inline request message. The
 // pipeline calls it only with nothing in flight, so its reply is the
-// next on the ring. After Close the reply is there once published
+// next on the ring. After Close the reply is there once pastSeal
 // returns.
 func (t *mpTransport) apply(op, arg uint64) uint64 {
 	t.s.reqs.Send(mpq.Words3(t.id, op, arg))
-	t.s.published(t.s)
+	t.s.pastSeal(t.s)
 	v, _ := recvReply(&t.resp.Ring, &t.wb, true)
 	return v
 }
@@ -219,7 +219,7 @@ func (t *mpTransport) apply(op, arg uint64) uint64 {
 // operations in flight, and the cell has at least QueueCap slots.
 //
 // A run sent once Close has sealed the executor may be drained by its
-// own sender (see server.published): its reply is then on the ring,
+// own sender (see server.pastSeal): its reply is then on the ring,
 // and its results in the cell, when Run returns.
 func (t *mpTransport) Run(reqs []Req, _ []uint64, room int) (owed int) {
 	owed = min(len(reqs), room)
@@ -229,7 +229,7 @@ func (t *mpTransport) Run(reqs []Req, _ []uint64, room int) (owed int) {
 	}
 	t.s.reqs.Send(mpq.Words3(t.id|runFrame, t.tail&c.mask, uint64(owed)))
 	t.tail += uint64(owed)
-	t.s.published(t.s)
+	t.s.pastSeal(t.s)
 	return owed
 }
 

@@ -120,10 +120,10 @@ type pipeSpec struct {
 	Waiter *backoff.Watched
 	// Eager: each submission is handed to Run at once, as a run of one,
 	// instead of joining the pending run until a completion is demanded.
-	// Only a transport that completes every submission on the spot is
-	// built eager (SHM-SERVER's one slot, SyncHandle: there is nothing to
-	// gather). The hybrid's mode edges move the same policy: eager while
-	// its delegated side is up (see hybTransport).
+	// Only newImmediatePipe sets it, for a transport that completes
+	// every submission on the spot (SHM-SERVER's one slot, SyncHandle:
+	// there is nothing to gather); every other handle defers, the
+	// hybrid's in both modes.
 	Eager bool
 }
 
@@ -136,7 +136,6 @@ type pipeHot struct {
 	done []uint64 // batch's done scratch: SubmitBatch, ApplyBatch(reqs, nil)
 
 	owing Owing // spec.Transport where it can owe, else nil
-	eager bool  // spec.Eager, except where the hybrid's mode edges move it
 
 	// run is the deferred window. It comes last, so the fields Apply
 	// reads stay on the lines they had.
@@ -162,7 +161,7 @@ func newPipe(spec pipeSpec) *Pipe {
 		spec.Waiter = new(backoff.Watched)
 	}
 	spec.Depth = max(spec.Depth, 1)
-	p := &Pipe{pipeHot: pipeHot{spec: spec, eager: spec.Eager}}
+	p := &Pipe{pipeHot: pipeHot{spec: spec}}
 	p.owing, _ = spec.Transport.(Owing)
 	// The run never holds more than the window, so it is sized once here
 	// and deferring into it never allocates.
@@ -297,7 +296,7 @@ func (p *Pipe) issue() uint64 {
 // completed on the spot needs no ticket.
 func (p *Pipe) ship(op, arg uint64, discard bool) uint64 {
 	p.makeRoom()
-	if p.eager && p.run.holds() == 0 {
+	if p.spec.Eager && p.run.holds() == 0 {
 		// A run of one, in the idle run's buffers.
 		reqs, rets := p.run.pend[:1], p.run.rets[:1]
 		reqs[0] = Req{Op: op, Arg: arg}

@@ -41,7 +41,7 @@ type server struct {
 	// server loop counts itself, once for all its executors.
 	clients occupants
 	// late serializes the drains clients make themselves once the
-	// server loop has let the executor go (see published).
+	// server loop has let the executor go (see pastSeal).
 	late sync.Mutex
 }
 
@@ -66,19 +66,19 @@ func (s *server) Close() error {
 	return s.Err()
 }
 
-// published is a client's one step past Close, taken after every
+// pastSeal is a client's one step past Close, taken after every
 // publish of a request to src (whose server part is s): the client
-// reads the seal only once its request is published. If the seal is
+// reads the seal only once its request is out. If the seal is
 // not there yet, the publish came before it, so the loop's drain
 // after its own read of the seal finds the request. If it is, the
 // loop may have let the executor go without it, so the client waits
 // for the loop to be done and drains src itself, under late, until
 // nothing is left — its own request and any other whose sender is
 // still on its way here. A drain that stops at a request claimed but
-// not yet published leaves it to that request's sender, which reads
+// not yet written leaves it to that request's sender, which reads
 // the seal after it publishes. The drain dispatches through the latch,
 // which contains a fault, so late is always released.
-func (s *server) published(src source) {
+func (s *server) pastSeal(src source) {
 	if !s.sealed.Load() {
 		return
 	}
@@ -195,8 +195,8 @@ func attach(src source, s *server) {
 // A closing executor is let go by one rule: the loop reads its seal
 // before the drain, and a drain that finds nothing after a read that
 // saw the seal ends its membership. A client reads the seal after it
-// publishes (see published), so a request whose sender saw no seal
-// was published before the seal and that drain sees it; a sender that
+// publishes (see pastSeal), so a request whose sender saw no seal
+// was out before the seal and that drain sees it; a sender that
 // saw the seal drains for itself. The drain before the seal's read may
 // have missed a request whose publish had not landed yet, which is
 // why the seal is read first.

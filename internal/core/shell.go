@@ -107,26 +107,15 @@ func (s *Shell) arm(w *backoff.Watched, label string) {
 // and its Pipe's stalls and depth), so they are plain words on a line
 // the handle owns: a count is an add, not a read-modify-write on a line
 // the executor's handles share, and on amd64 not an XCHG either, which
-// is what a Go atomic store compiles to. A plain word is race-free only
-// for a reader that has synchronized with its writer, which is what
-// Stats, Retries and Pipeline promise (see StatsSource).
-//
-// The one reader that runs while handles are active is the hybrid's
-// controller. It reads pub, which the handle refreshes from the counts
-// every hybridTickEvery operations (publish), and never the counts.
+// is what a Go atomic store compiles to. A cell is read by its own
+// handle, or by a reader that has synchronized with it: the hybrid's
+// controller gets its evidence from each handle's own read at its tick
+// (see hybTransport.tick), and Stats, Retries and Pipeline read at
+// quiescence (see StatsSource).
 type counts struct {
 	rounds, combined, retries, stalls, depth uint64
 
-	pub signal // the counts as of the handle's last publish, for the hybrid's controller
-
 	next *counts // the cell of the executor's previous handle, set before the cell is listed
-}
-
-// signal is the part of a handle's counts the hybrid's controller
-// reads while the handle runs: atomic words, stored by the owner at
-// each publish and loaded by the controller.
-type signal struct {
-	rounds, combined, retries, stalls atomic.Uint64
 }
 
 // round counts one combining round that served combined requests for
@@ -134,15 +123,6 @@ type signal struct {
 func (c *counts) round(combined uint64) {
 	c.rounds++
 	c.combined += combined
-}
-
-// publish copies the counts the hybrid's controller reads into pub.
-// Owner only; four stores every hybridTickEvery operations.
-func (c *counts) publish() {
-	c.pub.rounds.Store(c.rounds)
-	c.pub.combined.Store(c.combined)
-	c.pub.retries.Store(c.retries)
-	c.pub.stalls.Store(c.stalls)
 }
 
 // totals is an executor's counts: its handles' cells summed, depth the
@@ -184,23 +164,4 @@ func (s *Shell) totals() (t totals) {
 		t.depth = max(t.depth, c.depth)
 	}
 	return t
-}
-
-// published sums the cells' published words: the hybrid controller's
-// read, race-free while the handles run, each handle's part as of its
-// last publish. depth is not published and reads 0.
-func (s *Shell) published() (t totals) {
-	for c := s.cells.Load(); c != nil; c = c.next {
-		c.pub.addTo(&t)
-	}
-	return t
-}
-
-// addTo adds the published words to t. A helper, so that published's
-// loop has a call in its body and is not mistaken for a spin.
-func (p *signal) addTo(t *totals) {
-	t.rounds += p.rounds.Load()
-	t.combined += p.combined.Load()
-	t.retries += p.retries.Load()
-	t.stalls += p.stalls.Load()
 }

@@ -31,7 +31,7 @@ type SHMServer struct {
 // The enclosing shmSlot rounds it up to a whole cache line (verified
 // by TestSlotLayout) so neighbouring clients never false-share.
 type shmSlotHot struct {
-	req     atomic.Uint64 // 1 while a request is published, 0 when served
+	req     atomic.Uint64 // 1 while a request waits in the slot, 0 when served
 	op, arg uint64
 	ret     uint64
 }
@@ -63,7 +63,7 @@ func NewSHMServer(obj Object, o Options) *SHMServer {
 // receive does, whatever MaxThreads is. A handle is admitted before
 // its first publish, so a sweep that misses a slot just admitted
 // finds it on the next, and the loop's last sweep after Close finds
-// every slot a request was published in before.
+// every slot a request was stored in before.
 //
 // The emptiness guard is hoisted to the call sites: flush outgrew
 // the inlining budget when it learned to record run lengths, and an
@@ -145,11 +145,11 @@ type shmClient struct {
 
 // apply publishes the request in the client's slot and spins locally
 // until the server clears it. After Close the slot is clear once
-// published returns.
+// pastSeal returns.
 func (h *shmClient) apply(op, arg uint64) uint64 {
 	h.slot.op, h.slot.arg = op, arg
 	h.slot.req.Store(1)
-	h.s.published(h.s)
+	h.s.pastSeal(h.s)
 	if h.slot.req.Load() != 0 {
 		h.wb.Reset()
 		for h.slot.req.Load() != 0 {
