@@ -40,7 +40,7 @@ import (
 //
 // The tail pad makes the struct whole cache lines, so an executor is
 // placed on a line by its size alone rather than by the size class it
-// happens to fall in (TestExecutorsLineAligned).
+// happens to fall in (TestCCSynchLineAligned).
 type CCSynch struct {
 	ccSynchHot
 	_ [pad.CacheLine - unsafe.Sizeof(ccSynchHot{})%pad.CacheLine]byte

@@ -306,32 +306,59 @@ var lineSharers = map[string]string{
 // TestExecutorsLineAligned: every registered executor is either a whole
 // number of cache lines, or lineSharers names why it need not be. A
 // whole-line executor starts on a cache-line boundary in every
-// instance, so the words its threads write each operation (HybComb's
-// and CC-Synch's tails) fall on the same lines in every executor of
-// every run; a struct in a non-whole-line size class is placed
-// differently from one allocation to the next. The sizes hold on every
-// target, the placement on 64-bit targets (linePlaced).
+// instance, so the words its threads write each operation fall on the
+// same lines in every executor of every run; a struct in a
+// non-whole-line size class is placed differently from one allocation
+// to the next. The sizes hold on every target, the placement on 64-bit
+// targets (linePlaced).
 func TestExecutorsLineAligned(t *testing.T) {
 	placed := linePlaced(t)
 	for _, algo := range Algorithms() {
-		ex := MustNewObject(algo, Func(func(op, arg uint64) uint64 { return 0 }))
-		typ := reflect.TypeOf(ex).Elem()
-		why, shares := lineSharers[algo]
-		switch {
-		case !pad.Padded(typ.Size()) && !shares:
-			t.Errorf("%s: %s is %d bytes, not a whole number of cache lines, and lineSharers names no reason", algo, typ, typ.Size())
-		case !pad.Padded(typ.Size()):
-			t.Logf("%s: %s is %d bytes: %s", algo, typ, typ.Size(), why)
-		case placed:
-			for i := 0; i < 16; i++ {
-				e := MustNewObject(algo, Func(func(op, arg uint64) uint64 { return 0 }))
-				if off := reflect.ValueOf(e).Pointer() % pad.CacheLine; off != 0 {
-					t.Errorf("%s: executor %d starts %d bytes into a cache line", algo, i, off)
-				}
-				e.Close()
+		checkExecutorLineAligned(t, algo, placed)
+	}
+}
+
+// TestHybCombLineAligned pins the check for HybComb, whose lastReg,
+// rounds and combined are written every round: at 240 bytes successive
+// executors cycled through four placements.
+func TestHybCombLineAligned(t *testing.T) {
+	if _, shares := lineSharers["hybcomb"]; shares {
+		t.Fatalf("hybcomb is named in lineSharers")
+	}
+	checkExecutorLineAligned(t, "hybcomb", linePlaced(t))
+}
+
+// TestCCSynchLineAligned pins the check for CCSynch, whose field order
+// relies on it (tail on the line of the latch and MaxOps).
+func TestCCSynchLineAligned(t *testing.T) {
+	if _, shares := lineSharers["ccsynch"]; shares {
+		t.Fatalf("ccsynch is named in lineSharers")
+	}
+	checkExecutorLineAligned(t, "ccsynch", linePlaced(t))
+}
+
+// checkExecutorLineAligned checks that algo's executor is whole cache
+// lines, or named in lineSharers, and, where it is whole lines and
+// placed holds, that 16 fresh executors each start on a line.
+func checkExecutorLineAligned(t *testing.T, algo string, placed bool) {
+	t.Helper()
+	ex := MustNewObject(algo, Func(func(op, arg uint64) uint64 { return 0 }))
+	defer ex.Close()
+	typ := reflect.TypeOf(ex).Elem()
+	why, shares := lineSharers[algo]
+	switch {
+	case !pad.Padded(typ.Size()) && !shares:
+		t.Errorf("%s: %s is %d bytes, not a whole number of cache lines, and lineSharers names no reason", algo, typ, typ.Size())
+	case !pad.Padded(typ.Size()):
+		t.Logf("%s: %s is %d bytes: %s", algo, typ, typ.Size(), why)
+	case placed:
+		for i := 0; i < 16; i++ {
+			e := MustNewObject(algo, Func(func(op, arg uint64) uint64 { return 0 }))
+			if off := reflect.ValueOf(e).Pointer() % pad.CacheLine; off != 0 {
+				t.Errorf("%s: executor %d starts %d bytes into a cache line", algo, i, off)
 			}
+			e.Close()
 		}
-		ex.Close()
 	}
 }
 
